@@ -89,33 +89,44 @@ _TRAIN_DEFAULTS = dict(
     scale_factor=0.25,
 )
 
-_DATA_DEFAULTS = dict(
-    n_group_identities=40,
-    members_min=2,
-    n_cameras=2,
-    views_per_group_per_camera=2,
-    membership_dropout_prob=0.3,
-    layout_permutation=True,
-    appearance_noise_std=0.1,
-    camera_bias_std=0.2,
-    train_fraction=0.7,
-)
-
-_TOP_KEYS = {"seed", "dim", "d_a", "M0", "K", "tokens_per_identity",
-             "mvs", "gla", "losses", "train", "data"}
-_MVS_KEYS = {"enabled", "mu", "sigma", "p0", "pmax"}
-_GLA_KEYS = {"enabled"}
-_LOSS_KEYS = {"alpha", "epsilon"}
-_TRAIN_KEYS = set(_TRAIN_DEFAULTS)
-_DATA_KEYS = set(_DATA_DEFAULTS)
+# The data keys in echo order; all but ``train_fraction`` are GenConfig fields.
+_GEN_KEYS = ("n_group_identities", "members_min", "n_cameras", "views_per_group_per_camera",
+             "membership_dropout_prob", "layout_permutation", "appearance_noise_std",
+             "camera_bias_std")
+_DATA_KEYS = _GEN_KEYS + ("train_fraction",)
 
 
-def _check_keys(doc: dict, allowed: set, where: str) -> None:
+def _typed(where: str, value, like):
+    """``value`` if it has the JSON type of the default ``like``.
+
+    Ints must be JSON integers, floats take integers too (stored as
+    floats), bools must be ``true``/``false`` and lists hold integers.
+    """
+    if isinstance(like, list):
+        if isinstance(value, list) and all(type(e) is int for e in value):
+            return tuple(value)
+        raise ValueError(f"{where} must be a list of integers, got {value!r}")
+    kinds = (int, float) if type(like) is float else (type(like),)
+    if type(value) not in kinds:
+        raise ValueError(f"{where} must be {type(like).__name__}, got {value!r}")
+    return type(like)(value)
+
+
+def _read(doc, like: dict, where: str) -> dict:
+    """``doc`` with every key of ``like`` filled in and type-checked."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - allowed)
+    unknown = sorted(set(doc) - set(like))
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    out = {}
+    for key, default in like.items():
+        value, at = doc.get(key, default), f"{where}.{key}"
+        if isinstance(default, dict):
+            out[key] = _read(value, default, at)
+        else:
+            out[key] = _typed(at, value, default)
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,14 +150,14 @@ class RunConfig:
     alpha: float = 0.3
     epsilon: float = 0.1
     train: TrainConfig = field(default_factory=lambda: TrainConfig(**_TRAIN_DEFAULTS))
-    n_group_identities: int = 40
-    members_min: int = 2
-    n_cameras: int = 2
-    views_per_group_per_camera: int = 2
-    membership_dropout_prob: float = 0.3
-    layout_permutation: bool = True
-    appearance_noise_std: float = 0.1
-    camera_bias_std: float = 0.2
+    n_group_identities: int = GenConfig.n_group_identities
+    members_min: int = GenConfig.members_min
+    n_cameras: int = GenConfig.n_cameras
+    views_per_group_per_camera: int = GenConfig.views_per_group_per_camera
+    membership_dropout_prob: float = GenConfig.membership_dropout_prob
+    layout_permutation: bool = GenConfig.layout_permutation
+    appearance_noise_std: float = GenConfig.appearance_noise_std
+    camera_bias_std: float = GenConfig.camera_bias_std
     train_fraction: float = 0.7
 
     def validate(self) -> None:
@@ -168,18 +179,8 @@ class RunConfig:
     # resolved component configs -------------------------------------------
 
     def gen_config(self) -> GenConfig:
-        return GenConfig(
-            n_group_identities=self.n_group_identities,
-            members_min=self.members_min,
-            members_max=self.m0,
-            n_cameras=self.n_cameras,
-            views_per_group_per_camera=self.views_per_group_per_camera,
-            membership_dropout_prob=self.membership_dropout_prob,
-            layout_permutation=self.layout_permutation,
-            appearance_noise_std=self.appearance_noise_std,
-            camera_bias_std=self.camera_bias_std,
-            d_a=self.d_a,
-        )
+        return GenConfig(members_max=self.m0, d_a=self.d_a,
+                         **{k: getattr(self, k) for k in _GEN_KEYS})
 
     def model_base(self) -> ModelConfig:
         # identity and class counts are placeholders until a dataset is known
@@ -201,10 +202,7 @@ class RunConfig:
         )
 
     def train_config(self, stage: int) -> TrainConfig:
-        return TrainConfig(seed=self.seed, stage=stage, **self._train_fields())
-
-    def _train_fields(self) -> dict:
-        return {k: getattr(self.train, k) for k in _TRAIN_KEYS}
+        return replace(self.train, seed=self.seed, stage=stage)
 
     # JSON round trip --------------------------------------------------------
 
@@ -216,81 +214,34 @@ class RunConfig:
             "M0": self.m0,
             "K": self.k_slots,
             "tokens_per_identity": self.tokens_per_identity,
-            "mvs": {
-                "enabled": self.mvs_enabled,
-                "mu": self.mvs.mu,
-                "sigma": self.mvs.sigma,
-                "p0": self.mvs.p0,
-                "pmax": self.mvs.pmax,
-            },
+            "mvs": {"enabled": self.mvs_enabled, **self.mvs.to_dict()},
             "gla": {"enabled": self.gla_enabled},
             "losses": {"alpha": self.alpha, "epsilon": self.epsilon},
             "train": {
                 k: (list(v) if isinstance(v := getattr(self.train, k), tuple) else v)
-                for k in sorted(_TRAIN_KEYS)
+                for k in sorted(_TRAIN_DEFAULTS)
             },
-            "data": {
-                "n_group_identities": self.n_group_identities,
-                "members_min": self.members_min,
-                "n_cameras": self.n_cameras,
-                "views_per_group_per_camera": self.views_per_group_per_camera,
-                "membership_dropout_prob": self.membership_dropout_prob,
-                "layout_permutation": self.layout_permutation,
-                "appearance_noise_std": self.appearance_noise_std,
-                "camera_bias_std": self.camera_bias_std,
-                "train_fraction": self.train_fraction,
-            },
+            "data": {k: getattr(self, k) for k in _DATA_KEYS},
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        _check_keys(doc, _TOP_KEYS, "config")
-        mvs_doc = dict(doc.get("mvs", {}))
-        _check_keys(mvs_doc, _MVS_KEYS, "config.mvs")
-        gla_doc = dict(doc.get("gla", {}))
-        _check_keys(gla_doc, _GLA_KEYS, "config.gla")
-        loss_doc = dict(doc.get("losses", {}))
-        _check_keys(loss_doc, _LOSS_KEYS, "config.losses")
-        train_doc = dict(doc.get("train", {}))
-        _check_keys(train_doc, _TRAIN_KEYS, "config.train")
-        data_doc = dict(doc.get("data", {}))
-        _check_keys(data_doc, _DATA_KEYS, "config.data")
-
-        mvs_defaults = MvsConfig()
-        mvs_cfg = MvsConfig(
-            mu=float(mvs_doc.get("mu", mvs_defaults.mu)),
-            sigma=float(mvs_doc.get("sigma", mvs_defaults.sigma)),
-            p0=float(mvs_doc.get("p0", mvs_defaults.p0)),
-            pmax=float(mvs_doc.get("pmax", mvs_defaults.pmax)),
-        )
-        train_fields = dict(_TRAIN_DEFAULTS)
-        train_fields.update(train_doc)
-        train_fields["decay_epochs"] = tuple(int(e) for e in train_fields["decay_epochs"])
-        data_fields = dict(_DATA_DEFAULTS)
-        data_fields.update(data_doc)
-
+        """Parse a config document; the default echo is the schema."""
+        d = _read(doc, cls().to_dict(), "config")
         cfg = cls(
-            seed=int(doc.get("seed", 0)),
-            dim=int(doc.get("dim", 48)),
-            d_a=int(doc.get("d_a", 32)),
-            m0=int(doc.get("M0", 6)),
-            k_slots=int(doc.get("K", 6)),
-            tokens_per_identity=int(doc.get("tokens_per_identity", 4)),
-            gla_enabled=bool(gla_doc.get("enabled", True)),
-            mvs_enabled=bool(mvs_doc.get("enabled", True)),
-            mvs=mvs_cfg,
-            alpha=float(loss_doc.get("alpha", 0.3)),
-            epsilon=float(loss_doc.get("epsilon", 0.1)),
-            train=TrainConfig(**train_fields),
-            n_group_identities=int(data_fields["n_group_identities"]),
-            members_min=int(data_fields["members_min"]),
-            n_cameras=int(data_fields["n_cameras"]),
-            views_per_group_per_camera=int(data_fields["views_per_group_per_camera"]),
-            membership_dropout_prob=float(data_fields["membership_dropout_prob"]),
-            layout_permutation=bool(data_fields["layout_permutation"]),
-            appearance_noise_std=float(data_fields["appearance_noise_std"]),
-            camera_bias_std=float(data_fields["camera_bias_std"]),
-            train_fraction=float(data_fields["train_fraction"]),
+            seed=d["seed"],
+            dim=d["dim"],
+            d_a=d["d_a"],
+            m0=d["M0"],
+            k_slots=d["K"],
+            tokens_per_identity=d["tokens_per_identity"],
+            gla_enabled=d["gla"]["enabled"],
+            mvs_enabled=d["mvs"]["enabled"],
+            mvs=MvsConfig.from_dict(d["mvs"]),  # reads mu, sigma, p0, pmax
+            alpha=d["losses"]["alpha"],
+            epsilon=d["losses"]["epsilon"],
+            train=TrainConfig(**d["train"]),
+            **d["data"],
         )
         cfg.validate()
         return cfg

@@ -253,13 +253,6 @@ def encode_members(appearances: Tensor, state: ModelState) -> Tensor:
     return dc.l2_normalize(out)
 
 
-def encode_member(appearance: Tensor, state: ModelState) -> Tensor:
-    """Single-vector convenience wrapper around ``encode_members``."""
-    if appearance.ndim != 1:
-        raise ShapeError(f"expected a (d_a,) appearance vector, got {appearance.shape}")
-    return dc.take_row(encode_members(dc.stack([appearance]), state), 0)
-
-
 def encode_group_prefix(member_features: Tensor, state: ModelState) -> tuple[Tensor, Tensor]:
     """Run block 1 over [class token; member features].
 

@@ -25,33 +25,13 @@ import numpy as np
 from . import diffcore as dc
 from . import grce
 from .diffcore import ShapeError, Tensor
-from .encoders import (
-    GROUP_PREFIX_LEN,
-    MEMBER_PREFIX_LEN,
-    ModelState,
-    encode_text,
-)
+from .encoders import ModelState, encode_text
 from .mvs import Mask
-
-
-@dataclass(frozen=True)
-class PromptSpan:
-    """Half-open token range [start, stop) with its role in the template."""
-
-    kind: str  # "prefix" | "identity" | "pad" | "suffix"
-    identity: int | None
-    start: int
-    stop: int
 
 
 @dataclass(frozen=True, eq=False)
 class PromptSequence:
     tokens: Tensor  # (length, dim)
-    spans: tuple[PromptSpan, ...]
-
-    @property
-    def length(self) -> int:
-        return self.tokens.shape[0]
 
 
 def _identity_block(identity_id: int, state: ModelState) -> Tensor:
@@ -68,15 +48,10 @@ def _identity_block(identity_id: int, state: ModelState) -> Tensor:
 def build_member_prompt(identity_id: int, state: ModelState) -> PromptSequence:
     """"a photo of a <identity tokens> person" as a token matrix."""
     p = state.params
-    m = state.config.tokens_per_identity
     block = _identity_block(identity_id, state)
-    tokens = dc.concat([p["prompt.member_prefix"], block, p["prompt.member_suffix"]], axis=0)
-    spans = (
-        PromptSpan("prefix", None, 0, MEMBER_PREFIX_LEN),
-        PromptSpan("identity", identity_id, MEMBER_PREFIX_LEN, MEMBER_PREFIX_LEN + m),
-        PromptSpan("suffix", None, MEMBER_PREFIX_LEN + m, MEMBER_PREFIX_LEN + m + 1),
+    return PromptSequence(
+        dc.concat([p["prompt.member_prefix"], block, p["prompt.member_suffix"]], axis=0)
     )
-    return PromptSequence(tokens, spans)
 
 
 def build_group_prompt(member_ids: Sequence[int], state: ModelState) -> PromptSequence:
@@ -94,24 +69,12 @@ def build_group_prompt(member_ids: Sequence[int], state: ModelState) -> PromptSe
     if len(member_ids) > cfg.group_slots:
         raise ValueError(f"{len(member_ids)} members exceed {cfg.group_slots} prompt slots")
     p = state.params
-    m = cfg.tokens_per_identity
     ordered = sorted(int(i) for i in member_ids)
-
     parts = [p["prompt.group_prefix"]]
-    spans = [PromptSpan("prefix", None, 0, GROUP_PREFIX_LEN)]
-    cursor = GROUP_PREFIX_LEN
-    for pid in ordered:
-        parts.append(_identity_block(pid, state))
-        spans.append(PromptSpan("identity", pid, cursor, cursor + m))
-        cursor += m
-    for _ in range(cfg.group_slots - len(ordered)):
-        parts.append(p["prompt.pad"])
-        spans.append(PromptSpan("pad", None, cursor, cursor + m))
-        cursor += m
+    parts += [_identity_block(pid, state) for pid in ordered]
+    parts += [p["prompt.pad"]] * (cfg.group_slots - len(ordered))
     parts.append(p["prompt.group_suffix"])
-    spans.append(PromptSpan("suffix", None, cursor, cursor + 1))
-    tokens = dc.concat(parts, axis=0)
-    return PromptSequence(tokens, tuple(spans))
+    return PromptSequence(dc.concat(parts, axis=0))
 
 
 def member_text_feature(identity_id: int, state: ModelState) -> Tensor:

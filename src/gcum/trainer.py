@@ -39,6 +39,13 @@ class FreezeViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One stage's SGD recipe.
+
+    The defaults are the paper's reference rates (lr 5e-7 up to 5e-6),
+    sized for large pretrained backbones.  The CLI and ``cli.RunConfig``
+    train with the desk-scale recipe in ``cli._TRAIN_DEFAULTS`` instead.
+    """
+
     warmup_epochs: int = 10
     lr_start: float = 5e-7
     lr_peak: float = 5e-6
@@ -81,12 +88,13 @@ class TrainConfig:
             raise ValueError("scale_factor must be positive")
 
     def scaled(self) -> "TrainConfig":
-        """Materialize the desk-scale schedule (round half up, floor 1)."""
+        """Materialize the desk-scale schedule (round half up, floor 1 for
+        non-zero counts)."""
         if self.scale_factor == 1.0:
             return self
 
         def s(e: int) -> int:
-            return max(1, math.floor(e * self.scale_factor + 0.5))
+            return max(1, math.floor(e * self.scale_factor + 0.5)) if e > 0 else 0
 
         out = replace(
             self,
@@ -113,8 +121,6 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
 @dataclass
 class OptimizerState:
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
-    epoch: int = 0
-    lr: float = 0.0
 
 
 def init_optimizer(state: ModelState) -> OptimizerState:
@@ -148,23 +154,12 @@ def sgd_step(
     return state.with_params(updates)
 
 
-def _clear_grads(state: ModelState) -> None:
-    for p in state.params.values():
-        p.grad = None
-
-
 def _collect_grads(state: ModelState, allowed: Sequence[str]) -> dict[str, np.ndarray]:
     touched = {n for n, p in state.params.items() if p.grad is not None}
     extra = touched - set(allowed)
     if extra:
         raise FreezeViolation(f"gradients outside the trainable set: {sorted(extra)}")
     return {n: state.params[n].grad for n in sorted(touched)}
-
-
-def _epoch_record(epoch: int, stage: int, lr: float, sums: dict[str, float], n: int) -> dict:
-    rec = {"epoch": epoch, "stage": stage, "lr": lr}
-    rec.update({k: v / n for k, v in sorted(sums.items())})
-    return rec
 
 
 def _sample_masks(batch, mvs: MvsConfig | None, rng: np.random.Generator):
@@ -175,6 +170,39 @@ def _sample_masks(batch, mvs: MvsConfig | None, rng: np.random.Generator):
         p = sample_drop_prob(mvs, rng)
         masks.append(sample_mask(len(s.members), p, rng))
     return masks
+
+
+def _run(state, cfg, trainable, stream, batches, loss_fn, mvs):
+    """The epoch/step loop both stages share.
+
+    ``batches(rng)`` yields one epoch's sample lists and ``loss_fn(batch,
+    masks, state)`` returns ``(loss, parts)``.  A batch's masks are drawn
+    from the same stream right after the batch is yielded.
+    """
+    run = cfg.scaled()
+    state.set_trainable(trainable)
+    opt = init_optimizer(state)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(stream,)))
+    history: list[dict] = []
+    for epoch in range(run.total_epochs):
+        lr = lr_at_epoch(run, epoch)
+        sums: dict[str, float] = {}
+        steps = 0
+        for batch in batches(rng):
+            masks = _sample_masks(batch, mvs, rng)
+            for p in state.params.values():
+                p.grad = None
+            with dc.Graph() as g:
+                loss, parts = loss_fn(batch, masks, state)
+            g.backward(loss)
+            state = sgd_step(state, _collect_grads(state, trainable), opt, lr, run)
+            for k, v in {"loss_total": loss.item(), **parts}.items():
+                sums[k] = sums.get(k, 0.0) + v
+            steps += 1
+        if steps:
+            means = {k: v / steps for k, v in sorted(sums.items())}
+            history.append({"epoch": epoch, "stage": cfg.stage, "lr": lr, **means})
+    return state, history
 
 
 def train_stage1(
@@ -191,39 +219,18 @@ def train_stage1(
         raise ValueError("train_stage1 needs a stage-1 config")
     if len(samples) < 2:
         raise ValueError("stage 1 needs at least two training samples")
-    run = cfg.scaled()
-    state.set_trainable(STAGE1_TRAINABLE)
-    opt = init_optimizer(state)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_STAGE1_STREAM,)))
-    history: list[dict] = []
 
-    for epoch in range(run.total_epochs):
-        lr = lr_at_epoch(run, epoch)
+    def batches(rng):
         order = rng.permutation(len(samples))
-        sums: dict[str, float] = {}
-        steps = 0
-        for at in range(0, len(order), run.batch_size):
-            idx = order[at : at + run.batch_size]
-            if len(idx) < 2:
-                continue
-            batch = [samples[i] for i in idx]
-            masks = _sample_masks(batch, mvs, rng)
-            _clear_grads(state)
-            with dc.Graph() as g:
-                loss, parts = gla.stage1_batch_loss(
-                    batch, masks, state, rosters, mvs_enabled=mvs is not None
-                )
-            g.backward(loss)
-            grads = _collect_grads(state, STAGE1_TRAINABLE)
-            state = sgd_step(state, grads, opt, lr, run)
-            sums["loss_total"] = sums.get("loss_total", 0.0) + loss.item()
-            for k, v in parts.items():
-                sums[k] = sums.get(k, 0.0) + v
-            steps += 1
-        if steps:
-            history.append(_epoch_record(epoch, 1, lr, sums, steps))
-        opt.epoch, opt.lr = epoch + 1, lr
-    return state, history
+        for at in range(0, len(order), cfg.batch_size):
+            idx = order[at : at + cfg.batch_size]
+            if len(idx) >= 2:
+                yield [samples[i] for i in idx]
+
+    def loss_fn(batch, masks, st):
+        return gla.stage1_batch_loss(batch, masks, st, rosters, mvs_enabled=mvs is not None)
+
+    return _run(state, cfg, STAGE1_TRAINABLE, _STAGE1_STREAM, batches, loss_fn, mvs)
 
 
 def _group_views(samples: Sequence[GroupSample]) -> dict[int, list[int]]:
@@ -253,7 +260,6 @@ def train_stage2(
     cfg.validate()
     if cfg.stage != 2:
         raise ValueError("train_stage2 needs a stage-2 config")
-    run = cfg.scaled()
     views = _group_views(samples)
     gids = sorted(views)
     if len(gids) < 2:
@@ -268,18 +274,10 @@ def train_stage2(
     if use_text:
         rows = gla.class_text_features(state, gids, rosters)  # outside any graph
         text_rows = dc.constant(rows.values)
+    p_eff = min(cfg.p_groups, len(gids))
 
-    state.set_trainable(STAGE2_TRAINABLE)
-    opt = init_optimizer(state)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_STAGE2_STREAM,)))
-    history: list[dict] = []
-    p_eff = min(run.p_groups, len(gids))
-
-    for epoch in range(run.total_epochs):
-        lr = lr_at_epoch(run, epoch)
+    def batches(rng):
         group_order = rng.permutation(len(gids))
-        sums: dict[str, float] = {}
-        steps = 0
         for at in range(0, len(group_order), p_eff):
             chunk = group_order[at : at + p_eff]
             if len(chunk) < 2:
@@ -287,23 +285,14 @@ def train_stage2(
             batch: list[GroupSample] = []
             for gi in chunk:
                 pool = views[gids[gi]]
-                picks = rng.choice(len(pool), size=run.q_views, replace=len(pool) < run.q_views)
+                picks = rng.choice(len(pool), size=cfg.q_views, replace=len(pool) < cfg.q_views)
                 batch.extend(samples[pool[j]] for j in picks)
-            masks = _sample_masks(batch, mvs, rng)
-            _clear_grads(state)
-            with dc.Graph() as g:
-                loss, parts = losses_mod.stage2_batch_loss(
-                    batch, masks, state, class_index, text_rows,
-                    alpha=alpha, epsilon=epsilon, mvs_enabled=mvs is not None,
-                )
-            g.backward(loss)
-            grads = _collect_grads(state, STAGE2_TRAINABLE)
-            state = sgd_step(state, grads, opt, lr, run)
-            sums["loss_total"] = sums.get("loss_total", 0.0) + loss.item()
-            for k, v in parts.items():
-                sums[k] = sums.get(k, 0.0) + v
-            steps += 1
-        if steps:
-            history.append(_epoch_record(epoch, 2, lr, sums, steps))
-        opt.epoch, opt.lr = epoch + 1, lr
-    return state, history
+            yield batch
+
+    def loss_fn(batch, masks, st):
+        return losses_mod.stage2_batch_loss(
+            batch, masks, st, class_index, text_rows,
+            alpha=alpha, epsilon=epsilon, mvs_enabled=mvs is not None,
+        )
+
+    return _run(state, cfg, STAGE2_TRAINABLE, _STAGE2_STREAM, batches, loss_fn, mvs)

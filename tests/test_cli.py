@@ -1,6 +1,7 @@
 """Config parsing, command flows, exit codes, and artifact round trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,32 @@ def test_config_defaults_round_trip():
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
+_DEFAULT_ECHO = (
+    '{"seed":0,"dim":48,"d_a":32,"M0":6,"K":6,"tokens_per_identity":4,'
+    '"mvs":{"enabled":true,"mu":0.2,"sigma":0.1,"p0":0.0,"pmax":0.5},'
+    '"gla":{"enabled":true},"losses":{"alpha":0.3,"epsilon":0.1},'
+    '"train":{"batch_size":8,"decay_epochs":[30,50],"decay_factor":0.1,'
+    '"lr_peak":0.03,"lr_start":0.001,"momentum":0.8,"p_groups":4,"q_views":2,'
+    '"scale_factor":0.25,"total_epochs":80,"warmup_epochs":10,"weight_decay":0.0001},'
+    '"data":{"n_group_identities":40,"members_min":2,"n_cameras":2,'
+    '"views_per_group_per_camera":2,"membership_dropout_prob":0.3,'
+    '"layout_permutation":true,"appearance_noise_std":0.1,"camera_bias_std":0.2,'
+    '"train_fraction":0.7}}'
+)
+
+
+def test_config_echo_text_is_pinned():
+    # datasets, checkpoint sidecars and log headers embed this exact text
+    assert json.dumps(RunConfig().to_dict(), separators=(",", ":")) == _DEFAULT_ECHO
+
+
+def test_readme_documents_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Run configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert RunConfig.from_dict(json.loads(block)) == RunConfig()
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         RunConfig.from_dict({"sneed": 3})
@@ -83,6 +110,30 @@ def test_config_rejects_bad_values():
         RunConfig.from_dict({"M0": 5, "K": 4})
     with pytest.raises(ValueError):
         RunConfig.from_dict({"data": {"train_fraction": 1.0}})
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"train": {"batch_size": 4.0, "p_groups": 2, "q_views": 2}}, "batch_size"),
+    ({"data": {"layout_permutation": "false"}}, "layout_permutation"),
+    ({"mvs": {"enabled": "no"}}, "enabled"),
+    ({"seed": 1.9}, "seed"),
+    ({"train": {"decay_epochs": [30.0, 50]}}, "decay_epochs"),
+])
+def test_config_rejects_mistyped_values(tmp_path, capsys, doc, key):
+    with pytest.raises(ValueError, match=key):
+        RunConfig.from_dict(doc)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code = main(["train", "--stage", "1", "--config", str(path),
+                 "--data", str(tmp_path / "d.json"), "--out", str(tmp_path / "x.ckpt")])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_config_float_keys_take_integers():
+    cfg = RunConfig.from_dict({"train": {"scale_factor": 1}, "losses": {"alpha": 0}})
+    assert type(cfg.train.scale_factor) is float and cfg.train.scale_factor == 1.0
+    assert type(cfg.alpha) is float and cfg.alpha == 0.0
 
 
 def test_config_sections_reach_components():

@@ -52,6 +52,13 @@ def test_scaled_schedule_keeps_the_shape():
 
     assert TrainConfig().scaled() is not None  # identity path
 
+    # the floor of 1 applies to non-zero counts only
+    empty = TrainConfig(warmup_epochs=0, decay_epochs=(), total_epochs=0, scale_factor=0.5).scaled()
+    assert (empty.warmup_epochs, empty.total_epochs) == (0, 0)
+    assert TrainConfig(warmup_epochs=0, scale_factor=0.5).scaled().warmup_epochs == 0
+    tiny = TrainConfig(warmup_epochs=1, decay_epochs=(), total_epochs=3, scale_factor=0.1).scaled()
+    assert (tiny.warmup_epochs, tiny.total_epochs) == (1, 1)
+
 
 def test_lr_schedule_reference_points():
     cfg = TrainConfig()
