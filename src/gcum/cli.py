@@ -319,43 +319,30 @@ def run_grad_checks(seed: int, *, step: float = 1e-5, tolerance: float = 1e-4) -
         full_mask(len(s.members)) if i % 2 else Mask(tuple([1] * (len(s.members) - 1) + [0]))
         for i, s in enumerate(samples)
     ]
-    labels = [s.group_id for s in samples]
     class_index = {g: i for i, g in enumerate(gids)}
+    targets = [class_index[s.group_id] for s in samples]
     text_rows = dc.constant(gla.class_text_features(state, gids, rosters).values)
-
-    def _mean(terms):
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = dc.add(acc, t)
-        return dc.scale(acc, 1.0 / len(terms))
 
     def _refined(st):
         rows = []
         for s, m in zip(samples, masks):
             v, feats, _ = grce.group_visual(s, st, m, quantity=True)
             rows.append(grce.refine(v, feats, st))
-        return rows
+        return dc.stack(rows)
 
     def stage1_fn(st):
         return gla.stage1_batch_loss(samples, masks, st, rosters)[0]
 
     def id_fn(st):
-        rows = _refined(st)
-        return _mean([losses_mod.id_loss(r, st, class_index[g], 0.1)
-                      for r, g in zip(rows, labels)])
+        return losses_mod.id_loss(_refined(st), st, targets, 0.1)
 
     def tri_fn(st):
         # margin large enough that every mined hinge stays active, keeping
         # the loss differentiable at the evaluation point
-        return losses_mod.triplet_loss(dc.stack(_refined(st)),
-                                       [class_index[g] for g in labels], alpha=0.5)
+        return losses_mod.triplet_loss(_refined(st), targets, alpha=0.5)
 
     def i2tce_fn(st):
-        rows = _refined(st)
-        return _mean([
-            losses_mod.i2tce_loss(r, text_rows, class_index[g], st.params["temp.inv"], 0.1)
-            for r, g in zip(rows, labels)
-        ])
+        return losses_mod.i2tce_loss(_refined(st), text_rows, targets, st.params["temp.inv"], 0.1)
 
     def stage2_fn(st):
         return losses_mod.stage2_batch_loss(
@@ -493,17 +480,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     state, meta = _load_checkpoint_state(args.checkpoint)
     ds = _load_data(args.data)
-    run_echo = meta.get("run")
-    modules = meta.get("modules")
-    if run_echo is None or modules is None:
-        raise CliError(EXIT_IO, f"checkpoint sidecar for {args.checkpoint} lacks run metadata")
-    fraction = float(run_echo["data"]["train_fraction"])
+    try:
+        run_echo, modules = meta["run"], meta["modules"]
+        fraction = float(run_echo["data"]["train_fraction"])
+        refined, quantity = bool(modules["grce"]), bool(modules["mvs"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CliError(EXIT_IO, f"checkpoint sidecar for {args.checkpoint} lacks run or module metadata: {e!r}") from e
     _, test_gids = split_train_test(ds, fraction)
     test_samples = [s for s in ds.samples if s.group_id in set(test_gids)]
-    report = evaluate(
-        state, test_samples, args.query_camera,
-        refined=bool(modules["grce"]), quantity=bool(modules["mvs"]),
-    )
+    report = evaluate(state, test_samples, args.query_camera, refined=refined, quantity=quantity)
     print(json.dumps(report.to_dict()))
     if args.out:
         _write_json(args.out, {

@@ -11,7 +11,11 @@ Design constraints the rest of the package relies on:
   at the operation that produced it;
 * identical inputs give bit-identical outputs (fixed reduction orders, no
   hidden threading decisions at these sizes);
-* a graph records once and backpropagates once; reuse raises.
+* a graph records once and backpropagates once; reuse raises;
+* rows are selected by one op, ``gather_rows``, and rows it leaves out get
+  exactly zero gradient;
+* log-probabilities come from ``log_softmax_rows`` (log-sum-exp), which
+  stays finite where ``log(softmax_rows(x))`` would underflow and raise.
 
 ``grad_check`` compares recorded gradients against central finite
 differences entry by entry and is the reference oracle used throughout the
@@ -44,7 +48,6 @@ __all__ = [
     "transpose",
     "concat",
     "stack",
-    "select_rows",
     "gather_rows",
     "take_row",
     "exp",
@@ -52,6 +55,7 @@ __all__ = [
     "tanh",
     "clamp_min",
     "softmax_rows",
+    "log_softmax_rows",
     "l2_normalize",
     "reduce_sum",
     "reduce_mean",
@@ -383,34 +387,12 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
     return _result(np.stack([p.values for p in parts], axis=0), tuple(parts), pull)
 
 
-def select_rows(x: Tensor, keep: Sequence[int]) -> Tensor:
-    """Keep the rows of a matrix flagged 1 in ``keep``, preserving order.
-
-    Dropped rows receive exactly zero gradient, which is what makes
-    downstream computations bit-independent of their contents.
-    """
-    if x.ndim != 2:
-        raise ShapeError(f"select_rows needs a rank-2 tensor, got shape {x.shape}")
-    bits = np.asarray(keep, dtype=np.int64)
-    if bits.ndim != 1 or bits.shape[0] != x.shape[0]:
-        raise ShapeError(f"mask length {bits.shape} does not match {x.shape[0]} rows")
-    if not np.isin(bits, (0, 1)).all():
-        raise ShapeError("mask entries must be 0 or 1")
-    idx = np.flatnonzero(bits)
-    if idx.size == 0:
-        raise ShapeError("select_rows would keep no rows")
-    xv = x.values
-
-    def pull(g: np.ndarray):
-        out = np.zeros_like(xv)
-        out[idx] = g
-        return (out,)
-
-    return _result(xv[idx], (x,), pull)
-
-
 def gather_rows(x: Tensor, order: Sequence[int]) -> Tensor:
-    """Reindex the rows of a matrix; repeated indices accumulate gradient."""
+    """Reindex the rows of a matrix; repeated indices accumulate gradient.
+
+    Rows left out of ``order`` receive exactly zero gradient, which is what
+    makes downstream computations bit-independent of their contents.
+    """
     if x.ndim != 2:
         raise ShapeError(f"gather_rows needs a rank-2 tensor, got shape {x.shape}")
     idx = np.asarray(order, dtype=np.int64)
@@ -506,6 +488,25 @@ def softmax_rows(x: Tensor) -> Tensor:
         return (s * (g - inner),)
 
     return _result(s, (x,), pull)
+
+
+def log_softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise log of the softmax (a rank-1 tensor is treated as a single row).
+
+    Computed by log-sum-exp on max-shifted rows, so it stays finite at
+    logit spreads where the softmax itself underflows to 0 and its ``log``
+    would raise.
+    """
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"log_softmax_rows needs rank 1 or 2, got shape {x.shape}")
+    shifted = x.values - np.max(x.values, axis=-1, keepdims=True)
+    out = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    s = np.exp(out)
+
+    def pull(g: np.ndarray):
+        return (g - s * np.sum(g, axis=-1, keepdims=True),)
+
+    return _result(out, (x,), pull)
 
 
 def l2_normalize(x: Tensor) -> Tensor:

@@ -270,7 +270,7 @@ def encode_group_prefix(member_features: Tensor, state: ModelState) -> tuple[Ten
     seq = dc.concat([dc.stack([p["group.cls"]]), member_features], axis=0)
     out = attention_block(seq, p["group.blk1.wq"], p["group.blk1.wk"], p["group.blk1.wv"], p["group.blk1.wo"])
     cls = dc.take_row(out, 0)
-    members = dc.select_rows(out, [0] + [1] * n)
+    members = dc.gather_rows(out, range(1, n + 1))
     return cls, members
 
 
@@ -298,8 +298,7 @@ def encode_text(tokens: Tensor, state: ModelState) -> Tensor:
     if length > cfg.max_prompt_len:
         raise ShapeError(f"prompt length {length} exceeds positional table {cfg.max_prompt_len}")
     p = state.params
-    pos = dc.select_rows(p["text.pos"], [1] * length + [0] * (cfg.max_prompt_len - length)) \
-        if length < cfg.max_prompt_len else p["text.pos"]
+    pos = dc.gather_rows(p["text.pos"], range(length))
     seq = attention_block(dc.add(tokens, pos), p["text.attn.wq"], p["text.attn.wk"],
                           p["text.attn.wv"], p["text.attn.wo"])
     pooled = dc.reduce_mean(seq, axis=0)
@@ -380,14 +379,21 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
 
 
 def load_checkpoint_meta(path: str) -> dict:
+    """Read the JSON sidecar; a damaged one raises ``CheckpointError``."""
     with open(path + ".meta.json", "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as e:
+            raise CheckpointError(f"checkpoint sidecar {path}.meta.json is not valid JSON: {e}") from e
 
 
 def state_from_checkpoint(path: str) -> tuple[ModelState, dict]:
     """Rebuild a ModelState from a checkpoint plus its sidecar metadata."""
     meta = load_checkpoint_meta(path)
-    config = ModelConfig.from_dict(meta["model"])
+    try:
+        config = ModelConfig.from_dict(meta["model"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint sidecar {path}.meta.json has no valid model config: {e!r}") from e
     tensors = load_checkpoint(path)
     reference = init_model_state(config, seed=0)
     missing = set(reference.params) - set(tensors)

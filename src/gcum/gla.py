@@ -12,7 +12,10 @@ whose visible membership varies.
 Alignment uses a supervised contrastive loss in both directions at both
 granularities (member features against member descriptions, group
 features against group descriptions), with a learnable inverse softmax
-temperature shared across all similarity logits.
+temperature shared across all similarity logits.  Each direction is one
+whole-batch expression: the row-wise log-softmax of the (B, C) similarity
+matrix, or of its transpose, masked by the (B, C) one-hot label matrix and
+averaged over the B samples.
 """
 
 from __future__ import annotations
@@ -39,10 +42,7 @@ def _identity_block(identity_id: int, state: ModelState) -> Tensor:
     if not (0 <= identity_id < cfg.n_person_ids):
         raise ValueError(f"identity {identity_id} outside [0, {cfg.n_person_ids})")
     m = cfg.tokens_per_identity
-    mask = [0] * (cfg.n_person_ids * m)
-    for i in range(identity_id * m, (identity_id + 1) * m):
-        mask[i] = 1
-    return dc.select_rows(state.params["prompt.x"], mask)
+    return dc.gather_rows(state.params["prompt.x"], range(identity_id * m, (identity_id + 1) * m))
 
 
 def build_member_prompt(identity_id: int, state: ModelState) -> PromptSequence:
@@ -141,43 +141,22 @@ class ContrastiveBatch:
         return self.class_labels.index(label)
 
 
-def contrastive_t2i(batch: ContrastiveBatch, class_label: int) -> Tensor:
-    """Text-anchored direction: the description of ``class_label`` against
-    every visual in the batch, averaged over its positives."""
-    c = batch.class_index(class_label)
-    positives = [i for i, y in enumerate(batch.labels) if y == class_label]
-    if not positives:
-        raise ValueError(f"class {class_label} has no positive sample in the batch")
-    column = dc.take_row(dc.transpose(batch.sims), c)  # (B,) logits for this text
-    logp = dc.log(dc.softmax_rows(column))
-    picks = np.zeros(len(batch.labels))
-    picks[positives] = 1.0
-    summed = dc.reduce_sum(dc.mul(logp, dc.constant(picks)))
-    return dc.scale(summed, -1.0 / len(positives))
+def contrastive_losses(batch: ContrastiveBatch) -> tuple[Tensor, Tensor]:
+    """Image-anchored and text-anchored losses, each a mean over the B samples.
 
+    ``i2t`` scores every sample against all class texts; ``t2i`` scores
+    every class text against all visual rows and averages over that text's
+    positives, so each class counts once per sample that has it.
+    """
+    b = len(batch.labels)
+    onehot = np.zeros((b, len(batch.class_labels)))
+    onehot[np.arange(b), [batch.class_index(y) for y in batch.labels]] = 1.0
 
-def contrastive_i2t(batch: ContrastiveBatch, index: int) -> Tensor:
-    """Image-anchored direction: sample ``index`` against every class text."""
-    if not (0 <= index < len(batch.labels)):
-        raise ValueError(f"sample index {index} out of range")
-    row = dc.take_row(batch.sims, index)  # (C,)
-    logp = dc.log(dc.softmax_rows(row))
-    onehot = np.zeros(len(batch.class_labels))
-    onehot[batch.class_index(batch.labels[index])] = 1.0
-    return dc.scale(dc.reduce_sum(dc.mul(logp, dc.constant(onehot))), -1.0)
+    def mean_nll(logits: Tensor, picks: np.ndarray) -> Tensor:
+        logp = dc.log_softmax_rows(logits)
+        return dc.scale(dc.reduce_sum(dc.mul(logp, dc.constant(picks))), -1.0 / b)
 
-
-def _mean(terms: list[Tensor]) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = dc.add(total, t)
-    return dc.scale(total, 1.0 / len(terms))
-
-
-def _direction_means(batch: ContrastiveBatch) -> tuple[Tensor, Tensor]:
-    i2t = _mean([contrastive_i2t(batch, i) for i in range(len(batch.labels))])
-    t2i = _mean([contrastive_t2i(batch, y) for y in batch.labels])
-    return i2t, t2i
+    return mean_nll(batch.sims, onehot), mean_nll(dc.transpose(batch.sims), onehot.T)
 
 
 def stage1_batch_loss(
@@ -222,7 +201,7 @@ def stage1_batch_loss(
         text=group_text,
         inv_temp=inv_temp,
     )
-    i2t_g, t2i_g = _direction_means(batch_groups)
+    i2t_g, t2i_g = contrastive_losses(batch_groups)
 
     person_classes = sorted(set(member_labels))
     person_text = dc.stack([member_text_feature(pid, state) for pid in person_classes])
@@ -233,7 +212,7 @@ def stage1_batch_loss(
         text=person_text,
         inv_temp=inv_temp,
     )
-    i2t_m, t2i_m = _direction_means(batch_members)
+    i2t_m, t2i_m = contrastive_losses(batch_members)
 
     i2t = dc.add(i2t_g, i2t_m)
     t2i = dc.add(t2i_g, t2i_m)

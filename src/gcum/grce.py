@@ -90,7 +90,7 @@ def group_visual_from_matrix(
         raise ValueError(f"mask covers {len(mask)} members, sample has {n}")
 
     retained_ids = [int(i) for i, bit in zip(identity_ids, mask.bits) if bit]
-    kept = dc.select_rows(appearances, list(mask.bits))
+    kept = dc.gather_rows(appearances, np.flatnonzero(mask.bits))
     order = canonical_order(kept.values)
     ordered = dc.gather_rows(kept, order)
     row_ids = tuple(retained_ids[j] for j in order)

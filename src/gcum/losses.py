@@ -3,8 +3,12 @@
 The refined group feature is trained with three terms: a label-smoothed
 classification loss over group classes, a batch-hard triplet loss in
 Euclidean feature space, and a label-smoothed cross entropy over
-similarities to the (now frozen) group text features.  Mining runs on
-detached feature values; only the chosen pairs enter the recorded loss.
+similarities to the (now frozen) group text features.  Each term is one
+whole-batch expression over the stacked (B, dim) refined features: the
+two cross entropies take the row-wise log-softmax of a (B, N) logits
+matrix, and the triplet hinge compares each row with its mined positive
+and negative rows.  Mining runs on detached feature values; only the
+chosen pairs enter the recorded loss.
 """
 
 from __future__ import annotations
@@ -20,56 +24,63 @@ from .encoders import ModelState
 from .mvs import Mask
 
 
-def cross_entropy_smoothed(logits: Tensor, true_index: int, epsilon: float) -> Tensor:
-    """Cross entropy against a label-smoothed target distribution.
+def cross_entropy_smoothed(logits: Tensor, true_indices: Sequence[int], epsilon: float) -> Tensor:
+    """Mean over rows of the cross entropy against label-smoothed targets.
 
-    The target puts ``1 - epsilon + epsilon/N`` on the true class and
-    ``epsilon/N`` elsewhere.
+    ``logits`` is (B, N) with one true class per row.  Each target row puts
+    ``1 - epsilon + epsilon/N`` on the true class and ``epsilon/N``
+    elsewhere.
     """
-    if logits.ndim != 1:
-        raise ShapeError(f"logits must be a vector, got {logits.shape}")
-    n = logits.shape[0]
-    if not (0 <= true_index < n):
-        raise ValueError(f"true class {true_index} outside [0, {n})")
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must be a (batch, classes) matrix, got {logits.shape}")
+    b, n = logits.shape
+    true = np.asarray(true_indices, dtype=np.int64)
+    if true.shape != (b,):
+        raise ShapeError(f"need one true class per logits row, got {true.shape} for {b} rows")
+    if true.min() < 0 or true.max() >= n:
+        raise ValueError(f"true classes {true.tolist()} outside [0, {n})")
     if not (0.0 <= epsilon < 1.0):
         raise ValueError("epsilon must lie in [0, 1)")
-    target = np.full(n, epsilon / n)
-    target[true_index] += 1.0 - epsilon
-    logp = dc.log(dc.softmax_rows(logits))
-    return dc.scale(dc.reduce_sum(dc.mul(logp, dc.constant(target))), -1.0)
+    target = np.full((b, n), epsilon / n)
+    target[np.arange(b), true] += 1.0 - epsilon
+    logp = dc.log_softmax_rows(logits)
+    return dc.scale(dc.reduce_sum(dc.mul(logp, dc.constant(target))), -1.0 / b)
 
 
-def id_loss(refined: Tensor, state: ModelState, class_index: int, epsilon: float = 0.1) -> Tensor:
-    """Group classification over the learned classifier rows."""
-    logits = dc.matmul(state.params["grce.classifier"], refined)
-    return cross_entropy_smoothed(logits, class_index, epsilon)
+def id_loss(
+    refined: Tensor, state: ModelState, class_indices: Sequence[int], epsilon: float = 0.1
+) -> Tensor:
+    """Group classification of (B, dim) features over the learned classifier rows."""
+    logits = dc.matmul(refined, dc.transpose(state.params["grce.classifier"]))
+    return cross_entropy_smoothed(logits, class_indices, epsilon)
 
 
 def i2tce_loss(
     refined: Tensor,
     text_rows: Tensor,
-    class_index: int,
+    class_indices: Sequence[int],
     inv_temp: Tensor,
     epsilon: float = 0.1,
 ) -> Tensor:
-    """Smoothed cross entropy over similarities to the class text features."""
+    """Smoothed cross entropy over similarities of (B, dim) features to the class texts."""
     if text_rows.ndim != 2:
         raise ShapeError("text features must be a matrix")
-    logits = dc.mul(dc.matmul(text_rows, refined), inv_temp)
-    return cross_entropy_smoothed(logits, class_index, epsilon)
+    logits = dc.mul(dc.matmul(refined, dc.transpose(text_rows)), inv_temp)
+    return cross_entropy_smoothed(logits, class_indices, epsilon)
 
 
 def euclidean(a: Tensor, b: Tensor) -> Tensor:
-    """Distance with a clamped square: differentiable at coincident points.
+    """Row-wise distances with a clamped square: differentiable at coincident points.
 
-    ``sqrt`` is composed as ``exp(log(d^2)/2)`` with ``d^2`` floored at
-    1e-12, so coincident inputs give distance 1e-6 and a zero gradient
-    instead of a NaN.
+    ``a`` and ``b`` are matrices of the same shape; the result holds one
+    distance per row.  ``sqrt`` is composed as ``exp(log(d^2)/2)`` with
+    ``d^2`` floored at 1e-12, so coincident rows give distance 1e-6 and a
+    zero gradient instead of a NaN.
     """
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"expected matching vectors, got {a.shape} and {b.shape}")
+    if a.shape != b.shape or a.ndim != 2:
+        raise ShapeError(f"expected matrices of one shape, got {a.shape} and {b.shape}")
     diff = dc.sub(a, b)
-    d2 = dc.clamp_min(dc.reduce_sum(dc.mul(diff, diff)), 1e-12)
+    d2 = dc.clamp_min(dc.reduce_sum(dc.mul(diff, diff), axis=1), 1e-12)
     return dc.exp(dc.scale(dc.log(d2), 0.5))
 
 
@@ -102,21 +113,16 @@ def mine_batch_hard(values: np.ndarray, labels: Sequence[int]) -> list[tuple[int
 
 
 def triplet_loss(features: Tensor, labels: Sequence[int], alpha: float = 0.3) -> Tensor:
-    """Batch-hard triplet hinge, averaged over anchors."""
+    """Batch-hard triplet hinge, averaged over anchors (the rows in order)."""
     if features.ndim != 2:
         raise ShapeError("features must be a (batch, dim) matrix")
     if alpha < 0:
         raise ValueError("margin must be non-negative")
-    hinges = []
-    for a, p, n in mine_batch_hard(features.values, labels):
-        d_ap = euclidean(dc.take_row(features, a), dc.take_row(features, p))
-        d_an = euclidean(dc.take_row(features, a), dc.take_row(features, n))
-        margin = dc.add(dc.sub(d_ap, d_an), dc.constant(np.asarray(alpha)))
-        hinges.append(dc.clamp_min(margin, 0.0))
-    total = hinges[0]
-    for h in hinges[1:]:
-        total = dc.add(total, h)
-    return dc.scale(total, 1.0 / len(hinges))
+    triplets = mine_batch_hard(features.values, labels)
+    d_ap = euclidean(features, dc.gather_rows(features, [p for _, p, _ in triplets]))
+    d_an = euclidean(features, dc.gather_rows(features, [n for _, _, n in triplets]))
+    margin = dc.add(dc.sub(d_ap, d_an), dc.constant(np.asarray(alpha)))
+    return dc.reduce_mean(dc.clamp_min(margin, 0.0))
 
 
 def stage2_batch_loss(
@@ -145,30 +151,14 @@ def stage2_batch_loss(
         v, feats, _ = grce.group_visual(sample, state, mask, quantity=mvs_enabled)
         refined_rows.append(grce.refine(v, feats, state))
         class_ids.append(class_index[sample.group_id])
-
-    id_terms = [
-        id_loss(r, state, c, epsilon) for r, c in zip(refined_rows, class_ids)
-    ]
-    total_id = id_terms[0]
-    for t in id_terms[1:]:
-        total_id = dc.add(total_id, t)
-    l_id = dc.scale(total_id, 1.0 / len(id_terms))
-
     features = dc.stack(refined_rows)
-    l_tri = triplet_loss(features, class_ids, alpha)
 
+    l_id = id_loss(features, state, class_ids, epsilon)
+    l_tri = triplet_loss(features, class_ids, alpha)
     total = dc.add(l_id, l_tri)
     parts = {"loss_id": l_id.item(), "loss_tri": l_tri.item()}
     if text_rows is not None:
-        inv_temp = state.params["temp.inv"]
-        ce_terms = [
-            i2tce_loss(r, text_rows, c, inv_temp, epsilon)
-            for r, c in zip(refined_rows, class_ids)
-        ]
-        total_ce = ce_terms[0]
-        for t in ce_terms[1:]:
-            total_ce = dc.add(total_ce, t)
-        l_ce = dc.scale(total_ce, 1.0 / len(ce_terms))
+        l_ce = i2tce_loss(features, text_rows, class_ids, state.params["temp.inv"], epsilon)
         total = dc.add(total, l_ce)
         parts["loss_i2tce"] = l_ce.item()
     return total, parts

@@ -112,8 +112,8 @@ def apply_mvs(class_token: Tensor, members: Tensor, mask: Mask, em: Tensor) -> T
     k = mask.retained
     if k > em.shape[0]:
         raise ShapeError(f"{k} retained members exceed the count matrix ({em.shape[0]} rows)")
-    kept = dc.select_rows(members, list(mask.bits))
-    em_rows = dc.select_rows(em, [1] * k + [0] * (em.shape[0] - k))
+    kept = dc.gather_rows(members, np.flatnonzero(mask.bits))
+    em_rows = dc.gather_rows(em, range(k))
     q = dc.reduce_mean(dc.mul(em_rows, kept), axis=0)
     fused_token = dc.add(class_token, q)
     return dc.concat([dc.stack([fused_token]), kept], axis=0)

@@ -302,6 +302,43 @@ def test_eval_missing_checkpoint_exits_4(tmp_path, small_config):
                  "--data", data]) == EXIT_CHECKPOINT
 
 
+def _damage_sidecar(path: str, damage: str) -> None:
+    sidecar = Path(path + ".meta.json")
+    if damage == "not-json":
+        sidecar.write_text("{\"model\": ")
+        return
+    meta = json.loads(sidecar.read_text())
+    if damage == "no-run-data":
+        del meta["run"]["data"]
+    elif damage == "no-model":
+        del meta["model"]
+    elif damage == "no-grce-module":
+        del meta["modules"]["grce"]
+    sidecar.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("damage, stage2_reads_it", [
+    ("no-run-data", False),
+    ("no-model", True),
+    ("no-grce-module", False),
+    ("not-json", True),
+])
+def test_damaged_checkpoint_sidecar_exits_3(tmp_path, small_config, capsys, damage, stage2_reads_it):
+    data = _gen(tmp_path, small_config)
+    s1 = str(tmp_path / "s1.ckpt")
+    assert main(["train", "--stage", "1", "--config", small_config,
+                 "--data", data, "--out", s1]) == EXIT_OK
+    _damage_sidecar(s1, damage)
+    capsys.readouterr()
+    commands = [["eval", "--checkpoint", s1, "--data", data]]
+    if stage2_reads_it:
+        commands.append(["train", "--stage", "2", "--config", small_config, "--data", data,
+                         "--init-checkpoint", s1, "--out", str(tmp_path / "s2.ckpt")])
+    for argv in commands:
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 # --------------------------------------------------------------------------
 # grad-check
 

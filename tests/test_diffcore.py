@@ -91,6 +91,27 @@ def test_softmax_rows_sum_to_one(rows):
     assert (out >= 0).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(finite_arrays())
+def test_log_softmax_matches_log_of_softmax(rows):
+    x = dc.tensor(rows)
+    expected = np.log(dc.softmax_rows(x).values)
+    np.testing.assert_allclose(dc.log_softmax_rows(x).values, expected, rtol=0, atol=1e-12)
+
+
+def test_log_softmax_stays_finite_at_a_large_spread():
+    # log(softmax) underflows to log(0) here; log-sum-exp does not
+    x = dc.tensor([[1e4, 0.0, -1e4], [0.0, 5e3, -5e3]], requires_grad=True)
+    w = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0]])
+    with dc.Graph() as g:
+        out = dc.log_softmax_rows(x)
+        loss = dc.reduce_sum(dc.mul(out, dc.constant(w)))
+    np.testing.assert_array_equal(out.values, [[0.0, -1e4, -2e4], [-5e3, 0.0, -1e4]])
+    g.backward(loss)
+    # d/dx sum(w * log_softmax(x)) = w - softmax(x) * rowsum(w), softmax one-hot here
+    np.testing.assert_array_equal(x.grad, [[-0.8, 0.5, 0.3], [1.0, -1.0, 0.0]])
+
+
 def test_l2_normalize_values():
     np.testing.assert_allclose(dc.l2_normalize(dc.tensor([3.0, 4.0])).values, [0.6, 0.8], atol=1e-12)
     np.testing.assert_array_equal(dc.l2_normalize(dc.tensor([0.0, 0.0])).values, [0.0, 0.0])
@@ -106,24 +127,14 @@ def test_l2_normalize_rows_unit_norm(rows):
     np.testing.assert_allclose(norms[nonzero], 1.0, rtol=0, atol=1e-12)
 
 
-def test_select_rows_and_gradient_scatter():
+def test_gather_rows_gives_left_out_rows_zero_gradient():
     x = dc.tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], requires_grad=True)
     with dc.Graph() as g:
-        kept = dc.select_rows(x, [1, 0, 1])
+        kept = dc.gather_rows(x, [0, 2])
         loss = dc.reduce_sum(kept)
     np.testing.assert_array_equal(kept.values, [[1.0, 2.0], [5.0, 6.0]])
     g.backward(loss)
     np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-
-
-def test_select_rows_rejects_empty_and_bad_mask():
-    x = dc.tensor([[1.0], [2.0]])
-    with pytest.raises(dc.ShapeError):
-        dc.select_rows(x, [0, 0])
-    with pytest.raises(dc.ShapeError):
-        dc.select_rows(x, [1, 2])
-    with pytest.raises(dc.ShapeError):
-        dc.select_rows(x, [1])
 
 
 def test_gather_rows_accumulates_repeated_indices():
@@ -238,7 +249,8 @@ def test_ops_are_bit_deterministic():
 
     def run():
         t = dc.matmul(dc.tensor(a), dc.tensor(b))
-        return dc.l2_normalize(dc.softmax_rows(t)).values
+        return np.concatenate([dc.l2_normalize(dc.softmax_rows(t)).values,
+                               dc.log_softmax_rows(t).values])
 
     first, second = run(), run()
     assert first.tobytes() == second.tobytes()
@@ -278,12 +290,15 @@ def test_grad_check_reports_rather_than_raises():
 def _composite_loss(p):
     w, v = p["w"], p["v"]
     h = dc.tanh(dc.matmul(w, v))
-    sm = dc.softmax_rows(dc.matmul(w, dc.transpose(w)))
+    gram = dc.matmul(w, dc.transpose(w))
+    sm = dc.softmax_rows(gram)
     picked = dc.take_row(sm, 0)
     unit = dc.l2_normalize(h)
     parts = dc.concat([unit, picked], axis=0)
     clipped = dc.clamp_min(parts, -0.25)
-    return dc.reduce_mean(dc.mul(clipped, clipped)) + dc.reduce_sum(dc.log(dc.exp(0.3 * h)))
+    entropies = dc.mul(sm, dc.log_softmax_rows(gram))
+    return (dc.reduce_mean(dc.mul(clipped, clipped)) + dc.reduce_sum(dc.log(dc.exp(0.3 * h)))
+            + dc.reduce_sum(entropies) + dc.reduce_sum(dc.mul(dc.log_softmax_rows(h), h)))
 
 
 @settings(max_examples=12, deadline=None)

@@ -13,8 +13,7 @@ from gcum.gla import (
     build_group_prompt,
     build_member_prompt,
     class_text_features,
-    contrastive_i2t,
-    contrastive_t2i,
+    contrastive_losses,
     group_text_feature,
     stage1_batch_loss,
 )
@@ -157,56 +156,119 @@ def test_batch_validation():
         _batch(ok_vis, [0, 1], [0, 1], ok_text, inv_temp=0.0)
 
 
+def _nll(logits, true):
+    """-log softmax(logits)[true], evaluated directly in double precision."""
+    return math.log(sum(math.exp(z) for z in logits)) - logits[true]
+
+
 def test_t2i_matches_scalar_oracle():
     # three images with cosines [0.9, 0.7, 0.1] to the class-0 text,
-    # labels [0, 0, 1], unit temperature
+    # labels [0, 0, 1], unit temperature.  The class-0 text over its two
+    # positives is 0.9189247158518508; the class-1 text has cosines
+    # sqrt(1 - c^2) and one positive, image 2.
     visual = _unit_rows([0.9, 0.7, 0.1])
     text = np.eye(2)
     batch = _batch(visual, [0, 0, 1], [0, 1], text)
-    loss = contrastive_t2i(batch, 0)
-    assert loss.item() == pytest.approx(0.9189247158518508, abs=1e-10)
+    _, t2i = contrastive_losses(batch)
+    class1 = _nll([math.sqrt(1.0 - c * c) for c in (0.9, 0.7, 0.1)], 2)
+    assert t2i.item() == pytest.approx((2 * 0.9189247158518508 + class1) / 3, abs=1e-10)
 
 
 def test_i2t_matches_scalar_oracle():
-    # one image with cosines [0.9, 0.7, 0.1] to three class texts, true class 0
+    # image 0 has cosines [0.9, 0.7, 0.1] to three class texts, true class 0,
+    # which costs 0.8189247158518508; image 1 is orthogonal to every text,
+    # so its three logits tie and it costs ln 3
     text = np.zeros((3, 3))
     for row, c in enumerate([0.9, 0.7, 0.1]):
         text[row, 0] = c
         text[row, 1] = math.sqrt(1.0 - c * c)
     visual = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     batch = _batch(visual, [0, 1], [0, 1, 2], text)
-    loss = contrastive_i2t(batch, 0)
-    assert loss.item() == pytest.approx(0.8189247158518508, abs=1e-10)
+    i2t, _ = contrastive_losses(batch)
+    assert i2t.item() == pytest.approx((0.8189247158518508 + math.log(3)) / 2, abs=1e-10)
 
 
 def test_equal_similarity_gives_log_batch_size():
     visual = np.tile(np.array([[1.0, 0.0]]), (5, 1))
     batch = _batch(visual, [0, 0, 0, 0, 1], [0, 1], np.eye(2))
-    loss = contrastive_t2i(batch, 0)
-    assert abs(loss.item() - math.log(5)) < 1e-10
+    _, t2i = contrastive_losses(batch)
+    assert abs(t2i.item() - math.log(5)) < 1e-10
 
 
 def test_equal_similarity_gives_log_class_count():
     s = 1.0 / math.sqrt(2.0)
     visual = np.array([[s, s], [s, s]])
     batch = _batch(visual, [0, 1], [0, 1], np.eye(2))
-    for i in range(2):
-        assert abs(contrastive_i2t(batch, i).item() - math.log(2)) < 1e-10
-    assert abs(contrastive_t2i(batch, 0).item() - math.log(2)) < 1e-10
+    i2t, t2i = contrastive_losses(batch)
+    assert abs(i2t.item() - math.log(2)) < 1e-10
+    assert abs(t2i.item() - math.log(2)) < 1e-10
 
 
 def test_temperature_scales_the_logits():
     visual = _unit_rows([0.9, 0.7, 0.1])
     batch = _batch(visual, [0, 0, 1], [0, 1], np.eye(2), inv_temp=2.0)
     z = math.exp(1.8) + math.exp(1.4) + math.exp(0.2)
-    assert contrastive_t2i(batch, 0).item() == pytest.approx(math.log(z) - 1.6, abs=1e-10)
+    class1 = _nll([2.0 * math.sqrt(1.0 - c * c) for c in (0.9, 0.7, 0.1)], 2)
+    _, t2i = contrastive_losses(batch)
+    assert t2i.item() == pytest.approx((2 * (math.log(z) - 1.6) + class1) / 3, abs=1e-10)
 
 
-def test_t2i_requires_a_positive_sample():
+def test_t2i_skips_a_class_without_positives():
+    # a text with no positive sample adds nothing to t2i (it still competes
+    # in i2t); the class-0 column is the same with or without it
     visual = _unit_rows([0.9, 0.7])
-    batch = _batch(visual, [0, 0], [0, 1], np.eye(2))
-    with pytest.raises(ValueError):
-        contrastive_t2i(batch, 1)
+    with_extra = _batch(visual, [0, 0], [0, 1], np.eye(2))
+    alone = _batch(visual, [0, 0], [0], np.eye(2)[:1])
+    assert contrastive_losses(with_extra)[1].item() == contrastive_losses(alone)[1].item()
+
+
+def test_contrastive_losses_stay_finite_at_a_large_inverse_temperature():
+    # at inv_temp 800 the off-diagonal softmax entries underflow to 0, so
+    # log(softmax) would raise; the loss itself is about 2 exp(-800)
+    inv_temp = Tensor(np.asarray(800.0), requires_grad=True)
+    with dc.Graph() as g:
+        batch = ContrastiveBatch(visual=Tensor(np.eye(3)), labels=(0, 1, 2),
+                                 class_labels=(0, 1, 2), text=Tensor(np.eye(3)),
+                                 inv_temp=inv_temp)
+        i2t, t2i = contrastive_losses(batch)
+        total = dc.add(i2t, t2i)
+    g.backward(total)
+    assert abs(i2t.item()) < 1e-12 and abs(t2i.item()) < 1e-12
+    assert math.isfinite(float(inv_temp.grad))
+
+
+def _per_anchor_oracle(visual, labels, class_labels, text, inv_temp):
+    """The per-anchor formulas: mean over samples of -log p(own class text),
+    and mean over samples of the mean over their class's positives of
+    -log p(positive | class text)."""
+    sims = inv_temp * visual @ text.T
+
+    def log_softmax(v):
+        e = np.exp(v - v.max())
+        return np.log(e / e.sum())
+
+    i2t = np.mean([-log_softmax(sims[i])[class_labels.index(y)] for i, y in enumerate(labels)])
+    t2i = []
+    for y in labels:
+        column = log_softmax(sims[:, class_labels.index(y)])
+        t2i.append(-np.mean([column[i] for i, l in enumerate(labels) if l == y]))
+    return i2t, np.mean(t2i)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_contrastive_losses_match_the_per_anchor_oracle(seed):
+    rng = np.random.default_rng(seed)
+    labels = [int(y) for y in rng.integers(0, 3, size=7)]
+    class_labels = sorted(set(labels)) + [5]  # one text without positives
+    visual = rng.normal(size=(7, 4))
+    visual /= np.linalg.norm(visual, axis=1, keepdims=True)
+    text = rng.normal(size=(len(class_labels), 4))
+    text /= np.linalg.norm(text, axis=1, keepdims=True)
+    inv_temp = float(rng.uniform(0.5, 10.0))
+    i2t, t2i = contrastive_losses(_batch(visual, labels, class_labels, text, inv_temp))
+    want_i2t, want_t2i = _per_anchor_oracle(visual, labels, class_labels, text, inv_temp)
+    assert abs(i2t.item() - want_i2t) <= 1e-12
+    assert abs(t2i.item() - want_t2i) <= 1e-12
 
 
 # --------------------------------------------------------------------------

@@ -24,29 +24,42 @@ from gcum.synthdata import GenConfig, generate_dataset
 
 
 def test_smoothed_ce_matches_scalar_oracle():
-    loss = cross_entropy_smoothed(Tensor([2.0, 0.0, 0.0]), 0, 0.1)
+    loss = cross_entropy_smoothed(Tensor([[2.0, 0.0, 0.0]]), [0], 0.1)
     assert loss.item() == pytest.approx(0.372878099555218, abs=1e-10)
 
 
 def test_smoothed_ce_uniform_logits_give_log_n():
     for n in (2, 5, 7):
-        loss = cross_entropy_smoothed(Tensor(np.zeros(n)), 1 % n, 0.1)
+        loss = cross_entropy_smoothed(Tensor(np.zeros((1, n))), [1 % n], 0.1)
         assert abs(loss.item() - math.log(n)) < 1e-10
 
 
 def test_smoothed_ce_without_smoothing_is_plain_nll():
     z = math.exp(1.0) + math.exp(3.0)
-    loss = cross_entropy_smoothed(Tensor([1.0, 3.0]), 1, 0.0)
+    loss = cross_entropy_smoothed(Tensor([[1.0, 3.0]]), [1], 0.0)
     assert loss.item() == pytest.approx(math.log(z) - 3.0, abs=1e-12)
 
 
 def test_smoothed_ce_validation():
     with pytest.raises(ValueError):
-        cross_entropy_smoothed(Tensor([1.0, 2.0]), 2, 0.1)
+        cross_entropy_smoothed(Tensor([[1.0, 2.0]]), [2], 0.1)
     with pytest.raises(ValueError):
-        cross_entropy_smoothed(Tensor([1.0, 2.0]), 0, 1.0)
+        cross_entropy_smoothed(Tensor([[1.0, 2.0]]), [0], 1.0)
     with pytest.raises(ShapeError):
-        cross_entropy_smoothed(Tensor([[1.0, 2.0]]), 0, 0.1)
+        cross_entropy_smoothed(Tensor([1.0, 2.0]), [0], 0.1)
+    with pytest.raises(ShapeError):
+        cross_entropy_smoothed(Tensor([[1.0, 2.0]]), [0, 1], 0.1)
+
+
+def test_smoothed_ce_stays_finite_at_a_large_spread():
+    # softmax([800, -800]) underflows to [1, 0], so log(softmax) would raise
+    logits = Tensor([[800.0, -800.0]], requires_grad=True)
+    with dc.Graph() as g:
+        loss = cross_entropy_smoothed(logits, [1], 0.1)
+    g.backward(loss)
+    # target [0.05, 0.95]: loss 0.95 * 1600; gradient softmax - target
+    assert loss.item() == pytest.approx(1520.0, abs=1e-9)
+    np.testing.assert_allclose(logits.grad, [[0.95, -0.95]], rtol=0, atol=1e-12)
 
 
 def test_id_loss_reads_the_classifier():
@@ -57,45 +70,46 @@ def test_id_loss_reads_the_classifier():
     rows = np.zeros((3, 4))
     rows[0, 0] = 2.0  # logits for e_0 become [2, 0, 0]
     state = state.with_param("grce.classifier", Tensor(rows, requires_grad=True))
-    v = Tensor([1.0, 0.0, 0.0, 0.0])
-    assert id_loss(v, state, 0, 0.1).item() == pytest.approx(0.372878099555218, abs=1e-10)
+    v = Tensor([[1.0, 0.0, 0.0, 0.0]])
+    assert id_loss(v, state, [0], 0.1).item() == pytest.approx(0.372878099555218, abs=1e-10)
 
 
 def test_i2tce_matches_scalar_oracle():
     text = Tensor([[0.8, 0.0, 0.0], [0.2, 0.0, 0.0], [0.1, 0.0, 0.0]])
-    v = Tensor([1.0, 0.0, 0.0])
-    loss = i2tce_loss(v, text, 0, Tensor(np.asarray(1.0)), 0.1)
+    v = Tensor([[1.0, 0.0, 0.0]])
+    loss = i2tce_loss(v, text, [0], Tensor(np.asarray(1.0)), 0.1)
     assert loss.item() == pytest.approx(0.7589252066260845, abs=1e-10)
 
 
 def test_i2tce_applies_the_inverse_temperature():
     text = Tensor([[0.4, 0.0], [0.1, 0.0]])
-    v = Tensor([1.0, 0.0])
-    doubled = i2tce_loss(v, text, 0, Tensor(np.asarray(2.0)), 0.0)
+    v = Tensor([[1.0, 0.0]])
+    doubled = i2tce_loss(v, text, [0], Tensor(np.asarray(2.0)), 0.0)
     z = math.exp(0.8) + math.exp(0.2)
     assert doubled.item() == pytest.approx(math.log(z) - 0.8, abs=1e-12)
 
 
 def test_euclidean_basic_values():
-    d = euclidean(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
+    d = euclidean(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]))
     assert d.item() == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
 
 def test_euclidean_at_coincident_points_is_floored_and_flat():
-    a = Tensor([0.5, -0.5], requires_grad=True)
+    a = Tensor([[0.5, -0.5]], requires_grad=True)
     with dc.Graph() as g:
-        d = euclidean(a, Tensor([0.5, -0.5]))
-    g.backward(d)
+        d = euclidean(a, Tensor([[0.5, -0.5]]))
+        total = dc.reduce_sum(d)
+    g.backward(total)
     assert d.item() == pytest.approx(1e-6, abs=1e-18)
-    assert np.array_equal(a.grad, np.zeros(2))
+    assert np.array_equal(a.grad, np.zeros((1, 2)))
 
 
 def test_euclidean_gradient_is_correct():
-    state = {"a": Tensor([0.3, -1.2, 0.7], requires_grad=True)}
-    b = Tensor([1.0, 0.5, -0.25])
+    state = {"a": Tensor([[0.3, -1.2, 0.7]], requires_grad=True)}
+    b = Tensor([[1.0, 0.5, -0.25]])
 
     def loss_fn(s):
-        return euclidean(s["a"], b)
+        return dc.reduce_sum(euclidean(s["a"], b))
 
     report = dc.grad_check(loss_fn, state)
     assert report.ok, report.failures
@@ -156,6 +170,44 @@ def test_triplet_loss_rejects_negative_margin():
     f = Tensor(np.eye(4))
     with pytest.raises(ValueError):
         triplet_loss(f, [0, 0, 1, 1], alpha=-0.1)
+
+
+def _smoothed_nll(logits, true, epsilon):
+    """One row's smoothed cross entropy, -sum(target * log(softmax(logits)))."""
+    e = np.exp(logits - logits.max())
+    target = np.full(len(logits), epsilon / len(logits))
+    target[true] += 1.0 - epsilon
+    return -np.sum(target * np.log(e / e.sum()))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batch_losses_match_the_per_anchor_oracle(seed):
+    rng = np.random.default_rng(seed)
+    labels = [int(y) for y in rng.permutation([0, 0, 1, 1, 2, 2])]
+    feats = rng.normal(size=(6, 4))
+    classifier = rng.normal(size=(3, 4))
+    text = rng.normal(size=(3, 4))
+    inv_temp = float(rng.uniform(0.5, 10.0))
+    state = init_model_state(
+        ModelConfig(dim=4, d_a=3, max_members=2, group_slots=2, n_person_ids=2, n_group_classes=3),
+        seed=0,
+    ).with_param("grce.classifier", Tensor(classifier, requires_grad=True))
+
+    want_id = np.mean([_smoothed_nll(classifier @ f, y, 0.1) for f, y in zip(feats, labels)])
+    want_ce = np.mean([_smoothed_nll(inv_temp * (text @ f), y, 0.1) for f, y in zip(feats, labels)])
+    hinges = []
+    for a, ya in enumerate(labels):
+        d = [math.sqrt(max(float(np.sum((feats[a] - g) ** 2)), 1e-12)) for g in feats]
+        d_ap = max(d[j] for j, y in enumerate(labels) if y == ya and j != a)
+        d_an = min(d[j] for j, y in enumerate(labels) if y != ya)
+        hinges.append(max(d_ap - d_an + 0.5, 0.0))
+    want_tri = np.mean(hinges)
+
+    f = Tensor(feats)
+    assert abs(id_loss(f, state, labels, 0.1).item() - want_id) <= 1e-12
+    assert abs(i2tce_loss(f, Tensor(text), labels, Tensor(np.asarray(inv_temp)), 0.1).item()
+               - want_ce) <= 1e-12
+    assert abs(triplet_loss(f, labels, alpha=0.5).item() - want_tri) <= 1e-12
 
 
 def _stage2_setup(seed=5):
