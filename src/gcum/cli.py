@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 # Thread cap; must land in the environment before numpy starts its pools,
 # which is why it sits above the imports.  Already-set variables win.
@@ -382,6 +383,15 @@ def _load_checkpoint_state(path: str):
         raise CliError(EXIT_CHECKPOINT, f"checkpoint not found: {path}") from e
 
 
+@contextmanager
+def _reading_sidecar(path: str):
+    """A missing or mistyped field of the checkpoint sidecar is an artifact error."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as e:
+        raise CliError(EXIT_IO, f"checkpoint sidecar for {path} lacks run or module metadata: {e!r}") from e
+
+
 def _write_json(path: str, doc: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -440,7 +450,8 @@ def cmd_train(args) -> int:
         state, meta = _load_checkpoint_state(args.init_checkpoint)
         if meta["model"] != model_cfg.to_dict():
             raise CliError(EXIT_CONFIG, "init checkpoint was trained under a different model config")
-        use_text = bool(meta.get("modules", {}).get("gla", True))
+        with _reading_sidecar(args.init_checkpoint):
+            use_text = bool(meta["modules"]["gla"])
         state, history = train_stage2(
             state, train_samples, rosters, cfg.train_config(2),
             mvs=mvs_cfg, use_text=use_text, alpha=cfg.alpha, epsilon=cfg.epsilon,
@@ -480,12 +491,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     state, meta = _load_checkpoint_state(args.checkpoint)
     ds = _load_data(args.data)
-    try:
+    with _reading_sidecar(args.checkpoint):
         run_echo, modules = meta["run"], meta["modules"]
         fraction = float(run_echo["data"]["train_fraction"])
         refined, quantity = bool(modules["grce"]), bool(modules["mvs"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError(EXIT_IO, f"checkpoint sidecar for {args.checkpoint} lacks run or module metadata: {e!r}") from e
     _, test_gids = split_train_test(ds, fraction)
     test_samples = [s for s in ds.samples if s.group_id in set(test_gids)]
     report = evaluate(state, test_samples, args.query_camera, refined=refined, quantity=quantity)

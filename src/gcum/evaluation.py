@@ -1,10 +1,12 @@
 """Retrieval metrics and the module-ablation harness.
 
 Queries come from one camera, the gallery from the remaining cameras.
-Each query's gallery is ranked by cosine similarity (descending, ties
-broken by ascending gallery index), then summarized as CMC Rank-k and
-mean average precision.  Evaluation always sees full member sets: member
-dropout is a training-time augmentation only.
+All queries are ranked against the gallery in one call by cosine
+similarity (descending, ties broken by ascending gallery index).  The
+result is one boolean hit matrix, a row per query and a column per rank,
+and CMC Rank-k and mean average precision are reductions over its rows.
+Evaluation always sees full member sets: member dropout is a
+training-time augmentation only.
 
 The ablation harness trains and evaluates the six module combinations
 from scratch on a fixed dataset, varying only the run seed, and reports
@@ -19,84 +21,54 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import grce
-from .diffcore import Tensor
 from .encoders import ModelConfig, ModelState, init_model_state
 from .mvs import MvsConfig
 from .synthdata import Dataset, GroupSample, split_query_gallery, split_train_test
 from .trainer import TrainConfig, train_stage1, train_stage2
 
 
-@dataclass(frozen=True)
-class RankedResult:
-    """One query's view of the gallery, best match first."""
+def rank_gallery(query_feats, gallery_feats, query_labels, gallery_labels) -> np.ndarray:
+    """Rank the gallery for every query; returns the (n_query, n_gallery) hit matrix.
 
-    query_id: int                 # group id of the query
-    order: tuple[int, ...]        # gallery row indices, unique
-    scores: tuple[float, ...]     # similarities, non-increasing
-    labels: tuple[int, ...]       # gallery group ids in ranked order
-
-    def __post_init__(self):
-        if not self.order:
-            raise ValueError("empty gallery ranking")
-        if len(set(self.order)) != len(self.order):
-            raise ValueError("gallery rows ranked more than once")
-        if not (len(self.order) == len(self.scores) == len(self.labels)):
-            raise ValueError("ranking fields must align")
-        if any(b > a + 1e-12 for a, b in zip(self.scores, self.scores[1:])):
-            raise ValueError("scores must be non-increasing")
-
-
-def _as_array(x) -> np.ndarray:
-    return x.values if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def rank_gallery(query_feature, gallery_features, gallery_labels, *, query_id: int) -> RankedResult:
-    """Rank gallery rows by cosine similarity to one query feature."""
-    q = _as_array(query_feature)
-    g = _as_array(gallery_features)
+    ``hits[i, r]`` is true when the gallery row ranked r-th for query i
+    carries query i's label.  Rows rank by cosine similarity, descending,
+    ties by ascending gallery index.
+    """
+    q = np.asarray(query_feats, dtype=np.float64)
+    g = np.asarray(gallery_feats, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] == 0:
         raise ValueError("gallery must be a non-empty matrix")
-    if q.shape != (g.shape[1],):
+    if q.ndim != 2 or q.shape[0] == 0 or q.shape[1] != g.shape[1]:
         raise ValueError(f"query shape {q.shape} does not match gallery width {g.shape[1]}")
-    if len(gallery_labels) != g.shape[0]:
-        raise ValueError("one label per gallery row required")
-    norms = np.concatenate([[np.linalg.norm(q)], np.linalg.norm(g, axis=1)])
+    if len(query_labels) != q.shape[0] or len(gallery_labels) != g.shape[0]:
+        raise ValueError("one label per query and per gallery row required")
+    norms = np.concatenate([np.linalg.norm(q, axis=1), np.linalg.norm(g, axis=1)])
     if np.max(np.abs(norms - 1.0)) > 1e-6:
         raise ValueError("retrieval expects unit-norm features")
-    sims = g @ q
-    order = np.argsort(-sims, kind="stable")  # stable: ties keep ascending index
-    return RankedResult(
-        query_id=int(query_id),
-        order=tuple(int(i) for i in order),
-        scores=tuple(float(sims[i]) for i in order),
-        labels=tuple(int(gallery_labels[i]) for i in order),
-    )
+    # one product per query: a single q @ g.T rounds differently
+    sims = np.stack([g @ row for row in q])
+    order = np.argsort(-sims, axis=1, kind="stable")  # stable: ties keep ascending index
+    return np.asarray(gallery_labels)[order] == np.asarray(query_labels)[:, None]
 
 
-def cmc(results: Sequence[RankedResult], k: int) -> float:
+def cmc(hits: np.ndarray, k: int) -> float:
     """Fraction of queries with a correct match somewhere in the top k."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not results:
+    if hits.shape[0] == 0:
         raise ValueError("no queries")
-    hits = sum(1 for r in results if r.query_id in r.labels[:k])
-    return hits / len(results)
+    return int(np.count_nonzero(hits[:, :k].any(axis=1))) / hits.shape[0]
 
 
-def mean_average_precision(results: Sequence[RankedResult]) -> float:
-    if not results:
+def mean_average_precision(hits: np.ndarray) -> float:
+    if hits.shape[0] == 0:
         raise ValueError("no queries")
-    aps = []
-    for r in results:
-        precisions = []
-        seen = 0
-        for rank, label in enumerate(r.labels, start=1):
-            if label == r.query_id:
-                seen += 1
-                precisions.append(seen / rank)
-        if not precisions:
-            raise ValueError(f"query group {r.query_id} has no relevant gallery entry")
-        aps.append(sum(precisions) / len(precisions))
+    relevant = np.count_nonzero(hits, axis=1)
+    if not relevant.all():
+        raise ValueError(f"query {int(np.argmin(relevant))} has no relevant gallery entry")
+    precision = np.where(hits, np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1), 0.0)
+    # cumsum adds left to right like a python sum; np.sum pairs terms and rounds differently
+    aps = np.cumsum(precision, axis=1)[:, -1] / relevant
     return float(np.mean(aps))
 
 
@@ -124,17 +96,6 @@ class RetrievalReport:
             "n_query": self.n_query,
             "n_gallery": self.n_gallery,
         }
-
-
-def report_from_results(results: Sequence[RankedResult], n_gallery: int) -> RetrievalReport:
-    return RetrievalReport(
-        rank1=cmc(results, 1),
-        rank5=cmc(results, 5),
-        rank10=cmc(results, 10),
-        mAP=mean_average_precision(results),
-        n_query=len(results),
-        n_gallery=n_gallery,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -167,12 +128,17 @@ def evaluate(
     queries, gallery = split_query_gallery(samples, query_camera)
     q_feats = extract_features(state, queries, refined=refined, quantity=quantity)
     g_feats = extract_features(state, gallery, refined=refined, quantity=quantity)
-    g_labels = [s.group_id for s in gallery]
-    results = [
-        rank_gallery(q_feats[i], g_feats, g_labels, query_id=queries[i].group_id)
-        for i in range(len(queries))
-    ]
-    return report_from_results(results, n_gallery=len(gallery))
+    hits = rank_gallery(
+        q_feats, g_feats, [s.group_id for s in queries], [s.group_id for s in gallery]
+    )
+    return RetrievalReport(
+        rank1=cmc(hits, 1),
+        rank5=cmc(hits, 5),
+        rank10=cmc(hits, 10),
+        mAP=mean_average_precision(hits),
+        n_query=len(queries),
+        n_gallery=len(gallery),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -32,11 +32,6 @@ from .encoders import ModelState, encode_text
 from .mvs import Mask
 
 
-@dataclass(frozen=True, eq=False)
-class PromptSequence:
-    tokens: Tensor  # (length, dim)
-
-
 def _identity_block(identity_id: int, state: ModelState) -> Tensor:
     cfg = state.config
     if not (0 <= identity_id < cfg.n_person_ids):
@@ -45,16 +40,14 @@ def _identity_block(identity_id: int, state: ModelState) -> Tensor:
     return dc.gather_rows(state.params["prompt.x"], range(identity_id * m, (identity_id + 1) * m))
 
 
-def build_member_prompt(identity_id: int, state: ModelState) -> PromptSequence:
-    """"a photo of a <identity tokens> person" as a token matrix."""
+def build_member_prompt(identity_id: int, state: ModelState) -> Tensor:
+    """"a photo of a <identity tokens> person" as a (length, dim) token matrix."""
     p = state.params
     block = _identity_block(identity_id, state)
-    return PromptSequence(
-        dc.concat([p["prompt.member_prefix"], block, p["prompt.member_suffix"]], axis=0)
-    )
+    return dc.concat([p["prompt.member_prefix"], block, p["prompt.member_suffix"]], axis=0)
 
 
-def build_group_prompt(member_ids: Sequence[int], state: ModelState) -> PromptSequence:
+def build_group_prompt(member_ids: Sequence[int], state: ModelState) -> Tensor:
     """"a group of <slot tokens> persons" with members in canonical order.
 
     Members are sorted by identity before filling slots, so any ordering of
@@ -74,15 +67,15 @@ def build_group_prompt(member_ids: Sequence[int], state: ModelState) -> PromptSe
     parts += [_identity_block(pid, state) for pid in ordered]
     parts += [p["prompt.pad"]] * (cfg.group_slots - len(ordered))
     parts.append(p["prompt.group_suffix"])
-    return PromptSequence(dc.concat(parts, axis=0))
+    return dc.concat(parts, axis=0)
 
 
 def member_text_feature(identity_id: int, state: ModelState) -> Tensor:
-    return encode_text(build_member_prompt(identity_id, state).tokens, state)
+    return encode_text(build_member_prompt(identity_id, state), state)
 
 
 def group_text_feature(member_ids: Sequence[int], state: ModelState) -> Tensor:
-    return encode_text(build_group_prompt(member_ids, state).tokens, state)
+    return encode_text(build_group_prompt(member_ids, state), state)
 
 
 def class_text_features(state: ModelState, class_ids: Sequence[int], rosters) -> Tensor:

@@ -98,7 +98,7 @@ def group_visual_from_matrix(
     feats = encode_members(ordered, state)
     cls, rows = encode_group_prefix(feats, state)
     if quantity:
-        fused = apply_mvs(cls, rows, full_mask(len(row_ids)), state.params["quantity.em"])
+        fused = apply_mvs(cls, rows, state.params["quantity.em"])
     else:
         fused = assemble_plain(cls, rows)
     return encode_group_suffix(fused, state), feats, row_ids

@@ -95,28 +95,26 @@ def sample_mask(n: int, drop_prob: float, rng: np.random.Generator) -> Mask:
     return Mask(tuple(int(b) for b in bits))
 
 
-def apply_mvs(class_token: Tensor, members: Tensor, mask: Mask, em: Tensor) -> Tensor:
-    """Filter member rows and fold the count term into the class token.
+def apply_mvs(class_token: Tensor, members: Tensor, em: Tensor) -> Tensor:
+    """Fold the count term into the class token over the retained members.
 
-    Returns the fused sequence ``[class_token + q; retained members]`` where
-    ``q`` is the mean over retained members ``j`` of ``em[j] * members'[j]``.
-    Rows of ``em`` beyond the retained count receive no gradient from this
-    sample, and masked-out member rows cannot influence the output.
+    ``members`` holds only the retained rows: dropped members are removed
+    before encoding.  Returns the fused sequence ``[class_token + q;
+    members]`` where ``q`` is the mean over rows ``j`` of
+    ``em[j] * members[j]``.  Rows of ``em`` beyond the retained count
+    receive no gradient from this sample.
     """
     if class_token.ndim != 1:
         raise ShapeError(f"class token must be a vector, got {class_token.shape}")
     if members.ndim != 2 or members.shape[1] != class_token.shape[0]:
         raise ShapeError(f"member rows {members.shape} do not match class token {class_token.shape}")
-    if len(mask) != members.shape[0]:
-        raise ShapeError(f"mask length {len(mask)} does not match {members.shape[0]} members")
-    k = mask.retained
+    k = members.shape[0]
     if k > em.shape[0]:
         raise ShapeError(f"{k} retained members exceed the count matrix ({em.shape[0]} rows)")
-    kept = dc.gather_rows(members, np.flatnonzero(mask.bits))
     em_rows = dc.gather_rows(em, range(k))
-    q = dc.reduce_mean(dc.mul(em_rows, kept), axis=0)
+    q = dc.reduce_mean(dc.mul(em_rows, members), axis=0)
     fused_token = dc.add(class_token, q)
-    return dc.concat([dc.stack([fused_token]), kept], axis=0)
+    return dc.concat([dc.stack([fused_token]), members], axis=0)
 
 
 def assemble_plain(class_token: Tensor, members: Tensor) -> Tensor:

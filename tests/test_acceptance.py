@@ -249,9 +249,9 @@ def test_criterion_05_structural_invariances():
     )
 
     ids = list(ds.group_rosters()[0])
-    prompt = gla.build_group_prompt(ids, state).tokens.values
+    prompt = gla.build_group_prompt(ids, state).values
     prompt_ok = all(
-        np.array_equal(prompt, gla.build_group_prompt(list(p), state).tokens.values)
+        np.array_equal(prompt, gla.build_group_prompt(list(p), state).values)
         for p in ([ids[1], ids[0]] + ids[2:], list(reversed(ids)))
     )
     ok = refine_ok and prompt_ok
@@ -298,7 +298,7 @@ def test_criterion_07_metric_oracles():
         q = rng.normal(size=dim)
         q /= np.linalg.norm(q)
 
-        result = rank_gallery(q, g, labels, query_id=qid)
+        ranked_hits = rank_gallery(q[None], g, [qid], labels)
 
         sims = [sum(float(a) * float(b) for a, b in zip(row, q)) for row in g]
         order = sorted(range(n_g), key=lambda i: (-sims[i], i))
@@ -311,25 +311,22 @@ def test_criterion_07_metric_oracles():
         ap = sum(precs) / len(precs)
 
         for k in (1, 5, 10, 20):
-            if cmc([result], k) != (1.0 if qid in ranked[:k] else 0.0):
+            if cmc(ranked_hits, k) != (1.0 if qid in ranked[:k] else 0.0):
                 mismatches += 1
-        if mean_average_precision([result]) != pytest.approx(ap, abs=1e-12):
+        if mean_average_precision(ranked_hits) != pytest.approx(ap, abs=1e-12):
             mismatches += 1
 
     hand_ok = all(
-        mean_average_precision([_ranked_at(r, 6)]) == 1.0 / r for r in (1, 2, 3, 4, 5, 6)
+        mean_average_precision(_ranked_at(r, 6)) == 1.0 / r for r in (1, 2, 3, 4, 5, 6)
     )
     ok = mismatches == 0 and hand_ok
     _verdict(7, "CMC and mAP match brute-force enumeration",
              ok, f"{mismatches} mismatches over 200 instances, hand cases {'exact' if hand_ok else 'WRONG'}")
 
 
-def _ranked_at(rank: int, size: int):
-    """A ranking whose only relevant entry sits at the given rank."""
-    from gcum.evaluation import RankedResult
-
-    labels = tuple(1 if i == rank - 1 else 0 for i in range(size))
-    return RankedResult(1, tuple(range(size)), tuple(float(size - i) for i in range(size)), labels)
+def _ranked_at(rank: int, size: int) -> np.ndarray:
+    """A one-query hit matrix whose only relevant entry sits at the given rank."""
+    return np.arange(size)[None, :] == rank - 1
 
 
 def test_criterion_08_ablation_trend():

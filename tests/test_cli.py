@@ -314,6 +314,8 @@ def _damage_sidecar(path: str, damage: str) -> None:
         del meta["model"]
     elif damage == "no-grce-module":
         del meta["modules"]["grce"]
+    elif damage == "modules-list":
+        meta["modules"] = []
     sidecar.write_text(json.dumps(meta))
 
 
@@ -322,6 +324,7 @@ def _damage_sidecar(path: str, damage: str) -> None:
     ("no-model", True),
     ("no-grce-module", False),
     ("not-json", True),
+    ("modules-list", True),
 ])
 def test_damaged_checkpoint_sidecar_exits_3(tmp_path, small_config, capsys, damage, stage2_reads_it):
     data = _gen(tmp_path, small_config)

@@ -6,7 +6,6 @@ import pytest
 from gcum.encoders import ModelConfig, init_model_state
 from gcum.evaluation import (
     ABLATION_ROWS,
-    RankedResult,
     RetrievalReport,
     cmc,
     evaluate,
@@ -14,12 +13,17 @@ from gcum.evaluation import (
     format_ablation_table,
     mean_average_precision,
     rank_gallery,
-    report_from_results,
     run_ablation,
     run_single,
 )
 from gcum.grce import group_forward
-from gcum.synthdata import GenConfig, generate_dataset, split_query_gallery, split_train_test
+from gcum.synthdata import (
+    GenConfig,
+    GroupSample,
+    generate_dataset,
+    split_query_gallery,
+    split_train_test,
+)
 from gcum.trainer import TrainConfig
 
 
@@ -28,10 +32,9 @@ def _unit_rows(rng, n, dim):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _result(qid, labels, scores=None):
-    n = len(labels)
-    scores = scores if scores is not None else tuple(float(n - i) / n for i in range(n))
-    return RankedResult(qid, tuple(range(n)), tuple(scores), tuple(labels))
+def _hits(*rankings):
+    """Hit matrix of (query label, gallery labels in ranked order) pairs."""
+    return np.array([[label == qid for label in labels] for qid, labels in rankings])
 
 
 # --------------------------------------------------------------------------
@@ -39,41 +42,38 @@ def _result(qid, labels, scores=None):
 
 
 def test_rank_gallery_orders_by_similarity():
-    q = np.array([1.0, 0.0])
+    # one query feature under each gallery label: row i shows where label i ranks
+    q = np.array([[1.0, 0.0]] * 3)
     g = np.array([[0.0, 1.0], [1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]])
-    r = rank_gallery(q, g, [7, 8, 9], query_id=8)
-    assert r.order == (1, 2, 0)
-    assert r.labels == (8, 9, 7)
-    assert r.scores[0] == pytest.approx(1.0)
+    hits = rank_gallery(q, g, [7, 8, 9], [7, 8, 9])
+    # ranked order (1, 2, 0): labels 8, 9, 7
+    assert np.array_equal(hits, [[False, False, True], [True, False, False], [False, True, False]])
 
 
 def test_rank_gallery_breaks_ties_by_gallery_index():
-    q = np.array([1.0, 0.0])
+    q = np.array([[1.0, 0.0]] * 3)
     row = np.array([np.sqrt(0.5), np.sqrt(0.5)])
     g = np.stack([row, row, row])
-    r = rank_gallery(q, g, [5, 6, 7], query_id=5)
-    assert r.order == (0, 1, 2)
+    hits = rank_gallery(q, g, [5, 6, 7], [5, 6, 7])
+    assert np.array_equal(hits, np.eye(3, dtype=bool))  # ranked order (0, 1, 2)
 
 
 def test_rank_gallery_rejects_bad_inputs():
-    q = np.array([1.0, 0.0])
+    q = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError):
-        rank_gallery(q, np.zeros((0, 2)), [], query_id=0)
+        rank_gallery(q, np.zeros((0, 2)), [1], [])
     with pytest.raises(ValueError):
-        rank_gallery(q, np.eye(3), [1, 2, 3], query_id=1)  # width mismatch
+        rank_gallery(np.zeros((0, 2)), np.eye(2), [], [1, 2])  # no queries
     with pytest.raises(ValueError):
-        rank_gallery(q, np.eye(2) * 2.0, [1, 2], query_id=1)  # not unit norm
+        rank_gallery(q, np.eye(3), [1], [1, 2, 3])  # width mismatch
     with pytest.raises(ValueError):
-        rank_gallery(q, np.eye(2), [1], query_id=1)  # label count
-
-
-def test_ranked_result_invariants():
+        rank_gallery(q, np.eye(2) * 2.0, [1], [1, 2])  # gallery not unit norm
     with pytest.raises(ValueError):
-        RankedResult(0, (0, 0), (1.0, 0.5), (1, 2))
+        rank_gallery(q * 2.0, np.eye(2), [1], [1, 2])  # query not unit norm
     with pytest.raises(ValueError):
-        RankedResult(0, (0, 1), (0.5, 1.0), (1, 2))
+        rank_gallery(q, np.eye(2), [1], [1])  # gallery label count
     with pytest.raises(ValueError):
-        RankedResult(0, (), (), ())
+        rank_gallery(q, np.eye(2), [1, 2], [1, 2])  # query label count
 
 
 # --------------------------------------------------------------------------
@@ -81,43 +81,43 @@ def test_ranked_result_invariants():
 
 
 def test_cmc_counts_top_k_hits():
-    results = [
-        _result(1, (2, 3, 1, 4)),   # first hit at rank 3
-        _result(2, (2, 3, 1, 4)),   # first hit at rank 1
-    ]
-    assert cmc(results, 1) == 0.5
-    assert cmc(results, 2) == 0.5
-    assert cmc(results, 3) == 1.0
-    assert cmc(results, 100) == 1.0  # k beyond gallery size saturates
+    hits = _hits(
+        (1, (2, 3, 1, 4)),   # first hit at rank 3
+        (2, (2, 3, 1, 4)),   # first hit at rank 1
+    )
+    assert cmc(hits, 1) == 0.5
+    assert cmc(hits, 2) == 0.5
+    assert cmc(hits, 3) == 1.0
+    assert cmc(hits, 100) == 1.0  # k beyond gallery size saturates
 
 
 def test_cmc_is_non_decreasing_in_k():
     rng = np.random.default_rng(0)
-    results = [
-        _result(int(labels[0]), tuple(int(x) for x in rng.permutation(labels)))
+    hits = _hits(*[
+        (int(labels[0]), tuple(int(x) for x in rng.permutation(labels)))
         for labels in [rng.integers(0, 4, size=8) for _ in range(30)]
-    ]
-    curve = [cmc(results, k) for k in range(1, 9)]
+    ])
+    curve = [cmc(hits, k) for k in range(1, 9)]
     assert all(a <= b for a, b in zip(curve, curve[1:]))
 
 
 def test_map_hand_cases():
-    assert mean_average_precision([_result(1, (1, 1, 2, 3))]) == pytest.approx(1.0)
-    assert mean_average_precision([_result(1, (2, 3, 4, 1))]) == pytest.approx(0.25)
-    two_hits = _result(1, (1, 2, 1, 3))
-    assert mean_average_precision([two_hits]) == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
-    assert mean_average_precision([_result(1, (1, 1, 2, 3)), two_hits]) == pytest.approx(
+    assert mean_average_precision(_hits((1, (1, 1, 2, 3)))) == pytest.approx(1.0)
+    assert mean_average_precision(_hits((1, (2, 3, 4, 1)))) == pytest.approx(0.25)
+    two_hits = (1, (1, 2, 1, 3))
+    assert mean_average_precision(_hits(two_hits)) == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
+    assert mean_average_precision(_hits((1, (1, 1, 2, 3)), two_hits)) == pytest.approx(
         (1.0 + (1.0 + 2.0 / 3.0) / 2.0) / 2.0
     )
 
 
 def test_map_requires_a_relevant_entry():
     with pytest.raises(ValueError):
-        mean_average_precision([_result(9, (1, 2, 3))])
+        mean_average_precision(_hits((1, (1, 2, 3)), (9, (1, 2, 3))))
     with pytest.raises(ValueError):
-        cmc([], 1)
+        cmc(np.zeros((0, 3), dtype=bool), 1)
     with pytest.raises(ValueError):
-        mean_average_precision([])
+        mean_average_precision(np.zeros((0, 3), dtype=bool))
 
 
 # --------------------------------------------------------------------------
@@ -155,13 +155,11 @@ def test_metrics_match_brute_force_on_random_instances():
         q_ids = [g_labels[int(rng.integers(0, n_g))] for _ in range(n_q)]
         g = _unit_rows(rng, n_g, dim)
         q = _unit_rows(rng, n_q, dim)
-        results = [
-            rank_gallery(q[i], g, g_labels, query_id=q_ids[i]) for i in range(n_q)
-        ]
+        hits = rank_gallery(q, g, q_ids, g_labels)
         brute_cmc, brute_map = _brute_metrics(q, q_ids, g, g_labels)
         for k in (1, 3, 5, 10):
-            assert cmc(results, k) == brute_cmc(k)
-        assert mean_average_precision(results) == pytest.approx(brute_map, abs=1e-12)
+            assert cmc(hits, k) == brute_cmc(k)
+        assert mean_average_precision(hits) == brute_map
 
 
 # --------------------------------------------------------------------------
@@ -169,11 +167,9 @@ def test_metrics_match_brute_force_on_random_instances():
 
 
 def test_report_shape_and_keys():
-    results = [_result(1, (1, 2, 3)), _result(2, (3, 2, 1))]
-    report = report_from_results(results, n_gallery=3)
-    d = report.to_dict()
+    ds, state = _eval_setup(noise=0.1)
+    d = evaluate(state, ds.samples, 0, refined=True, quantity=True).to_dict()
     assert set(d) == {"rank1", "rank5", "rank10", "mAP", "n_query", "n_gallery"}
-    assert d["n_query"] == 2 and d["n_gallery"] == 3
     assert d["rank1"] <= d["rank5"] <= d["rank10"]
 
 
@@ -238,6 +234,53 @@ def test_untrained_model_solves_noiseless_data():
     report = evaluate(state, ds.samples, 0, refined=False, quantity=False)
     assert report.rank1 == 1.0
     assert report.mAP == 1.0
+
+
+def _enumerated_report(q_feats, q_labels, g_feats, g_labels):
+    """CMC and mAP by enumeration over the same per-query products: a
+    relevant row ranks one after every row scoring higher and every
+    equal-scoring row before it."""
+    first_hits, aps = [], []
+    for q, label in zip(q_feats, q_labels):
+        sims = g_feats @ q
+        ranks = sorted(
+            1 + int(np.sum(sims > sims[j])) + int(np.sum(sims[:j] == sims[j]))
+            for j, other in enumerate(g_labels) if other == label
+        )
+        first_hits.append(ranks[0])
+        aps.append(sum((n + 1) / r for n, r in enumerate(ranks)) / len(ranks))
+    n = len(q_labels)
+    return RetrievalReport(
+        rank1=sum(r <= 1 for r in first_hits) / n,
+        rank5=sum(r <= 5 for r in first_hits) / n,
+        rank10=sum(r <= 10 for r in first_hits) / n,
+        mAP=float(np.mean(aps)),
+        n_query=n,
+        n_gallery=len(g_labels),
+    )
+
+
+def test_evaluate_matches_enumeration_exactly():
+    # copies of gallery views under another query's group id tie with their
+    # originals, before and after them in gallery order
+    ds, state = _eval_setup(noise=0.1)
+    queries, gallery = split_query_gallery(ds.samples, 0)
+    q_ids = sorted({s.group_id for s in queries})
+    copies = [
+        GroupSample(q_ids[(q_ids.index(s.group_id) + 1) % len(q_ids)], s.camera_id, s.members)
+        for s in gallery[:4]
+    ]
+    samples = copies[:2] + ds.samples + copies[2:]
+    report = evaluate(state, samples, 0, refined=True, quantity=True)
+
+    queries, gallery = split_query_gallery(samples, 0)
+    q_feats = extract_features(state, queries, refined=True, quantity=True)
+    g_feats = extract_features(state, gallery, refined=True, quantity=True)
+    q_labels = [s.group_id for s in queries]
+    g_labels = [s.group_id for s in gallery]
+    assert len(queries) > 1 and g_labels[0] != g_labels[2]
+    assert all((g_feats @ q)[0] == (g_feats @ q)[2] for q in q_feats)
+    assert report == _enumerated_report(q_feats, q_labels, g_feats, g_labels)
 
 
 # --------------------------------------------------------------------------

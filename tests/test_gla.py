@@ -49,8 +49,8 @@ def test_member_prompt_layout():
         p["prompt.x"].values[2 * m : 3 * m],        # identity 2's block
         p["prompt.member_suffix"].values,           # "person"
     ])
-    assert seq.tokens.shape == (state.config.member_prompt_len, state.config.dim)
-    assert np.array_equal(seq.tokens.values, expected)
+    assert seq.shape == (state.config.member_prompt_len, state.config.dim)
+    assert np.array_equal(seq.values, expected)
 
 
 def test_member_prompt_rejects_unknown_identity():
@@ -65,7 +65,7 @@ def test_group_prompt_is_order_invariant():
     state = small_state()
     a = build_group_prompt([3, 1], state)
     b = build_group_prompt([1, 3], state)
-    assert np.array_equal(a.tokens.values, b.tokens.values)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_group_prompt_layout_and_padding():
@@ -82,8 +82,8 @@ def test_group_prompt_layout_and_padding():
         p["prompt.pad"].values,                     # slot 2 is padding
         p["prompt.group_suffix"].values,            # "persons"
     ])
-    assert seq.tokens.shape == (cfg.group_prompt_len, cfg.dim)
-    assert np.array_equal(seq.tokens.values, expected)
+    assert seq.shape == (cfg.group_prompt_len, cfg.dim)
+    assert np.array_equal(seq.values, expected)
 
 
 def test_group_prompt_rejects_bad_rosters():
@@ -101,7 +101,7 @@ def test_prompt_gradient_lands_on_the_right_rows():
     m = state.config.tokens_per_identity
     with dc.Graph() as g:
         seq = build_group_prompt([2], state)  # slots 3: one identity, two pads
-        loss = dc.reduce_sum(seq.tokens)
+        loss = dc.reduce_sum(seq)
     g.backward(loss)
     gx = state.params["prompt.x"].grad
     expected = np.zeros_like(gx)

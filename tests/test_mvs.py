@@ -87,7 +87,7 @@ def test_apply_mvs_hand_case_full_mask():
     cls = Tensor([1.0, 0.0])
     members = Tensor([[2.0, 4.0], [6.0, 8.0]])
     em = Tensor([[1.0, 1.0], [0.5, 0.5], [9.0, 9.0]])
-    fused = apply_mvs(cls, members, full_mask(2), em)
+    fused = apply_mvs(cls, members, em)
     # q = mean([1*2, 1*4], [0.5*6, 0.5*8]) = [2.5, 4.0]
     assert np.array_equal(
         fused.values, np.array([[3.5, 4.0], [2.0, 4.0], [6.0, 8.0]])
@@ -95,30 +95,32 @@ def test_apply_mvs_hand_case_full_mask():
 
 
 def test_apply_mvs_hand_case_with_drop():
+    # member [6, 8] was dropped: only the retained row is passed
     cls = Tensor([1.0, 0.0])
-    members = Tensor([[2.0, 4.0], [6.0, 8.0]])
+    retained = Tensor([[2.0, 4.0]])
     em = Tensor([[1.0, 1.0], [0.5, 0.5], [9.0, 9.0]])
-    fused = apply_mvs(cls, members, Mask((1, 0)), em)
+    fused = apply_mvs(cls, retained, em)
     assert np.array_equal(fused.values, np.array([[3.0, 4.0], [2.0, 4.0]]))
 
 
 def test_apply_mvs_dropped_rows_cannot_influence_output():
+    # with one retained member, the count rows of larger groups are unread
     cls = Tensor([1.0, 0.0])
-    em = Tensor(np.ones((3, 2)))
-    a = apply_mvs(cls, Tensor([[2.0, 4.0], [6.0, 8.0]]), Mask((1, 0)), em)
-    b = apply_mvs(cls, Tensor([[2.0, 4.0], [-999.0, 123.0]]), Mask((1, 0)), em)
+    retained = Tensor([[2.0, 4.0]])
+    a = apply_mvs(cls, retained, Tensor(np.ones((3, 2))))
+    b = apply_mvs(cls, retained, Tensor([[1.0, 1.0], [-999.0, 123.0], [7.0, -5.0]]))
     assert np.array_equal(a.values, b.values)
 
 
 def test_apply_mvs_gradient_support():
     cls = Tensor([1.0, 0.0], requires_grad=True)
-    members = Tensor([[2.0, 4.0], [6.0, 8.0]], requires_grad=True)
+    retained = Tensor([[2.0, 4.0]], requires_grad=True)
     em = Tensor([[1.0, 1.0], [0.5, 0.5], [9.0, 9.0]], requires_grad=True)
     with dc.Graph() as g:
-        loss = dc.reduce_sum(apply_mvs(cls, members, Mask((1, 0)), em))
+        loss = dc.reduce_sum(apply_mvs(cls, retained, em))
     g.backward(loss)
-    # dropped member row gets exactly zero; retained row feels 1 + em[0].
-    assert np.array_equal(members.grad, np.array([[2.0, 2.0], [0.0, 0.0]]))
+    # the retained row feels 1 + em[0].
+    assert np.array_equal(retained.grad, np.array([[2.0, 2.0]]))
     # only the first k = 1 rows of the count matrix participate.
     assert np.array_equal(em.grad, np.array([[2.0, 4.0], [0.0, 0.0], [0.0, 0.0]]))
     assert np.array_equal(cls.grad, np.array([1.0, 1.0]))
@@ -128,9 +130,9 @@ def test_apply_mvs_shape_errors():
     cls = Tensor([1.0, 0.0])
     members = Tensor([[2.0, 4.0], [6.0, 8.0]])
     with pytest.raises(ShapeError):
-        apply_mvs(cls, members, Mask((1,)), Tensor(np.ones((3, 2))))
+        apply_mvs(cls, Tensor([[2.0, 4.0, 6.0]]), Tensor(np.ones((3, 3))))
     with pytest.raises(ShapeError):
-        apply_mvs(cls, members, full_mask(2), Tensor(np.ones((1, 2))))
+        apply_mvs(cls, members, Tensor(np.ones((1, 2))))
 
 
 def test_assemble_plain_stacks_token_and_members():
