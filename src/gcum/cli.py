@@ -324,15 +324,16 @@ def run_grad_checks(seed: int, *, step: float = 1e-5, tolerance: float = 1e-4) -
     targets = [class_index[s.group_id] for s in samples]
     text_rows = dc.constant(gla.class_text_features(state, gids, rosters).values)
 
+    memo = grce.VisualMemo(samples, quantity=True)  # the views training computes
+
+    def _views(st):
+        return [memo(i, m, st) for i, m in enumerate(masks)]
+
     def _refined(st):
-        rows = []
-        for s, m in zip(samples, masks):
-            v, feats, _ = grce.group_visual(s, st, m, quantity=True)
-            rows.append(grce.refine(v, feats, st))
-        return dc.stack(rows)
+        return dc.stack([grce.refine(v, feats, st) for v, feats, _ in _views(st)])
 
     def stage1_fn(st):
-        return gla.stage1_batch_loss(samples, masks, st, rosters)[0]
+        return gla.stage1_batch_loss(samples, _views(st), st, rosters)[0]
 
     def id_fn(st):
         return losses_mod.id_loss(_refined(st), st, targets, 0.1)
@@ -347,7 +348,7 @@ def run_grad_checks(seed: int, *, step: float = 1e-5, tolerance: float = 1e-4) -
 
     def stage2_fn(st):
         return losses_mod.stage2_batch_loss(
-            samples, masks, st, class_index, text_rows, alpha=0.5, epsilon=0.1
+            samples, _views(st), st, class_index, text_rows, alpha=0.5, epsilon=0.1
         )[0]
 
     checks = {

@@ -15,7 +15,9 @@ Design constraints the rest of the package relies on:
 * rows are selected by one op, ``gather_rows``, and rows it leaves out get
   exactly zero gradient;
 * log-probabilities come from ``log_softmax_rows`` (log-sum-exp), which
-  stays finite where ``log(softmax_rows(x))`` would underflow and raise.
+  stays finite where ``log(softmax_rows(x))`` would underflow and raise;
+* attention over many short sequences is one op, ``segment_attention``,
+  which keeps the tape rank 2 by stacking the sequences as row blocks.
 
 ``grad_check`` compares recorded gradients against central finite
 differences entry by entry and is the reference oracle used throughout the
@@ -56,6 +58,7 @@ __all__ = [
     "clamp_min",
     "softmax_rows",
     "log_softmax_rows",
+    "segment_attention",
     "l2_normalize",
     "reduce_sum",
     "reduce_mean",
@@ -94,7 +97,7 @@ class Tensor:
             raise ShapeError(f"tensors are at most rank 2, got shape {arr.shape}")
         # Sum-based probe: any NaN or inf in the array makes the sum
         # non-finite, and desk-scale magnitudes cannot overflow a float64 sum.
-        if arr.size and not math.isfinite(float(np.sum(arr))):
+        if arr.size and not math.isfinite(float(arr.sum())):
             raise NonFiniteError("tensor contains NaN or infinite values")
         arr.setflags(write=False)
         self.values = arr
@@ -230,7 +233,7 @@ class Graph:
                 acc[id(parent)] = pg if prev is None else prev + pg
         for leaf in self._leaves:
             g = acc.get(id(leaf))
-            if g is not None and not math.isfinite(float(np.sum(g))):
+            if g is not None and not math.isfinite(float(g.sum())):
                 raise NonFiniteError("gradient contains NaN or infinite values")
             leaf.grad = g
 
@@ -315,26 +318,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if av.ndim == 2 and bv.ndim == 2:
         if av.shape[1] != bv.shape[0]:
             raise ShapeError(f"matmul: inner dims differ, {av.shape} @ {bv.shape}")
-
-        def pull(g: np.ndarray):
-            return g @ bv.T, av.T @ g
-
+        grad_a, grad_b = (lambda g: g @ bv.T), (lambda g: av.T @ g)
     elif av.ndim == 1 and bv.ndim == 2:
         if av.shape[0] != bv.shape[0]:
             raise ShapeError(f"matmul: inner dims differ, {av.shape} @ {bv.shape}")
-
-        def pull(g: np.ndarray):
-            return bv @ g, np.outer(av, g)
-
+        grad_a, grad_b = (lambda g: bv @ g), (lambda g: np.outer(av, g))
     elif av.ndim == 2 and bv.ndim == 1:
         if av.shape[1] != bv.shape[0]:
             raise ShapeError(f"matmul: inner dims differ, {av.shape} @ {bv.shape}")
-
-        def pull(g: np.ndarray):
-            return np.outer(g, bv), av.T @ g
-
+        grad_a, grad_b = (lambda g: np.outer(g, bv)), (lambda g: av.T @ g)
     else:
         raise ShapeError(f"matmul: unsupported ranks {av.shape} @ {bv.shape}")
+
+    def pull(g: np.ndarray):
+        # backward drops a frozen operand's gradient, so it is not formed
+        return (grad_a(g) if a.requires_grad else None, grad_b(g) if b.requires_grad else None)
+
     return _result(av @ bv, (a, b), pull)
 
 
@@ -507,6 +506,43 @@ def log_softmax_rows(x: Tensor) -> Tensor:
         return (g - s * np.sum(g, axis=-1, keepdims=True),)
 
     return _result(out, (x,), pull)
+
+
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int) -> Tensor:
+    """Scaled dot-product attention inside consecutive blocks of ``length`` rows.
+
+    ``q``, ``k`` and ``v`` stack n sequences of ``length`` rows each.  Row i
+    attends only to the rows of its own block, with weights
+    ``softmax_j(q_i . k_j / sqrt(d))`` for a query width of d.  The blocks
+    are worked as (n, length, length) arrays, so memory grows with n and
+    not with the square of n that a dense block-diagonal mask would need.
+    """
+    if q.ndim != 2 or k.shape != q.shape or v.ndim != 2 or v.shape[0] != q.shape[0]:
+        raise ShapeError(f"segment_attention: need q, k of one shape and v of as many rows, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    rows, d = q.shape
+    if length < 1 or rows == 0 or rows % length:
+        raise ShapeError(f"segment_attention: {rows} rows do not split into blocks of {length}")
+    n = rows // length
+    c = 1.0 / math.sqrt(d)
+    qb = q.values.reshape(n, length, d)
+    kb = k.values.reshape(n, length, d)
+    vb = v.values.reshape(n, length, v.shape[1])
+    scores = (qb @ kb.transpose(0, 2, 1)) * c
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    w = e / np.sum(e, axis=-1, keepdims=True)
+
+    def pull(g: np.ndarray):
+        gb = g.reshape(n, length, -1)
+        gw = gb @ vb.transpose(0, 2, 1)
+        gs = w * (gw - np.sum(gw * w, axis=-1, keepdims=True)) * c
+        return (
+            (gs @ kb).reshape(rows, d),
+            (gs.transpose(0, 2, 1) @ qb).reshape(rows, d),
+            (w.transpose(0, 2, 1) @ gb).reshape(rows, -1),
+        )
+
+    return _result((w @ vb).reshape(rows, v.shape[1]), (q, k, v), pull)
 
 
 def l2_normalize(x: Tensor) -> Tensor:

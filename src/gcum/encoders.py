@@ -13,7 +13,8 @@ trained:
   block 2 on the recombined sequence, then the class-token row is
   projected and normalized into the group feature;
 * text encoder — token embeddings plus learned positions, one
-  self-attention block, mean-pool, projection, normalization.
+  self-attention block, mean-pool, projection, normalization.  Prompts of
+  one length are encoded together, stacked as row blocks.
 
 Trainable state lives alongside: per-identity prompt tokens, padding
 tokens, the member-count matrix, the refinement head, the classifier, and
@@ -28,7 +29,6 @@ a JSON sidecar carrying the config echo.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
@@ -225,20 +225,16 @@ def init_model_state(config: ModelConfig, seed: int) -> ModelState:
 # Forward passes
 
 
-def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
+def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, length: int) -> Tensor:
     """Single-head self-attention with a residual connection.
 
-    ``x`` is a (rows, dim) sequence; scores are scaled by 1/sqrt(dim).
-    A zero output projection makes the block the identity map.
+    ``x`` stacks sequences of ``length`` rows each, and a row attends only
+    within its own sequence; scores are scaled by 1/sqrt(dim).  A zero
+    output projection makes the block the identity map.
     """
     if x.ndim != 2:
         raise ShapeError(f"attention_block needs a (rows, dim) tensor, got {x.shape}")
-    dim = x.shape[1]
-    q = dc.matmul(x, wq)
-    k = dc.matmul(x, wk)
-    v = dc.matmul(x, wv)
-    scores = dc.scale(dc.matmul(q, dc.transpose(k)), 1.0 / math.sqrt(dim))
-    ctx = dc.matmul(dc.softmax_rows(scores), v)
+    ctx = dc.segment_attention(dc.matmul(x, wq), dc.matmul(x, wk), dc.matmul(x, wv), length)
     return dc.add(x, dc.matmul(ctx, wo))
 
 
@@ -268,7 +264,8 @@ def encode_group_prefix(member_features: Tensor, state: ModelState) -> tuple[Ten
         raise ShapeError(f"{n} members exceed the configured maximum {cfg.max_members}")
     p = state.params
     seq = dc.concat([dc.stack([p["group.cls"]]), member_features], axis=0)
-    out = attention_block(seq, p["group.blk1.wq"], p["group.blk1.wk"], p["group.blk1.wv"], p["group.blk1.wo"])
+    out = attention_block(seq, p["group.blk1.wq"], p["group.blk1.wk"], p["group.blk1.wv"],
+                          p["group.blk1.wo"], n + 1)
     cls = dc.take_row(out, 0)
     members = dc.gather_rows(out, range(1, n + 1))
     return cls, members
@@ -282,27 +279,37 @@ def encode_group_suffix(fused: Tensor, state: ModelState) -> Tensor:
     if fused.shape[0] < 2:
         raise ShapeError("fused sequence needs the class token plus at least one member")
     p = state.params
-    out = attention_block(fused, p["group.blk2.wq"], p["group.blk2.wk"], p["group.blk2.wv"], p["group.blk2.wo"])
+    out = attention_block(fused, p["group.blk2.wq"], p["group.blk2.wk"], p["group.blk2.wv"],
+                          p["group.blk2.wo"], fused.shape[0])
     pooled = dc.take_row(out, 0)
     return dc.l2_normalize(dc.matmul(pooled, p["group.proj"]))
 
 
-def encode_text(tokens: Tensor, state: ModelState) -> Tensor:
-    """Encode a (L, dim) token sequence into a unit-norm text feature."""
+def encode_text(tokens: Tensor, state: ModelState, length: int) -> Tensor:
+    """Encode prompts of ``length`` tokens each into (n, dim) unit-norm features.
+
+    ``tokens`` stacks the n prompts' (length, dim) token matrices; each
+    prompt is encoded on its own (positions restart and attention stays
+    inside it), so a single prompt is the n = 1 case.
+    """
     cfg = state.config
     if tokens.ndim != 2 or tokens.shape[1] != cfg.dim:
-        raise ShapeError(f"expected (L, {cfg.dim}) tokens, got {tokens.shape}")
-    length = tokens.shape[0]
-    if length < 1:
+        raise ShapeError(f"expected (n * L, {cfg.dim}) tokens, got {tokens.shape}")
+    rows = tokens.shape[0]
+    if rows < 1 or length < 1:
         raise ShapeError("empty token sequence")
+    if rows % length:
+        raise ShapeError(f"{rows} token rows do not split into prompts of length {length}")
     if length > cfg.max_prompt_len:
         raise ShapeError(f"prompt length {length} exceeds positional table {cfg.max_prompt_len}")
+    n = rows // length
     p = state.params
-    pos = dc.gather_rows(p["text.pos"], range(length))
+    pos = dc.gather_rows(p["text.pos"], np.tile(np.arange(length), n))
     seq = attention_block(dc.add(tokens, pos), p["text.attn.wq"], p["text.attn.wk"],
-                          p["text.attn.wv"], p["text.attn.wo"])
-    pooled = dc.reduce_mean(seq, axis=0)
-    return dc.l2_normalize(dc.matmul(pooled, p["text.proj"]))
+                          p["text.attn.wv"], p["text.attn.wo"], length)
+    # mean over each prompt's rows as one product with a (n, n * L) block matrix
+    pool = Tensor(np.repeat(np.eye(n) / length, length, axis=1), _copy=False)
+    return dc.l2_normalize(dc.matmul(dc.matmul(pool, seq), p["text.proj"]))
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,8 @@ training-time augmentation only.
 
 The ablation harness trains and evaluates the six module combinations
 from scratch on a fixed dataset, varying only the run seed, and reports
-per-configuration means and standard deviations.
+per-configuration means and standard deviations.  Rows with the same
+stage 1 share its training.
 """
 
 from __future__ import annotations
@@ -179,6 +180,34 @@ def run_single(
     refinement head there is no stage 2.  Stage 2 drops the image-text
     term when no prompts were learned.
     """
+    (report,) = _run_rows(
+        ds, model_base, train_base, seed, [(use_gla, use_mvs, use_grce)],
+        mvs_cfg=mvs_cfg, alpha=alpha, epsilon=epsilon,
+        train_fraction=train_fraction, query_camera=query_camera,
+    )
+    return report
+
+
+def _run_rows(
+    ds: Dataset,
+    model_base: ModelConfig,
+    train_base: TrainConfig,
+    seed: int,
+    rows: Sequence[tuple[bool, bool, bool]],
+    *,
+    mvs_cfg: MvsConfig | None,
+    alpha: float,
+    epsilon: float,
+    train_fraction: float,
+    query_camera: int,
+) -> list[RetrievalReport]:
+    """``run_single`` for each ``(use_gla, use_mvs, use_grce)`` of ``rows``.
+
+    Rows with prompt learning and the same ``use_mvs`` run the same stage
+    1, so it is trained once and shared.  The order of the rows does not
+    matter: training never writes a parameter in place, and each stage
+    sets its own trainable set when it starts.
+    """
     train_gids, test_gids = split_train_test(ds, train_fraction)
     train_samples = [s for s in ds.samples if s.group_id in set(train_gids)]
     test_samples = [s for s in ds.samples if s.group_id in set(test_gids)]
@@ -190,21 +219,28 @@ def run_single(
         n_person_ids=max(ds.person_ids()) + 1,
         n_group_classes=len(train_gids),
     )
-    state = init_model_state(cfg, seed)
-    masks_cfg = (mvs_cfg or MvsConfig()) if use_mvs else None
-
-    if use_gla:
-        stage1 = replace(train_base, stage=1, seed=seed)
-        state, _ = train_stage1(state, train_samples, rosters, stage1, mvs=masks_cfg)
-    if use_grce:
-        stage2 = replace(train_base, stage=2, seed=seed)
-        state, _ = train_stage2(
-            state, train_samples, rosters, stage2,
-            mvs=masks_cfg, use_text=use_gla, alpha=alpha, epsilon=epsilon,
-        )
-    return evaluate(
-        state, test_samples, query_camera, refined=use_grce, quantity=use_mvs
-    )
+    stage1_states: dict[bool, ModelState] = {}  # use_mvs -> trained stage 1
+    reports = []
+    for use_gla, use_mvs, use_grce in rows:
+        state = init_model_state(cfg, seed)
+        masks_cfg = (mvs_cfg or MvsConfig()) if use_mvs else None
+        if use_gla:
+            if use_mvs not in stage1_states:
+                stage1 = replace(train_base, stage=1, seed=seed)
+                stage1_states[use_mvs], _ = train_stage1(
+                    state, train_samples, rosters, stage1, mvs=masks_cfg
+                )
+            state = stage1_states[use_mvs]
+        if use_grce:
+            stage2 = replace(train_base, stage=2, seed=seed)
+            state, _ = train_stage2(
+                state, train_samples, rosters, stage2,
+                mvs=masks_cfg, use_text=use_gla, alpha=alpha, epsilon=epsilon,
+            )
+        reports.append(evaluate(
+            state, test_samples, query_camera, refined=use_grce, quantity=use_mvs
+        ))
+    return reports
 
 
 def run_ablation(
@@ -219,20 +255,24 @@ def run_ablation(
     train_fraction: float = 0.7,
     query_camera: int = 0,
 ) -> list[dict]:
-    """Mean and standard deviation per configuration over the run seeds."""
+    """Mean and standard deviation per configuration over the run seeds.
+
+    ``+GLA+MVS`` and ``Full`` run the same stage 1 for a seed; it is
+    trained once and shared.
+    """
     if len(seeds) < 3:
         raise ValueError("ablation averaging needs at least three seeds")
+    per_seed = [
+        _run_rows(
+            ds, model_base, train_base, seed, [flags for _, *flags in ABLATION_ROWS],
+            mvs_cfg=mvs_cfg, alpha=alpha, epsilon=epsilon,
+            train_fraction=train_fraction, query_camera=query_camera,
+        )
+        for seed in seeds
+    ]
     rows = []
-    for name, use_gla, use_mvs, use_grce in ABLATION_ROWS:
-        reports = [
-            run_single(
-                ds, model_base, train_base, seed,
-                use_gla=use_gla, use_mvs=use_mvs, use_grce=use_grce,
-                mvs_cfg=mvs_cfg, alpha=alpha, epsilon=epsilon,
-                train_fraction=train_fraction, query_camera=query_camera,
-            )
-            for seed in seeds
-        ]
+    for j, (name, use_gla, use_mvs, use_grce) in enumerate(ABLATION_ROWS):
+        reports = [seed_reports[j] for seed_reports in per_seed]
         row = {"name": name, "gla": use_gla, "mvs": use_mvs, "grce": use_grce}
         for metric in _METRICS:
             vals = np.array([getattr(r, metric) for r in reports])

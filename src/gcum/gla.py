@@ -7,7 +7,8 @@ description allocates a fixed number of identity slots ("a group of
 <slot tokens> persons"): present members fill the leading slots in
 canonical (sorted identity) order, learned padding tokens fill the rest.
 The fixed slot count is what lets one text embedding describe a group
-whose visible membership varies.
+whose visible membership varies.  All prompts of one kind are gathered
+from one token table in one op and encoded in one text-encoder pass.
 
 Alignment uses a supervised contrastive loss in both directions at both
 granularities (member features against member descriptions, group
@@ -26,62 +27,97 @@ from typing import Sequence
 import numpy as np
 
 from . import diffcore as dc
-from . import grce
 from .diffcore import ShapeError, Tensor
 from .encoders import ModelState, encode_text
-from .mvs import Mask
 
 
-def _identity_block(identity_id: int, state: ModelState) -> Tensor:
-    cfg = state.config
-    if not (0 <= identity_id < cfg.n_person_ids):
-        raise ValueError(f"identity {identity_id} outside [0, {cfg.n_person_ids})")
-    m = cfg.tokens_per_identity
-    return dc.gather_rows(state.params["prompt.x"], range(identity_id * m, (identity_id + 1) * m))
+def _token_table(
+    state: ModelState, names: Sequence[str], identity_ids: Sequence[int]
+) -> tuple[Tensor, dict]:
+    """One token table for a set of prompts, and the rows of each part in it.
 
-
-def build_member_prompt(identity_id: int, state: ModelState) -> Tensor:
-    """"a photo of a <identity tokens> person" as a (length, dim) token matrix."""
-    p = state.params
-    block = _identity_block(identity_id, state)
-    return dc.concat([p["prompt.member_prefix"], block, p["prompt.member_suffix"]], axis=0)
-
-
-def build_group_prompt(member_ids: Sequence[int], state: ModelState) -> Tensor:
-    """"a group of <slot tokens> persons" with members in canonical order.
-
-    Members are sorted by identity before filling slots, so any ordering of
-    ``member_ids`` produces the identical token matrix.  Slots beyond the
-    member count hold the learned padding block.
+    The table holds the template parameters ``names``, then the token
+    blocks of the distinct ``identity_ids``, gathered from ``prompt.x``;
+    ``rows`` maps each name and each identity to its rows.  A parameter in
+    the table gets a gradient, zero where no prompt reads it, and takes a
+    momentum and weight-decay step, so ``names`` holds only what the
+    prompts read.
     """
     cfg = state.config
-    if not member_ids:
-        raise ValueError("a group prompt needs at least one member")
-    if len(set(member_ids)) != len(member_ids):
-        raise ValueError("duplicate identities in a group prompt")
-    if len(member_ids) > cfg.group_slots:
-        raise ValueError(f"{len(member_ids)} members exceed {cfg.group_slots} prompt slots")
     p = state.params
-    ordered = sorted(int(i) for i in member_ids)
-    parts = [p["prompt.group_prefix"]]
-    parts += [_identity_block(pid, state) for pid in ordered]
-    parts += [p["prompt.pad"]] * (cfg.group_slots - len(ordered))
-    parts.append(p["prompt.group_suffix"])
-    return dc.concat(parts, axis=0)
+    m = cfg.tokens_per_identity
+    used = sorted({int(i) for i in identity_ids})
+    for pid in used:
+        if not (0 <= pid < cfg.n_person_ids):
+            raise ValueError(f"identity {pid} outside [0, {cfg.n_person_ids})")
+    blocks = dc.gather_rows(p["prompt.x"], [pid * m + j for pid in used for j in range(m)])
+    rows: dict = {}
+    at = 0
+    for name in names:
+        rows[name] = np.arange(at, at + p[name].shape[0])
+        at += p[name].shape[0]
+    for pid in used:
+        rows[pid] = np.arange(at, at + m)
+        at += m
+    return dc.concat([p[name] for name in names] + [blocks], axis=0), rows
 
 
-def member_text_feature(identity_id: int, state: ModelState) -> Tensor:
-    return encode_text(build_member_prompt(identity_id, state), state)
+def build_member_prompts(identity_ids: Sequence[int], state: ModelState) -> Tensor:
+    """"a photo of a <identity tokens> person" per identity, stacked.
+
+    Returns the prompts' (member_prompt_len, dim) token matrices one after
+    another, gathered from one token table in one op.
+    """
+    names = ("prompt.member_prefix", "prompt.member_suffix")
+    table, rows = _token_table(state, names, identity_ids)
+    order = [
+        np.concatenate([rows["prompt.member_prefix"], rows[int(i)], rows["prompt.member_suffix"]])
+        for i in identity_ids
+    ]
+    return dc.gather_rows(table, np.concatenate(order))
 
 
-def group_text_feature(member_ids: Sequence[int], state: ModelState) -> Tensor:
-    return encode_text(build_group_prompt(member_ids, state), state)
+def build_group_prompts(rosters: Sequence[Sequence[int]], state: ModelState) -> Tensor:
+    """"a group of <slot tokens> persons" per roster, stacked.
+
+    Members are sorted by identity before filling slots, so any ordering of
+    a roster produces the identical token matrix.  Slots beyond the member
+    count hold the learned padding block.  Returns the prompts'
+    (group_prompt_len, dim) token matrices one after another, gathered from
+    one token table in one op.
+    """
+    cfg = state.config
+    for member_ids in rosters:
+        if not member_ids:
+            raise ValueError("a group prompt needs at least one member")
+        if len(set(member_ids)) != len(member_ids):
+            raise ValueError("duplicate identities in a group prompt")
+        if len(member_ids) > cfg.group_slots:
+            raise ValueError(f"{len(member_ids)} members exceed {cfg.group_slots} prompt slots")
+    names = ("prompt.group_prefix", "prompt.group_suffix")
+    if any(len(member_ids) < cfg.group_slots for member_ids in rosters):
+        names += ("prompt.pad",)
+    table, rows = _token_table(state, names, [pid for member_ids in rosters for pid in member_ids])
+    order = []
+    for member_ids in rosters:
+        order.append(rows["prompt.group_prefix"])
+        order += [rows[pid] for pid in sorted(int(i) for i in member_ids)]
+        for _ in range(cfg.group_slots - len(member_ids)):
+            order.append(rows["prompt.pad"])
+        order.append(rows["prompt.group_suffix"])
+    return dc.gather_rows(table, np.concatenate(order))
+
+
+def member_text_features(identity_ids: Sequence[int], state: ModelState) -> Tensor:
+    """Member text features, one row per identity, encoded in one pass."""
+    tokens = build_member_prompts(identity_ids, state)
+    return encode_text(tokens, state, state.config.member_prompt_len)
 
 
 def class_text_features(state: ModelState, class_ids: Sequence[int], rosters) -> Tensor:
-    """Stack group text features for ``class_ids`` (rows follow their order)."""
-    rows = [group_text_feature(rosters[c], state) for c in class_ids]
-    return dc.stack(rows)
+    """Group text features for ``class_ids`` (rows follow their order), encoded in one pass."""
+    tokens = build_group_prompts([rosters[c] for c in class_ids], state)
+    return encode_text(tokens, state, state.config.group_prompt_len)
 
 
 # --------------------------------------------------------------------------
@@ -154,36 +190,28 @@ def contrastive_losses(batch: ContrastiveBatch) -> tuple[Tensor, Tensor]:
 
 def stage1_batch_loss(
     samples,
-    masks: Sequence[Mask],
+    views: Sequence[tuple[Tensor, Tensor, tuple[int, ...]]],
     state: ModelState,
     rosters,
-    *,
-    mvs_enabled: bool = True,
 ) -> tuple[Tensor, dict[str, float]]:
     """Prompt-learning objective for one batch of group views.
 
-    Both granularities are aligned: group features against group
-    descriptions and retained member features against member descriptions.
-    The loss is the sum of the image-anchored and text-anchored batch
-    means at both granularities.  Members dropped by ``masks`` contribute
-    to nothing.
+    ``views`` holds each sample's ``grce.group_visual`` result under its
+    mask (training takes them from a ``grce.VisualMemo``).  Both
+    granularities are aligned: group features against group descriptions
+    and retained member features against member descriptions.  The loss is
+    the sum of the image-anchored and text-anchored batch means at both
+    granularities.  Members a view's mask dropped contribute to nothing.
     """
-    if len(samples) != len(masks):
-        raise ValueError("one mask per sample required")
+    if len(samples) != len(views):
+        raise ValueError("one view per sample required")
     if len(samples) < 2:
         raise ValueError("stage-1 batches need at least two samples")
     inv_temp = state.params["temp.inv"]
 
-    group_feats: list[Tensor] = []
-    group_labels: list[int] = []
-    member_blocks: list[Tensor] = []
-    member_labels: list[int] = []
-    for sample, mask in zip(samples, masks):
-        v, feats, row_ids = grce.group_visual(sample, state, mask, quantity=mvs_enabled)
-        group_feats.append(v)
-        group_labels.append(sample.group_id)
-        member_blocks.append(feats)
-        member_labels.extend(row_ids)
+    group_feats = [v for v, _, _ in views]
+    group_labels = [s.group_id for s in samples]
+    member_labels = [pid for _, _, row_ids in views for pid in row_ids]
 
     group_classes = sorted(set(group_labels))
     group_text = class_text_features(state, group_classes, rosters)
@@ -197,12 +225,11 @@ def stage1_batch_loss(
     i2t_g, t2i_g = contrastive_losses(batch_groups)
 
     person_classes = sorted(set(member_labels))
-    person_text = dc.stack([member_text_feature(pid, state) for pid in person_classes])
     batch_members = ContrastiveBatch(
-        visual=dc.concat(member_blocks, axis=0),
+        visual=dc.concat([feats for _, feats, _ in views], axis=0),
         labels=tuple(member_labels),
         class_labels=tuple(person_classes),
-        text=person_text,
+        text=member_text_features(person_classes, state),
         inv_temp=inv_temp,
     )
     i2t_m, t2i_m = contrastive_losses(batch_members)

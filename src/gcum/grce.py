@@ -7,6 +7,10 @@ pooled.  ``refine`` then lets the pooled feature re-attend to the
 individual member features, which restores member detail that pooling
 washes out.
 
+Training sees each view under a handful of masks, again and again, and
+the member encoder and the first group block run on frozen weights;
+``VisualMemo`` does that work once per (view, mask) for one training run.
+
 Canonical ordering makes every stage independent of the order members
 appear in a sample.  Rows are sorted lexicographically by value before
 any cross-row mixing, so two views that differ only by member layout
@@ -63,22 +67,10 @@ def refine(group_feature: Tensor, member_features: Tensor, state: ModelState) ->
     return dc.l2_normalize(dc.add(group_feature, context))
 
 
-def group_visual_from_matrix(
-    appearances: Tensor,
-    identity_ids: Sequence[int],
-    state: ModelState,
-    mask: Mask | None = None,
-    *,
-    quantity: bool = True,
-) -> tuple[Tensor, Tensor, tuple[int, ...]]:
-    """Group feature from an appearance matrix with explicit masking.
-
-    ``mask`` bits index the rows of ``appearances``.  Dropped rows are
-    removed before any encoding, so they influence neither the value nor
-    the gradient of anything downstream.  Returns the pooled group
-    feature, the member feature rows in canonical order, and the member
-    identities in that same row order.
-    """
+def _members_and_block1(
+    appearances: Tensor, identity_ids: Sequence[int], state: ModelState, mask: Mask | None
+) -> tuple[Tensor, Tensor, Tensor, tuple[int, ...]]:
+    """Member features, block-1 class token and member rows, and row identities."""
     if appearances.ndim != 2:
         raise ShapeError("appearances must be a matrix")
     n = appearances.shape[0]
@@ -97,11 +89,36 @@ def group_visual_from_matrix(
 
     feats = encode_members(ordered, state)
     cls, rows = encode_group_prefix(feats, state)
+    return feats, cls, rows, row_ids
+
+
+def _pooled(cls: Tensor, rows: Tensor, state: ModelState, quantity: bool) -> Tensor:
+    """Count term (or plain recombination), block 2 and the readout."""
     if quantity:
         fused = apply_mvs(cls, rows, state.params["quantity.em"])
     else:
         fused = assemble_plain(cls, rows)
-    return encode_group_suffix(fused, state), feats, row_ids
+    return encode_group_suffix(fused, state)
+
+
+def group_visual_from_matrix(
+    appearances: Tensor,
+    identity_ids: Sequence[int],
+    state: ModelState,
+    mask: Mask | None = None,
+    *,
+    quantity: bool = True,
+) -> tuple[Tensor, Tensor, tuple[int, ...]]:
+    """Group feature from an appearance matrix with explicit masking.
+
+    ``mask`` bits index the rows of ``appearances``.  Dropped rows are
+    removed before any encoding, so they influence neither the value nor
+    the gradient of anything downstream.  Returns the pooled group
+    feature, the member feature rows in canonical order, and the member
+    identities in that same row order.
+    """
+    feats, cls, rows, row_ids = _members_and_block1(appearances, identity_ids, state, mask)
+    return _pooled(cls, rows, state, quantity), feats, row_ids
 
 
 def _appearance_matrix(sample: GroupSample) -> Tensor:
@@ -138,3 +155,42 @@ def group_forward(
     if not refined:
         return v
     return refine(v, feats, state)
+
+
+class VisualMemo:
+    """``group_visual`` for the views of one training run, frozen work done once.
+
+    Everything upstream of the first trainable parameter is computed once
+    per (sample index, mask bits) and kept as one plain array: the member
+    features in canonical order, then the block-1 output, next to the
+    member identities.  Each call builds the rest (count term, block 2 and
+    the readout) from that array, so the count matrix can train.  The
+    member and group encoders must stay frozen, which is checked.  Build
+    one per training call over that call's sample list and drop it when
+    the call returns.
+    """
+
+    def __init__(self, samples: Sequence[GroupSample], *, quantity: bool):
+        self.samples = samples
+        self.quantity = quantity
+        self._memo: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], np.ndarray]] = {}
+
+    def __call__(self, index: int, mask: Mask, state: ModelState) -> tuple[Tensor, Tensor, tuple[int, ...]]:
+        """The ``group_visual`` result for ``samples[index]`` under ``mask``."""
+        key = (int(index), mask.bits)
+        if key not in self._memo:
+            self._memo[key] = self._frozen(self.samples[index], mask, state)
+        row_ids, frozen = self._memo[key]
+        k = len(row_ids)  # frozen[k:] is the block-1 output, [class token; member rows]
+        v = _pooled(dc.constant(frozen[k]), dc.constant(frozen[k + 1 :]), state, self.quantity)
+        return v, dc.constant(frozen[:k]), row_ids
+
+    def _frozen(self, sample: GroupSample, mask: Mask, state: ModelState) -> tuple:
+        trainable = [n for n, p in state.params.items()
+                     if n.startswith(("member.", "group.")) and p.requires_grad]
+        if trainable:
+            raise ValueError(f"frozen visual work needs frozen encoders; trainable: {trainable}")
+        feats, cls, rows, row_ids = _members_and_block1(
+            _appearance_matrix(sample), [m.identity_id for m in sample.members], state, mask
+        )
+        return row_ids, np.concatenate([feats.values, cls.values[None], rows.values])

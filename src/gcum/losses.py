@@ -21,7 +21,6 @@ from . import diffcore as dc
 from . import grce
 from .diffcore import ShapeError, Tensor
 from .encoders import ModelState
-from .mvs import Mask
 
 
 def cross_entropy_smoothed(logits: Tensor, true_indices: Sequence[int], epsilon: float) -> Tensor:
@@ -127,31 +126,27 @@ def triplet_loss(features: Tensor, labels: Sequence[int], alpha: float = 0.3) ->
 
 def stage2_batch_loss(
     samples,
-    masks: Sequence[Mask],
+    views: Sequence[tuple[Tensor, Tensor, tuple[int, ...]]],
     state: ModelState,
     class_index: Mapping[int, int],
     text_rows: Tensor | None,
     *,
     alpha: float = 0.3,
     epsilon: float = 0.1,
-    mvs_enabled: bool = True,
 ) -> tuple[Tensor, dict[str, float]]:
     """Identity + triplet (+ image-text) loss over refined group features.
 
-    ``class_index`` maps group ids to classifier rows; ``text_rows``, when
-    given, holds one frozen text feature per class in the same row order.
+    ``views`` holds each sample's ``grce.group_visual`` result under its
+    mask (training takes them from a ``grce.VisualMemo``).  ``class_index``
+    maps group ids to classifier rows; ``text_rows``, when given, holds one
+    frozen text feature per class in the same row order.
     """
-    if len(samples) != len(masks):
-        raise ValueError("one mask per sample required")
+    if len(samples) != len(views):
+        raise ValueError("one view per sample required")
     if len(samples) < 2:
         raise ValueError("stage-2 batches need at least two samples")
-    refined_rows: list[Tensor] = []
-    class_ids: list[int] = []
-    for sample, mask in zip(samples, masks):
-        v, feats, _ = grce.group_visual(sample, state, mask, quantity=mvs_enabled)
-        refined_rows.append(grce.refine(v, feats, state))
-        class_ids.append(class_index[sample.group_id])
-    features = dc.stack(refined_rows)
+    features = dc.stack([grce.refine(v, feats, state) for v, feats, _ in views])
+    class_ids = [class_index[s.group_id] for s in samples]
 
     l_id = id_loss(features, state, class_ids, epsilon)
     l_tri = triplet_loss(features, class_ids, alpha)

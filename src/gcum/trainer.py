@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import diffcore as dc
-from . import gla
+from . import gla, grce
 from . import losses as losses_mod
 from .diffcore import Tensor
 from .encoders import STAGE1_TRAINABLE, STAGE2_TRAINABLE, ModelState
@@ -172,28 +172,33 @@ def _sample_masks(batch, mvs: MvsConfig | None, rng: np.random.Generator):
     return masks
 
 
-def _run(state, cfg, trainable, stream, batches, loss_fn, mvs):
+def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
     """The epoch/step loop both stages share.
 
-    ``batches(rng)`` yields one epoch's sample lists and ``loss_fn(batch,
-    masks, state)`` returns ``(loss, parts)``.  A batch's masks are drawn
-    from the same stream right after the batch is yielded.
+    ``batches(rng)`` yields one epoch's lists of sample indices and
+    ``loss_fn(batch, views, state)`` returns ``(loss, parts)``.  A
+    batch's masks are drawn from the same stream right after the batch is
+    yielded.  Its views come from a memo that lives as long as this call,
+    so frozen visual work is done once per (sample, mask) per run.
     """
     run = cfg.scaled()
     state.set_trainable(trainable)
     opt = init_optimizer(state)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(stream,)))
+    memo = grce.VisualMemo(samples, quantity=mvs is not None)
     history: list[dict] = []
     for epoch in range(run.total_epochs):
         lr = lr_at_epoch(run, epoch)
         sums: dict[str, float] = {}
         steps = 0
-        for batch in batches(rng):
+        for idx in batches(rng):
+            batch = [samples[i] for i in idx]
             masks = _sample_masks(batch, mvs, rng)
             for p in state.params.values():
                 p.grad = None
             with dc.Graph() as g:
-                loss, parts = loss_fn(batch, masks, state)
+                views = [memo(i, m, state) for i, m in zip(idx, masks)]
+                loss, parts = loss_fn(batch, views, state)
             g.backward(loss)
             state = sgd_step(state, _collect_grads(state, trainable), opt, lr, run)
             for k, v in {"loss_total": loss.item(), **parts}.items():
@@ -225,12 +230,12 @@ def train_stage1(
         for at in range(0, len(order), cfg.batch_size):
             idx = order[at : at + cfg.batch_size]
             if len(idx) >= 2:
-                yield [samples[i] for i in idx]
+                yield idx
 
-    def loss_fn(batch, masks, st):
-        return gla.stage1_batch_loss(batch, masks, st, rosters, mvs_enabled=mvs is not None)
+    def loss_fn(batch, views, st):
+        return gla.stage1_batch_loss(batch, views, st, rosters)
 
-    return _run(state, cfg, STAGE1_TRAINABLE, _STAGE1_STREAM, batches, loss_fn, mvs)
+    return _run(state, cfg, STAGE1_TRAINABLE, _STAGE1_STREAM, samples, batches, loss_fn, mvs)
 
 
 def _group_views(samples: Sequence[GroupSample]) -> dict[int, list[int]]:
@@ -282,17 +287,16 @@ def train_stage2(
             chunk = group_order[at : at + p_eff]
             if len(chunk) < 2:
                 continue  # a single group has no negatives
-            batch: list[GroupSample] = []
+            idx: list[int] = []
             for gi in chunk:
                 pool = views[gids[gi]]
                 picks = rng.choice(len(pool), size=cfg.q_views, replace=len(pool) < cfg.q_views)
-                batch.extend(samples[pool[j]] for j in picks)
-            yield batch
+                idx.extend(pool[j] for j in picks)
+            yield idx
 
-    def loss_fn(batch, masks, st):
+    def loss_fn(batch, group_views, st):
         return losses_mod.stage2_batch_loss(
-            batch, masks, st, class_index, text_rows,
-            alpha=alpha, epsilon=epsilon, mvs_enabled=mvs is not None,
+            batch, group_views, st, class_index, text_rows, alpha=alpha, epsilon=epsilon
         )
 
-    return _run(state, cfg, STAGE2_TRAINABLE, _STAGE2_STREAM, batches, loss_fn, mvs)
+    return _run(state, cfg, STAGE2_TRAINABLE, _STAGE2_STREAM, samples, batches, loss_fn, mvs)

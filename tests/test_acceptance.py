@@ -194,11 +194,17 @@ def test_criterion_04_masking_invariance():
         refined = grce.refine(v, feats, state)
         batch = [s, peer] + others
         masks = [mask] + [full_mask(len(b.members)) for b in batch[1:]]
-        l1 = gla.stage1_batch_loss(batch, masks, state, rosters)[0].item()
+        # the losses take their views from a memo, as in training
+        memo = grce.VisualMemo(batch, quantity=True)
+        state.set_trainable(STAGE1_TRAINABLE)
+        views = [memo(i, m, state) for i, m in enumerate(masks)]
+        l1 = gla.stage1_batch_loss(batch, views, state, rosters)[0].item()
         gids = sorted({b.group_id for b in batch})
         class_index = {g: i for i, g in enumerate(gids)}
         text_rows = dc.constant(gla.class_text_features(state, gids, rosters).values)
-        l2 = losses_mod.stage2_batch_loss(batch, masks, state, class_index,
+        state.set_trainable(STAGE2_TRAINABLE)
+        views = [memo(i, m, state) for i, m in enumerate(masks)]
+        l2 = losses_mod.stage2_batch_loss(batch, views, state, class_index,
                                           text_rows)[0].item()
         return feats.values, v.values, refined.values, l1, l2
 
@@ -249,9 +255,9 @@ def test_criterion_05_structural_invariances():
     )
 
     ids = list(ds.group_rosters()[0])
-    prompt = gla.build_group_prompt(ids, state).values
+    prompt = gla.build_group_prompts([ids], state).values
     prompt_ok = all(
-        np.array_equal(prompt, gla.build_group_prompt(list(p), state).values)
+        np.array_equal(prompt, gla.build_group_prompts([list(p)], state).values)
         for p in ([ids[1], ids[0]] + ids[2:], list(reversed(ids)))
     )
     ok = refine_ok and prompt_ok

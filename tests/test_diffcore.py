@@ -112,6 +112,28 @@ def test_log_softmax_stays_finite_at_a_large_spread():
     np.testing.assert_array_equal(x.grad, [[-0.8, 0.5, 0.3], [1.0, -1.0, 0.0]])
 
 
+def test_segment_attention_matches_attention_per_block():
+    rng = np.random.default_rng(11)
+    q, k, v = (rng.normal(size=(6, 4)) for _ in range(3))
+    out = dc.segment_attention(dc.tensor(q), dc.tensor(k), dc.tensor(v[:, :3]), 3).values
+    for b in (slice(0, 3), slice(3, 6)):
+        scores = dc.scale(dc.matmul(dc.tensor(q[b]), dc.transpose(dc.tensor(k[b]))), 0.5)
+        expected = dc.matmul(dc.softmax_rows(scores), dc.tensor(v[b, :3])).values
+        np.testing.assert_allclose(out[b], expected, rtol=0, atol=1e-12)
+
+
+def test_segment_attention_rejects_bad_blocks():
+    x = dc.tensor(np.ones((6, 2)))
+    with pytest.raises(dc.ShapeError):
+        dc.segment_attention(x, x, x, 4)  # 6 rows do not split into blocks of 4
+    with pytest.raises(dc.ShapeError):
+        dc.segment_attention(x, x, x, 0)
+    with pytest.raises(dc.ShapeError):
+        dc.segment_attention(x, dc.tensor(np.ones((6, 3))), x, 3)
+    with pytest.raises(dc.ShapeError):
+        dc.segment_attention(x, x, dc.tensor(np.ones((5, 2))), 3)
+
+
 def test_l2_normalize_values():
     np.testing.assert_allclose(dc.l2_normalize(dc.tensor([3.0, 4.0])).values, [0.6, 0.8], atol=1e-12)
     np.testing.assert_array_equal(dc.l2_normalize(dc.tensor([0.0, 0.0])).values, [0.0, 0.0])
@@ -249,8 +271,10 @@ def test_ops_are_bit_deterministic():
 
     def run():
         t = dc.matmul(dc.tensor(a), dc.tensor(b))
+        pair = dc.concat([t, dc.tanh(t)], axis=0)
         return np.concatenate([dc.l2_normalize(dc.softmax_rows(t)).values,
-                               dc.log_softmax_rows(t).values])
+                               dc.log_softmax_rows(t).values,
+                               dc.segment_attention(pair, dc.exp(pair), pair, 5).values])
 
     first, second = run(), run()
     assert first.tobytes() == second.tobytes()
@@ -297,8 +321,11 @@ def _composite_loss(p):
     parts = dc.concat([unit, picked], axis=0)
     clipped = dc.clamp_min(parts, -0.25)
     entropies = dc.mul(sm, dc.log_softmax_rows(gram))
+    blocks = dc.concat([w, sm], axis=0)  # three blocks of two rows
+    attended = dc.segment_attention(blocks, dc.tanh(blocks), dc.matmul(blocks, w), 2)
     return (dc.reduce_mean(dc.mul(clipped, clipped)) + dc.reduce_sum(dc.log(dc.exp(0.3 * h)))
-            + dc.reduce_sum(entropies) + dc.reduce_sum(dc.mul(dc.log_softmax_rows(h), h)))
+            + dc.reduce_sum(entropies) + dc.reduce_sum(dc.mul(dc.log_softmax_rows(h), h))
+            + dc.reduce_sum(dc.mul(attended, attended)))
 
 
 @settings(max_examples=12, deadline=None)

@@ -92,8 +92,9 @@ def test_attention_block_identity_with_zero_output_projection():
     rng = np.random.default_rng(0)
     x = dc.constant(rng.normal(size=(4, 8)))
     w = lambda: dc.constant(rng.normal(size=(8, 8)))
-    out = attention_block(x, w(), w(), w(), dc.constant(np.zeros((8, 8))))
-    assert np.array_equal(out.values, x.values)
+    for length in (4, 2):
+        out = attention_block(x, w(), w(), w(), dc.constant(np.zeros((8, 8))), length)
+        assert np.array_equal(out.values, x.values)
 
 
 def test_member_features_are_unit_norm():
@@ -136,25 +137,40 @@ def test_text_feature_unit_norm_and_length_limit():
     cfg = small_config()
     state = init_model_state(cfg, seed=1)
     tokens = dc.constant(np.random.default_rng(7).normal(size=(cfg.max_prompt_len, cfg.dim)))
-    out = encode_text(tokens, state)
-    assert out.shape == (cfg.dim,)
+    out = encode_text(tokens, state, cfg.max_prompt_len)
+    assert out.shape == (1, cfg.dim)
     assert np.linalg.norm(out.values) == pytest.approx(1.0, abs=1e-12)
     over = dc.constant(np.zeros((cfg.max_prompt_len + 1, cfg.dim)))
     with pytest.raises(ShapeError):
-        encode_text(over, state)
+        encode_text(over, state, cfg.max_prompt_len + 1)
+    with pytest.raises(ShapeError):
+        encode_text(tokens, state, cfg.max_prompt_len - 1)  # rows do not split evenly
+
+
+def test_batched_text_rows_match_one_prompt_encodes():
+    cfg = small_config()
+    state = init_model_state(cfg, seed=2)
+    rng = np.random.default_rng(9)
+    for length in (cfg.member_prompt_len, cfg.group_prompt_len):
+        prompts = rng.normal(size=(5, length, cfg.dim))
+        batched = encode_text(dc.constant(prompts.reshape(-1, cfg.dim)), state, length).values
+        assert batched.shape == (5, cfg.dim)
+        for i, prompt in enumerate(prompts):
+            alone = encode_text(dc.constant(prompt), state, length).values[0]
+            np.testing.assert_allclose(batched[i], alone, rtol=0, atol=1e-12)
 
 
 def test_text_positions_beyond_length_are_inert():
     cfg = small_config()
     state = init_model_state(cfg, seed=1)
     length = cfg.member_prompt_len  # shorter than the positional table
-    tokens = dc.constant(np.random.default_rng(8).normal(size=(length, cfg.dim)))
-    before = encode_text(tokens, state)
+    tokens = dc.constant(np.random.default_rng(8).normal(size=(2 * length, cfg.dim)))
+    before = encode_text(tokens, state, length)
 
     bumped = np.array(state.params["text.pos"].values)
     bumped[length:] += 100.0
     other = state.with_param("text.pos", Tensor(bumped, requires_grad=True))
-    after = encode_text(tokens, other)
+    after = encode_text(tokens, other, length)
     assert np.array_equal(before.values, after.values)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gcum import evaluation
 from gcum.encoders import ModelConfig, init_model_state
 from gcum.evaluation import (
     ABLATION_ROWS,
@@ -365,6 +366,26 @@ def test_run_ablation_rows_and_table():
     assert len(lines) == 2 + len(rows)
     assert lines[0].startswith("config")
     assert all(len(line) == len(lines[0]) or i < 2 for i, line in enumerate(lines))
+
+
+def test_run_ablation_trains_each_stage1_once(monkeypatch):
+    # +GLA+MVS and Full share a stage 1 per seed: 3 rows with prompt
+    # learning over 3 seeds need 6 stage-1 trainings, not 9
+    ds, _ = _eval_setup(noise=0.1)
+    calls = []
+    train = evaluation.train_stage1
+
+    def counting(*args, **kwargs):
+        calls.append(args[3].seed)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train_stage1", counting)
+    rows = {r["name"]: r for r in run_ablation(ds, _model_base(), _short_cfg(), seeds=(0, 1, 2))}
+    assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+    for seed, shared in zip((0, 1, 2), rows["Full"]["per_seed"]):
+        alone = run_single(ds, _model_base(), _short_cfg(), seed=seed,
+                           use_gla=True, use_mvs=True, use_grce=True)
+        assert shared == alone.to_dict()
 
 
 def test_run_ablation_needs_three_seeds():

@@ -10,13 +10,14 @@ from gcum.diffcore import Tensor
 from gcum.encoders import ModelConfig, init_model_state
 from gcum.gla import (
     ContrastiveBatch,
-    build_group_prompt,
-    build_member_prompt,
+    build_group_prompts,
+    build_member_prompts,
     class_text_features,
     contrastive_losses,
-    group_text_feature,
+    member_text_features,
     stage1_batch_loss,
 )
+from gcum.grce import group_visual
 from gcum.mvs import Mask, full_mask
 from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
 
@@ -41,36 +42,40 @@ def small_state(seed=0, **overrides):
 
 def test_member_prompt_layout():
     state = small_state()
-    seq = build_member_prompt(2, state)
+    seq = build_member_prompts([2, 0], state)
     m = state.config.tokens_per_identity
     p = state.params
-    expected = np.concatenate([
-        p["prompt.member_prefix"].values,           # "a photo of a"
-        p["prompt.x"].values[2 * m : 3 * m],        # identity 2's block
-        p["prompt.member_suffix"].values,           # "person"
-    ])
-    assert seq.shape == (state.config.member_prompt_len, state.config.dim)
+
+    def prompt(identity):
+        return [
+            p["prompt.member_prefix"].values,                       # "a photo of a"
+            p["prompt.x"].values[identity * m : (identity + 1) * m],  # the identity's block
+            p["prompt.member_suffix"].values,                       # "person"
+        ]
+
+    expected = np.concatenate(prompt(2) + prompt(0))
+    assert seq.shape == (2 * state.config.member_prompt_len, state.config.dim)
     assert np.array_equal(seq.values, expected)
 
 
 def test_member_prompt_rejects_unknown_identity():
     state = small_state()
     with pytest.raises(ValueError):
-        build_member_prompt(4, state)
+        build_member_prompts([4], state)
     with pytest.raises(ValueError):
-        build_member_prompt(-1, state)
+        build_member_prompts([0, -1], state)
 
 
 def test_group_prompt_is_order_invariant():
     state = small_state()
-    a = build_group_prompt([3, 1], state)
-    b = build_group_prompt([1, 3], state)
+    a = build_group_prompts([[3, 1]], state)
+    b = build_group_prompts([[1, 3]], state)
     assert np.array_equal(a.values, b.values)
 
 
 def test_group_prompt_layout_and_padding():
     state = small_state()
-    seq = build_group_prompt([3, 1], state)
+    seq = build_group_prompts([[3, 1], [2]], state)
     cfg = state.config
     m = cfg.tokens_per_identity
     p = state.params
@@ -81,26 +86,31 @@ def test_group_prompt_layout_and_padding():
         x[3 * m : 4 * m],                           # identity 3 fills slot 1
         p["prompt.pad"].values,                     # slot 2 is padding
         p["prompt.group_suffix"].values,            # "persons"
+        p["prompt.group_prefix"].values,            # the second prompt:
+        x[2 * m : 3 * m],                           # identity 2 fills slot 0
+        p["prompt.pad"].values,                     # slots 1 and 2 are padding
+        p["prompt.pad"].values,
+        p["prompt.group_suffix"].values,
     ])
-    assert seq.shape == (cfg.group_prompt_len, cfg.dim)
+    assert seq.shape == (2 * cfg.group_prompt_len, cfg.dim)
     assert np.array_equal(seq.values, expected)
 
 
 def test_group_prompt_rejects_bad_rosters():
     state = small_state()
     with pytest.raises(ValueError):
-        build_group_prompt([], state)
+        build_group_prompts([[]], state)
     with pytest.raises(ValueError):
-        build_group_prompt([1, 1], state)
+        build_group_prompts([[0], [1, 1]], state)
     with pytest.raises(ValueError):
-        build_group_prompt([0, 1, 2, 3], state)
+        build_group_prompts([[0, 1, 2, 3]], state)
 
 
 def test_prompt_gradient_lands_on_the_right_rows():
     state = small_state()
     m = state.config.tokens_per_identity
     with dc.Graph() as g:
-        seq = build_group_prompt([2], state)  # slots 3: one identity, two pads
+        seq = build_group_prompts([[2]], state)  # slots 3: one identity, two pads
         loss = dc.reduce_sum(seq)
     g.backward(loss)
     gx = state.params["prompt.x"].grad
@@ -113,14 +123,38 @@ def test_prompt_gradient_lands_on_the_right_rows():
     assert state.params["prompt.member_prefix"].grad is None
 
 
+def test_full_rosters_leave_the_padding_without_gradient():
+    # a parameter with a gradient, even a zero one, takes a momentum and
+    # weight-decay step, so prompts that do not pad must not reach the padding
+    state = small_state()
+    with dc.Graph() as g:
+        loss = dc.reduce_sum(build_group_prompts([[0, 1, 2], [3, 1, 0]], state))
+    g.backward(loss)
+    assert state.params["prompt.pad"].grad is None
+    assert np.any(state.params["prompt.x"].grad)
+
+
 def test_text_features_are_unit_and_deterministic():
     state = small_state()
-    t1 = group_text_feature([0, 2], state)
-    t2 = group_text_feature([2, 0], state)
+    t1 = class_text_features(state, [0, 1], {0: (0, 2), 1: (3, 1, 2)})
+    t2 = class_text_features(state, [0, 1], {0: (2, 0), 1: (1, 2, 3)})
     assert np.array_equal(t1.values, t2.values)
-    assert np.linalg.norm(t1.values) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(np.linalg.norm(t1.values, axis=1), 1.0, atol=1e-12)
     stackd = class_text_features(state, [1], {1: (0, 2)})
     assert stackd.shape == (1, state.config.dim)
+
+
+def test_batched_text_features_match_one_prompt_each():
+    state = small_state()
+    members = member_text_features([3, 0, 2], state).values
+    for row, pid in zip(members, [3, 0, 2]):
+        np.testing.assert_allclose(row, member_text_features([pid], state).values[0],
+                                   rtol=0, atol=1e-12)
+    rosters = {0: (0, 2), 1: (3,), 2: (1, 2, 3)}
+    groups = class_text_features(state, [2, 0, 1], rosters).values
+    for row, c in zip(groups, [2, 0, 1]):
+        np.testing.assert_allclose(row, class_text_features(state, [c], rosters).values[0],
+                                   rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -296,13 +330,17 @@ def _tiny_setup(seed=3):
     return ds, state
 
 
+def _views(batch, masks, state, quantity=True):
+    return [group_visual(s, state, m, quantity=quantity) for s, m in zip(batch, masks)]
+
+
 def test_stage1_loss_runs_and_routes_gradients():
     ds, state = _tiny_setup()
     batch = ds.samples[:4]
     masks = [full_mask(len(s.members)) for s in batch]
     rosters = ds.group_rosters()
     with dc.Graph() as g:
-        loss, parts = stage1_batch_loss(batch, masks, state, rosters)
+        loss, parts = stage1_batch_loss(batch, _views(batch, masks, state), state, rosters)
     g.backward(loss)
     assert loss.item() == pytest.approx(parts["loss_i2t"] + parts["loss_t2i"], abs=1e-12)
     assert loss.item() > 0
@@ -319,7 +357,8 @@ def test_stage1_loss_without_count_term_skips_em():
     batch = ds.samples[:4]
     masks = [full_mask(len(s.members)) for s in batch]
     with dc.Graph() as g:
-        loss, _ = stage1_batch_loss(batch, masks, state, ds.group_rosters(), mvs_enabled=False)
+        views = _views(batch, masks, state, quantity=False)
+        loss, _ = stage1_batch_loss(batch, views, state, ds.group_rosters())
     g.backward(loss)
     assert state.params["quantity.em"].grad is None
 
@@ -333,7 +372,7 @@ def test_stage1_loss_ignores_dropped_members():
     masks += [full_mask(len(s.members)) for s in batch[1:]]
     rosters = ds.group_rosters()
 
-    baseline, _ = stage1_batch_loss(batch, masks, state, rosters)
+    baseline, _ = stage1_batch_loss(batch, _views(batch, masks, state), state, rosters)
 
     garbled = Member(
         identity_id=target.members[0].identity_id,
@@ -344,12 +383,13 @@ def test_stage1_loss_ignores_dropped_members():
         camera_id=target.camera_id,
         members=(garbled,) + target.members[1:],
     )
-    perturbed, _ = stage1_batch_loss(batch, masks, state, rosters)
+    perturbed, _ = stage1_batch_loss(batch, _views(batch, masks, state), state, rosters)
     assert baseline.item() == perturbed.item()
 
 
 def test_stage1_needs_matching_masks():
     ds, state = _tiny_setup()
     batch = ds.samples[:3]
+    views = _views(batch[:1], [full_mask(len(batch[0].members))], state)
     with pytest.raises(ValueError):
-        stage1_batch_loss(batch, [full_mask(2)], state, ds.group_rosters())
+        stage1_batch_loss(batch, views, state, ds.group_rosters())

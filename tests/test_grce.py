@@ -7,6 +7,7 @@ from gcum import diffcore as dc
 from gcum.diffcore import ShapeError, Tensor
 from gcum.encoders import ModelConfig, init_model_state
 from gcum.grce import (
+    VisualMemo,
     canonical_order,
     group_forward,
     group_visual,
@@ -112,6 +113,50 @@ def test_group_visual_is_permutation_invariant():
     assert ids == ids2
     assert np.array_equal(v.values, v2.values)
     assert np.array_equal(feats.values, feats2.values)
+
+
+@pytest.mark.parametrize("quantity", [True, False])
+def test_visual_memo_matches_group_visual(quantity):
+    ds = _dataset()
+    state = small_state()
+    # a non-zero count matrix, so the count term shows in the pooled feature
+    em = np.random.default_rng(4).normal(scale=0.5, size=(4, 8))
+    state = state.with_param("quantity.em", Tensor(em))
+    memo = VisualMemo(ds.samples, quantity=quantity)
+    # one memo serves every trainable set, as in the gradient check;
+    # repeated keys are memo hits, some under another set than their miss
+    trains = (True, True, False, False, True, True, False)
+    for em_trains, i in zip(trains, (0, 1, 0, 2, 2, 1, 0)):
+        state.set_trainable(["quantity.em"] if em_trains else ["grce.wq"])
+        n = len(ds.samples[i].members)
+        for mask in (full_mask(n), Mask((1, 0) + (1,) * (n - 2))):
+            with dc.Graph() as g:
+                v, feats, ids = memo(i, mask, state)
+                loss = dc.reduce_sum(dc.mul(v, dc.constant(np.arange(8.0))))
+            if v.requires_grad:
+                g.backward(loss)
+            got_grad = state.params["quantity.em"].grad
+            state.params["quantity.em"].grad = None
+            with dc.Graph() as g:
+                v2, feats2, ids2 = group_visual(ds.samples[i], state, mask, quantity=quantity)
+                loss2 = dc.reduce_sum(dc.mul(v2, dc.constant(np.arange(8.0))))
+            if v2.requires_grad:
+                g.backward(loss2)
+            assert ids == ids2
+            assert np.array_equal(v.values, v2.values)
+            assert np.array_equal(feats.values, feats2.values)
+            assert v.requires_grad == v2.requires_grad == (quantity and em_trains)
+            want = state.params["quantity.em"].grad
+            assert (got_grad is None and want is None) or np.array_equal(got_grad, want)
+            state.params["quantity.em"].grad = None
+
+
+def test_visual_memo_needs_frozen_encoders():
+    ds = _dataset()
+    state = small_state()
+    state.set_trainable(["quantity.em", "group.blk2.wq"])
+    with pytest.raises(ValueError):
+        VisualMemo(ds.samples, quantity=True)(0, full_mask(len(ds.samples[0].members)), state)
 
 
 def test_group_visual_row_ids_follow_canonical_order():

@@ -1,5 +1,12 @@
 """Schedule arithmetic, SGD semantics, and the two training stages."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +18,7 @@ from gcum.encoders import (
     init_model_state,
 )
 from gcum.mvs import MvsConfig
-from gcum.synthdata import GenConfig, generate_dataset
+from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
 from gcum.trainer import (
     FreezeViolation,
     OptimizerState,
@@ -205,6 +212,42 @@ def test_stage1_is_deterministic():
     assert hist1 == hist2
     for n in out1.params:
         assert np.array_equal(out1.params[n].values, out2.params[n].values), n
+
+
+def _scope_run(which: str) -> str:
+    """Digest of a stage-1 run over sample list "a" or "b".
+
+    "b" is "a" with one appearance of its first view garbled: a memo of
+    frozen visual work keyed by (sample index, mask bits) that outlived
+    run "a" would hand run "b" stale features for that view.
+    """
+    ds, state = _training_setup()
+    samples = list(ds.samples)
+    if which == "b":
+        first = samples[0]
+        garbled = Member(first.members[0].identity_id, first.members[0].appearance + 41.5)
+        samples[0] = GroupSample(first.group_id, first.camera_id, (garbled,) + first.members[1:])
+    out, history = train_stage1(state, samples, ds.group_rosters(), _short_cfg(1, epochs=2),
+                                mvs=MvsConfig())
+    digest = hashlib.sha256(json.dumps(history).encode())
+    for name in sorted(out.params):
+        digest.update(out.params[name].values.tobytes())
+    return digest.hexdigest()
+
+
+def test_stage1_runs_back_to_back_match_runs_alone():
+    together = [_scope_run("a"), _scope_run("b")]
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here), str(here.parent / "src")]))
+    alone = [
+        subprocess.run(
+            [sys.executable, "-c", f"import test_trainer; print(test_trainer._scope_run({w!r}))"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        for w in ("a", "b")
+    ]
+    assert together == alone
+    assert together[0] != together[1]
 
 
 def test_stage1_zero_epochs_returns_initialization():
