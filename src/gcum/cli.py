@@ -325,15 +325,13 @@ def run_grad_checks(seed: int, *, step: float = 1e-5, tolerance: float = 1e-4) -
     text_rows = dc.constant(gla.class_text_features(state, gids, rosters).values)
 
     memo = grce.VisualMemo(samples, quantity=True)  # the views training computes
-
-    def _views(st):
-        return [memo(i, m, st) for i, m in enumerate(masks)]
+    indices = range(len(samples))
 
     def _refined(st):
-        return dc.stack([grce.refine(v, feats, st) for v, feats, _ in _views(st)])
+        return memo(indices, masks, st, refined=True)[0]
 
     def stage1_fn(st):
-        return gla.stage1_batch_loss(samples, _views(st), st, rosters)[0]
+        return gla.stage1_batch_loss(samples, *memo(indices, masks, st), st, rosters)[0]
 
     def id_fn(st):
         return losses_mod.id_loss(_refined(st), st, targets, 0.1)
@@ -348,7 +346,7 @@ def run_grad_checks(seed: int, *, step: float = 1e-5, tolerance: float = 1e-4) -
 
     def stage2_fn(st):
         return losses_mod.stage2_batch_loss(
-            samples, _views(st), st, class_index, text_rows, alpha=0.5, epsilon=0.1
+            samples, _refined(st), st, class_index, text_rows, alpha=0.5, epsilon=0.1
         )[0]
 
     checks = {

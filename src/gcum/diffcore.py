@@ -51,7 +51,6 @@ __all__ = [
     "concat",
     "stack",
     "gather_rows",
-    "take_row",
     "exp",
     "log",
     "tanh",
@@ -191,11 +190,6 @@ class Graph:
         global _ACTIVE
         _ACTIVE = None
         return False
-
-    @property
-    def leaf_parameters(self) -> tuple[Tensor, ...]:
-        """Leaf tensors with ``requires_grad`` that entered this recording."""
-        return tuple(self._leaves)
 
     def _record(self, out: Tensor, parents: tuple[Tensor, ...], pull: _PullFn) -> None:
         self._nodes.append((out, parents, pull))
@@ -407,22 +401,6 @@ def gather_rows(x: Tensor, order: Sequence[int]) -> Tensor:
         return (out,)
 
     return _result(xv[idx], (x,), pull)
-
-
-def take_row(x: Tensor, i: int) -> Tensor:
-    """Extract row ``i`` of a matrix as a rank-1 tensor."""
-    if x.ndim != 2:
-        raise ShapeError(f"take_row needs a rank-2 tensor, got shape {x.shape}")
-    if not (0 <= i < x.shape[0]):
-        raise ShapeError(f"row {i} out of range for {x.shape[0]} rows")
-    xv = x.values
-
-    def pull(g: np.ndarray):
-        out = np.zeros_like(xv)
-        out[i] = g
-        return (out,)
-
-    return _result(xv[i].copy(), (x,), pull)
 
 
 def exp(x: Tensor) -> Tensor:

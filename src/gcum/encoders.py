@@ -11,7 +11,8 @@ trained:
   residual connections.  The pipeline splits the encoder around the
   membership-simulation step: block 1 runs on [class token; members],
   block 2 on the recombined sequence, then the class-token row is
-  projected and normalized into the group feature;
+  projected and normalized into the group feature.  Views with the same
+  member count are encoded together, stacked as row blocks;
 * text encoder — token embeddings plus learned positions, one
   self-attention block, mean-pool, projection, normalization.  Prompts of
   one length are encoded together, stacked as row blocks.
@@ -144,11 +145,7 @@ class ModelState:
     params: dict[str, Tensor]
 
     def with_param(self, name: str, tensor: Tensor) -> "ModelState":
-        if name not in self.params:
-            raise KeyError(f"unknown parameter {name!r}")
-        new = dict(self.params)
-        new[name] = tensor
-        return ModelState(self.config, new)
+        return self.with_params({name: tensor})
 
     def with_params(self, updates: Mapping[str, Tensor]) -> "ModelState":
         new = dict(self.params)
@@ -238,51 +235,65 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, l
     return dc.add(x, dc.matmul(ctx, wo))
 
 
+def project(x: Tensor, w: Tensor) -> Tensor:
+    """``x @ w`` for a stack of rows, each row's result independent of the stack.
+
+    A one-row product goes down numpy's matrix-vector path, which rounds
+    differently from the same row inside a taller product.  So a single
+    row is padded to two and the copy dropped: a view's feature is the same
+    bits whether it is computed alone or among other views.
+    """
+    if x.shape[0] > 1:
+        return dc.matmul(x, w)
+    return dc.gather_rows(dc.matmul(dc.gather_rows(x, [0, 0]), w), [0])
+
+
 def encode_members(appearances: Tensor, state: ModelState) -> Tensor:
     """Map an (n, d_a) appearance matrix to (n, dim) unit-norm features."""
     cfg = state.config
     if appearances.ndim != 2 or appearances.shape[1] != cfg.d_a:
         raise ShapeError(f"expected (n, {cfg.d_a}) appearances, got {appearances.shape}")
     p = state.params
-    h = dc.tanh(dc.add(dc.matmul(appearances, p["member.w1"]), p["member.b1"]))
-    out = dc.add(dc.matmul(h, p["member.w2"]), p["member.b2"])
-    return dc.l2_normalize(out)
+    h = dc.tanh(dc.add(project(appearances, p["member.w1"]), p["member.b1"]))
+    return dc.l2_normalize(dc.add(project(h, p["member.w2"]), p["member.b2"]))
 
 
-def encode_group_prefix(member_features: Tensor, state: ModelState) -> tuple[Tensor, Tensor]:
-    """Run block 1 over [class token; member features].
+def encode_group_prefix(member_features: Tensor, state: ModelState, k: int) -> Tensor:
+    """Run block 1 over stacked [class token; k member features] sequences.
 
-    Returns the contextualized class token (dim,) and member rows (n, dim).
+    ``member_features`` holds B views' k rows each, view after view.
+    Returns the (B (k + 1), dim) block output in the same layout: each
+    view's class-token row, then its member rows.
     """
     cfg = state.config
-    if member_features.ndim != 2 or member_features.shape[1] != cfg.dim:
-        raise ShapeError(f"expected (n, {cfg.dim}) member features, got {member_features.shape}")
-    n = member_features.shape[0]
-    if n < 1:
-        raise ShapeError("a group needs at least one member")
-    if n > cfg.max_members:
-        raise ShapeError(f"{n} members exceed the configured maximum {cfg.max_members}")
+    if not (1 <= k <= cfg.max_members):
+        raise ShapeError(f"{k} members outside [1, {cfg.max_members}]")
+    rows = member_features.shape[0] if member_features.ndim == 2 else 0
+    if not rows or rows % k or member_features.shape[1] != cfg.dim:
+        raise ShapeError(f"expected (B * {k}, {cfg.dim}) member features, got {member_features.shape}")
     p = state.params
-    seq = dc.concat([dc.stack([p["group.cls"]]), member_features], axis=0)
-    out = attention_block(seq, p["group.blk1.wq"], p["group.blk1.wk"], p["group.blk1.wv"],
-                          p["group.blk1.wo"], n + 1)
-    cls = dc.take_row(out, 0)
-    members = dc.gather_rows(out, range(1, n + 1))
-    return cls, members
+    # row 0 of the table is the class token, row 1 + r member row r
+    at = np.zeros((rows // k, k + 1), dtype=np.int64)
+    at[:, 1:] = 1 + np.arange(rows).reshape(-1, k)
+    table = dc.concat([dc.stack([p["group.cls"]]), member_features], axis=0)
+    return attention_block(dc.gather_rows(table, at.ravel()), p["group.blk1.wq"], p["group.blk1.wk"],
+                           p["group.blk1.wv"], p["group.blk1.wo"], k + 1)
 
 
-def encode_group_suffix(fused: Tensor, state: ModelState) -> Tensor:
-    """Run block 2 over the recombined sequence and read out the group feature."""
+def encode_group_suffix(fused: Tensor, state: ModelState, k: int) -> Tensor:
+    """Run block 2 over stacked (k + 1)-row sequences and read out each view.
+
+    Each sequence's class-token row is projected and normalized into one
+    row of the (B, dim) group features.
+    """
     cfg = state.config
-    if fused.ndim != 2 or fused.shape[1] != cfg.dim:
-        raise ShapeError(f"expected (1 + k, {cfg.dim}), got {fused.shape}")
-    if fused.shape[0] < 2:
-        raise ShapeError("fused sequence needs the class token plus at least one member")
+    if fused.ndim != 2 or fused.shape[1] != cfg.dim or k < 1 or not fused.shape[0] or fused.shape[0] % (k + 1):
+        raise ShapeError(f"expected (B * (1 + {k}), {cfg.dim}) rows, got {fused.shape}")
     p = state.params
     out = attention_block(fused, p["group.blk2.wq"], p["group.blk2.wk"], p["group.blk2.wv"],
-                          p["group.blk2.wo"], fused.shape[0])
-    pooled = dc.take_row(out, 0)
-    return dc.l2_normalize(dc.matmul(pooled, p["group.proj"]))
+                          p["group.blk2.wo"], k + 1)
+    pooled = dc.gather_rows(out, np.arange(0, fused.shape[0], k + 1))
+    return dc.l2_normalize(project(pooled, p["group.proj"]))
 
 
 def encode_text(tokens: Tensor, state: ModelState, length: int) -> Tensor:

@@ -110,12 +110,8 @@ def extract_features(
     refined: bool,
     quantity: bool,
 ) -> np.ndarray:
-    """One unit-norm feature row per sample; full member sets, no recording."""
-    rows = [
-        grce.group_forward(s, state, None, quantity=quantity, refined=refined).values
-        for s in samples
-    ]
-    return np.stack(rows)
+    """One unit-norm feature row per sample, all in one call; full member sets, no recording."""
+    return grce.group_features(samples, state, quantity=quantity, refined=refined)[0].values
 
 
 def evaluate(
@@ -178,7 +174,8 @@ def run_single(
     Without prompt learning there is nothing for stage 1 to optimize, so
     the count matrix keeps its neutral zero initialization; without the
     refinement head there is no stage 2.  Stage 2 drops the image-text
-    term when no prompts were learned.
+    term when no prompts were learned.  With neither the count term nor the
+    refinement head nothing reads what stage 1 trains, so it is skipped.
     """
     (report,) = _run_rows(
         ds, model_base, train_base, seed, [(use_gla, use_mvs, use_grce)],
@@ -224,7 +221,7 @@ def _run_rows(
     for use_gla, use_mvs, use_grce in rows:
         state = init_model_state(cfg, seed)
         masks_cfg = (mvs_cfg or MvsConfig()) if use_mvs else None
-        if use_gla:
+        if use_gla and (use_mvs or use_grce):
             if use_mvs not in stage1_states:
                 stage1 = replace(train_base, stage=1, seed=seed)
                 stage1_states[use_mvs], _ = train_stage1(
@@ -258,7 +255,8 @@ def run_ablation(
     """Mean and standard deviation per configuration over the run seeds.
 
     ``+GLA+MVS`` and ``Full`` run the same stage 1 for a seed; it is
-    trained once and shared.
+    trained once and shared.  ``+GLA`` reads no stage-1 parameter, so it
+    skips stage 1 and equals ``Base``.
     """
     if len(seeds) < 3:
         raise ValueError("ablation averaging needs at least three seeds")

@@ -190,33 +190,37 @@ def contrastive_losses(batch: ContrastiveBatch) -> tuple[Tensor, Tensor]:
 
 def stage1_batch_loss(
     samples,
-    views: Sequence[tuple[Tensor, Tensor, tuple[int, ...]]],
+    group_features: Tensor,
+    member_features: Tensor,
+    row_ids: Sequence[tuple[int, ...]],
     state: ModelState,
     rosters,
 ) -> tuple[Tensor, dict[str, float]]:
     """Prompt-learning objective for one batch of group views.
 
-    ``views`` holds each sample's ``grce.group_visual`` result under its
-    mask (training takes them from a ``grce.VisualMemo``).  Both
-    granularities are aligned: group features against group descriptions
-    and retained member features against member descriptions.  The loss is
-    the sum of the image-anchored and text-anchored batch means at both
-    granularities.  Members a view's mask dropped contribute to nothing.
+    The inputs are ``grce.group_features`` of the samples under their masks
+    (training takes them from a ``grce.VisualMemo``): one group feature row
+    per sample, the retained member rows, and each view's member
+    identities.  Both granularities are aligned: group features against
+    group descriptions and member features against member descriptions.
+    The loss is the sum of the image-anchored and text-anchored batch means
+    at both granularities.  Members a view's mask dropped contribute to
+    nothing.
     """
-    if len(samples) != len(views):
+    if group_features.ndim != 2 or len(samples) != group_features.shape[0]:
         raise ValueError("one view per sample required")
     if len(samples) < 2:
         raise ValueError("stage-1 batches need at least two samples")
+    member_labels = [pid for ids in row_ids for pid in ids]
+    if len(row_ids) != len(samples) or len(member_labels) != member_features.shape[0]:
+        raise ValueError("one identity per member row required")
     inv_temp = state.params["temp.inv"]
-
-    group_feats = [v for v, _, _ in views]
     group_labels = [s.group_id for s in samples]
-    member_labels = [pid for _, _, row_ids in views for pid in row_ids]
 
     group_classes = sorted(set(group_labels))
     group_text = class_text_features(state, group_classes, rosters)
     batch_groups = ContrastiveBatch(
-        visual=dc.stack(group_feats),
+        visual=group_features,
         labels=tuple(group_labels),
         class_labels=tuple(group_classes),
         text=group_text,
@@ -226,7 +230,7 @@ def stage1_batch_loss(
 
     person_classes = sorted(set(member_labels))
     batch_members = ContrastiveBatch(
-        visual=dc.concat([feats for _, feats, _ in views], axis=0),
+        visual=member_features,
         labels=tuple(member_labels),
         class_labels=tuple(person_classes),
         text=member_text_features(person_classes, state),

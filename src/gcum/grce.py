@@ -1,11 +1,18 @@
 """Group feature pipeline and cross-attention refinement.
 
-``group_visual`` turns one group view into a unit-norm feature: retained
-members are selected, canonically ordered, encoded, contextualized with
-the group token, optionally combined with the member-count term, and
-pooled.  ``refine`` then lets the pooled feature re-attend to the
-individual member features, which restores member detail that pooling
-washes out.
+A group view becomes a unit-norm feature in five steps: the retained
+members are selected and canonically ordered, encoded, contextualized
+with the group token (block 1), combined with the member-count term and
+contextualized again (block 2), and the group-token row is read out.
+``refine`` then lets the pooled feature re-attend to the individual
+member features, which restores member detail that pooling washes out.
+
+Views are featurized in stacks: the views of one call are bucketed by
+retained member count k, and each step runs once per bucket over B row
+blocks of k or k + 1 rows, so a single view is the n = 1 case.  A view's
+feature is the same bits whatever else shares its call, because
+attention and the count term work block by block and a row-wise product
+never sees a single row (``encoders.project``).
 
 Training sees each view under a handful of masks, again and again, and
 the member encoder and the first group block run on frozen weights;
@@ -19,6 +26,7 @@ produce bit-identical features, not merely close ones.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -30,75 +38,131 @@ from .encoders import (
     encode_group_prefix,
     encode_group_suffix,
     encode_members,
+    project,
 )
-from .mvs import Mask, apply_mvs, assemble_plain, full_mask
+from .mvs import Mask, apply_mvs, full_mask
 from .synthdata import GroupSample
 
 
-def canonical_order(rows: np.ndarray) -> list[int]:
-    """Indices that sort matrix rows lexicographically (column 0 first)."""
+def canonical_order(rows: np.ndarray, segments: np.ndarray | None = None) -> list[int]:
+    """Indices that sort matrix rows lexicographically (column 0 first).
+
+    With ``segments``, one id per row, rows are sorted within their
+    segment and the segments keep ascending id order.
+    """
     if rows.ndim != 2:
         raise ShapeError("canonical ordering is defined for matrices")
-    return [int(i) for i in np.lexsort(rows.T[::-1])]
+    keys = list(rows.T[::-1])
+    if segments is not None:
+        keys.append(np.asarray(segments))
+    return np.lexsort(keys).tolist()
 
 
-def refine(group_feature: Tensor, member_features: Tensor, state: ModelState) -> Tensor:
-    """Cross-attend the pooled group feature over its member features.
+def refine(group_features: Tensor, member_features: Tensor, state: ModelState) -> Tensor:
+    """Cross-attend each pooled group feature over its own member features.
 
-    The group feature forms the query, member features the keys and
-    values.  The attended context is added residually and the result is
+    ``group_features`` stacks B views' features, ``member_features`` their
+    k member rows each, view after view.  A view's group feature forms the
+    query and its members the keys and values, with scores scaled by
+    1/sqrt(dim).  The attended context is added residually and the result
     re-normalized, so zero attention weights leave the input unchanged.
     """
-    if group_feature.ndim != 1:
-        raise ShapeError("group feature must be a vector")
-    if member_features.ndim != 2:
-        raise ShapeError("member features must be a matrix")
+    if group_features.ndim != 2 or member_features.ndim != 2:
+        raise ShapeError("group and member features must be matrices")
     dim = state.config.dim
-    if group_feature.shape != (dim,) or member_features.shape[1] != dim:
+    if group_features.shape[1] != dim or member_features.shape[1] != dim:
         raise ShapeError("feature width does not match the model dimension")
+    b, rows = group_features.shape[0], member_features.shape[0]
+    if b == 0 or rows == 0 or rows % b:
+        raise ShapeError(f"{rows} member rows do not split over {b} views")
+    k = rows // b
     p = state.params
-    ordered = dc.gather_rows(member_features, canonical_order(member_features.values))
-    q = dc.matmul(group_feature, p["grce.wq"])        # (dim,)
-    keys = dc.matmul(ordered, p["grce.wk"])           # (k, dim)
-    values = dc.matmul(ordered, p["grce.wv"])         # (k, dim)
-    scores = dc.scale(dc.matmul(keys, q), 1.0 / np.sqrt(dim))
-    weights = dc.softmax_rows(scores)                 # (k,)
-    context = dc.matmul(weights, values)              # (dim,)
-    return dc.l2_normalize(dc.add(group_feature, context))
+    ordered = dc.gather_rows(member_features,
+                             canonical_order(member_features.values, np.arange(rows) // k))
+    queries = dc.gather_rows(project(group_features, p["grce.wq"]), np.repeat(np.arange(b), k))
+    context = dc.segment_attention(queries, project(ordered, p["grce.wk"]),
+                                   project(ordered, p["grce.wv"]), k)
+    # every row of a block attends with the same query; keep the first
+    return dc.l2_normalize(dc.add(group_features, dc.gather_rows(context, np.arange(b) * k)))
 
 
-def _members_and_block1(
-    appearances: Tensor, identity_ids: Sequence[int], state: ModelState, mask: Mask | None
-) -> tuple[Tensor, Tensor, Tensor, tuple[int, ...]]:
-    """Member features, block-1 class token and member rows, and row identities."""
-    if appearances.ndim != 2:
-        raise ShapeError("appearances must be a matrix")
-    n = appearances.shape[0]
-    if len(identity_ids) != n:
+def _select(appearances: np.ndarray, sizes: Sequence[int], identity_ids: Sequence[int],
+            masks: Sequence[Mask | None]) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
+    """Each view's retained rows of ``appearances`` in canonical order, and their identities.
+
+    View i owns the next ``sizes[i]`` rows; ``masks[i]`` (None keeps all) indexes them.
+    """
+    if len(identity_ids) != appearances.shape[0] or sum(sizes) != appearances.shape[0]:
         raise ValueError("one identity per appearance row required")
-    if mask is None:
-        mask = full_mask(n)
-    if len(mask) != n:
-        raise ValueError(f"mask covers {len(mask)} members, sample has {n}")
-
-    retained_ids = [int(i) for i, bit in zip(identity_ids, mask.bits) if bit]
-    kept = dc.gather_rows(appearances, np.flatnonzero(mask.bits))
-    order = canonical_order(kept.values)
-    ordered = dc.gather_rows(kept, order)
-    row_ids = tuple(retained_ids[j] for j in order)
-
-    feats = encode_members(ordered, state)
-    cls, rows = encode_group_prefix(feats, state)
-    return feats, cls, rows, row_ids
+    bits: list[int] = []
+    for n, mask in zip(sizes, masks, strict=True):
+        mask = full_mask(n) if mask is None else mask
+        if len(mask) != n:
+            raise ValueError(f"mask covers {len(mask)} members, sample has {n}")
+        bits += mask.bits
+    kept = np.flatnonzero(bits)
+    view = np.repeat(np.arange(len(sizes)), sizes)[kept]
+    ordered = kept[canonical_order(appearances[kept], view)]
+    rows = np.split(ordered, np.cumsum(np.bincount(view, minlength=len(sizes)))[:-1])
+    ids = np.asarray(identity_ids)
+    return rows, [tuple(int(i) for i in ids[r]) for r in rows]
 
 
-def _pooled(cls: Tensor, rows: Tensor, state: ModelState, quantity: bool) -> Tensor:
-    """Count term (or plain recombination), block 2 and the readout."""
-    if quantity:
-        fused = apply_mvs(cls, rows, state.params["quantity.em"])
-    else:
-        fused = assemble_plain(cls, rows)
-    return encode_group_suffix(fused, state)
+def _table(samples: Sequence[GroupSample], masks) -> tuple[Tensor, list[np.ndarray], list]:
+    """The samples' appearance rows stacked, and `_select` over them."""
+    members = [m for s in samples for m in s.members]
+    table = dc.constant(np.stack([m.appearance for m in members]))
+    sizes = [len(s.members) for s in samples]
+    return (table, *_select(table.values, sizes, [m.identity_id for m in members], masks))
+
+
+def _encode(table: Tensor, rows: Sequence[np.ndarray], views, k: int, state: ModelState):
+    """Member features and block-1 output of the listed views, stacked view after view."""
+    feats = encode_members(dc.gather_rows(table, np.concatenate([rows[i] for i in views])), state)
+    return feats, encode_group_prefix(feats, state, k)
+
+
+def _featurize(ks: Sequence[int], block1, state: ModelState, *, quantity: bool,
+               refined: bool) -> tuple[Tensor, Tensor]:
+    """Features of views with ``ks[i]`` retained members each, one stack per count.
+
+    ``block1(views, k)`` returns the listed views' member features and
+    block-1 output, stacked view after view.  Returns the (n, dim) features
+    and the member rows, both in input view order.
+    """
+    order = sorted(range(len(ks)), key=ks.__getitem__)
+    outs, members = [], []
+    for k, views in groupby(order, key=ks.__getitem__):
+        feats, h1 = block1(list(views), k)
+        fused = apply_mvs(h1, state.params["quantity.em"], k) if quantity else h1
+        pooled = encode_group_suffix(fused, state, k)
+        outs.append(refine(pooled, feats, state) if refined else pooled)
+        members.append(feats)
+    # member rows are stacked view by view in `order`; a stable sort by view restores input order
+    member_rows = np.argsort(np.repeat(order, np.asarray(ks)[order]), kind="stable")
+    return (dc.gather_rows(dc.concat(outs, axis=0), np.argsort(order)),
+            dc.gather_rows(dc.concat(members, axis=0), member_rows))
+
+
+def group_features(
+    samples: Sequence[GroupSample],
+    state: ModelState,
+    masks: Sequence[Mask | None] | None = None,
+    *,
+    quantity: bool = True,
+    refined: bool = False,
+) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
+    """Group features of dataset views, one stack per retained member count.
+
+    ``masks`` (all kept by default) drop members before anything is
+    encoded.  Returns the (n, dim) group features, refined on request, and
+    the member rows, both in sample order, and each view's member
+    identities in row order.
+    """
+    table, rows, row_ids = _table(samples, masks or [None] * len(samples))
+    features, members = _featurize([len(r) for r in rows], lambda views, k: _encode(
+        table, rows, views, k, state), state, quantity=quantity, refined=refined)
+    return features, members, row_ids
 
 
 def group_visual_from_matrix(
@@ -109,37 +173,17 @@ def group_visual_from_matrix(
     *,
     quantity: bool = True,
 ) -> tuple[Tensor, Tensor, tuple[int, ...]]:
-    """Group feature from an appearance matrix with explicit masking.
+    """One view's pooled feature from an appearance matrix, the n = 1 case.
 
     ``mask`` bits index the rows of ``appearances``.  Dropped rows are
     removed before any encoding, so they influence neither the value nor
-    the gradient of anything downstream.  Returns the pooled group
-    feature, the member feature rows in canonical order, and the member
-    identities in that same row order.
+    the gradient of anything downstream.  Returns the (1, dim) feature,
+    the member rows in canonical order, and their identities.
     """
-    feats, cls, rows, row_ids = _members_and_block1(appearances, identity_ids, state, mask)
-    return _pooled(cls, rows, state, quantity), feats, row_ids
-
-
-def _appearance_matrix(sample: GroupSample) -> Tensor:
-    return dc.constant(np.stack([m.appearance for m in sample.members]))
-
-
-def group_visual(
-    sample: GroupSample,
-    state: ModelState,
-    mask: Mask | None = None,
-    *,
-    quantity: bool = True,
-) -> tuple[Tensor, Tensor, tuple[int, ...]]:
-    """`group_visual_from_matrix` over a dataset sample."""
-    return group_visual_from_matrix(
-        _appearance_matrix(sample),
-        [m.identity_id for m in sample.members],
-        state,
-        mask,
-        quantity=quantity,
-    )
+    rows, (row_ids,) = _select(appearances.values, [appearances.shape[0]], identity_ids, [mask])
+    features, members = _featurize([len(rows[0])], lambda views, k: _encode(
+        appearances, rows, views, k, state), state, quantity=quantity, refined=False)
+    return features, members, row_ids
 
 
 def group_forward(
@@ -150,24 +194,21 @@ def group_forward(
     quantity: bool = True,
     refined: bool = True,
 ) -> Tensor:
-    """Full pipeline for one view: pooled group feature, refined on request."""
-    v, feats, _ = group_visual(sample, state, mask, quantity=quantity)
-    if not refined:
-        return v
-    return refine(v, feats, state)
+    """Full pipeline for one view: its (dim,) group feature, refined on request."""
+    features, _, _ = group_features([sample], state, [mask], quantity=quantity, refined=refined)
+    return dc.reduce_sum(features, axis=0)  # the one row, as a vector
 
 
 class VisualMemo:
-    """``group_visual`` for the views of one training run, frozen work done once.
+    """``group_features`` for the views of one training run, frozen work done once.
 
-    Everything upstream of the first trainable parameter is computed once
-    per (sample index, mask bits) and kept as one plain array: the member
-    features in canonical order, then the block-1 output, next to the
-    member identities.  Each call builds the rest (count term, block 2 and
-    the readout) from that array, so the count matrix can train.  The
-    member and group encoders must stay frozen, which is checked.  Build
-    one per training call over that call's sample list and drop it when
-    the call returns.
+    The member encoder and block 1 run on frozen weights, so their output
+    is kept per (sample index, mask bits) as one array, [member features;
+    block-1 output], next to the member identities.  Each stack of a call
+    encodes its misses together, then runs the rest (count term, block 2,
+    readout, refinement) on its entries, so the count matrix and the
+    refinement head can train.  The encoders must stay frozen, which is
+    checked.  Build one per training call over that call's sample list.
     """
 
     def __init__(self, samples: Sequence[GroupSample], *, quantity: bool):
@@ -175,22 +216,29 @@ class VisualMemo:
         self.quantity = quantity
         self._memo: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], np.ndarray]] = {}
 
-    def __call__(self, index: int, mask: Mask, state: ModelState) -> tuple[Tensor, Tensor, tuple[int, ...]]:
-        """The ``group_visual`` result for ``samples[index]`` under ``mask``."""
-        key = (int(index), mask.bits)
-        if key not in self._memo:
-            self._memo[key] = self._frozen(self.samples[index], mask, state)
-        row_ids, frozen = self._memo[key]
-        k = len(row_ids)  # frozen[k:] is the block-1 output, [class token; member rows]
-        v = _pooled(dc.constant(frozen[k]), dc.constant(frozen[k + 1 :]), state, self.quantity)
-        return v, dc.constant(frozen[:k]), row_ids
+    def __call__(
+        self, indices: Sequence[int], masks: Sequence[Mask], state: ModelState, *, refined: bool = False
+    ) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
+        """The ``group_features`` result for ``samples[indices]`` under ``masks``."""
+        keys = [(int(i), m.bits) for i, m in zip(indices, masks, strict=True)]
 
-    def _frozen(self, sample: GroupSample, mask: Mask, state: ModelState) -> tuple:
-        trainable = [n for n, p in state.params.items()
-                     if n.startswith(("member.", "group.")) and p.requires_grad]
-        if trainable:
-            raise ValueError(f"frozen visual work needs frozen encoders; trainable: {trainable}")
-        feats, cls, rows, row_ids = _members_and_block1(
-            _appearance_matrix(sample), [m.identity_id for m in sample.members], state, mask
-        )
-        return row_ids, np.concatenate([feats.values, cls.values[None], rows.values])
+        def block1(views: list[int], k: int) -> tuple[Tensor, Tensor]:
+            new = list(dict.fromkeys(keys[v] for v in views if keys[v] not in self._memo))
+            if new:
+                trainable = [n for n, p in state.params.items()
+                             if n.startswith(("member.", "group.")) and p.requires_grad]
+                if trainable:
+                    raise ValueError(f"frozen visual work needs frozen encoders; trainable: {trainable}")
+                table, rows, row_ids = _table([self.samples[i] for i, _ in new],
+                                              [Mask(bits) for _, bits in new])
+                feats, h1 = _encode(table, rows, range(len(new)), k, state)
+                for j, key in enumerate(new):
+                    self._memo[key] = (row_ids[j], np.concatenate(
+                        [feats.values[j * k : (j + 1) * k], h1.values[j * (k + 1) : (j + 1) * (k + 1)]]))
+            arrays = [self._memo[keys[v]][1] for v in views]
+            return (dc.constant(np.concatenate([a[:k] for a in arrays])),
+                    dc.constant(np.concatenate([a[k:] for a in arrays])))
+
+        features, members = _featurize([m.retained for m in masks], block1, state,
+                                       quantity=self.quantity, refined=refined)
+        return features, members, [self._memo[key][0] for key in keys]

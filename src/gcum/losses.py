@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import diffcore as dc
-from . import grce
 from .diffcore import ShapeError, Tensor
 from .encoders import ModelState
 
@@ -126,7 +125,7 @@ def triplet_loss(features: Tensor, labels: Sequence[int], alpha: float = 0.3) ->
 
 def stage2_batch_loss(
     samples,
-    views: Sequence[tuple[Tensor, Tensor, tuple[int, ...]]],
+    features: Tensor,
     state: ModelState,
     class_index: Mapping[int, int],
     text_rows: Tensor | None,
@@ -136,16 +135,16 @@ def stage2_batch_loss(
 ) -> tuple[Tensor, dict[str, float]]:
     """Identity + triplet (+ image-text) loss over refined group features.
 
-    ``views`` holds each sample's ``grce.group_visual`` result under its
-    mask (training takes them from a ``grce.VisualMemo``).  ``class_index``
-    maps group ids to classifier rows; ``text_rows``, when given, holds one
-    frozen text feature per class in the same row order.
+    ``features`` holds one refined group feature row per sample under its
+    mask, from ``grce.group_features(..., refined=True)`` (training takes
+    them from a ``grce.VisualMemo``).  ``class_index`` maps group ids to
+    classifier rows; ``text_rows``, when given, holds one frozen text
+    feature per class in the same row order.
     """
-    if len(samples) != len(views):
+    if features.ndim != 2 or len(samples) != features.shape[0]:
         raise ValueError("one view per sample required")
     if len(samples) < 2:
         raise ValueError("stage-2 batches need at least two samples")
-    features = dc.stack([grce.refine(v, feats, state) for v, feats, _ in views])
     class_ids = [class_index[s.group_id] for s in samples]
 
     l_id = id_loss(features, state, class_ids, epsilon)

@@ -95,30 +95,33 @@ def sample_mask(n: int, drop_prob: float, rng: np.random.Generator) -> Mask:
     return Mask(tuple(int(b) for b in bits))
 
 
-def apply_mvs(class_token: Tensor, members: Tensor, em: Tensor) -> Tensor:
-    """Fold the count term into the class token over the retained members.
+def apply_mvs(blocks: Tensor, em: Tensor, k: int) -> Tensor:
+    """Fold the count term into the class token of stacked [class token; members] blocks.
 
-    ``members`` holds only the retained rows: dropped members are removed
-    before encoding.  Returns the fused sequence ``[class_token + q;
-    members]`` where ``q`` is the mean over rows ``j`` of
-    ``em[j] * members[j]``.  Rows of ``em`` beyond the retained count
-    receive no gradient from this sample.
+    ``blocks`` stacks B sequences of ``k + 1`` rows, the class token first,
+    then the k retained member rows: dropped members are removed before
+    encoding.  Each class token gains ``q``, the mean over its members j
+    of ``em[j] * members[j]``; member rows pass through unchanged.  Rows of
+    ``em`` beyond k receive no gradient.
     """
-    if class_token.ndim != 1:
-        raise ShapeError(f"class token must be a vector, got {class_token.shape}")
-    if members.ndim != 2 or members.shape[1] != class_token.shape[0]:
-        raise ShapeError(f"member rows {members.shape} do not match class token {class_token.shape}")
-    k = members.shape[0]
+    if blocks.ndim != 2 or em.ndim != 2 or blocks.shape[1] != em.shape[1]:
+        raise ShapeError(f"blocks {blocks.shape} do not match the count matrix {em.shape}")
+    rows, dim = blocks.shape
+    if k < 1 or rows == 0 or rows % (k + 1):
+        raise ShapeError(f"{rows} rows do not split into blocks of 1 + {k}")
     if k > em.shape[0]:
         raise ShapeError(f"{k} retained members exceed the count matrix ({em.shape[0]} rows)")
-    em_rows = dc.gather_rows(em, range(k))
-    q = dc.reduce_mean(dc.mul(em_rows, members), axis=0)
-    fused_token = dc.add(class_token, q)
-    return dc.concat([dc.stack([fused_token]), members], axis=0)
-
-
-def assemble_plain(class_token: Tensor, members: Tensor) -> Tensor:
-    """Recombine without the count term (mechanism disabled)."""
-    if class_token.ndim != 1 or members.ndim != 2:
-        raise ShapeError("expected a vector class token and a member matrix")
-    return dc.concat([dc.stack([class_token]), members], axis=0)
+    b = rows // (k + 1)
+    starts = np.arange(b) * (k + 1)
+    members = (starts[:, None] + np.arange(1, k + 1)).ravel()
+    weighted = dc.mul(dc.gather_rows(em, np.tile(np.arange(k), b)), dc.gather_rows(blocks, members))
+    # Zero scores weight every row of a block 1/k, so each row comes out as
+    # its block's mean.  A (B, B k) block-mean product would round a block
+    # by where it falls in the product's inner dimension.
+    zeros = dc.constant(np.zeros((b * k, 1)))
+    means = dc.segment_attention(zeros, zeros, weighted, k)
+    # class-token row of block i takes row i k of the means, members a zero row
+    pick = np.full(rows, b * k)
+    pick[starts] = np.arange(b) * k
+    padded = dc.concat([means, dc.constant(np.zeros((1, dim)))], axis=0)
+    return dc.add(blocks, dc.gather_rows(padded, pick))

@@ -32,6 +32,10 @@ from .synthdata import GroupSample
 _STAGE1_STREAM = 20
 _STAGE2_STREAM = 21
 
+# The inverse temperature's range after each update: CLIP clips its logit
+# scale to [0, ln 100]; unclipped, a large step can drive it to zero or below.
+TEMP_INV_RANGE = (1.0, 100.0)
+
 
 class FreezeViolation(RuntimeError):
     """A gradient landed outside the active stage's trainable set."""
@@ -139,7 +143,8 @@ def sgd_step(
 
     Only the parameters present in ``grads`` move.  The temperature is
     exempt from weight decay: decaying a scale parameter would drag the
-    similarity scale toward zero regardless of the data.
+    similarity scale toward zero regardless of the data.  It is clipped
+    into ``TEMP_INV_RANGE`` after the step.
     """
     updates: dict[str, Tensor] = {}
     for name in sorted(grads):
@@ -150,7 +155,10 @@ def sgd_step(
         wd = 0.0 if name == "temp.inv" else cfg.weight_decay
         v = cfg.momentum * opt.velocity[name] + g + wd * p.values
         opt.velocity[name] = v
-        updates[name] = Tensor(p.values - lr * v, requires_grad=p.requires_grad)
+        new = p.values - lr * v
+        if name == "temp.inv":
+            new = np.clip(new, *TEMP_INV_RANGE)
+        updates[name] = Tensor(new, requires_grad=p.requires_grad)
     return state.with_params(updates)
 
 
@@ -176,10 +184,12 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
     """The epoch/step loop both stages share.
 
     ``batches(rng)`` yields one epoch's lists of sample indices and
-    ``loss_fn(batch, views, state)`` returns ``(loss, parts)``.  A
-    batch's masks are drawn from the same stream right after the batch is
-    yielded.  Its views come from a memo that lives as long as this call,
-    so frozen visual work is done once per (sample, mask) per run.
+    ``loss_fn(batch, features, members, row_ids, state)`` returns
+    ``(loss, parts)``.  A batch's masks are drawn from the same stream
+    right after the batch is yielded.  Its group features (refined in
+    stage 2), member rows and member identities come from one call to a
+    memo that lives as long as this call, so frozen visual work is done
+    once per (sample, mask) per run.
     """
     run = cfg.scaled()
     state.set_trainable(trainable)
@@ -197,8 +207,8 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
             for p in state.params.values():
                 p.grad = None
             with dc.Graph() as g:
-                views = [memo(i, m, state) for i, m in zip(idx, masks)]
-                loss, parts = loss_fn(batch, views, state)
+                features, members, row_ids = memo(idx, masks, state, refined=cfg.stage == 2)
+                loss, parts = loss_fn(batch, features, members, row_ids, state)
             g.backward(loss)
             state = sgd_step(state, _collect_grads(state, trainable), opt, lr, run)
             for k, v in {"loss_total": loss.item(), **parts}.items():
@@ -232,8 +242,8 @@ def train_stage1(
             if len(idx) >= 2:
                 yield idx
 
-    def loss_fn(batch, views, st):
-        return gla.stage1_batch_loss(batch, views, st, rosters)
+    def loss_fn(batch, features, members, row_ids, st):
+        return gla.stage1_batch_loss(batch, features, members, row_ids, st, rosters)
 
     return _run(state, cfg, STAGE1_TRAINABLE, _STAGE1_STREAM, samples, batches, loss_fn, mvs)
 
@@ -294,9 +304,9 @@ def train_stage2(
                 idx.extend(pool[j] for j in picks)
             yield idx
 
-    def loss_fn(batch, group_views, st):
+    def loss_fn(batch, features, members, row_ids, st):
         return losses_mod.stage2_batch_loss(
-            batch, group_views, st, class_index, text_rows, alpha=alpha, epsilon=epsilon
+            batch, features, st, class_index, text_rows, alpha=alpha, epsilon=epsilon
         )
 
     return _run(state, cfg, STAGE2_TRAINABLE, _STAGE2_STREAM, samples, batches, loss_fn, mvs)

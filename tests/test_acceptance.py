@@ -190,21 +190,21 @@ def test_criterion_04_masking_invariance():
     garbled = GroupSample(sample.group_id, sample.camera_id, garbled_members)
 
     def outputs(s):
-        v, feats, _ = grce.group_visual(s, state, mask, quantity=True)
+        v, feats, _ = grce.group_features([s], state, [mask], quantity=True)
         refined = grce.refine(v, feats, state)
         batch = [s, peer] + others
         masks = [mask] + [full_mask(len(b.members)) for b in batch[1:]]
         # the losses take their views from a memo, as in training
         memo = grce.VisualMemo(batch, quantity=True)
+        indices = range(len(batch))
         state.set_trainable(STAGE1_TRAINABLE)
-        views = [memo(i, m, state) for i, m in enumerate(masks)]
-        l1 = gla.stage1_batch_loss(batch, views, state, rosters)[0].item()
+        l1 = gla.stage1_batch_loss(batch, *memo(indices, masks, state), state, rosters)[0].item()
         gids = sorted({b.group_id for b in batch})
         class_index = {g: i for i, g in enumerate(gids)}
         text_rows = dc.constant(gla.class_text_features(state, gids, rosters).values)
         state.set_trainable(STAGE2_TRAINABLE)
-        views = [memo(i, m, state) for i, m in enumerate(masks)]
-        l2 = losses_mod.stage2_batch_loss(batch, views, state, class_index,
+        features = memo(indices, masks, state, refined=True)[0]
+        l2 = losses_mod.stage2_batch_loss(batch, features, state, class_index,
                                           text_rows)[0].item()
         return feats.values, v.values, refined.values, l1, l2
 
@@ -242,7 +242,7 @@ def test_criterion_04_masking_invariance():
 def test_criterion_05_structural_invariances():
     ds, state = _tiny_setup()
     rng = np.random.default_rng(7)
-    v = rng.normal(size=8)
+    v = rng.normal(size=(1, 8))
     v /= np.linalg.norm(v)
     feats = rng.normal(size=(3, 8))
     base = grce.refine(dc.constant(v), dc.constant(feats), state).values

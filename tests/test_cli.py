@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gcum import __version__
@@ -11,6 +12,7 @@ from gcum.cli import (
     EXIT_CONFIG,
     EXIT_GRADCHECK,
     EXIT_IO,
+    EXIT_NONFINITE,
     EXIT_OK,
     RunConfig,
     main,
@@ -220,6 +222,23 @@ def test_train_both_stages_and_artifacts(tmp_path, small_config):
     assert header["config"]["seed"] == 5
     assert len(log_lines) == 1 + 2  # header + one record per epoch
     assert json.loads(log_lines[1])["epoch"] == 0
+
+
+@pytest.mark.parametrize("lr_peak", [1.0, 3.0, 10.0])
+def test_stage1_at_large_rates_finishes_or_reports_divergence(tmp_path, capsys, lr_peak):
+    # a large step used to drive the inverse temperature to zero or below,
+    # which surfaced as "bad config" (exit 2)
+    doc = json.loads(json.dumps(_SMALL))
+    doc["train"]["lr_peak"] = lr_peak
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    data = _gen(tmp_path, str(config))
+    out = str(tmp_path / "s1.ckpt")
+    code = main(["train", "--stage", "1", "--config", str(config), "--data", data, "--out", out])
+    assert code in (EXIT_OK, EXIT_NONFINITE), capsys.readouterr().err
+    if code == EXIT_OK:
+        records = [json.loads(line) for line in open(out + ".log.jsonl").read().splitlines()[1:]]
+        assert all(np.isfinite(v) for r in records for k, v in r.items() if k.startswith("loss"))
 
 
 def test_train_same_seed_gives_identical_checkpoints(tmp_path, small_config):

@@ -316,9 +316,9 @@ def _composite_loss(p):
     h = dc.tanh(dc.matmul(w, v))
     gram = dc.matmul(w, dc.transpose(w))
     sm = dc.softmax_rows(gram)
-    picked = dc.take_row(sm, 0)
+    picked = dc.gather_rows(sm, [0])
     unit = dc.l2_normalize(h)
-    parts = dc.concat([unit, picked], axis=0)
+    parts = dc.concat([dc.stack([unit]), picked], axis=0)
     clipped = dc.clamp_min(parts, -0.25)
     entropies = dc.mul(sm, dc.log_softmax_rows(gram))
     blocks = dc.concat([w, sm], axis=0)  # three blocks of two rows

@@ -1,9 +1,12 @@
 """Retrieval metric oracles and ablation harness checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gcum import evaluation
+from gcum.cli import RunConfig
 from gcum.encoders import ModelConfig, init_model_state
 from gcum.evaluation import (
     ABLATION_ROWS,
@@ -25,7 +28,7 @@ from gcum.synthdata import (
     split_query_gallery,
     split_train_test,
 )
-from gcum.trainer import TrainConfig
+from gcum.trainer import TrainConfig, train_stage1
 
 
 def _unit_rows(rng, n, dim):
@@ -352,6 +355,32 @@ def test_member_dropout_alone_matches_base():
     assert base.to_dict() == mvs_only.to_dict()
 
 
+def test_prompt_learning_alone_matches_base():
+    # +GLA evaluates without the count term or the refinement head, so it
+    # reads only the frozen encoders: a trained stage 1 cannot change its
+    # features, which is why the ablation skips that training
+    cfg = RunConfig()
+    ds = generate_dataset(cfg.gen_config(), cfg.seed)
+    train_gids, test_gids = split_train_test(ds, cfg.train_fraction)
+    train = [s for s in ds.samples if s.group_id in set(train_gids)]
+    test = [s for s in ds.samples if s.group_id in set(test_gids)]
+    state = init_model_state(cfg.model_config(ds, len(train_gids)), 0)
+    trained, _ = train_stage1(state, train, ds.group_rosters(),
+                              replace(cfg.train_config(1), seed=0), mvs=None)
+    assert not np.array_equal(trained.params["prompt.x"].values, state.params["prompt.x"].values)
+    for st in (state, trained):
+        st.set_trainable([])
+    assert np.array_equal(extract_features(trained, test, refined=False, quantity=False),
+                          extract_features(state, test, refined=False, quantity=False))
+    kwargs = dict(mvs_cfg=cfg.mvs, alpha=cfg.alpha, epsilon=cfg.epsilon,
+                  train_fraction=cfg.train_fraction)
+    gla_only = run_single(ds, cfg.model_base(), cfg.train_config(1), 0,
+                          use_gla=True, use_mvs=False, use_grce=False, **kwargs)
+    base = run_single(ds, cfg.model_base(), cfg.train_config(1), 0,
+                      use_gla=False, use_mvs=False, use_grce=False, **kwargs)
+    assert gla_only == base
+
+
 def test_run_ablation_rows_and_table():
     ds, _ = _eval_setup(noise=0.1)
     rows = run_ablation(ds, _model_base(), _short_cfg(), seeds=(0, 1, 2))
@@ -369,8 +398,8 @@ def test_run_ablation_rows_and_table():
 
 
 def test_run_ablation_trains_each_stage1_once(monkeypatch):
-    # +GLA+MVS and Full share a stage 1 per seed: 3 rows with prompt
-    # learning over 3 seeds need 6 stage-1 trainings, not 9
+    # +GLA+MVS and Full share a stage 1 per seed and +GLA reads nothing
+    # stage 1 trains: one stage-1 training per seed
     ds, _ = _eval_setup(noise=0.1)
     calls = []
     train = evaluation.train_stage1
@@ -381,7 +410,7 @@ def test_run_ablation_trains_each_stage1_once(monkeypatch):
 
     monkeypatch.setattr(evaluation, "train_stage1", counting)
     rows = {r["name"]: r for r in run_ablation(ds, _model_base(), _short_cfg(), seeds=(0, 1, 2))}
-    assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+    assert sorted(calls) == [0, 1, 2]
     for seed, shared in zip((0, 1, 2), rows["Full"]["per_seed"]):
         alone = run_single(ds, _model_base(), _short_cfg(), seed=seed,
                            use_gla=True, use_mvs=True, use_grce=True)

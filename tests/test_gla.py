@@ -17,7 +17,7 @@ from gcum.gla import (
     member_text_features,
     stage1_batch_loss,
 )
-from gcum.grce import group_visual
+from gcum.grce import group_features
 from gcum.mvs import Mask, full_mask
 from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
 
@@ -331,7 +331,7 @@ def _tiny_setup(seed=3):
 
 
 def _views(batch, masks, state, quantity=True):
-    return [group_visual(s, state, m, quantity=quantity) for s, m in zip(batch, masks)]
+    return group_features(batch, state, masks, quantity=quantity)
 
 
 def test_stage1_loss_runs_and_routes_gradients():
@@ -340,7 +340,7 @@ def test_stage1_loss_runs_and_routes_gradients():
     masks = [full_mask(len(s.members)) for s in batch]
     rosters = ds.group_rosters()
     with dc.Graph() as g:
-        loss, parts = stage1_batch_loss(batch, _views(batch, masks, state), state, rosters)
+        loss, parts = stage1_batch_loss(batch, *_views(batch, masks, state), state, rosters)
     g.backward(loss)
     assert loss.item() == pytest.approx(parts["loss_i2t"] + parts["loss_t2i"], abs=1e-12)
     assert loss.item() > 0
@@ -358,7 +358,7 @@ def test_stage1_loss_without_count_term_skips_em():
     masks = [full_mask(len(s.members)) for s in batch]
     with dc.Graph() as g:
         views = _views(batch, masks, state, quantity=False)
-        loss, _ = stage1_batch_loss(batch, views, state, ds.group_rosters())
+        loss, _ = stage1_batch_loss(batch, *views, state, ds.group_rosters())
     g.backward(loss)
     assert state.params["quantity.em"].grad is None
 
@@ -372,7 +372,7 @@ def test_stage1_loss_ignores_dropped_members():
     masks += [full_mask(len(s.members)) for s in batch[1:]]
     rosters = ds.group_rosters()
 
-    baseline, _ = stage1_batch_loss(batch, _views(batch, masks, state), state, rosters)
+    baseline, _ = stage1_batch_loss(batch, *_views(batch, masks, state), state, rosters)
 
     garbled = Member(
         identity_id=target.members[0].identity_id,
@@ -383,7 +383,7 @@ def test_stage1_loss_ignores_dropped_members():
         camera_id=target.camera_id,
         members=(garbled,) + target.members[1:],
     )
-    perturbed, _ = stage1_batch_loss(batch, _views(batch, masks, state), state, rosters)
+    perturbed, _ = stage1_batch_loss(batch, *_views(batch, masks, state), state, rosters)
     assert baseline.item() == perturbed.item()
 
 
@@ -392,4 +392,4 @@ def test_stage1_needs_matching_masks():
     batch = ds.samples[:3]
     views = _views(batch[:1], [full_mask(len(batch[0].members))], state)
     with pytest.raises(ValueError):
-        stage1_batch_loss(batch, views, state, ds.group_rosters())
+        stage1_batch_loss(batch, *views, state, ds.group_rosters())

@@ -5,15 +5,17 @@ import pytest
 
 from gcum import diffcore as dc
 from gcum.diffcore import ShapeError, Tensor
-from gcum.encoders import ModelConfig, init_model_state
+from gcum.encoders import STAGE1_TRAINABLE, STAGE2_TRAINABLE, ModelConfig, init_model_state
+from gcum.gla import class_text_features, stage1_batch_loss
 from gcum.grce import (
     VisualMemo,
     canonical_order,
+    group_features,
     group_forward,
-    group_visual,
     group_visual_from_matrix,
     refine,
 )
+from gcum.losses import stage2_batch_loss
 from gcum.mvs import Mask, full_mask
 from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
 
@@ -45,17 +47,17 @@ def test_canonical_order_sorts_rows_lexicographically():
 def test_refine_output_is_unit_norm():
     state = small_state()
     rng = np.random.default_rng(0)
-    v = Tensor(unit(rng.normal(size=8)))
+    v = Tensor(unit(rng.normal(size=8))[None])
     feats = Tensor(rng.normal(size=(3, 8)))
     out = refine(v, feats, state)
-    assert out.shape == (8,)
+    assert out.shape == (1, 8)
     assert np.linalg.norm(out.values) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_refine_is_exactly_permutation_invariant():
     state = small_state()
     rng = np.random.default_rng(1)
-    v = Tensor(unit(rng.normal(size=8)))
+    v = Tensor(unit(rng.normal(size=8))[None])
     feats = rng.normal(size=(4, 8))
     base = refine(v, Tensor(feats), state)
     for perm_seed in range(5):
@@ -68,7 +70,7 @@ def test_refine_with_zero_weights_is_the_identity():
     state = small_state()
     zeros = Tensor(np.zeros((8, 8)))
     state = state.with_params({"grce.wq": zeros, "grce.wk": zeros, "grce.wv": zeros})
-    v = Tensor(unit([1.0, 2.0, 0.5, -1.0, 0.0, 3.0, -2.0, 1.0]))
+    v = Tensor(unit([1.0, 2.0, 0.5, -1.0, 0.0, 3.0, -2.0, 1.0])[None])
     feats = Tensor(np.random.default_rng(2).normal(size=(3, 8)))
     out = refine(v, feats, state)
     assert np.allclose(out.values, v.values, rtol=0.0, atol=1e-14)
@@ -100,7 +102,7 @@ def test_group_visual_is_permutation_invariant():
     sample = _sample_from(ds)
     n = len(sample.members)
     mask = Mask((0,) + (1,) * (n - 1))
-    v, feats, ids = group_visual(sample, state, mask)
+    v, feats, (ids,) = group_features([sample], state, [mask])
 
     perm = [n - 1] + list(range(n - 1))  # rotate members, mask follows
     shuffled = GroupSample(
@@ -109,7 +111,7 @@ def test_group_visual_is_permutation_invariant():
         members=tuple(sample.members[i] for i in perm),
     )
     pmask = Mask(tuple(mask.bits[i] for i in perm))
-    v2, feats2, ids2 = group_visual(shuffled, state, pmask)
+    v2, feats2, (ids2,) = group_features([shuffled], state, [pmask])
     assert ids == ids2
     assert np.array_equal(v.values, v2.values)
     assert np.array_equal(feats.values, feats2.values)
@@ -123,32 +125,38 @@ def test_visual_memo_matches_group_visual(quantity):
     em = np.random.default_rng(4).normal(scale=0.5, size=(4, 8))
     state = state.with_param("quantity.em", Tensor(em))
     memo = VisualMemo(ds.samples, quantity=quantity)
+    probe = dc.constant(np.arange(8.0))
+
+    def features_and_grad(fn):
+        with dc.Graph() as g:
+            v, feats, ids = fn()
+            loss = dc.reduce_sum(dc.mul(v, probe))
+        if v.requires_grad:
+            g.backward(loss)
+        grad = state.params["quantity.em"].grad
+        state.params["quantity.em"].grad = None
+        return v, feats, ids, grad
+
     # one memo serves every trainable set, as in the gradient check;
-    # repeated keys are memo hits, some under another set than their miss
-    trains = (True, True, False, False, True, True, False)
-    for em_trains, i in zip(trains, (0, 1, 0, 2, 2, 1, 0)):
+    # repeated keys are memo hits, some under another set than their miss,
+    # and some calls mix hits with misses
+    calls = ([0, 1], [0, 2, 2], [2], [1, 0, 3], [3, 1])
+    trains = (True, False, False, True, True)
+    for em_trains, indices in zip(trains, calls):
         state.set_trainable(["quantity.em"] if em_trains else ["grce.wq"])
-        n = len(ds.samples[i].members)
-        for mask in (full_mask(n), Mask((1, 0) + (1,) * (n - 2))):
-            with dc.Graph() as g:
-                v, feats, ids = memo(i, mask, state)
-                loss = dc.reduce_sum(dc.mul(v, dc.constant(np.arange(8.0))))
-            if v.requires_grad:
-                g.backward(loss)
-            got_grad = state.params["quantity.em"].grad
-            state.params["quantity.em"].grad = None
-            with dc.Graph() as g:
-                v2, feats2, ids2 = group_visual(ds.samples[i], state, mask, quantity=quantity)
-                loss2 = dc.reduce_sum(dc.mul(v2, dc.constant(np.arange(8.0))))
-            if v2.requires_grad:
-                g.backward(loss2)
-            assert ids == ids2
-            assert np.array_equal(v.values, v2.values)
-            assert np.array_equal(feats.values, feats2.values)
-            assert v.requires_grad == v2.requires_grad == (quantity and em_trains)
-            want = state.params["quantity.em"].grad
-            assert (got_grad is None and want is None) or np.array_equal(got_grad, want)
-            state.params["quantity.em"].grad = None
+        for drop in (False, True):
+            masks = [Mask((1, 0) + (1,) * (len(ds.samples[i].members) - 2)) if drop and j % 2 == 0
+                     else full_mask(len(ds.samples[i].members)) for j, i in enumerate(indices)]
+            for refined in (False, True):
+                got = features_and_grad(lambda: memo(indices, masks, state, refined=refined))
+                want = features_and_grad(lambda: group_features(
+                    [ds.samples[i] for i in indices], state, masks, quantity=quantity, refined=refined))
+                assert got[2] == want[2]
+                assert np.array_equal(got[0].values, want[0].values)
+                assert np.array_equal(got[1].values, want[1].values)
+                assert got[0].requires_grad == want[0].requires_grad == (
+                    (quantity and em_trains) or (refined and not em_trains))
+                assert (got[3] is None and want[3] is None) or np.array_equal(got[3], want[3])
 
 
 def test_visual_memo_needs_frozen_encoders():
@@ -156,7 +164,7 @@ def test_visual_memo_needs_frozen_encoders():
     state = small_state()
     state.set_trainable(["quantity.em", "group.blk2.wq"])
     with pytest.raises(ValueError):
-        VisualMemo(ds.samples, quantity=True)(0, full_mask(len(ds.samples[0].members)), state)
+        VisualMemo(ds.samples, quantity=True)([0], [full_mask(len(ds.samples[0].members))], state)
 
 
 def test_group_visual_row_ids_follow_canonical_order():
@@ -165,7 +173,7 @@ def test_group_visual_row_ids_follow_canonical_order():
     sample = _sample_from(ds)
     app = np.stack([m.appearance for m in sample.members])
     order = canonical_order(app)
-    _, _, ids = group_visual(sample, state)
+    _, _, (ids,) = group_features([sample], state)
     assert list(ids) == [sample.members[i].identity_id for i in order]
 
 
@@ -199,8 +207,8 @@ def test_zero_count_matrix_is_neutral():
     ds = _dataset()
     state = small_state()  # quantity.em initializes to zero
     sample = _sample_from(ds)
-    with_term, _, _ = group_visual(sample, state, quantity=True)
-    without, _, _ = group_visual(sample, state, quantity=False)
+    with_term, _, _ = group_features([sample], state, quantity=True)
+    without, _, _ = group_features([sample], state, quantity=False)
     assert np.array_equal(with_term.values, without.values)
 
 
@@ -211,8 +219,8 @@ def test_nonzero_count_matrix_changes_the_feature():
     em[:2] = 0.3
     state = state.with_param("quantity.em", Tensor(em, requires_grad=True))
     sample = _sample_from(ds)
-    with_term, _, _ = group_visual(sample, state, quantity=True)
-    without, _, _ = group_visual(sample, state, quantity=False)
+    with_term, _, _ = group_features([sample], state, quantity=True)
+    without, _, _ = group_features([sample], state, quantity=False)
     assert not np.array_equal(with_term.values, without.values)
 
 
@@ -220,10 +228,10 @@ def test_group_forward_composes_the_pipeline():
     ds = _dataset()
     state = small_state()
     sample = _sample_from(ds)
-    v, feats, _ = group_visual(sample, state)
-    assert np.array_equal(group_forward(sample, state, refined=False).values, v.values)
+    v, feats, _ = group_features([sample], state)
+    assert np.array_equal(group_forward(sample, state, refined=False).values, v.values[0])
     assert np.array_equal(
-        group_forward(sample, state).values, refine(v, feats, state).values
+        group_forward(sample, state).values, refine(v, feats, state).values[0]
     )
 
 
@@ -232,7 +240,7 @@ def test_single_retained_member_works():
     state = small_state()
     sample = _sample_from(ds)
     mask = Mask((1,) + (0,) * (len(sample.members) - 1))
-    v, feats, ids = group_visual(sample, state, mask)
+    v, feats, (ids,) = group_features([sample], state, [mask])
     assert feats.shape[0] == 1
     assert len(ids) == 1
     assert np.linalg.norm(v.values) == pytest.approx(1.0, abs=1e-12)
@@ -243,4 +251,140 @@ def test_mask_length_must_match_member_count():
     state = small_state()
     sample = _sample_from(ds)
     with pytest.raises(ValueError):
-        group_visual(sample, state, full_mask(len(sample.members) + 1))
+        group_features([sample], state, [full_mask(len(sample.members) + 1)])
+
+
+def _mixed_views(n_groups=60, seed=21):
+    """Views with every retained count from 1 to 4, and a state whose count term is live."""
+    gen = GenConfig(n_group_identities=n_groups, d_a=5, members_min=2, members_max=4)
+    ds = generate_dataset(gen, seed=seed)
+    rng = np.random.default_rng(seed)
+    masks = []
+    for s in ds.samples:
+        bits = (rng.random(len(s.members)) < 0.6).astype(int)
+        bits[rng.integers(len(bits))] = 1
+        masks.append(Mask(tuple(int(b) for b in bits)))
+    state = small_state(seed=3)
+    state = state.with_params({
+        "quantity.em": Tensor(rng.normal(scale=0.5, size=(4, 8))),
+        "grce.wq": Tensor(rng.normal(scale=0.5, size=(8, 8))),
+        "grce.wk": Tensor(rng.normal(scale=0.5, size=(8, 8))),
+    })
+    return ds.samples, masks, state
+
+
+@pytest.mark.parametrize("refined", [False, True])
+@pytest.mark.parametrize("quantity", [False, True])
+def test_view_features_do_not_depend_on_the_stack(quantity, refined):
+    samples, masks, state = _mixed_views()
+    counts = [m.retained for m in masks]
+    assert set(counts) == {1, 2, 3, 4}
+
+    def features(idx):
+        return group_features([samples[i] for i in idx], state, [masks[i] for i in idx],
+                              quantity=quantity, refined=refined)[0].values
+
+    n = len(samples)
+    whole = features(range(n))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        perm = rng.permutation(n)
+        assert np.array_equal(features(perm), whole[perm])
+        subset = rng.choice(n, size=int(rng.integers(2, n)), replace=False)
+        assert np.array_equal(features(subset), whole[subset])
+    # buckets of one: a 1-member view beside a 3-member view, and each alone
+    one = counts.index(1)
+    three = counts.index(3)
+    assert np.array_equal(features([one, three]), whole[[one, three]])
+    for i in rng.choice(n, size=40, replace=False).tolist() + [one, three]:
+        assert np.array_equal(features([i]), whole[[i]])
+
+
+def _per_view_reference(sample, mask, state, *, quantity, refined):
+    """One view through the pipeline in plain numpy, composed as the per-view code did."""
+    p = {name: t.values for name, t in state.params.items()}
+    app = np.stack([m.appearance for m in sample.members])[np.flatnonzero(mask.bits)]
+    app = app[np.lexsort(app.T[::-1])]
+    hidden = np.tanh(app @ p["member.w1"] + p["member.b1"])
+    feats = hidden @ p["member.w2"] + p["member.b2"]
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+
+    def attend(q, keys, values):
+        scores = q @ keys.T / np.sqrt(q.shape[-1])
+        w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        return (w / w.sum(axis=-1, keepdims=True)) @ values
+
+    def block(x, name):
+        ctx = attend(x @ p[f"{name}.wq"], x @ p[f"{name}.wk"], x @ p[f"{name}.wv"])
+        return x + ctx @ p[f"{name}.wo"]
+
+    seq = block(np.vstack([p["group.cls"], feats]), "group.blk1")
+    if quantity:
+        seq[0] += np.mean(p["quantity.em"][: len(feats)] * seq[1:], axis=0)
+    v = block(seq, "group.blk2")[0] @ p["group.proj"]
+    v /= np.linalg.norm(v)
+    if refined:
+        ordered = feats[np.lexsort(feats.T[::-1])]
+        v = v + attend(v @ p["grce.wq"], ordered @ p["grce.wk"], ordered @ p["grce.wv"])
+        v /= np.linalg.norm(v)
+    return v
+
+
+@pytest.mark.parametrize("refined", [False, True])
+@pytest.mark.parametrize("quantity", [False, True])
+def test_stacked_features_match_the_per_view_composition(quantity, refined):
+    samples, masks, state = _mixed_views(n_groups=15)
+    got = group_features(samples, state, masks, quantity=quantity, refined=refined)[0].values
+    want = np.stack([_per_view_reference(s, m, state, quantity=quantity, refined=refined)
+                     for s, m in zip(samples, masks)])
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _grad_check_setup():
+    """Two groups of two 3-member views, masked to 1, 2, 3 and 2 members:
+    the k = 1 and k = 3 stacks each hold a single view."""
+    gen = GenConfig(n_group_identities=3, members_min=3, members_max=3,
+                    membership_dropout_prob=0.0, appearance_noise_std=0.2, d_a=4)
+    ds = generate_dataset(gen, seed=6)
+    cfg = ModelConfig(dim=4, d_a=4, max_members=3, group_slots=3, tokens_per_identity=2,
+                      n_person_ids=max(ds.person_ids()) + 1, n_group_classes=2)
+    state = init_model_state(cfg, seed=7)
+    bump = np.random.default_rng(8)
+    state = state.with_params({
+        name: Tensor(bump.normal(scale=0.5, size=state.params[name].shape))
+        for name in ("quantity.em", "grce.wq", "grce.wk", "grce.wv", "grce.classifier")
+    })
+    gids = ds.group_ids()[:2]
+    samples = [[s for s in ds.samples if s.group_id == g][v] for g in gids for v in range(2)]
+    masks = [Mask(b) for b in ((1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 1))]
+    return ds, samples, masks, state, gids
+
+
+def test_stage1_loss_grad_check_over_mixed_member_counts():
+    ds, samples, masks, state, _ = _grad_check_setup()
+    rosters = ds.group_rosters()
+    memo = VisualMemo(samples, quantity=True)
+    state.set_trainable(STAGE1_TRAINABLE)
+
+    def loss_fn(st):
+        return stage1_batch_loss(samples, *memo(range(4), masks, st), st, rosters)[0]
+
+    report = dc.grad_check(loss_fn, state, step=1e-5, tolerance=1e-4)
+    assert report.ok, report.failures[:3]
+    assert set(report.per_param) == set(STAGE1_TRAINABLE)
+
+
+def test_stage2_loss_grad_check_over_mixed_member_counts():
+    ds, samples, masks, state, gids = _grad_check_setup()
+    class_index = {g: i for i, g in enumerate(gids)}
+    text = dc.constant(class_text_features(state, gids, ds.group_rosters()).values)
+    memo = VisualMemo(samples, quantity=True)
+    state.set_trainable(STAGE2_TRAINABLE)
+
+    def loss_fn(st):
+        features = memo(range(4), masks, st, refined=True)[0]
+        return stage2_batch_loss(samples, features, st, class_index, text, alpha=0.5)[0]
+
+    report = dc.grad_check(loss_fn, state, step=1e-5, tolerance=1e-4)
+    assert report.ok, report.failures[:3]
+    assert set(report.per_param) == set(STAGE2_TRAINABLE)

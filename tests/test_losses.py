@@ -19,7 +19,7 @@ from gcum.losses import (
     stage2_batch_loss,
     triplet_loss,
 )
-from gcum.grce import group_visual
+from gcum.grce import group_features
 from gcum.mvs import full_mask
 from gcum.synthdata import GenConfig, generate_dataset
 
@@ -253,12 +253,12 @@ def test_stage2_loss_composes_all_terms():
     rng = np.random.default_rng(0)
     text = dc.constant(rng.normal(size=(len(class_index), 8)))
 
-    views = [group_visual(s, state, m) for s, m in zip(batch, masks)]
-    loss, parts = stage2_batch_loss(batch, views, state, class_index, text)
+    features = group_features(batch, state, masks, refined=True)[0]
+    loss, parts = stage2_batch_loss(batch, features, state, class_index, text)
     assert set(parts) == {"loss_id", "loss_tri", "loss_i2tce"}
     assert loss.item() == pytest.approx(sum(parts.values()), abs=1e-12)
 
-    loss2, parts2 = stage2_batch_loss(batch, views, state, class_index, None)
+    loss2, parts2 = stage2_batch_loss(batch, features, state, class_index, None)
     assert set(parts2) == {"loss_id", "loss_tri"}
     assert loss2.item() == pytest.approx(sum(parts2.values()), abs=1e-12)
 
@@ -271,8 +271,8 @@ def test_stage2_gradient_support_is_the_refinement_head():
     text = dc.constant(np.random.default_rng(1).normal(size=(len(class_index), 8)))
 
     with dc.Graph() as g:
-        views = [group_visual(s, state, m) for s, m in zip(batch, masks)]
-        loss, _ = stage2_batch_loss(batch, views, state, class_index, text)
+        features = group_features(batch, state, masks, refined=True)[0]
+        loss, _ = stage2_batch_loss(batch, features, state, class_index, text)
     g.backward(loss)
     touched = {n for n, p in state.params.items() if p.grad is not None}
     assert touched == set(STAGE2_TRAINABLE)

@@ -9,7 +9,6 @@ from gcum.mvs import (
     Mask,
     MvsConfig,
     apply_mvs,
-    assemble_plain,
     full_mask,
     sample_drop_prob,
     sample_mask,
@@ -83,15 +82,23 @@ def test_fixed_p_drop_rates_match_exact_oracle():
     assert np.all(np.abs(rates - expected) <= 3.0 * se)
 
 
+def _blocks(cls, members):
+    return dc.concat([dc.stack([cls]), members], axis=0)
+
+
 def test_apply_mvs_hand_case_full_mask():
     cls = Tensor([1.0, 0.0])
     members = Tensor([[2.0, 4.0], [6.0, 8.0]])
     em = Tensor([[1.0, 1.0], [0.5, 0.5], [9.0, 9.0]])
-    fused = apply_mvs(cls, members, em)
+    fused = apply_mvs(_blocks(cls, members), em, 2)
     # q = mean([1*2, 1*4], [0.5*6, 0.5*8]) = [2.5, 4.0]
-    assert np.array_equal(
-        fused.values, np.array([[3.5, 4.0], [2.0, 4.0], [6.0, 8.0]])
-    )
+    expected = np.array([[3.5, 4.0], [2.0, 4.0], [6.0, 8.0]])
+    assert np.array_equal(fused.values, expected)
+    # a stack of two blocks: each block gets its own count term
+    other = _blocks(Tensor([0.0, 1.0]), Tensor([[4.0, 2.0], [0.0, -2.0]]))
+    both = apply_mvs(dc.concat([_blocks(cls, members), other], axis=0), em, 2)
+    assert np.array_equal(both.values[:3], expected)
+    assert np.array_equal(both.values[3:], np.array([[2.0, 1.5], [4.0, 2.0], [0.0, -2.0]]))
 
 
 def test_apply_mvs_hand_case_with_drop():
@@ -99,16 +106,15 @@ def test_apply_mvs_hand_case_with_drop():
     cls = Tensor([1.0, 0.0])
     retained = Tensor([[2.0, 4.0]])
     em = Tensor([[1.0, 1.0], [0.5, 0.5], [9.0, 9.0]])
-    fused = apply_mvs(cls, retained, em)
+    fused = apply_mvs(_blocks(cls, retained), em, 1)
     assert np.array_equal(fused.values, np.array([[3.0, 4.0], [2.0, 4.0]]))
 
 
 def test_apply_mvs_dropped_rows_cannot_influence_output():
     # with one retained member, the count rows of larger groups are unread
-    cls = Tensor([1.0, 0.0])
-    retained = Tensor([[2.0, 4.0]])
-    a = apply_mvs(cls, retained, Tensor(np.ones((3, 2))))
-    b = apply_mvs(cls, retained, Tensor([[1.0, 1.0], [-999.0, 123.0], [7.0, -5.0]]))
+    blocks = _blocks(Tensor([1.0, 0.0]), Tensor([[2.0, 4.0]]))
+    a = apply_mvs(blocks, Tensor(np.ones((3, 2))), 1)
+    b = apply_mvs(blocks, Tensor([[1.0, 1.0], [-999.0, 123.0], [7.0, -5.0]]), 1)
     assert np.array_equal(a.values, b.values)
 
 
@@ -117,7 +123,7 @@ def test_apply_mvs_gradient_support():
     retained = Tensor([[2.0, 4.0]], requires_grad=True)
     em = Tensor([[1.0, 1.0], [0.5, 0.5], [9.0, 9.0]], requires_grad=True)
     with dc.Graph() as g:
-        loss = dc.reduce_sum(apply_mvs(cls, retained, em))
+        loss = dc.reduce_sum(apply_mvs(_blocks(cls, retained), em, 1))
     g.backward(loss)
     # the retained row feels 1 + em[0].
     assert np.array_equal(retained.grad, np.array([[2.0, 2.0]]))
@@ -127,16 +133,10 @@ def test_apply_mvs_gradient_support():
 
 
 def test_apply_mvs_shape_errors():
-    cls = Tensor([1.0, 0.0])
-    members = Tensor([[2.0, 4.0], [6.0, 8.0]])
+    blocks = _blocks(Tensor([1.0, 0.0]), Tensor([[2.0, 4.0], [6.0, 8.0]]))
     with pytest.raises(ShapeError):
-        apply_mvs(cls, Tensor([[2.0, 4.0, 6.0]]), Tensor(np.ones((3, 3))))
+        apply_mvs(blocks, Tensor(np.ones((3, 3))), 2)
     with pytest.raises(ShapeError):
-        apply_mvs(cls, members, Tensor(np.ones((1, 2))))
-
-
-def test_assemble_plain_stacks_token_and_members():
-    cls = Tensor([1.0, 0.0])
-    members = Tensor([[2.0, 4.0], [6.0, 8.0]])
-    out = assemble_plain(cls, members)
-    assert np.array_equal(out.values, np.array([[1.0, 0.0], [2.0, 4.0], [6.0, 8.0]]))
+        apply_mvs(blocks, Tensor(np.ones((1, 2))), 2)
+    with pytest.raises(ShapeError):
+        apply_mvs(blocks, Tensor(np.ones((3, 2))), 1)

@@ -20,6 +20,7 @@ from gcum.encoders import (
 from gcum.mvs import MvsConfig
 from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
 from gcum.trainer import (
+    TEMP_INV_RANGE,
     FreezeViolation,
     OptimizerState,
     TrainConfig,
@@ -141,6 +142,17 @@ def test_sgd_weight_decay_skips_the_temperature():
     assert after.params["temp.inv"].item() == state.params["temp.inv"].item()
     shrunk = state.params["group.cls"].values * (1.0 - 0.1 * 0.5)
     assert np.allclose(after.params["group.cls"].values, shrunk, atol=1e-15)
+
+
+def test_sgd_keeps_the_temperature_in_range():
+    state = _one_param_state()
+    cfg = TrainConfig(momentum=0.0, weight_decay=0.0)
+    low, high = TEMP_INV_RANGE
+    for grad, bound in ((1e6, low), (-1e6, high)):
+        after = sgd_step(state, {"temp.inv": np.asarray(grad)}, init_optimizer(state), 1.0, cfg)
+        assert after.params["temp.inv"].item() == bound
+    inside = sgd_step(state, {"temp.inv": np.asarray(0.5)}, init_optimizer(state), 1.0, cfg)
+    assert inside.params["temp.inv"].item() == state.params["temp.inv"].item() - 0.5
 
 
 def test_collect_grads_flags_leaks():
