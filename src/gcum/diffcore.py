@@ -214,7 +214,14 @@ class Graph:
         if not loss.requires_grad or id(loss) not in self._produced:
             raise GraphError("loss has no gradient path recorded on this graph")
         self._consumed = True
+        acc = self._pull_all(loss)
+        for leaf in self._leaves:
+            g = acc.get(id(leaf))
+            if g is not None and not math.isfinite(float(g.sum())):
+                self._pull_all(loss, checked=True)  # raises at the op that made it
+            leaf.grad = g
 
+    def _pull_all(self, loss: Tensor, checked: bool = False) -> dict[int, np.ndarray]:
         acc: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
         for out, parents, pull in reversed(self._nodes):
             g = acc.pop(id(out), None)
@@ -225,17 +232,20 @@ class Graph:
                     continue
                 prev = acc.get(id(parent))
                 acc[id(parent)] = pg if prev is None else prev + pg
-        for leaf in self._leaves:
-            g = acc.get(id(leaf))
-            if g is not None and not math.isfinite(float(g.sum())):
-                raise NonFiniteError("gradient contains NaN or infinite values")
-            leaf.grad = g
+                if checked and not np.isfinite(acc[id(parent)]).all():
+                    op = pull.__qualname__.split(".")[0]
+                    raise NonFiniteError(f"{op}: gradient contains NaN or infinite values")
+        return acc
 
 
 def _result(values: np.ndarray, parents: tuple[Tensor, ...], pull: _PullFn) -> Tensor:
     graph = _ACTIVE
     needs = graph is not None and any(p.requires_grad for p in parents)
-    out = Tensor(values, requires_grad=needs, _copy=False)
+    try:
+        out = Tensor(values, requires_grad=needs, _copy=False)
+    except NonFiniteError as e:
+        # each op defines its own backward closure, so its name is the op's
+        raise NonFiniteError(f"{pull.__qualname__.split('.')[0]}: {e}") from None
     if needs:
         graph._record(out, parents, pull)
     return out
@@ -486,7 +496,7 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _result(out, (x,), pull)
 
 
-def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int) -> Tensor:
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int, lengths=None) -> Tensor:
     """Scaled dot-product attention inside consecutive blocks of ``length`` rows.
 
     ``q``, ``k`` and ``v`` stack n sequences of ``length`` rows each.  Row i
@@ -494,6 +504,8 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int) -> Tensor:
     ``softmax_j(q_i . k_j / sqrt(d))`` for a query width of d.  The blocks
     are worked as (n, length, length) arrays, so memory grows with n and
     not with the square of n that a dense block-diagonal mask would need.
+    With ``lengths``, block i's rows past ``lengths[i]`` are dead: as keys
+    they get weight exactly 0, as queries they output exactly zero rows.
     """
     if q.ndim != 2 or k.shape != q.shape or v.ndim != 2 or v.shape[0] != q.shape[0]:
         raise ShapeError(f"segment_attention: need q, k of one shape and v of as many rows, "
@@ -507,8 +519,16 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int) -> Tensor:
     kb = k.values.reshape(n, length, d)
     vb = v.values.reshape(n, length, v.shape[1])
     scores = (qb @ kb.transpose(0, 2, 1)) * c
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (n,) or lengths.min() < 1 or lengths.max() > length:
+            raise ShapeError(f"segment_attention: need {n} block lengths in [1, {length}]")
+        live = np.arange(length) < lengths[:, None]
+        scores = np.where(live[:, None, :], scores, -np.inf)
     e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
     w = e / np.sum(e, axis=-1, keepdims=True)
+    if lengths is not None:
+        w = w * live[:, :, None]
 
     def pull(g: np.ndarray):
         gb = g.reshape(n, length, -1)

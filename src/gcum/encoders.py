@@ -11,8 +11,8 @@ trained:
   residual connections.  The pipeline splits the encoder around the
   membership-simulation step: block 1 runs on [class token; members],
   block 2 on the recombined sequence, then the class-token row is
-  projected and normalized into the group feature.  Views with the same
-  member count are encoded together, stacked as row blocks;
+  projected and normalized into the group feature.  Views are encoded
+  together as row blocks of one width, their empty member slots masked;
 * text encoder — token embeddings plus learned positions, one
   self-attention block, mean-pool, projection, normalization.  Prompts of
   one length are encoded together, stacked as row blocks.
@@ -222,16 +222,18 @@ def init_model_state(config: ModelConfig, seed: int) -> ModelState:
 # Forward passes
 
 
-def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, length: int) -> Tensor:
+def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, length: int,
+                    lengths=None) -> Tensor:
     """Single-head self-attention with a residual connection.
 
     ``x`` stacks sequences of ``length`` rows each, and a row attends only
-    within its own sequence; scores are scaled by 1/sqrt(dim).  A zero
-    output projection makes the block the identity map.
+    within the live rows (``segment_attention``) of its own sequence;
+    scores are scaled by 1/sqrt(dim).  Zero rows past a sequence's length
+    stay zero.  A zero output projection makes the block the identity map.
     """
     if x.ndim != 2:
         raise ShapeError(f"attention_block needs a (rows, dim) tensor, got {x.shape}")
-    ctx = dc.segment_attention(dc.matmul(x, wq), dc.matmul(x, wk), dc.matmul(x, wv), length)
+    ctx = dc.segment_attention(dc.matmul(x, wq), dc.matmul(x, wk), dc.matmul(x, wv), length, lengths)
     return dc.add(x, dc.matmul(ctx, wo))
 
 
@@ -258,41 +260,52 @@ def encode_members(appearances: Tensor, state: ModelState) -> Tensor:
     return dc.l2_normalize(dc.add(project(h, p["member.w2"]), p["member.b2"]))
 
 
-def encode_group_prefix(member_features: Tensor, state: ModelState, k: int) -> Tensor:
-    """Run block 1 over stacked [class token; k member features] sequences.
+def _member_counts(counts: Sequence[int], config: ModelConfig) -> np.ndarray:
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 1 or not counts.size or counts.min() < 1 or counts.max() > config.max_members:
+        raise ShapeError(f"member counts {counts.tolist()} outside [1, {config.max_members}]")
+    return counts
 
-    ``member_features`` holds B views' k rows each, view after view.
-    Returns the (B (k + 1), dim) block output in the same layout: each
-    view's class-token row, then its member rows.
+
+def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequence[int]) -> Tensor:
+    """Run block 1 over stacked [class token; members; zero rows] blocks.
+
+    ``member_features`` holds B views' ``counts[i]`` rows each, view after
+    view.  Returns the (B (max_members + 1), dim) block output in the same
+    layout: each view's class-token row, its member rows, then zero rows.
+    One width for all views keeps a view's rows the same bits in any stack.
     """
     cfg = state.config
-    if not (1 <= k <= cfg.max_members):
-        raise ShapeError(f"{k} members outside [1, {cfg.max_members}]")
-    rows = member_features.shape[0] if member_features.ndim == 2 else 0
-    if not rows or rows % k or member_features.shape[1] != cfg.dim:
-        raise ShapeError(f"expected (B * {k}, {cfg.dim}) member features, got {member_features.shape}")
+    counts = _member_counts(counts, cfg)
+    rows = int(counts.sum())
+    if member_features.ndim != 2 or member_features.shape != (rows, cfg.dim):
+        raise ShapeError(f"expected ({rows}, {cfg.dim}) member features, got {member_features.shape}")
     p = state.params
-    # row 0 of the table is the class token, row 1 + r member row r
-    at = np.zeros((rows // k, k + 1), dtype=np.int64)
-    at[:, 1:] = 1 + np.arange(rows).reshape(-1, k)
-    table = dc.concat([dc.stack([p["group.cls"]]), member_features], axis=0)
+    width = cfg.max_members + 1
+    # row 0 of the table is the class token, row 1 a zero row, row 2 + r member row r
+    at = np.ones((len(counts), width), dtype=np.int64)
+    at[:, 0] = 0
+    at[:, 1:][np.arange(cfg.max_members) < counts[:, None]] = 2 + np.arange(rows)
+    table = dc.concat([dc.stack([p["group.cls"]]), dc.constant(np.zeros((1, cfg.dim))), member_features])
     return attention_block(dc.gather_rows(table, at.ravel()), p["group.blk1.wq"], p["group.blk1.wk"],
-                           p["group.blk1.wv"], p["group.blk1.wo"], k + 1)
+                           p["group.blk1.wv"], p["group.blk1.wo"], width, counts + 1)
 
 
-def encode_group_suffix(fused: Tensor, state: ModelState, k: int) -> Tensor:
-    """Run block 2 over stacked (k + 1)-row sequences and read out each view.
+def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int]) -> Tensor:
+    """Run block 2 over the stacked blocks of ``encode_group_prefix`` and read out each view.
 
-    Each sequence's class-token row is projected and normalized into one
-    row of the (B, dim) group features.
+    Each block's class-token row is projected and normalized into one row
+    of the (B, dim) group features.
     """
     cfg = state.config
-    if fused.ndim != 2 or fused.shape[1] != cfg.dim or k < 1 or not fused.shape[0] or fused.shape[0] % (k + 1):
-        raise ShapeError(f"expected (B * (1 + {k}), {cfg.dim}) rows, got {fused.shape}")
+    counts = _member_counts(counts, cfg)
+    width = cfg.max_members + 1
+    if fused.ndim != 2 or fused.shape != (len(counts) * width, cfg.dim):
+        raise ShapeError(f"expected ({len(counts)} * {width}, {cfg.dim}) rows, got {fused.shape}")
     p = state.params
     out = attention_block(fused, p["group.blk2.wq"], p["group.blk2.wk"], p["group.blk2.wv"],
-                          p["group.blk2.wo"], k + 1)
-    pooled = dc.gather_rows(out, np.arange(0, fused.shape[0], k + 1))
+                          p["group.blk2.wo"], width, counts + 1)
+    pooled = dc.gather_rows(out, np.arange(0, fused.shape[0], width))
     return dc.l2_normalize(project(pooled, p["group.proj"]))
 
 

@@ -46,10 +46,17 @@ def rank_gallery(query_feats, gallery_feats, query_labels, gallery_labels) -> np
     norms = np.concatenate([np.linalg.norm(q, axis=1), np.linalg.norm(g, axis=1)])
     if np.max(np.abs(norms - 1.0)) > 1e-6:
         raise ValueError("retrieval expects unit-norm features")
-    # one product per query: a single q @ g.T rounds differently
-    sims = np.stack([g @ row for row in q])
-    order = np.argsort(-sims, axis=1, kind="stable")  # stable: ties keep ascending index
-    return np.asarray(gallery_labels)[order] == np.asarray(query_labels)[:, None]
+    sims = np.matmul(g[None], q[:, :, None])[..., 0]  # a product per query: q @ g.T rounds differently
+    # a relevant row's rank: rows scoring higher + equal rows before it; `at` row i lists query i's
+    qi, gj = np.nonzero(np.asarray(query_labels)[:, None] == np.asarray(gallery_labels))
+    slot = np.arange(qi.size) - np.searchsorted(qi, qi)
+    at = np.zeros((q.shape[0], slot.max(initial=-1) + 1), dtype=np.int64)
+    at[qi, slot] = gj
+    own = np.take_along_axis(sims, at, axis=1)[:, :, None]
+    ahead = (sims[:, None] > own) | ((sims[:, None] == own) & (np.arange(g.shape[0]) < at[:, :, None]))
+    hits = np.zeros(sims.shape, dtype=bool)
+    hits[qi, np.count_nonzero(ahead, axis=2)[qi, slot]] = True
+    return hits
 
 
 def cmc(hits: np.ndarray, k: int) -> float:

@@ -7,11 +7,11 @@ contextualized again (block 2), and the group-token row is read out.
 ``refine`` then lets the pooled feature re-attend to the individual
 member features, which restores member detail that pooling washes out.
 
-Views are featurized in stacks: the views of one call are bucketed by
-retained member count k, and each step runs once per bucket over B row
-blocks of k or k + 1 rows, so a single view is the n = 1 case.  A view's
-feature is the same bits whatever else shares its call, because
-attention and the count term work block by block and a row-wise product
+The views of one call are featurized as one stack, each view a row
+block of one fixed width whose slots past its retained member count are
+masked, so a single view is the n = 1 case.  A view's feature is the
+same bits whatever else shares its call, because attention and the
+count term work block by block at that width and a row-wise product
 never sees a single row (``encoders.project``).
 
 Training sees each view under a handful of masks, again and again, and
@@ -26,7 +26,6 @@ produce bit-identical features, not merely close ones.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -58,32 +57,38 @@ def canonical_order(rows: np.ndarray, segments: np.ndarray | None = None) -> lis
     return np.lexsort(keys).tolist()
 
 
-def refine(group_features: Tensor, member_features: Tensor, state: ModelState) -> Tensor:
+def refine(group_features: Tensor, member_features: Tensor, state: ModelState,
+           counts: Sequence[int] | None = None) -> Tensor:
     """Cross-attend each pooled group feature over its own member features.
 
     ``group_features`` stacks B views' features, ``member_features`` their
-    k member rows each, view after view.  A view's group feature forms the
-    query and its members the keys and values, with scores scaled by
-    1/sqrt(dim).  The attended context is added residually and the result
-    re-normalized, so zero attention weights leave the input unchanged.
+    ``counts[i]`` member rows each (an equal split by default), view after
+    view.  A view's group feature is the query over its members, set in
+    ``max_members`` masked slots, with scores scaled by 1/sqrt(dim).  The
+    context is added residually and the result re-normalized, so zero
+    attention weights leave the input unchanged.
     """
     if group_features.ndim != 2 or member_features.ndim != 2:
         raise ShapeError("group and member features must be matrices")
-    dim = state.config.dim
+    dim, slots = state.config.dim, state.config.max_members
     if group_features.shape[1] != dim or member_features.shape[1] != dim:
         raise ShapeError("feature width does not match the model dimension")
     b, rows = group_features.shape[0], member_features.shape[0]
-    if b == 0 or rows == 0 or rows % b:
-        raise ShapeError(f"{rows} member rows do not split over {b} views")
-    k = rows // b
+    counts = np.asarray([rows // max(b, 1)] * b if counts is None else counts, dtype=np.int64)
+    if not b or counts.shape != (b,) or counts.sum() != rows or not 1 <= counts.min() <= counts.max() <= slots:
+        raise ShapeError(f"{rows} member rows do not split over {b} views of 1 to {slots} members")
     p = state.params
-    ordered = dc.gather_rows(member_features,
-                             canonical_order(member_features.values, np.arange(rows) // k))
-    queries = dc.gather_rows(project(group_features, p["grce.wq"]), np.repeat(np.arange(b), k))
+    # slot s of view i holds its s-th member in canonical order, or the zero row past its count
+    at = np.full((b, slots), rows)
+    at[np.arange(slots) < counts[:, None]] = canonical_order(member_features.values,
+                                                             np.repeat(np.arange(b), counts))
+    table = dc.concat([member_features, dc.constant(np.zeros((1, dim)))], axis=0)
+    ordered = dc.gather_rows(table, at.ravel())
+    queries = dc.gather_rows(project(group_features, p["grce.wq"]), np.repeat(np.arange(b), slots))
     context = dc.segment_attention(queries, project(ordered, p["grce.wk"]),
-                                   project(ordered, p["grce.wv"]), k)
+                                   project(ordered, p["grce.wv"]), slots, counts)
     # every row of a block attends with the same query; keep the first
-    return dc.l2_normalize(dc.add(group_features, dc.gather_rows(context, np.arange(b) * k)))
+    return dc.l2_normalize(dc.add(group_features, dc.gather_rows(context, np.arange(b) * slots)))
 
 
 def _select(appearances: np.ndarray, sizes: Sequence[int], identity_ids: Sequence[int],
@@ -116,32 +121,18 @@ def _table(samples: Sequence[GroupSample], masks) -> tuple[Tensor, list[np.ndarr
     return (table, *_select(table.values, sizes, [m.identity_id for m in members], masks))
 
 
-def _encode(table: Tensor, rows: Sequence[np.ndarray], views, k: int, state: ModelState):
-    """Member features and block-1 output of the listed views, stacked view after view."""
-    feats = encode_members(dc.gather_rows(table, np.concatenate([rows[i] for i in views])), state)
-    return feats, encode_group_prefix(feats, state, k)
+def _encode(table: Tensor, rows: Sequence[np.ndarray], state: ModelState) -> tuple[Tensor, Tensor]:
+    """Member features of the listed views, stacked view after view, and their block-1 output."""
+    feats = encode_members(dc.gather_rows(table, np.concatenate(rows)), state)
+    return feats, encode_group_prefix(feats, state, [len(r) for r in rows])
 
 
-def _featurize(ks: Sequence[int], block1, state: ModelState, *, quantity: bool,
-               refined: bool) -> tuple[Tensor, Tensor]:
-    """Features of views with ``ks[i]`` retained members each, one stack per count.
-
-    ``block1(views, k)`` returns the listed views' member features and
-    block-1 output, stacked view after view.  Returns the (n, dim) features
-    and the member rows, both in input view order.
-    """
-    order = sorted(range(len(ks)), key=ks.__getitem__)
-    outs, members = [], []
-    for k, views in groupby(order, key=ks.__getitem__):
-        feats, h1 = block1(list(views), k)
-        fused = apply_mvs(h1, state.params["quantity.em"], k) if quantity else h1
-        pooled = encode_group_suffix(fused, state, k)
-        outs.append(refine(pooled, feats, state) if refined else pooled)
-        members.append(feats)
-    # member rows are stacked view by view in `order`; a stable sort by view restores input order
-    member_rows = np.argsort(np.repeat(order, np.asarray(ks)[order]), kind="stable")
-    return (dc.gather_rows(dc.concat(outs, axis=0), np.argsort(order)),
-            dc.gather_rows(dc.concat(members, axis=0), member_rows))
+def _featurize(counts: Sequence[int], members: Tensor, block1: Tensor, state: ModelState, *,
+               quantity: bool, refined: bool) -> Tensor:
+    """The (n, dim) features of views with ``counts[i]`` members, from their block-1 output."""
+    fused = apply_mvs(block1, state.params["quantity.em"], counts) if quantity else block1
+    pooled = encode_group_suffix(fused, state, counts)
+    return refine(pooled, members, state, counts) if refined else pooled
 
 
 def group_features(
@@ -152,7 +143,7 @@ def group_features(
     quantity: bool = True,
     refined: bool = False,
 ) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
-    """Group features of dataset views, one stack per retained member count.
+    """Group features of dataset views, all in one stack.
 
     ``masks`` (all kept by default) drop members before anything is
     encoded.  Returns the (n, dim) group features, refined on request, and
@@ -160,8 +151,9 @@ def group_features(
     identities in row order.
     """
     table, rows, row_ids = _table(samples, masks or [None] * len(samples))
-    features, members = _featurize([len(r) for r in rows], lambda views, k: _encode(
-        table, rows, views, k, state), state, quantity=quantity, refined=refined)
+    members, block1 = _encode(table, rows, state)
+    features = _featurize([len(r) for r in rows], members, block1, state,
+                          quantity=quantity, refined=refined)
     return features, members, row_ids
 
 
@@ -181,8 +173,8 @@ def group_visual_from_matrix(
     the member rows in canonical order, and their identities.
     """
     rows, (row_ids,) = _select(appearances.values, [appearances.shape[0]], identity_ids, [mask])
-    features, members = _featurize([len(rows[0])], lambda views, k: _encode(
-        appearances, rows, views, k, state), state, quantity=quantity, refined=False)
+    members, block1 = _encode(appearances, rows, state)
+    features = _featurize([len(rows[0])], members, block1, state, quantity=quantity, refined=False)
     return features, members, row_ids
 
 
@@ -204,9 +196,9 @@ class VisualMemo:
 
     The member encoder and block 1 run on frozen weights, so their output
     is kept per (sample index, mask bits) as one array, [member features;
-    block-1 output], next to the member identities.  Each stack of a call
-    encodes its misses together, then runs the rest (count term, block 2,
-    readout, refinement) on its entries, so the count matrix and the
+    live block-1 rows], next to the member identities.  A call encodes its
+    misses together and runs the rest (count term, block 2, readout,
+    refinement) on one padded stack, so the count matrix and the
     refinement head can train.  The encoders must stay frozen, which is
     checked.  Build one per training call over that call's sample list.
     """
@@ -220,25 +212,26 @@ class VisualMemo:
         self, indices: Sequence[int], masks: Sequence[Mask], state: ModelState, *, refined: bool = False
     ) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
         """The ``group_features`` result for ``samples[indices]`` under ``masks``."""
+        slots, dim = state.config.max_members, state.config.dim
         keys = [(int(i), m.bits) for i, m in zip(indices, masks, strict=True)]
-
-        def block1(views: list[int], k: int) -> tuple[Tensor, Tensor]:
-            new = list(dict.fromkeys(keys[v] for v in views if keys[v] not in self._memo))
-            if new:
-                trainable = [n for n, p in state.params.items()
-                             if n.startswith(("member.", "group.")) and p.requires_grad]
-                if trainable:
-                    raise ValueError(f"frozen visual work needs frozen encoders; trainable: {trainable}")
-                table, rows, row_ids = _table([self.samples[i] for i, _ in new],
-                                              [Mask(bits) for _, bits in new])
-                feats, h1 = _encode(table, rows, range(len(new)), k, state)
-                for j, key in enumerate(new):
-                    self._memo[key] = (row_ids[j], np.concatenate(
-                        [feats.values[j * k : (j + 1) * k], h1.values[j * (k + 1) : (j + 1) * (k + 1)]]))
-            arrays = [self._memo[keys[v]][1] for v in views]
-            return (dc.constant(np.concatenate([a[:k] for a in arrays])),
-                    dc.constant(np.concatenate([a[k:] for a in arrays])))
-
-        features, members = _featurize([m.retained for m in masks], block1, state,
-                                       quantity=self.quantity, refined=refined)
+        new = [key for key in dict.fromkeys(keys) if key not in self._memo]
+        if new:
+            trainable = [n for n, p in state.params.items()
+                         if n.startswith(("member.", "group.")) and p.requires_grad]
+            if trainable:
+                raise ValueError(f"frozen visual work needs frozen encoders; trainable: {trainable}")
+            table, rows, row_ids = _table([self.samples[i] for i, _ in new],
+                                          [Mask(bits) for _, bits in new])
+            feats, block1 = _encode(table, rows, state)
+            members = np.split(feats.values, np.cumsum([len(r) for r in rows])[:-1])
+            self._memo.update((key, (ids, np.concatenate([m, b[:len(m) + 1]]))) for key, ids, m, b in
+                              zip(new, row_ids, members, block1.values.reshape(len(new), slots + 1, dim)))
+        counts = [m.retained for m in masks]
+        entries = [self._memo[key][1] for key in keys]
+        block1 = np.zeros((len(keys), slots + 1, dim))
+        for block, entry, k in zip(block1, entries, counts):
+            block[:k + 1] = entry[k:]
+        members = dc.constant(np.concatenate([e[:k] for e, k in zip(entries, counts)]))
+        features = _featurize(counts, members, dc.constant(block1.reshape(-1, dim)), state,
+                              quantity=self.quantity, refined=refined)
         return features, members, [self._memo[key][0] for key in keys]

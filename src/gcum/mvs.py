@@ -15,6 +15,7 @@ the mechanism is enabled, now averaged over the full member set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -95,33 +96,32 @@ def sample_mask(n: int, drop_prob: float, rng: np.random.Generator) -> Mask:
     return Mask(tuple(int(b) for b in bits))
 
 
-def apply_mvs(blocks: Tensor, em: Tensor, k: int) -> Tensor:
+def apply_mvs(blocks: Tensor, em: Tensor, counts: Sequence[int]) -> Tensor:
     """Fold the count term into the class token of stacked [class token; members] blocks.
 
-    ``blocks`` stacks B sequences of ``k + 1`` rows, the class token first,
-    then the k retained member rows: dropped members are removed before
-    encoding.  Each class token gains ``q``, the mean over its members j
-    of ``em[j] * members[j]``; member rows pass through unchanged.  Rows of
-    ``em`` beyond k receive no gradient.
+    ``blocks`` stacks B blocks of one width: the class token, the
+    ``counts[i]`` retained members (dropped ones are removed before
+    encoding), then padding.  Each class token gains ``q``, the mean over
+    its members j of ``em[j] * members[j]``; other rows pass unchanged.
+    Padding and the rows of ``em`` beyond a view's count get no gradient.
     """
     if blocks.ndim != 2 or em.ndim != 2 or blocks.shape[1] != em.shape[1]:
         raise ShapeError(f"blocks {blocks.shape} do not match the count matrix {em.shape}")
+    counts = np.asarray(counts, dtype=np.int64)
     rows, dim = blocks.shape
-    if k < 1 or rows == 0 or rows % (k + 1):
-        raise ShapeError(f"{rows} rows do not split into blocks of 1 + {k}")
-    if k > em.shape[0]:
-        raise ShapeError(f"{k} retained members exceed the count matrix ({em.shape[0]} rows)")
-    b = rows // (k + 1)
-    starts = np.arange(b) * (k + 1)
-    members = (starts[:, None] + np.arange(1, k + 1)).ravel()
-    weighted = dc.mul(dc.gather_rows(em, np.tile(np.arange(k), b)), dc.gather_rows(blocks, members))
-    # Zero scores weight every row of a block 1/k, so each row comes out as
-    # its block's mean.  A (B, B k) block-mean product would round a block
-    # by where it falls in the product's inner dimension.
-    zeros = dc.constant(np.zeros((b * k, 1)))
-    means = dc.segment_attention(zeros, zeros, weighted, k)
-    # class-token row of block i takes row i k of the means, members a zero row
-    pick = np.full(rows, b * k)
-    pick[starts] = np.arange(b) * k
+    if counts.ndim != 1 or not counts.size or rows % counts.size:
+        raise ShapeError(f"{rows} rows do not split into {counts.size} blocks")
+    # more slots than count-matrix rows, or counts outside [1, slots], raise below
+    b, slots = counts.size, rows // counts.size - 1
+    starts = np.arange(b) * (slots + 1)
+    members = (starts[:, None] + np.arange(1, slots + 1)).ravel()
+    weighted = dc.mul(dc.gather_rows(em, np.tile(np.arange(slots), b)), dc.gather_rows(blocks, members))
+    # Zero scores weight each of a block's k live rows 1/k: every live row is
+    # the block mean.  A (B, B k) block-mean product rounds by block position.
+    zeros = dc.constant(np.zeros((b * slots, 1)))
+    means = dc.segment_attention(zeros, zeros, weighted, slots, counts)
+    # class-token row of block i takes row i slots of the means, the rest a zero row
+    pick = np.full(rows, b * slots)
+    pick[starts] = np.arange(b) * slots
     padded = dc.concat([means, dc.constant(np.zeros((1, dim)))], axis=0)
     return dc.add(blocks, dc.gather_rows(padded, pick))

@@ -158,7 +158,10 @@ def sgd_step(
         new = p.values - lr * v
         if name == "temp.inv":
             new = np.clip(new, *TEMP_INV_RANGE)
-        updates[name] = Tensor(new, requires_grad=p.requires_grad)
+        try:
+            updates[name] = Tensor(new, requires_grad=p.requires_grad)
+        except dc.NonFiniteError as e:
+            raise dc.NonFiniteError(f"sgd_step on {name}: {e}") from None
     return state.with_params(updates)
 
 
@@ -189,7 +192,8 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
     right after the batch is yielded.  Its group features (refined in
     stage 2), member rows and member identities come from one call to a
     memo that lives as long as this call, so frozen visual work is done
-    once per (sample, mask) per run.
+    once per (sample, mask) per run.  A ``NonFiniteError`` gains the stage,
+    epoch and step (both from 0) it happened at.
     """
     run = cfg.scaled()
     state.set_trainable(trainable)
@@ -206,11 +210,14 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
             masks = _sample_masks(batch, mvs, rng)
             for p in state.params.values():
                 p.grad = None
-            with dc.Graph() as g:
-                features, members, row_ids = memo(idx, masks, state, refined=cfg.stage == 2)
-                loss, parts = loss_fn(batch, features, members, row_ids, state)
-            g.backward(loss)
-            state = sgd_step(state, _collect_grads(state, trainable), opt, lr, run)
+            try:
+                with dc.Graph() as g:
+                    features, members, row_ids = memo(idx, masks, state, refined=cfg.stage == 2)
+                    loss, parts = loss_fn(batch, features, members, row_ids, state)
+                g.backward(loss)
+                state = sgd_step(state, _collect_grads(state, trainable), opt, lr, run)
+            except dc.NonFiniteError as e:
+                raise dc.NonFiniteError(f"stage {cfg.stage}, epoch {epoch}, step {steps}: {e}") from e
             for k, v in {"loss_total": loss.item(), **parts}.items():
                 sums[k] = sums.get(k, 0.0) + v
             steps += 1

@@ -241,6 +241,37 @@ def test_stage1_at_large_rates_finishes_or_reports_divergence(tmp_path, capsys, 
         assert all(np.isfinite(v) for r in records for k, v in r.items() if k.startswith("loss"))
 
 
+def test_divergence_names_the_op_stage_epoch_and_step(tmp_path, small_config, capsys, monkeypatch):
+    from gcum import diffcore as dc, gla
+
+    data = _gen(tmp_path, small_config)
+    args = ["train", "--stage", "1", "--config", small_config, "--data", data,
+            "--out", str(tmp_path / "s1.ckpt")]
+    real = gla.stage1_batch_loss
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(None)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(gla, "stage1_batch_loss", counted)
+    assert main(args) == EXIT_OK
+    per_epoch = len(calls) // _SMALL["train"]["total_epochs"]
+    assert per_epoch >= 2
+    calls.clear()
+    capsys.readouterr()
+
+    def overflowing(*a, **kw):
+        # the second step of the second epoch overflows in exp
+        loss, parts = counted(*a, **kw)
+        return (dc.exp(dc.scale(loss, 1e4)) if len(calls) == per_epoch + 2 else loss), parts
+
+    monkeypatch.setattr(gla, "stage1_batch_loss", overflowing)
+    assert main(args) == EXIT_NONFINITE
+    err = capsys.readouterr().err
+    assert "training diverged: stage 1, epoch 1, step 1: exp: tensor contains NaN" in err, err
+
+
 def test_train_same_seed_gives_identical_checkpoints(tmp_path, small_config):
     data = _gen(tmp_path, small_config)
     a = str(tmp_path / "a.ckpt")

@@ -134,6 +134,74 @@ def test_segment_attention_rejects_bad_blocks():
         dc.segment_attention(x, x, dc.tensor(np.ones((5, 2))), 3)
 
 
+def _masked_blocks(seed=12, n=4, length=4, d=3):
+    rng = np.random.default_rng(seed)
+    return [dc.tensor(rng.normal(size=(n * length, d)), requires_grad=True) for _ in range(3)]
+
+
+def test_segment_attention_masked_grad_check():
+    # block lengths 1, 3, 4 (full) and 2
+    q, k, v = _masked_blocks()
+    params = {"q": q, "k": k, "v": v}
+
+    def loss_fn(p):
+        out = dc.segment_attention(p["q"], p["k"], p["v"], 4, [1, 3, 4, 2])
+        return dc.reduce_sum(dc.mul(out, dc.tanh(out)))
+
+    report = dc.grad_check(loss_fn, params, step=1e-5, tolerance=1e-4)
+    assert report.ok, report.failures[:3]
+
+
+def test_segment_attention_full_lengths_equal_no_mask():
+    q, k, v = _masked_blocks()
+    plain = dc.segment_attention(q, k, v, 4)
+    full = dc.segment_attention(q, k, v, 4, np.full(4, 4))
+    assert plain.values.tobytes() == full.values.tobytes()
+
+
+def test_segment_attention_dead_rows():
+    q, k, v = _masked_blocks()
+    lengths = [1, 3, 4, 2]
+    live = (np.arange(4) < np.array(lengths)[:, None]).ravel()
+    w = np.random.default_rng(13).normal(size=(16, 3))
+    with dc.Graph() as g:
+        out = dc.segment_attention(q, k, v, 4, lengths)
+        loss = dc.reduce_sum(dc.mul(out, dc.constant(w)))
+    assert not np.any(out.values[~live])
+    g.backward(loss)
+    for t in (q, k, v):
+        assert not np.any(t.grad[~live])
+    # a live row of each block is untouched by what the dead rows hold
+    poked = [dc.tensor(np.where(live[:, None], t.values, 1e3)) for t in (q, k, v)]
+    again = dc.segment_attention(*poked, 4, lengths)
+    assert np.array_equal(again.values, out.values)
+    # one block alone gives the same bits as in the stack
+    alone = dc.segment_attention(*(dc.tensor(t.values[4:8]) for t in (q, k, v)), 4, [3])
+    assert np.array_equal(alone.values, out.values[4:8])
+
+
+def test_segment_attention_rejects_bad_lengths():
+    x = dc.tensor(np.ones((6, 2)))
+    for lengths in ([0, 3], [1, 4], [3], [1, 2, 3], np.ones((2, 1))):
+        with pytest.raises(dc.ShapeError):
+            dc.segment_attention(x, x, x, 3, lengths)
+
+
+def test_non_finite_forward_names_the_op():
+    with pytest.raises(dc.NonFiniteError, match="^exp: tensor contains"):
+        dc.exp(dc.tensor([1000.0]))
+    with np.errstate(over="ignore"), pytest.raises(dc.NonFiniteError, match="^matmul: tensor contains"):
+        dc.matmul(dc.tensor([[1e200]]), dc.tensor([[1e200]]))
+
+
+def test_non_finite_gradient_names_the_op():
+    x = dc.tensor([1e-310, 1.0], requires_grad=True)  # log is finite, its gradient is not
+    with dc.Graph() as g:
+        loss = dc.reduce_sum(dc.scale(dc.log(x), 2.0))
+    with np.errstate(over="ignore"), pytest.raises(dc.NonFiniteError, match="^log: gradient contains"):
+        g.backward(loss)
+
+
 def test_l2_normalize_values():
     np.testing.assert_allclose(dc.l2_normalize(dc.tensor([3.0, 4.0])).values, [0.6, 0.8], atol=1e-12)
     np.testing.assert_array_equal(dc.l2_normalize(dc.tensor([0.0, 0.0])).values, [0.0, 0.0])

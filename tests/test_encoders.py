@@ -116,27 +116,33 @@ def test_member_encoder_is_rowwise():
 def test_group_prefix_shapes_and_member_limit():
     state = init_model_state(small_config(), seed=1)
     feats = np.random.default_rng(5).normal(size=(6, 8))
-    out = encode_group_prefix(dc.constant(feats[:3]), state, 3)
+    out = encode_group_prefix(dc.constant(feats[:3]), state, [3])
     assert out.shape == (4, 8)
     # two views of three members: class token then members, view after view
-    both = encode_group_prefix(dc.constant(feats), state, 3)
+    both = encode_group_prefix(dc.constant(feats), state, [3, 3])
     assert both.shape == (8, 8)
     assert np.array_equal(both.values[:4], out.values)
-    assert np.array_equal(both.values[4:], encode_group_prefix(dc.constant(feats[3:]), state, 3).values)
+    assert np.array_equal(both.values[4:], encode_group_prefix(dc.constant(feats[3:]), state, [3]).values)
+    # views of one and two members: each block is padded with zero rows to max_members + 1
+    mixed = encode_group_prefix(dc.constant(feats[:3]), state, [1, 2])
+    assert mixed.shape == (8, 8)
+    assert not np.any(mixed.values[[2, 3, 7]])
+    assert np.array_equal(mixed.values[:4], encode_group_prefix(dc.constant(feats[:1]), state, [1]).values)
+    assert np.array_equal(mixed.values[4:], encode_group_prefix(dc.constant(feats[1:3]), state, [2]).values)
     too_many = dc.constant(np.zeros((4, 8)))
     with pytest.raises(ShapeError):
-        encode_group_prefix(too_many, state, 4)
+        encode_group_prefix(too_many, state, [4])
     with pytest.raises(ShapeError):
-        encode_group_prefix(dc.constant(feats[:5]), state, 3)
+        encode_group_prefix(dc.constant(feats[:5]), state, [3])
 
 
 def test_group_suffix_requires_class_plus_member():
     state = init_model_state(small_config(), seed=1)
     with pytest.raises(ShapeError):
-        encode_group_suffix(dc.constant(np.ones((1, 8))), state, 0)
+        encode_group_suffix(dc.constant(np.ones((4, 8))), state, [0])
     with pytest.raises(ShapeError):
-        encode_group_suffix(dc.constant(np.ones((3, 8))), state, 1)
-    out = encode_group_suffix(dc.constant(np.random.default_rng(6).normal(size=(3, 8))), state, 2)
+        encode_group_suffix(dc.constant(np.ones((3, 8))), state, [2])  # not max_members + 1 rows
+    out = encode_group_suffix(dc.constant(np.random.default_rng(6).normal(size=(4, 8))), state, [2])
     assert out.shape == (1, 8)
     assert np.linalg.norm(out.values) == pytest.approx(1.0, abs=1e-12)
 

@@ -62,6 +62,39 @@ def test_rank_gallery_breaks_ties_by_gallery_index():
     assert np.array_equal(hits, np.eye(3, dtype=bool))  # ranked order (0, 1, 2)
 
 
+def _argsort_hits(q, g, q_labels, g_labels):
+    """The hit matrix by a full stable argsort of per-query similarities."""
+    sims = np.stack([g @ row for row in q])
+    order = np.argsort(-sims, axis=1, kind="stable")
+    return np.asarray(g_labels)[order] == np.asarray(q_labels)[:, None]
+
+
+def test_rank_gallery_matches_a_stable_argsort():
+    rng = np.random.default_rng(17)
+    base = _unit_rows(rng, 120, 16)
+    # duplicated gallery rows tie exactly, rows a few ulps apart order by
+    # rounding alone; some queries equal a gallery row
+    near = base[:60] + rng.normal(scale=1e-15, size=(60, 16))
+    g = np.concatenate([base, base[:40], base[10:20], near / np.linalg.norm(near, axis=1, keepdims=True)])
+    g_labels = rng.integers(0, 60, len(g))
+    q = np.concatenate([_unit_rows(rng, 50, 16), base[:30], -base[30:40]])
+    q_labels = np.concatenate([rng.integers(0, 70, 50), g_labels[:30], rng.integers(0, 60, 10)])
+    # a coarse grid makes many unrelated similarities tie exactly too
+    coarse = np.round(q * 4) / 4
+    coarse = coarse[np.linalg.norm(coarse, axis=1) > 0]
+    q = np.concatenate([q, coarse / np.linalg.norm(coarse, axis=1, keepdims=True)])
+    q_labels = np.concatenate([q_labels, rng.integers(0, 60, len(coarse))])
+    g = np.concatenate([g, np.eye(16)])
+    g_labels = np.concatenate([g_labels, rng.integers(0, 60, 16)])
+    hits = rank_gallery(q, g, q_labels, g_labels)
+    assert np.array_equal(hits, _argsort_hits(q, g, q_labels, g_labels))
+    assert not hits[(q_labels[:, None] != g_labels[None]).all(axis=1)].any()
+    # the batched product rank_gallery ranks by is bit-equal to one product per query
+    sims = np.stack([g @ row for row in q])
+    assert np.matmul(g[None], q[:, :, None])[..., 0].tobytes() == sims.tobytes()
+    assert np.count_nonzero(np.diff(np.sort(sims, axis=1), axis=1) == 0) > 100  # exact ties
+
+
 def test_rank_gallery_rejects_bad_inputs():
     q = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError):

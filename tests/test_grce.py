@@ -292,12 +292,38 @@ def test_view_features_do_not_depend_on_the_stack(quantity, refined):
         assert np.array_equal(features(perm), whole[perm])
         subset = rng.choice(n, size=int(rng.integers(2, n)), replace=False)
         assert np.array_equal(features(subset), whole[subset])
-    # buckets of one: a 1-member view beside a 3-member view, and each alone
+    # a 1-member view beside a 3-member view and a full view, and each alone
     one = counts.index(1)
     three = counts.index(3)
+    full = counts.index(state.config.max_members)
     assert np.array_equal(features([one, three]), whole[[one, three]])
-    for i in rng.choice(n, size=40, replace=False).tolist() + [one, three]:
+    assert np.array_equal(features([full, one]), whole[[full, one]])
+    for i in rng.choice(n, size=40, replace=False).tolist() + [one, three, full]:
         assert np.array_equal(features([i]), whole[[i]])
+
+
+@pytest.mark.parametrize("refined", [False, True])
+def test_view_features_do_not_depend_on_the_stack_width(refined):
+    # At the shipped width (dim 48, six members) with live attention weights,
+    # padding a block to another width changes the rounding; every view must
+    # be padded to max_members + 1 whatever counts share its stack.
+    gen = GenConfig(n_group_identities=30, d_a=5, members_min=2, members_max=6)
+    ds = generate_dataset(gen, seed=21)
+    rng = np.random.default_rng(0)
+    masks = []
+    for s in ds.samples:
+        bits = (rng.random(len(s.members)) < 0.5).astype(int)
+        bits[rng.integers(len(bits))] = 1
+        masks.append(Mask(tuple(int(b) for b in bits)))
+    state = small_state(seed=3, dim=48, max_members=6, group_slots=6)
+    state = state.with_params({n: Tensor(rng.normal(scale=0.5, size=p.shape)) for n, p in state.params.items()
+                               if n.startswith(("group.blk", "quantity.", "grce."))})
+    counts = np.array([m.retained for m in masks])
+    whole = group_features(ds.samples, state, masks, refined=refined)[0].values
+    for c in np.unique(counts):
+        idx = np.flatnonzero(counts == c)
+        same = group_features([ds.samples[i] for i in idx], state, [masks[i] for i in idx], refined=refined)
+        assert np.array_equal(same[0].values, whole[idx])
 
 
 def _per_view_reference(sample, mask, state, *, quantity, refined):
@@ -388,3 +414,23 @@ def test_stage2_loss_grad_check_over_mixed_member_counts():
     report = dc.grad_check(loss_fn, state, step=1e-5, tolerance=1e-4)
     assert report.ok, report.failures[:3]
     assert set(report.per_param) == set(STAGE2_TRAINABLE)
+
+
+def test_a_step_records_one_stack_whatever_the_member_counts():
+    gen = GenConfig(n_group_identities=4, d_a=5, members_min=4, members_max=4,
+                    membership_dropout_prob=0.0)
+    ds = generate_dataset(gen, seed=9)
+    state = small_state(n_person_ids=max(ds.person_ids()) + 1)
+    state.set_trainable(STAGE1_TRAINABLE)
+    samples = ds.samples[:8]
+    rosters = ds.group_rosters()
+
+    def nodes(retained):
+        masks = [Mask((1,) * k + (0,) * (4 - k)) for k in retained]
+        memo = VisualMemo(samples, quantity=True)
+        with dc.Graph() as g:
+            stage1_batch_loss(samples, *memo(range(8), masks, state), state, rosters)
+        return len(g._nodes)
+
+    assert state.config.max_members == 4
+    assert nodes([1, 2, 3, 4, 4, 3, 2, 1]) == nodes([1] * 8) == nodes([4] * 8)

@@ -90,13 +90,13 @@ def test_apply_mvs_hand_case_full_mask():
     cls = Tensor([1.0, 0.0])
     members = Tensor([[2.0, 4.0], [6.0, 8.0]])
     em = Tensor([[1.0, 1.0], [0.5, 0.5], [9.0, 9.0]])
-    fused = apply_mvs(_blocks(cls, members), em, 2)
+    fused = apply_mvs(_blocks(cls, members), em, [2])
     # q = mean([1*2, 1*4], [0.5*6, 0.5*8]) = [2.5, 4.0]
     expected = np.array([[3.5, 4.0], [2.0, 4.0], [6.0, 8.0]])
     assert np.array_equal(fused.values, expected)
     # a stack of two blocks: each block gets its own count term
     other = _blocks(Tensor([0.0, 1.0]), Tensor([[4.0, 2.0], [0.0, -2.0]]))
-    both = apply_mvs(dc.concat([_blocks(cls, members), other], axis=0), em, 2)
+    both = apply_mvs(dc.concat([_blocks(cls, members), other], axis=0), em, [2, 2])
     assert np.array_equal(both.values[:3], expected)
     assert np.array_equal(both.values[3:], np.array([[2.0, 1.5], [4.0, 2.0], [0.0, -2.0]]))
 
@@ -106,15 +106,18 @@ def test_apply_mvs_hand_case_with_drop():
     cls = Tensor([1.0, 0.0])
     retained = Tensor([[2.0, 4.0]])
     em = Tensor([[1.0, 1.0], [0.5, 0.5], [9.0, 9.0]])
-    fused = apply_mvs(_blocks(cls, retained), em, 1)
+    fused = apply_mvs(_blocks(cls, retained), em, [1])
     assert np.array_equal(fused.values, np.array([[3.0, 4.0], [2.0, 4.0]]))
+    # the same view padded to two member slots: the zero slot is masked out
+    padded = apply_mvs(_blocks(cls, Tensor([[2.0, 4.0], [0.0, 0.0]])), em, [1])
+    assert np.array_equal(padded.values, np.array([[3.0, 4.0], [2.0, 4.0], [0.0, 0.0]]))
 
 
 def test_apply_mvs_dropped_rows_cannot_influence_output():
     # with one retained member, the count rows of larger groups are unread
     blocks = _blocks(Tensor([1.0, 0.0]), Tensor([[2.0, 4.0]]))
-    a = apply_mvs(blocks, Tensor(np.ones((3, 2))), 1)
-    b = apply_mvs(blocks, Tensor([[1.0, 1.0], [-999.0, 123.0], [7.0, -5.0]]), 1)
+    a = apply_mvs(blocks, Tensor(np.ones((3, 2))), [1])
+    b = apply_mvs(blocks, Tensor([[1.0, 1.0], [-999.0, 123.0], [7.0, -5.0]]), [1])
     assert np.array_equal(a.values, b.values)
 
 
@@ -123,7 +126,7 @@ def test_apply_mvs_gradient_support():
     retained = Tensor([[2.0, 4.0]], requires_grad=True)
     em = Tensor([[1.0, 1.0], [0.5, 0.5], [9.0, 9.0]], requires_grad=True)
     with dc.Graph() as g:
-        loss = dc.reduce_sum(apply_mvs(_blocks(cls, retained), em, 1))
+        loss = dc.reduce_sum(apply_mvs(_blocks(cls, retained), em, [1]))
     g.backward(loss)
     # the retained row feels 1 + em[0].
     assert np.array_equal(retained.grad, np.array([[2.0, 2.0]]))
@@ -135,8 +138,12 @@ def test_apply_mvs_gradient_support():
 def test_apply_mvs_shape_errors():
     blocks = _blocks(Tensor([1.0, 0.0]), Tensor([[2.0, 4.0], [6.0, 8.0]]))
     with pytest.raises(ShapeError):
-        apply_mvs(blocks, Tensor(np.ones((3, 3))), 2)
+        apply_mvs(blocks, Tensor(np.ones((3, 3))), [2])
     with pytest.raises(ShapeError):
-        apply_mvs(blocks, Tensor(np.ones((1, 2))), 2)
+        apply_mvs(blocks, Tensor(np.ones((1, 2))), [2])
     with pytest.raises(ShapeError):
-        apply_mvs(blocks, Tensor(np.ones((3, 2))), 1)
+        apply_mvs(blocks, Tensor(np.ones((3, 2))), [1, 1])  # 3 rows do not split over 2 views
+    with pytest.raises(ShapeError):
+        apply_mvs(blocks, Tensor(np.ones((3, 2))), [3])  # more members than slots
+    with pytest.raises(ShapeError):
+        apply_mvs(blocks, Tensor(np.ones((3, 2))), [0])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcum.diffcore import Tensor
+from gcum.diffcore import NonFiniteError, Tensor
 from gcum.encoders import (
     STAGE1_TRAINABLE,
     STAGE2_TRAINABLE,
@@ -153,6 +153,14 @@ def test_sgd_keeps_the_temperature_in_range():
         assert after.params["temp.inv"].item() == bound
     inside = sgd_step(state, {"temp.inv": np.asarray(0.5)}, init_optimizer(state), 1.0, cfg)
     assert inside.params["temp.inv"].item() == state.params["temp.inv"].item() - 0.5
+
+
+def test_sgd_names_a_non_finite_update():
+    state = _one_param_state()
+    cfg = TrainConfig(momentum=0.0, weight_decay=0.0)
+    grad = np.full(state.params["group.cls"].shape, 1e300)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^sgd_step on group.cls: "):
+        sgd_step(state, {"group.cls": grad}, init_optimizer(state), 1e10, cfg)
 
 
 def test_collect_grads_flags_leaks():
