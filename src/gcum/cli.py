@@ -23,7 +23,7 @@ if _threads and _threads.isdigit() and int(_threads) > 0:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -71,30 +71,13 @@ class CliError(Exception):
 # --------------------------------------------------------------------------
 # Run configuration
 
-# Training defaults here are the desk-scale recipe: the schedule keeps the
-# reference shape (warmup 1/8 of the run, two factor-0.1 drops) but the
-# rates are raised and the run compressed, since the reference rates are
-# sized for large pretrained backbones and move nothing at this scale.
-_TRAIN_DEFAULTS = dict(
-    warmup_epochs=10,
-    lr_start=1e-3,
-    lr_peak=3e-2,
-    decay_epochs=(30, 50),
-    decay_factor=0.1,
-    total_epochs=80,
-    batch_size=8,
-    p_groups=4,
-    q_views=2,
-    momentum=0.8,
-    weight_decay=1e-4,
-    scale_factor=0.25,
-)
-
 # The data keys in echo order; all but ``train_fraction`` are GenConfig fields.
 _GEN_KEYS = ("n_group_identities", "members_min", "n_cameras", "views_per_group_per_camera",
              "membership_dropout_prob", "layout_permutation", "appearance_noise_std",
              "camera_bias_std")
 _DATA_KEYS = _GEN_KEYS + ("train_fraction",)
+# The train keys in echo order: the run sets the seed and each command the stage.
+_TRAIN_KEYS = sorted(f.name for f in fields(TrainConfig) if f.name not in ("seed", "stage"))
 
 
 def _typed(where: str, value, like):
@@ -150,7 +133,7 @@ class RunConfig:
     mvs: MvsConfig = field(default_factory=MvsConfig)
     alpha: float = 0.3
     epsilon: float = 0.1
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(**_TRAIN_DEFAULTS))
+    train: TrainConfig = field(default_factory=TrainConfig)
     n_group_identities: int = GenConfig.n_group_identities
     members_min: int = GenConfig.members_min
     n_cameras: int = GenConfig.n_cameras
@@ -175,7 +158,12 @@ class RunConfig:
         self.mvs.validate()
         self.gen_config().validate()
         self.model_base().validate()
-        self.train_config(1).validate()
+        train = self.train_config(1)
+        train.validate()
+        try:
+            train.scaled()
+        except ValueError as e:
+            raise ValueError(f"train.scale_factor {train.scale_factor} collapses the schedule: {e}") from None
 
     # resolved component configs -------------------------------------------
 
@@ -220,7 +208,7 @@ class RunConfig:
             "losses": {"alpha": self.alpha, "epsilon": self.epsilon},
             "train": {
                 k: (list(v) if isinstance(v := getattr(self.train, k), tuple) else v)
-                for k in sorted(_TRAIN_DEFAULTS)
+                for k in _TRAIN_KEYS
             },
             "data": {k: getattr(self, k) for k in _DATA_KEYS},
         }
@@ -400,15 +388,13 @@ def _write_json(path: str, doc: dict) -> None:
         raise CliError(EXIT_IO, f"cannot write {path}: {e}") from e
 
 
-def _check_data_matches_config(cfg: RunConfig, ds: Dataset) -> None:
-    if ds.d_a != cfg.d_a:
-        raise CliError(EXIT_CONFIG, f"config d_a={cfg.d_a} but dataset has d_a={ds.d_a}")
-    largest = max(len(s.members) for s in ds.samples)
-    if largest > cfg.m0:
-        raise CliError(EXIT_CONFIG, f"dataset has {largest}-member views but config M0={cfg.m0}")
-    widest = max(len(r) for r in ds.group_rosters().values())
-    if widest > cfg.k_slots:
-        raise CliError(EXIT_CONFIG, f"dataset has {widest}-member rosters but config K={cfg.k_slots}")
+def _check_data_fits(ds: Dataset, samples, d_a: int, m0: int) -> None:
+    """The dataset's appearance width and the largest of ``samples`` fit the model."""
+    if ds.d_a != d_a:
+        raise CliError(EXIT_CONFIG, f"config d_a={d_a} but dataset has d_a={ds.d_a}")
+    largest = max(len(s.members) for s in samples)
+    if largest > m0:
+        raise CliError(EXIT_CONFIG, f"dataset has {largest}-member views but config M0={m0}")
 
 
 def cmd_gen_data(args) -> int:
@@ -428,10 +414,13 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     ds = _load_data(args.data)
-    _check_data_matches_config(cfg, ds)
+    _check_data_fits(ds, ds.samples, cfg.d_a, cfg.m0)
+    rosters = ds.group_rosters()
+    widest = max(len(r) for r in rosters.values())
+    if widest > cfg.k_slots:
+        raise CliError(EXIT_CONFIG, f"dataset has {widest}-member rosters but config K={cfg.k_slots}")
     train_gids, _ = split_train_test(ds, cfg.train_fraction)
     train_samples = [s for s in ds.samples if s.group_id in set(train_gids)]
-    rosters = ds.group_rosters()
     mvs_cfg = cfg.mvs if cfg.mvs_enabled else None
     model_cfg = cfg.model_config(ds, n_group_classes=len(train_gids))
 
@@ -496,6 +485,8 @@ def cmd_eval(args) -> int:
         refined, quantity = bool(modules["grce"]), bool(modules["mvs"])
     _, test_gids = split_train_test(ds, fraction)
     test_samples = [s for s in ds.samples if s.group_id in set(test_gids)]
+    # eval reads no text, so only the views it featurizes must fit the checkpoint
+    _check_data_fits(ds, test_samples, state.config.d_a, state.config.max_members)
     report = evaluate(state, test_samples, args.query_camera, refined=refined, quantity=quantity)
     print(json.dumps(report.to_dict()))
     if args.out:

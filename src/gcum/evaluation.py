@@ -161,52 +161,26 @@ ABLATION_ROWS: tuple[tuple[str, bool, bool, bool], ...] = (
 _METRICS = ("rank1", "rank5", "rank10", "mAP")
 
 
-def run_single(
-    ds: Dataset,
-    model_base: ModelConfig,
-    train_base: TrainConfig,
-    seed: int,
-    *,
-    use_gla: bool,
-    use_mvs: bool,
-    use_grce: bool,
-    mvs_cfg: MvsConfig | None = None,
-    alpha: float = 0.3,
-    epsilon: float = 0.1,
-    train_fraction: float = 0.7,
-    query_camera: int = 0,
-) -> RetrievalReport:
-    """Train the selected modules from scratch and evaluate on the test split.
-
-    Without prompt learning there is nothing for stage 1 to optimize, so
-    the count matrix keeps its neutral zero initialization; without the
-    refinement head there is no stage 2.  Stage 2 drops the image-text
-    term when no prompts were learned.  With neither the count term nor the
-    refinement head nothing reads what stage 1 trains, so it is skipped.
-    """
-    (report,) = _run_rows(
-        ds, model_base, train_base, seed, [(use_gla, use_mvs, use_grce)],
-        mvs_cfg=mvs_cfg, alpha=alpha, epsilon=epsilon,
-        train_fraction=train_fraction, query_camera=query_camera,
-    )
-    return report
-
-
-def _run_rows(
+def run_rows(
     ds: Dataset,
     model_base: ModelConfig,
     train_base: TrainConfig,
     seed: int,
     rows: Sequence[tuple[bool, bool, bool]],
     *,
-    mvs_cfg: MvsConfig | None,
-    alpha: float,
-    epsilon: float,
-    train_fraction: float,
-    query_camera: int,
+    mvs_cfg: MvsConfig | None = None,
+    alpha: float = 0.3,
+    epsilon: float = 0.1,
+    train_fraction: float = 0.7,
+    query_camera: int = 0,
 ) -> list[RetrievalReport]:
-    """``run_single`` for each ``(use_gla, use_mvs, use_grce)`` of ``rows``.
+    """Train each ``(use_gla, use_mvs, use_grce)`` of ``rows`` from scratch and evaluate it.
 
+    Without prompt learning there is nothing for stage 1 to optimize, so
+    the count matrix keeps its neutral zero initialization; without the
+    refinement head there is no stage 2.  Stage 2 drops the image-text
+    term when no prompts were learned.  With neither the count term nor the
+    refinement head nothing reads what stage 1 trains, so it is skipped.
     Rows with prompt learning and the same ``use_mvs`` run the same stage
     1, so it is trained once and shared.  The order of the rows does not
     matter: training never writes a parameter in place, and each stage
@@ -268,7 +242,7 @@ def run_ablation(
     if len(seeds) < 3:
         raise ValueError("ablation averaging needs at least three seeds")
     per_seed = [
-        _run_rows(
+        run_rows(
             ds, model_base, train_base, seed, [flags for _, *flags in ABLATION_ROWS],
             mvs_cfg=mvs_cfg, alpha=alpha, epsilon=epsilon,
             train_fraction=train_fraction, query_camera=query_camera,

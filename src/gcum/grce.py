@@ -14,9 +14,11 @@ same bits whatever else shares its call, because attention and the
 count term work block by block at that width and a row-wise product
 never sees a single row (``encoders.project``).
 
-Training sees each view under a handful of masks, again and again, and
-the member encoder and the first group block run on frozen weights;
-``VisualMemo`` does that work once per (view, mask) for one training run.
+``group_features`` is the way in for eval.  Training sees each view
+under a handful of masks, again and again, and the member encoder and
+the first group block run on frozen weights; ``VisualMemo`` does that
+work once per (view, mask) for one training run and shares the rest of
+the pipeline with ``group_features``.
 
 Canonical ordering makes every stage independent of the order members
 appear in a sample.  Rows are sorted lexicographically by value before
@@ -58,15 +60,15 @@ def canonical_order(rows: np.ndarray, segments: np.ndarray | None = None) -> lis
 
 
 def refine(group_features: Tensor, member_features: Tensor, state: ModelState,
-           counts: Sequence[int] | None = None) -> Tensor:
+           counts: Sequence[int]) -> Tensor:
     """Cross-attend each pooled group feature over its own member features.
 
     ``group_features`` stacks B views' features, ``member_features`` their
-    ``counts[i]`` member rows each (an equal split by default), view after
-    view.  A view's group feature is the query over its members, set in
-    ``max_members`` masked slots, with scores scaled by 1/sqrt(dim).  The
-    context is added residually and the result re-normalized, so zero
-    attention weights leave the input unchanged.
+    ``counts[i]`` member rows each, view after view.  A view's group
+    feature is the query over its members, set in ``max_members`` masked
+    slots, with scores scaled by 1/sqrt(dim).  The context is added
+    residually and the result re-normalized, so zero attention weights
+    leave the input unchanged.
     """
     if group_features.ndim != 2 or member_features.ndim != 2:
         raise ShapeError("group and member features must be matrices")
@@ -74,7 +76,7 @@ def refine(group_features: Tensor, member_features: Tensor, state: ModelState,
     if group_features.shape[1] != dim or member_features.shape[1] != dim:
         raise ShapeError("feature width does not match the model dimension")
     b, rows = group_features.shape[0], member_features.shape[0]
-    counts = np.asarray([rows // max(b, 1)] * b if counts is None else counts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     if not b or counts.shape != (b,) or counts.sum() != rows or not 1 <= counts.min() <= counts.max() <= slots:
         raise ShapeError(f"{rows} member rows do not split over {b} views of 1 to {slots} members")
     p = state.params
@@ -91,40 +93,27 @@ def refine(group_features: Tensor, member_features: Tensor, state: ModelState,
     return dc.l2_normalize(dc.add(group_features, dc.gather_rows(context, np.arange(b) * slots)))
 
 
-def _select(appearances: np.ndarray, sizes: Sequence[int], identity_ids: Sequence[int],
-            masks: Sequence[Mask | None]) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
-    """Each view's retained rows of ``appearances`` in canonical order, and their identities.
+def _select(samples: Sequence[GroupSample], masks: Sequence[Mask | None]
+            ) -> tuple[Tensor, list[int], list[tuple[int, ...]]]:
+    """The views' retained appearance rows, view after view in canonical order.
 
-    View i owns the next ``sizes[i]`` rows; ``masks[i]`` (None keeps all) indexes them.
+    ``masks[i]`` (None keeps all) indexes the members of ``samples[i]``.
+    Returns the rows as one constant, each view's retained count, and each
+    view's member identities in row order.
     """
-    if len(identity_ids) != appearances.shape[0] or sum(sizes) != appearances.shape[0]:
-        raise ValueError("one identity per appearance row required")
-    bits: list[int] = []
-    for n, mask in zip(sizes, masks, strict=True):
-        mask = full_mask(n) if mask is None else mask
-        if len(mask) != n:
-            raise ValueError(f"mask covers {len(mask)} members, sample has {n}")
-        bits += mask.bits
-    kept = np.flatnonzero(bits)
-    view = np.repeat(np.arange(len(sizes)), sizes)[kept]
-    ordered = kept[canonical_order(appearances[kept], view)]
-    rows = np.split(ordered, np.cumsum(np.bincount(view, minlength=len(sizes)))[:-1])
-    ids = np.asarray(identity_ids)
-    return rows, [tuple(int(i) for i in ids[r]) for r in rows]
-
-
-def _table(samples: Sequence[GroupSample], masks) -> tuple[Tensor, list[np.ndarray], list]:
-    """The samples' appearance rows stacked, and `_select` over them."""
-    members = [m for s in samples for m in s.members]
-    table = dc.constant(np.stack([m.appearance for m in members]))
-    sizes = [len(s.members) for s in samples]
-    return (table, *_select(table.values, sizes, [m.identity_id for m in members], masks))
-
-
-def _encode(table: Tensor, rows: Sequence[np.ndarray], state: ModelState) -> tuple[Tensor, Tensor]:
-    """Member features of the listed views, stacked view after view, and their block-1 output."""
-    feats = encode_members(dc.gather_rows(table, np.concatenate(rows)), state)
-    return feats, encode_group_prefix(feats, state, [len(r) for r in rows])
+    kept: list = []
+    counts: list[int] = []
+    for sample, mask in zip(samples, masks, strict=True):
+        mask = full_mask(len(sample.members)) if mask is None else mask
+        if len(mask) != len(sample.members):
+            raise ValueError(f"mask covers {len(mask)} members, sample has {len(sample.members)}")
+        kept += [m for m, bit in zip(sample.members, mask.bits) if bit]
+        counts.append(mask.retained)
+    rows = np.stack([m.appearance for m in kept])
+    order = canonical_order(rows, np.repeat(np.arange(len(counts)), counts))
+    ids = [kept[i].identity_id for i in order]
+    ends = np.cumsum(counts)
+    return dc.constant(rows[order]), counts, [tuple(ids[e - k:e]) for e, k in zip(ends, counts)]
 
 
 def _featurize(counts: Sequence[int], members: Tensor, block1: Tensor, state: ModelState, *,
@@ -146,73 +135,40 @@ def group_features(
     """Group features of dataset views, all in one stack.
 
     ``masks`` (all kept by default) drop members before anything is
-    encoded.  Returns the (n, dim) group features, refined on request, and
-    the member rows, both in sample order, and each view's member
-    identities in row order.
+    encoded, so a dropped member influences neither the value nor the
+    gradient of anything downstream.  Returns the (n, dim) group features,
+    refined on request, and the member rows, both in sample order, and
+    each view's member identities in row order.
     """
-    table, rows, row_ids = _table(samples, masks or [None] * len(samples))
-    members, block1 = _encode(table, rows, state)
-    features = _featurize([len(r) for r in rows], members, block1, state,
-                          quantity=quantity, refined=refined)
+    rows, counts, row_ids = _select(samples, masks or [None] * len(samples))
+    members = encode_members(rows, state)
+    block1 = encode_group_prefix(members, state, counts)
+    features = _featurize(counts, members, block1, state, quantity=quantity, refined=refined)
     return features, members, row_ids
-
-
-def group_visual_from_matrix(
-    appearances: Tensor,
-    identity_ids: Sequence[int],
-    state: ModelState,
-    mask: Mask | None = None,
-    *,
-    quantity: bool = True,
-) -> tuple[Tensor, Tensor, tuple[int, ...]]:
-    """One view's pooled feature from an appearance matrix, the n = 1 case.
-
-    ``mask`` bits index the rows of ``appearances``.  Dropped rows are
-    removed before any encoding, so they influence neither the value nor
-    the gradient of anything downstream.  Returns the (1, dim) feature,
-    the member rows in canonical order, and their identities.
-    """
-    rows, (row_ids,) = _select(appearances.values, [appearances.shape[0]], identity_ids, [mask])
-    members, block1 = _encode(appearances, rows, state)
-    features = _featurize([len(rows[0])], members, block1, state, quantity=quantity, refined=False)
-    return features, members, row_ids
-
-
-def group_forward(
-    sample: GroupSample,
-    state: ModelState,
-    mask: Mask | None = None,
-    *,
-    quantity: bool = True,
-    refined: bool = True,
-) -> Tensor:
-    """Full pipeline for one view: its (dim,) group feature, refined on request."""
-    features, _, _ = group_features([sample], state, [mask], quantity=quantity, refined=refined)
-    return dc.reduce_sum(features, axis=0)  # the one row, as a vector
 
 
 class VisualMemo:
     """``group_features`` for the views of one training run, frozen work done once.
 
     The member encoder and block 1 run on frozen weights, so their output
-    is kept per (sample index, mask bits) as one array, [member features;
-    live block-1 rows], next to the member identities.  A call encodes its
-    misses together and runs the rest (count term, block 2, readout,
-    refinement) on one padded stack, so the count matrix and the
-    refinement head can train.  The encoders must stay frozen, which is
-    checked.  Build one per training call over that call's sample list.
+    is kept per (sample index, mask bits): the member identities, the
+    member features and the view's padded block-1 block.  A call encodes
+    its misses together, concatenates its entries into one padded stack
+    and runs the rest (count term, block 2, readout, refinement) on it, so
+    the count matrix and the refinement head can train.  The encoders
+    must stay frozen, which is checked.  Build one per training call over
+    that call's sample list.
     """
 
     def __init__(self, samples: Sequence[GroupSample], *, quantity: bool):
         self.samples = samples
         self.quantity = quantity
-        self._memo: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], np.ndarray]] = {}
+        self._memo: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], np.ndarray, np.ndarray]] = {}
 
     def __call__(
         self, indices: Sequence[int], masks: Sequence[Mask], state: ModelState, *, refined: bool = False
     ) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
         """The ``group_features`` result for ``samples[indices]`` under ``masks``."""
-        slots, dim = state.config.max_members, state.config.dim
         keys = [(int(i), m.bits) for i, m in zip(indices, masks, strict=True)]
         new = [key for key in dict.fromkeys(keys) if key not in self._memo]
         if new:
@@ -220,18 +176,14 @@ class VisualMemo:
                          if n.startswith(("member.", "group.")) and p.requires_grad]
             if trainable:
                 raise ValueError(f"frozen visual work needs frozen encoders; trainable: {trainable}")
-            table, rows, row_ids = _table([self.samples[i] for i, _ in new],
-                                          [Mask(bits) for _, bits in new])
-            feats, block1 = _encode(table, rows, state)
-            members = np.split(feats.values, np.cumsum([len(r) for r in rows])[:-1])
-            self._memo.update((key, (ids, np.concatenate([m, b[:len(m) + 1]]))) for key, ids, m, b in
-                              zip(new, row_ids, members, block1.values.reshape(len(new), slots + 1, dim)))
-        counts = [m.retained for m in masks]
-        entries = [self._memo[key][1] for key in keys]
-        block1 = np.zeros((len(keys), slots + 1, dim))
-        for block, entry, k in zip(block1, entries, counts):
-            block[:k + 1] = entry[k:]
-        members = dc.constant(np.concatenate([e[:k] for e, k in zip(entries, counts)]))
-        features = _featurize(counts, members, dc.constant(block1.reshape(-1, dim)), state,
-                              quantity=self.quantity, refined=refined)
-        return features, members, [self._memo[key][0] for key in keys]
+            rows, counts, row_ids = _select([self.samples[i] for i, _ in new],
+                                            [Mask(bits) for _, bits in new])
+            feats = encode_members(rows, state)
+            members = np.split(feats.values, np.cumsum(counts)[:-1])
+            blocks = encode_group_prefix(feats, state, counts).values.reshape(len(new), -1, state.config.dim)
+            self._memo.update(zip(new, zip(row_ids, members, blocks)))
+        row_ids, members, blocks = zip(*(self._memo[key] for key in keys))
+        members = dc.constant(np.concatenate(members))
+        features = _featurize([m.retained for m in masks], members, dc.constant(np.concatenate(blocks)),
+                              state, quantity=self.quantity, refined=refined)
+        return features, members, list(row_ids)

@@ -31,7 +31,7 @@ from gcum.evaluation import (
     mean_average_precision,
     rank_gallery,
     run_ablation,
-    run_single,
+    run_rows,
 )
 from gcum.mvs import Mask, MvsConfig, full_mask, sample_drop_prob, sample_mask
 from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
@@ -182,34 +182,44 @@ def test_criterion_04_masking_invariance():
     others = [s for s in ds.samples if s.group_id == other_gid][:2]
     mask = Mask((1, 0, 1))
 
-    # same view with the dropped member's appearance garbled
-    garbled_members = tuple(
-        Member(m.identity_id, m.appearance + 41.5) if i == 1 else m
-        for i, m in enumerate(sample.members)
-    )
-    garbled = GroupSample(sample.group_id, sample.camera_id, garbled_members)
+    def garble(i):
+        """The view with member i's appearance garbled."""
+        members = tuple(Member(m.identity_id, m.appearance + 41.5) if j == i else m
+                        for j, m in enumerate(sample.members))
+        return GroupSample(sample.group_id, sample.camera_id, members)
+
+    def backward(loss_fn, trainable):
+        """The loss value and every trainable gradient of one recorded loss."""
+        state.set_trainable(trainable)
+        for p in state.params.values():
+            p.grad = None
+        with dc.Graph() as graph:
+            loss = loss_fn()
+        graph.backward(loss)
+        return loss.item(), {n: state.params[n].grad for n in trainable}
 
     def outputs(s):
         v, feats, _ = grce.group_features([s], state, [mask], quantity=True)
-        refined = grce.refine(v, feats, state)
+        refined = grce.refine(v, feats, state, [mask.retained])
         batch = [s, peer] + others
         masks = [mask] + [full_mask(len(b.members)) for b in batch[1:]]
         # the losses take their views from a memo, as in training
         memo = grce.VisualMemo(batch, quantity=True)
         indices = range(len(batch))
-        state.set_trainable(STAGE1_TRAINABLE)
-        l1 = gla.stage1_batch_loss(batch, *memo(indices, masks, state), state, rosters)[0].item()
+        l1, g1 = backward(lambda: gla.stage1_batch_loss(
+            batch, *memo(indices, masks, state), state, rosters)[0], STAGE1_TRAINABLE)
         gids = sorted({b.group_id for b in batch})
         class_index = {g: i for i, g in enumerate(gids)}
         text_rows = dc.constant(gla.class_text_features(state, gids, rosters).values)
-        state.set_trainable(STAGE2_TRAINABLE)
-        features = memo(indices, masks, state, refined=True)[0]
-        l2 = losses_mod.stage2_batch_loss(batch, features, state, class_index,
-                                          text_rows)[0].item()
-        return feats.values, v.values, refined.values, l1, l2
+        l2, g2 = backward(lambda: losses_mod.stage2_batch_loss(
+            batch, memo(indices, masks, state, refined=True)[0], state, class_index,
+            text_rows)[0], STAGE2_TRAINABLE)
+        grads = {(1, n): g for n, g in g1.items()} | {(2, n): g for n, g in g2.items()}
+        return feats.values, v.values, refined.values, l1, l2, grads
 
+    # same view with the dropped member's appearance garbled
     base = outputs(sample)
-    pert = outputs(garbled)
+    pert = outputs(garble(1))
     identical = (
         np.array_equal(base[0], pert[0])
         and np.array_equal(base[1], pert[1])
@@ -218,25 +228,20 @@ def test_criterion_04_masking_invariance():
         and base[4] == pert[4]
     )
 
-    # gradient support: dropped appearance rows receive exactly zero
-    appearances = Tensor(np.stack([m.appearance for m in sample.members]),
-                         requires_grad=True)
-    ids = [m.identity_id for m in sample.members]
-    probe = dc.constant(np.linspace(-1.0, 1.0, state.config.dim))
-    with dc.Graph() as graph:
-        v, feats, _ = grce.group_visual_from_matrix(appearances, ids, state, mask,
-                                                    quantity=True)
-        refined = grce.refine(v, feats, state)
-        loss = dc.reduce_sum(dc.mul(refined, probe))
-    graph.backward(loss)
-    grad = appearances.grad
-    zero_grad = (grad is not None
-                 and np.array_equal(grad[1], np.zeros_like(grad[1]))
-                 and np.any(grad[0] != 0.0))
+    # gradient support: every trainable gradient of both losses is the same
+    # bits, none of them is zero, and garbling a retained member moves them all
+    grads, pert_grads = base[5], pert[5]
+    live = all(g is not None and np.any(g != 0.0) for g in grads.values())
+    same_grads = live and all(pert_grads[k] is not None and grads[k].tobytes() == pert_grads[k].tobytes()
+                             for k in grads)
+    retained_grads = outputs(garble(0))[5]
+    seen = live and all(retained_grads[k] is not None and not np.array_equal(grads[k], retained_grads[k])
+                        for k in grads)
 
-    ok = identical and zero_grad
+    ok = identical and same_grads and seen
     _verdict(4, "dropped members cannot influence anything",
-             ok, f"bit_identical={identical}, dropped_grad_zero={zero_grad}")
+             ok, f"bit_identical={identical}, {len(grads)} gradients live={live}, "
+                 f"identical={same_grads}, moved by a retained member={seen}")
 
 
 def test_criterion_05_structural_invariances():
@@ -245,11 +250,11 @@ def test_criterion_05_structural_invariances():
     v = rng.normal(size=(1, 8))
     v /= np.linalg.norm(v)
     feats = rng.normal(size=(3, 8))
-    base = grce.refine(dc.constant(v), dc.constant(feats), state).values
+    base = grce.refine(dc.constant(v), dc.constant(feats), state, [3]).values
     refine_ok = all(
         np.array_equal(
             base,
-            grce.refine(dc.constant(v), dc.constant(feats[list(p)]), state).values,
+            grce.refine(dc.constant(v), dc.constant(feats[list(p)]), state, [3]).values,
         )
         for p in ([1, 0, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1], [0, 2, 1])
     )
@@ -272,6 +277,7 @@ def test_criterion_06_freeze_discipline():
     cfg = TrainConfig(
         lr_start=1e-4, lr_peak=1e-3, warmup_epochs=2, decay_epochs=(),
         total_epochs=5, batch_size=4, p_groups=2, q_views=2, seed=3, stage=1,
+        scale_factor=1.0,
     )
     # the trainer audits gradient support at every step and raises on leaks
     state1, hist1 = train_stage1(state, ds.samples, rosters, cfg,
@@ -340,9 +346,8 @@ def test_criterion_08_ablation_trend():
     ds = generate_dataset(cfg.gen_config(), cfg.seed)
 
     t0 = time.perf_counter()
-    run_single(
-        ds, cfg.model_base(), cfg.train_config(1), seed=0,
-        use_gla=True, use_mvs=True, use_grce=True,
+    run_rows(
+        ds, cfg.model_base(), cfg.train_config(1), 0, [(True, True, True)],
         mvs_cfg=cfg.mvs, alpha=cfg.alpha, epsilon=cfg.epsilon,
         train_fraction=cfg.train_fraction,
     )

@@ -182,6 +182,19 @@ def test_gen_data_rejects_single_member_groups(tmp_path, capsys):
     assert "M0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale_factor", [0.01, 0.02, 0.03])
+def test_gen_data_rejects_a_scale_factor_that_collapses_the_schedule(tmp_path, capsys, scale_factor):
+    # the user's decay epochs are valid; compressed, they collide or reach the end
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({"train": {"scale_factor": scale_factor}}))
+    out = tmp_path / "d.json"
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"train.scale_factor {scale_factor} collapses the schedule" in capsys.readouterr().err
+    assert not out.exists()
+    path.write_text(json.dumps({"train": {"scale_factor": 0.05}}))
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == EXIT_OK
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     code = main(["gen-data", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d.json")])
     assert code == EXIT_IO
@@ -350,6 +363,41 @@ def test_eval_missing_checkpoint_exits_4(tmp_path, small_config):
     data = _gen(tmp_path, small_config)
     assert main(["eval", "--checkpoint", str(tmp_path / "ghost.ckpt"),
                  "--data", data]) == EXIT_CHECKPOINT
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"M0": 6, "K": 6}, "-member views but config M0=3"),
+    ({"d_a": 9}, "config d_a=6 but dataset has d_a=9"),
+])
+def test_eval_rejects_data_the_checkpoint_cannot_read(tmp_path, small_config, capsys, data, message):
+    s1 = str(tmp_path / "s1.ckpt")
+    main(["train", "--stage", "1", "--config", small_config, "--data", _gen(tmp_path, small_config),
+          "--out", s1])
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps({**_SMALL, **data, "data": {"n_group_identities": 20}}))
+    other = str(tmp_path / "other-data.json")
+    assert main(["gen-data", "--config", str(path), "--out", other]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", s1, "--data", other]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_eval_reads_rosters_wider_than_k(tmp_path, small_config, capsys):
+    # eval encodes no group prompt, so a roster wider than K is no error
+    data = _gen(tmp_path, small_config)
+    s1 = str(tmp_path / "s1.ckpt")
+    main(["train", "--stage", "1", "--config", small_config, "--data", data, "--out", s1])
+    doc = json.loads(open(data).read())
+    fresh = iter(range(1000, 10000))
+    for sample in doc["samples"]:
+        for member in sample["members"]:
+            member["identity_id"] = next(fresh)
+    wide = str(tmp_path / "wide.json")
+    Path(wide).write_text(json.dumps(doc))
+    assert main(["train", "--stage", "1", "--config", small_config, "--data", wide,
+                 "--out", str(tmp_path / "x.ckpt")]) == EXIT_CONFIG
+    assert "rosters but config K=3" in capsys.readouterr().err
+    assert main(["eval", "--checkpoint", s1, "--data", wide]) == EXIT_OK
 
 
 def _damage_sidecar(path: str, damage: str) -> None:

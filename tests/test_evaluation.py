@@ -18,9 +18,9 @@ from gcum.evaluation import (
     mean_average_precision,
     rank_gallery,
     run_ablation,
-    run_single,
+    run_rows,
 )
-from gcum.grce import group_forward
+from gcum.grce import group_features
 from gcum.synthdata import (
     GenConfig,
     GroupSample,
@@ -252,8 +252,8 @@ def test_extract_features_matches_single_sample_forward():
     feats = extract_features(state, ds.samples[:4], refined=True, quantity=True)
     assert feats.shape == (4, 8)
     assert np.allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
-    one = group_forward(ds.samples[2], state, None, quantity=True, refined=True)
-    assert np.array_equal(feats[2], one.values)
+    one, _, _ = group_features([ds.samples[2]], state, quantity=True, refined=True)
+    assert np.array_equal(feats[2], one.values[0])
 
 
 def test_evaluate_splits_by_camera():
@@ -341,7 +341,7 @@ def _short_cfg(**overrides):
 
 
 def _model_base():
-    # person id and class counts are resolved per dataset inside run_single
+    # person id and class counts are resolved per dataset inside run_rows
     return ModelConfig(
         dim=8,
         d_a=6,
@@ -355,10 +355,7 @@ def _model_base():
 
 def test_run_single_without_modules_is_pure_evaluation():
     ds, _ = _eval_setup()
-    report = run_single(
-        ds, _model_base(), _short_cfg(), seed=1,
-        use_gla=False, use_mvs=False, use_grce=False,
-    )
+    report = run_rows(ds, _model_base(), _short_cfg(), 1, [(False, False, False)])[0]
     train_gids, test_gids = split_train_test(ds, 0.7)
     state = init_model_state(
         ModelConfig(
@@ -377,14 +374,8 @@ def test_member_dropout_alone_matches_base():
     # the count matrix starts at zero and nothing trains it without prompt
     # learning, so enabling the count term alone cannot change features
     ds, _ = _eval_setup(noise=0.1)
-    base = run_single(
-        ds, _model_base(), _short_cfg(), seed=2,
-        use_gla=False, use_mvs=False, use_grce=False,
-    )
-    mvs_only = run_single(
-        ds, _model_base(), _short_cfg(), seed=2,
-        use_gla=False, use_mvs=True, use_grce=False,
-    )
+    base = run_rows(ds, _model_base(), _short_cfg(), 2, [(False, False, False)])[0]
+    mvs_only = run_rows(ds, _model_base(), _short_cfg(), 2, [(False, True, False)])[0]
     assert base.to_dict() == mvs_only.to_dict()
 
 
@@ -407,10 +398,8 @@ def test_prompt_learning_alone_matches_base():
                           extract_features(state, test, refined=False, quantity=False))
     kwargs = dict(mvs_cfg=cfg.mvs, alpha=cfg.alpha, epsilon=cfg.epsilon,
                   train_fraction=cfg.train_fraction)
-    gla_only = run_single(ds, cfg.model_base(), cfg.train_config(1), 0,
-                          use_gla=True, use_mvs=False, use_grce=False, **kwargs)
-    base = run_single(ds, cfg.model_base(), cfg.train_config(1), 0,
-                      use_gla=False, use_mvs=False, use_grce=False, **kwargs)
+    gla_only = run_rows(ds, cfg.model_base(), cfg.train_config(1), 0, [(True, False, False)], **kwargs)[0]
+    base = run_rows(ds, cfg.model_base(), cfg.train_config(1), 0, [(False, False, False)], **kwargs)[0]
     assert gla_only == base
 
 
@@ -445,8 +434,7 @@ def test_run_ablation_trains_each_stage1_once(monkeypatch):
     rows = {r["name"]: r for r in run_ablation(ds, _model_base(), _short_cfg(), seeds=(0, 1, 2))}
     assert sorted(calls) == [0, 1, 2]
     for seed, shared in zip((0, 1, 2), rows["Full"]["per_seed"]):
-        alone = run_single(ds, _model_base(), _short_cfg(), seed=seed,
-                           use_gla=True, use_mvs=True, use_grce=True)
+        alone = run_rows(ds, _model_base(), _short_cfg(), seed, [(True, True, True)])[0]
         assert shared == alone.to_dict()
 
 

@@ -11,8 +11,6 @@ from gcum.grce import (
     VisualMemo,
     canonical_order,
     group_features,
-    group_forward,
-    group_visual_from_matrix,
     refine,
 )
 from gcum.losses import stage2_batch_loss
@@ -49,7 +47,7 @@ def test_refine_output_is_unit_norm():
     rng = np.random.default_rng(0)
     v = Tensor(unit(rng.normal(size=8))[None])
     feats = Tensor(rng.normal(size=(3, 8)))
-    out = refine(v, feats, state)
+    out = refine(v, feats, state, [3])
     assert out.shape == (1, 8)
     assert np.linalg.norm(out.values) == pytest.approx(1.0, abs=1e-12)
 
@@ -59,10 +57,10 @@ def test_refine_is_exactly_permutation_invariant():
     rng = np.random.default_rng(1)
     v = Tensor(unit(rng.normal(size=8))[None])
     feats = rng.normal(size=(4, 8))
-    base = refine(v, Tensor(feats), state)
+    base = refine(v, Tensor(feats), state, [4])
     for perm_seed in range(5):
         perm = np.random.default_rng(perm_seed).permutation(4)
-        out = refine(v, Tensor(feats[perm]), state)
+        out = refine(v, Tensor(feats[perm]), state, [4])
         assert np.array_equal(out.values, base.values)
 
 
@@ -72,16 +70,16 @@ def test_refine_with_zero_weights_is_the_identity():
     state = state.with_params({"grce.wq": zeros, "grce.wk": zeros, "grce.wv": zeros})
     v = Tensor(unit([1.0, 2.0, 0.5, -1.0, 0.0, 3.0, -2.0, 1.0])[None])
     feats = Tensor(np.random.default_rng(2).normal(size=(3, 8)))
-    out = refine(v, feats, state)
+    out = refine(v, feats, state, [3])
     assert np.allclose(out.values, v.values, rtol=0.0, atol=1e-14)
 
 
 def test_refine_shape_errors():
     state = small_state()
     with pytest.raises(ShapeError):
-        refine(Tensor(np.ones((2, 8))), Tensor(np.ones((3, 8))), state)
+        refine(Tensor(np.ones((2, 8))), Tensor(np.ones((3, 8))), state, [1, 1])
     with pytest.raises(ShapeError):
-        refine(Tensor(unit(np.ones(8))), Tensor(np.ones((3, 7))), state)
+        refine(Tensor(unit(np.ones(8))), Tensor(np.ones((3, 7))), state, [3])
 
 
 def _sample_from(ds):
@@ -180,27 +178,37 @@ def test_group_visual_row_ids_follow_canonical_order():
 def test_dropped_member_cannot_influence_anything():
     state = small_state()
     rng = np.random.default_rng(3)
-    app = rng.normal(size=(3, 5))
-    ids = [0, 1, 2]
+    members = tuple(Member(i, a) for i, a in enumerate(rng.normal(size=(3, 5))))
     mask = Mask((1, 0, 1))
 
-    base_in = Tensor(app, requires_grad=True)
-    with dc.Graph() as g:
-        v, feats, row_ids = group_visual_from_matrix(base_in, ids, state, mask)
-        refined = refine(v, feats, state)
-        loss = dc.reduce_sum(refined)
-    g.backward(loss)
-    assert np.array_equal(base_in.grad[1], np.zeros(5))
-    assert np.any(base_in.grad[0]) and np.any(base_in.grad[2])
+    def garbled(i):
+        return tuple(Member(m.identity_id, m.appearance + 17.0) if j == i else m
+                     for j, m in enumerate(members))
 
-    poked = app.copy()
-    poked[1] += 17.0
-    v2, feats2, row_ids2 = group_visual_from_matrix(Tensor(poked), ids, state, mask)
-    refined2 = refine(v2, feats2, state)
-    assert row_ids == row_ids2
-    assert np.array_equal(v.values, v2.values)
-    assert np.array_equal(feats.values, feats2.values)
-    assert np.array_equal(refined.values, refined2.values)
+    # every parameter trains, the frozen encoders too
+    state.set_trainable(state.params)
+    probe = dc.constant(np.linspace(-1.0, 1.0, 8))
+
+    def run(members):
+        for p in state.params.values():
+            p.grad = None
+        with dc.Graph() as g:
+            v, feats, row_ids = group_features([GroupSample(0, 0, members)], state, [mask], refined=True)
+            loss = dc.reduce_sum(dc.mul(v, probe))
+        g.backward(loss)
+        return v.values, feats.values, row_ids, {n: p.grad for n, p in state.params.items()}
+
+    base = run(members)
+    assert all(g is not None and np.any(g) for n, g in base[3].items() if n.startswith(("member.", "group.")))
+    poked = run(garbled(1))
+    assert poked[2] == base[2]
+    assert np.array_equal(poked[0], base[0]) and np.array_equal(poked[1], base[1])
+    for name, grad in base[3].items():
+        assert (grad is None) == (poked[3][name] is None), name
+        assert grad is None or grad.tobytes() == poked[3][name].tobytes(), name
+    # a retained member moves the encoder gradients
+    kept = run(garbled(0))
+    assert not np.array_equal(kept[3]["member.w1"], base[3]["member.w1"])
 
 
 def test_zero_count_matrix_is_neutral():
@@ -222,17 +230,6 @@ def test_nonzero_count_matrix_changes_the_feature():
     with_term, _, _ = group_features([sample], state, quantity=True)
     without, _, _ = group_features([sample], state, quantity=False)
     assert not np.array_equal(with_term.values, without.values)
-
-
-def test_group_forward_composes_the_pipeline():
-    ds = _dataset()
-    state = small_state()
-    sample = _sample_from(ds)
-    v, feats, _ = group_features([sample], state)
-    assert np.array_equal(group_forward(sample, state, refined=False).values, v.values[0])
-    assert np.array_equal(
-        group_forward(sample, state).values, refine(v, feats, state).values[0]
-    )
 
 
 def test_single_retained_member_works():

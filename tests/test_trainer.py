@@ -58,7 +58,7 @@ def test_scaled_schedule_keeps_the_shape():
     assert quarter.decay_epochs == (8, 13)
     assert quarter.total_epochs == 20
 
-    assert TrainConfig().scaled() is not None  # identity path
+    assert TrainConfig(scale_factor=1.0).scaled() is not None  # identity path
 
     # the floor of 1 applies to non-zero counts only
     empty = TrainConfig(warmup_epochs=0, decay_epochs=(), total_epochs=0, scale_factor=0.5).scaled()
@@ -68,8 +68,13 @@ def test_scaled_schedule_keeps_the_shape():
     assert (tiny.warmup_epochs, tiny.total_epochs) == (1, 1)
 
 
+def _reference_cfg(**overrides):
+    """The paper's reference rates and schedule, uncompressed."""
+    return TrainConfig(**{"lr_start": 5e-7, "lr_peak": 5e-6, "scale_factor": 1.0, **overrides})
+
+
 def test_lr_schedule_reference_points():
-    cfg = TrainConfig()
+    cfg = _reference_cfg()
     assert lr_at_epoch(cfg, 0) == pytest.approx(5e-7)
     assert lr_at_epoch(cfg, 10) == pytest.approx(5e-6)
     assert lr_at_epoch(cfg, 30) == pytest.approx(5e-7)
@@ -79,14 +84,14 @@ def test_lr_schedule_reference_points():
 
 
 def test_lr_schedule_is_monotone_through_warmup_and_decays():
-    cfg = TrainConfig()
+    cfg = _reference_cfg()
     lrs = [lr_at_epoch(cfg, e) for e in range(cfg.total_epochs)]
     assert all(b >= a for a, b in zip(lrs[:10], lrs[1:11]))  # warmup rises
     assert all(b <= a for a, b in zip(lrs[10:], lrs[11:]))  # then never rises
 
 
 def test_lr_schedule_rejects_out_of_range_epochs():
-    cfg = TrainConfig()
+    cfg = _reference_cfg()
     with pytest.raises(ValueError):
         lr_at_epoch(cfg, -1)
     with pytest.raises(ValueError):
@@ -208,7 +213,7 @@ def _short_cfg(stage, epochs=3, **overrides):
         stage=stage,
     )
     base.update(overrides)
-    return TrainConfig(**base)
+    return _reference_cfg(**base)
 
 
 def test_stage1_moves_only_its_parameters():
