@@ -33,7 +33,7 @@ def rank_gallery(query_feats, gallery_feats, query_labels, gallery_labels) -> np
 
     ``hits[i, r]`` is true when the gallery row ranked r-th for query i
     carries query i's label.  Rows rank by cosine similarity, descending,
-    ties by ascending gallery index.
+    ties by ascending gallery index; byte-equal rows always tie.
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
@@ -47,6 +47,12 @@ def rank_gallery(query_feats, gallery_feats, query_labels, gallery_labels) -> np
     if np.max(np.abs(norms - 1.0)) > 1e-6:
         raise ValueError("retrieval expects unit-norm features")
     sims = np.matmul(g[None], q[:, :, None])[..., 0]  # a product per query: q @ g.T rounds differently
+    # a product can round by row position, so byte-equal rows take their first copy's score
+    g = np.ascontiguousarray(g)
+    _, first, copy_of = np.unique(g.view(np.dtype((np.void, g.strides[0]))), return_index=True,
+                                  return_inverse=True)
+    if first.size < g.shape[0]:
+        sims = sims[:, first[copy_of.ravel()]]
     # a relevant row's rank: rows scoring higher + equal rows before it; `at` row i lists query i's
     qi, gj = np.nonzero(np.asarray(query_labels)[:, None] == np.asarray(gallery_labels))
     slot = np.arange(qi.size) - np.searchsorted(qi, qi)
@@ -71,10 +77,15 @@ def cmc(hits: np.ndarray, k: int) -> float:
 def mean_average_precision(hits: np.ndarray) -> float:
     if hits.shape[0] == 0:
         raise ValueError("no queries")
-    relevant = np.count_nonzero(hits, axis=1)
+    qi, rank = np.nonzero(hits)
+    relevant = np.bincount(qi, minlength=hits.shape[0])
     if not relevant.all():
         raise ValueError(f"query {int(np.argmin(relevant))} has no relevant gallery entry")
-    precision = np.where(hits, np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1), 0.0)
+    # a query's n-th hit (from 0) at rank r has precision (n + 1) / (r + 1); the terms a
+    # full-width row would add between them are exact zeros, so dropping them keeps the bits
+    n = np.arange(qi.size) - np.searchsorted(qi, qi)
+    precision = np.zeros((hits.shape[0], relevant.max()))
+    precision[qi, n] = (n + 1) / (rank + 1)
     # cumsum adds left to right like a python sum; np.sum pairs terms and rounds differently
     aps = np.cumsum(precision, axis=1)[:, -1] / relevant
     return float(np.mean(aps))

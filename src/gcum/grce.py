@@ -56,6 +56,13 @@ def canonical_order(rows: np.ndarray, segments: np.ndarray | None = None) -> lis
     keys = list(rows.T[::-1])
     if segments is not None:
         keys.append(np.asarray(segments))
+    if rows.shape[1] > 1:
+        # (segment, column 0) is the whole order unless two rows of a segment share column 0
+        lead = keys[rows.shape[1] - 1:]
+        order = np.lexsort(lead)
+        ranked = [key[order] for key in lead]
+        if np.logical_or.reduce([k[1:] > k[:-1] for k in ranked]).all():
+            return order.tolist()
     return np.lexsort(keys).tolist()
 
 

@@ -185,6 +185,15 @@ def _sample_masks(batch, mvs: MvsConfig | None, rng: np.random.Generator):
     return masks
 
 
+def _largest_update(opt: OptimizerState, names: Sequence[str], lr: float | None) -> str:
+    """Which of ``names`` moved most (L2 norm of lr * velocity) in the last SGD step."""
+    if lr is None:
+        return "no SGD step has run yet"
+    norms = {n: np.nan_to_num(lr * np.linalg.norm(opt.velocity[n]), nan=np.inf) for n in names}
+    name = max(norms, key=norms.__getitem__)
+    return f"largest last update: {name}, L2 norm {norms[name]:.3g}"
+
+
 def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
     """The epoch/step loop both stages share.
 
@@ -195,7 +204,8 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
     stage 2), member rows and member identities come from one call to a
     memo that lives as long as this call, so frozen visual work is done
     once per (sample, mask) per run.  A ``NonFiniteError`` gains the stage,
-    epoch and step (both from 0) it happened at.
+    epoch and step (both from 0) it happened at, and the trainable parameter
+    whose last update was largest.
     """
     run = cfg.scaled()
     state.set_trainable(trainable)
@@ -203,6 +213,7 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(stream,)))
     memo = grce.VisualMemo(samples, quantity=mvs is not None)
     history: list[dict] = []
+    last_lr = None
     for epoch in range(run.total_epochs):
         lr = lr_at_epoch(run, epoch)
         sums: dict[str, float] = {}
@@ -219,7 +230,9 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
                 g.backward(loss)
                 state = sgd_step(state, _collect_grads(state, trainable), opt, lr, run)
             except dc.NonFiniteError as e:
-                raise dc.NonFiniteError(f"stage {cfg.stage}, epoch {epoch}, step {steps}: {e}") from e
+                raise dc.NonFiniteError(f"stage {cfg.stage}, epoch {epoch}, step {steps}: {e}; "
+                                        f"{_largest_update(opt, trainable, last_lr)}") from e
+            last_lr = lr
             for k, v in {"loss_total": loss.item(), **parts}.items():
                 sums[k] = sums.get(k, 0.0) + v
             steps += 1

@@ -255,7 +255,8 @@ def test_stage1_at_large_rates_finishes_or_reports_divergence(tmp_path, capsys, 
 
 
 def test_divergence_names_the_op_stage_epoch_and_step(tmp_path, small_config, capsys, monkeypatch):
-    from gcum import diffcore as dc, gla
+    from gcum import diffcore as dc, gla, trainer
+    from gcum.encoders import STAGE1_TRAINABLE
 
     data = _gen(tmp_path, small_config)
     args = ["train", "--stage", "1", "--config", small_config, "--data", data,
@@ -274,15 +275,36 @@ def test_divergence_names_the_op_stage_epoch_and_step(tmp_path, small_config, ca
     calls.clear()
     capsys.readouterr()
 
+    fail_at = per_epoch + 2  # the second step of the second epoch
+
     def overflowing(*a, **kw):
-        # the second step of the second epoch overflows in exp
         loss, parts = counted(*a, **kw)
-        return (dc.exp(dc.scale(loss, 1e4)) if len(calls) == per_epoch + 2 else loss), parts
+        return (dc.exp(dc.scale(loss, 1e4)) if len(calls) == fail_at else loss), parts
+
+    steps = []
+    real_step = trainer.sgd_step
+
+    def recorded(state, grads, opt, lr, cfg):
+        steps.append((opt, lr))
+        return real_step(state, grads, opt, lr, cfg)
 
     monkeypatch.setattr(gla, "stage1_batch_loss", overflowing)
+    monkeypatch.setattr(trainer, "sgd_step", recorded)
     assert main(args) == EXIT_NONFINITE
     err = capsys.readouterr().err
     assert "training diverged: stage 1, epoch 1, step 1: exp: tensor contains NaN" in err, err
+    # the update of the last step, lr * velocity, names the parameter that moved most
+    opt, lr = steps[-1]
+    moved = {n: lr * np.linalg.norm(opt.velocity[n]) for n in STAGE1_TRAINABLE}
+    largest = max(moved, key=moved.get)
+    assert moved[largest] > 0 and all(v < moved[largest] for n, v in moved.items() if n != largest)
+    assert f"largest last update: {largest}, L2 norm {moved[largest]:.3g}" in err, err
+
+    calls.clear()
+    fail_at = 1  # before any update
+    assert main(args) == EXIT_NONFINITE
+    err = capsys.readouterr().err
+    assert "training diverged: stage 1, epoch 0, step 0: exp" in err and "no SGD step has run yet" in err, err
 
 
 def test_train_same_seed_gives_identical_checkpoints(tmp_path, small_config):

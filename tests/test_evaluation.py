@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gcum import evaluation
+from gcum import evaluation, grce
 from gcum.cli import RunConfig
 from gcum.encoders import ModelConfig, init_model_state
 from gcum.evaluation import (
@@ -24,6 +24,7 @@ from gcum.grce import group_features
 from gcum.synthdata import (
     GenConfig,
     GroupSample,
+    Member,
     generate_dataset,
     split_query_gallery,
     split_train_test,
@@ -95,6 +96,21 @@ def test_rank_gallery_matches_a_stable_argsort():
     assert np.count_nonzero(np.diff(np.sort(sims, axis=1), axis=1) == 0) > 100  # exact ties
 
 
+def test_byte_equal_gallery_rows_tie():
+    # a product can round a row by its position, yet a copy of a gallery row
+    # ties with its original and so ranks right after it
+    rng = np.random.default_rng(23)
+    for n, dim in ((13, 8), (29, 48), (47, 64), (31, 8), (57, 48)):
+        base = _unit_rows(rng, n, dim)
+        idx = rng.choice(n, n // 2, replace=False)
+        g = np.concatenate([base, base[idx]])
+        g_labels = np.arange(len(g))  # base row i has label i, the copy of base[idx[t]] n + t
+        q = np.repeat(_unit_rows(rng, 10, dim), len(idx), axis=0)
+        originals = rank_gallery(q, g, np.tile(idx, 10), g_labels).argmax(axis=1)
+        copies = rank_gallery(q, g, np.tile(n + np.arange(len(idx)), 10), g_labels).argmax(axis=1)
+        assert np.array_equal(copies, originals + 1), (n, dim)
+
+
 def test_rank_gallery_rejects_bad_inputs():
     q = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError):
@@ -146,6 +162,21 @@ def test_map_hand_cases():
     assert mean_average_precision(_hits((1, (1, 1, 2, 3)), two_hits)) == pytest.approx(
         (1.0 + (1.0 + 2.0 / 3.0) / 2.0) / 2.0
     )
+
+
+def _dense_map(hits):
+    """mAP the dense way: a precision at every rank, zero off the hits, summed left to right."""
+    precision = np.where(hits, np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1), 0.0)
+    return float(np.mean(np.cumsum(precision, axis=1)[:, -1] / np.count_nonzero(hits, axis=1)))
+
+
+def test_map_is_bit_equal_to_the_dense_formula():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n_q, n_g = int(rng.integers(1, 30)), int(rng.integers(1, 400))
+        hits = rng.random((n_q, n_g)) < rng.uniform(0.0, 0.3)
+        hits[np.arange(n_q), rng.integers(0, n_g, n_q)] = True
+        assert mean_average_precision(hits).hex() == _dense_map(hits).hex()
 
 
 def test_map_requires_a_relevant_entry():
@@ -276,10 +307,13 @@ def test_untrained_model_solves_noiseless_data():
 def _enumerated_report(q_feats, q_labels, g_feats, g_labels):
     """CMC and mAP by enumeration over the same per-query products: a
     relevant row ranks one after every row scoring higher and every
-    equal-scoring row before it."""
+    equal-scoring row before it.  A byte-equal row scores as its first
+    copy, since a product may round a row by its position."""
+    first = {}
+    copy_of = [first.setdefault(row.tobytes(), j) for j, row in enumerate(g_feats)]
     first_hits, aps = [], []
     for q, label in zip(q_feats, q_labels):
-        sims = g_feats @ q
+        sims = (g_feats @ q)[copy_of]
         ranks = sorted(
             1 + int(np.sum(sims > sims[j])) + int(np.sum(sims[:j] == sims[j]))
             for j, other in enumerate(g_labels) if other == label
@@ -318,6 +352,31 @@ def test_evaluate_matches_enumeration_exactly():
     assert len(queries) > 1 and g_labels[0] != g_labels[2]
     assert all((g_feats @ q)[0] == (g_feats @ q)[2] for q in q_feats)
     assert report == _enumerated_report(q_feats, q_labels, g_feats, g_labels)
+
+
+def test_features_and_reports_keep_their_bytes_under_the_full_lexsort(monkeypatch):
+    ds, state = _eval_setup(noise=0.1)
+    # no two members of a view share appearance column 0, so the first column orders them
+    assert all(len({m.appearance[0] for m in s.members}) == len(s.members) for s in ds.samples)
+    s = next(s for s in ds.samples if len(s.members) == 2)
+    a, b = s.members
+    # its second member shares column 0 with the first, its third is the first's double
+    tied = GroupSample(s.group_id, s.camera_id, (
+        a, Member(b.identity_id, np.concatenate([a.appearance[:1], b.appearance[1:]])),
+        Member(b.identity_id + 1, a.appearance.copy())))
+
+    def outputs():
+        out = []
+        for samples in (ds.samples, ds.samples + [tied]):
+            feats, members, ids = group_features(samples, state, quantity=True, refined=True)
+            out += [feats.values.tobytes(), members.values.tobytes(), ids,
+                    evaluate(state, samples, 0, refined=True, quantity=True)]
+        return out
+
+    fast = outputs()
+    monkeypatch.setattr(grce, "canonical_order", lambda rows, segments=None: np.lexsort(
+        list(rows.T[::-1]) + ([] if segments is None else [np.asarray(segments)])).tolist())
+    assert outputs() == fast
 
 
 # --------------------------------------------------------------------------

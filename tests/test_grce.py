@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcum import diffcore as dc
 from gcum.diffcore import ShapeError, Tensor
@@ -40,6 +42,32 @@ def unit(v):
 def test_canonical_order_sorts_rows_lexicographically():
     rows = np.array([[2.0, 0.0], [1.0, 5.0], [1.0, 3.0]])
     assert canonical_order(rows) == [2, 1, 0]
+
+
+def full_lexsort(rows, segments=None):
+    """The lexsort over every column: segment id first, then column 0, 1, ..."""
+    keys = list(rows.T[::-1])
+    if segments is not None:
+        keys.append(np.asarray(segments))
+    return np.lexsort(keys).tolist()
+
+
+@st.composite
+def tie_heavy_rows(draw):
+    width = draw(st.integers(1, 4))
+    values = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), min_size=width, max_size=width)
+    rows = np.array(draw(st.lists(values, max_size=8)), dtype=np.float64).reshape(-1, width)
+    if len(rows):
+        rows = np.concatenate([rows, rows[draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]])
+    segments = draw(st.none() | st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    return rows, segments
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_rows())
+def test_canonical_order_is_the_full_lexsort(case):
+    rows, segments = case
+    assert canonical_order(rows, segments) == full_lexsort(rows, segments)
 
 
 def test_refine_output_is_unit_norm():
