@@ -299,7 +299,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
 
     def pull(g: np.ndarray):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+        return (_unbroadcast(g * bv, av.shape) if a.requires_grad else None,
+                _unbroadcast(g * av, bv.shape) if b.requires_grad else None)
 
     return _result(av * bv, (a, b), pull)
 
@@ -406,9 +407,10 @@ def gather_rows(x: Tensor, order: Sequence[int]) -> Tensor:
     xv = x.values
 
     def pull(g: np.ndarray):
-        out = np.zeros_like(xv)
-        np.add.at(out, idx, g)
-        return (out,)
+        # one bincount adds each row's terms in index order from 0.0, as np.add.at does
+        n, d = xv.shape
+        flat = (idx[:, None] * d + np.arange(d)).ravel()
+        return (np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d),)
 
     return _result(xv[idx], (x,), pull)
 
@@ -532,13 +534,14 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int, lengths=None
 
     def pull(g: np.ndarray):
         gb = g.reshape(n, length, -1)
-        gw = gb @ vb.transpose(0, 2, 1)
-        gs = w * (gw - np.sum(gw * w, axis=-1, keepdims=True)) * c
-        return (
-            (gs @ kb).reshape(rows, d),
-            (gs.transpose(0, 2, 1) @ qb).reshape(rows, d),
-            (w.transpose(0, 2, 1) @ gb).reshape(rows, -1),
-        )
+        gq = gk = None
+        if q.requires_grad or k.requires_grad:
+            gw = gb @ vb.transpose(0, 2, 1)
+            gs = w * (gw - np.sum(gw * w, axis=-1, keepdims=True)) * c
+            gq = (gs @ kb).reshape(rows, d) if q.requires_grad else None
+            gk = (gs.transpose(0, 2, 1) @ qb).reshape(rows, d) if k.requires_grad else None
+        gv = (w.transpose(0, 2, 1) @ gb).reshape(rows, -1) if v.requires_grad else None
+        return gq, gk, gv
 
     return _result((w @ vb).reshape(rows, v.shape[1]), (q, k, v), pull)
 

@@ -14,11 +14,14 @@ same bits whatever else shares its call, because attention and the
 count term work block by block at that width and a row-wise product
 never sees a single row (``encoders.project``).
 
-``group_features`` is the way in for eval.  Training sees each view
-under a handful of masks, again and again, and the member encoder and
-the first group block run on frozen weights; ``VisualMemo`` does that
-work once per (view, mask) for one training run and shares the rest of
-the pipeline with ``group_features``.
+``group_features`` is the way in for eval; it keeps every member of a
+view unless a mask drops some.  Training sees each view under a handful
+of masks, again and again, and the member encoder and the first group
+block run on frozen weights; ``VisualMemo`` does that work once per
+(view, mask) for one training run, all of an epoch's new views in one
+pass, and shares the rest of the pipeline with ``group_features``.
+While the count matrix is frozen as well (stage 2), it keeps each
+view's pooled feature too, so a step runs only the refinement.
 
 Canonical ordering makes every stage independent of the order members
 appear in a sample.  Rows are sorted lexicographically by value before
@@ -41,7 +44,7 @@ from .encoders import (
     encode_members,
     project,
 )
-from .mvs import Mask, apply_mvs, full_mask
+from .mvs import Mask, apply_mvs
 from .synthdata import GroupSample
 
 
@@ -111,11 +114,14 @@ def _select(samples: Sequence[GroupSample], masks: Sequence[Mask | None]
     kept: list = []
     counts: list[int] = []
     for sample, mask in zip(samples, masks, strict=True):
-        mask = full_mask(len(sample.members)) if mask is None else mask
-        if len(mask) != len(sample.members):
+        if mask is None:
+            members = sample.members
+        elif len(mask) != len(sample.members):
             raise ValueError(f"mask covers {len(mask)} members, sample has {len(sample.members)}")
-        kept += [m for m, bit in zip(sample.members, mask.bits) if bit]
-        counts.append(mask.retained)
+        else:
+            members = [m for m, bit in zip(sample.members, mask.bits) if bit]
+        kept += members
+        counts.append(len(members))
     rows = np.stack([m.appearance for m in kept])
     order = canonical_order(rows, np.repeat(np.arange(len(counts)), counts))
     ids = [kept[i].identity_id for i in order]
@@ -123,12 +129,10 @@ def _select(samples: Sequence[GroupSample], masks: Sequence[Mask | None]
     return dc.constant(rows[order]), counts, [tuple(ids[e - k:e]) for e, k in zip(ends, counts)]
 
 
-def _featurize(counts: Sequence[int], members: Tensor, block1: Tensor, state: ModelState, *,
-               quantity: bool, refined: bool) -> Tensor:
-    """The (n, dim) features of views with ``counts[i]`` members, from their block-1 output."""
+def _pool(counts: Sequence[int], block1: Tensor, state: ModelState, *, quantity: bool) -> Tensor:
+    """The (n, dim) pooled features of views with ``counts[i]`` members, from their block-1 output."""
     fused = apply_mvs(block1, state.params["quantity.em"], counts) if quantity else block1
-    pooled = encode_group_suffix(fused, state, counts)
-    return refine(pooled, members, state, counts) if refined else pooled
+    return encode_group_suffix(fused, state, counts)
 
 
 def group_features(
@@ -149,9 +153,13 @@ def group_features(
     """
     rows, counts, row_ids = _select(samples, masks or [None] * len(samples))
     members = encode_members(rows, state)
-    block1 = encode_group_prefix(members, state, counts)
-    features = _featurize(counts, members, block1, state, quantity=quantity, refined=refined)
+    pooled = _pool(counts, encode_group_prefix(members, state, counts), state, quantity=quantity)
+    features = refine(pooled, members, state, counts) if refined else pooled
     return features, members, row_ids
+
+
+# What a pooled feature reads besides block 1; the count matrix only with the count term.
+_POOL_READS = ("group.blk2.wq", "group.blk2.wk", "group.blk2.wv", "group.blk2.wo", "group.proj")
 
 
 class VisualMemo:
@@ -159,38 +167,74 @@ class VisualMemo:
 
     The member encoder and block 1 run on frozen weights, so their output
     is kept per (sample index, mask bits): the member identities, the
-    member features and the view's padded block-1 block.  A call encodes
-    its misses together, concatenates its entries into one padded stack
-    and runs the rest (count term, block 2, readout, refinement) on it, so
-    the count matrix and the refinement head can train.  The encoders
-    must stay frozen, which is checked.  Build one per training call over
-    that call's sample list.
+    member features and the view's padded block-1 block.  While the count
+    matrix is frozen too (stage 2, or no count term), so is everything up
+    to the readout, and each key's pooled feature is kept as well; it
+    stays valid while the count matrix, block 2 and the readout projection
+    are the same frozen ``Tensor`` objects that made it, and is dropped
+    when one is swapped.  ``prepare`` does the frozen work of all its new
+    keys in one pass, so a training epoch plans its batches and calls it
+    once.  A call then concatenates its entries into one padded stack and
+    runs only what can train: the count term, block 2 and the readout
+    while the count matrix trains, and the refinement on request.  Every
+    call checks that the encoders are frozen.  Build one per training call
+    over that call's sample list.
     """
 
     def __init__(self, samples: Sequence[GroupSample], *, quantity: bool):
         self.samples = samples
         self.quantity = quantity
         self._memo: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], np.ndarray, np.ndarray]] = {}
+        self._pooled: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+        self._pooled_from: tuple[Tensor, ...] = ()
+
+    def prepare(self, indices: Sequence[int], masks: Sequence[Mask], state: ModelState) -> bool:
+        """Do the frozen work of every new (``samples[i]``, mask) key in one pass.
+
+        Returns whether the keys' pooled features are kept, which is while
+        the count matrix is frozen or unused.
+        """
+        trainable = [n for n, p in state.params.items()
+                     if n.startswith(("member.", "group.")) and p.requires_grad]
+        if trainable:
+            raise ValueError(f"frozen visual work needs frozen encoders; trainable: {trainable}")
+        keys = dict(zip(_keys(indices, masks), masks))
+        new = [key for key in keys if key not in self._memo]
+        if new:
+            rows, counts, row_ids = _select([self.samples[i] for i, _ in new], [keys[k] for k in new])
+            feats = encode_members(rows, state)
+            members = np.split(feats.values, np.cumsum(counts)[:-1])
+            blocks = encode_group_prefix(feats, state, counts).values.reshape(len(new), -1, state.config.dim)
+            self._memo.update(zip(new, zip(row_ids, members, blocks)))
+        if self.quantity and state.params["quantity.em"].requires_grad:
+            return False
+        reads = tuple(state.params[n] for n in _POOL_READS + (("quantity.em",) if self.quantity else ()))
+        if reads != self._pooled_from:  # Tensors compare by identity
+            self._pooled, self._pooled_from = {}, reads
+        unpooled = [key for key in keys if key not in self._pooled]
+        if unpooled:
+            block1 = dc.constant(np.concatenate([self._memo[k][2] for k in unpooled]))
+            pooled = _pool([sum(bits) for _, bits in unpooled], block1, state, quantity=self.quantity)
+            self._pooled.update(zip(unpooled, pooled.values))
+        return True
 
     def __call__(
         self, indices: Sequence[int], masks: Sequence[Mask], state: ModelState, *, refined: bool = False
     ) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
         """The ``group_features`` result for ``samples[indices]`` under ``masks``."""
-        keys = [(int(i), m.bits) for i, m in zip(indices, masks, strict=True)]
-        new = [key for key in dict.fromkeys(keys) if key not in self._memo]
-        if new:
-            trainable = [n for n, p in state.params.items()
-                         if n.startswith(("member.", "group.")) and p.requires_grad]
-            if trainable:
-                raise ValueError(f"frozen visual work needs frozen encoders; trainable: {trainable}")
-            rows, counts, row_ids = _select([self.samples[i] for i, _ in new],
-                                            [Mask(bits) for _, bits in new])
-            feats = encode_members(rows, state)
-            members = np.split(feats.values, np.cumsum(counts)[:-1])
-            blocks = encode_group_prefix(feats, state, counts).values.reshape(len(new), -1, state.config.dim)
-            self._memo.update(zip(new, zip(row_ids, members, blocks)))
+        keys = _keys(indices, masks)
+        pooled = self.prepare(indices, masks, state)
         row_ids, members, blocks = zip(*(self._memo[key] for key in keys))
         members = dc.constant(np.concatenate(members))
-        features = _featurize([m.retained for m in masks], members, dc.constant(np.concatenate(blocks)),
-                              state, quantity=self.quantity, refined=refined)
+        counts = [m.retained for m in masks]
+        if pooled:
+            features = dc.constant(np.stack([self._pooled[key] for key in keys]))
+        else:
+            features = _pool(counts, dc.constant(np.concatenate(blocks)), state, quantity=self.quantity)
+        if refined:
+            features = refine(features, members, state, counts)
         return features, members, list(row_ids)
+
+
+def _keys(indices: Sequence[int], masks: Sequence[Mask]) -> list[tuple[int, tuple[int, ...]]]:
+    return [(int(i), m.bits) for i, m in zip(indices, masks, strict=True)]

@@ -199,12 +199,15 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
 
     ``batches(rng)`` yields one epoch's lists of sample indices and
     ``loss_fn(batch, features, members, row_ids, state)`` returns
-    ``(loss, parts)``.  A batch's masks are drawn from the same stream
-    right after the batch is yielded.  Its group features (refined in
-    stage 2), member rows and member identities come from one call to a
-    memo that lives as long as this call, so frozen visual work is done
-    once per (sample, mask) per run.  A ``NonFiniteError`` gains the stage,
-    epoch and step (both from 0) it happened at, and the trainable parameter
+    ``(loss, parts)``.  Each epoch is planned before its first step: its
+    batches are drawn, each followed by its masks from the same stream,
+    in the order a step-by-step loop draws them.  A memo that lives as
+    long as this call then does the frozen visual work of the epoch's new
+    (sample, mask) keys in one pass, so each step's group features
+    (refined in stage 2), member rows and member identities come from
+    one memo call that runs only what the step can train.  A
+    ``NonFiniteError`` gains the stage, the epoch and the step (both from
+    0) or the frozen pass it happened in, and the trainable parameter
     whose last update was largest.
     """
     run = cfg.scaled()
@@ -214,13 +217,22 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
     memo = grce.VisualMemo(samples, quantity=mvs is not None)
     history: list[dict] = []
     last_lr = None
+
+    def diverged(e, epoch, where):
+        return dc.NonFiniteError(f"stage {cfg.stage}, epoch {epoch}, {where}: {e}; "
+                                 f"{_largest_update(opt, trainable, last_lr)}")
+
     for epoch in range(run.total_epochs):
         lr = lr_at_epoch(run, epoch)
+        plan = [(idx, _sample_masks([samples[i] for i in idx], mvs, rng)) for idx in batches(rng)]
+        try:
+            memo.prepare([i for idx, _ in plan for i in idx], [m for _, ms in plan for m in ms], state)
+        except dc.NonFiniteError as e:
+            raise diverged(e, epoch, "frozen visual pass") from e
         sums: dict[str, float] = {}
         steps = 0
-        for idx in batches(rng):
+        for idx, masks in plan:
             batch = [samples[i] for i in idx]
-            masks = _sample_masks(batch, mvs, rng)
             for p in state.params.values():
                 p.grad = None
             try:
@@ -230,8 +242,7 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
                 g.backward(loss)
                 state = sgd_step(state, _collect_grads(state, trainable), opt, lr, run)
             except dc.NonFiniteError as e:
-                raise dc.NonFiniteError(f"stage {cfg.stage}, epoch {epoch}, step {steps}: {e}; "
-                                        f"{_largest_update(opt, trainable, last_lr)}") from e
+                raise diverged(e, epoch, f"step {steps}") from e
             last_lr = lr
             for k, v in {"loss_total": loss.item(), **parts}.items():
                 sums[k] = sums.get(k, 0.0) + v

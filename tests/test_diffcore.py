@@ -237,6 +237,29 @@ def test_gather_rows_accumulates_repeated_indices():
     np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0]])
 
 
+_SUMMANDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e16, -1e16]),
+                      st.floats(min_value=-1e6, max_value=1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 3),
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=12),
+    st.lists(_SUMMANDS, min_size=36, max_size=36))))
+def test_gather_rows_backward_is_the_add_at_scatter_bit_for_bit(case):
+    n, d, idx, terms = case
+    upstream = np.array(terms[:len(idx) * d]).reshape(len(idx), d)
+    x = dc.tensor(np.ones((n, d)), requires_grad=True)
+    with dc.Graph() as g:
+        loss = dc.reduce_sum(dc.mul(dc.gather_rows(x, idx), dc.constant(upstream)))
+    g.backward(loss)
+    # the oracle: np.add.at adds each row's terms in index order onto +0.0
+    want = np.zeros((n, d))
+    np.add.at(want, np.asarray(idx), upstream)
+    assert x.grad.shape == want.shape
+    assert np.array_equal(x.grad.view(np.int64), want.view(np.int64)), (x.grad, want)
+
+
 def test_concat_and_stack_round_trip_gradients():
     a = dc.tensor([1.0, 2.0], requires_grad=True)
     b = dc.tensor([3.0, 4.0], requires_grad=True)

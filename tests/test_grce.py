@@ -193,6 +193,39 @@ def test_visual_memo_needs_frozen_encoders():
         VisualMemo(ds.samples, quantity=True)([0], [full_mask(len(ds.samples[0].members))], state)
 
 
+def test_visual_memo_audits_the_encoders_on_an_all_hits_call():
+    ds = _dataset()
+    state = small_state()
+    state.set_trainable(["quantity.em"])
+    memo = VisualMemo(ds.samples, quantity=True)
+    masks = [full_mask(len(ds.samples[i].members)) for i in (0, 1)]
+    memo([0, 1], masks, state)
+    # the same keys again: every entry is a hit, but block 2 now trains
+    state.set_trainable(["quantity.em", "group.blk2.wq"])
+    with pytest.raises(ValueError, match="group.blk2.wq"):
+        memo([0, 1], masks, state)
+
+
+@pytest.mark.parametrize("name", ["quantity.em", "group.blk2.wv", "group.proj"])
+def test_visual_memo_drops_pooled_features_when_a_frozen_input_is_swapped(name):
+    ds = _dataset()
+    state = small_state()
+    state.set_trainable(STAGE2_TRAINABLE)
+    memo = VisualMemo(ds.samples, quantity=True)
+    indices = [0, 2, 3]
+    masks = [Mask((1, 0) + (1,) * (len(ds.samples[i].members) - 2)) for i in indices]
+    views = [ds.samples[i] for i in indices]
+    first = memo(indices, masks, state)[0].values
+    swapped = np.random.default_rng(8).normal(scale=0.5, size=state.params[name].shape)
+    state = state.with_param(name, Tensor(swapped))  # a new frozen tensor
+    assert not state.params[name].requires_grad
+    for refined in (False, True):
+        got = memo(indices, masks, state, refined=refined)[0].values
+        want = group_features(views, state, masks, refined=refined)[0].values
+        assert np.array_equal(got, want)
+    assert not np.array_equal(first, memo(indices, masks, state)[0].values)
+
+
 def test_group_visual_row_ids_follow_canonical_order():
     ds = _dataset()
     state = small_state()

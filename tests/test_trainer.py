@@ -17,7 +17,8 @@ from gcum.encoders import (
     ModelConfig,
     init_model_state,
 )
-from gcum.mvs import MvsConfig
+from gcum import grce, trainer
+from gcum.mvs import MvsConfig, sample_drop_prob, sample_mask
 from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
 from gcum.trainer import (
     TEMP_INV_RANGE,
@@ -336,3 +337,124 @@ def test_stage2_loss_decreases_on_easy_data():
     cfg = _short_cfg(2, epochs=12, lr_start=1e-3, lr_peak=5e-2, warmup_epochs=2)
     _, history = train_stage2(state, ds.samples, ds.group_rosters(), cfg)
     assert history[-1]["loss_total"] < history[0]["loss_total"]
+
+
+def _reference_steps(samples, cfg, mvs):
+    """(indices, mask bits) per step as a step-by-step loop draws them.
+
+    Each batch is drawn, then its masks, from the stage's stream, before
+    the next batch; stage 2 draws each batch's views from the same stream.
+    """
+    run = cfg.scaled()
+    stream = trainer._STAGE1_STREAM if cfg.stage == 1 else trainer._STAGE2_STREAM
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(stream,)))
+    views: dict[int, list[int]] = {}
+    for i, s in enumerate(samples):
+        views.setdefault(s.group_id, []).append(i)
+    gids = sorted(views)
+    steps = []
+    for _ in range(run.total_epochs):
+        if cfg.stage == 1:
+            order = rng.permutation(len(samples))
+            batches = (order[at:at + cfg.batch_size] for at in range(0, len(order), cfg.batch_size))
+        else:
+            p_eff = min(cfg.p_groups, len(gids))
+            group_order = rng.permutation(len(gids))
+            chunks = (group_order[at:at + p_eff] for at in range(0, len(gids), p_eff))
+            batches = ([views[gids[gi]][j] for gi in chunk for j in rng.choice(
+                len(views[gids[gi]]), size=cfg.q_views, replace=len(views[gids[gi]]) < cfg.q_views)]
+                for chunk in chunks if len(chunk) >= 2)
+        for idx in batches:
+            if len(idx) < 2:
+                continue
+            bits = []
+            for i in idx:
+                n = len(samples[i].members)
+                bits.append((1,) * n if mvs is None else sample_mask(n, sample_drop_prob(mvs, rng), rng).bits)
+            steps.append(([int(i) for i in idx], bits))
+    return steps
+
+
+def _recorded_steps(monkeypatch):
+    """Record the (indices, mask bits) of every memo call a training run makes."""
+    calls = []
+    real = grce.VisualMemo.__call__
+
+    def recorded(memo, indices, masks, state, **kw):
+        calls.append(([int(i) for i in indices], [m.bits for m in masks]))
+        return real(memo, indices, masks, state, **kw)
+
+    monkeypatch.setattr(grce.VisualMemo, "__call__", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("mvs", [MvsConfig(), None])
+def test_planned_epochs_give_each_step_the_reference_draws(monkeypatch, stage, mvs):
+    ds, state = _training_setup()
+    calls = _recorded_steps(monkeypatch)
+    cfg = _short_cfg(stage, epochs=3, batch_size=6, p_groups=2, q_views=3)
+    train = train_stage1 if stage == 1 else train_stage2
+    train(state, ds.samples, ds.group_rosters(), cfg, mvs=mvs)
+    want = _reference_steps(ds.samples, cfg, mvs)
+    assert len(want) > 3
+    assert calls == want
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_training_encodes_members_at_most_once_per_epoch(monkeypatch, stage):
+    ds, state = _training_setup()
+    calls = _recorded_steps(monkeypatch)
+    encodes = []
+    real = grce.encode_members
+
+    def counted(*a, **kw):
+        encodes.append(None)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(grce, "encode_members", counted)
+    train = train_stage1 if stage == 1 else train_stage2
+    cfg = _short_cfg(stage, epochs=4, batch_size=4, p_groups=2)
+    train(state, ds.samples, ds.group_rosters(), cfg, mvs=MvsConfig())
+    assert 1 <= len(encodes) <= 4 < len(calls)
+
+
+def test_a_stage2_step_runs_neither_the_count_term_nor_block_2(monkeypatch):
+    ds, state = _training_setup()
+    events = []
+    for name in ("apply_mvs", "encode_group_suffix"):
+        real = getattr(grce, name)
+
+        def counted(*a, _real=real, _name=name, **kw):
+            events.append(_name)
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(grce, name, counted)
+    real_call = grce.VisualMemo.__call__
+
+    def step_call(memo, *a, **kw):
+        events.append("step")
+        out = real_call(memo, *a, **kw)
+        events.append("step end")
+        return out
+
+    monkeypatch.setattr(grce.VisualMemo, "__call__", step_call)
+    cfg = _short_cfg(2, epochs=3, batch_size=4, p_groups=2)
+    train_stage2(state, ds.samples, ds.group_rosters(), cfg, mvs=MvsConfig())
+    assert events.count("step") > 3
+    # the frozen pass before each epoch's first step pools that epoch's new views
+    assert 1 <= events.count("encode_group_suffix") == events.count("apply_mvs") <= 3
+    # nothing runs inside a step's memo call
+    assert all(after == "step end" for e, after in zip(events, events[1:]) if e == "step")
+
+
+def test_a_failure_in_the_frozen_pass_names_its_stage_and_epoch(monkeypatch):
+    ds, state = _training_setup()
+
+    def overflowing(*a, **kw):
+        raise NonFiniteError("tanh: tensor contains NaN or infinite values")
+
+    monkeypatch.setattr(grce, "encode_members", overflowing)
+    with pytest.raises(NonFiniteError, match="stage 1, epoch 0, frozen visual pass: tanh: .*"
+                                             "no SGD step has run yet"):
+        train_stage1(state, ds.samples, ds.group_rosters(), _short_cfg(1), mvs=MvsConfig())
