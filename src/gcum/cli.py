@@ -71,10 +71,9 @@ class CliError(Exception):
 # --------------------------------------------------------------------------
 # Run configuration
 
-# The data keys in echo order; all but ``train_fraction`` are GenConfig fields.
-_GEN_KEYS = ("n_group_identities", "members_min", "n_cameras", "views_per_group_per_camera",
-             "membership_dropout_prob", "layout_permutation", "appearance_noise_std",
-             "camera_bias_std")
+# The data keys in echo order: the GenConfig fields that M0 and d_a leave
+# to the data section, then ``train_fraction``.
+_GEN_KEYS = tuple(f.name for f in fields(GenConfig) if f.name not in ("members_max", "d_a"))
 _DATA_KEYS = _GEN_KEYS + ("train_fraction",)
 # The train keys in echo order: the run sets the seed and each command the stage.
 _TRAIN_KEYS = sorted(f.name for f in fields(TrainConfig) if f.name not in ("seed", "stage"))
@@ -83,8 +82,9 @@ _TRAIN_KEYS = sorted(f.name for f in fields(TrainConfig) if f.name not in ("seed
 def _typed(where: str, value, like):
     """``value`` if it has the JSON type of the default ``like``.
 
-    Ints must be JSON integers, floats take integers too (stored as
-    floats), bools must be ``true``/``false`` and lists hold integers.
+    Ints must be JSON integers, floats take finite integers or floats
+    (stored as floats), bools must be ``true``/``false`` and lists hold
+    integers.
     """
     if isinstance(like, list):
         if isinstance(value, list) and all(type(e) is int for e in value):
@@ -93,6 +93,9 @@ def _typed(where: str, value, like):
     kinds = (int, float) if type(like) is float else (type(like),)
     if type(value) not in kinds:
         raise ValueError(f"{where} must be {type(like).__name__}, got {value!r}")
+    # json reads NaN and Infinity as floats, and an integer may not fit one
+    if type(like) is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{where} must be finite, got {value!r}")
     return type(like)(value)
 
 
@@ -265,27 +268,15 @@ def run_grad_checks(seed: int, *, step: float = 1e-5, tolerance: float = 1e-4) -
     Runs on a deliberately tiny instance (three 3-member groups, width 4)
     so the entry-by-entry sweep stays fast.  Masks are fixed: alternating
     samples drop their last member, which exercises the dropped-row paths
-    while the full-mask samples cover every count-matrix row.
+    while the full-mask samples cover every count-matrix row.  The triplet
+    margin is large enough that every mined hinge stays active, keeping
+    the loss differentiable at the evaluation point.
     """
-    gen = GenConfig(
-        n_group_identities=3,
-        members_min=3,
-        members_max=3,
-        membership_dropout_prob=0.0,
-        appearance_noise_std=0.2,
-        camera_bias_std=0.1,
-        d_a=4,
-    )
-    ds = generate_dataset(gen, seed=seed)
-    model_cfg = ModelConfig(
-        dim=4,
-        d_a=4,
-        max_members=3,
-        group_slots=3,
-        tokens_per_identity=2,
-        n_person_ids=max(ds.person_ids()) + 1,
-        n_group_classes=len(ds.group_ids()),
-    )
+    cfg = RunConfig(seed=seed, dim=4, d_a=4, m0=3, k_slots=3, tokens_per_identity=2,
+                    alpha=0.5, n_group_identities=3, members_min=3, membership_dropout_prob=0.0,
+                    appearance_noise_std=0.2, camera_bias_std=0.1)
+    ds = generate_dataset(cfg.gen_config(), cfg.seed)
+    model_cfg = cfg.model_config(ds, n_group_classes=len(ds.group_ids()))
     state = init_model_state(model_cfg, seed=seed + 1)
     # At the 0.02-std init the loss is nearly flat through the refinement
     # head, so its finite differences drown in roundoff.  Move those
@@ -322,19 +313,17 @@ def run_grad_checks(seed: int, *, step: float = 1e-5, tolerance: float = 1e-4) -
         return gla.stage1_batch_loss(samples, *memo(indices, masks, st), st, rosters)[0]
 
     def id_fn(st):
-        return losses_mod.id_loss(_refined(st), st, targets, 0.1)
+        return losses_mod.id_loss(_refined(st), st, targets, cfg.epsilon)
 
     def tri_fn(st):
-        # margin large enough that every mined hinge stays active, keeping
-        # the loss differentiable at the evaluation point
-        return losses_mod.triplet_loss(_refined(st), targets, alpha=0.5)
+        return losses_mod.triplet_loss(_refined(st), targets, alpha=cfg.alpha)
 
     def i2tce_fn(st):
-        return losses_mod.i2tce_loss(_refined(st), text_rows, targets, st.params["temp.inv"], 0.1)
+        return losses_mod.i2tce_loss(_refined(st), text_rows, targets, st.params["temp.inv"], cfg.epsilon)
 
     def stage2_fn(st):
         return losses_mod.stage2_batch_loss(
-            samples, _refined(st), st, class_index, text_rows, alpha=0.5, epsilon=0.1
+            samples, _refined(st), st, class_index, text_rows, alpha=cfg.alpha, epsilon=cfg.epsilon
         )[0]
 
     checks = {
@@ -380,6 +369,7 @@ def _reading_sidecar(path: str):
 
 
 def _write_json(path: str, doc: dict) -> None:
+    # json writes each float as the shortest repr that parses back to it
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, separators=(",", ":")))
@@ -503,6 +493,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
+        if not 0 < value <= sys.float_info.max:  # false for NaN
+            raise CliError(EXIT_CONFIG, f"{flag} must be finite and positive, got {value}")
     reports = run_grad_checks(args.seed, step=args.step, tolerance=args.tolerance)
     failed = False
     for name in _CHECKED_LOSSES:

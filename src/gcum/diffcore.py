@@ -15,7 +15,7 @@ Design constraints the rest of the package relies on:
 * rows are selected by one op, ``gather_rows``, and rows it leaves out get
   exactly zero gradient;
 * log-probabilities come from ``log_softmax_rows`` (log-sum-exp), which
-  stays finite where ``log(softmax_rows(x))`` would underflow and raise;
+  stays finite where the log of a softmax would underflow and raise;
 * attention over many short sequences is one op, ``segment_attention``,
   which keeps the tape rank 2 by stacking the sequences as row blocks.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "GraphError",
     "GradCheckFailure",
     "GradCheckReport",
-    "tensor",
     "constant",
     "add",
     "sub",
@@ -55,7 +54,6 @@ __all__ = [
     "log",
     "tanh",
     "clamp_min",
-    "softmax_rows",
     "log_softmax_rows",
     "segment_attention",
     "l2_normalize",
@@ -119,32 +117,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # Small amount of operator sugar; the module-level functions are the API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-
-def tensor(values, requires_grad: bool = False) -> Tensor:
-    """Build a tensor from array-like data (always copies)."""
-    return Tensor(values, requires_grad=requires_grad)
 
 
 def constant(values) -> Tensor:
@@ -318,26 +290,14 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for (m,k)@(k,n), (k,)@(k,n) and (m,k)@(k,)."""
+    """Matrix product (m,k)@(k,n)."""
     av, bv = a.values, b.values
-    if av.ndim == 2 and bv.ndim == 2:
-        if av.shape[1] != bv.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ, {av.shape} @ {bv.shape}")
-        grad_a, grad_b = (lambda g: g @ bv.T), (lambda g: av.T @ g)
-    elif av.ndim == 1 and bv.ndim == 2:
-        if av.shape[0] != bv.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ, {av.shape} @ {bv.shape}")
-        grad_a, grad_b = (lambda g: bv @ g), (lambda g: np.outer(av, g))
-    elif av.ndim == 2 and bv.ndim == 1:
-        if av.shape[1] != bv.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ, {av.shape} @ {bv.shape}")
-        grad_a, grad_b = (lambda g: np.outer(g, bv)), (lambda g: av.T @ g)
-    else:
-        raise ShapeError(f"matmul: unsupported ranks {av.shape} @ {bv.shape}")
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"matmul needs (m,k) @ (k,n), got {av.shape} @ {bv.shape}")
 
     def pull(g: np.ndarray):
         # backward drops a frozen operand's gradient, so it is not formed
-        return (grad_a(g) if a.requires_grad else None, grad_b(g) if b.requires_grad else None)
+        return (g @ bv.T if a.requires_grad else None, av.T @ g if b.requires_grad else None)
 
     return _result(av @ bv, (a, b), pull)
 
@@ -459,26 +419,6 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
     return _result(np.maximum(xv, floor), (x,), pull)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax (a rank-1 tensor is treated as a single row).
-
-    Numerically stabilized by subtracting the row max before
-    exponentiating; each output row sums to 1 within 1e-12.
-    """
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"softmax_rows needs rank 1 or 2, got shape {x.shape}")
-    xv = x.values
-    m = np.max(xv, axis=-1, keepdims=True)
-    e = np.exp(xv - m)
-    s = e / np.sum(e, axis=-1, keepdims=True)
-
-    def pull(g: np.ndarray):
-        inner = np.sum(g * s, axis=-1, keepdims=True)
-        return (s * (g - inner),)
-
-    return _result(s, (x,), pull)
-
-
 def log_softmax_rows(x: Tensor) -> Tensor:
     """Row-wise log of the softmax (a rank-1 tensor is treated as a single row).
 
@@ -580,20 +520,15 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     return _result(np.asarray(np.sum(xv, axis=axis)), (x,), pull)
 
 
-def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
-    if axis is not None and not (0 <= axis < x.ndim):
-        raise ShapeError(f"mean axis {axis} out of range for shape {x.shape}")
+def reduce_mean(x: Tensor) -> Tensor:
     xv = x.values
     if xv.size == 0:
         raise ShapeError("mean of an empty tensor")
-    count = xv.size if axis is None else xv.shape[axis]
 
     def pull(g: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(g / count, xv.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g / count, axis), xv.shape).copy(),)
+        return (np.broadcast_to(g / xv.size, xv.shape).copy(),)
 
-    return _result(np.asarray(np.mean(xv, axis=axis)), (x,), pull)
+    return _result(np.asarray(np.mean(xv)), (x,), pull)
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -102,31 +102,12 @@ class ModelConfig:
             raise ValueError("init_std must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "d_a": self.d_a,
-            "max_members": self.max_members,
-            "group_slots": self.group_slots,
-            "tokens_per_identity": self.tokens_per_identity,
-            "n_person_ids": self.n_person_ids,
-            "n_group_classes": self.n_group_classes,
-            "temperature_init": self.temperature_init,
-            "init_std": self.init_std,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
-        cfg = cls(
-            dim=int(doc["dim"]),
-            d_a=int(doc["d_a"]),
-            max_members=int(doc["max_members"]),
-            group_slots=int(doc["group_slots"]),
-            tokens_per_identity=int(doc["tokens_per_identity"]),
-            n_person_ids=int(doc["n_person_ids"]),
-            n_group_classes=int(doc["n_group_classes"]),
-            temperature_init=float(doc["temperature_init"]),
-            init_std=float(doc["init_std"]),
-        )
+        # every field's default is an int or a float, which types its value
+        cfg = cls(**{f.name: type(f.default)(doc[f.name]) for f in fields(cls)})
         cfg.validate()
         return cfg
 
@@ -162,9 +143,6 @@ class ModelState:
             raise KeyError(f"unknown parameters {sorted(unknown)}")
         for name, p in self.params.items():
             p.requires_grad = name in wanted
-
-    def trainable_names(self) -> list[str]:
-        return sorted(n for n, p in self.params.items() if p.requires_grad)
 
 
 def init_model_state(config: ModelConfig, seed: int) -> ModelState:

@@ -16,7 +16,7 @@ stage 1 share its training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -107,14 +107,7 @@ class RetrievalReport:
             raise ValueError("mAP must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "rank1": self.rank1,
-            "rank5": self.rank5,
-            "rank10": self.rank10,
-            "mAP": self.mAP,
-            "n_query": self.n_query,
-            "n_gallery": self.n_gallery,
-        }
+        return asdict(self)
 
 
 # --------------------------------------------------------------------------

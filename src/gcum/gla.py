@@ -21,7 +21,6 @@ averaged over the B samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -124,68 +123,51 @@ def class_text_features(state: ModelState, class_ids: Sequence[int], rosters) ->
 # Supervised contrastive alignment
 
 
-@dataclass(eq=False)
-class ContrastiveBatch:
-    """Unit-norm visual rows against unit-norm text rows, one per class.
-
-    Build and consume a batch inside a single recording; the similarity
-    matrix (cosines scaled by the inverse temperature) is computed at
-    construction time.
-    """
-
-    visual: Tensor                 # (B, dim)
-    labels: tuple[int, ...]        # len B
-    class_labels: tuple[int, ...]  # len C, distinct
-    text: Tensor                   # (C, dim)
-    inv_temp: Tensor               # scalar multiplier on cosine logits
-    sims: Tensor = field(init=False)
-
-    def __post_init__(self):
-        if self.visual.ndim != 2 or self.text.ndim != 2:
-            raise ShapeError("visual and text features must be matrices")
-        b, dim = self.visual.shape
-        c, dim_t = self.text.shape
-        if dim != dim_t:
-            raise ShapeError(f"feature widths differ: visual {dim}, text {dim_t}")
-        if b < 2:
-            raise ValueError("a contrastive batch needs at least two samples")
-        if len(self.labels) != b:
-            raise ValueError("one label per visual row required")
-        if len(set(self.class_labels)) != len(self.class_labels) or len(self.class_labels) != c:
-            raise ValueError("class_labels must be distinct and match the text rows")
-        known = set(self.class_labels)
-        if any(y not in known for y in self.labels):
-            raise ValueError("every label needs a text feature")
-        if self.inv_temp.shape != ():
-            raise ShapeError("inv_temp must be a scalar tensor")
-        if self.inv_temp.item() <= 0:
-            raise ValueError("inverse temperature must be positive")
-        for name, mat in (("visual", self.visual), ("text", self.text)):
-            norms = np.linalg.norm(mat.values, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-6:
-                raise ValueError(f"{name} rows must be unit norm")
-        self.sims = dc.mul(dc.matmul(self.visual, dc.transpose(self.text)), self.inv_temp)
-
-    def class_index(self, label: int) -> int:
-        return self.class_labels.index(label)
-
-
-def contrastive_losses(batch: ContrastiveBatch) -> tuple[Tensor, Tensor]:
+def contrastive_losses(visual: Tensor, labels: Sequence[int], class_labels: Sequence[int],
+                       text: Tensor, inv_temp: Tensor) -> tuple[Tensor, Tensor]:
     """Image-anchored and text-anchored losses, each a mean over the B samples.
 
-    ``i2t`` scores every sample against all class texts; ``t2i`` scores
-    every class text against all visual rows and averages over that text's
-    positives, so each class counts once per sample that has it.
+    Unit-norm ``visual`` rows (B, dim) with their ``labels`` meet unit-norm
+    ``text`` rows (C, dim), one per distinct entry of ``class_labels``; the
+    logits are the cosines times the scalar ``inv_temp``.  ``i2t`` scores
+    every sample against all class texts; ``t2i`` scores every class text
+    against all visual rows and averages over that text's positives, so
+    each class counts once per sample that has it.
     """
-    b = len(batch.labels)
-    onehot = np.zeros((b, len(batch.class_labels)))
-    onehot[np.arange(b), [batch.class_index(y) for y in batch.labels]] = 1.0
+    if visual.ndim != 2 or text.ndim != 2:
+        raise ShapeError("visual and text features must be matrices")
+    b, dim = visual.shape
+    c, dim_t = text.shape
+    if dim != dim_t:
+        raise ShapeError(f"feature widths differ: visual {dim}, text {dim_t}")
+    if b < 2:
+        raise ValueError("a contrastive batch needs at least two samples")
+    if len(labels) != b:
+        raise ValueError("one label per visual row required")
+    class_labels = list(class_labels)
+    if len(set(class_labels)) != len(class_labels) or len(class_labels) != c:
+        raise ValueError("class_labels must be distinct and match the text rows")
+    known = set(class_labels)
+    if any(y not in known for y in labels):
+        raise ValueError("every label needs a text feature")
+    if inv_temp.shape != ():
+        raise ShapeError("inv_temp must be a scalar tensor")
+    if inv_temp.item() <= 0:
+        raise ValueError("inverse temperature must be positive")
+    for name, mat in (("visual", visual), ("text", text)):
+        norms = np.linalg.norm(mat.values, axis=1)
+        if np.max(np.abs(norms - 1.0)) > 1e-6:
+            raise ValueError(f"{name} rows must be unit norm")
+    sims = dc.mul(dc.matmul(visual, dc.transpose(text)), inv_temp)
+
+    onehot = np.zeros((b, c))
+    onehot[np.arange(b), [class_labels.index(y) for y in labels]] = 1.0
 
     def mean_nll(logits: Tensor, picks: np.ndarray) -> Tensor:
         logp = dc.log_softmax_rows(logits)
         return dc.scale(dc.reduce_sum(dc.mul(logp, dc.constant(picks))), -1.0 / b)
 
-    return mean_nll(batch.sims, onehot), mean_nll(dc.transpose(batch.sims), onehot.T)
+    return mean_nll(sims, onehot), mean_nll(dc.transpose(sims), onehot.T)
 
 
 def stage1_batch_loss(
@@ -219,24 +201,11 @@ def stage1_batch_loss(
 
     group_classes = sorted(set(group_labels))
     group_text = class_text_features(state, group_classes, rosters)
-    batch_groups = ContrastiveBatch(
-        visual=group_features,
-        labels=tuple(group_labels),
-        class_labels=tuple(group_classes),
-        text=group_text,
-        inv_temp=inv_temp,
-    )
-    i2t_g, t2i_g = contrastive_losses(batch_groups)
+    i2t_g, t2i_g = contrastive_losses(group_features, group_labels, group_classes, group_text, inv_temp)
 
     person_classes = sorted(set(member_labels))
-    batch_members = ContrastiveBatch(
-        visual=member_features,
-        labels=tuple(member_labels),
-        class_labels=tuple(person_classes),
-        text=member_text_features(person_classes, state),
-        inv_temp=inv_temp,
-    )
-    i2t_m, t2i_m = contrastive_losses(batch_members)
+    person_text = member_text_features(person_classes, state)
+    i2t_m, t2i_m = contrastive_losses(member_features, member_labels, person_classes, person_text, inv_temp)
 
     i2t = dc.add(i2t_g, i2t_m)
     t2i = dc.add(t2i_g, t2i_m)

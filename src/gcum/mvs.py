@@ -14,7 +14,7 @@ the mechanism is enabled, now averaged over the full member set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -39,12 +39,11 @@ class MvsConfig:
             raise ValueError("need 0 <= p0 <= pmax < 1")
 
     def to_dict(self) -> dict:
-        return {"mu": self.mu, "sigma": self.sigma, "p0": self.p0, "pmax": self.pmax}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MvsConfig":
-        cfg = cls(mu=float(doc["mu"]), sigma=float(doc["sigma"]),
-                  p0=float(doc["p0"]), pmax=float(doc["pmax"]))
+        cfg = cls(**{f.name: float(doc[f.name]) for f in fields(cls)})
         cfg.validate()
         return cfg
 

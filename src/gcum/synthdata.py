@@ -215,19 +215,19 @@ def dataset_to_doc(ds: Dataset) -> dict:
     }
 
 
-def save_dataset(ds: Dataset, path: str) -> None:
-    # json renders floats with repr: the shortest digit string that parses
-    # back to the identical double, so the round trip is lossless.
-    text = json.dumps(dataset_to_doc(ds), separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
-
-
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise DatasetFormatError(f"{where} is missing required key {key!r}")
     return doc[key]
+
+
+def _appearance(entry: dict, d_a: int, where: str) -> np.ndarray:
+    vec = np.asarray(_require(entry, "appearance", where), dtype=np.float64)
+    if vec.shape != (d_a,):
+        raise DatasetFormatError(f"{where} appearance has shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise DatasetFormatError(f"{where} appearance is not finite")
+    return _freeze(vec)
 
 
 def dataset_from_doc(doc: dict) -> Dataset:
@@ -249,10 +249,7 @@ def dataset_from_doc(doc: dict) -> Dataset:
     catalog: dict[int, np.ndarray] = {}
     for entry in _require(doc, "catalog", "dataset"):
         pid = int(_require(entry, "identity_id", "catalog entry"))
-        vec = np.asarray(_require(entry, "appearance", "catalog entry"), dtype=np.float64)
-        if vec.shape != (d_a,):
-            raise DatasetFormatError(f"catalog appearance for identity {pid} has shape {vec.shape}")
-        catalog[pid] = _freeze(vec)
+        catalog[pid] = _appearance(entry, d_a, f"catalog entry for identity {pid}")
 
     samples: list[GroupSample] = []
     for i, entry in enumerate(_require(doc, "samples", "dataset")):
@@ -264,10 +261,7 @@ def dataset_from_doc(doc: dict) -> Dataset:
             raise DatasetFormatError(f"sample {i} has no members")
         for m in raw_members:
             pid = int(_require(m, "identity_id", f"sample {i} member"))
-            vec = np.asarray(_require(m, "appearance", f"sample {i} member"), dtype=np.float64)
-            if vec.shape != (d_a,):
-                raise DatasetFormatError(f"sample {i} member appearance has shape {vec.shape}")
-            members.append(Member(pid, _freeze(vec)))
+            members.append(Member(pid, _appearance(m, d_a, f"sample {i} member {pid}")))
         samples.append(GroupSample(gid, cam, tuple(members)))
 
     ds = Dataset(seed=int(_require(doc, "seed", "dataset")), config=config, catalog=catalog, samples=samples)

@@ -132,6 +132,25 @@ def test_config_rejects_mistyped_values(tmp_path, capsys, doc, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", pytest.param("1" + "0" * 400, id="huge-integer")])
+@pytest.mark.parametrize("section, key", [
+    ("data", "appearance_noise_std"),
+    ("train", "lr_peak"),
+    ("mvs", "mu"),
+    ("losses", "alpha"),
+])
+def test_config_rejects_non_finite_floats(tmp_path, capsys, section, key, literal):
+    text = f'{{"{section}": {{"{key}": {literal}}}}}'
+    with pytest.raises(ValueError, match=f"{section}.{key} must be finite"):
+        RunConfig.from_dict(json.loads(text))
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text)
+    out = tmp_path / "d.json"
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"{section}.{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_float_keys_take_integers():
     cfg = RunConfig.from_dict({"train": {"scale_factor": 1}, "losses": {"alpha": 0}})
     assert type(cfg.train.scale_factor) is float and cfg.train.scale_factor == 1.0
@@ -339,6 +358,18 @@ def test_train_missing_data_exits_3(tmp_path, small_config):
     assert code == EXIT_IO
 
 
+def test_train_rejects_a_dataset_with_a_non_finite_appearance(tmp_path, small_config, capsys):
+    data = _gen(tmp_path, small_config)
+    doc = json.loads(Path(data).read_text())
+    doc["samples"][3]["members"][0]["appearance"][1] = float("nan")
+    Path(data).write_text(json.dumps(doc))
+    out = tmp_path / "x.ckpt"
+    code = main(["train", "--stage", "1", "--config", small_config, "--data", data, "--out", str(out)])
+    assert code == EXIT_IO
+    assert "sample 3 member" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_mismatched_dataset(tmp_path, small_config):
     data = _gen(tmp_path, small_config)
     other = dict(_SMALL)
@@ -477,6 +508,17 @@ def test_grad_check_fails_under_impossible_tolerance(capsys):
     code = main(["grad-check", "--seed", "1", "--tolerance", "1e-12"])
     assert code == EXIT_GRADCHECK
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "0"), ("--step", "-1e-5"), ("--step", "nan"), ("--step", "inf"),
+    ("--tolerance", "0"), ("--tolerance", "nan"),
+])
+def test_grad_check_rejects_a_step_or_tolerance_that_is_not_finite_and_positive(capsys, flag, value):
+    assert main(["grad-check", f"{flag}={value}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{flag} must be finite and positive" in err
+    assert "diverged" not in err
 
 
 def test_run_grad_checks_reports_all_losses():

@@ -9,7 +9,6 @@ from gcum import diffcore as dc
 from gcum.diffcore import Tensor
 from gcum.encoders import ModelConfig, init_model_state
 from gcum.gla import (
-    ContrastiveBatch,
     build_group_prompts,
     build_member_prompts,
     class_text_features,
@@ -167,27 +166,22 @@ def _unit_rows(cosines):
     return np.stack([c, np.sqrt(1.0 - c * c)], axis=1)
 
 
-def _batch(visual, labels, class_labels, text, inv_temp=1.0):
-    return ContrastiveBatch(
-        visual=Tensor(visual),
-        labels=tuple(labels),
-        class_labels=tuple(class_labels),
-        text=Tensor(text),
-        inv_temp=Tensor(np.asarray(inv_temp)),
-    )
+def _losses(visual, labels, class_labels, text, inv_temp=1.0):
+    return contrastive_losses(Tensor(visual), labels, class_labels, Tensor(text),
+                              Tensor(np.asarray(inv_temp)))
 
 
 def test_batch_validation():
     ok_vis = _unit_rows([0.9, 0.7])
     ok_text = np.eye(2)
     with pytest.raises(ValueError):
-        _batch(ok_vis * 2.0, [0, 1], [0, 1], ok_text)  # visual not unit
+        _losses(ok_vis * 2.0, [0, 1], [0, 1], ok_text)  # visual not unit
     with pytest.raises(ValueError):
-        _batch(ok_vis, [0, 2], [0, 1], ok_text)  # label without text
+        _losses(ok_vis, [0, 2], [0, 1], ok_text)  # label without text
     with pytest.raises(ValueError):
-        _batch(ok_vis[:1], [0], [0, 1], ok_text)  # batch too small
+        _losses(ok_vis[:1], [0], [0, 1], ok_text)  # batch too small
     with pytest.raises(ValueError):
-        _batch(ok_vis, [0, 1], [0, 1], ok_text, inv_temp=0.0)
+        _losses(ok_vis, [0, 1], [0, 1], ok_text, inv_temp=0.0)
 
 
 def _nll(logits, true):
@@ -202,8 +196,7 @@ def test_t2i_matches_scalar_oracle():
     # sqrt(1 - c^2) and one positive, image 2.
     visual = _unit_rows([0.9, 0.7, 0.1])
     text = np.eye(2)
-    batch = _batch(visual, [0, 0, 1], [0, 1], text)
-    _, t2i = contrastive_losses(batch)
+    _, t2i = _losses(visual, [0, 0, 1], [0, 1], text)
     class1 = _nll([math.sqrt(1.0 - c * c) for c in (0.9, 0.7, 0.1)], 2)
     assert t2i.item() == pytest.approx((2 * 0.9189247158518508 + class1) / 3, abs=1e-10)
 
@@ -217,33 +210,29 @@ def test_i2t_matches_scalar_oracle():
         text[row, 0] = c
         text[row, 1] = math.sqrt(1.0 - c * c)
     visual = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    batch = _batch(visual, [0, 1], [0, 1, 2], text)
-    i2t, _ = contrastive_losses(batch)
+    i2t, _ = _losses(visual, [0, 1], [0, 1, 2], text)
     assert i2t.item() == pytest.approx((0.8189247158518508 + math.log(3)) / 2, abs=1e-10)
 
 
 def test_equal_similarity_gives_log_batch_size():
     visual = np.tile(np.array([[1.0, 0.0]]), (5, 1))
-    batch = _batch(visual, [0, 0, 0, 0, 1], [0, 1], np.eye(2))
-    _, t2i = contrastive_losses(batch)
+    _, t2i = _losses(visual, [0, 0, 0, 0, 1], [0, 1], np.eye(2))
     assert abs(t2i.item() - math.log(5)) < 1e-10
 
 
 def test_equal_similarity_gives_log_class_count():
     s = 1.0 / math.sqrt(2.0)
     visual = np.array([[s, s], [s, s]])
-    batch = _batch(visual, [0, 1], [0, 1], np.eye(2))
-    i2t, t2i = contrastive_losses(batch)
+    i2t, t2i = _losses(visual, [0, 1], [0, 1], np.eye(2))
     assert abs(i2t.item() - math.log(2)) < 1e-10
     assert abs(t2i.item() - math.log(2)) < 1e-10
 
 
 def test_temperature_scales_the_logits():
     visual = _unit_rows([0.9, 0.7, 0.1])
-    batch = _batch(visual, [0, 0, 1], [0, 1], np.eye(2), inv_temp=2.0)
     z = math.exp(1.8) + math.exp(1.4) + math.exp(0.2)
     class1 = _nll([2.0 * math.sqrt(1.0 - c * c) for c in (0.9, 0.7, 0.1)], 2)
-    _, t2i = contrastive_losses(batch)
+    _, t2i = _losses(visual, [0, 0, 1], [0, 1], np.eye(2), inv_temp=2.0)
     assert t2i.item() == pytest.approx((2 * (math.log(z) - 1.6) + class1) / 3, abs=1e-10)
 
 
@@ -251,9 +240,9 @@ def test_t2i_skips_a_class_without_positives():
     # a text with no positive sample adds nothing to t2i (it still competes
     # in i2t); the class-0 column is the same with or without it
     visual = _unit_rows([0.9, 0.7])
-    with_extra = _batch(visual, [0, 0], [0, 1], np.eye(2))
-    alone = _batch(visual, [0, 0], [0], np.eye(2)[:1])
-    assert contrastive_losses(with_extra)[1].item() == contrastive_losses(alone)[1].item()
+    with_extra = _losses(visual, [0, 0], [0, 1], np.eye(2))
+    alone = _losses(visual, [0, 0], [0], np.eye(2)[:1])
+    assert with_extra[1].item() == alone[1].item()
 
 
 def test_contrastive_losses_stay_finite_at_a_large_inverse_temperature():
@@ -261,10 +250,7 @@ def test_contrastive_losses_stay_finite_at_a_large_inverse_temperature():
     # log(softmax) would raise; the loss itself is about 2 exp(-800)
     inv_temp = Tensor(np.asarray(800.0), requires_grad=True)
     with dc.Graph() as g:
-        batch = ContrastiveBatch(visual=Tensor(np.eye(3)), labels=(0, 1, 2),
-                                 class_labels=(0, 1, 2), text=Tensor(np.eye(3)),
-                                 inv_temp=inv_temp)
-        i2t, t2i = contrastive_losses(batch)
+        i2t, t2i = contrastive_losses(Tensor(np.eye(3)), (0, 1, 2), (0, 1, 2), Tensor(np.eye(3)), inv_temp)
         total = dc.add(i2t, t2i)
     g.backward(total)
     assert abs(i2t.item()) < 1e-12 and abs(t2i.item()) < 1e-12
@@ -299,7 +285,7 @@ def test_contrastive_losses_match_the_per_anchor_oracle(seed):
     text = rng.normal(size=(len(class_labels), 4))
     text /= np.linalg.norm(text, axis=1, keepdims=True)
     inv_temp = float(rng.uniform(0.5, 10.0))
-    i2t, t2i = contrastive_losses(_batch(visual, labels, class_labels, text, inv_temp))
+    i2t, t2i = _losses(visual, labels, class_labels, text, inv_temp)
     want_i2t, want_t2i = _per_anchor_oracle(visual, labels, class_labels, text, inv_temp)
     assert abs(i2t.item() - want_i2t) <= 1e-12
     assert abs(t2i.item() - want_t2i) <= 1e-12

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from gcum import synthdata as sd
+from gcum.cli import _write_json
+
+
+def save(ds, path):
+    """Write ``ds`` as ``gen-data`` does."""
+    _write_json(str(path), sd.dataset_to_doc(ds))
 
 
 def clean_config(**overrides):
@@ -38,10 +44,10 @@ def test_generation_is_deterministic_to_the_byte(tmp_path):
     cfg = clean_config(membership_dropout_prob=0.3, layout_permutation=True,
                        appearance_noise_std=0.1, camera_bias_std=0.2)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    sd.save_dataset(sd.generate_dataset(cfg, seed=11), p1)
-    sd.save_dataset(sd.generate_dataset(cfg, seed=11), p2)
+    save(sd.generate_dataset(cfg, seed=11), p1)
+    save(sd.generate_dataset(cfg, seed=11), p2)
     assert p1.read_bytes() == p2.read_bytes()
-    sd.save_dataset(sd.generate_dataset(cfg, seed=12), p2)
+    save(sd.generate_dataset(cfg, seed=12), p2)
     assert p1.read_bytes() != p2.read_bytes()
 
 
@@ -106,7 +112,7 @@ def test_round_trip_is_lossless(tmp_path):
                        camera_bias_std=0.3, layout_permutation=True)
     ds = sd.generate_dataset(cfg, seed=21)
     path = tmp_path / "ds.json"
-    sd.save_dataset(ds, path)
+    save(ds, path)
     back = sd.load_dataset(str(path))
     assert back.seed == ds.seed
     assert back.config == ds.config
@@ -124,7 +130,7 @@ def test_round_trip_is_lossless(tmp_path):
 def test_load_rejects_bad_version_and_format(tmp_path):
     ds = sd.generate_dataset(clean_config(), seed=2)
     path = tmp_path / "ds.json"
-    sd.save_dataset(ds, path)
+    save(ds, path)
     doc = json.loads(path.read_text())
     doc["version"] = 2
     path.write_text(json.dumps(doc))
@@ -137,10 +143,24 @@ def test_load_rejects_bad_version_and_format(tmp_path):
         sd.load_dataset(str(path))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", ["catalog", "member"])
+def test_load_rejects_a_non_finite_appearance(where, bad):
+    doc = sd.dataset_to_doc(sd.generate_dataset(clean_config(), seed=2))
+    if where == "catalog":
+        entry, name = doc["catalog"][4], "catalog entry for identity 4"
+    else:
+        entry = doc["samples"][5]["members"][1]
+        name = f"sample 5 member {entry['identity_id']}"
+    entry["appearance"][2] = bad
+    with pytest.raises(sd.DatasetFormatError, match=f"^{name} appearance is not finite$"):
+        sd.dataset_from_doc(doc)
+
+
 def test_load_reports_truncation_offset(tmp_path):
     ds = sd.generate_dataset(clean_config(), seed=2)
     path = tmp_path / "ds.json"
-    sd.save_dataset(ds, path)
+    save(ds, path)
     blob = path.read_bytes()[: len(path.read_bytes()) // 2]
     path.write_bytes(blob)
     with pytest.raises(sd.DatasetFormatError, match="byte"):
