@@ -37,6 +37,7 @@ from .encoders import (
     STAGE2_TRAINABLE,
     CheckpointError,
     ModelConfig,
+    ModelState,
     init_model_state,
     save_checkpoint,
     state_from_checkpoint,
@@ -127,8 +128,8 @@ class RunConfig:
 
     seed: int = 0
     dim: int = 48
-    d_a: int = 32
-    m0: int = 6                       # JSON key "M0"
+    d_a: int = GenConfig.d_a
+    m0: int = GenConfig.members_max   # JSON key "M0"
     k_slots: int = 6                  # JSON key "K"
     tokens_per_identity: int = 4
     gla_enabled: bool = True
@@ -148,6 +149,7 @@ class RunConfig:
     train_fraction: float = 0.7
 
     def validate(self) -> None:
+        """Cross-field checks; building the component configs runs theirs."""
         if self.m0 < 2:
             raise ValueError("M0 must be at least 2: groups need two members")
         if self.k_slots < self.m0:
@@ -158,15 +160,15 @@ class RunConfig:
             raise ValueError("label smoothing epsilon must lie in [0, 1)")
         if self.alpha < 0:
             raise ValueError("triplet margin alpha must be non-negative")
-        self.mvs.validate()
-        self.gen_config().validate()
-        self.model_base().validate()
+        self.gen_config()
+        self.model_base()
         train = self.train_config(1)
-        train.validate()
         try:
             train.scaled()
         except ValueError as e:
             raise ValueError(f"train.scale_factor {train.scale_factor} collapses the schedule: {e}") from None
+
+    __post_init__ = validate
 
     # resolved component configs -------------------------------------------
 
@@ -220,7 +222,7 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Parse a config document; the default echo is the schema."""
         d = _read(doc, cls().to_dict(), "config")
-        cfg = cls(
+        return cls(
             seed=d["seed"],
             dim=d["dim"],
             d_a=d["d_a"],
@@ -235,15 +237,11 @@ class RunConfig:
             train=TrainConfig(**d["train"]),
             **d["data"],
         )
-        cfg.validate()
-        return cfg
 
 
 def load_run_config(path: str | None) -> RunConfig:
     if path is None:
-        cfg = RunConfig()
-        cfg.validate()
-        return cfg
+        return RunConfig()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -337,7 +335,8 @@ def run_grad_checks(seed: int, *, step: float = 1e-5, tolerance: float = 1e-4) -
     for name in _CHECKED_LOSSES:
         trainable, fn = checks[name]
         state.set_trainable(trainable)
-        reports[name] = dc.grad_check(fn, state, step=step, tolerance=tolerance)
+        reports[name] = dc.grad_check(lambda ps: fn(ModelState(state.config, ps)), state.params,
+                                      step=step, tolerance=tolerance)
     return reports
 
 

@@ -562,28 +562,13 @@ class GradCheckReport:
         return not self.failures
 
 
-def _params_of(state) -> dict[str, Tensor]:
-    mapping = getattr(state, "params", state)
-    if not isinstance(mapping, Mapping):
-        raise TypeError("grad_check needs a ModelState or a name->Tensor mapping")
-    return dict(mapping)
-
-
-def _with_param(state, name: str, new: Tensor):
-    swap = getattr(state, "with_param", None)
-    if swap is not None:
-        return swap(name, new)
-    out = dict(state)
-    out[name] = new
-    return out
-
-
-def grad_check(loss_fn, state, step: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
+def grad_check(loss_fn, params: Mapping[str, Tensor], step: float = 1e-5,
+               tolerance: float = 1e-4) -> GradCheckReport:
     """Compare recorded gradients against central finite differences.
 
-    ``loss_fn`` must be a deterministic scalar-valued function of ``state``
-    (a ModelState or a plain name->Tensor mapping); any sampling it depends
-    on must already be drawn and fixed.  Every entry of every parameter
+    ``loss_fn`` must be a deterministic scalar-valued function of the
+    name->Tensor mapping ``params``; any sampling it depends on must
+    already be drawn and fixed.  Every entry of every parameter
     with ``requires_grad`` is perturbed by ``±step`` and
     ``(f(x+h) - f(x-h)) / 2h`` is compared to the recorded gradient under
     the relative error ``|fd - ad| / max(1e-6, |fd| + |ad|)``.  The 1e-6
@@ -593,8 +578,6 @@ def grad_check(loss_fn, state, step: float = 1e-5, tolerance: float = 1e-4) -> G
 
     Entries over tolerance are reported, not raised.
     """
-    params = _params_of(state)
-
     # a parameter the loss never touches keeps whatever .grad an earlier
     # backward left on it, so start the measurement from a clean slate
     for p in params.values():
@@ -602,7 +585,7 @@ def grad_check(loss_fn, state, step: float = 1e-5, tolerance: float = 1e-4) -> G
             p.grad = None
 
     with Graph() as graph:
-        loss = loss_fn(state)
+        loss = loss_fn(params)
     if loss.shape != ():
         raise ShapeError("grad_check needs a scalar-valued loss_fn")
     graph.backward(loss)
@@ -620,8 +603,8 @@ def grad_check(loss_fn, state, step: float = 1e-5, tolerance: float = 1e-4) -> G
             plus[index] += step
             minus = base.copy()
             minus[index] -= step
-            f_plus = loss_fn(_with_param(state, name, Tensor(plus, p.requires_grad, _copy=False))).item()
-            f_minus = loss_fn(_with_param(state, name, Tensor(minus, p.requires_grad, _copy=False))).item()
+            f_plus = loss_fn({**params, name: Tensor(plus, p.requires_grad, _copy=False)}).item()
+            f_minus = loss_fn({**params, name: Tensor(minus, p.requires_grad, _copy=False)}).item()
             fd = (f_plus - f_minus) / (2.0 * step)
             ad = float(recorded[index])
             rel = abs(fd - ad) / max(1e-6, abs(fd) + abs(ad))

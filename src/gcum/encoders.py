@@ -85,7 +85,7 @@ class ModelConfig:
     def max_prompt_len(self) -> int:
         return max(self.member_prompt_len, self.group_prompt_len)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.dim < 2 or self.d_a < 1:
             raise ValueError("dim must be >= 2 and d_a >= 1")
         if self.max_members < 1 or self.group_slots < 1:
@@ -107,9 +107,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
         # every field's default is an int or a float, which types its value
-        cfg = cls(**{f.name: type(f.default)(doc[f.name]) for f in fields(cls)})
-        cfg.validate()
-        return cfg
+        return cls(**{f.name: type(f.default)(doc[f.name]) for f in fields(cls)})
 
 
 # Parameter groups by role.  Encoder weights, template embeddings and text
@@ -147,7 +145,6 @@ class ModelState:
 
 def init_model_state(config: ModelConfig, seed: int) -> ModelState:
     """Draw all parameters; bit-identical for identical ``(config, seed)``."""
-    config.validate()
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_INIT_STREAM,)))
     std = config.init_std
     dim, hidden = config.dim, config.hidden

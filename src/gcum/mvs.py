@@ -32,7 +32,7 @@ class MvsConfig:
     p0: float = 0.0
     pmax: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
         if not (0.0 <= self.p0 <= self.pmax < 1.0):
@@ -43,9 +43,7 @@ class MvsConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MvsConfig":
-        cfg = cls(**{f.name: float(doc[f.name]) for f in fields(cls)})
-        cfg.validate()
-        return cfg
+        return cls(**{f.name: float(doc[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +76,6 @@ def full_mask(n: int) -> Mask:
 
 def sample_drop_prob(config: MvsConfig, rng: np.random.Generator) -> float:
     """One clamped-Gaussian draw of the per-view drop probability."""
-    config.validate()
     p = config.mu + config.sigma * rng.standard_normal()
     return float(min(max(p, config.p0), config.pmax))
 

@@ -14,7 +14,7 @@ stable JSON layout whose floats round-trip losslessly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ class GenConfig:
     camera_bias_std: float = 0.2
     d_a: int = 32
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_group_identities < 2:
             raise ValueError("need at least two group identities")
         if self.members_min < 2:
@@ -66,35 +66,16 @@ class GenConfig:
             raise ValueError("appearance dimension must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "n_group_identities": self.n_group_identities,
-            "members_per_group": [self.members_min, self.members_max],
-            "n_cameras": self.n_cameras,
-            "views_per_group_per_camera": self.views_per_group_per_camera,
-            "membership_dropout_prob": self.membership_dropout_prob,
-            "layout_permutation": self.layout_permutation,
-            "appearance_noise_std": self.appearance_noise_std,
-            "camera_bias_std": self.camera_bias_std,
-            "d_a": self.d_a,
-        }
+        d = asdict(self)
+        return {"n_group_identities": d.pop("n_group_identities"),
+                "members_per_group": [d.pop("members_min"), d.pop("members_max")], **d}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GenConfig":
         lo, hi = doc["members_per_group"]
-        cfg = cls(
-            n_group_identities=int(doc["n_group_identities"]),
-            members_min=int(lo),
-            members_max=int(hi),
-            n_cameras=int(doc["n_cameras"]),
-            views_per_group_per_camera=int(doc["views_per_group_per_camera"]),
-            membership_dropout_prob=float(doc["membership_dropout_prob"]),
-            layout_permutation=bool(doc["layout_permutation"]),
-            appearance_noise_std=float(doc["appearance_noise_std"]),
-            camera_bias_std=float(doc["camera_bias_std"]),
-            d_a=int(doc["d_a"]),
-        )
-        cfg.validate()
-        return cfg
+        flat = {**doc, "members_min": lo, "members_max": hi}
+        # every field's default is an int, a float or a bool, which types its value
+        return cls(**{f.name: type(f.default)(flat[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +129,6 @@ def _freeze(vec: np.ndarray) -> np.ndarray:
 
 def generate_dataset(config: GenConfig, seed: int) -> Dataset:
     """Draw a dataset; bit-identical for identical ``(config, seed)``."""
-    config.validate()
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_GENERATE_STREAM,)))
 
     rosters: list[list[int]] = []
@@ -215,14 +195,29 @@ def dataset_to_doc(ds: Dataset) -> dict:
     }
 
 
-def _require(doc: dict, key: str, where: str):
+def _require(doc: dict, key: str, where: str, read=None):
+    """``doc[key]``, through ``read`` if given; a failure names ``where`` and ``key``."""
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{where} must be a JSON object")
     if key not in doc:
         raise DatasetFormatError(f"{where} is missing required key {key!r}")
-    return doc[key]
+    if read is None:
+        return doc[key]
+    try:
+        return read(doc[key])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DatasetFormatError(f"{where} {key} is malformed: {e!r}") from None
+
+
+def _entries(doc: dict, key: str, where: str) -> list:
+    value = _require(doc, key, where)
+    if not isinstance(value, list) or not value:
+        raise DatasetFormatError(f"{where} {key} must be a non-empty list")
+    return value
 
 
 def _appearance(entry: dict, d_a: int, where: str) -> np.ndarray:
-    vec = np.asarray(_require(entry, "appearance", where), dtype=np.float64)
+    vec = _require(entry, "appearance", where, lambda v: np.asarray(v, dtype=np.float64))
     if vec.shape != (d_a,):
         raise DatasetFormatError(f"{where} appearance has shape {vec.shape}")
     if not np.isfinite(vec).all():
@@ -241,30 +236,29 @@ def dataset_from_doc(doc: dict) -> Dataset:
         raise DatasetFormatError(
             f"unsupported dataset version {version!r}, this build reads version {FORMAT_VERSION}"
         )
-    config = GenConfig.from_dict(_require(doc, "config", "dataset"))
-    d_a = int(_require(doc, "d_a", "dataset"))
+    config = _require(doc, "config", "dataset", GenConfig.from_dict)
+    d_a = _require(doc, "d_a", "dataset", int)
     if d_a != config.d_a:
         raise DatasetFormatError("top-level d_a disagrees with config d_a")
 
     catalog: dict[int, np.ndarray] = {}
-    for entry in _require(doc, "catalog", "dataset"):
-        pid = int(_require(entry, "identity_id", "catalog entry"))
+    for entry in _entries(doc, "catalog", "dataset"):
+        pid = _require(entry, "identity_id", "catalog entry", int)
         catalog[pid] = _appearance(entry, d_a, f"catalog entry for identity {pid}")
 
     samples: list[GroupSample] = []
-    for i, entry in enumerate(_require(doc, "samples", "dataset")):
-        gid = int(_require(entry, "group_id", f"sample {i}"))
-        cam = int(_require(entry, "camera_id", f"sample {i}"))
+    for i, entry in enumerate(_entries(doc, "samples", "dataset")):
+        gid = _require(entry, "group_id", f"sample {i}", int)
+        cam = _require(entry, "camera_id", f"sample {i}", int)
         members = []
-        raw_members = _require(entry, "members", f"sample {i}")
-        if not raw_members:
-            raise DatasetFormatError(f"sample {i} has no members")
-        for m in raw_members:
-            pid = int(_require(m, "identity_id", f"sample {i} member"))
+        for m in _entries(entry, "members", f"sample {i}"):
+            pid = _require(m, "identity_id", f"sample {i} member", int)
+            if pid not in catalog:
+                raise DatasetFormatError(f"sample {i} member identity {pid} is not in the catalog")
             members.append(Member(pid, _appearance(m, d_a, f"sample {i} member {pid}")))
         samples.append(GroupSample(gid, cam, tuple(members)))
 
-    ds = Dataset(seed=int(_require(doc, "seed", "dataset")), config=config, catalog=catalog, samples=samples)
+    ds = Dataset(seed=_require(doc, "seed", "dataset", int), config=config, catalog=catalog, samples=samples)
     cameras_per_group: dict[int, set[int]] = {}
     for s in ds.samples:
         cameras_per_group.setdefault(s.group_id, set()).add(s.camera_id)

@@ -67,7 +67,7 @@ class TrainConfig:
     stage: int = 1
     scale_factor: float = 0.25
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (0.0 < self.lr_start < self.lr_peak):
             raise ValueError("need 0 < lr_start < lr_peak")
         if self.warmup_epochs < 0 or self.total_epochs < 0:
@@ -102,15 +102,13 @@ class TrainConfig:
         def s(e: int) -> int:
             return max(1, math.floor(e * self.scale_factor + 0.5)) if e > 0 else 0
 
-        out = replace(
+        return replace(
             self,
             warmup_epochs=s(self.warmup_epochs),
             decay_epochs=tuple(s(e) for e in self.decay_epochs),
             total_epochs=s(self.total_epochs),
             scale_factor=1.0,
         )
-        out.validate()
-        return out
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
@@ -262,7 +260,6 @@ def train_stage1(
     mvs: MvsConfig | None = None,
 ) -> tuple[ModelState, list[dict]]:
     """Prompt learning over shuffled batches; returns state and history."""
-    cfg.validate()
     if cfg.stage != 1:
         raise ValueError("train_stage1 needs a stage-1 config")
     if len(samples) < 2:
@@ -305,7 +302,6 @@ def train_stage2(
     for the whole stage; ``use_text=False`` trains on the identity and
     triplet terms alone.
     """
-    cfg.validate()
     if cfg.stage != 2:
         raise ValueError("train_stage2 needs a stage-2 config")
     views = _group_views(samples)

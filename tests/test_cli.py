@@ -1,6 +1,7 @@
 """Config parsing, command flows, exit codes, and artifact round trips."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,11 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_rejects_bad_values():
+    # validate() runs when the config is built, replace included
+    with pytest.raises(ValueError, match="M0"):
+        RunConfig(m0=1, k_slots=1)
+    with pytest.raises(ValueError, match="K"):
+        replace(RunConfig(), k_slots=5)
     with pytest.raises(ValueError, match="M0"):
         RunConfig.from_dict({"M0": 1, "K": 1})
     with pytest.raises(ValueError, match="K"):
@@ -370,6 +376,39 @@ def test_train_rejects_a_dataset_with_a_non_finite_appearance(tmp_path, small_co
     assert not out.exists()
 
 
+_DATASET_DAMAGE = {
+    "catalog-not-a-list": (lambda d: d.update(catalog=5), "dataset catalog must be a non-empty list"),
+    "member-range-not-a-pair": (lambda d: d["config"].update(members_per_group=5), "dataset config"),
+    "config-without-n_cameras": (lambda d: d["config"].pop("n_cameras"), "dataset config"),
+    "n_cameras-not-a-number": (lambda d: d["config"].update(n_cameras="two"), "dataset config"),
+    "config-fails-its-checks": (lambda d: d["config"].update(n_cameras=1), "dataset config"),
+    "identity-not-an-integer": (lambda d: d["samples"][2]["members"][0].update(identity_id={}),
+                                "sample 2 member identity_id is malformed"),
+    "sample-not-an-object": (lambda d: d["samples"].__setitem__(2, 5), "sample 2 must be a JSON object"),
+    "appearance-not-numbers": (lambda d: d["catalog"][1].update(appearance="dark"),
+                               "catalog entry for identity 1 appearance is malformed"),
+    # a fresh identity would also widen its group's roster past K
+    "identity-outside-the-catalog": (lambda d: d["samples"][2]["members"][0].update(identity_id=9999),
+                                     "sample 2 member identity 9999 is not in the catalog"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DATASET_DAMAGE))
+def test_train_rejects_a_malformed_dataset(tmp_path, small_config, capsys, damage):
+    data = _gen(tmp_path, small_config)
+    doc = json.loads(Path(data).read_text())
+    breaks, where = _DATASET_DAMAGE[damage]
+    breaks(doc)
+    Path(data).write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "x.ckpt"
+    code = main(["train", "--stage", "1", "--config", small_config, "--data", data, "--out", str(out)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+    assert not out.exists()
+
+
 def test_train_rejects_mismatched_dataset(tmp_path, small_config):
     data = _gen(tmp_path, small_config)
     other = dict(_SMALL)
@@ -445,6 +484,7 @@ def test_eval_reads_rosters_wider_than_k(tmp_path, small_config, capsys):
     for sample in doc["samples"]:
         for member in sample["members"]:
             member["identity_id"] = next(fresh)
+            doc["catalog"].append(dict(member))  # the fresh identity joins the catalog
     wide = str(tmp_path / "wide.json")
     Path(wide).write_text(json.dumps(doc))
     assert main(["train", "--stage", "1", "--config", small_config, "--data", wide,

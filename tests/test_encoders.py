@@ -72,8 +72,11 @@ def test_parameter_shapes():
 
 
 def test_config_rejects_slots_below_max_members():
+    # a config checks itself when built
     with pytest.raises(ValueError):
-        small_config(group_slots=2, max_members=3).validate()
+        small_config(group_slots=2, max_members=3)
+    with pytest.raises(ValueError):
+        ModelConfig(dim=1)
 
 
 def test_config_round_trip():

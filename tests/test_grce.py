@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gcum import diffcore as dc
 from gcum.diffcore import ShapeError, Tensor
-from gcum.encoders import STAGE1_TRAINABLE, STAGE2_TRAINABLE, ModelConfig, init_model_state
+from gcum.encoders import STAGE1_TRAINABLE, STAGE2_TRAINABLE, ModelConfig, ModelState, init_model_state
 from gcum.gla import class_text_features, stage1_batch_loss
 from gcum.grce import (
     VisualMemo,
@@ -453,7 +453,8 @@ def test_stage1_loss_grad_check_over_mixed_member_counts():
     def loss_fn(st):
         return stage1_batch_loss(samples, *memo(range(4), masks, st), st, rosters)[0]
 
-    report = dc.grad_check(loss_fn, state, step=1e-5, tolerance=1e-4)
+    report = dc.grad_check(lambda ps: loss_fn(ModelState(state.config, ps)), state.params,
+                           step=1e-5, tolerance=1e-4)
     assert report.ok, report.failures[:3]
     assert set(report.per_param) == set(STAGE1_TRAINABLE)
 
@@ -469,7 +470,8 @@ def test_stage2_loss_grad_check_over_mixed_member_counts():
         features = memo(range(4), masks, st, refined=True)[0]
         return stage2_batch_loss(samples, features, st, class_index, text, alpha=0.5)[0]
 
-    report = dc.grad_check(loss_fn, state, step=1e-5, tolerance=1e-4)
+    report = dc.grad_check(lambda ps: loss_fn(ModelState(state.config, ps)), state.params,
+                           step=1e-5, tolerance=1e-4)
     assert report.ok, report.failures[:3]
     assert set(report.per_param) == set(STAGE2_TRAINABLE)
 

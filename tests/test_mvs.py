@@ -1,5 +1,7 @@
 """Member dropout sampling and the count-refined recombination."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,13 +18,16 @@ from gcum.mvs import (
 
 
 def test_config_validation():
+    # a config checks itself when built, and again when replace builds a copy
     with pytest.raises(ValueError):
-        MvsConfig(sigma=-0.1).validate()
+        MvsConfig(sigma=-0.1)
     with pytest.raises(ValueError):
-        MvsConfig(p0=0.6, pmax=0.5).validate()
+        MvsConfig(p0=0.6, pmax=0.5)
     with pytest.raises(ValueError):
-        MvsConfig(pmax=1.0).validate()
-    MvsConfig().validate()
+        MvsConfig(pmax=1.0)
+    with pytest.raises(ValueError):
+        replace(MvsConfig(), pmax=1.0)
+    MvsConfig()
 
 
 def test_config_round_trip():

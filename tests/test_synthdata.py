@@ -30,14 +30,34 @@ def clean_config(**overrides):
 
 
 def test_config_validation():
+    # a config checks itself when built
     with pytest.raises(ValueError):
-        clean_config(members_min=1).validate()
+        sd.GenConfig(members_min=1)
     with pytest.raises(ValueError):
-        clean_config(n_cameras=1).validate()
+        clean_config(n_cameras=1)
     with pytest.raises(ValueError):
-        clean_config(membership_dropout_prob=1.0).validate()
+        clean_config(membership_dropout_prob=1.0)
     with pytest.raises(ValueError):
-        clean_config(appearance_noise_std=-0.1).validate()
+        clean_config(appearance_noise_std=-0.1)
+
+
+def test_config_round_trip():
+    cfg = clean_config(membership_dropout_prob=0.25)
+    assert sd.GenConfig.from_dict(cfg.to_dict()) == cfg
+    # datasets write the keys in this order, the member range as one pair
+    assert list(cfg.to_dict()) == ["n_group_identities", "members_per_group", "n_cameras",
+                                   "views_per_group_per_camera", "membership_dropout_prob",
+                                   "layout_permutation", "appearance_noise_std", "camera_bias_std", "d_a"]
+    assert cfg.to_dict()["members_per_group"] == [cfg.members_min, cfg.members_max]
+    doc = dict(cfg.to_dict(), members_per_group=[3.0, 4], n_cameras=2.0,
+               appearance_noise_std=0, layout_permutation=0)
+    back = sd.GenConfig.from_dict(doc)
+    assert (back.members_min, back.members_max) == (3, 4)
+    assert type(back.members_min) is int and type(back.n_cameras) is int
+    assert type(back.appearance_noise_std) is float and back.layout_permutation is False
+    del doc["d_a"]
+    with pytest.raises(KeyError):
+        sd.GenConfig.from_dict(doc)
 
 
 def test_generation_is_deterministic_to_the_byte(tmp_path):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,17 +36,22 @@ from gcum.trainer import (
 
 
 def test_config_validation():
-    TrainConfig().validate()
+    # a config checks itself when built, and again when replace builds a copy
+    TrainConfig()
     with pytest.raises(ValueError):
-        TrainConfig(lr_start=5e-6, lr_peak=5e-7).validate()
+        TrainConfig(lr_start=5e-6, lr_peak=5e-7)
     with pytest.raises(ValueError):
-        TrainConfig(decay_epochs=(50, 30)).validate()
+        TrainConfig(decay_epochs=(50, 30))
     with pytest.raises(ValueError):
-        TrainConfig(decay_epochs=(30, 90)).validate()
+        TrainConfig(decay_epochs=(30, 90))
     with pytest.raises(ValueError):
-        TrainConfig(batch_size=6).validate()  # p_groups * q_views mismatch
+        TrainConfig(batch_size=6)  # p_groups * q_views mismatch
     with pytest.raises(ValueError):
-        TrainConfig(stage=3).validate()
+        replace(TrainConfig(), batch_size=6)
+    with pytest.raises(ValueError):
+        TrainConfig(stage=3)
+    with pytest.raises(ValueError, match="ascending"):
+        TrainConfig(warmup_epochs=0, decay_epochs=(1, 2), total_epochs=3, scale_factor=0.1).scaled()
 
 
 def test_scaled_schedule_keeps_the_shape():
