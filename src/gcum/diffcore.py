@@ -7,17 +7,26 @@ once in reverse, accumulating gradients into the leaf parameters it saw.
 
 Design constraints the rest of the package relies on:
 
-* all arithmetic is float64, and any NaN/inf surfaces as ``NonFiniteError``
-  at the operation that produced it;
+* all arithmetic is float64, and a NaN/inf surfaces as ``NonFiniteError``
+  naming the operation that produced it: outside a recording graph when
+  the op makes it; inside one, once, when it reaches the loss or a
+  gradient at ``Graph.backward``, a value Python reads (``item``,
+  ``check_finite``) or an exception raised while recording, so a value
+  that reaches none of them does not raise;
 * identical inputs give bit-identical outputs (fixed reduction orders, no
   hidden threading decisions at these sizes);
 * a graph records once and backpropagates once; reuse raises;
 * rows are selected by one op, ``gather_rows``, and rows it leaves out get
   exactly zero gradient;
-* log-probabilities come from ``log_softmax_rows`` (log-sum-exp), which
-  stays finite where the log of a softmax would underflow and raise;
 * attention over many short sequences is one op, ``segment_attention``,
-  which keeps the tape rank 2 by stacking the sequences as row blocks.
+  which keeps the tape rank 2 by stacking the sequences as row blocks;
+* compositions a training step runs many times are one node each, with a
+  closed-form backward that gives the composed ops' bits: a residual
+  self-attention block (``attention_block``), the cross entropy against
+  soft targets (``soft_target_nll``, by log-sum-exp, so it stays finite
+  where the log of a softmax would underflow), the floored row distance
+  (``row_distance``) and the count term's block means
+  (``add_block_means``).
 
 ``grad_check`` compares recorded gradients against central finite
 differences entry by entry and is the reference oracle used throughout the
@@ -54,11 +63,15 @@ __all__ = [
     "log",
     "tanh",
     "clamp_min",
-    "log_softmax_rows",
     "segment_attention",
+    "attention_block",
+    "soft_target_nll",
+    "row_distance",
+    "add_block_means",
     "l2_normalize",
     "reduce_sum",
     "reduce_mean",
+    "check_finite",
     "grad_check",
 ]
 
@@ -85,16 +98,16 @@ class Tensor:
 
     __slots__ = ("values", "requires_grad", "grad")
 
-    def __init__(self, values, requires_grad: bool = False, *, _copy: bool = True):
+    def __init__(self, values, requires_grad: bool = False, *, _copy: bool = True, _check: bool = True):
+        # _check=False is for an op's output on a recording graph, whose
+        # finiteness is checked later, once (see ``Graph.backward``)
         if _copy:
             arr = np.array(values, dtype=np.float64, copy=True)
         else:
             arr = np.asarray(values, dtype=np.float64)
         if arr.ndim > 2:
             raise ShapeError(f"tensors are at most rank 2, got shape {arr.shape}")
-        # Sum-based probe: any NaN or inf in the array makes the sum
-        # non-finite, and desk-scale magnitudes cannot overflow a float64 sum.
-        if arr.size and not math.isfinite(float(arr.sum())):
+        if _check and not _finite(arr):
             raise NonFiniteError("tensor contains NaN or infinite values")
         arr.setflags(write=False)
         self.values = arr
@@ -112,11 +125,37 @@ class Tensor:
     def item(self) -> float:
         if self.values.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
+        check_finite(self.values, "item")
         return float(self.values.reshape(()))
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
+
+
+def _finite(arr: np.ndarray) -> bool:
+    # Sum-based probe: any NaN or inf in the array makes the sum
+    # non-finite, and desk-scale magnitudes cannot overflow a float64 sum.
+    return not arr.size or math.isfinite(float(arr.sum()))
+
+
+def _op_name(pull) -> str:
+    # each op defines its own backward closure, so its name is the op's
+    return pull.__qualname__.split(".")[0]
+
+
+def check_finite(values: np.ndarray, where: str) -> None:
+    """Raise ``NonFiniteError`` if ``values``, about to be read by Python, hold a NaN or an inf.
+
+    Inside a recording graph the error names the first recorded op whose
+    output is non-finite, which made the value or what it came from;
+    otherwise it names ``where``.
+    """
+    if _finite(values):
+        return
+    if _ACTIVE is not None:
+        _ACTIVE._raise_first_non_finite()
+    raise NonFiniteError(f"{where}: tensor contains NaN or infinite values")
 
 
 def constant(values) -> Tensor:
@@ -133,7 +172,10 @@ class Graph:
     """One recording of a computation, consumed by a single backward pass.
 
     Graphs are single-owner: only one can record at a time and each records
-    at most once.  Use as a context manager::
+    at most once.  Recorded outputs are not checked for NaN or inf when an
+    op makes them; ``backward``, ``check_finite`` and an exception raised
+    while recording name the first non-finite one instead.  Use as a
+    context manager::
 
         with Graph() as g:
             loss = loss_fn(params)
@@ -161,6 +203,9 @@ class Graph:
     def __exit__(self, exc_type, exc, tb) -> bool:
         global _ACTIVE
         _ACTIVE = None
+        if exc_type is not None and issubclass(exc_type, Exception) and not issubclass(exc_type, NonFiniteError):
+            # an eager check would have raised at an unchecked non-finite value first
+            self._raise_first_non_finite()
         return False
 
     def _record(self, out: Tensor, parents: tuple[Tensor, ...], pull: _PullFn) -> None:
@@ -175,7 +220,9 @@ class Graph:
         """Accumulate d(loss)/d(leaf) into every leaf's ``grad``.
 
         The tape is traversed exactly once in reverse recording order, which
-        is a reverse topological order by construction.
+        is a reverse topological order by construction.  A non-finite loss
+        raises at the first recorded op whose output is non-finite, and a
+        non-finite gradient at the op whose backward made it.
         """
         if _ACTIVE is self:
             raise GraphError("backward inside the recording context is not allowed")
@@ -186,6 +233,8 @@ class Graph:
         if not loss.requires_grad or id(loss) not in self._produced:
             raise GraphError("loss has no gradient path recorded on this graph")
         self._consumed = True
+        if not _finite(loss.values):
+            self._raise_first_non_finite()
         acc = self._pull_all(loss)
         for leaf in self._leaves:
             g = acc.get(id(leaf))
@@ -205,22 +254,26 @@ class Graph:
                 prev = acc.get(id(parent))
                 acc[id(parent)] = pg if prev is None else prev + pg
                 if checked and not np.isfinite(acc[id(parent)]).all():
-                    op = pull.__qualname__.split(".")[0]
-                    raise NonFiniteError(f"{op}: gradient contains NaN or infinite values")
+                    raise NonFiniteError(f"{_op_name(pull)}: gradient contains NaN or infinite values")
         return acc
+
+    def _raise_first_non_finite(self) -> None:
+        """Raise at the first recorded output, in recording order, that is not finite."""
+        for out, _, pull in self._nodes:
+            if not _finite(out.values):
+                raise NonFiniteError(f"{_op_name(pull)}: tensor contains NaN or infinite values")
 
 
 def _result(values: np.ndarray, parents: tuple[Tensor, ...], pull: _PullFn) -> Tensor:
     graph = _ACTIVE
-    needs = graph is not None and any(p.requires_grad for p in parents)
-    try:
-        out = Tensor(values, requires_grad=needs, _copy=False)
-    except NonFiniteError as e:
-        # each op defines its own backward closure, so its name is the op's
-        raise NonFiniteError(f"{pull.__qualname__.split('.')[0]}: {e}") from None
-    if needs:
+    if graph is not None and any(p.requires_grad for p in parents):
+        out = Tensor(values, True, _copy=False, _check=False)
         graph._record(out, parents, pull)
-    return out
+        return out
+    try:
+        return Tensor(values, _copy=False)
+    except NonFiniteError as e:
+        raise NonFiniteError(f"{_op_name(pull)}: {e}") from None
 
 
 def _ew_check(a: Tensor, b: Tensor, op: str) -> None:
@@ -367,12 +420,17 @@ def gather_rows(x: Tensor, order: Sequence[int]) -> Tensor:
     xv = x.values
 
     def pull(g: np.ndarray):
-        # one bincount adds each row's terms in index order from 0.0, as np.add.at does
-        n, d = xv.shape
-        flat = (idx[:, None] * d + np.arange(d)).ravel()
-        return (np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d),)
+        return (_scatter_rows(idx, g, xv.shape[0]),)
 
     return _result(xv[idx], (x,), pull)
+
+
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """The (n, d) sum of the rows of ``g`` into rows ``idx``: ``gather_rows``' backward."""
+    # one bincount adds each row's terms in index order from 0.0, as np.add.at does
+    d = g.shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -419,23 +477,78 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
     return _result(np.maximum(xv, floor), (x,), pull)
 
 
-def log_softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise log of the softmax (a rank-1 tensor is treated as a single row).
+def soft_target_nll(logits: Tensor, targets, n: float) -> Tensor:
+    """``-sum(log_softmax(logits) * targets) / n``: the cross entropy of target rows, summed and over ``n``.
 
-    Computed by log-sum-exp on max-shifted rows, so it stays finite at
-    logit spreads where the softmax itself underflows to 0 and its ``log``
-    would raise.
+    ``logits`` and the constant ``targets`` are (B, C) matrices; with
+    ``n = B`` and target rows that sum to one it is the mean cross entropy
+    of the rows.  The row-wise log-softmax is taken by log-sum-exp on
+    max-shifted rows, so it stays finite at logit spreads where the
+    softmax itself underflows to 0 and its log would not be.
     """
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"log_softmax_rows needs rank 1 or 2, got shape {x.shape}")
-    shifted = x.values - np.max(x.values, axis=-1, keepdims=True)
-    out = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    s = np.exp(out)
+    tv = np.array(targets, dtype=np.float64, copy=True)
+    if logits.ndim != 2 or tv.shape != logits.shape:
+        raise ShapeError(f"soft_target_nll needs (B, C) logits and targets, got {logits.shape} and {tv.shape}")
+    if not _finite(tv):
+        raise NonFiniteError("soft_target_nll: targets contain NaN or infinite values")
+    if not n > 0:
+        raise ShapeError(f"soft_target_nll needs a positive divisor, got {n}")
+    c = -1.0 / n
+    lv = logits.values
+    shifted = lv - np.max(lv, axis=-1, keepdims=True)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
     def pull(g: np.ndarray):
-        return (g - s * np.sum(g, axis=-1, keepdims=True),)
+        gl = np.broadcast_to(g * c, tv.shape).copy() * tv
+        return (gl - np.exp(logp) * np.sum(gl, axis=-1, keepdims=True),)
 
-    return _result(out, (x,), pull)
+    return _result(np.asarray(np.sum(logp * tv)) * c, (logits,), pull)
+
+
+def _blocks(rows: int, length: int, lengths, op: str) -> tuple[int, np.ndarray | None]:
+    """How many blocks of ``length`` rows ``rows`` makes, and their (n, length) live-row mask."""
+    if length < 1 or rows == 0 or rows % length:
+        raise ShapeError(f"{op}: {rows} rows do not split into blocks of {length}")
+    n = rows // length
+    if lengths is None:
+        return n, None
+    lengths = np.asarray(lengths)
+    if lengths.shape != (n,) or lengths.min() < 1 or lengths.max() > length:
+        raise ShapeError(f"{op}: need {n} block lengths in [1, {length}]")
+    return n, np.arange(length) < lengths[:, None]
+
+
+def _attend(qv: np.ndarray, kv: np.ndarray, vv: np.ndarray, n: int, live) -> tuple[np.ndarray, np.ndarray]:
+    """Attention inside n row blocks: the (n, L, L) weights and the (rows, dv) output."""
+    rows, d = qv.shape
+    length = rows // n
+    vb = vv.reshape(n, length, vv.shape[1])
+    scores = (qv.reshape(n, length, d) @ kv.reshape(n, length, d).transpose(0, 2, 1)) * (1.0 / math.sqrt(d))
+    if live is not None:
+        scores = np.where(live[:, None, :], scores, -np.inf)
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    del scores
+    w = e / np.sum(e, axis=-1, keepdims=True)
+    del e
+    if live is not None:
+        w = w * live[:, :, None]
+    return w, (w @ vb).reshape(rows, vv.shape[1])
+
+
+def _attend_grads(g: np.ndarray, w: np.ndarray, qv: np.ndarray, kv: np.ndarray, vv: np.ndarray,
+                  need_q: bool, need_k: bool, need_v: bool):
+    """``_attend``'s backward: the q, k and v gradients asked for, None for the rest."""
+    n, length = w.shape[:2]
+    rows, d = qv.shape
+    gb = g.reshape(n, length, -1)
+    gq = gk = None
+    if need_q or need_k:
+        gw = gb @ vv.reshape(n, length, vv.shape[1]).transpose(0, 2, 1)
+        gs = w * (gw - np.sum(gw * w, axis=-1, keepdims=True)) * (1.0 / math.sqrt(d))
+        gq = (gs @ kv.reshape(n, length, d)).reshape(rows, d) if need_q else None
+        gk = (gs.transpose(0, 2, 1) @ qv.reshape(n, length, d)).reshape(rows, d) if need_k else None
+    gv = (w.transpose(0, 2, 1) @ gb).reshape(rows, -1) if need_v else None
+    return gq, gk, gv
 
 
 def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int, lengths=None) -> Tensor:
@@ -452,38 +565,124 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int, lengths=None
     if q.ndim != 2 or k.shape != q.shape or v.ndim != 2 or v.shape[0] != q.shape[0]:
         raise ShapeError(f"segment_attention: need q, k of one shape and v of as many rows, "
                          f"got {q.shape}, {k.shape}, {v.shape}")
-    rows, d = q.shape
-    if length < 1 or rows == 0 or rows % length:
-        raise ShapeError(f"segment_attention: {rows} rows do not split into blocks of {length}")
-    n = rows // length
-    c = 1.0 / math.sqrt(d)
-    qb = q.values.reshape(n, length, d)
-    kb = k.values.reshape(n, length, d)
-    vb = v.values.reshape(n, length, v.shape[1])
-    scores = (qb @ kb.transpose(0, 2, 1)) * c
-    if lengths is not None:
-        lengths = np.asarray(lengths)
-        if lengths.shape != (n,) or lengths.min() < 1 or lengths.max() > length:
-            raise ShapeError(f"segment_attention: need {n} block lengths in [1, {length}]")
-        live = np.arange(length) < lengths[:, None]
-        scores = np.where(live[:, None, :], scores, -np.inf)
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    w = e / np.sum(e, axis=-1, keepdims=True)
-    if lengths is not None:
-        w = w * live[:, :, None]
+    n, live = _blocks(q.shape[0], length, lengths, "segment_attention")
+    qv, kv, vv = q.values, k.values, v.values
+    w, out = _attend(qv, kv, vv, n, live)
 
     def pull(g: np.ndarray):
-        gb = g.reshape(n, length, -1)
-        gq = gk = None
-        if q.requires_grad or k.requires_grad:
-            gw = gb @ vb.transpose(0, 2, 1)
-            gs = w * (gw - np.sum(gw * w, axis=-1, keepdims=True)) * c
-            gq = (gs @ kb).reshape(rows, d) if q.requires_grad else None
-            gk = (gs.transpose(0, 2, 1) @ qb).reshape(rows, d) if k.requires_grad else None
-        gv = (w.transpose(0, 2, 1) @ gb).reshape(rows, -1) if v.requires_grad else None
-        return gq, gk, gv
+        return _attend_grads(g, w, qv, kv, vv, q.requires_grad, k.requires_grad, v.requires_grad)
 
-    return _result((w @ vb).reshape(rows, v.shape[1]), (q, k, v), pull)
+    return _result(out, (q, k, v), pull)
+
+
+def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, length: int,
+                    lengths=None) -> Tensor:
+    """Single-head self-attention with a residual connection, as one node.
+
+    The value and the gradients of ``x + segment_attention(x wq, x wk,
+    x wv, length, lengths) wo``, bit for bit: ``x``'s gradient adds the
+    residual, then the v, k and q terms, the order the composed ops'
+    backward takes (when nothing else reads ``x``).  ``x`` stacks
+    sequences of ``length`` rows each, and a row attends only within the
+    live rows of its own sequence.  Zero rows past a sequence's length
+    stay zero.  A zero output projection makes the block the identity map.
+    """
+    xv = x.values
+    if (xv.ndim != 2 or any(w.ndim != 2 for w in (wq, wk, wv, wo)) or wq.shape[0] != xv.shape[1]
+            or wk.shape != wq.shape or wv.shape[0] != xv.shape[1] or wo.shape != (wv.shape[1], xv.shape[1])):
+        raise ShapeError(f"attention_block: need x (rows, d), wq and wk (d, e), wv (d, f) and wo (f, d), "
+                         f"got {xv.shape}, {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape}")
+    n, live = _blocks(xv.shape[0], length, lengths, "attention_block")
+    qv, kv, vv = xv @ wq.values, xv @ wk.values, xv @ wv.values
+    w, ctx = _attend(qv, kv, vv, n, live)
+    need_q, need_k, need_v = (x.requires_grad or p.requires_grad for p in (wq, wk, wv))
+
+    def pull(g: np.ndarray):
+        gq = gk = gv = gx = None
+        if need_q or need_k or need_v:
+            gq, gk, gv = _attend_grads(g @ wo.values.T, w, qv, kv, vv, need_q, need_k, need_v)
+        if x.requires_grad:
+            gx = g + gv @ wv.values.T
+            gx = gx + gk @ wk.values.T
+            gx = gx + gq @ wq.values.T
+        return (gx,
+                xv.T @ gq if wq.requires_grad else None,
+                xv.T @ gk if wk.requires_grad else None,
+                xv.T @ gv if wv.requires_grad else None,
+                ctx.T @ g if wo.requires_grad else None)
+
+    out = ctx @ wo.values
+    return _result(np.add(xv, out, out=out), (x, wq, wk, wv, wo), pull)
+
+
+def row_distance(a: Tensor, b: Tensor) -> Tensor:
+    """Euclidean distance between matching rows, floored at 1e-6, as one node.
+
+    For (rows, d) matrices of one shape, one distance per row, taken as
+    ``exp(log(d2) / 2)`` with the squared distance ``d2`` floored at
+    1e-12: coincident rows give distance 1e-6 and a zero gradient, not a
+    NaN.  The value and the gradients are those of the composed
+    ``sub``, ``mul``, ``reduce_sum``, ``clamp_min``, ``log``, ``scale``
+    and ``exp``, bit for bit.
+    """
+    if a.shape != b.shape or a.ndim != 2:
+        raise ShapeError(f"row_distance needs matrices of one shape, got {a.shape} and {b.shape}")
+    dv = a.values - b.values
+    sq = np.sum(dv * dv, axis=1)
+    live = sq > 1e-12
+    d2 = np.maximum(sq, 1e-12)
+    out = np.exp(np.log(d2) * 0.5)
+
+    def pull(g: np.ndarray):
+        t = (g * out * 0.5 / d2 * live)[:, None] * dv
+        gd = t + t
+        return (gd if a.requires_grad else None, -gd if b.requires_grad else None)
+
+    return _result(out, (a, b), pull)
+
+
+def add_block_means(x: Tensor, weights: Tensor, counts) -> Tensor:
+    """Add to each block's first row the mean of its live rows, each scaled by a row of ``weights``.
+
+    ``x`` stacks B blocks of one width ``1 + slots``; block i's rows 1 to
+    ``counts[i]`` are live.  Its first row gains the mean over live rows j
+    of ``weights[j - 1] * row j``; every other row passes unchanged.  The
+    mean is the (B, slots, slots) product of the weights attention takes
+    at zero scores with the scaled rows, and the gradients scatter with
+    ``gather_rows``' bincount: the value and the gradients of that
+    composition, bit for bit.  Rows past a block's count and rows of
+    ``weights`` past it get no gradient.
+    """
+    xv, ev = x.values, weights.values
+    if xv.ndim != 2 or ev.ndim != 2 or xv.shape[1] != ev.shape[1]:
+        raise ShapeError(f"add_block_means: blocks {xv.shape} do not match the weights {ev.shape}")
+    counts = np.asarray(counts, dtype=np.int64)
+    rows, dim = xv.shape
+    if counts.ndim != 1 or not counts.size or rows % counts.size:
+        raise ShapeError(f"add_block_means: {rows} rows do not split into {counts.size} blocks")
+    b, slots = counts.size, rows // counts.size - 1
+    if not 1 <= slots <= ev.shape[0] or counts.min() < 1 or counts.max() > slots:
+        raise ShapeError(f"add_block_means: blocks of {slots} slots need counts {counts.tolist()} "
+                         f"in [1, {slots}] and at least {slots} weight rows, got {ev.shape[0]}")
+    starts = np.arange(b) * (slots + 1)
+    members = (starts[:, None] + np.arange(1, slots + 1)).ravel()
+    at = np.tile(np.arange(slots), b)
+    ew, mv = ev[at], xv[members]
+    live = np.arange(slots) < counts[:, None]
+    # softmax of zero scores over each block's live rows: 1/k there, 0 elsewhere;
+    # one product per block, as a (B, B slots) block-mean product rounds by block position
+    w = (live[:, :, None] & live[:, None, :]) / counts[:, None, None]
+    shift = np.zeros_like(xv)
+    shift[starts] = (w @ (ew * mv).reshape(b, slots, dim))[:, 0]
+
+    def pull(g: np.ndarray):
+        gb = np.zeros((b, slots, dim))
+        gb[:, 0] = g[starts] + 0.0  # a bincount scatter of one row adds it to 0.0
+        gm = (w.transpose(0, 2, 1) @ gb).reshape(b * slots, dim)
+        return (g + _scatter_rows(members, gm * ew, rows) if x.requires_grad else None,
+                _scatter_rows(at, gm * mv, ev.shape[0]) if weights.requires_grad else None)
+
+    return _result(np.add(xv, shift, out=shift), (x, weights), pull)
 
 
 def l2_normalize(x: Tensor) -> Tensor:

@@ -197,21 +197,6 @@ def init_model_state(config: ModelConfig, seed: int) -> ModelState:
 # Forward passes
 
 
-def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, length: int,
-                    lengths=None) -> Tensor:
-    """Single-head self-attention with a residual connection.
-
-    ``x`` stacks sequences of ``length`` rows each, and a row attends only
-    within the live rows (``segment_attention``) of its own sequence;
-    scores are scaled by 1/sqrt(dim).  Zero rows past a sequence's length
-    stay zero.  A zero output projection makes the block the identity map.
-    """
-    if x.ndim != 2:
-        raise ShapeError(f"attention_block needs a (rows, dim) tensor, got {x.shape}")
-    ctx = dc.segment_attention(dc.matmul(x, wq), dc.matmul(x, wk), dc.matmul(x, wv), length, lengths)
-    return dc.add(x, dc.matmul(ctx, wo))
-
-
 def project(x: Tensor, w: Tensor) -> Tensor:
     """``x @ w`` for a stack of rows, each row's result independent of the stack.
 
@@ -262,8 +247,8 @@ def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequ
     at[:, 0] = 0
     at[:, 1:][np.arange(cfg.max_members) < counts[:, None]] = 2 + np.arange(rows)
     table = dc.concat([dc.stack([p["group.cls"]]), dc.constant(np.zeros((1, cfg.dim))), member_features])
-    return attention_block(dc.gather_rows(table, at.ravel()), p["group.blk1.wq"], p["group.blk1.wk"],
-                           p["group.blk1.wv"], p["group.blk1.wo"], width, counts + 1)
+    return dc.attention_block(dc.gather_rows(table, at.ravel()), p["group.blk1.wq"], p["group.blk1.wk"],
+                              p["group.blk1.wv"], p["group.blk1.wo"], width, counts + 1)
 
 
 def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int]) -> Tensor:
@@ -278,8 +263,8 @@ def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int])
     if fused.ndim != 2 or fused.shape != (len(counts) * width, cfg.dim):
         raise ShapeError(f"expected ({len(counts)} * {width}, {cfg.dim}) rows, got {fused.shape}")
     p = state.params
-    out = attention_block(fused, p["group.blk2.wq"], p["group.blk2.wk"], p["group.blk2.wv"],
-                          p["group.blk2.wo"], width, counts + 1)
+    out = dc.attention_block(fused, p["group.blk2.wq"], p["group.blk2.wk"], p["group.blk2.wv"],
+                             p["group.blk2.wo"], width, counts + 1)
     pooled = dc.gather_rows(out, np.arange(0, fused.shape[0], width))
     return dc.l2_normalize(project(pooled, p["group.proj"]))
 
@@ -304,8 +289,8 @@ def encode_text(tokens: Tensor, state: ModelState, length: int) -> Tensor:
     n = rows // length
     p = state.params
     pos = dc.gather_rows(p["text.pos"], np.tile(np.arange(length), n))
-    seq = attention_block(dc.add(tokens, pos), p["text.attn.wq"], p["text.attn.wk"],
-                          p["text.attn.wv"], p["text.attn.wo"], length)
+    seq = dc.attention_block(dc.add(tokens, pos), p["text.attn.wq"], p["text.attn.wk"],
+                             p["text.attn.wv"], p["text.attn.wo"], length)
     # mean over each prompt's rows as one product with a (n, n * L) block matrix
     pool = Tensor(np.repeat(np.eye(n) / length, length, axis=1), _copy=False)
     return dc.l2_normalize(dc.matmul(dc.matmul(pool, seq), p["text.proj"]))

@@ -14,8 +14,8 @@ Alignment uses a supervised contrastive loss in both directions at both
 granularities (member features against member descriptions, group
 features against group descriptions), with a learnable inverse softmax
 temperature shared across all similarity logits.  Each direction is one
-whole-batch expression: the row-wise log-softmax of the (B, C) similarity
-matrix, or of its transpose, masked by the (B, C) one-hot label matrix and
+whole-batch cross entropy (``soft_target_nll``) of the (B, C) similarity
+matrix, or of its transpose, against the (B, C) one-hot label matrix,
 averaged over the B samples.
 """
 
@@ -155,6 +155,7 @@ def contrastive_losses(visual: Tensor, labels: Sequence[int], class_labels: Sequ
     if inv_temp.item() <= 0:
         raise ValueError("inverse temperature must be positive")
     for name, mat in (("visual", visual), ("text", text)):
+        dc.check_finite(mat.values, f"contrastive_losses {name}")
         norms = np.linalg.norm(mat.values, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-6:
             raise ValueError(f"{name} rows must be unit norm")
@@ -162,12 +163,7 @@ def contrastive_losses(visual: Tensor, labels: Sequence[int], class_labels: Sequ
 
     onehot = np.zeros((b, c))
     onehot[np.arange(b), [class_labels.index(y) for y in labels]] = 1.0
-
-    def mean_nll(logits: Tensor, picks: np.ndarray) -> Tensor:
-        logp = dc.log_softmax_rows(logits)
-        return dc.scale(dc.reduce_sum(dc.mul(logp, dc.constant(picks))), -1.0 / b)
-
-    return mean_nll(sims, onehot), mean_nll(dc.transpose(sims), onehot.T)
+    return dc.soft_target_nll(sims, onehot, b), dc.soft_target_nll(dc.transpose(sims), onehot.T, b)
 
 
 def stage1_batch_loss(

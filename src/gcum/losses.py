@@ -4,11 +4,11 @@ The refined group feature is trained with three terms: a label-smoothed
 classification loss over group classes, a batch-hard triplet loss in
 Euclidean feature space, and a label-smoothed cross entropy over
 similarities to the (now frozen) group text features.  Each term is one
-whole-batch expression over the stacked (B, dim) refined features: the
-two cross entropies take the row-wise log-softmax of a (B, N) logits
-matrix, and the triplet hinge compares each row with its mined positive
-and negative rows.  Mining runs on detached feature values; only the
-chosen pairs enter the recorded loss.
+whole-batch expression over the stacked (B, dim) refined features: each
+cross entropy is one ``soft_target_nll`` of a (B, N) logits matrix, and
+the triplet hinge compares each row with its mined positive and negative
+rows by ``row_distance``.  Mining runs on detached feature values, which
+must be finite; only the chosen pairs enter the recorded loss.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ def cross_entropy_smoothed(logits: Tensor, true_indices: Sequence[int], epsilon:
         raise ValueError("epsilon must lie in [0, 1)")
     target = np.full((b, n), epsilon / n)
     target[np.arange(b), true] += 1.0 - epsilon
-    logp = dc.log_softmax_rows(logits)
-    return dc.scale(dc.reduce_sum(dc.mul(logp, dc.constant(target))), -1.0 / b)
+    return dc.soft_target_nll(logits, target, b)
 
 
 def id_loss(
@@ -67,21 +66,6 @@ def i2tce_loss(
     return cross_entropy_smoothed(logits, class_indices, epsilon)
 
 
-def euclidean(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise distances with a clamped square: differentiable at coincident points.
-
-    ``a`` and ``b`` are matrices of the same shape; the result holds one
-    distance per row.  ``sqrt`` is composed as ``exp(log(d^2)/2)`` with
-    ``d^2`` floored at 1e-12, so coincident rows give distance 1e-6 and a
-    zero gradient instead of a NaN.
-    """
-    if a.shape != b.shape or a.ndim != 2:
-        raise ShapeError(f"expected matrices of one shape, got {a.shape} and {b.shape}")
-    diff = dc.sub(a, b)
-    d2 = dc.clamp_min(dc.reduce_sum(dc.mul(diff, diff), axis=1), 1e-12)
-    return dc.exp(dc.scale(dc.log(d2), 0.5))
-
-
 def mine_batch_hard(values: np.ndarray, labels: Sequence[int]) -> list[tuple[int, int, int]]:
     """Per anchor: the farthest positive and the nearest negative.
 
@@ -92,6 +76,7 @@ def mine_batch_hard(values: np.ndarray, labels: Sequence[int]) -> list[tuple[int
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != len(labels):
         raise ShapeError("need one feature row per label")
+    dc.check_finite(arr, "mine_batch_hard")
     b = arr.shape[0]
     sq = np.sum((arr[:, None, :] - arr[None, :, :]) ** 2, axis=2)
     dist = np.sqrt(np.maximum(sq, 0.0))
@@ -117,8 +102,8 @@ def triplet_loss(features: Tensor, labels: Sequence[int], alpha: float = 0.3) ->
     if alpha < 0:
         raise ValueError("margin must be non-negative")
     triplets = mine_batch_hard(features.values, labels)
-    d_ap = euclidean(features, dc.gather_rows(features, [p for _, p, _ in triplets]))
-    d_an = euclidean(features, dc.gather_rows(features, [n for _, _, n in triplets]))
+    d_ap = dc.row_distance(features, dc.gather_rows(features, [p for _, p, _ in triplets]))
+    d_an = dc.row_distance(features, dc.gather_rows(features, [n for _, _, n in triplets]))
     margin = dc.add(dc.sub(d_ap, d_an), dc.constant(np.asarray(alpha)))
     return dc.reduce_mean(dc.clamp_min(margin, 0.0))
 

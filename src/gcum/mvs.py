@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import ShapeError, Tensor
+from .diffcore import Tensor
 
 
 @dataclass(frozen=True)
@@ -101,23 +101,4 @@ def apply_mvs(blocks: Tensor, em: Tensor, counts: Sequence[int]) -> Tensor:
     its members j of ``em[j] * members[j]``; other rows pass unchanged.
     Padding and the rows of ``em`` beyond a view's count get no gradient.
     """
-    if blocks.ndim != 2 or em.ndim != 2 or blocks.shape[1] != em.shape[1]:
-        raise ShapeError(f"blocks {blocks.shape} do not match the count matrix {em.shape}")
-    counts = np.asarray(counts, dtype=np.int64)
-    rows, dim = blocks.shape
-    if counts.ndim != 1 or not counts.size or rows % counts.size:
-        raise ShapeError(f"{rows} rows do not split into {counts.size} blocks")
-    # more slots than count-matrix rows, or counts outside [1, slots], raise below
-    b, slots = counts.size, rows // counts.size - 1
-    starts = np.arange(b) * (slots + 1)
-    members = (starts[:, None] + np.arange(1, slots + 1)).ravel()
-    weighted = dc.mul(dc.gather_rows(em, np.tile(np.arange(slots), b)), dc.gather_rows(blocks, members))
-    # Zero scores weight each of a block's k live rows 1/k: every live row is
-    # the block mean.  A (B, B k) block-mean product rounds by block position.
-    zeros = dc.constant(np.zeros((b * slots, 1)))
-    means = dc.segment_attention(zeros, zeros, weighted, slots, counts)
-    # class-token row of block i takes row i slots of the means, the rest a zero row
-    pick = np.full(rows, b * slots)
-    pick[starts] = np.arange(b) * slots
-    padded = dc.concat([means, dc.constant(np.zeros((1, dim)))], axis=0)
-    return dc.add(blocks, dc.gather_rows(padded, pick))
+    return dc.add_block_means(blocks, em, counts)

@@ -209,6 +209,13 @@ def _require(doc: dict, key: str, where: str, read=None):
         raise DatasetFormatError(f"{where} {key} is malformed: {e!r}") from None
 
 
+def _json_int(value) -> int:
+    """A JSON integer as is: a bool, a float or a string raises rather than converts."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _entries(doc: dict, key: str, where: str) -> list:
     value = _require(doc, key, where)
     if not isinstance(value, list) or not value:
@@ -237,28 +244,30 @@ def dataset_from_doc(doc: dict) -> Dataset:
             f"unsupported dataset version {version!r}, this build reads version {FORMAT_VERSION}"
         )
     config = _require(doc, "config", "dataset", GenConfig.from_dict)
-    d_a = _require(doc, "d_a", "dataset", int)
+    d_a = _require(doc, "d_a", "dataset", _json_int)
     if d_a != config.d_a:
         raise DatasetFormatError("top-level d_a disagrees with config d_a")
 
     catalog: dict[int, np.ndarray] = {}
-    for entry in _entries(doc, "catalog", "dataset"):
-        pid = _require(entry, "identity_id", "catalog entry", int)
+    for i, entry in enumerate(_entries(doc, "catalog", "dataset")):
+        pid = _require(entry, "identity_id", f"catalog entry {i}", _json_int)
+        if pid in catalog:
+            raise DatasetFormatError(f"catalog entry {i} repeats identity {pid}")
         catalog[pid] = _appearance(entry, d_a, f"catalog entry for identity {pid}")
 
     samples: list[GroupSample] = []
     for i, entry in enumerate(_entries(doc, "samples", "dataset")):
-        gid = _require(entry, "group_id", f"sample {i}", int)
-        cam = _require(entry, "camera_id", f"sample {i}", int)
+        gid = _require(entry, "group_id", f"sample {i}", _json_int)
+        cam = _require(entry, "camera_id", f"sample {i}", _json_int)
         members = []
         for m in _entries(entry, "members", f"sample {i}"):
-            pid = _require(m, "identity_id", f"sample {i} member", int)
+            pid = _require(m, "identity_id", f"sample {i} member", _json_int)
             if pid not in catalog:
                 raise DatasetFormatError(f"sample {i} member identity {pid} is not in the catalog")
             members.append(Member(pid, _appearance(m, d_a, f"sample {i} member {pid}")))
         samples.append(GroupSample(gid, cam, tuple(members)))
 
-    ds = Dataset(seed=_require(doc, "seed", "dataset", int), config=config, catalog=catalog, samples=samples)
+    ds = Dataset(seed=_require(doc, "seed", "dataset", _json_int), config=config, catalog=catalog, samples=samples)
     cameras_per_group: dict[int, set[int]] = {}
     for s in ds.samples:
         cameras_per_group.setdefault(s.group_id, set()).add(s.camera_id)

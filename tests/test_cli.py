@@ -390,6 +390,18 @@ _DATASET_DAMAGE = {
     # a fresh identity would also widen its group's roster past K
     "identity-outside-the-catalog": (lambda d: d["samples"][2]["members"][0].update(identity_id=9999),
                                      "sample 2 member identity 9999 is not in the catalog"),
+    # ids are JSON integers: no string, float or bool is converted
+    "group-id-a-string": (lambda d: d["samples"][2].update(group_id="0"), "sample 2 group_id is malformed"),
+    "identity-id-a-float": (lambda d: d["samples"][2]["members"][0].update(identity_id=2.7),
+                            "sample 2 member identity_id is malformed"),
+    "camera-id-a-float": (lambda d: d["samples"][2].update(camera_id=1.5), "sample 2 camera_id is malformed"),
+    "group-id-a-bool": (lambda d: d["samples"][2].update(group_id=True), "sample 2 group_id is malformed"),
+    "catalog-id-a-bool": (lambda d: d["catalog"][1].update(identity_id=True),
+                          "catalog entry 1 identity_id is malformed"),
+    "seed-a-float": (lambda d: d.update(seed=5.0), "dataset seed is malformed"),
+    "d_a-a-bool": (lambda d: d.update(d_a=True), "dataset d_a is malformed"),
+    "catalog-repeats-an-identity": (lambda d: d["catalog"][1].update(identity_id=d["catalog"][0]["identity_id"]),
+                                    "catalog entry 1 repeats identity"),
 }
 
 

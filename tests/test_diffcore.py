@@ -78,18 +78,27 @@ def _softmax(rows):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def _log_softmax_of(rows):
+    """The op's log-softmax, entry by entry: a one-hot target picks one entry of the matrix."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    out = np.empty_like(rows)
+    for index in np.ndindex(rows.shape):
+        pick = np.zeros_like(rows)
+        pick[index] = 1.0
+        out[index] = -dc.soft_target_nll(dc.Tensor(rows), pick, 1).item()
+    return out
+
+
 def test_softmax_known_values():
     # expected values from direct evaluation of exp/sum in double precision
-    out = np.exp(dc.log_softmax_rows(dc.Tensor([1.0, 2.0, 3.0])).values)
+    out = np.exp(_log_softmax_of([1.0, 2.0, 3.0]))[0]
     expected = [0.09003057317038046, 0.24472847105479767, 0.6652409557748219]
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-5)
 
 
 def test_softmax_uniform_and_peak():
-    np.testing.assert_allclose(
-        np.exp(dc.log_softmax_rows(dc.Tensor([0.5, 0.5, 0.5, 0.5])).values), np.full(4, 0.25), atol=1e-15
-    )
-    peaked = np.exp(dc.log_softmax_rows(dc.Tensor([1000.0, 0.0, 0.0])).values)
+    np.testing.assert_allclose(np.exp(_log_softmax_of([0.5, 0.5, 0.5, 0.5]))[0], np.full(4, 0.25), atol=1e-15)
+    peaked = np.exp(_log_softmax_of([1000.0, 0.0, 0.0]))[0]
     assert peaked[0] > 1.0 - 1e-12
     assert peaked[1] == peaked[2]
 
@@ -97,30 +106,43 @@ def test_softmax_uniform_and_peak():
 @settings(max_examples=60, deadline=None)
 @given(finite_arrays())
 def test_softmax_rows_sum_to_one(rows):
-    out = np.exp(dc.log_softmax_rows(dc.Tensor(rows)).values)
+    out = np.exp(_log_softmax_of(rows))
     np.testing.assert_allclose(out.sum(axis=-1), np.ones(len(rows)), rtol=0, atol=1e-12)
     assert (out >= 0).all()
 
 
 @settings(max_examples=60, deadline=None)
-@given(finite_arrays())
-def test_log_softmax_matches_log_of_softmax(rows):
-    x = dc.Tensor(rows)
-    expected = np.log(_softmax(np.asarray(rows)))
-    np.testing.assert_allclose(dc.log_softmax_rows(x).values, expected, rtol=0, atol=1e-12)
+@given(finite_arrays(), st.integers(0, 2**32 - 1), st.integers(1, 9))
+def test_log_softmax_matches_log_of_softmax(rows, seed, n):
+    rows = np.asarray(rows)
+    targets = np.random.default_rng(seed).random(rows.shape)
+    expected = -np.sum(np.log(_softmax(rows)) * targets) / n
+    got = dc.soft_target_nll(dc.Tensor(rows), targets, n).item()
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_log_softmax_stays_finite_at_a_large_spread():
     # log(softmax) underflows to log(0) here; log-sum-exp does not
     x = dc.Tensor([[1e4, 0.0, -1e4], [0.0, 5e3, -5e3]], requires_grad=True)
     w = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(_log_softmax_of(x.values), [[0.0, -1e4, -2e4], [-5e3, 0.0, -1e4]])
     with dc.Graph() as g:
-        out = dc.log_softmax_rows(x)
-        loss = dc.reduce_sum(dc.mul(out, dc.constant(w)))
-    np.testing.assert_array_equal(out.values, [[0.0, -1e4, -2e4], [-5e3, 0.0, -1e4]])
+        loss = dc.soft_target_nll(x, w, 1)
+    assert loss.item() == 1.6e4
     g.backward(loss)
-    # d/dx sum(w * log_softmax(x)) = w - softmax(x) * rowsum(w), softmax one-hot here
-    np.testing.assert_array_equal(x.grad, [[-0.8, 0.5, 0.3], [1.0, -1.0, 0.0]])
+    # d/dx -sum(w * log_softmax(x)) = softmax(x) * rowsum(w) - w, softmax one-hot here
+    np.testing.assert_array_equal(x.grad, [[0.8, -0.5, -0.3], [-1.0, 1.0, 0.0]])
+
+
+def test_soft_target_nll_rejects_bad_operands():
+    x = dc.Tensor(np.zeros((2, 3)))
+    for targets, n in ((np.zeros((3, 2)), 1), (np.zeros(3), 1), (np.zeros((2, 3)), 0)):
+        with pytest.raises(dc.ShapeError):
+            dc.soft_target_nll(x, targets, n)
+    with pytest.raises(dc.ShapeError):
+        dc.soft_target_nll(dc.Tensor(np.zeros(3)), np.zeros(3), 1)
+    with pytest.raises(dc.NonFiniteError):
+        dc.soft_target_nll(x, np.full((2, 3), np.nan), 1)
 
 
 def test_segment_attention_matches_attention_per_block():
@@ -373,9 +395,13 @@ def test_ops_are_bit_deterministic():
     def run():
         t = dc.matmul(dc.Tensor(a), dc.Tensor(b))
         pair = dc.concat([t, dc.tanh(t)], axis=0)
-        return np.concatenate([dc.l2_normalize(dc.exp(dc.log_softmax_rows(t))).values,
-                               dc.log_softmax_rows(t).values,
-                               dc.segment_attention(pair, dc.exp(pair), pair, 5).values])
+        w = dc.Tensor(b[:3])
+        return np.concatenate([dc.l2_normalize(dc.exp(t)).values.ravel(),
+                               [dc.soft_target_nll(t, np.abs(a[:, :3]), 5).item()],
+                               dc.segment_attention(pair, dc.exp(pair), pair, 5).values.ravel(),
+                               dc.attention_block(pair, w, w, w, w, 5).values.ravel(),
+                               dc.row_distance(t, dc.tanh(t)).values,
+                               dc.add_block_means(pair, dc.Tensor(b[:, :3]), [4, 1]).values.ravel()])
 
     first, second = run(), run()
     assert first.tobytes() == second.tobytes()
@@ -416,18 +442,21 @@ def _composite_loss(p):
     w, v = p["w"], p["v"]
     h = dc.tanh(dc.matmul(dc.stack([v]), w))  # the row v @ w
     gram = dc.matmul(w, dc.transpose(w))
-    logp = dc.log_softmax_rows(gram)
-    sm = dc.exp(logp)
+    sm = dc.l2_normalize(dc.exp(dc.tanh(gram)))
     picked = dc.gather_rows(sm, [0])
     unit = dc.l2_normalize(h)
     parts = dc.concat([unit, picked], axis=0)
     clipped = dc.clamp_min(parts, -0.25)
-    entropies = dc.mul(sm, logp)
     blocks = dc.concat([w, sm], axis=0)  # three blocks of two rows
     attended = dc.segment_attention(blocks, dc.tanh(blocks), dc.matmul(blocks, w), 2)
+    block = dc.attention_block(blocks, w, dc.tanh(w), sm, dc.transpose(w), 3, [3, 2])
+    means = dc.add_block_means(dc.concat([block, w], axis=0), dc.transpose(w), [2, 1, 2])
     terms = [dc.reduce_mean(dc.mul(clipped, clipped)), dc.reduce_sum(dc.log(dc.exp(dc.scale(h, 0.3)))),
-             dc.reduce_sum(entropies), dc.reduce_sum(dc.mul(dc.log_softmax_rows(h), h)),
-             dc.reduce_sum(dc.mul(attended, attended))]
+             dc.soft_target_nll(gram, [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]], 3),
+             dc.soft_target_nll(h, [[0.1, 0.1, 0.8]], 1),
+             dc.reduce_sum(dc.mul(attended, attended)),
+             dc.reduce_sum(dc.row_distance(means, dc.gather_rows(means, [2, 0, 1, 5, 3, 4, 6, 7, 8]))),
+             dc.reduce_sum(dc.mul(means, dc.tanh(means)))]
     total = terms[0]
     for t in terms[1:]:
         total = dc.add(total, t)
@@ -458,3 +487,233 @@ def test_grad_check_skips_frozen_parameters():
 
     report = dc.grad_check(loss_fn, params)
     assert set(report.per_param) == {"w"}
+
+
+# --------------------------------------------------------------------------
+# Deferred finiteness checks inside a recording graph
+
+
+def test_non_finite_value_reaching_the_loss_raises_at_backward_naming_its_op():
+    x = dc.Tensor([1.0, 2.0], requires_grad=True)
+    with dc.Graph() as g:
+        big = dc.exp(dc.scale(x, 1e3))  # overflows, but nothing checks it while recording
+        loss = dc.reduce_sum(dc.mul(big, x))
+    assert not np.isfinite(loss.values)
+    # the first non-finite op is named, not the later ones its value reached
+    with pytest.raises(dc.NonFiniteError, match="^exp: tensor contains NaN or infinite values$"):
+        g.backward(loss)
+
+
+def test_non_finite_value_off_the_loss_path_does_not_raise():
+    x = dc.Tensor([1.0, 2.0], requires_grad=True)
+    with dc.Graph() as g:
+        dc.exp(dc.scale(x, 1e3))  # recorded, but neither the loss nor a gradient reads it
+        loss = dc.reduce_sum(dc.mul(x, x))
+    g.backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    # outside a graph the same op raises as it makes the value
+    with pytest.raises(dc.NonFiniteError, match="^exp: "):
+        dc.exp(dc.scale(x, 1e3))
+
+
+def test_an_error_while_recording_reports_an_earlier_non_finite_value():
+    # an eager check would have stopped at the overflow before the later error
+    x = dc.Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(dc.NonFiniteError, match="^exp: ") as caught:
+        with dc.Graph():
+            dc.exp(dc.scale(x, 1e3))
+            raise ValueError("a later check fails on what the overflow left")
+    assert isinstance(caught.value.__context__, ValueError)
+    with pytest.raises(ValueError):
+        with dc.Graph():
+            dc.exp(x)
+            raise ValueError("nothing non-finite was recorded")
+
+
+def test_item_rejects_a_non_finite_value():
+    x = dc.Tensor([1.0, 2.0], requires_grad=True)
+    with dc.Graph():
+        total = dc.reduce_sum(dc.exp(dc.scale(x, 1e3)))
+        with pytest.raises(dc.NonFiniteError, match="^exp: "):
+            total.item()
+    # read once its graph has stopped recording, the value names no op
+    with pytest.raises(dc.NonFiniteError, match="^item: "):
+        total.item()
+
+
+def test_check_finite_names_the_op_inside_a_graph_and_the_reader_outside():
+    dc.check_finite(np.ones(3), "reader")
+    with pytest.raises(dc.NonFiniteError, match="^reader: "):
+        dc.check_finite(np.array([1.0, np.nan]), "reader")
+    x = dc.Tensor([[1.0, 2.0]], requires_grad=True)
+    with dc.Graph():
+        dc.tanh(x)
+        y = dc.log(dc.exp(dc.scale(x, 1e3)))  # exp overflows, log keeps the inf
+        with pytest.raises(dc.NonFiniteError, match="^exp: "):
+            dc.check_finite(y.values, "reader")
+
+
+# --------------------------------------------------------------------------
+# The fused ops against the composed ops they replace, bit for bit
+
+
+def _old_log_softmax_rows(x):
+    """The log-sum-exp op the soft-target loss replaced, kept as its oracle's first node."""
+    shifted = x.values - np.max(x.values, axis=-1, keepdims=True)
+    out = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    s = np.exp(out)
+
+    def log_softmax_rows(g):
+        return (g - s * np.sum(g, axis=-1, keepdims=True),)
+
+    return dc._result(out, (x,), log_softmax_rows)
+
+
+def _composed_attention_block(x, wq, wk, wv, wo, length, lengths=None):
+    ctx = dc.segment_attention(dc.matmul(x, wq), dc.matmul(x, wk), dc.matmul(x, wv), length, lengths)
+    return dc.add(x, dc.matmul(ctx, wo))
+
+
+def _composed_soft_target_nll(logits, targets, n):
+    return dc.scale(dc.reduce_sum(dc.mul(_old_log_softmax_rows(logits), dc.constant(targets))), -1.0 / n)
+
+
+def _composed_row_distance(a, b):
+    diff = dc.sub(a, b)
+    d2 = dc.clamp_min(dc.reduce_sum(dc.mul(diff, diff), axis=1), 1e-12)
+    return dc.exp(dc.scale(dc.log(d2), 0.5))
+
+
+def _composed_add_block_means(blocks, em, counts):
+    counts = np.asarray(counts)
+    rows, dim = blocks.shape
+    b, slots = counts.size, rows // counts.size - 1
+    starts = np.arange(b) * (slots + 1)
+    members = (starts[:, None] + np.arange(1, slots + 1)).ravel()
+    weighted = dc.mul(dc.gather_rows(em, np.tile(np.arange(slots), b)), dc.gather_rows(blocks, members))
+    zeros = dc.constant(np.zeros((b * slots, 1)))
+    means = dc.segment_attention(zeros, zeros, weighted, slots, counts)
+    pick = np.full(rows, b * slots)
+    pick[starts] = np.arange(b) * slots
+    padded = dc.concat([means, dc.constant(np.zeros((1, dim)))], axis=0)
+    return dc.add(blocks, dc.gather_rows(padded, pick))
+
+
+def _same_bits(fused, composed, arrays, trainable, seed=0):
+    """Run both forms on fresh leaves and a random upstream; the value and every gradient share their bits."""
+    runs = []
+    for op in (fused, composed):
+        leaves = [dc.Tensor(a, requires_grad=i in trainable) for i, a in enumerate(arrays)]
+        with dc.Graph() as g:
+            out = op(*leaves)
+            upstream = np.random.default_rng(seed).normal(size=out.shape)
+            loss = out if out.shape == () else dc.reduce_sum(dc.mul(out, dc.constant(upstream)))
+        g.backward(loss)
+        runs.append([out.values] + [t.grad for t in leaves])
+    for got, want in zip(*runs):
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_DIM = 48
+
+
+@pytest.mark.parametrize("lengths", [None, [7, 1, 4, 6, 2]])
+@pytest.mark.parametrize("trainable", [(0,), (1, 2, 3, 4), (0, 1, 2, 3, 4), (4,), (1,)])
+def test_attention_block_is_the_composed_block_bit_for_bit(lengths, trainable):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(5 * 7, _DIM))
+    ws = [rng.normal(scale=0.3, size=(_DIM, _DIM)) for _ in range(4)]
+    for op_lengths in ([lengths] if lengths is None else [lengths, np.asarray(lengths)]):
+        _same_bits(lambda *t: dc.attention_block(*t, 7, op_lengths),
+                   lambda *t: _composed_attention_block(*t, 7, op_lengths), [x] + ws, trainable)
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+def test_soft_target_nll_is_the_composed_loss_bit_for_bit(smoothing):
+    rng = np.random.default_rng(22)
+    b, c = 8, 11
+    logits = rng.normal(scale=8.0, size=(b, c))
+    targets = np.full((b, c), smoothing / c)
+    targets[np.arange(b), rng.integers(0, c, size=b)] += 1.0 - smoothing
+    _same_bits(lambda t: dc.soft_target_nll(t, targets, b),
+               lambda t: _composed_soft_target_nll(t, targets, b), [logits], (0,))
+    # the text-anchored direction: transposed logits and targets, still over the b rows
+    _same_bits(lambda t: dc.soft_target_nll(dc.transpose(t), targets.T, b),
+               lambda t: _composed_soft_target_nll(dc.transpose(t), targets.T, b), [logits], (0,))
+
+
+@pytest.mark.parametrize("trainable", [(0,), (1,), (0, 1)])
+def test_row_distance_is_the_composed_distance_bit_for_bit(trainable):
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(8, _DIM))
+    b = rng.normal(size=(8, _DIM))
+    b[3] = a[3]  # coincident rows sit on the 1e-12 floor
+    _same_bits(dc.row_distance, _composed_row_distance, [a, b], trainable)
+    # as the triplet loss uses it: rows against mined rows of the same leaf
+    order = [1, 0, 3, 2, 5, 4, 7, 6]
+    _same_bits(lambda t: dc.row_distance(t, dc.gather_rows(t, order)),
+               lambda t: _composed_row_distance(t, dc.gather_rows(t, order)), [a], (0,))
+
+
+@pytest.mark.parametrize("trainable", [(1,), (0,), (0, 1)])
+def test_add_block_means_is_the_composed_count_term_bit_for_bit(trainable):
+    rng = np.random.default_rng(24)
+    counts = [6, 1, 3, 2, 6, 4, 5, 1]
+    blocks = rng.normal(size=(len(counts) * 7, _DIM))
+    em = rng.normal(size=(6, _DIM))
+    _same_bits(lambda *t: dc.add_block_means(*t, counts),
+               lambda *t: _composed_add_block_means(*t, counts), [blocks, em], trainable)
+    # more weight rows than slots: the rows past the slots get no gradient
+    _same_bits(lambda *t: dc.add_block_means(*t, [2, 1]),
+               lambda *t: _composed_add_block_means(*t, [2, 1]), [blocks[:6], em], trainable)
+
+
+def _grad_check_op(loss_fn, arrays):
+    params = {str(i): dc.Tensor(a, requires_grad=True) for i, a in enumerate(arrays)}
+    report = dc.grad_check(loss_fn, params, step=1e-5, tolerance=1e-4)
+    assert report.ok, report.failures[:3]
+
+
+def test_fused_ops_pass_grad_check():
+    rng = np.random.default_rng(25)
+
+    def block(p):
+        out = dc.attention_block(p["0"], p["1"], p["2"], p["3"], p["4"], 3, [3, 2])
+        return dc.reduce_sum(dc.mul(out, dc.tanh(out)))
+
+    _grad_check_op(block, [rng.normal(size=(6, 4))] + [rng.normal(scale=0.5, size=(4, 4)) for _ in range(4)])
+
+    targets = np.array([[0.7, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0.7], [0.25, 0.25, 0.25, 0.25]])
+    _grad_check_op(lambda p: dc.soft_target_nll(dc.tanh(p["0"]), targets, 3), [rng.normal(size=(3, 4))])
+
+    _grad_check_op(lambda p: dc.reduce_sum(dc.mul(dc.row_distance(p["0"], p["1"]), dc.constant([1.0, -2.0, 0.5]))),
+                   [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))])
+
+    def means(p):
+        out = dc.add_block_means(p["0"], p["1"], [3, 1])
+        return dc.reduce_sum(dc.mul(out, dc.tanh(out)))
+
+    _grad_check_op(means, [rng.normal(size=(8, 4)), rng.normal(size=(3, 4))])
+
+
+def test_fused_ops_reject_bad_shapes():
+    x, w = dc.Tensor(np.ones((6, 4))), dc.Tensor(np.ones((4, 4)))
+    with pytest.raises(dc.ShapeError):
+        dc.attention_block(x, w, w, w, dc.Tensor(np.ones((4, 3))), 3)  # output width is not x's
+    with pytest.raises(dc.ShapeError):
+        dc.attention_block(x, w, dc.Tensor(np.ones((4, 3))), w, w, 3)  # q and k widths differ
+    with pytest.raises(dc.ShapeError):
+        dc.attention_block(x, w, w, w, w, 4)  # 6 rows do not split into blocks of 4
+    with pytest.raises(dc.ShapeError):
+        dc.attention_block(x, w, w, w, w, 3, [3, 4])
+    with pytest.raises(dc.ShapeError):
+        dc.row_distance(x, dc.Tensor(np.ones((6, 3))))
+    with pytest.raises(dc.ShapeError):
+        dc.row_distance(dc.Tensor(np.ones(4)), dc.Tensor(np.ones(4)))
+    for weights, counts in ((np.ones((3, 3)), [2, 2]), (np.ones((1, 4)), [2, 2]), (w.values, [0, 2]),
+                            (w.values, [3, 1]), (w.values, [1, 1, 1, 1]), (w.values, [])):
+        with pytest.raises(dc.ShapeError):
+            dc.add_block_means(x, dc.Tensor(weights), counts)

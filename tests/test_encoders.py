@@ -13,7 +13,6 @@ from gcum.encoders import (
     STAGE2_TRAINABLE,
     CheckpointError,
     ModelConfig,
-    attention_block,
     encode_group_prefix,
     encode_group_suffix,
     encode_members,
@@ -105,7 +104,7 @@ def test_attention_block_identity_with_zero_output_projection():
     x = dc.constant(rng.normal(size=(4, 8)))
     w = lambda: dc.constant(rng.normal(size=(8, 8)))
     for length in (4, 2):
-        out = attention_block(x, w(), w(), w(), dc.constant(np.zeros((8, 8))), length)
+        out = dc.attention_block(x, w(), w(), w(), dc.constant(np.zeros((8, 8))), length)
         assert np.array_equal(out.values, x.values)
 
 

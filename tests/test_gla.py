@@ -189,6 +189,15 @@ def _nll(logits, true):
     return math.log(sum(math.exp(z) for z in logits)) - logits[true]
 
 
+def test_contrastive_losses_reject_non_finite_rows():
+    x = Tensor(np.eye(3), requires_grad=True)
+    with dc.Graph(), np.errstate(invalid="ignore"):
+        # exp overflows and the normalized rows hold NaN, whose norm no comparison rejects
+        visual = dc.l2_normalize(dc.exp(dc.scale(x, 1e3)))
+        with pytest.raises(dc.NonFiniteError, match="^exp: "):
+            contrastive_losses(visual, (0, 1, 2), (0, 1, 2), Tensor(np.eye(3)), Tensor(np.asarray(1.0)))
+
+
 def test_t2i_matches_scalar_oracle():
     # three images with cosines [0.9, 0.7, 0.1] to the class-0 text,
     # labels [0, 0, 1], unit temperature.  The class-0 text over its two

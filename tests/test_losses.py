@@ -12,7 +12,6 @@ from gcum.diffcore import ShapeError, Tensor
 from gcum.encoders import STAGE2_TRAINABLE, ModelConfig, init_model_state
 from gcum.losses import (
     cross_entropy_smoothed,
-    euclidean,
     i2tce_loss,
     id_loss,
     mine_batch_hard,
@@ -90,15 +89,16 @@ def test_i2tce_applies_the_inverse_temperature():
     assert doubled.item() == pytest.approx(math.log(z) - 0.8, abs=1e-12)
 
 
+# the triplet loss's distance
 def test_euclidean_basic_values():
-    d = euclidean(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]))
+    d = dc.row_distance(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]))
     assert d.item() == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
 
 def test_euclidean_at_coincident_points_is_floored_and_flat():
     a = Tensor([[0.5, -0.5]], requires_grad=True)
     with dc.Graph() as g:
-        d = euclidean(a, Tensor([[0.5, -0.5]]))
+        d = dc.row_distance(a, Tensor([[0.5, -0.5]]))
         total = dc.reduce_sum(d)
     g.backward(total)
     assert d.item() == pytest.approx(1e-6, abs=1e-18)
@@ -110,7 +110,7 @@ def test_euclidean_gradient_is_correct():
     b = Tensor([[1.0, 0.5, -0.25]])
 
     def loss_fn(s):
-        return dc.reduce_sum(euclidean(s["a"], b))
+        return dc.reduce_sum(dc.row_distance(s["a"], b))
 
     report = dc.grad_check(loss_fn, state)
     assert report.ok, report.failures
@@ -128,6 +128,13 @@ def test_mine_batch_hard_requires_positives_and_negatives():
         mine_batch_hard(f, [0, 0, 0])  # no negatives anywhere
     with pytest.raises(ValueError):
         mine_batch_hard(f, [0, 1, 1])  # anchor 0 has no positive
+
+
+def test_mine_batch_hard_rejects_non_finite_features():
+    f = np.eye(4)
+    f[2, 1] = np.nan
+    with pytest.raises(dc.NonFiniteError, match="^mine_batch_hard: "):
+        mine_batch_hard(f, [0, 0, 1, 1])
 
 
 @settings(max_examples=60, deadline=None)
