@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 
 # Thread cap; must land in the environment before numpy starts its pools,
 # which is why it sits above the imports.  Already-set variables win.
@@ -43,6 +42,7 @@ from .encoders import (
     state_from_checkpoint,
 )
 from .evaluation import evaluate, format_ablation_table, run_ablation
+from .jsondoc import json_int, read, require
 from .mvs import Mask, MvsConfig, full_mask
 from .synthdata import (
     Dataset,
@@ -53,7 +53,7 @@ from .synthdata import (
     load_dataset,
     split_train_test,
 )
-from .trainer import TrainConfig, train_stage1, train_stage2
+from .trainer import TEMP_INV_RANGE, TrainConfig, train_stage1, train_stage2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,43 +78,6 @@ _GEN_KEYS = tuple(f.name for f in fields(GenConfig) if f.name not in ("members_m
 _DATA_KEYS = _GEN_KEYS + ("train_fraction",)
 # The train keys in echo order: the run sets the seed and each command the stage.
 _TRAIN_KEYS = sorted(f.name for f in fields(TrainConfig) if f.name not in ("seed", "stage"))
-
-
-def _typed(where: str, value, like):
-    """``value`` if it has the JSON type of the default ``like``.
-
-    Ints must be JSON integers, floats take finite integers or floats
-    (stored as floats), bools must be ``true``/``false`` and lists hold
-    integers.
-    """
-    if isinstance(like, list):
-        if isinstance(value, list) and all(type(e) is int for e in value):
-            return tuple(value)
-        raise ValueError(f"{where} must be a list of integers, got {value!r}")
-    kinds = (int, float) if type(like) is float else (type(like),)
-    if type(value) not in kinds:
-        raise ValueError(f"{where} must be {type(like).__name__}, got {value!r}")
-    # json reads NaN and Infinity as floats, and an integer may not fit one
-    if type(like) is float and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{where} must be finite, got {value!r}")
-    return type(like)(value)
-
-
-def _read(doc, like: dict, where: str) -> dict:
-    """``doc`` with every key of ``like`` filled in and type-checked."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - set(like))
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
-    out = {}
-    for key, default in like.items():
-        value, at = doc.get(key, default), f"{where}.{key}"
-        if isinstance(default, dict):
-            out[key] = _read(value, default, at)
-        else:
-            out[key] = _typed(at, value, default)
-    return out
 
 
 @dataclass(frozen=True)
@@ -219,9 +182,10 @@ class RunConfig:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
+    def from_dict(cls, doc: dict, *, complete: bool = False) -> "RunConfig":
         """Parse a config document; the default echo is the schema."""
-        d = _read(doc, cls().to_dict(), "config")
+        d = read(doc, cls().to_dict(), "config", complete=complete)
+        mvs_enabled = d["mvs"].pop("enabled")
         return cls(
             seed=d["seed"],
             dim=d["dim"],
@@ -230,8 +194,8 @@ class RunConfig:
             k_slots=d["K"],
             tokens_per_identity=d["tokens_per_identity"],
             gla_enabled=d["gla"]["enabled"],
-            mvs_enabled=d["mvs"]["enabled"],
-            mvs=MvsConfig.from_dict(d["mvs"]),  # reads mu, sigma, p0, pmax
+            mvs_enabled=mvs_enabled,
+            mvs=MvsConfig(**d["mvs"]),
             alpha=d["losses"]["alpha"],
             epsilon=d["losses"]["epsilon"],
             train=TrainConfig(**d["train"]),
@@ -248,8 +212,7 @@ def load_run_config(path: str | None) -> RunConfig:
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot read config {path}: {e}") from e
     try:
-        doc = json.loads(text)
-        return RunConfig.from_dict(doc)
+        return RunConfig.from_dict(json.loads(text))
     except (ValueError, TypeError) as e:
         raise CliError(EXIT_CONFIG, f"bad config {path}: {e}") from e
 
@@ -352,19 +315,22 @@ def _load_data(path: str) -> Dataset:
 
 
 def _load_checkpoint_state(path: str):
+    """A checkpoint's state, its checked module flags and run config, and the sidecar as stored."""
     try:
-        return state_from_checkpoint(path)
+        state, meta = state_from_checkpoint(path)
     except FileNotFoundError as e:
         raise CliError(EXIT_CHECKPOINT, f"checkpoint not found: {path}") from e
-
-
-@contextmanager
-def _reading_sidecar(path: str):
-    """A missing or mistyped field of the checkpoint sidecar is an artifact error."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError(EXIT_IO, f"checkpoint sidecar for {path} lacks run or module metadata: {e!r}") from e
+    where = f"checkpoint sidecar {path}.meta.json"
+    if require(meta, "stage", where, json_int, error=CheckpointError) not in (1, 2):
+        raise CheckpointError(f"{where} stage must be 1 or 2, got {meta['stage']}")
+    flags = dict.fromkeys(("gla", "grce", "mvs"), True)  # in the order the sidecar stores them
+    modules = require(meta, "modules", where, lambda d: read(d, flags, "modules", complete=True),
+                      error=CheckpointError)
+    run = require(meta, "run", where, lambda d: RunConfig.from_dict(d, complete=True), error=CheckpointError)
+    inv = state.params["temp.inv"].item()
+    if not TEMP_INV_RANGE[0] <= inv <= TEMP_INV_RANGE[1]:
+        raise CheckpointError(f"checkpoint {path} tensor 'temp.inv' is {inv}, outside {list(TEMP_INV_RANGE)}")
+    return state, modules, run, meta
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -424,11 +390,10 @@ def cmd_train(args) -> int:
     else:
         if not args.init_checkpoint:
             raise CliError(EXIT_CHECKPOINT, "stage 2 needs --init-checkpoint from a stage-1 run")
-        state, meta = _load_checkpoint_state(args.init_checkpoint)
-        if meta["model"] != model_cfg.to_dict():
+        state, modules, _, _ = _load_checkpoint_state(args.init_checkpoint)
+        if state.config != model_cfg:
             raise CliError(EXIT_CONFIG, "init checkpoint was trained under a different model config")
-        with _reading_sidecar(args.init_checkpoint):
-            use_text = bool(meta["modules"]["gla"])
+        use_text = modules["gla"]
         state, history = train_stage2(
             state, train_samples, rosters, cfg.train_config(2),
             mvs=mvs_cfg, use_text=use_text, alpha=cfg.alpha, epsilon=cfg.epsilon,
@@ -466,24 +431,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    state, meta = _load_checkpoint_state(args.checkpoint)
+    state, modules, run, meta = _load_checkpoint_state(args.checkpoint)
     ds = _load_data(args.data)
-    with _reading_sidecar(args.checkpoint):
-        run_echo, modules = meta["run"], meta["modules"]
-        fraction = float(run_echo["data"]["train_fraction"])
-        refined, quantity = bool(modules["grce"]), bool(modules["mvs"])
-    _, test_gids = split_train_test(ds, fraction)
+    _, test_gids = split_train_test(ds, run.train_fraction)
     test_samples = [s for s in ds.samples if s.group_id in set(test_gids)]
     # eval reads no text, so only the views it featurizes must fit the checkpoint
     _check_data_fits(ds, test_samples, state.config.d_a, state.config.max_members)
-    report = evaluate(state, test_samples, args.query_camera, refined=refined, quantity=quantity)
+    try:
+        report = evaluate(state, test_samples, args.query_camera,
+                          refined=modules["grce"], quantity=modules["mvs"])
+    except dc.NonFiniteError as e:  # eval trains nothing, and its inputs were finite when read
+        raise CheckpointError(f"checkpoint {args.checkpoint} overflows in eval: {e}") from None
     print(json.dumps(report.to_dict()))
     if args.out:
         _write_json(args.out, {
             "format": "gcum-eval-report",
             "version": 1,
             "tool_version": __version__,
-            "config": run_echo,
+            "config": meta["run"],  # the echo as stored, in its sorted key order
             "query_camera": args.query_camera,
             "modules": modules,
             "report": report.to_dict(),

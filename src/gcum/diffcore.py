@@ -689,13 +689,16 @@ def l2_normalize(x: Tensor) -> Tensor:
     """Scale to unit Euclidean norm (row-wise on matrices).
 
     The denominator is guarded at 1e-12, so a zero vector maps to the zero
-    vector instead of raising; any input with a larger norm comes out unit
-    length to machine precision.
+    vector instead of raising, and a larger finite norm comes out unit length
+    to machine precision; a finite row whose norm overflows raises instead.
     """
     if x.ndim not in (1, 2):
         raise ShapeError(f"l2_normalize needs rank 1 or 2, got shape {x.shape}")
     xv = x.values
     n = np.sqrt(np.sum(xv * xv, axis=-1, keepdims=True))
+    over = np.isinf(n)  # x / inf would turn a finite row whose squared norm overflows into zeros
+    if over.any() and (over & np.isfinite(xv).all(axis=-1, keepdims=True)).any():
+        check_finite(n, "l2_normalize")
     d = np.maximum(n, 1e-12)
     live = n > 1e-12  # below the guard the map is x / const, so no norm term
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -39,9 +39,12 @@ import numpy as np
 from . import __version__
 from . import diffcore as dc
 from .diffcore import ShapeError, Tensor
+from .jsondoc import check_format, read, require
 
 CHECKPOINT_MAGIC = b"GCUM"
 CHECKPOINT_VERSION = 1
+SIDECAR_FORMAT = "gcum-checkpoint-meta"
+SIDECAR_VERSION = 1
 
 _INIT_STREAM = 10
 
@@ -106,8 +109,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
-        # every field's default is an int or a float, which types its value
-        return cls(**{f.name: type(f.default)(doc[f.name]) for f in fields(cls)})
+        return cls(**read(doc, cls().to_dict(), "model", complete=True))
 
 
 # Parameter groups by role.  Encoder weights, template embeddings and text
@@ -321,7 +323,7 @@ def save_checkpoint(path: str, params: Mapping[str, Tensor], meta: dict | None =
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
     if meta is not None:
-        doc = {"format": "gcum-checkpoint-meta", "version": 1, "tool_version": __version__}
+        doc = {"format": SIDECAR_FORMAT, "version": SIDECAR_VERSION, "tool_version": __version__}
         doc.update(meta)
         with open(path + ".meta.json", "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
@@ -353,7 +355,11 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", r.take(4))
-        name = r.take(name_len).decode("utf-8")
+        raw = r.take(name_len)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"tensor {len(out)} has a name that is not UTF-8: {raw!r}") from None
         (rank,) = struct.unpack("<I", r.take(4))
         if rank > 2:
             raise CheckpointError(f"tensor {name!r} has unsupported rank {rank}")
@@ -362,6 +368,8 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         for d in dims:
             n_values *= d
         values = np.frombuffer(r.take(8 * n_values), dtype="<f8").reshape(dims).astype(np.float64)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"tensor {name!r} holds values that are not finite")
         values.setflags(write=False)
         out[name] = values
     if r.off != len(blob):
@@ -381,10 +389,9 @@ def load_checkpoint_meta(path: str) -> dict:
 def state_from_checkpoint(path: str) -> tuple[ModelState, dict]:
     """Rebuild a ModelState from a checkpoint plus its sidecar metadata."""
     meta = load_checkpoint_meta(path)
-    try:
-        config = ModelConfig.from_dict(meta["model"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"checkpoint sidecar {path}.meta.json has no valid model config: {e!r}") from e
+    where = f"checkpoint sidecar {path}.meta.json"
+    check_format(meta, SIDECAR_FORMAT, SIDECAR_VERSION, where, error=CheckpointError)
+    config = require(meta, "model", where, ModelConfig.from_dict, error=CheckpointError)
     tensors = load_checkpoint(path)
     reference = init_model_state(config, seed=0)
     missing = set(reference.params) - set(tensors)

@@ -14,7 +14,7 @@ the mechanism is enabled, now averaged over the full member set.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,10 +40,6 @@ class MvsConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MvsConfig":
-        return cls(**{f.name: float(doc[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True, eq=False)

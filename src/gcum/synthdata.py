@@ -14,10 +14,13 @@ stable JSON layout whose floats round-trip losslessly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
+
+from .jsondoc import check_format, json_int, read, require
 
 FORMAT_NAME = "gcum-dataset"
 FORMAT_VERSION = 1
@@ -72,10 +75,9 @@ class GenConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GenConfig":
-        lo, hi = doc["members_per_group"]
-        flat = {**doc, "members_min": lo, "members_max": hi}
-        # every field's default is an int, a float or a bool, which types its value
-        return cls(**{f.name: type(f.default)(flat[f.name]) for f in fields(cls)})
+        d = read(doc, cls().to_dict(), "config", complete=True)
+        d["members_min"], d["members_max"] = d.pop("members_per_group")
+        return cls(**d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,25 +197,7 @@ def dataset_to_doc(ds: Dataset) -> dict:
     }
 
 
-def _require(doc: dict, key: str, where: str, read=None):
-    """``doc[key]``, through ``read`` if given; a failure names ``where`` and ``key``."""
-    if not isinstance(doc, dict):
-        raise DatasetFormatError(f"{where} must be a JSON object")
-    if key not in doc:
-        raise DatasetFormatError(f"{where} is missing required key {key!r}")
-    if read is None:
-        return doc[key]
-    try:
-        return read(doc[key])
-    except (KeyError, TypeError, ValueError) as e:
-        raise DatasetFormatError(f"{where} {key} is malformed: {e!r}") from None
-
-
-def _json_int(value) -> int:
-    """A JSON integer as is: a bool, a float or a string raises rather than converts."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+_require = partial(require, error=DatasetFormatError)
 
 
 def _entries(doc: dict, key: str, where: str) -> list:
@@ -233,41 +217,32 @@ def _appearance(entry: dict, d_a: int, where: str) -> np.ndarray:
 
 
 def dataset_from_doc(doc: dict) -> Dataset:
-    if not isinstance(doc, dict):
-        raise DatasetFormatError("dataset document must be a JSON object")
-    fmt = _require(doc, "format", "dataset")
-    if fmt != FORMAT_NAME:
-        raise DatasetFormatError(f"unknown format {fmt!r}, expected {FORMAT_NAME!r}")
-    version = _require(doc, "version", "dataset")
-    if version != FORMAT_VERSION:
-        raise DatasetFormatError(
-            f"unsupported dataset version {version!r}, this build reads version {FORMAT_VERSION}"
-        )
+    check_format(doc, FORMAT_NAME, FORMAT_VERSION, "dataset", error=DatasetFormatError)
     config = _require(doc, "config", "dataset", GenConfig.from_dict)
-    d_a = _require(doc, "d_a", "dataset", _json_int)
+    d_a = _require(doc, "d_a", "dataset", json_int)
     if d_a != config.d_a:
         raise DatasetFormatError("top-level d_a disagrees with config d_a")
 
     catalog: dict[int, np.ndarray] = {}
     for i, entry in enumerate(_entries(doc, "catalog", "dataset")):
-        pid = _require(entry, "identity_id", f"catalog entry {i}", _json_int)
+        pid = _require(entry, "identity_id", f"catalog entry {i}", json_int)
         if pid in catalog:
             raise DatasetFormatError(f"catalog entry {i} repeats identity {pid}")
         catalog[pid] = _appearance(entry, d_a, f"catalog entry for identity {pid}")
 
     samples: list[GroupSample] = []
     for i, entry in enumerate(_entries(doc, "samples", "dataset")):
-        gid = _require(entry, "group_id", f"sample {i}", _json_int)
-        cam = _require(entry, "camera_id", f"sample {i}", _json_int)
+        gid = _require(entry, "group_id", f"sample {i}", json_int)
+        cam = _require(entry, "camera_id", f"sample {i}", json_int)
         members = []
         for m in _entries(entry, "members", f"sample {i}"):
-            pid = _require(m, "identity_id", f"sample {i} member", _json_int)
+            pid = _require(m, "identity_id", f"sample {i} member", json_int)
             if pid not in catalog:
                 raise DatasetFormatError(f"sample {i} member identity {pid} is not in the catalog")
             members.append(Member(pid, _appearance(m, d_a, f"sample {i} member {pid}")))
         samples.append(GroupSample(gid, cam, tuple(members)))
 
-    ds = Dataset(seed=_require(doc, "seed", "dataset", _json_int), config=config, catalog=catalog, samples=samples)
+    ds = Dataset(seed=_require(doc, "seed", "dataset", json_int), config=config, catalog=catalog, samples=samples)
     cameras_per_group: dict[int, set[int]] = {}
     for s in ds.samples:
         cameras_per_group.setdefault(s.group_id, set()).add(s.camera_id)

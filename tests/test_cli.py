@@ -1,11 +1,18 @@
 """Config parsing, command flows, exit codes, and artifact round trips."""
 
+import contextlib
+import io
 import json
+import shutil
+import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcum import __version__
 from gcum.cli import (
@@ -19,7 +26,7 @@ from gcum.cli import (
     main,
     run_grad_checks,
 )
-from gcum.encoders import load_checkpoint, load_checkpoint_meta
+from gcum.encoders import load_checkpoint, load_checkpoint_meta, save_checkpoint
 from gcum.synthdata import load_dataset
 
 _SMALL = {
@@ -163,6 +170,23 @@ def test_config_float_keys_take_integers():
     assert type(cfg.alpha) is float and cfg.alpha == 0.0
 
 
+def test_config_mvs_section_takes_integers_for_floats_and_nothing_else():
+    cfg = RunConfig.from_dict({"mvs": {"mu": 0, "sigma": 0, "p0": 0, "pmax": 0}})
+    assert all(type(v) is float and v == 0.0 for v in cfg.mvs.to_dict().values())
+    with pytest.raises(ValueError, match="config.mvs.mu must be float"):
+        RunConfig.from_dict({"mvs": {"mu": "0.2"}})
+
+
+def test_complete_config_needs_every_key():
+    # artifacts echo the whole config; a run config file may leave keys out
+    echo = RunConfig().to_dict()
+    assert RunConfig.from_dict(echo, complete=True) == RunConfig()
+    del echo["mvs"]["pmax"]
+    assert RunConfig.from_dict(echo) == RunConfig()
+    with pytest.raises(ValueError, match="config.mvs.pmax is missing"):
+        RunConfig.from_dict(echo, complete=True)
+
+
 def test_config_sections_reach_components():
     cfg = RunConfig.from_dict(_SMALL)
     assert cfg.gen_config().members_max == 3
@@ -277,6 +301,20 @@ def test_stage1_at_large_rates_finishes_or_reports_divergence(tmp_path, capsys, 
     if code == EXIT_OK:
         records = [json.loads(line) for line in open(out + ".log.jsonl").read().splitlines()[1:]]
         assert all(np.isfinite(v) for r in records for k, v in r.items() if k.startswith("loss"))
+
+
+def test_stage1_at_lr_peak_1e8_reports_the_norm_that_overflows(tmp_path, capsys):
+    # a finite row whose squared norm overflowed used to become a zero row,
+    # and the unit-norm check then exited 2 as if the config were bad
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 1, "train": {"lr_peak": 1e8}}))
+    data = _gen(tmp_path, str(config))
+    with np.errstate(all="ignore"):
+        code = main(["train", "--stage", "1", "--config", str(config), "--data", data,
+                     "--out", str(tmp_path / "s1.ckpt")])
+    err = capsys.readouterr().err
+    assert code == EXIT_NONFINITE, err
+    assert "training diverged: stage 1, epoch 3, step 12: l2_normalize" in err, err
 
 
 def test_divergence_names_the_op_stage_epoch_and_step(tmp_path, small_config, capsys, monkeypatch):
@@ -402,6 +440,14 @@ _DATASET_DAMAGE = {
     "d_a-a-bool": (lambda d: d.update(d_a=True), "dataset d_a is malformed"),
     "catalog-repeats-an-identity": (lambda d: d["catalog"][1].update(identity_id=d["catalog"][0]["identity_id"]),
                                     "catalog entry 1 repeats identity"),
+    # the config section is read as a run config is: each key has its JSON type, none is unknown
+    "n_cameras-a-float": (lambda d: d["config"].update(n_cameras=2.7), "config.n_cameras must be int"),
+    "layout_permutation-a-string": (lambda d: d["config"].update(layout_permutation="no"),
+                                    "config.layout_permutation must be bool"),
+    "dropout-prob-a-string": (lambda d: d["config"].update(membership_dropout_prob="0.3"),
+                              "config.membership_dropout_prob must be float"),
+    "config-with-an-unknown-key": (lambda d: d["config"].update(colour=1), "unknown config keys: colour"),
+    "version-a-bool": (lambda d: d.update(version=True), "dataset version is malformed"),
 }
 
 
@@ -505,44 +551,143 @@ def test_eval_reads_rosters_wider_than_k(tmp_path, small_config, capsys):
     assert main(["eval", "--checkpoint", s1, "--data", wide]) == EXIT_OK
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Data and both stages' checkpoints of the small config, made once."""
+    root = tmp_path_factory.mktemp("trained")
+    config = root / "cfg.json"
+    config.write_text(json.dumps(_SMALL))
+    run = SimpleNamespace(config=str(config), data=str(root / "data.json"),
+                          s1=str(root / "s1.ckpt"), s2=str(root / "s2.ckpt"))
+    assert main(["gen-data", "--config", run.config, "--out", run.data]) == EXIT_OK
+    assert main(["train", "--stage", "1", "--config", run.config, "--data", run.data, "--out", run.s1]) == EXIT_OK
+    assert main(["train", "--stage", "2", "--config", run.config, "--data", run.data,
+                 "--init-checkpoint", run.s1, "--out", run.s2]) == EXIT_OK
+    return run
+
+
+def _copy_checkpoint(src: str, dest) -> str:
+    shutil.copy(src, dest)
+    shutil.copy(src + ".meta.json", str(dest) + ".meta.json")
+    return str(dest)
+
+
+_SIDECAR_DAMAGE = {
+    # name: (change to the sidecar document, what the error names)
+    "not-json": (None, "is not valid JSON"),
+    "no-run-data": (lambda m: m["run"].pop("data"), "config.data is missing"),
+    "no-model": (lambda m: m.pop("model"), "missing required key 'model'"),
+    "no-grce-module": (lambda m: m["modules"].pop("grce"), "modules.grce is missing"),
+    "modules-list": (lambda m: m.update(modules=[]), "modules must be a JSON object"),
+    "model-dim-a-float": (lambda m: m["model"].update(dim=8.5), "model.dim must be int"),
+    "model-with-an-extra-key": (lambda m: m["model"].update(depth=2), "unknown model keys: depth"),
+    "grce-module-a-string": (lambda m: m["modules"].update(grce="no"), "modules.grce must be bool"),
+    "stage-a-string": (lambda m: m.update(stage="two"), "stage is malformed"),
+    "stage-3": (lambda m: m.update(stage=3), "stage must be 1 or 2"),
+    "no-format": (lambda m: m.pop("format"), "missing required key 'format'"),
+    "version-7": (lambda m: m.update(version=7), "version 7"),
+    "train_fraction-a-string": (lambda m: m["run"]["data"].update(train_fraction="0.7"),
+                                "config.data.train_fraction must be float"),
+    "train_fraction-out-of-range": (lambda m: m["run"]["data"].update(train_fraction=1.5),
+                                    "train_fraction must lie strictly between 0 and 1"),
+}
+
+
 def _damage_sidecar(path: str, damage: str) -> None:
     sidecar = Path(path + ".meta.json")
     if damage == "not-json":
         sidecar.write_text("{\"model\": ")
         return
     meta = json.loads(sidecar.read_text())
-    if damage == "no-run-data":
-        del meta["run"]["data"]
-    elif damage == "no-model":
-        del meta["model"]
-    elif damage == "no-grce-module":
-        del meta["modules"]["grce"]
-    elif damage == "modules-list":
-        meta["modules"] = []
+    _SIDECAR_DAMAGE[damage][0](meta)
     sidecar.write_text(json.dumps(meta))
 
 
-@pytest.mark.parametrize("damage, stage2_reads_it", [
+def _set_tensor(name: str, value: float):
+    def damage(path):
+        tensors = dict(load_checkpoint(path))
+        tensors[name] = np.full(tensors[name].shape, value)
+        save_checkpoint(path, tensors)  # the sidecar stays
+    return damage
+
+
+def _rename_first_tensor(path: str) -> None:
+    blob = bytearray(Path(path).read_bytes())
+    blob[16] = 0xFF  # after magic, version, count and the name length: no UTF-8 starts so
+    Path(path).write_bytes(bytes(blob))
+
+
+_CHECKPOINT_DAMAGE = {
+    # name: (change to the checkpoint file, what the error names)
+    "nan-in-prompt.x": (_set_tensor("prompt.x", np.nan), "tensor 'prompt.x' holds values that are not finite"),
+    "name-not-utf8": (_rename_first_tensor, "tensor 0 has a name that is not UTF-8"),
+    "temp.inv-below-its-range": (_set_tensor("temp.inv", -5.0), "tensor 'temp.inv' is -5.0, outside [1.0, 100.0]"),
+    # eval trains nothing, so weights that overflow there are the checkpoint's fault
+    "weights-overflow-in-eval": (_set_tensor("member.w2", 1e300), "overflows in eval: l2_normalize"),
+}
+
+
+@pytest.mark.parametrize("damage, check_stage2", [
     ("no-run-data", False),
     ("no-model", True),
     ("no-grce-module", False),
     ("not-json", True),
     ("modules-list", True),
+    ("model-dim-a-float", True),
+    ("model-with-an-extra-key", True),
+    ("grce-module-a-string", True),
+    ("stage-a-string", True),
+    ("stage-3", True),
+    ("no-format", True),
+    ("version-7", True),
+    ("train_fraction-a-string", True),
+    ("train_fraction-out-of-range", True),
+    ("nan-in-prompt.x", True),
+    ("name-not-utf8", True),
+    ("temp.inv-below-its-range", True),
+    ("weights-overflow-in-eval", False),  # stage 2 trains, so it reports a divergence
 ])
-def test_damaged_checkpoint_sidecar_exits_3(tmp_path, small_config, capsys, damage, stage2_reads_it):
-    data = _gen(tmp_path, small_config)
-    s1 = str(tmp_path / "s1.ckpt")
-    assert main(["train", "--stage", "1", "--config", small_config,
-                 "--data", data, "--out", s1]) == EXIT_OK
-    _damage_sidecar(s1, damage)
+def test_damaged_checkpoint_sidecar_exits_3(trained, tmp_path, capsys, damage, check_stage2):
+    # eval and stage 2 read a checkpoint through one checked reader
+    ckpt = _copy_checkpoint(trained.s1, tmp_path / "s1.ckpt")
+    if damage in _CHECKPOINT_DAMAGE:
+        _CHECKPOINT_DAMAGE[damage][0](ckpt)
+    else:
+        _damage_sidecar(ckpt, damage)
+    where = {**_SIDECAR_DAMAGE, **_CHECKPOINT_DAMAGE}[damage][1]
     capsys.readouterr()
-    commands = [["eval", "--checkpoint", s1, "--data", data]]
-    if stage2_reads_it:
-        commands.append(["train", "--stage", "2", "--config", small_config, "--data", data,
-                         "--init-checkpoint", s1, "--out", str(tmp_path / "s2.ckpt")])
+    out = tmp_path / "s2.ckpt"
+    commands = [["eval", "--checkpoint", ckpt, "--data", trained.data]]
+    if check_stage2:
+        commands.append(["train", "--stage", "2", "--config", trained.config, "--data", trained.data,
+                         "--init-checkpoint", ckpt, "--out", str(out)])
     for argv in commands:
-        assert main(argv) == EXIT_IO
-        assert capsys.readouterr().err.startswith("error: ")
+        assert main(argv) == EXIT_IO, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err, err
+    assert not out.exists()
+
+
+@settings(max_examples=100, deadline=None)
+@given(suffix=st.sampled_from(["", ".meta.json"]), at=st.integers(min_value=0),
+       byte=st.none() | st.integers(0, 255))
+@example(suffix="", at=16, byte=0xFF)  # the first tensor name's first byte
+def test_a_truncated_or_changed_checkpoint_evals_or_exits_3(trained, suffix, at, byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = _copy_checkpoint(trained.s2, Path(tmp) / "s2.ckpt")
+        path = Path(ckpt + suffix)
+        blob = bytearray(path.read_bytes())
+        at %= len(blob)
+        if byte is None:
+            del blob[at:]
+        else:
+            blob[at] = byte
+        path.write_bytes(bytes(blob))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            code = main(["eval", "--checkpoint", ckpt, "--data", trained.data])
+    assert code in (EXIT_OK, EXIT_IO), err.getvalue()
+    assert code == EXIT_OK or err.getvalue().startswith("error: ")
 
 
 # --------------------------------------------------------------------------

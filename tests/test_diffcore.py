@@ -239,6 +239,26 @@ def test_l2_normalize_values():
     np.testing.assert_array_equal(dc.l2_normalize(dc.Tensor([0.0, 0.0])).values, [0.0, 0.0])
 
 
+def test_l2_normalize_raises_when_a_finite_row_norm_overflows():
+    # 1e200 squared overflows, and x / inf used to come out as a zero row
+    big = np.array([[1e200, 1e200], [3.0, 4.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(dc.NonFiniteError, match="l2_normalize"):
+            dc.l2_normalize(dc.Tensor(big))
+        with dc.Graph():
+            with pytest.raises(dc.NonFiniteError, match="l2_normalize"):
+                dc.l2_normalize(dc.Tensor(big, requires_grad=True))
+        # inside a graph, an earlier non-finite op is named instead
+        with dc.Graph():
+            dc.exp(dc.Tensor([1e3], requires_grad=True))
+            with pytest.raises(dc.NonFiniteError, match="exp"):
+                dc.l2_normalize(dc.Tensor(big, requires_grad=True))
+    # a row of 1e150 has a finite norm and keeps the bits of x / norm
+    row = np.array([1e150, -2e150, 3e150])
+    out = dc.l2_normalize(dc.Tensor(row)).values
+    assert out.tobytes() == (row / np.sqrt(np.sum(row * row, axis=-1, keepdims=True))).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(finite_arrays())
 def test_l2_normalize_rows_unit_norm(rows):

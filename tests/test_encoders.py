@@ -84,12 +84,19 @@ def test_config_round_trip():
     # the checkpoint sidecar writes the keys in this order
     assert list(cfg.to_dict()) == ["dim", "d_a", "max_members", "group_slots", "tokens_per_identity",
                                    "n_person_ids", "n_group_classes", "temperature_init", "init_std"]
-    doc = dict(cfg.to_dict(), dim=10.0, temperature_init=5)
-    back = ModelConfig.from_dict(doc)
-    assert type(back.dim) is int and type(back.temperature_init) is float
+    # a float key takes a JSON integer; nothing else is converted
+    back = ModelConfig.from_dict(dict(cfg.to_dict(), temperature_init=5))
+    assert type(back.temperature_init) is float and back == cfg
+    for key, value in (("dim", 10.0), ("dim", "10"), ("dim", True), ("init_std", "0.02")):
+        with pytest.raises(ValueError, match=f"model.{key} must be"):
+            ModelConfig.from_dict(dict(cfg.to_dict(), **{key: value}))
+    # a sidecar holds every key and no other
+    doc = cfg.to_dict()
     del doc["init_std"]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="model.init_std is missing"):
         ModelConfig.from_dict(doc)
+    with pytest.raises(ValueError, match="unknown model keys: depth"):
+        ModelConfig.from_dict(dict(cfg.to_dict(), depth=2))
 
 
 def test_prompt_length_properties():

@@ -49,15 +49,21 @@ def test_config_round_trip():
                                    "views_per_group_per_camera", "membership_dropout_prob",
                                    "layout_permutation", "appearance_noise_std", "camera_bias_std", "d_a"]
     assert cfg.to_dict()["members_per_group"] == [cfg.members_min, cfg.members_max]
-    doc = dict(cfg.to_dict(), members_per_group=[3.0, 4], n_cameras=2.0,
-               appearance_noise_std=0, layout_permutation=0)
-    back = sd.GenConfig.from_dict(doc)
+    # a float key takes a JSON integer; nothing else is converted
+    back = sd.GenConfig.from_dict(dict(cfg.to_dict(), members_per_group=[3, 4], appearance_noise_std=0))
     assert (back.members_min, back.members_max) == (3, 4)
-    assert type(back.members_min) is int and type(back.n_cameras) is int
-    assert type(back.appearance_noise_std) is float and back.layout_permutation is False
+    assert type(back.appearance_noise_std) is float and back.appearance_noise_std == 0.0
+    for key, value in (("members_per_group", [3.0, 4]), ("n_cameras", 2.0), ("layout_permutation", 0),
+                       ("membership_dropout_prob", "0.3")):
+        with pytest.raises(ValueError, match=f"config.{key} must be"):
+            sd.GenConfig.from_dict(dict(cfg.to_dict(), **{key: value}))
+    # a dataset holds every key and no other
+    doc = cfg.to_dict()
     del doc["d_a"]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="config.d_a is missing"):
         sd.GenConfig.from_dict(doc)
+    with pytest.raises(ValueError, match="unknown config keys: colour"):
+        sd.GenConfig.from_dict(dict(cfg.to_dict(), colour=1))
 
 
 def test_generation_is_deterministic_to_the_byte(tmp_path):
