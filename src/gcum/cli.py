@@ -53,7 +53,7 @@ from .synthdata import (
     load_dataset,
     split_train_test,
 )
-from .trainer import TEMP_INV_RANGE, TrainConfig, train_stage1, train_stage2
+from .trainer import TEMP_INV_RANGE, FrozenPassError, TrainConfig, train_stage1, train_stage2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -394,10 +394,13 @@ def cmd_train(args) -> int:
         if state.config != model_cfg:
             raise CliError(EXIT_CONFIG, "init checkpoint was trained under a different model config")
         use_text = modules["gla"]
-        state, history = train_stage2(
-            state, train_samples, rosters, cfg.train_config(2),
-            mvs=mvs_cfg, use_text=use_text, alpha=cfg.alpha, epsilon=cfg.epsilon,
-        )
+        try:
+            state, history = train_stage2(
+                state, train_samples, rosters, cfg.train_config(2),
+                mvs=mvs_cfg, use_text=use_text, alpha=cfg.alpha, epsilon=cfg.epsilon,
+            )
+        except FrozenPassError as e:  # its inputs are the checkpoint's frozen weights and the data
+            raise CheckpointError(f"init checkpoint {args.init_checkpoint} overflows in {e}") from None
         modules = {"gla": use_text, "mvs": cfg.mvs_enabled, "grce": True}
 
     meta_out = {
@@ -546,7 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # every value a command keeps or prints passes an explicit finiteness check
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -53,14 +53,11 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "scale",
     "matmul",
     "transpose",
     "concat",
     "stack",
     "gather_rows",
-    "exp",
-    "log",
     "tanh",
     "clamp_min",
     "segment_attention",
@@ -69,7 +66,6 @@ __all__ = [
     "row_distance",
     "add_block_means",
     "l2_normalize",
-    "reduce_sum",
     "reduce_mean",
     "check_finite",
     "grad_check",
@@ -278,13 +274,11 @@ def _result(values: np.ndarray, parents: tuple[Tensor, ...], pull: _PullFn) -> T
 
 def _ew_check(a: Tensor, b: Tensor, op: str) -> None:
     # Allowed elementwise pairings: identical shapes, a rank-0 scalar on
-    # either side, or matrix (m,n) with a row vector (n,).
+    # either side, or matrix (m,n) then row vector (n,).
     sa, sb = a.shape, b.shape
     if sa == sb or sa == () or sb == ():
         return
     if len(sa) == 2 and sb == (sa[1],):
-        return
-    if len(sb) == 2 and sa == (sb[1],):
         return
     raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}")
 
@@ -330,18 +324,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(av * bv, (a, b), pull)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a compile-time constant (no gradient flows to ``c``)."""
-    c = float(c)
-    if not math.isfinite(c):
-        raise NonFiniteError("scale factor must be finite")
-
-    def pull(g: np.ndarray):
-        return (g * c,)
-
-    return _result(x.values * c, (x,), pull)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product (m,k)@(k,n)."""
     av, bv = a.values, b.values
@@ -365,27 +347,18 @@ def transpose(x: Tensor) -> Tensor:
     return _result(x.values.T, (x,), pull)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors of equal rank along ``axis``."""
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Stack matrices of one width on top of each other."""
     if not parts:
         raise ShapeError("concat needs at least one tensor")
-    ndim = parts[0].ndim
-    if ndim == 0:
-        raise ShapeError("concat does not accept rank-0 tensors")
-    if any(p.ndim != ndim for p in parts):
-        raise ShapeError("concat operands must share their rank")
-    if not (0 <= axis < ndim):
-        raise ShapeError(f"concat axis {axis} out of range for rank {ndim}")
-    other = [tuple(s for i, s in enumerate(p.shape) if i != axis) for p in parts]
-    if any(o != other[0] for o in other):
-        raise ShapeError("concat operands disagree on non-concatenated dims")
-    sizes = [p.shape[axis] for p in parts]
-    bounds = np.cumsum(sizes)[:-1]
+    if any(p.ndim != 2 or p.shape[1] != parts[0].shape[1] for p in parts):
+        raise ShapeError(f"concat needs matrices of one width, got {[p.shape for p in parts]}")
+    bounds = np.cumsum([p.shape[0] for p in parts])[:-1]
 
     def pull(g: np.ndarray):
-        return tuple(np.split(g, bounds, axis=axis))
+        return tuple(np.split(g, bounds))
 
-    return _result(np.concatenate([p.values for p in parts], axis=axis), tuple(parts), pull)
+    return _result(np.concatenate([p.values for p in parts]), tuple(parts), pull)
 
 
 def stack(parts: Sequence[Tensor]) -> Tensor:
@@ -431,27 +404,6 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     d = g.shape[1]
     flat = (idx[:, None] * d + np.arange(d)).ravel()
     return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
-
-
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        ev = np.exp(x.values)  # overflow surfaces as NonFiniteError below
-
-    def pull(g: np.ndarray):
-        return (g * ev,)
-
-    return _result(ev, (x,), pull)
-
-
-def log(x: Tensor) -> Tensor:
-    xv = x.values
-    if xv.size and float(np.min(xv)) <= 0.0:
-        raise NonFiniteError("log needs strictly positive input")
-
-    def pull(g: np.ndarray):
-        return (g / xv,)
-
-    return _result(np.log(xv), (x,), pull)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -622,8 +574,8 @@ def row_distance(a: Tensor, b: Tensor) -> Tensor:
     ``exp(log(d2) / 2)`` with the squared distance ``d2`` floored at
     1e-12: coincident rows give distance 1e-6 and a zero gradient, not a
     NaN.  The value and the gradients are those of the composed
-    ``sub``, ``mul``, ``reduce_sum``, ``clamp_min``, ``log``, ``scale``
-    and ``exp``, bit for bit.
+    difference, squared row sum, floor, log, halving and exp, op by op,
+    bit for bit.
     """
     if a.shape != b.shape or a.ndim != 2:
         raise ShapeError(f"row_distance needs matrices of one shape, got {a.shape} and {b.shape}")
@@ -707,19 +659,6 @@ def l2_normalize(x: Tensor) -> Tensor:
         return (g / d - xv * (live * inner / (d * d * d)),)
 
     return _result(xv / d, (x,), pull)
-
-
-def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    if axis is not None and not (0 <= axis < x.ndim):
-        raise ShapeError(f"sum axis {axis} out of range for shape {x.shape}")
-    xv = x.values
-
-    def pull(g: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(g, xv.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), xv.shape).copy(),)
-
-    return _result(np.asarray(np.sum(xv, axis=axis)), (x,), pull)
 
 
 def reduce_mean(x: Tensor) -> Tensor:

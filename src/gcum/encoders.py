@@ -125,9 +125,6 @@ class ModelState:
     config: ModelConfig
     params: dict[str, Tensor]
 
-    def with_param(self, name: str, tensor: Tensor) -> "ModelState":
-        return self.with_params({name: tensor})
-
     def with_params(self, updates: Mapping[str, Tensor]) -> "ModelState":
         new = dict(self.params)
         for name, t in updates.items():

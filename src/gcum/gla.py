@@ -58,7 +58,7 @@ def _token_table(
     for pid in used:
         rows[pid] = np.arange(at, at + m)
         at += m
-    return dc.concat([p[name] for name in names] + [blocks], axis=0), rows
+    return dc.concat([p[name] for name in names] + [blocks]), rows
 
 
 def build_member_prompts(identity_ids: Sequence[int], state: ModelState) -> Tensor:

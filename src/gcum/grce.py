@@ -48,17 +48,15 @@ from .mvs import Mask, apply_mvs
 from .synthdata import GroupSample
 
 
-def canonical_order(rows: np.ndarray, segments: np.ndarray | None = None) -> list[int]:
+def canonical_order(rows: np.ndarray, segments: np.ndarray) -> list[int]:
     """Indices that sort matrix rows lexicographically (column 0 first).
 
-    With ``segments``, one id per row, rows are sorted within their
+    ``segments`` holds one id per row; rows are sorted within their
     segment and the segments keep ascending id order.
     """
     if rows.ndim != 2:
         raise ShapeError("canonical ordering is defined for matrices")
-    keys = list(rows.T[::-1])
-    if segments is not None:
-        keys.append(np.asarray(segments))
+    keys = list(rows.T[::-1]) + [np.asarray(segments)]
     if rows.shape[1] > 1:
         # (segment, column 0) is the whole order unless two rows of a segment share column 0
         lead = keys[rows.shape[1] - 1:]
@@ -94,7 +92,7 @@ def refine(group_features: Tensor, member_features: Tensor, state: ModelState,
     at = np.full((b, slots), rows)
     at[np.arange(slots) < counts[:, None]] = canonical_order(member_features.values,
                                                              np.repeat(np.arange(b), counts))
-    table = dc.concat([member_features, dc.constant(np.zeros((1, dim)))], axis=0)
+    table = dc.concat([member_features, dc.constant(np.zeros((1, dim)))])
     ordered = dc.gather_rows(table, at.ravel())
     queries = dc.gather_rows(project(group_features, p["grce.wq"]), np.repeat(np.arange(b), slots))
     context = dc.segment_attention(queries, project(ordered, p["grce.wk"]),

@@ -76,6 +76,8 @@ class GenConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "GenConfig":
         d = read(doc, cls().to_dict(), "config", complete=True)
+        if len(d["members_per_group"]) != 2:
+            raise ValueError(f"config.members_per_group must be two integers, got {list(d['members_per_group'])}")
         d["members_min"], d["members_max"] = d.pop("members_per_group")
         return cls(**d)
 

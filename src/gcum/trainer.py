@@ -16,7 +16,7 @@ order, dropout draws, and updates are all driven by one seeded stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,6 +39,10 @@ TEMP_INV_RANGE = (1.0, 100.0)
 
 class FreezeViolation(RuntimeError):
     """A gradient landed outside the active stage's trainable set."""
+
+
+class FrozenPassError(dc.NonFiniteError):
+    """A NaN or inf in a run's frozen visual pass, which reads only frozen parameters and the data."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,6 @@ class TrainConfig:
     def scaled(self) -> "TrainConfig":
         """Materialize the desk-scale schedule (round half up, floor 1 for
         non-zero counts)."""
-        if self.scale_factor == 1.0:
-            return self
 
         def s(e: int) -> int:
             return max(1, math.floor(e * self.scale_factor + 0.5)) if e > 0 else 0
@@ -122,26 +124,17 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr_peak * cfg.decay_factor**drops
 
 
-@dataclass
-class OptimizerState:
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def init_optimizer(state: ModelState) -> OptimizerState:
-    vel = {name: np.zeros(p.shape) for name, p in state.params.items()}
-    return OptimizerState(velocity=vel)
-
-
 def sgd_step(
     state: ModelState,
     grads: Mapping[str, np.ndarray],
-    opt: OptimizerState,
+    velocity: dict[str, np.ndarray],
     lr: float,
     cfg: TrainConfig,
 ) -> ModelState:
     """v <- momentum*v + g + wd*p; p <- p - lr*v.
 
-    Only the parameters present in ``grads`` move.  The temperature is
+    Only the parameters present in ``grads`` move; ``velocity`` maps each
+    parameter's name to its v, and is updated in place.  The temperature is
     exempt from weight decay: decaying a scale parameter would drag the
     similarity scale toward zero regardless of the data.  It is clipped
     into ``TEMP_INV_RANGE`` after the step.
@@ -153,8 +146,8 @@ def sgd_step(
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match {name} {p.shape}")
         wd = 0.0 if name == "temp.inv" else cfg.weight_decay
-        v = cfg.momentum * opt.velocity[name] + g + wd * p.values
-        opt.velocity[name] = v
+        v = cfg.momentum * velocity[name] + g + wd * p.values
+        velocity[name] = v
         new = p.values - lr * v
         if name == "temp.inv":
             new = np.clip(new, *TEMP_INV_RANGE)
@@ -183,11 +176,11 @@ def _sample_masks(batch, mvs: MvsConfig | None, rng: np.random.Generator):
     return masks
 
 
-def _largest_update(opt: OptimizerState, names: Sequence[str], lr: float | None) -> str:
+def _largest_update(velocity: dict[str, np.ndarray], names: Sequence[str], lr: float | None) -> str:
     """Which of ``names`` moved most (L2 norm of lr * velocity) in the last SGD step."""
     if lr is None:
         return "no SGD step has run yet"
-    norms = {n: np.nan_to_num(lr * np.linalg.norm(opt.velocity[n]), nan=np.inf) for n in names}
+    norms = {n: np.nan_to_num(lr * np.linalg.norm(velocity[n]), nan=np.inf) for n in names}
     name = max(norms, key=norms.__getitem__)
     return f"largest last update: {name}, L2 norm {norms[name]:.3g}"
 
@@ -206,19 +199,20 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
     one memo call that runs only what the step can train.  A
     ``NonFiniteError`` gains the stage, the epoch and the step (both from
     0) or the frozen pass it happened in, and the trainable parameter
-    whose last update was largest.
+    whose last update was largest; one in the frozen pass is raised as a
+    ``FrozenPassError``.
     """
     run = cfg.scaled()
     state.set_trainable(trainable)
-    opt = init_optimizer(state)
+    velocity = {name: np.zeros(p.shape) for name, p in state.params.items()}
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(stream,)))
     memo = grce.VisualMemo(samples, quantity=mvs is not None)
     history: list[dict] = []
     last_lr = None
 
-    def diverged(e, epoch, where):
-        return dc.NonFiniteError(f"stage {cfg.stage}, epoch {epoch}, {where}: {e}; "
-                                 f"{_largest_update(opt, trainable, last_lr)}")
+    def diverged(e, epoch, where, kind=dc.NonFiniteError):
+        return kind(f"stage {cfg.stage}, epoch {epoch}, {where}: {e}; "
+                    f"{_largest_update(velocity, trainable, last_lr)}")
 
     for epoch in range(run.total_epochs):
         lr = lr_at_epoch(run, epoch)
@@ -226,7 +220,7 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
         try:
             memo.prepare([i for idx, _ in plan for i in idx], [m for _, ms in plan for m in ms], state)
         except dc.NonFiniteError as e:
-            raise diverged(e, epoch, "frozen visual pass") from e
+            raise diverged(e, epoch, "frozen visual pass", FrozenPassError) from e
         sums: dict[str, float] = {}
         steps = 0
         for idx, masks in plan:
@@ -238,7 +232,7 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
                     features, members, row_ids = memo(idx, masks, state, refined=cfg.stage == 2)
                     loss, parts = loss_fn(batch, features, members, row_ids, state)
                 g.backward(loss)
-                state = sgd_step(state, _collect_grads(state, trainable), opt, lr, run)
+                state = sgd_step(state, _collect_grads(state, trainable), velocity, lr, run)
             except dc.NonFiniteError as e:
                 raise diverged(e, epoch, f"step {steps}") from e
             last_lr = lr

@@ -40,13 +40,17 @@ echo "== Gradient check through the console script"
 gcum grad-check --seed 0
 
 # at lr_peak 1e12 stage 1 overflows; two epochs are too few to get there
-echo "== A diverging run exits 5 and names where"
+echo "== A diverging run exits 5, names where, and lets no numpy warning out"
 python -c 'import json; c = json.load(open("small.json")); c["train"].update(lr_peak=1e12, total_epochs=6); print(json.dumps(c))' > diverge.json
 code=0
 gcum train --stage 1 --config diverge.json --data data.json --out diverge.ckpt 2> diverge.err || code=$?
 cat diverge.err
 test "$code" -eq 5
 grep -q "training diverged: stage 1, epoch" diverge.err
+if grep -q RuntimeWarning diverge.err; then
+  echo "a numpy RuntimeWarning escaped the diverging run" >&2
+  exit 1
+fi
 
 # a module flag is a JSON bool: "no" is an artifact error, not a refined eval
 echo "== An eval of a sidecar whose grce flag is a string exits 3"

@@ -1,0 +1,55 @@
+"""Tape ops that only the tests use, built on ``diffcore._result`` as the library's ops are.
+
+The composed references of the fused ops (``row_distance``,
+``soft_target_nll``) need a constant factor, ``exp``, ``log`` and a sum,
+and the overflow probes need an op that overflows on demand.  Each op's
+value and backward are written as the library writes them, so a composition
+of these gives the bits the fused op must match.  Each op's backward
+closure is named ``pull``, so a ``NonFiniteError`` names the op.
+"""
+
+import numpy as np
+
+from gcum import diffcore as dc
+
+
+def scale(x: dc.Tensor, c: float) -> dc.Tensor:
+    """Multiply by a constant (no gradient flows to ``c``)."""
+    c = float(c)
+
+    def pull(g: np.ndarray):
+        return (g * c,)
+
+    return dc._result(x.values * c, (x,), pull)
+
+
+def exp(x: dc.Tensor) -> dc.Tensor:
+    with np.errstate(over="ignore"):
+        ev = np.exp(x.values)  # overflow surfaces as NonFiniteError in _result
+
+    def pull(g: np.ndarray):
+        return (g * ev,)
+
+    return dc._result(ev, (x,), pull)
+
+
+def log(x: dc.Tensor) -> dc.Tensor:
+    """Natural log of positive entries."""
+    xv = x.values
+
+    def pull(g: np.ndarray):
+        return (g / xv,)
+
+    return dc._result(np.log(xv), (x,), pull)
+
+
+def reduce_sum(x: dc.Tensor, axis: int | None = None) -> dc.Tensor:
+    """The sum of all entries, or along ``axis``."""
+    xv = x.values
+
+    def pull(g: np.ndarray):
+        if axis is None:
+            return (np.broadcast_to(g, xv.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), xv.shape).copy(),)
+
+    return dc._result(np.asarray(np.sum(xv, axis=axis)), (x,), pull)

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +31,8 @@ from gcum.cli import (
 )
 from gcum.encoders import load_checkpoint, load_checkpoint_meta, save_checkpoint
 from gcum.synthdata import load_dataset
+
+import tape_ops as ops
 
 _SMALL = {
     "seed": 5,
@@ -318,7 +323,7 @@ def test_stage1_at_lr_peak_1e8_reports_the_norm_that_overflows(tmp_path, capsys)
 
 
 def test_divergence_names_the_op_stage_epoch_and_step(tmp_path, small_config, capsys, monkeypatch):
-    from gcum import diffcore as dc, gla, trainer
+    from gcum import gla, trainer
     from gcum.encoders import STAGE1_TRAINABLE
 
     data = _gen(tmp_path, small_config)
@@ -342,14 +347,14 @@ def test_divergence_names_the_op_stage_epoch_and_step(tmp_path, small_config, ca
 
     def overflowing(*a, **kw):
         loss, parts = counted(*a, **kw)
-        return (dc.exp(dc.scale(loss, 1e4)) if len(calls) == fail_at else loss), parts
+        return (ops.exp(ops.scale(loss, 1e4)) if len(calls) == fail_at else loss), parts
 
     steps = []
     real_step = trainer.sgd_step
 
-    def recorded(state, grads, opt, lr, cfg):
-        steps.append((opt, lr))
-        return real_step(state, grads, opt, lr, cfg)
+    def recorded(state, grads, velocity, lr, cfg):
+        steps.append((velocity, lr))
+        return real_step(state, grads, velocity, lr, cfg)
 
     monkeypatch.setattr(gla, "stage1_batch_loss", overflowing)
     monkeypatch.setattr(trainer, "sgd_step", recorded)
@@ -357,8 +362,8 @@ def test_divergence_names_the_op_stage_epoch_and_step(tmp_path, small_config, ca
     err = capsys.readouterr().err
     assert "training diverged: stage 1, epoch 1, step 1: exp: tensor contains NaN" in err, err
     # the update of the last step, lr * velocity, names the parameter that moved most
-    opt, lr = steps[-1]
-    moved = {n: lr * np.linalg.norm(opt.velocity[n]) for n in STAGE1_TRAINABLE}
+    velocity, lr = steps[-1]
+    moved = {n: lr * np.linalg.norm(velocity[n]) for n in STAGE1_TRAINABLE}
     largest = max(moved, key=moved.get)
     assert moved[largest] > 0 and all(v < moved[largest] for n, v in moved.items() if n != largest)
     assert f"largest last update: {largest}, L2 norm {moved[largest]:.3g}" in err, err
@@ -417,6 +422,10 @@ def test_train_rejects_a_dataset_with_a_non_finite_appearance(tmp_path, small_co
 _DATASET_DAMAGE = {
     "catalog-not-a-list": (lambda d: d.update(catalog=5), "dataset catalog must be a non-empty list"),
     "member-range-not-a-pair": (lambda d: d["config"].update(members_per_group=5), "dataset config"),
+    "member-range-of-three": (lambda d: d["config"].update(members_per_group=[2, 3, 4]),
+                              "config.members_per_group must be two integers"),
+    "member-range-of-one": (lambda d: d["config"].update(members_per_group=[2]),
+                            "config.members_per_group must be two integers"),
     "config-without-n_cameras": (lambda d: d["config"].pop("n_cameras"), "dataset config"),
     "n_cameras-not-a-number": (lambda d: d["config"].update(n_cameras="two"), "dataset config"),
     "config-fails-its-checks": (lambda d: d["config"].update(n_cameras=1), "dataset config"),
@@ -645,7 +654,7 @@ _CHECKPOINT_DAMAGE = {
     ("nan-in-prompt.x", True),
     ("name-not-utf8", True),
     ("temp.inv-below-its-range", True),
-    ("weights-overflow-in-eval", False),  # stage 2 trains, so it reports a divergence
+    ("weights-overflow-in-eval", False),  # stage 2 names its frozen pass: see the next test
 ])
 def test_damaged_checkpoint_sidecar_exits_3(trained, tmp_path, capsys, damage, check_stage2):
     # eval and stage 2 read a checkpoint through one checked reader
@@ -666,6 +675,45 @@ def test_damaged_checkpoint_sidecar_exits_3(trained, tmp_path, capsys, damage, c
         err = capsys.readouterr().err
         assert err.startswith("error: ") and where in err, err
     assert not out.exists()
+
+
+def test_stage2_exits_3_when_the_init_checkpoint_overflows_its_frozen_pass(trained, tmp_path, capsys):
+    # the frozen pass reads only the checkpoint's frozen weights and the data, so no step diverged
+    ckpt = _copy_checkpoint(trained.s1, tmp_path / "s1.ckpt")
+    _set_tensor("member.w2", 1e300)(ckpt)
+    capsys.readouterr()
+    out = tmp_path / "s2.ckpt"
+    code = main(["train", "--stage", "2", "--config", trained.config, "--data", trained.data,
+                 "--init-checkpoint", ckpt, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO, err
+    assert err.startswith(f"error: init checkpoint {ckpt} overflows in stage 2, epoch 0, "
+                          "frozen visual pass: l2_normalize: "), err
+    assert "diverged" not in err and not out.exists()
+
+
+def test_no_numpy_warning_escapes_a_command(trained, tmp_path):
+    # each run is a fresh interpreter in which a RuntimeWarning is an error (exit 1, a traceback)
+    doc = json.loads(json.dumps(_SMALL))
+    doc["train"].update(lr_peak=1e12, total_epochs=6)  # the diverging run of tests/console_flow.sh
+    diverge = tmp_path / "diverge.json"
+    diverge.write_text(json.dumps(doc))
+    ckpt = _copy_checkpoint(trained.s1, tmp_path / "s1.ckpt")
+    _set_tensor("member.w2", 1e300)(ckpt)
+    runs = [
+        (EXIT_NONFINITE, ["train", "--stage", "1", "--config", str(diverge), "--data", trained.data,
+                          "--out", str(tmp_path / "diverge.ckpt")]),
+        (EXIT_IO, ["train", "--stage", "2", "--config", trained.config, "--data", trained.data,
+                   "--init-checkpoint", ckpt, "--out", str(tmp_path / "s2.ckpt")]),
+        (EXIT_IO, ["eval", "--checkpoint", ckpt, "--data", trained.data]),
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for code, argv in runs:
+        run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "gcum.cli", *argv],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == code, run.stderr
+        assert run.stderr.startswith("error: ") and "Warning" not in run.stderr, run.stderr
 
 
 @settings(max_examples=100, deadline=None)

@@ -201,7 +201,7 @@ def test_text_positions_beyond_length_are_inert():
 
     bumped = np.array(state.params["text.pos"].values)
     bumped[length:] += 100.0
-    other = state.with_param("text.pos", Tensor(bumped, requires_grad=True))
+    other = state.with_params({"text.pos": Tensor(bumped, requires_grad=True)})
     after = encode_text(tokens, other, length)
     assert np.array_equal(before.values, after.values)
 

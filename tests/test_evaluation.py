@@ -375,8 +375,8 @@ def test_features_and_reports_keep_their_bytes_under_the_full_lexsort(monkeypatc
         return out
 
     fast = outputs()
-    monkeypatch.setattr(grce, "canonical_order", lambda rows, segments=None: np.lexsort(
-        list(rows.T[::-1]) + ([] if segments is None else [np.asarray(segments)])).tolist())
+    monkeypatch.setattr(grce, "canonical_order", lambda rows, segments: np.lexsort(
+        list(rows.T[::-1]) + [np.asarray(segments)]).tolist())
     assert outputs() == fast
 
 

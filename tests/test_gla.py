@@ -20,6 +20,8 @@ from gcum.grce import group_features
 from gcum.mvs import Mask, full_mask
 from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
 
+import tape_ops as ops
+
 
 def small_state(seed=0, **overrides):
     base = dict(
@@ -110,7 +112,7 @@ def test_prompt_gradient_lands_on_the_right_rows():
     m = state.config.tokens_per_identity
     with dc.Graph() as g:
         seq = build_group_prompts([[2]], state)  # slots 3: one identity, two pads
-        loss = dc.reduce_sum(seq)
+        loss = ops.reduce_sum(seq)
     g.backward(loss)
     gx = state.params["prompt.x"].grad
     expected = np.zeros_like(gx)
@@ -127,7 +129,7 @@ def test_full_rosters_leave_the_padding_without_gradient():
     # weight-decay step, so prompts that do not pad must not reach the padding
     state = small_state()
     with dc.Graph() as g:
-        loss = dc.reduce_sum(build_group_prompts([[0, 1, 2], [3, 1, 0]], state))
+        loss = ops.reduce_sum(build_group_prompts([[0, 1, 2], [3, 1, 0]], state))
     g.backward(loss)
     assert state.params["prompt.pad"].grad is None
     assert np.any(state.params["prompt.x"].grad)
@@ -193,7 +195,7 @@ def test_contrastive_losses_reject_non_finite_rows():
     x = Tensor(np.eye(3), requires_grad=True)
     with dc.Graph(), np.errstate(invalid="ignore"):
         # exp overflows and the normalized rows hold NaN, whose norm no comparison rejects
-        visual = dc.l2_normalize(dc.exp(dc.scale(x, 1e3)))
+        visual = dc.l2_normalize(ops.exp(ops.scale(x, 1e3)))
         with pytest.raises(dc.NonFiniteError, match="^exp: "):
             contrastive_losses(visual, (0, 1, 2), (0, 1, 2), Tensor(np.eye(3)), Tensor(np.asarray(1.0)))
 

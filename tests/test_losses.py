@@ -22,6 +22,8 @@ from gcum.grce import group_features
 from gcum.mvs import full_mask
 from gcum.synthdata import GenConfig, generate_dataset
 
+import tape_ops as ops
+
 
 def test_smoothed_ce_matches_scalar_oracle():
     loss = cross_entropy_smoothed(Tensor([[2.0, 0.0, 0.0]]), [0], 0.1)
@@ -69,7 +71,7 @@ def test_id_loss_reads_the_classifier():
     )
     rows = np.zeros((3, 4))
     rows[0, 0] = 2.0  # logits for e_0 become [2, 0, 0]
-    state = state.with_param("grce.classifier", Tensor(rows, requires_grad=True))
+    state = state.with_params({"grce.classifier": Tensor(rows, requires_grad=True)})
     v = Tensor([[1.0, 0.0, 0.0, 0.0]])
     assert id_loss(v, state, [0], 0.1).item() == pytest.approx(0.372878099555218, abs=1e-10)
 
@@ -99,7 +101,7 @@ def test_euclidean_at_coincident_points_is_floored_and_flat():
     a = Tensor([[0.5, -0.5]], requires_grad=True)
     with dc.Graph() as g:
         d = dc.row_distance(a, Tensor([[0.5, -0.5]]))
-        total = dc.reduce_sum(d)
+        total = ops.reduce_sum(d)
     g.backward(total)
     assert d.item() == pytest.approx(1e-6, abs=1e-18)
     assert np.array_equal(a.grad, np.zeros((1, 2)))
@@ -110,7 +112,7 @@ def test_euclidean_gradient_is_correct():
     b = Tensor([[1.0, 0.5, -0.25]])
 
     def loss_fn(s):
-        return dc.reduce_sum(dc.row_distance(s["a"], b))
+        return ops.reduce_sum(dc.row_distance(s["a"], b))
 
     report = dc.grad_check(loss_fn, state)
     assert report.ok, report.failures
@@ -199,7 +201,7 @@ def test_batch_losses_match_the_per_anchor_oracle(seed):
     state = init_model_state(
         ModelConfig(dim=4, d_a=3, max_members=2, group_slots=2, n_person_ids=2, n_group_classes=3),
         seed=0,
-    ).with_param("grce.classifier", Tensor(classifier, requires_grad=True))
+    ).with_params({"grce.classifier": Tensor(classifier, requires_grad=True)})
 
     want_id = np.mean([_smoothed_nll(classifier @ f, y, 0.1) for f, y in zip(feats, labels)])
     want_ce = np.mean([_smoothed_nll(inv_temp * (text @ f), y, 0.1) for f, y in zip(feats, labels)])

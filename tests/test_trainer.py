@@ -24,10 +24,8 @@ from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
 from gcum.trainer import (
     TEMP_INV_RANGE,
     FreezeViolation,
-    OptimizerState,
     TrainConfig,
     _collect_grads,
-    init_optimizer,
     lr_at_epoch,
     sgd_step,
     train_stage1,
@@ -65,7 +63,10 @@ def test_scaled_schedule_keeps_the_shape():
     assert quarter.decay_epochs == (8, 13)
     assert quarter.total_epochs == 20
 
-    assert TrainConfig(scale_factor=1.0).scaled() is not None  # identity path
+    # at factor 1 every count keeps its value
+    assert TrainConfig(scale_factor=1.0).scaled() == TrainConfig(scale_factor=1.0)
+    odd = TrainConfig(warmup_epochs=1, decay_epochs=(2, 7), total_epochs=9, scale_factor=1.0)
+    assert odd.scaled() == odd
 
     # the floor of 1 applies to non-zero counts only
     empty = TrainConfig(warmup_epochs=0, decay_epochs=(), total_epochs=0, scale_factor=0.5).scaled()
@@ -110,47 +111,52 @@ def _one_param_state():
     return init_model_state(cfg, seed=0)
 
 
+def _velocity(state):
+    """Zero momentum for every parameter, as a training run starts."""
+    return {name: np.zeros(p.shape) for name, p in state.params.items()}
+
+
 def test_sgd_plain_gradient_descent():
     state = _one_param_state()
-    opt = init_optimizer(state)
+    velocity = _velocity(state)
     cfg = TrainConfig(momentum=0.0, weight_decay=0.0)
     g = np.ones_like(state.params["group.cls"].values)
     before = state.params["group.cls"].values
-    after = sgd_step(state, {"group.cls": g}, opt, 0.5, cfg)
+    after = sgd_step(state, {"group.cls": g}, velocity, 0.5, cfg)
     assert np.array_equal(after.params["group.cls"].values, before - 0.5)
 
 
 def test_sgd_zero_gradient_leaves_params_alone():
     state = _one_param_state()
-    opt = init_optimizer(state)
+    velocity = _velocity(state)
     cfg = TrainConfig(momentum=0.8, weight_decay=0.0)
     g = np.zeros_like(state.params["group.cls"].values)
-    after = sgd_step(state, {"group.cls": g}, opt, 0.5, cfg)
+    after = sgd_step(state, {"group.cls": g}, velocity, 0.5, cfg)
     assert np.array_equal(after.params["group.cls"].values, state.params["group.cls"].values)
 
 
 def test_sgd_two_steps_displace_by_lr_g_times_two_plus_momentum():
     state = _one_param_state()
-    opt = init_optimizer(state)
+    velocity = _velocity(state)
     m, lr = 0.8, 0.1
     cfg = TrainConfig(momentum=m, weight_decay=0.0)
     g = np.full_like(state.params["group.cls"].values, 2.0)
     start = state.params["group.cls"].values
-    state = sgd_step(state, {"group.cls": g}, opt, lr, cfg)
-    state = sgd_step(state, {"group.cls": g}, opt, lr, cfg)
+    state = sgd_step(state, {"group.cls": g}, velocity, lr, cfg)
+    state = sgd_step(state, {"group.cls": g}, velocity, lr, cfg)
     expected = start - lr * g * (2.0 + m)
     assert np.allclose(state.params["group.cls"].values, expected, atol=1e-15)
 
 
 def test_sgd_weight_decay_skips_the_temperature():
     state = _one_param_state()
-    opt = init_optimizer(state)
+    velocity = _velocity(state)
     cfg = TrainConfig(momentum=0.0, weight_decay=0.5)
     zeros = {
         "temp.inv": np.zeros(()),
         "group.cls": np.zeros_like(state.params["group.cls"].values),
     }
-    after = sgd_step(state, zeros, opt, 0.1, cfg)
+    after = sgd_step(state, zeros, velocity, 0.1, cfg)
     assert after.params["temp.inv"].item() == state.params["temp.inv"].item()
     shrunk = state.params["group.cls"].values * (1.0 - 0.1 * 0.5)
     assert np.allclose(after.params["group.cls"].values, shrunk, atol=1e-15)
@@ -161,9 +167,9 @@ def test_sgd_keeps_the_temperature_in_range():
     cfg = TrainConfig(momentum=0.0, weight_decay=0.0)
     low, high = TEMP_INV_RANGE
     for grad, bound in ((1e6, low), (-1e6, high)):
-        after = sgd_step(state, {"temp.inv": np.asarray(grad)}, init_optimizer(state), 1.0, cfg)
+        after = sgd_step(state, {"temp.inv": np.asarray(grad)}, _velocity(state), 1.0, cfg)
         assert after.params["temp.inv"].item() == bound
-    inside = sgd_step(state, {"temp.inv": np.asarray(0.5)}, init_optimizer(state), 1.0, cfg)
+    inside = sgd_step(state, {"temp.inv": np.asarray(0.5)}, _velocity(state), 1.0, cfg)
     assert inside.params["temp.inv"].item() == state.params["temp.inv"].item() - 0.5
 
 
@@ -172,7 +178,7 @@ def test_sgd_names_a_non_finite_update():
     cfg = TrainConfig(momentum=0.0, weight_decay=0.0)
     grad = np.full(state.params["group.cls"].shape, 1e300)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^sgd_step on group.cls: "):
-        sgd_step(state, {"group.cls": grad}, init_optimizer(state), 1e10, cfg)
+        sgd_step(state, {"group.cls": grad}, _velocity(state), 1e10, cfg)
 
 
 def test_collect_grads_flags_leaks():
