@@ -8,7 +8,23 @@ roster independently: members go missing with a configurable probability
 appearances pick up per-camera bias plus white noise.
 
 Generation is a pure function of ``(config, seed)``; serialization is a
-stable JSON layout whose floats round-trip losslessly.
+stable JSON layout whose floats round-trip losslessly.  The determinism
+contract is the order of the draws from the generation stream:
+
+1. per group, its roster size (``integers``), then one standard-normal row
+   per member, which is normalised into that identity's catalog entry;
+2. the camera biases, one ``(n_cameras, d_a)`` normal draw scaled by
+   ``camera_bias_std``;
+3. per group, per camera, per view: ``random(roster size)`` for the member
+   drops, then ``permutation(kept)`` when layout permutation is on and more
+   than one member is kept, then one standard-normal row per kept member,
+   scaled by ``appearance_noise_std``; the observed appearance is
+   ``(catalog + bias) + noise``.
+
+Every catalog entry is a read-only row of one catalog matrix, and every
+member appearance a read-only row of one appearance matrix.  The reader
+checks what generation guarantees: each member identity is in the catalog,
+a view lists it at most once, and it belongs to one group only.
 """
 
 from __future__ import annotations
@@ -29,6 +45,10 @@ FORMAT_VERSION = 1
 # concerns (generation, train/test split) never share draws.
 _GENERATE_STREAM = 0
 _SPLIT_STREAM = 1
+
+# Member rows per step when the clean appearances are added, so that no
+# temporary spans the whole appearance matrix.
+_CHUNK_ROWS = 256
 
 
 class DatasetFormatError(ValueError):
@@ -132,42 +152,63 @@ def _freeze(vec: np.ndarray) -> np.ndarray:
 
 
 def generate_dataset(config: GenConfig, seed: int) -> Dataset:
-    """Draw a dataset; bit-identical for identical ``(config, seed)``."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_GENERATE_STREAM,)))
+    """Draw a dataset; bit-identical for identical ``(config, seed)``.
 
-    rosters: list[list[int]] = []
-    catalog: dict[int, np.ndarray] = {}
-    next_person = 0
-    for _ in range(config.n_group_identities):
+    The draws follow the order in the module docstring; each fills rows of
+    one preallocated matrix in place.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_GENERATE_STREAM,)))
+    n_groups, n_cams, per_cam = config.n_group_identities, config.n_cameras, config.views_per_group_per_camera
+
+    # Group g's roster is identities starts[g] .. starts[g + 1] - 1.
+    catalog = np.empty((n_groups * config.members_max, config.d_a))
+    starts = [0]
+    for _ in range(n_groups):
         size = int(rng.integers(config.members_min, config.members_max + 1))
-        pids = list(range(next_person, next_person + size))
-        next_person += size
-        rosters.append(pids)
-        for pid in pids:
-            raw = rng.normal(size=config.d_a)
-            catalog[pid] = _freeze(raw / np.linalg.norm(raw))
+        rng.standard_normal(out=catalog[starts[-1]:starts[-1] + size])
+        starts.append(starts[-1] + size)
+    # no view of either matrix exists until it is filled, so each can give back
+    # its unfilled rows in place
+    catalog.resize((starts[-1], config.d_a), refcheck=False)
+    # the stacked matmul keeps the bits of np.linalg.norm, which is sqrt(x.dot(x))
+    catalog /= np.sqrt(catalog[:, None, :] @ catalog[:, :, None])[:, 0]
 
     # Biases are always drawn so the stream layout does not depend on the
     # noise knobs; scaling by the std keeps zero-knob datasets exactly clean.
-    biases = rng.normal(size=(config.n_cameras, config.d_a)) * config.camera_bias_std
+    biases = rng.normal(size=(n_cams, config.d_a)) * config.camera_bias_std
 
-    samples: list[GroupSample] = []
-    for gid, roster in enumerate(rosters):
-        for cam in range(config.n_cameras):
-            for _ in range(config.views_per_group_per_camera):
-                keep = rng.random(len(roster)) >= config.membership_dropout_prob
-                if not keep.any():
-                    keep[0] = True
-                pids = [pid for pid, k in zip(roster, keep) if k]
-                if config.layout_permutation and len(pids) > 1:
-                    order = rng.permutation(len(pids))
-                    pids = [pids[i] for i in order]
-                members = []
-                for pid in pids:
-                    noise = rng.normal(size=config.d_a) * config.appearance_noise_std
-                    members.append(Member(pid, _freeze(catalog[pid] + biases[cam] + noise)))
-                samples.append(GroupSample(gid, cam, tuple(members)))
-    return Dataset(seed=seed, config=config, catalog=catalog, samples=samples)
+    appearance = np.empty((starts[-1] * n_cams * per_cam, config.d_a))
+    identity = np.empty(len(appearance), dtype=np.intp)
+    ends = [0]  # view v owns member rows ends[v] .. ends[v + 1] - 1
+    for first, last in zip(starts, starts[1:]):
+        for _ in range(n_cams * per_cam):
+            kept = (rng.random(last - first) >= config.membership_dropout_prob).nonzero()[0]
+            if not len(kept):
+                kept = np.zeros(1, dtype=np.intp)
+            if config.layout_permutation and len(kept) > 1:
+                kept = kept[rng.permutation(len(kept))]
+            row = ends[-1]
+            ends.append(row + len(kept))
+            identity[row:ends[-1]] = kept + first
+            rng.standard_normal(out=appearance[row:ends[-1]])
+    appearance.resize((ends[-1], config.d_a), refcheck=False)
+    identity = identity[:ends[-1]]
+    appearance *= config.appearance_noise_std
+    camera = np.repeat(np.arange(len(ends) - 1) // per_cam % n_cams, np.diff(ends))
+    # noise + (catalog + bias) has the bits of (catalog + bias) + noise
+    for row in range(0, len(appearance), _CHUNK_ROWS):
+        rows = slice(row, row + _CHUNK_ROWS)
+        clean = catalog[identity[rows]]
+        clean += biases[camera[rows]]
+        appearance[rows] += clean
+
+    catalog.setflags(write=False)
+    appearance.setflags(write=False)
+    persons = list(range(len(catalog)))  # members share the catalog keys, not one new int each
+    members = list(map(Member, map(persons.__getitem__, identity.tolist()), appearance))
+    samples = [GroupSample(v // (n_cams * per_cam), v // per_cam % n_cams, tuple(members[a:b]))
+               for v, (a, b) in enumerate(zip(ends, ends[1:]))]
+    return Dataset(seed=seed, config=config, catalog=dict(zip(persons, catalog)), samples=samples)
 
 
 # --------------------------------------------------------------------------
@@ -233,6 +274,7 @@ def dataset_from_doc(doc: dict) -> Dataset:
         catalog[pid] = _appearance(entry, d_a, f"catalog entry for identity {pid}")
 
     samples: list[GroupSample] = []
+    owner: dict[int, int] = {}  # identity -> the group whose views list it first
     for i, entry in enumerate(_entries(doc, "samples", "dataset")):
         gid = _require(entry, "group_id", f"sample {i}", json_int)
         cam = _require(entry, "camera_id", f"sample {i}", json_int)
@@ -241,6 +283,11 @@ def dataset_from_doc(doc: dict) -> Dataset:
             pid = _require(m, "identity_id", f"sample {i} member", json_int)
             if pid not in catalog:
                 raise DatasetFormatError(f"sample {i} member identity {pid} is not in the catalog")
+            if any(pid == other.identity_id for other in members):
+                raise DatasetFormatError(f"sample {i} lists member identity {pid} twice")
+            if owner.setdefault(pid, gid) != gid:
+                raise DatasetFormatError(f"sample {i} member identity {pid} belongs to group {owner[pid]}, "
+                                         f"not to group {gid}")
             members.append(Member(pid, _appearance(m, d_a, f"sample {i} member {pid}")))
         samples.append(GroupSample(gid, cam, tuple(members)))
 

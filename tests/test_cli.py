@@ -4,10 +4,12 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -322,6 +324,45 @@ def test_stage1_at_lr_peak_1e8_reports_the_norm_that_overflows(tmp_path, capsys)
     assert "training diverged: stage 1, epoch 3, step 12: l2_normalize" in err, err
 
 
+@pytest.fixture(scope="module")
+def default_stage1(tmp_path_factory):
+    """``{"seed": 1}`` default data and a stage-1 checkpoint at the default rates, made once."""
+    root = tmp_path_factory.mktemp("default_stage1")
+    config = root / "cfg.json"
+    config.write_text(json.dumps({"seed": 1}))
+    run = SimpleNamespace(data=str(root / "data.json"), s1=str(root / "s1.ckpt"))
+    assert main(["gen-data", "--config", str(config), "--out", run.data]) == EXIT_OK
+    assert main(["train", "--stage", "1", "--config", str(config), "--data", run.data, "--out", run.s1]) == EXIT_OK
+    return run
+
+
+# On {"seed": 1} data both stages finish at 3, 300 and 1e5 (stage 2 at 1e5 with
+# a loss near 3.5e36, a finite loss that is not called divergence) and exit 5 at
+# 1e8, 1e10 and 1e12.
+@pytest.mark.parametrize("lr_peak", [3, 300, 1e5, 1e8, 1e10, 1e12])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_any_finite_rate_finishes_or_names_where_it_diverged(default_stage1, tmp_path, capsys, stage, lr_peak):
+    # the divergence contract: exit 0 or 5, an exit 5 names the stage, epoch,
+    # step and op, and no numpy warning escapes
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 1, "train": {"lr_peak": lr_peak}}))
+    argv = ["train", "--stage", str(stage), "--config", str(config), "--data", default_stage1.data,
+            "--out", str(tmp_path / "out.ckpt")]
+    if stage == 2:
+        argv += ["--init-checkpoint", default_stage1.s1]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_NONFINITE), err
+    assert "RuntimeWarning" not in err and not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == EXIT_NONFINITE:
+        assert re.match(rf"error: training diverged: stage {stage}, epoch \d+, step \d+: [a-z_0-9]+: ", err), err
+    if lr_peak >= 1e8:
+        assert code == EXIT_NONFINITE, err
+
+
 def test_divergence_names_the_op_stage_epoch_and_step(tmp_path, small_config, capsys, monkeypatch):
     from gcum import gla, trainer
     from gcum.encoders import STAGE1_TRAINABLE
@@ -457,6 +498,11 @@ _DATASET_DAMAGE = {
                               "config.membership_dropout_prob must be float"),
     "config-with-an-unknown-key": (lambda d: d["config"].update(colour=1), "unknown config keys: colour"),
     "version-a-bool": (lambda d: d.update(version=True), "dataset version is malformed"),
+    # group identities own disjoint rosters, and a view lists each member once
+    "view-lists-an-identity-twice": (lambda d: d["samples"][2]["members"].append(d["samples"][2]["members"][0]),
+                                     "sample 2 lists member identity 1 twice"),
+    "identity-of-another-group": (lambda d: d["samples"][23]["members"][0].update(identity_id=0),
+                                  "sample 23 member identity 0 belongs to group 0, not to group 5"),
 }
 
 

@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcum import synthdata as sd
 from gcum.cli import _write_json
+
+import reference_gen
 
 
 def save(ds, path):
@@ -75,6 +79,43 @@ def test_generation_is_deterministic_to_the_byte(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     save(sd.generate_dataset(cfg, seed=12), p2)
     assert p1.read_bytes() != p2.read_bytes()
+
+
+@st.composite
+def gen_configs(draw):
+    members = sorted(draw(st.lists(st.integers(2, 7), min_size=2, max_size=2)))
+    return sd.GenConfig(
+        n_group_identities=draw(st.integers(2, 60)),
+        members_min=members[0],
+        members_max=members[1],
+        n_cameras=draw(st.integers(2, 4)),
+        views_per_group_per_camera=draw(st.integers(1, 3)),
+        membership_dropout_prob=draw(st.sampled_from([0.0, 0.3, 0.95])),
+        layout_permutation=draw(st.booleans()),
+        appearance_noise_std=draw(st.sampled_from([0.0, 0.1])),
+        camera_bias_std=draw(st.sampled_from([0.0, 0.2])),
+        d_a=draw(st.sampled_from([1, 2, 32])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=gen_configs(), seed=st.integers(0, 2**32 - 1))
+@example(config=sd.GenConfig(), seed=1)
+@example(config=sd.GenConfig(n_group_identities=60, members_min=7, members_max=7, n_cameras=4,
+                             views_per_group_per_camera=3, membership_dropout_prob=0.95, d_a=1), seed=0)
+def test_generation_matches_the_member_at_a_time_oracle(config, seed):
+    ds = sd.generate_dataset(config, seed)
+    got = json.dumps(sd.dataset_to_doc(ds))
+    want = json.dumps(sd.dataset_to_doc(reference_gen.generate_dataset(config, seed)))
+    if got != want:  # a short report: a diff of two whole documents takes minutes per example
+        at = next(i for i, (a, b) in enumerate(zip(got + "$", want + "^")) if a != b)
+        around = slice(max(at - 60, 0), at + 20)
+        pytest.fail(f"documents differ at character {at}: {got[around]!r} != {want[around]!r}")
+    # appearances are read-only: no caller can change a dataset it shares
+    for vec in [*ds.catalog.values(), *(m.appearance for s in ds.samples for m in s.members)]:
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 0.0
 
 
 def test_zero_knob_views_are_identical():
