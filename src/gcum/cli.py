@@ -90,11 +90,11 @@ class RunConfig:
     """
 
     seed: int = 0
-    dim: int = 48
+    dim: int = ModelConfig.dim
     d_a: int = GenConfig.d_a
-    m0: int = GenConfig.members_max   # JSON key "M0"
-    k_slots: int = 6                  # JSON key "K"
-    tokens_per_identity: int = 4
+    m0: int = GenConfig.members_max          # JSON key "M0"
+    k_slots: int = ModelConfig.group_slots   # JSON key "K"
+    tokens_per_identity: int = ModelConfig.tokens_per_identity
     gla_enabled: bool = True
     mvs_enabled: bool = True
     mvs: MvsConfig = field(default_factory=MvsConfig)
@@ -140,23 +140,12 @@ class RunConfig:
                          **{k: getattr(self, k) for k in _GEN_KEYS})
 
     def model_base(self) -> ModelConfig:
-        # identity and class counts are placeholders until a dataset is known
-        return ModelConfig(
-            dim=self.dim,
-            d_a=self.d_a,
-            max_members=self.m0,
-            group_slots=self.k_slots,
-            tokens_per_identity=self.tokens_per_identity,
-            n_person_ids=1,
-            n_group_classes=1,
-        )
+        # identity and class counts keep their placeholders until a dataset is known
+        return ModelConfig(dim=self.dim, d_a=self.d_a, max_members=self.m0, group_slots=self.k_slots,
+                           tokens_per_identity=self.tokens_per_identity)
 
     def model_config(self, ds: Dataset, n_group_classes: int) -> ModelConfig:
-        return replace(
-            self.model_base(),
-            n_person_ids=max(ds.person_ids()) + 1,
-            n_group_classes=n_group_classes,
-        )
+        return self.model_base().for_dataset(ds, n_group_classes)
 
     def train_config(self, stage: int) -> TrainConfig:
         return replace(self.train, seed=self.seed, stage=stage)
@@ -207,12 +196,12 @@ def load_run_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot read config {path}: {e}") from e
     try:
-        return RunConfig.from_dict(json.loads(text))
+        return RunConfig.from_dict(json.loads(blob.decode("utf-8")))
     except (ValueError, TypeError) as e:
         raise CliError(EXIT_CONFIG, f"bad config {path}: {e}") from e
 
@@ -223,7 +212,7 @@ def load_run_config(path: str | None) -> RunConfig:
 _CHECKED_LOSSES = ("stage1_contrastive", "identity", "triplet", "image_text", "stage2_total")
 
 
-def run_grad_checks(seed: int, *, step: float = 1e-5, tolerance: float = 1e-4) -> dict:
+def run_grad_checks(seed: int, *, step: float, tolerance: float) -> dict:
     """Finite-difference sweep of every loss against its trainable set.
 
     Runs on a deliberately tiny instance (three 3-member groups, width 4)
@@ -271,13 +260,13 @@ def run_grad_checks(seed: int, *, step: float = 1e-5, tolerance: float = 1e-4) -
         return memo(indices, masks, st, refined=True)[0]
 
     def stage1_fn(st):
-        return gla.stage1_batch_loss(samples, *memo(indices, masks, st), st, rosters)[0]
+        return gla.stage1_batch_loss(samples, *memo(indices, masks, st, refined=False), st, rosters)[0]
 
     def id_fn(st):
         return losses_mod.id_loss(_refined(st), st, targets, cfg.epsilon)
 
     def tri_fn(st):
-        return losses_mod.triplet_loss(_refined(st), targets, alpha=cfg.alpha)
+        return losses_mod.triplet_loss(_refined(st), targets, cfg.alpha)
 
     def i2tce_fn(st):
         return losses_mod.i2tce_loss(_refined(st), text_rows, targets, st.params["temp.inv"], cfg.epsilon)
@@ -383,9 +372,7 @@ def cmd_train(args) -> int:
         if not cfg.gla_enabled:
             raise CliError(EXIT_CONFIG, "stage 1 trains the prompt vocabulary; gla.enabled is false")
         state = init_model_state(model_cfg, cfg.seed)
-        state, history = train_stage1(
-            state, train_samples, rosters, cfg.train_config(1), mvs=mvs_cfg
-        )
+        state, history = train_stage1(state, train_samples, rosters, cfg.train_config(1), mvs=mvs_cfg)
         modules = {"gla": True, "mvs": cfg.mvs_enabled, "grce": False}
     else:
         if not args.init_checkpoint:

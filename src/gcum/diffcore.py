@@ -703,6 +703,7 @@ class GradCheckReport:
         return not self.failures
 
 
+# the oracle's standard step and tolerance, which the tests use
 def grad_check(loss_fn, params: Mapping[str, Tensor], step: float = 1e-5,
                tolerance: float = 1e-4) -> GradCheckReport:
     """Compare recorded gradients against central finite differences.

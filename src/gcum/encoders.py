@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +40,9 @@ from . import __version__
 from . import diffcore as dc
 from .diffcore import ShapeError, Tensor
 from .jsondoc import check_format, read, require
+
+if TYPE_CHECKING:
+    from .synthdata import Dataset
 
 CHECKPOINT_MAGIC = b"GCUM"
 CHECKPOINT_VERSION = 1
@@ -62,7 +65,7 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    dim: int = 64
+    dim: int = 48
     d_a: int = 32
     max_members: int = 6          # longest member row block the model accepts
     group_slots: int = 6          # identity slots in the group text prompt
@@ -103,6 +106,12 @@ class ModelConfig:
             raise ValueError("temperature_init must be positive")
         if self.init_std <= 0:
             raise ValueError("init_std must be positive")
+
+    def for_dataset(self, ds: Dataset, n_group_classes: int) -> "ModelConfig":
+        """Sized for ``ds``, whose width must be ``d_a``: a token row per person id up to the largest."""
+        if ds.d_a != self.d_a:
+            raise ValueError(f"model d_a={self.d_a} but dataset has d_a={ds.d_a}")
+        return replace(self, n_person_ids=max(ds.person_ids()) + 1, n_group_classes=n_group_classes)
 
     def to_dict(self) -> dict:
         return asdict(self)

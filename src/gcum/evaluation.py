@@ -128,7 +128,7 @@ def extract_features(
 def evaluate(
     state: ModelState,
     samples: Sequence[GroupSample],
-    query_camera: int = 0,
+    query_camera: int,
     *,
     refined: bool,
     quantity: bool,
@@ -172,13 +172,17 @@ def run_rows(
     seed: int,
     rows: Sequence[tuple[bool, bool, bool]],
     *,
-    mvs_cfg: MvsConfig | None = None,
-    alpha: float = 0.3,
-    epsilon: float = 0.1,
-    train_fraction: float = 0.7,
-    query_camera: int = 0,
+    mvs_cfg: MvsConfig,
+    alpha: float,
+    epsilon: float,
+    train_fraction: float,
+    query_camera: int,
 ) -> list[RetrievalReport]:
     """Train each ``(use_gla, use_mvs, use_grce)`` of ``rows`` from scratch and evaluate it.
+
+    ``model_base`` is sized for ``ds`` by ``ModelConfig.for_dataset``, so
+    its ``d_a`` must be the dataset's.  ``mvs_cfg`` is the member dropout
+    of the rows with ``use_mvs``.
 
     Without prompt learning there is nothing for stage 1 to optimize, so
     the count matrix keeps its neutral zero initialization; without the
@@ -195,17 +199,12 @@ def run_rows(
     test_samples = [s for s in ds.samples if s.group_id in set(test_gids)]
     rosters = ds.group_rosters()
 
-    cfg = replace(
-        model_base,
-        d_a=ds.d_a,
-        n_person_ids=max(ds.person_ids()) + 1,
-        n_group_classes=len(train_gids),
-    )
+    cfg = model_base.for_dataset(ds, len(train_gids))
     stage1_states: dict[bool, ModelState] = {}  # use_mvs -> trained stage 1
     reports = []
     for use_gla, use_mvs, use_grce in rows:
         state = init_model_state(cfg, seed)
-        masks_cfg = (mvs_cfg or MvsConfig()) if use_mvs else None
+        masks_cfg = mvs_cfg if use_mvs else None
         if use_gla and (use_mvs or use_grce):
             if use_mvs not in stage1_states:
                 stage1 = replace(train_base, stage=1, seed=seed)
@@ -231,11 +230,11 @@ def run_ablation(
     train_base: TrainConfig,
     seeds: Sequence[int],
     *,
-    mvs_cfg: MvsConfig | None = None,
-    alpha: float = 0.3,
-    epsilon: float = 0.1,
-    train_fraction: float = 0.7,
-    query_camera: int = 0,
+    mvs_cfg: MvsConfig,
+    alpha: float,
+    epsilon: float,
+    train_fraction: float,
+    query_camera: int = 0,  # perfbench/workloads.py calls it without one
 ) -> list[dict]:
     """Mean and standard deviation per configuration over the run seeds.
 

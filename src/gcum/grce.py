@@ -138,8 +138,8 @@ def group_features(
     state: ModelState,
     masks: Sequence[Mask | None] | None = None,
     *,
-    quantity: bool = True,
-    refined: bool = False,
+    quantity: bool,
+    refined: bool,
 ) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
     """Group features of dataset views, all in one stack.
 
@@ -217,7 +217,7 @@ class VisualMemo:
         return True
 
     def __call__(
-        self, indices: Sequence[int], masks: Sequence[Mask], state: ModelState, *, refined: bool = False
+        self, indices: Sequence[int], masks: Sequence[Mask], state: ModelState, *, refined: bool
     ) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
         """The ``group_features`` result for ``samples[indices]`` under ``masks``."""
         keys = _keys(indices, masks)

@@ -44,9 +44,7 @@ def cross_entropy_smoothed(logits: Tensor, true_indices: Sequence[int], epsilon:
     return dc.soft_target_nll(logits, target, b)
 
 
-def id_loss(
-    refined: Tensor, state: ModelState, class_indices: Sequence[int], epsilon: float = 0.1
-) -> Tensor:
+def id_loss(refined: Tensor, state: ModelState, class_indices: Sequence[int], epsilon: float) -> Tensor:
     """Group classification of (B, dim) features over the learned classifier rows."""
     logits = dc.matmul(refined, dc.transpose(state.params["grce.classifier"]))
     return cross_entropy_smoothed(logits, class_indices, epsilon)
@@ -57,7 +55,7 @@ def i2tce_loss(
     text_rows: Tensor,
     class_indices: Sequence[int],
     inv_temp: Tensor,
-    epsilon: float = 0.1,
+    epsilon: float,
 ) -> Tensor:
     """Smoothed cross entropy over similarities of (B, dim) features to the class texts."""
     if text_rows.ndim != 2:
@@ -95,7 +93,7 @@ def mine_batch_hard(values: np.ndarray, labels: Sequence[int]) -> list[tuple[int
     return triplets
 
 
-def triplet_loss(features: Tensor, labels: Sequence[int], alpha: float = 0.3) -> Tensor:
+def triplet_loss(features: Tensor, labels: Sequence[int], alpha: float) -> Tensor:
     """Batch-hard triplet hinge, averaged over anchors (the rows in order)."""
     if features.ndim != 2:
         raise ShapeError("features must be a (batch, dim) matrix")
@@ -115,8 +113,8 @@ def stage2_batch_loss(
     class_index: Mapping[int, int],
     text_rows: Tensor | None,
     *,
-    alpha: float = 0.3,
-    epsilon: float = 0.1,
+    alpha: float,
+    epsilon: float,
 ) -> tuple[Tensor, dict[str, float]]:
     """Identity + triplet (+ image-text) loss over refined group features.
 

@@ -302,12 +302,15 @@ def dataset_from_doc(doc: dict) -> Dataset:
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(blob.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise DatasetFormatError(f"dataset {path} is not UTF-8 at byte {e.start}: {e.reason}") from None
     except json.JSONDecodeError as e:
-        raise DatasetFormatError(f"unparseable dataset file at byte {e.pos}: {e.msg}") from e
+        at = len(e.doc[:e.pos].encode("utf-8"))
+        raise DatasetFormatError(f"dataset {path} is unparseable at byte {at}: {e.msg}") from e
     return dataset_from_doc(doc)
 
 
@@ -330,7 +333,7 @@ def split_query_gallery(
     return queries, gallery
 
 
-def split_train_test(ds: Dataset, train_fraction: float = 0.7) -> tuple[list[int], list[int]]:
+def split_train_test(ds: Dataset, train_fraction: float) -> tuple[list[int], list[int]]:
     """Identity-level split of group ids, deterministic in the dataset seed."""
     if not (0.0 < train_fraction < 1.0):
         raise ValueError("train_fraction must lie strictly between 0 and 1")

@@ -251,9 +251,9 @@ def train_stage1(
     rosters: Mapping[int, tuple[int, ...]],
     cfg: TrainConfig,
     *,
-    mvs: MvsConfig | None = None,
+    mvs: MvsConfig | None,
 ) -> tuple[ModelState, list[dict]]:
-    """Prompt learning over shuffled batches; returns state and history."""
+    """Prompt learning over shuffled batches, MVS off at ``mvs=None``; returns state and history."""
     if cfg.stage != 1:
         raise ValueError("train_stage1 needs a stage-1 config")
     if len(samples) < 2:
@@ -285,16 +285,17 @@ def train_stage2(
     rosters: Mapping[int, tuple[int, ...]],
     cfg: TrainConfig,
     *,
-    mvs: MvsConfig | None = None,
-    use_text: bool = True,
-    alpha: float = 0.3,
-    epsilon: float = 0.1,
+    mvs: MvsConfig | None,
+    use_text: bool,
+    alpha: float,
+    epsilon: float,
 ) -> tuple[ModelState, list[dict]]:
     """Refinement-head training over identity-balanced (P x Q) batches.
 
     Text features are computed once from the incoming state and frozen
     for the whole stage; ``use_text=False`` trains on the identity and
-    triplet terms alone.
+    triplet terms alone.  ``mvs=None`` turns MVS off: no member dropout
+    and no count term.
     """
     if cfg.stage != 2:
         raise ValueError("train_stage2 needs a stage-2 config")
@@ -328,8 +329,7 @@ def train_stage2(
             yield idx
 
     def loss_fn(batch, features, members, row_ids, st):
-        return losses_mod.stage2_batch_loss(
-            batch, features, st, class_index, text_rows, alpha=alpha, epsilon=epsilon
-        )
+        return losses_mod.stage2_batch_loss(batch, features, st, class_index, text_rows,
+                                            alpha=alpha, epsilon=epsilon)
 
     return _run(state, cfg, STAGE2_TRAINABLE, _STAGE2_STREAM, samples, batches, loss_fn, mvs)

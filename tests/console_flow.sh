@@ -64,6 +64,16 @@ cat damaged.err
 test "$code" -eq 3
 grep -q "modules.grce must be bool" damaged.err
 
+# no UTF-8 sequence starts with 0xFF: an artifact error naming the dataset, not a config error
+echo "== An eval of a dataset with a 0xFF byte exits 3 and names the dataset"
+python -c 'import sys; b = bytearray(open(sys.argv[1], "rb").read()); b[100] = 0xFF; open(sys.argv[2], "wb").write(b)' \
+    data.json damaged/data.json
+code=0
+gcum eval --checkpoint s2.ckpt --data damaged/data.json 2> damaged-data.err || code=$?
+cat damaged-data.err
+test "$code" -eq 3
+grep -q "dataset damaged/data.json is not UTF-8 at byte 100" damaged-data.err
+
 echo "== Ablation under two PYTHONHASHSEEDs: the same JSON and table"
 for h in 1 2; do
   mkdir "ablate$h"

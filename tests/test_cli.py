@@ -1,9 +1,12 @@
 """Config parsing, command flows, exit codes, and artifact round trips."""
 
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gcum
 from gcum import __version__
 from gcum.cli import (
     EXIT_CHECKPOINT,
@@ -31,7 +35,7 @@ from gcum.cli import (
     main,
     run_grad_checks,
 )
-from gcum.encoders import load_checkpoint, load_checkpoint_meta, save_checkpoint
+from gcum.encoders import ModelConfig, load_checkpoint, load_checkpoint_meta, save_checkpoint
 from gcum.synthdata import load_dataset
 
 import tape_ops as ops
@@ -204,6 +208,46 @@ def test_config_sections_reach_components():
     assert cfg.train_config(1).total_epochs == 2
 
 
+def test_the_run_config_takes_its_model_defaults_from_model_config():
+    assert RunConfig().model_base() == ModelConfig()
+
+
+# parameters that carry a recipe value or a module switch
+_RECIPE_PARAMETERS = {"alpha", "epsilon", "train_fraction", "query_camera", "mvs", "mvs_cfg", "use_text",
+                      "quantity", "refined", "step", "tolerance"}
+# the run config holds their defaults; the other two are kept on purpose (see their comments)
+_DEFAULTS_KEPT = {
+    "gcum.cli.RunConfig.__init__": {"alpha", "epsilon", "train_fraction", "mvs"},
+    "gcum.evaluation.run_ablation": {"query_camera"},
+    "gcum.diffcore.grad_check": {"step", "tolerance"},
+}
+
+
+def _gcum_functions():
+    """(qualified name, function) of every function and method the gcum modules define."""
+    for info in pkgutil.iter_modules(gcum.__path__):
+        mod = importlib.import_module(f"gcum.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{mod.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = getattr(member, "__func__", member)  # static and class methods
+                    if inspect.isfunction(fn):
+                        yield f"{mod.__name__}.{name}.{attr}", fn
+
+
+def test_no_library_function_defaults_a_recipe_value_or_module_switch():
+    defaulted: dict[str, set[str]] = {}
+    for name, fn in _gcum_functions():
+        for param in inspect.signature(fn).parameters.values():
+            if param.name in _RECIPE_PARAMETERS and param.default is not param.empty:
+                defaulted.setdefault(name, set()).add(param.name)
+    assert defaulted == _DEFAULTS_KEPT
+
+
 # --------------------------------------------------------------------------
 # gen-data
 
@@ -261,6 +305,17 @@ def test_malformed_config_is_config_error(tmp_path):
     path.write_text("{not json")
     code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d.json")])
     assert code == EXIT_CONFIG
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    blob = bytearray(json.dumps(_SMALL).encode())
+    blob[10] = 0xFF
+    path.write_bytes(bytes(blob))
+    code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith(f"error: bad config {path}: 'utf-8' codec can't decode byte 0xff in position 10"), err
 
 
 # --------------------------------------------------------------------------
@@ -784,6 +839,49 @@ def test_a_truncated_or_changed_checkpoint_evals_or_exits_3(trained, suffix, at,
     assert code == EXIT_OK or err.getvalue().startswith("error: ")
 
 
+def _commands_reading(trained, data: str, tmp: str) -> list[list[str]]:
+    """The eval and stage-2 train commands of the trained run, reading ``data``."""
+    return [
+        ["eval", "--checkpoint", trained.s2, "--data", data],
+        ["train", "--stage", "2", "--config", trained.config, "--data", data,
+         "--init-checkpoint", trained.s1, "--out", os.path.join(tmp, "s2.ckpt")],
+    ]
+
+
+def test_a_dataset_that_is_not_utf8_exits_3_naming_it_and_the_byte(trained, tmp_path, capsys):
+    data = tmp_path / "data.json"
+    blob = bytearray(Path(trained.data).read_bytes())
+    blob[100] = 0xFF
+    data.write_bytes(bytes(blob))
+    for argv in _commands_reading(trained, str(data), str(tmp_path)):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_IO, (argv[0], err)
+        assert err.startswith(f"error: dataset {data} is not UTF-8 at byte 100: invalid start byte"), err
+
+
+@settings(max_examples=100, deadline=None)
+@given(at=st.integers(min_value=0), byte=st.none() | st.integers(0, 255))
+@example(at=100, byte=0xFF)  # no UTF-8 sequence starts so
+def test_a_truncated_or_changed_dataset_runs_or_exits_3(trained, at, byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.json"
+        blob = bytearray(Path(trained.data).read_bytes())
+        at %= len(blob)
+        if byte is None:
+            del blob[at:]
+        else:
+            blob[at] = byte
+        data.write_bytes(bytes(blob))
+        for argv in _commands_reading(trained, str(data), tmp):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    np.errstate(all="ignore"):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_IO), (argv[0], err.getvalue())
+            assert code == EXIT_OK or err.getvalue().startswith("error: ")
+
+
 # --------------------------------------------------------------------------
 # grad-check
 
@@ -813,7 +911,7 @@ def test_grad_check_rejects_a_step_or_tolerance_that_is_not_finite_and_positive(
 
 
 def test_run_grad_checks_reports_all_losses():
-    reports = run_grad_checks(1)
+    reports = run_grad_checks(1, step=1e-5, tolerance=1e-4)
     assert set(reports) == {
         "stage1_contrastive", "identity", "triplet", "image_text", "stage2_total"
     }

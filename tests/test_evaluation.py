@@ -402,29 +402,20 @@ def _short_cfg(**overrides):
 
 def _model_base():
     # person id and class counts are resolved per dataset inside run_rows
-    return ModelConfig(
-        dim=8,
-        d_a=6,
-        max_members=3,
-        group_slots=3,
-        tokens_per_identity=2,
-        n_person_ids=1,
-        n_group_classes=1,
-    )
+    return ModelConfig(dim=8, d_a=6, max_members=3, group_slots=3, tokens_per_identity=2)
+
+
+_RUN = RunConfig()
+# the recipe keywords of run_rows and run_ablation, from the run config's defaults
+_RECIPE = dict(mvs_cfg=_RUN.mvs, alpha=_RUN.alpha, epsilon=_RUN.epsilon,
+               train_fraction=_RUN.train_fraction, query_camera=0)
 
 
 def test_run_single_without_modules_is_pure_evaluation():
     ds, _ = _eval_setup()
-    report = run_rows(ds, _model_base(), _short_cfg(), 1, [(False, False, False)])[0]
-    train_gids, test_gids = split_train_test(ds, 0.7)
-    state = init_model_state(
-        ModelConfig(
-            dim=8, d_a=6, max_members=3, group_slots=3, tokens_per_identity=2,
-            n_person_ids=max(ds.person_ids()) + 1,
-            n_group_classes=len(train_gids),
-        ),
-        seed=1,
-    )
+    report = run_rows(ds, _model_base(), _short_cfg(), 1, [(False, False, False)], **_RECIPE)[0]
+    train_gids, test_gids = split_train_test(ds, _RUN.train_fraction)
+    state = init_model_state(_model_base().for_dataset(ds, len(train_gids)), seed=1)
     test_samples = [s for s in ds.samples if s.group_id in set(test_gids)]
     direct = evaluate(state, test_samples, 0, refined=False, quantity=False)
     assert report.to_dict() == direct.to_dict()
@@ -434,8 +425,8 @@ def test_member_dropout_alone_matches_base():
     # the count matrix starts at zero and nothing trains it without prompt
     # learning, so enabling the count term alone cannot change features
     ds, _ = _eval_setup(noise=0.1)
-    base = run_rows(ds, _model_base(), _short_cfg(), 2, [(False, False, False)])[0]
-    mvs_only = run_rows(ds, _model_base(), _short_cfg(), 2, [(False, True, False)])[0]
+    base = run_rows(ds, _model_base(), _short_cfg(), 2, [(False, False, False)], **_RECIPE)[0]
+    mvs_only = run_rows(ds, _model_base(), _short_cfg(), 2, [(False, True, False)], **_RECIPE)[0]
     assert base.to_dict() == mvs_only.to_dict()
 
 
@@ -443,7 +434,7 @@ def test_prompt_learning_alone_matches_base():
     # +GLA evaluates without the count term or the refinement head, so it
     # reads only the frozen encoders: a trained stage 1 cannot change its
     # features, which is why the ablation skips that training
-    cfg = RunConfig()
+    cfg = _RUN
     ds = generate_dataset(cfg.gen_config(), cfg.seed)
     train_gids, test_gids = split_train_test(ds, cfg.train_fraction)
     train = [s for s in ds.samples if s.group_id in set(train_gids)]
@@ -456,16 +447,14 @@ def test_prompt_learning_alone_matches_base():
         st.set_trainable([])
     assert np.array_equal(extract_features(trained, test, refined=False, quantity=False),
                           extract_features(state, test, refined=False, quantity=False))
-    kwargs = dict(mvs_cfg=cfg.mvs, alpha=cfg.alpha, epsilon=cfg.epsilon,
-                  train_fraction=cfg.train_fraction)
-    gla_only = run_rows(ds, cfg.model_base(), cfg.train_config(1), 0, [(True, False, False)], **kwargs)[0]
-    base = run_rows(ds, cfg.model_base(), cfg.train_config(1), 0, [(False, False, False)], **kwargs)[0]
+    gla_only = run_rows(ds, cfg.model_base(), cfg.train_config(1), 0, [(True, False, False)], **_RECIPE)[0]
+    base = run_rows(ds, cfg.model_base(), cfg.train_config(1), 0, [(False, False, False)], **_RECIPE)[0]
     assert gla_only == base
 
 
 def test_run_ablation_rows_and_table():
     ds, _ = _eval_setup(noise=0.1)
-    rows = run_ablation(ds, _model_base(), _short_cfg(), seeds=(0, 1, 2))
+    rows = run_ablation(ds, _model_base(), _short_cfg(), seeds=(0, 1, 2), **_RECIPE)
     assert [r["name"] for r in rows] == [name for name, *_ in ABLATION_ROWS]
     for row in rows:
         assert len(row["per_seed"]) == 3
@@ -491,14 +480,21 @@ def test_run_ablation_trains_each_stage1_once(monkeypatch):
         return train(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "train_stage1", counting)
-    rows = {r["name"]: r for r in run_ablation(ds, _model_base(), _short_cfg(), seeds=(0, 1, 2))}
+    rows = {r["name"]: r for r in run_ablation(ds, _model_base(), _short_cfg(), seeds=(0, 1, 2), **_RECIPE)}
     assert sorted(calls) == [0, 1, 2]
     for seed, shared in zip((0, 1, 2), rows["Full"]["per_seed"]):
-        alone = run_rows(ds, _model_base(), _short_cfg(), seed, [(True, True, True)])[0]
+        alone = run_rows(ds, _model_base(), _short_cfg(), seed, [(True, True, True)], **_RECIPE)[0]
         assert shared == alone.to_dict()
 
 
 def test_run_ablation_needs_three_seeds():
     ds, _ = _eval_setup()
     with pytest.raises(ValueError):
-        run_ablation(ds, _model_base(), _short_cfg(), seeds=(0, 1))
+        run_ablation(ds, _model_base(), _short_cfg(), seeds=(0, 1), **_RECIPE)
+
+
+def test_run_rows_rejects_a_dataset_of_another_appearance_width():
+    # train rejects such a dataset as a config error; the harness must not adopt its width
+    ds, _ = _eval_setup()
+    with pytest.raises(ValueError, match="model d_a=7 but dataset has d_a=6"):
+        run_rows(ds, replace(_model_base(), d_a=7), _short_cfg(), 0, [(False, False, False)], **_RECIPE)

@@ -328,7 +328,7 @@ def _tiny_setup(seed=3):
 
 
 def _views(batch, masks, state, quantity=True):
-    return group_features(batch, state, masks, quantity=quantity)
+    return group_features(batch, state, masks, quantity=quantity, refined=False)
 
 
 def test_stage1_loss_runs_and_routes_gradients():

@@ -129,7 +129,7 @@ def test_group_visual_is_permutation_invariant():
     sample = _sample_from(ds)
     n = len(sample.members)
     mask = Mask((0,) + (1,) * (n - 1))
-    v, feats, (ids,) = group_features([sample], state, [mask])
+    v, feats, (ids,) = group_features([sample], state, [mask], quantity=True, refined=False)
 
     perm = [n - 1] + list(range(n - 1))  # rotate members, mask follows
     shuffled = GroupSample(
@@ -138,7 +138,7 @@ def test_group_visual_is_permutation_invariant():
         members=tuple(sample.members[i] for i in perm),
     )
     pmask = Mask(tuple(mask.bits[i] for i in perm))
-    v2, feats2, (ids2,) = group_features([shuffled], state, [pmask])
+    v2, feats2, (ids2,) = group_features([shuffled], state, [pmask], quantity=True, refined=False)
     assert ids == ids2
     assert np.array_equal(v.values, v2.values)
     assert np.array_equal(feats.values, feats2.values)
@@ -191,7 +191,8 @@ def test_visual_memo_needs_frozen_encoders():
     state = small_state()
     state.set_trainable(["quantity.em", "group.blk2.wq"])
     with pytest.raises(ValueError):
-        VisualMemo(ds.samples, quantity=True)([0], [full_mask(len(ds.samples[0].members))], state)
+        memo = VisualMemo(ds.samples, quantity=True)
+        memo([0], [full_mask(len(ds.samples[0].members))], state, refined=False)
 
 
 def test_visual_memo_audits_the_encoders_on_an_all_hits_call():
@@ -200,11 +201,11 @@ def test_visual_memo_audits_the_encoders_on_an_all_hits_call():
     state.set_trainable(["quantity.em"])
     memo = VisualMemo(ds.samples, quantity=True)
     masks = [full_mask(len(ds.samples[i].members)) for i in (0, 1)]
-    memo([0, 1], masks, state)
+    memo([0, 1], masks, state, refined=False)
     # the same keys again: every entry is a hit, but block 2 now trains
     state.set_trainable(["quantity.em", "group.blk2.wq"])
     with pytest.raises(ValueError, match="group.blk2.wq"):
-        memo([0, 1], masks, state)
+        memo([0, 1], masks, state, refined=False)
 
 
 @pytest.mark.parametrize("name", ["quantity.em", "group.blk2.wv", "group.proj"])
@@ -216,15 +217,15 @@ def test_visual_memo_drops_pooled_features_when_a_frozen_input_is_swapped(name):
     indices = [0, 2, 3]
     masks = [Mask((1, 0) + (1,) * (len(ds.samples[i].members) - 2)) for i in indices]
     views = [ds.samples[i] for i in indices]
-    first = memo(indices, masks, state)[0].values
+    first = memo(indices, masks, state, refined=False)[0].values
     swapped = np.random.default_rng(8).normal(scale=0.5, size=state.params[name].shape)
     state = state.with_params({name: Tensor(swapped)})  # a new frozen tensor
     assert not state.params[name].requires_grad
     for refined in (False, True):
         got = memo(indices, masks, state, refined=refined)[0].values
-        want = group_features(views, state, masks, refined=refined)[0].values
+        want = group_features(views, state, masks, quantity=True, refined=refined)[0].values
         assert np.array_equal(got, want)
-    assert not np.array_equal(first, memo(indices, masks, state)[0].values)
+    assert not np.array_equal(first, memo(indices, masks, state, refined=False)[0].values)
 
 
 def test_group_visual_row_ids_follow_canonical_order():
@@ -233,7 +234,7 @@ def test_group_visual_row_ids_follow_canonical_order():
     sample = _sample_from(ds)
     app = np.stack([m.appearance for m in sample.members])
     order = canonical_order(app, np.zeros(len(app)))
-    _, _, (ids,) = group_features([sample], state)
+    _, _, (ids,) = group_features([sample], state, quantity=True, refined=False)
     assert list(ids) == [sample.members[i].identity_id for i in order]
 
 
@@ -255,7 +256,8 @@ def test_dropped_member_cannot_influence_anything():
         for p in state.params.values():
             p.grad = None
         with dc.Graph() as g:
-            v, feats, row_ids = group_features([GroupSample(0, 0, members)], state, [mask], refined=True)
+            v, feats, row_ids = group_features([GroupSample(0, 0, members)], state, [mask],
+                                              quantity=True, refined=True)
             loss = ops.reduce_sum(dc.mul(v, probe))
         g.backward(loss)
         return v.values, feats.values, row_ids, {n: p.grad for n, p in state.params.items()}
@@ -277,8 +279,8 @@ def test_zero_count_matrix_is_neutral():
     ds = _dataset()
     state = small_state()  # quantity.em initializes to zero
     sample = _sample_from(ds)
-    with_term, _, _ = group_features([sample], state, quantity=True)
-    without, _, _ = group_features([sample], state, quantity=False)
+    with_term, _, _ = group_features([sample], state, quantity=True, refined=False)
+    without, _, _ = group_features([sample], state, quantity=False, refined=False)
     assert np.array_equal(with_term.values, without.values)
 
 
@@ -289,8 +291,8 @@ def test_nonzero_count_matrix_changes_the_feature():
     em[:2] = 0.3
     state = state.with_params({"quantity.em": Tensor(em, requires_grad=True)})
     sample = _sample_from(ds)
-    with_term, _, _ = group_features([sample], state, quantity=True)
-    without, _, _ = group_features([sample], state, quantity=False)
+    with_term, _, _ = group_features([sample], state, quantity=True, refined=False)
+    without, _, _ = group_features([sample], state, quantity=False, refined=False)
     assert not np.array_equal(with_term.values, without.values)
 
 
@@ -299,7 +301,7 @@ def test_single_retained_member_works():
     state = small_state()
     sample = _sample_from(ds)
     mask = Mask((1,) + (0,) * (len(sample.members) - 1))
-    v, feats, (ids,) = group_features([sample], state, [mask])
+    v, feats, (ids,) = group_features([sample], state, [mask], quantity=True, refined=False)
     assert feats.shape[0] == 1
     assert len(ids) == 1
     assert np.linalg.norm(v.values) == pytest.approx(1.0, abs=1e-12)
@@ -310,7 +312,7 @@ def test_mask_length_must_match_member_count():
     state = small_state()
     sample = _sample_from(ds)
     with pytest.raises(ValueError):
-        group_features([sample], state, [full_mask(len(sample.members) + 1)])
+        group_features([sample], state, [full_mask(len(sample.members) + 1)], quantity=True, refined=False)
 
 
 def _mixed_views(n_groups=60, seed=21):
@@ -378,10 +380,11 @@ def test_view_features_do_not_depend_on_the_stack_width(refined):
     state = state.with_params({n: Tensor(rng.normal(scale=0.5, size=p.shape)) for n, p in state.params.items()
                                if n.startswith(("group.blk", "quantity.", "grce."))})
     counts = np.array([m.retained for m in masks])
-    whole = group_features(ds.samples, state, masks, refined=refined)[0].values
+    whole = group_features(ds.samples, state, masks, quantity=True, refined=refined)[0].values
     for c in np.unique(counts):
         idx = np.flatnonzero(counts == c)
-        same = group_features([ds.samples[i] for i in idx], state, [masks[i] for i in idx], refined=refined)
+        same = group_features([ds.samples[i] for i in idx], state, [masks[i] for i in idx],
+                              quantity=True, refined=refined)
         assert np.array_equal(same[0].values, whole[idx])
 
 
@@ -452,7 +455,7 @@ def test_stage1_loss_grad_check_over_mixed_member_counts():
     state.set_trainable(STAGE1_TRAINABLE)
 
     def loss_fn(st):
-        return stage1_batch_loss(samples, *memo(range(4), masks, st), st, rosters)[0]
+        return stage1_batch_loss(samples, *memo(range(4), masks, st, refined=False), st, rosters)[0]
 
     report = dc.grad_check(lambda ps: loss_fn(ModelState(state.config, ps)), state.params,
                            step=1e-5, tolerance=1e-4)
@@ -469,7 +472,7 @@ def test_stage2_loss_grad_check_over_mixed_member_counts():
 
     def loss_fn(st):
         features = memo(range(4), masks, st, refined=True)[0]
-        return stage2_batch_loss(samples, features, st, class_index, text, alpha=0.5)[0]
+        return stage2_batch_loss(samples, features, st, class_index, text, alpha=0.5, epsilon=0.1)[0]
 
     report = dc.grad_check(lambda ps: loss_fn(ModelState(state.config, ps)), state.params,
                            step=1e-5, tolerance=1e-4)
@@ -490,7 +493,7 @@ def test_a_step_records_one_stack_whatever_the_member_counts():
         masks = [Mask((1,) * k + (0,) * (4 - k)) for k in retained]
         memo = VisualMemo(samples, quantity=True)
         with dc.Graph() as g:
-            stage1_batch_loss(samples, *memo(range(8), masks, state), state, rosters)
+            stage1_batch_loss(samples, *memo(range(8), masks, state, refined=False), state, rosters)
         return len(g._nodes)
 
     assert state.config.max_members == 4

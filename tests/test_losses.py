@@ -262,12 +262,12 @@ def test_stage2_loss_composes_all_terms():
     rng = np.random.default_rng(0)
     text = dc.constant(rng.normal(size=(len(class_index), 8)))
 
-    features = group_features(batch, state, masks, refined=True)[0]
-    loss, parts = stage2_batch_loss(batch, features, state, class_index, text)
+    features = group_features(batch, state, masks, quantity=True, refined=True)[0]
+    loss, parts = stage2_batch_loss(batch, features, state, class_index, text, alpha=0.3, epsilon=0.1)
     assert set(parts) == {"loss_id", "loss_tri", "loss_i2tce"}
     assert loss.item() == pytest.approx(sum(parts.values()), abs=1e-12)
 
-    loss2, parts2 = stage2_batch_loss(batch, features, state, class_index, None)
+    loss2, parts2 = stage2_batch_loss(batch, features, state, class_index, None, alpha=0.3, epsilon=0.1)
     assert set(parts2) == {"loss_id", "loss_tri"}
     assert loss2.item() == pytest.approx(sum(parts2.values()), abs=1e-12)
 
@@ -280,8 +280,8 @@ def test_stage2_gradient_support_is_the_refinement_head():
     text = dc.constant(np.random.default_rng(1).normal(size=(len(class_index), 8)))
 
     with dc.Graph() as g:
-        features = group_features(batch, state, masks, refined=True)[0]
-        loss, _ = stage2_batch_loss(batch, features, state, class_index, text)
+        features = group_features(batch, state, masks, quantity=True, refined=True)[0]
+        loss, _ = stage2_batch_loss(batch, features, state, class_index, text, alpha=0.3, epsilon=0.1)
     g.backward(loss)
     touched = {n for n, p in state.params.items() if p.grad is not None}
     assert touched == set(STAGE2_TRAINABLE)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gcum.cli import RunConfig
 from gcum.diffcore import NonFiniteError, Tensor
 from gcum.encoders import (
     STAGE1_TRAINABLE,
@@ -31,6 +32,14 @@ from gcum.trainer import (
     train_stage1,
     train_stage2,
 )
+
+_RUN = RunConfig()
+# stage 2's recipe keywords at the run config's defaults, the text term on
+_STAGE2 = dict(use_text=True, alpha=_RUN.alpha, epsilon=_RUN.epsilon)
+
+
+def _recipe(stage: int) -> dict:
+    return {} if stage == 1 else _STAGE2
 
 
 def test_config_validation():
@@ -315,7 +324,7 @@ def test_stage2_moves_only_the_refinement_head():
     ds, state = _training_setup()
     init_values = {n: p.values.copy() for n, p in state.params.items()}
     out, history = train_stage2(
-        state, ds.samples, ds.group_rosters(), _short_cfg(2), mvs=MvsConfig()
+        state, ds.samples, ds.group_rosters(), _short_cfg(2), mvs=MvsConfig(), **_STAGE2
     )
     assert history and history[0]["stage"] == 2
     assert {"loss_id", "loss_tri", "loss_i2tce"} <= set(history[0])
@@ -326,7 +335,8 @@ def test_stage2_moves_only_the_refinement_head():
 def test_stage2_without_text_drops_the_alignment_term():
     ds, state = _training_setup()
     _, history = train_stage2(
-        state, ds.samples, ds.group_rosters(), _short_cfg(2, epochs=1), use_text=False
+        state, ds.samples, ds.group_rosters(), _short_cfg(2, epochs=1), mvs=None,
+        use_text=False, alpha=_RUN.alpha, epsilon=_RUN.epsilon,
     )
     assert history
     assert "loss_i2tce" not in history[0]
@@ -336,9 +346,9 @@ def test_stage2_without_text_drops_the_alignment_term():
 def test_stage2_is_deterministic():
     ds, state = _training_setup()
     cfg = _short_cfg(2, epochs=2)
-    out1, hist1 = train_stage2(state, ds.samples, ds.group_rosters(), cfg)
+    out1, hist1 = train_stage2(state, ds.samples, ds.group_rosters(), cfg, mvs=None, **_STAGE2)
     ds2, state2 = _training_setup()
-    out2, hist2 = train_stage2(state2, ds2.samples, ds2.group_rosters(), cfg)
+    out2, hist2 = train_stage2(state2, ds2.samples, ds2.group_rosters(), cfg, mvs=None, **_STAGE2)
     assert hist1 == hist2
     for n in out1.params:
         assert np.array_equal(out1.params[n].values, out2.params[n].values), n
@@ -347,7 +357,7 @@ def test_stage2_is_deterministic():
 def test_stage2_loss_decreases_on_easy_data():
     ds, state = _training_setup(noise=0.0)
     cfg = _short_cfg(2, epochs=12, lr_start=1e-3, lr_peak=5e-2, warmup_epochs=2)
-    _, history = train_stage2(state, ds.samples, ds.group_rosters(), cfg)
+    _, history = train_stage2(state, ds.samples, ds.group_rosters(), cfg, mvs=None, **_STAGE2)
     assert history[-1]["loss_total"] < history[0]["loss_total"]
 
 
@@ -407,7 +417,7 @@ def test_planned_epochs_give_each_step_the_reference_draws(monkeypatch, stage, m
     calls = _recorded_steps(monkeypatch)
     cfg = _short_cfg(stage, epochs=3, batch_size=6, p_groups=2, q_views=3)
     train = train_stage1 if stage == 1 else train_stage2
-    train(state, ds.samples, ds.group_rosters(), cfg, mvs=mvs)
+    train(state, ds.samples, ds.group_rosters(), cfg, mvs=mvs, **_recipe(stage))
     want = _reference_steps(ds.samples, cfg, mvs)
     assert len(want) > 3
     assert calls == want
@@ -427,7 +437,7 @@ def test_training_encodes_members_at_most_once_per_epoch(monkeypatch, stage):
     monkeypatch.setattr(grce, "encode_members", counted)
     train = train_stage1 if stage == 1 else train_stage2
     cfg = _short_cfg(stage, epochs=4, batch_size=4, p_groups=2)
-    train(state, ds.samples, ds.group_rosters(), cfg, mvs=MvsConfig())
+    train(state, ds.samples, ds.group_rosters(), cfg, mvs=MvsConfig(), **_recipe(stage))
     assert 1 <= len(encodes) <= 4 < len(calls)
 
 
@@ -452,7 +462,7 @@ def test_a_stage2_step_runs_neither_the_count_term_nor_block_2(monkeypatch):
 
     monkeypatch.setattr(grce.VisualMemo, "__call__", step_call)
     cfg = _short_cfg(2, epochs=3, batch_size=4, p_groups=2)
-    train_stage2(state, ds.samples, ds.group_rosters(), cfg, mvs=MvsConfig())
+    train_stage2(state, ds.samples, ds.group_rosters(), cfg, mvs=MvsConfig(), **_STAGE2)
     assert events.count("step") > 3
     # the frozen pass before each epoch's first step pools that epoch's new views
     assert 1 <= events.count("encode_group_suffix") == events.count("apply_mvs") <= 3
