@@ -18,11 +18,13 @@ Design constraints the rest of the package relies on:
 * a graph records once and backpropagates once; reuse raises;
 * rows are selected by one op, ``gather_rows``, and rows it leaves out get
   exactly zero gradient;
-* attention over many short sequences is one op, ``segment_attention``,
-  which keeps the tape rank 2 by stacking the sequences as row blocks;
+* attention of one query row over each of many short sequences is one
+  op, ``segment_attention``, which keeps the tape rank 2 by stacking the
+  sequences as row blocks;
 * compositions a training step runs many times are one node each, with a
   closed-form backward that gives the composed ops' bits: a residual
-  self-attention block (``attention_block``), the cross entropy against
+  self-attention block (``attention_block``, whole or read out at each
+  sequence's first row), the cross entropy against
   soft targets (``soft_target_nll``, by log-sum-exp, so it stays finite
   where the log of a softmax would underflow), the floored row distance
   (``row_distance``) and the count term's block means
@@ -470,54 +472,71 @@ def _blocks(rows: int, length: int, lengths, op: str) -> tuple[int, np.ndarray |
     return n, np.arange(length) < lengths[:, None]
 
 
+def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with each row's bits independent of how many rows ``a`` stacks.
+
+    A one-row product goes down numpy's matrix-vector path, which rounds
+    differently from the same row inside a taller product, so a single row
+    is padded to two and the copy dropped.
+    """
+    if a.shape[0] > 1:
+        return a @ b
+    return (np.concatenate([a, a]) @ b)[:1]
+
+
 def _attend(qv: np.ndarray, kv: np.ndarray, vv: np.ndarray, n: int, live) -> tuple[np.ndarray, np.ndarray]:
-    """Attention inside n row blocks: the (n, L, L) weights and the (rows, dv) output."""
-    rows, d = qv.shape
-    length = rows // n
+    """Attention inside n row blocks of ``kv`` and ``vv``: the (n, m, L) weights and the (n m, dv) output.
+
+    ``qv`` holds m query rows per block: the block's own L rows, or one.
+    A query row past a block's live length outputs a zero row.
+    """
+    rows, d = kv.shape
+    length, m = rows // n, qv.shape[0] // n
     vb = vv.reshape(n, length, vv.shape[1])
-    scores = (qv.reshape(n, length, d) @ kv.reshape(n, length, d).transpose(0, 2, 1)) * (1.0 / math.sqrt(d))
+    scores = (qv.reshape(n, m, d) @ kv.reshape(n, length, d).transpose(0, 2, 1)) * (1.0 / math.sqrt(d))
     if live is not None:
         scores = np.where(live[:, None, :], scores, -np.inf)
     e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
     del scores
     w = e / np.sum(e, axis=-1, keepdims=True)
     del e
-    if live is not None:
+    if live is not None and m > 1:  # a lone query is its block's first row, always live
         w = w * live[:, :, None]
-    return w, (w @ vb).reshape(rows, vv.shape[1])
+    return w, (w @ vb).reshape(n * m, vv.shape[1])
 
 
 def _attend_grads(g: np.ndarray, w: np.ndarray, qv: np.ndarray, kv: np.ndarray, vv: np.ndarray,
                   need_q: bool, need_k: bool, need_v: bool):
     """``_attend``'s backward: the q, k and v gradients asked for, None for the rest."""
-    n, length = w.shape[:2]
-    rows, d = qv.shape
-    gb = g.reshape(n, length, -1)
+    n, m, length = w.shape
+    d = qv.shape[1]
+    gb = g.reshape(n, m, -1)
     gq = gk = None
     if need_q or need_k:
         gw = gb @ vv.reshape(n, length, vv.shape[1]).transpose(0, 2, 1)
         gs = w * (gw - np.sum(gw * w, axis=-1, keepdims=True)) * (1.0 / math.sqrt(d))
-        gq = (gs @ kv.reshape(n, length, d)).reshape(rows, d) if need_q else None
-        gk = (gs.transpose(0, 2, 1) @ qv.reshape(n, length, d)).reshape(rows, d) if need_k else None
-    gv = (w.transpose(0, 2, 1) @ gb).reshape(rows, -1) if need_v else None
+        gq = (gs @ kv.reshape(n, length, d)).reshape(n * m, d) if need_q else None
+        gk = (gs.transpose(0, 2, 1) @ qv.reshape(n, m, d)).reshape(n * length, d) if need_k else None
+    gv = (w.transpose(0, 2, 1) @ gb).reshape(n * length, -1) if need_v else None
     return gq, gk, gv
 
 
 def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int, lengths=None) -> Tensor:
-    """Scaled dot-product attention inside consecutive blocks of ``length`` rows.
+    """One query row per block, attending over a block of ``length`` key and value rows.
 
-    ``q``, ``k`` and ``v`` stack n sequences of ``length`` rows each.  Row i
-    attends only to the rows of its own block, with weights
-    ``softmax_j(q_i . k_j / sqrt(d))`` for a query width of d.  The blocks
-    are worked as (n, length, length) arrays, so memory grows with n and
-    not with the square of n that a dense block-diagonal mask would need.
-    With ``lengths``, block i's rows past ``lengths[i]`` are dead: as keys
-    they get weight exactly 0, as queries they output exactly zero rows.
+    ``k`` and ``v`` stack n sequences of ``length`` rows each, and ``q``
+    holds one query row per sequence.  Output row i is ``sum_j w_j v_j``
+    over block i, with weights ``softmax_j(q_i . k_j / sqrt(d))`` for a
+    query width of d.  The blocks are worked as (n, 1, length) arrays, so
+    memory grows with n and not with the square of n that a dense
+    block-diagonal mask would need.  With ``lengths``, block i's rows past
+    ``lengths[i]`` are dead: they get weight exactly 0 and no gradient.
     """
-    if q.ndim != 2 or k.shape != q.shape or v.ndim != 2 or v.shape[0] != q.shape[0]:
-        raise ShapeError(f"segment_attention: need q, k of one shape and v of as many rows, "
+    if (q.ndim != 2 or k.ndim != 2 or k.shape[1] != q.shape[1] or v.ndim != 2
+            or v.shape[0] != k.shape[0] or k.shape[0] != q.shape[0] * length):
+        raise ShapeError(f"segment_attention: need one query row per block of {length} key and value rows, "
                          f"got {q.shape}, {k.shape}, {v.shape}")
-    n, live = _blocks(q.shape[0], length, lengths, "segment_attention")
+    n, live = _blocks(k.shape[0], length, lengths, "segment_attention")
     qv, kv, vv = q.values, k.values, v.values
     w, out = _attend(qv, kv, vv, n, live)
 
@@ -528,16 +547,26 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int, lengths=None
 
 
 def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, length: int,
-                    lengths=None) -> Tensor:
+                    lengths=None, *, first_only: bool = False) -> Tensor:
     """Single-head self-attention with a residual connection, as one node.
 
-    The value and the gradients of ``x + segment_attention(x wq, x wk,
-    x wv, length, lengths) wo``, bit for bit: ``x``'s gradient adds the
+    ``x`` stacks sequences of ``length`` rows each, and a row attends only
+    within the live rows of its own sequence: the output is ``x + A wo``
+    for the attention ``A`` of queries ``x wq`` over keys ``x wk`` and
+    values ``x wv``.  The value and the gradients are those of the matmuls
+    composed with the attention, bit for bit: ``x``'s gradient adds the
     residual, then the v, k and q terms, the order the composed ops'
-    backward takes (when nothing else reads ``x``).  ``x`` stacks
-    sequences of ``length`` rows each, and a row attends only within the
-    live rows of its own sequence.  Zero rows past a sequence's length
-    stay zero.  A zero output projection makes the block the identity map.
+    backward takes (when nothing else reads ``x``).  Zero rows past a
+    sequence's length stay zero.  A zero output projection makes the block
+    the identity map.
+
+    With ``first_only``, each sequence's first row is the only query and
+    the residual: the (n, d) output is each sequence's first row of the
+    block, without the other rows' work.  Over two or more sequences its
+    value and gradients are those of gathering the first rows, the matmuls
+    and ``segment_attention`` composed, bit for bit; over one, a one-row
+    product is padded as ``_rows`` pads it, so an output row has the same
+    bits in a stack of any size.
     """
     xv = x.values
     if (xv.ndim != 2 or any(w.ndim != 2 for w in (wq, wk, wv, wo)) or wq.shape[0] != xv.shape[1]
@@ -545,7 +574,8 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, l
         raise ShapeError(f"attention_block: need x (rows, d), wq and wk (d, e), wv (d, f) and wo (f, d), "
                          f"got {xv.shape}, {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape}")
     n, live = _blocks(xv.shape[0], length, lengths, "attention_block")
-    qv, kv, vv = xv @ wq.values, xv @ wk.values, xv @ wv.values
+    xq = xv[::length].copy() if first_only else xv  # contiguous, as gather_rows makes it
+    qv, kv, vv = _rows(xq, wq.values), _rows(xv, wk.values), _rows(xv, wv.values)
     w, ctx = _attend(qv, kv, vv, n, live)
     need_q, need_k, need_v = (x.requires_grad or p.requires_grad for p in (wq, wk, wv))
 
@@ -553,18 +583,22 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, l
         gq = gk = gv = gx = None
         if need_q or need_k or need_v:
             gq, gk, gv = _attend_grads(g @ wo.values.T, w, qv, kv, vv, need_q, need_k, need_v)
-        if x.requires_grad:
+        if x.requires_grad and first_only:
+            gx = gv @ wv.values.T
+            gx = gx + gk @ wk.values.T
+            gx[::length] += g + gq @ wq.values.T
+        elif x.requires_grad:
             gx = g + gv @ wv.values.T
             gx = gx + gk @ wk.values.T
             gx = gx + gq @ wq.values.T
         return (gx,
-                xv.T @ gq if wq.requires_grad else None,
+                xq.T @ gq if wq.requires_grad else None,
                 xv.T @ gk if wk.requires_grad else None,
                 xv.T @ gv if wv.requires_grad else None,
                 ctx.T @ g if wo.requires_grad else None)
 
-    out = ctx @ wo.values
-    return _result(np.add(xv, out, out=out), (x, wq, wk, wv, wo), pull)
+    out = _rows(ctx, wo.values)
+    return _result(np.add(xq, out, out=out), (x, wq, wk, wv, wo), pull)
 
 
 def row_distance(a: Tensor, b: Tensor) -> Tensor:
@@ -599,11 +633,11 @@ def add_block_means(x: Tensor, weights: Tensor, counts) -> Tensor:
     ``x`` stacks B blocks of one width ``1 + slots``; block i's rows 1 to
     ``counts[i]`` are live.  Its first row gains the mean over live rows j
     of ``weights[j - 1] * row j``; every other row passes unchanged.  The
-    mean is the (B, slots, slots) product of the weights attention takes
-    at zero scores with the scaled rows, and the gradients scatter with
+    mean is the (B, 1, slots) product of the weights one query takes at
+    zero scores with the scaled rows, and the gradients scatter with
     ``gather_rows``' bincount: the value and the gradients of that
-    composition, bit for bit.  Rows past a block's count and rows of
-    ``weights`` past it get no gradient.
+    composition through ``segment_attention``, bit for bit.  Rows past a
+    block's count and rows of ``weights`` past it get no gradient.
     """
     xv, ev = x.values, weights.values
     if xv.ndim != 2 or ev.ndim != 2 or xv.shape[1] != ev.shape[1]:
@@ -620,16 +654,14 @@ def add_block_means(x: Tensor, weights: Tensor, counts) -> Tensor:
     members = (starts[:, None] + np.arange(1, slots + 1)).ravel()
     at = np.tile(np.arange(slots), b)
     ew, mv = ev[at], xv[members]
-    live = np.arange(slots) < counts[:, None]
     # softmax of zero scores over each block's live rows: 1/k there, 0 elsewhere;
     # one product per block, as a (B, B slots) block-mean product rounds by block position
-    w = (live[:, :, None] & live[:, None, :]) / counts[:, None, None]
+    w = (np.arange(slots) < counts[:, None])[:, None, :] / counts[:, None, None]
     shift = np.zeros_like(xv)
     shift[starts] = (w @ (ew * mv).reshape(b, slots, dim))[:, 0]
 
     def pull(g: np.ndarray):
-        gb = np.zeros((b, slots, dim))
-        gb[:, 0] = g[starts] + 0.0  # a bincount scatter of one row adds it to 0.0
+        gb = g[starts, None] + 0.0  # a bincount scatter of one row adds it to 0.0
         gm = (w.transpose(0, 2, 1) @ gb).reshape(b * slots, dim)
         return (g + _scatter_rows(members, gm * ew, rows) if x.requires_grad else None,
                 _scatter_rows(at, gm * mv, ev.shape[0]) if weights.requires_grad else None)

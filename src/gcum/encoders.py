@@ -151,53 +151,57 @@ class ModelState:
             p.requires_grad = name in wanted
 
 
-def init_model_state(config: ModelConfig, seed: int) -> ModelState:
-    """Draw all parameters; bit-identical for identical ``(config, seed)``."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_INIT_STREAM,)))
-    std = config.init_std
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order ``init_model_state`` draws them."""
     dim, hidden = config.dim, config.hidden
-
-    def normal(*shape):
-        return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True, _copy=False)
-
-    params: dict[str, Tensor] = {}
+    square = (dim, dim)
     # member encoder
-    params["member.w1"] = normal(config.d_a, hidden)
-    params["member.b1"] = normal(hidden)
-    params["member.w2"] = normal(hidden, dim)
-    params["member.b2"] = normal(dim)
+    shapes = {"member.w1": (config.d_a, hidden), "member.b1": (hidden,),
+              "member.w2": (hidden, dim), "member.b2": (dim,)}
     # group encoder: class token, two attention blocks, final projection
-    params["group.cls"] = normal(dim)
+    shapes["group.cls"] = (dim,)
     for blk in ("group.blk1", "group.blk2"):
-        for w in ("wq", "wk", "wv", "wo"):
-            params[f"{blk}.{w}"] = normal(dim, dim)
-    params["group.proj"] = normal(dim, dim)
+        shapes.update((f"{blk}.{w}", square) for w in ("wq", "wk", "wv", "wo"))
+    shapes["group.proj"] = square
     # text encoder: one block, positions, projection
-    for w in ("wq", "wk", "wv", "wo"):
-        params[f"text.attn.{w}"] = normal(dim, dim)
-    params["text.pos"] = normal(config.max_prompt_len, dim)
-    params["text.proj"] = normal(dim, dim)
+    shapes.update((f"text.attn.{w}", square) for w in ("wq", "wk", "wv", "wo"))
+    shapes["text.pos"] = (config.max_prompt_len, dim)
+    shapes["text.proj"] = square
     # prompt vocabulary: template words (frozen), per-identity tokens, padding
-    params["prompt.member_prefix"] = normal(MEMBER_PREFIX_LEN, dim)
-    params["prompt.member_suffix"] = normal(MEMBER_SUFFIX_LEN, dim)
-    params["prompt.group_prefix"] = normal(GROUP_PREFIX_LEN, dim)
-    params["prompt.group_suffix"] = normal(GROUP_SUFFIX_LEN, dim)
-    params["prompt.x"] = normal(config.n_person_ids * config.tokens_per_identity, dim)
-    params["prompt.pad"] = normal(config.tokens_per_identity, dim)
-    # member-count refinement matrix starts neutral: zero rows add nothing
-    # to the class token until stage-1 training moves them.
-    params["quantity.em"] = Tensor(
-        np.zeros((config.max_members, dim)), requires_grad=True, _copy=False
-    )
+    shapes["prompt.member_prefix"] = (MEMBER_PREFIX_LEN, dim)
+    shapes["prompt.member_suffix"] = (MEMBER_SUFFIX_LEN, dim)
+    shapes["prompt.group_prefix"] = (GROUP_PREFIX_LEN, dim)
+    shapes["prompt.group_suffix"] = (GROUP_SUFFIX_LEN, dim)
+    shapes["prompt.x"] = (config.n_person_ids * config.tokens_per_identity, dim)
+    shapes["prompt.pad"] = (config.tokens_per_identity, dim)
+    # member-count refinement matrix
+    shapes["quantity.em"] = (config.max_members, dim)
     # refinement head and group classifier
-    params["grce.wq"] = normal(dim, dim)
-    params["grce.wk"] = normal(dim, dim)
-    params["grce.wv"] = normal(dim, dim)
-    params["grce.classifier"] = normal(config.n_group_classes, dim)
+    shapes.update((f"grce.{w}", square) for w in ("wq", "wk", "wv"))
+    shapes["grce.classifier"] = (config.n_group_classes, dim)
     # learnable inverse temperature, stored directly as the logit multiplier
-    params["temp.inv"] = Tensor(
-        np.asarray(config.temperature_init), requires_grad=True, _copy=False
-    )
+    shapes["temp.inv"] = ()
+    return shapes
+
+
+def init_model_state(config: ModelConfig, seed: int) -> ModelState:
+    """Draw all parameters; bit-identical for identical ``(config, seed)``.
+
+    Each parameter is a normal draw, in ``parameter_shapes`` order, but two:
+    the count matrix starts neutral, as zero rows add nothing to the class
+    token until stage-1 training moves them, and the inverse temperature
+    starts at ``temperature_init``.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_INIT_STREAM,)))
+    params: dict[str, Tensor] = {}
+    for name, shape in parameter_shapes(config).items():
+        if name == "quantity.em":
+            values = np.zeros(shape)
+        elif name == "temp.inv":
+            values = np.asarray(config.temperature_init)
+        else:
+            values = rng.normal(0.0, config.init_std, size=shape)
+        params[name] = Tensor(values, requires_grad=True, _copy=False)
     return ModelState(config, params)
 
 
@@ -262,8 +266,9 @@ def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequ
 def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int]) -> Tensor:
     """Run block 2 over the stacked blocks of ``encode_group_prefix`` and read out each view.
 
-    Each block's class-token row is projected and normalized into one row
-    of the (B, dim) group features.
+    Only each block's class-token row is read out, so block 2 computes
+    that row alone, attending over the view's live rows; it is projected
+    and normalized into one row of the (B, dim) group features.
     """
     cfg = state.config
     counts = _member_counts(counts, cfg)
@@ -271,9 +276,8 @@ def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int])
     if fused.ndim != 2 or fused.shape != (len(counts) * width, cfg.dim):
         raise ShapeError(f"expected ({len(counts)} * {width}, {cfg.dim}) rows, got {fused.shape}")
     p = state.params
-    out = dc.attention_block(fused, p["group.blk2.wq"], p["group.blk2.wk"], p["group.blk2.wv"],
-                             p["group.blk2.wo"], width, counts + 1)
-    pooled = dc.gather_rows(out, np.arange(0, fused.shape[0], width))
+    pooled = dc.attention_block(fused, p["group.blk2.wq"], p["group.blk2.wk"], p["group.blk2.wv"],
+                                p["group.blk2.wo"], width, counts + 1, first_only=True)
     return dc.l2_normalize(project(pooled, p["group.proj"]))
 
 
@@ -399,17 +403,17 @@ def state_from_checkpoint(path: str) -> tuple[ModelState, dict]:
     check_format(meta, SIDECAR_FORMAT, SIDECAR_VERSION, where, error=CheckpointError)
     config = require(meta, "model", where, ModelConfig.from_dict, error=CheckpointError)
     tensors = load_checkpoint(path)
-    reference = init_model_state(config, seed=0)
-    missing = set(reference.params) - set(tensors)
-    extra = set(tensors) - set(reference.params)
+    shapes = parameter_shapes(config)
+    missing = set(shapes) - set(tensors)
+    extra = set(tensors) - set(shapes)
     if missing or extra:
         raise CheckpointError(
             f"parameter set mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
     params = {}
-    for name, ref in reference.params.items():
+    for name, shape in shapes.items():
         arr = tensors[name]
-        if arr.shape != ref.shape:
-            raise CheckpointError(f"tensor {name!r} has shape {arr.shape}, expected {ref.shape}")
+        if arr.shape != shape:
+            raise CheckpointError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
         params[name] = Tensor(arr, requires_grad=True, _copy=False)
     return ModelState(config, params), meta

@@ -5,6 +5,8 @@ All queries are ranked against the gallery in one call by cosine
 similarity (descending, ties broken by ascending gallery index).  The
 result is one boolean hit matrix, a row per query and a column per rank,
 and CMC Rank-k and mean average precision are reductions over its rows.
+Views are featurized and queries ranked in chunks of a fixed size, so
+past that matrix eval's working memory does not grow with the test split.
 Evaluation always sees full member sets: member dropout is a
 training-time augmentation only.
 
@@ -28,12 +30,20 @@ from .synthdata import Dataset, GroupSample, split_query_gallery, split_train_te
 from .trainer import TrainConfig, train_stage1, train_stage2
 
 
+# Views featurized, and queries ranked, per step.  A view's feature and a
+# query's hit row have the same bits in a chunk of any size, so chunking
+# bounds eval memory and leaves every byte of a report as it is.
+_VIEWS_PER_CHUNK = 256
+_QUERIES_PER_CHUNK = 256
+
+
 def rank_gallery(query_feats, gallery_feats, query_labels, gallery_labels) -> np.ndarray:
     """Rank the gallery for every query; returns the (n_query, n_gallery) hit matrix.
 
     ``hits[i, r]`` is true when the gallery row ranked r-th for query i
     carries query i's label.  Rows rank by cosine similarity, descending,
-    ties by ascending gallery index; byte-equal rows always tie.
+    ties by ascending gallery index; byte-equal rows always tie.  Queries
+    are ranked ``_QUERIES_PER_CHUNK`` at a time against the whole gallery.
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
@@ -46,22 +56,26 @@ def rank_gallery(query_feats, gallery_feats, query_labels, gallery_labels) -> np
     norms = np.concatenate([np.linalg.norm(q, axis=1), np.linalg.norm(g, axis=1)])
     if np.max(np.abs(norms - 1.0)) > 1e-6:
         raise ValueError("retrieval expects unit-norm features")
-    sims = np.matmul(g[None], q[:, :, None])[..., 0]  # a product per query: q @ g.T rounds differently
     # a product can round by row position, so byte-equal rows take their first copy's score
     g = np.ascontiguousarray(g)
     _, first, copy_of = np.unique(g.view(np.dtype((np.void, g.strides[0]))), return_index=True,
                                   return_inverse=True)
-    if first.size < g.shape[0]:
-        sims = sims[:, first[copy_of.ravel()]]
-    # a relevant row's rank: rows scoring higher + equal rows before it; `at` row i lists query i's
-    qi, gj = np.nonzero(np.asarray(query_labels)[:, None] == np.asarray(gallery_labels))
-    slot = np.arange(qi.size) - np.searchsorted(qi, qi)
-    at = np.zeros((q.shape[0], slot.max(initial=-1) + 1), dtype=np.int64)
-    at[qi, slot] = gj
-    own = np.take_along_axis(sims, at, axis=1)[:, :, None]
-    ahead = (sims[:, None] > own) | ((sims[:, None] == own) & (np.arange(g.shape[0]) < at[:, :, None]))
-    hits = np.zeros(sims.shape, dtype=bool)
-    hits[qi, np.count_nonzero(ahead, axis=2)[qi, slot]] = True
+    score_as = first[copy_of.ravel()] if first.size < g.shape[0] else None
+    q_labels, g_labels = np.asarray(query_labels), np.asarray(gallery_labels)
+    hits = np.zeros((q.shape[0], g.shape[0]), dtype=bool)
+    for start in range(0, q.shape[0], _QUERIES_PER_CHUNK):
+        chunk = slice(start, start + _QUERIES_PER_CHUNK)
+        sims = np.matmul(g[None], q[chunk, :, None])[..., 0]  # a product per query: q @ g.T rounds differently
+        if score_as is not None:
+            sims = sims[:, score_as]
+        # a relevant row's rank: rows scoring higher + equal rows before it; `at` row i lists query i's
+        qi, gj = np.nonzero(q_labels[chunk, None] == g_labels)
+        slot = np.arange(qi.size) - np.searchsorted(qi, qi)
+        at = np.zeros((sims.shape[0], slot.max(initial=-1) + 1), dtype=np.int64)
+        at[qi, slot] = gj
+        own = np.take_along_axis(sims, at, axis=1)[:, :, None]
+        ahead = (sims[:, None] > own) | ((sims[:, None] == own) & (np.arange(g.shape[0]) < at[:, :, None]))
+        hits[start + qi, np.count_nonzero(ahead, axis=2)[qi, slot]] = True
     return hits
 
 
@@ -121,8 +135,17 @@ def extract_features(
     refined: bool,
     quantity: bool,
 ) -> np.ndarray:
-    """One unit-norm feature row per sample, all in one call; full member sets, no recording."""
-    return grce.group_features(samples, state, quantity=quantity, refined=refined)[0].values
+    """One unit-norm feature row per sample; full member sets, no recording.
+
+    Views are featurized ``_VIEWS_PER_CHUNK`` at a time, which gives the
+    bytes of one ``grce.group_features`` call over all of them.
+    """
+    feats = np.empty((len(samples), state.config.dim))
+    for start in range(0, len(samples), _VIEWS_PER_CHUNK):
+        chunk = samples[start:start + _VIEWS_PER_CHUNK]
+        feats[start:start + len(chunk)] = grce.group_features(chunk, state, quantity=quantity,
+                                                              refined=refined)[0].values
+    return feats
 
 
 def evaluate(

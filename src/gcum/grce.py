@@ -73,8 +73,8 @@ def refine(group_features: Tensor, member_features: Tensor, state: ModelState,
 
     ``group_features`` stacks B views' features, ``member_features`` their
     ``counts[i]`` member rows each, view after view.  A view's group
-    feature is the query over its members, set in ``max_members`` masked
-    slots, with scores scaled by 1/sqrt(dim).  The context is added
+    feature is the one query over its members, set in ``max_members``
+    masked slots, with scores scaled by 1/sqrt(dim).  The context is added
     residually and the result re-normalized, so zero attention weights
     leave the input unchanged.
     """
@@ -94,11 +94,9 @@ def refine(group_features: Tensor, member_features: Tensor, state: ModelState,
                                                              np.repeat(np.arange(b), counts))
     table = dc.concat([member_features, dc.constant(np.zeros((1, dim)))])
     ordered = dc.gather_rows(table, at.ravel())
-    queries = dc.gather_rows(project(group_features, p["grce.wq"]), np.repeat(np.arange(b), slots))
-    context = dc.segment_attention(queries, project(ordered, p["grce.wk"]),
+    context = dc.segment_attention(project(group_features, p["grce.wq"]), project(ordered, p["grce.wk"]),
                                    project(ordered, p["grce.wv"]), slots, counts)
-    # every row of a block attends with the same query; keep the first
-    return dc.l2_normalize(dc.add(group_features, dc.gather_rows(context, np.arange(b) * slots)))
+    return dc.l2_normalize(dc.add(group_features, context))
 
 
 def _select(samples: Sequence[GroupSample], masks: Sequence[Mask | None]

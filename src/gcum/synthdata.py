@@ -24,12 +24,16 @@ contract is the order of the draws from the generation stream:
 Every catalog entry is a read-only row of one catalog matrix, and every
 member appearance a read-only row of one appearance matrix.  The reader
 checks what generation guarantees: each member identity is in the catalog,
-a view lists it at most once, and it belongs to one group only.
+a view lists it at most once, and it belongs to one group only; and the
+document's own ``config`` section describes its samples: the number of
+groups, no roster larger than the member range allows, camera ids below
+the camera count, and the views each group has under each camera.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Sequence
@@ -278,6 +282,9 @@ def dataset_from_doc(doc: dict) -> Dataset:
     for i, entry in enumerate(_entries(doc, "samples", "dataset")):
         gid = _require(entry, "group_id", f"sample {i}", json_int)
         cam = _require(entry, "camera_id", f"sample {i}", json_int)
+        if not 0 <= cam < config.n_cameras:
+            raise DatasetFormatError(f"sample {i} camera_id {cam} is outside the config.n_cameras "
+                                     f"{config.n_cameras} cameras")
         members = []
         for m in _entries(entry, "members", f"sample {i}"):
             pid = _require(m, "identity_id", f"sample {i} member", json_int)
@@ -290,15 +297,31 @@ def dataset_from_doc(doc: dict) -> Dataset:
                                          f"not to group {gid}")
             members.append(Member(pid, _appearance(m, d_a, f"sample {i} member {pid}")))
         samples.append(GroupSample(gid, cam, tuple(members)))
+    _check_against_config(samples, owner, config)
+    return Dataset(seed=_require(doc, "seed", "dataset", json_int), config=config, catalog=catalog, samples=samples)
 
-    ds = Dataset(seed=_require(doc, "seed", "dataset", json_int), config=config, catalog=catalog, samples=samples)
-    cameras_per_group: dict[int, set[int]] = {}
-    for s in ds.samples:
-        cameras_per_group.setdefault(s.group_id, set()).add(s.camera_id)
-    for gid, cams in cameras_per_group.items():
-        if len(cams) < 2:
-            raise DatasetFormatError(f"group {gid} appears under fewer than two cameras")
-    return ds
+
+def _check_against_config(samples: list[GroupSample], owner: dict[int, int], config: GenConfig) -> None:
+    """The samples have the shape ``config`` generates, or ``DatasetFormatError`` names the key they break.
+
+    A roster is not checked against ``members_per_group[0]``: dropout can
+    hide a member in every view of its group, so a valid roster may be
+    smaller.
+    """
+    views = Counter((s.group_id, s.camera_id) for s in samples)
+    groups = sorted({s.group_id for s in samples})
+    if len(groups) != config.n_group_identities:
+        raise DatasetFormatError(f"dataset has {len(groups)} groups, config.n_group_identities is "
+                                 f"{config.n_group_identities}")
+    for gid, size in sorted(Counter(owner.values()).items()):
+        if size > config.members_max:
+            raise DatasetFormatError(f"group {gid} has {size} members, more than config.members_per_group "
+                                     f"allows ({config.members_max})")
+    for gid in groups:
+        per_camera = [views[gid, cam] for cam in range(config.n_cameras)]
+        if any(n != config.views_per_group_per_camera for n in per_camera):
+            raise DatasetFormatError(f"group {gid} has {per_camera} views per camera, config."
+                                     f"views_per_group_per_camera is {config.views_per_group_per_camera}")
 
 
 def load_dataset(path: str) -> Dataset:

@@ -36,6 +36,18 @@ mkdir again
   done
 )
 
+# eval featurizes views and ranks queries 256 at a time: 300 groups at three
+# views per camera leave 270 query and 270 gallery views, two chunks each
+echo "== Eval over more than one chunk under two PYTHONHASHSEEDs: the same bytes"
+python -c 'import json; c = json.load(open("small.json")); c["data"].update(n_group_identities=300, views_per_group_per_camera=3); print(json.dumps(c))' > large.json
+gcum gen-data --config large.json --out large-data.json
+for h in 1 2; do
+  PYTHONHASHSEED=$h gcum eval --checkpoint s2.ckpt --data large-data.json --out "large$h.json" > "large$h.out"
+done
+python -c 'import json, sys; r = json.load(open("large1.json"))["report"]; sys.exit(0 if min(r["n_query"], r["n_gallery"]) > 256 else 1)'
+cmp large1.json large2.json
+cmp large1.out large2.out
+
 echo "== Gradient check through the console script"
 gcum grad-check --seed 0
 

@@ -2,7 +2,8 @@
 
 The composed references of the fused ops (``row_distance``,
 ``soft_target_nll``) need a constant factor, ``exp``, ``log`` and a sum,
-and the overflow probes need an op that overflows on demand.  Each op's
+``attention_block``'s needs attention with every row of a block as a
+query, and the overflow probes need an op that overflows on demand.  Each op's
 value and backward are written as the library writes them, so a composition
 of these gives the bits the fused op must match.  Each op's backward
 closure is named ``pull``, so a ``NonFiniteError`` names the op.
@@ -53,3 +54,19 @@ def reduce_sum(x: dc.Tensor, axis: int | None = None) -> dc.Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), xv.shape).copy(),)
 
     return dc._result(np.asarray(np.sum(xv, axis=axis)), (x,), pull)
+
+
+def self_attention(q: dc.Tensor, k: dc.Tensor, v: dc.Tensor, length: int, lengths=None) -> dc.Tensor:
+    """Attention inside blocks of ``length`` rows, every row of a block a query.
+
+    Row i of ``q`` attends over the live rows of its own block of ``k`` and
+    ``v``; a query row past its block's length outputs a zero row.
+    """
+    n, live = dc._blocks(q.shape[0], length, lengths, "self_attention")
+    qv, kv, vv = q.values, k.values, v.values
+    w, out = dc._attend(qv, kv, vv, n, live)
+
+    def pull(g: np.ndarray):
+        return dc._attend_grads(g, w, qv, kv, vv, q.requires_grad, k.requires_grad, v.requires_grad)
+
+    return dc._result(out, (q, k, v), pull)

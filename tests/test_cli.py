@@ -36,7 +36,7 @@ from gcum.cli import (
     run_grad_checks,
 )
 from gcum.encoders import ModelConfig, load_checkpoint, load_checkpoint_meta, save_checkpoint
-from gcum.synthdata import load_dataset
+from gcum.synthdata import GenConfig, dataset_to_doc, generate_dataset, load_dataset
 
 import tape_ops as ops
 
@@ -653,6 +653,9 @@ def test_eval_reads_rosters_wider_than_k(tmp_path, small_config, capsys):
         for member in sample["members"]:
             member["identity_id"] = next(fresh)
             doc["catalog"].append(dict(member))  # the fresh identity joins the catalog
+    # the document's own member range must cover its widest roster
+    doc["config"]["members_per_group"][1] = max(
+        sum(len(s["members"]) for s in doc["samples"] if s["group_id"] == gid) for gid in range(6))
     wide = str(tmp_path / "wide.json")
     Path(wide).write_text(json.dumps(doc))
     assert main(["train", "--stage", "1", "--config", small_config, "--data", wide,
@@ -880,6 +883,77 @@ def test_a_truncated_or_changed_dataset_runs_or_exits_3(trained, at, byte):
                 code = main(argv)
             assert code in (EXIT_OK, EXIT_IO), (argv[0], err.getvalue())
             assert code == EXIT_OK or err.getvalue().startswith("error: ")
+
+
+_CONFIG_EDITS = ("one-group-more-in-config", "a-group-left-out", "narrower-member-range", "camera-past-the-count",
+                 "negative-camera", "one-camera-more-in-config", "view-moved-to-another-camera",
+                 "one-view-more-in-config", "a-view-left-out")
+
+
+def _break_config_agreement(doc, edit: str, at: int) -> str:
+    """Edit a gen-data ``doc`` so it is no longer what its config section describes.
+
+    ``at`` picks a sample.  Returns what the reader's error must name.
+    """
+    config, samples = doc["config"], doc["samples"]
+    at %= len(samples)
+    sample = samples[at]
+    if edit == "one-group-more-in-config":
+        config["n_group_identities"] += 1
+        return "config.n_group_identities"
+    if edit == "a-group-left-out":
+        doc["samples"] = [s for s in samples if s["group_id"] != sample["group_id"]]
+        return "config.n_group_identities"
+    if edit == "narrower-member-range":
+        rosters: dict = {}
+        for s in samples:
+            rosters.setdefault(s["group_id"], set()).update(m["identity_id"] for m in s["members"])
+        widest = max(map(len, rosters.values()))
+        config["members_per_group"] = [2, widest - 1]
+        # a range below two members fails the config's own checks
+        return "config.members_per_group" if widest > 2 else "dataset config is malformed"
+    if edit == "camera-past-the-count":
+        sample["camera_id"] = config["n_cameras"]
+        return "config.n_cameras"
+    if edit == "negative-camera":
+        sample["camera_id"] = -1
+        return "config.n_cameras"
+    if edit == "one-camera-more-in-config":
+        config["n_cameras"] += 1
+    elif edit == "view-moved-to-another-camera":
+        sample["camera_id"] = (sample["camera_id"] + 1) % config["n_cameras"]
+    elif edit == "one-view-more-in-config":
+        config["views_per_group_per_camera"] += 1
+    else:
+        assert edit == "a-view-left-out"
+        del samples[at]
+    return "config.views_per_group_per_camera"
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups=st.integers(2, 8), members=st.tuples(st.integers(2, 3), st.integers(2, 3)).map(sorted),
+       cameras=st.integers(2, 3), views=st.integers(1, 3), dropout=st.floats(0.0, 0.9),
+       permute=st.booleans(), seed=st.integers(0, 2**16), edit=st.sampled_from(_CONFIG_EDITS),
+       at=st.integers(0, 10**6))
+def test_every_generated_dataset_loads_and_one_at_odds_with_its_config_exits_3(
+        trained, groups, members, cameras, views, dropout, permute, seed, edit, at):
+    config = GenConfig(n_group_identities=groups, members_min=members[0], members_max=members[1],
+                       n_cameras=cameras, views_per_group_per_camera=views, membership_dropout_prob=dropout,
+                       layout_permutation=permute, d_a=_SMALL["d_a"])
+    doc = dataset_to_doc(generate_dataset(config, seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.json"
+        for damaged in (False, True):
+            where = _break_config_agreement(doc, edit, at) if damaged else None
+            data.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["eval", "--checkpoint", trained.s2, "--data", str(data)])
+            if damaged:
+                assert code == EXIT_IO and err.getvalue().startswith("error: ") and where in err.getvalue(), \
+                    err.getvalue()
+            else:
+                assert code == EXIT_OK, err.getvalue()
 
 
 # --------------------------------------------------------------------------

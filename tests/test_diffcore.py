@@ -147,43 +147,70 @@ def test_soft_target_nll_rejects_bad_operands():
         dc.soft_target_nll(x, np.full((2, 3), np.nan), 1)
 
 
+def _masked_blocks(seed=12, n=4, length=4, d=3):
+    """One query row per block and ``n`` blocks of ``length`` key and value rows, all trainable."""
+    rng = np.random.default_rng(seed)
+    return [dc.Tensor(rng.normal(size=(rows, d)), requires_grad=True) for rows in (n, n * length, n * length)]
+
+
+def _attention_per_block(q, k, v, length, lengths):
+    """Each block's one-query attention in plain numpy, block by block over its live rows."""
+    out = []
+    for i, live in enumerate(lengths):
+        keys, values = k[i * length:i * length + live], v[i * length:i * length + live]
+        scores = keys @ q[i] / math.sqrt(q.shape[1])
+        w = np.exp(scores - scores.max())
+        out.append(w / w.sum() @ values)
+    return np.stack(out)
+
+
 def test_segment_attention_matches_attention_per_block():
     rng = np.random.default_rng(11)
-    q, k, v = (rng.normal(size=(6, 4)) for _ in range(3))
-    out = dc.segment_attention(dc.Tensor(q), dc.Tensor(k), dc.Tensor(v[:, :3]), 3).values
-    for b in (slice(0, 3), slice(3, 6)):
-        expected = _softmax(q[b] @ k[b].T * 0.5) @ v[b, :3]
+    q, k, v = rng.normal(size=(2, 4)), rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+    out = dc.segment_attention(dc.Tensor(q), dc.Tensor(k), dc.Tensor(v), 3).values
+    for b in range(2):
+        expected = _softmax(q[b] @ k[3 * b:3 * b + 3].T * 0.5) @ v[3 * b:3 * b + 3]
         np.testing.assert_allclose(out[b], expected, rtol=0, atol=1e-12)
+    q, k, v = (t.values for t in _masked_blocks())
+    for lengths in ([4, 4, 4, 4], [1, 3, 4, 2]):
+        out = dc.segment_attention(dc.Tensor(q), dc.Tensor(k), dc.Tensor(v), 4, lengths).values
+        assert np.max(np.abs(out - _attention_per_block(q, k, v, 4, lengths))) < 1e-12
 
 
 def test_segment_attention_rejects_bad_blocks():
-    x = dc.Tensor(np.ones((6, 2)))
+    x, q = dc.Tensor(np.ones((6, 2))), dc.Tensor(np.ones((2, 2)))
     with pytest.raises(dc.ShapeError):
-        dc.segment_attention(x, x, x, 4)  # 6 rows do not split into blocks of 4
+        dc.segment_attention(q, x, x, 4)  # 6 rows do not split into blocks of 4
     with pytest.raises(dc.ShapeError):
-        dc.segment_attention(x, x, x, 0)
+        dc.segment_attention(q, x, x, 0)
     with pytest.raises(dc.ShapeError):
-        dc.segment_attention(x, dc.Tensor(np.ones((6, 3))), x, 3)
+        dc.segment_attention(q, dc.Tensor(np.ones((6, 3))), x, 3)  # query and key widths differ
     with pytest.raises(dc.ShapeError):
-        dc.segment_attention(x, x, dc.Tensor(np.ones((5, 2))), 3)
+        dc.segment_attention(q, x, dc.Tensor(np.ones((5, 2))), 3)
+    with pytest.raises(dc.ShapeError):
+        dc.segment_attention(x, x, x, 3)  # a query row per key row, not one per block
 
 
-def _masked_blocks(seed=12, n=4, length=4, d=3):
-    rng = np.random.default_rng(seed)
-    return [dc.Tensor(rng.normal(size=(n * length, d)), requires_grad=True) for _ in range(3)]
-
-
-def test_segment_attention_masked_grad_check():
-    # block lengths 1, 3, 4 (full) and 2
-    q, k, v = _masked_blocks()
+def _segment_attention_grad_check(n, lengths):
+    q, k, v = _masked_blocks(n=n)
     params = {"q": q, "k": k, "v": v}
 
     def loss_fn(p):
-        out = dc.segment_attention(p["q"], p["k"], p["v"], 4, [1, 3, 4, 2])
+        out = dc.segment_attention(p["q"], p["k"], p["v"], 4, lengths)
         return ops.reduce_sum(dc.mul(out, dc.tanh(out)))
 
     report = dc.grad_check(loss_fn, params, step=1e-5, tolerance=1e-4)
     assert report.ok, report.failures[:3]
+
+
+def test_segment_attention_masked_grad_check():
+    # block lengths 1, 3, 4 (full) and 2
+    _segment_attention_grad_check(4, [1, 3, 4, 2])
+
+
+@pytest.mark.parametrize("length", [3, 1])
+def test_segment_attention_grad_check_on_one_block(length):
+    _segment_attention_grad_check(1, [length])
 
 
 def test_segment_attention_full_lengths_equal_no_mask():
@@ -197,28 +224,27 @@ def test_segment_attention_dead_rows():
     q, k, v = _masked_blocks()
     lengths = [1, 3, 4, 2]
     live = (np.arange(4) < np.array(lengths)[:, None]).ravel()
-    w = np.random.default_rng(13).normal(size=(16, 3))
+    w = np.random.default_rng(13).normal(size=(4, 3))
     with dc.Graph() as g:
         out = dc.segment_attention(q, k, v, 4, lengths)
         loss = ops.reduce_sum(dc.mul(out, dc.constant(w)))
-    assert not np.any(out.values[~live])
     g.backward(loss)
-    for t in (q, k, v):
+    for t in (k, v):
         assert not np.any(t.grad[~live])
-    # a live row of each block is untouched by what the dead rows hold
-    poked = [dc.Tensor(np.where(live[:, None], t.values, 1e3)) for t in (q, k, v)]
-    again = dc.segment_attention(*poked, 4, lengths)
+    # a block's output is untouched by what its dead rows hold
+    poked = [dc.Tensor(np.where(live[:, None], t.values, 1e3)) for t in (k, v)]
+    again = dc.segment_attention(q, *poked, 4, lengths)
     assert np.array_equal(again.values, out.values)
     # one block alone gives the same bits as in the stack
-    alone = dc.segment_attention(*(dc.Tensor(t.values[4:8]) for t in (q, k, v)), 4, [3])
-    assert np.array_equal(alone.values, out.values[4:8])
+    alone = dc.segment_attention(dc.Tensor(q.values[1:2]), *(dc.Tensor(t.values[4:8]) for t in (k, v)), 4, [3])
+    assert np.array_equal(alone.values, out.values[1:2])
 
 
 def test_segment_attention_rejects_bad_lengths():
-    x = dc.Tensor(np.ones((6, 2)))
+    x, q = dc.Tensor(np.ones((6, 2))), dc.Tensor(np.ones((2, 2)))
     for lengths in ([0, 3], [1, 4], [3], [1, 2, 3], np.ones((2, 1))):
         with pytest.raises(dc.ShapeError):
-            dc.segment_attention(x, x, x, 3, lengths)
+            dc.segment_attention(q, x, x, 3, lengths)
 
 
 def test_non_finite_forward_names_the_op():
@@ -415,8 +441,9 @@ def test_ops_are_bit_deterministic():
         w = dc.Tensor(b[:3])
         return np.concatenate([dc.l2_normalize(ops.exp(t)).values.ravel(),
                                [dc.soft_target_nll(t, np.abs(a[:, :3]), 5).item()],
-                               dc.segment_attention(pair, ops.exp(pair), pair, 5).values.ravel(),
+                               dc.segment_attention(dc.gather_rows(t, [0, 1]), ops.exp(pair), pair, 5).values.ravel(),
                                dc.attention_block(pair, w, w, w, w, 5).values.ravel(),
+                               dc.attention_block(pair, w, w, w, w, 5, [2, 5], first_only=True).values.ravel(),
                                dc.row_distance(t, dc.tanh(t)).values,
                                dc.add_block_means(pair, dc.Tensor(b[:, :3]), [4, 1]).values.ravel()])
 
@@ -465,7 +492,7 @@ def _composite_loss(p):
     parts = dc.concat([unit, picked])
     clipped = dc.clamp_min(parts, -0.25)
     blocks = dc.concat([w, sm])  # three blocks of two rows
-    attended = dc.segment_attention(blocks, dc.tanh(blocks), dc.matmul(blocks, w), 2)
+    attended = dc.segment_attention(dc.tanh(w), dc.tanh(blocks), dc.matmul(blocks, w), 2)
     block = dc.attention_block(blocks, w, dc.tanh(w), sm, dc.transpose(w), 3, [3, 2])
     means = dc.add_block_means(dc.concat([block, w]), dc.transpose(w), [2, 1, 2])
     terms = [dc.reduce_mean(dc.mul(clipped, clipped)), ops.reduce_sum(ops.log(ops.exp(ops.scale(h, 0.3)))),
@@ -606,8 +633,14 @@ def _old_log_softmax_rows(x):
 
 
 def _composed_attention_block(x, wq, wk, wv, wo, length, lengths=None):
-    ctx = dc.segment_attention(dc.matmul(x, wq), dc.matmul(x, wk), dc.matmul(x, wv), length, lengths)
+    ctx = ops.self_attention(dc.matmul(x, wq), dc.matmul(x, wk), dc.matmul(x, wv), length, lengths)
     return dc.add(x, dc.matmul(ctx, wo))
+
+
+def _composed_attention_readout(x, wq, wk, wv, wo, length, lengths=None):
+    first = dc.gather_rows(x, np.arange(0, x.shape[0], length))
+    ctx = dc.segment_attention(dc.matmul(first, wq), dc.matmul(x, wk), dc.matmul(x, wv), length, lengths)
+    return dc.add(first, dc.matmul(ctx, wo))
 
 
 def _composed_soft_target_nll(logits, targets, n):
@@ -627,10 +660,10 @@ def _composed_add_block_means(blocks, em, counts):
     starts = np.arange(b) * (slots + 1)
     members = (starts[:, None] + np.arange(1, slots + 1)).ravel()
     weighted = dc.mul(dc.gather_rows(em, np.tile(np.arange(slots), b)), dc.gather_rows(blocks, members))
-    zeros = dc.constant(np.zeros((b * slots, 1)))
-    means = dc.segment_attention(zeros, zeros, weighted, slots, counts)
-    pick = np.full(rows, b * slots)
-    pick[starts] = np.arange(b) * slots
+    means = dc.segment_attention(dc.constant(np.zeros((b, 1))), dc.constant(np.zeros((b * slots, 1))),
+                                 weighted, slots, counts)
+    pick = np.full(rows, b)
+    pick[starts] = np.arange(b)
     padded = dc.concat([means, dc.constant(np.zeros((1, dim)))])
     return dc.add(blocks, dc.gather_rows(padded, pick))
 
@@ -665,6 +698,55 @@ def test_attention_block_is_the_composed_block_bit_for_bit(lengths, trainable):
     for op_lengths in ([lengths] if lengths is None else [lengths, np.asarray(lengths)]):
         _same_bits(lambda *t: dc.attention_block(*t, 7, op_lengths),
                    lambda *t: _composed_attention_block(*t, 7, op_lengths), [x] + ws, trainable)
+
+
+@pytest.mark.parametrize("lengths", [None, [7, 1, 4, 6, 2]])
+@pytest.mark.parametrize("trainable", [(0,), (1, 2, 3, 4), (0, 1, 2, 3, 4), (4,), (1,)])
+def test_attention_readout_is_the_composed_readout_bit_for_bit(lengths, trainable):
+    rng = np.random.default_rng(26)
+    x = rng.normal(size=(5 * 7, _DIM))
+    ws = [rng.normal(scale=0.3, size=(_DIM, _DIM)) for _ in range(4)]
+    _same_bits(lambda *t: dc.attention_block(*t, 7, lengths, first_only=True),
+               lambda *t: _composed_attention_readout(*t, 7, lengths), [x] + ws, trainable)
+
+
+def _readout_per_block(x, wq, wk, wv, wo, length, lengths):
+    """Each block's first row of the residual attention block, in plain numpy, block by block."""
+    out = []
+    for i, live in enumerate(lengths):
+        rows = x[i * length:i * length + live]
+        scores = (rows @ wk) @ (rows[0] @ wq) / math.sqrt(wq.shape[1])
+        w = np.exp(scores - scores.max())
+        out.append(rows[0] + (w / w.sum() @ (rows @ wv)) @ wo)
+    return np.stack(out)
+
+
+def test_attention_readout_matches_the_block_per_view():
+    rng = np.random.default_rng(27)
+    lengths = [7, 1, 4, 6, 2]
+    x = rng.normal(size=(5 * 7, _DIM))
+    ws = [rng.normal(scale=0.3, size=(_DIM, _DIM)) for _ in range(4)]
+    out = dc.attention_block(dc.Tensor(x), *map(dc.Tensor, ws), 7, lengths, first_only=True).values
+    assert np.max(np.abs(out - _readout_per_block(x, *ws, 7, lengths))) < 1e-12
+    # the first rows of the whole block, up to the rounding of the narrower products
+    whole = dc.attention_block(dc.Tensor(x), *map(dc.Tensor, ws), 7, lengths).values
+    assert np.max(np.abs(out - whole[::7])) < 1e-12
+    # a block alone, one-row products and all, has the bits it has in the stack
+    for i, live in enumerate(lengths):
+        alone = dc.attention_block(dc.Tensor(x[7 * i:7 * i + 7]), *map(dc.Tensor, ws), 7, [live], first_only=True)
+        assert alone.values.tobytes() == out[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("n, lengths", [(2, [3, 2]), (1, [2]), (1, [1])])
+def test_attention_readout_passes_grad_check(n, lengths):
+    # masked blocks, and a one-block stack whose products are one row
+    rng = np.random.default_rng(28)
+
+    def readout(p):
+        out = dc.attention_block(p["0"], p["1"], p["2"], p["3"], p["4"], 3, lengths, first_only=True)
+        return ops.reduce_sum(dc.mul(out, dc.tanh(out)))
+
+    _grad_check_op(readout, [rng.normal(size=(3 * n, 4))] + [rng.normal(scale=0.5, size=(4, 4)) for _ in range(4)])
 
 
 @pytest.mark.parametrize("smoothing", [0.0, 0.1])

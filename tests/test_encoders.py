@@ -20,6 +20,7 @@ from gcum.encoders import (
     init_model_state,
     load_checkpoint,
     load_checkpoint_meta,
+    parameter_shapes,
     save_checkpoint,
     state_from_checkpoint,
 )
@@ -68,6 +69,8 @@ def test_parameter_shapes():
     assert p["grce.classifier"].shape == (cfg.n_group_classes, cfg.dim)
     assert p["temp.inv"].shape == ()
     assert p["temp.inv"].item() == pytest.approx(1.0 / 0.07)
+    # one table of names and shapes, in draw order, for init and the checkpoint reader
+    assert [(name, t.shape) for name, t in p.items()] == list(parameter_shapes(cfg).items())
 
 
 def test_config_rejects_slots_below_max_members():
@@ -284,4 +287,28 @@ def test_state_from_checkpoint_rejects_missing_param(tmp_path):
     path = str(tmp_path / "partial.ckpt")
     save_checkpoint(path, partial, meta={"model": cfg.to_dict()})
     with pytest.raises(CheckpointError, match="mismatch"):
+        state_from_checkpoint(path)
+
+
+def test_state_from_checkpoint_draws_no_model(tmp_path, monkeypatch):
+    cfg = small_config()
+    state = init_model_state(cfg, seed=9)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, state.params, meta={"model": cfg.to_dict()})
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("reading a checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    rebuilt, _ = state_from_checkpoint(path)
+    assert list(rebuilt.params) == list(state.params)
+
+
+def test_state_from_checkpoint_rejects_a_tensor_of_another_shape(tmp_path):
+    cfg = small_config()
+    params = dict(init_model_state(cfg, seed=9).params)
+    params["quantity.em"] = Tensor(np.zeros((cfg.max_members + 1, cfg.dim)))
+    path = str(tmp_path / "wide.ckpt")
+    save_checkpoint(path, params, meta={"model": cfg.to_dict()})
+    with pytest.raises(CheckpointError, match=r"'quantity.em' has shape \(4, 8\), expected \(3, 8\)"):
         state_from_checkpoint(path)

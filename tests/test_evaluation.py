@@ -1,10 +1,12 @@
 """Retrieval metric oracles and ablation harness checks."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gcum import diffcore as dc
 from gcum import evaluation, grce
 from gcum.cli import RunConfig
 from gcum.encoders import ModelConfig, init_model_state
@@ -109,6 +111,43 @@ def test_byte_equal_gallery_rows_tie():
         originals = rank_gallery(q, g, np.tile(idx, 10), g_labels).argmax(axis=1)
         copies = rank_gallery(q, g, np.tile(n + np.arange(len(idx)), 10), g_labels).argmax(axis=1)
         assert np.array_equal(copies, originals + 1), (n, dim)
+
+
+def test_chunked_ranking_is_the_whole_matrix_ranking(monkeypatch):
+    # 600 queries make three chunks of 256, the last ragged; the gallery's
+    # byte-equal copies are relevant to queries in every chunk
+    rng = np.random.default_rng(29)
+    n_query, dim = 600, 48
+    base = _unit_rows(rng, 120, dim)
+    g = np.concatenate([base, base[:40]])
+    g_labels = np.concatenate([np.arange(120) % 60, np.arange(40) % 60])
+    q = np.concatenate([_unit_rows(rng, n_query - 60, dim), base[rng.choice(120, 60)]])
+    q_labels = rng.integers(0, 60, n_query)
+    q_labels[[3, 300, 599]] = 7  # rows 7 and 67 and the copy of row 7, from three chunks
+    assert evaluation._QUERIES_PER_CHUNK == 256
+    chunked = rank_gallery(q, g, q_labels, g_labels)
+    for size in (n_query, 7, 1):
+        monkeypatch.setattr(evaluation, "_QUERIES_PER_CHUNK", size)
+        assert rank_gallery(q, g, q_labels, g_labels).tobytes() == chunked.tobytes(), size
+    # a query's hits are the hits it gets ranked on its own
+    for i in (3, 300, 599):
+        assert rank_gallery(q[i:i + 1], g, q_labels[i:i + 1], g_labels).tobytes() == chunked[i].tobytes()
+
+
+def test_extract_features_over_chunks_is_one_stack():
+    # 640 views: two full chunks of 256 and a ragged half chunk
+    gen = GenConfig(n_group_identities=160, d_a=5, members_min=2, members_max=4)
+    ds = generate_dataset(gen, seed=30)
+    assert len(ds.samples) == 640 and evaluation._VIEWS_PER_CHUNK == 256
+    state = init_model_state(ModelConfig(dim=8, d_a=5, max_members=4, group_slots=4), seed=2)
+    state = state.with_params({"quantity.em": dc.Tensor(np.random.default_rng(31).normal(size=(4, 8)))})
+    for refined in (False, True):
+        whole = group_features(ds.samples, state, quantity=True, refined=refined)[0].values
+        assert extract_features(state, ds.samples, refined=refined, quantity=True).tobytes() == whole.tobytes()
+    # a last chunk of one view
+    few = ds.samples[:257]
+    assert (extract_features(state, few, refined=True, quantity=True).tobytes()
+            == group_features(few, state, quantity=True, refined=True)[0].values.tobytes())
 
 
 def test_rank_gallery_rejects_bad_inputs():
@@ -286,6 +325,27 @@ def test_extract_features_matches_single_sample_forward():
     assert np.allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
     one, _, _ = group_features([ds.samples[2]], state, quantity=True, refined=True)
     assert np.array_equal(feats[2], one.values[0])
+
+
+def test_evaluate_peaks_in_bounded_memory():
+    # the retrieval-large benchmark split, seed 1: 900 queries against 900
+    # gallery views of an untrained model.  Featurizing every view in one
+    # stack and ranking every query at once peaked at 19 MB of traced
+    # allocations; in chunks it peaks near 6 MB.
+    cfg = RunConfig(seed=1, n_group_identities=1500)
+    ds = generate_dataset(cfg.gen_config(), cfg.seed)
+    train_gids, test_gids = split_train_test(ds, cfg.train_fraction)
+    keep = set(test_gids)
+    test = [s for s in ds.samples if s.group_id in keep]
+    assert len(test) == 1800
+    state = init_model_state(cfg.model_config(ds, len(train_gids)), cfg.seed)
+    tracemalloc.start()
+    try:
+        evaluate(state, test, 0, refined=True, quantity=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
 
 
 def test_evaluate_splits_by_camera():
