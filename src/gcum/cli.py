@@ -246,7 +246,7 @@ def run_grad_checks(seed: int, *, step: float, tolerance: float) -> dict:
     gids = sorted(by_group)[:2]
     samples = [by_group[g][v] for g in gids for v in range(2)]
     masks = [
-        full_mask(len(s.members)) if i % 2 else Mask(tuple([1] * (len(s.members) - 1) + [0]))
+        full_mask(len(s.identity_ids)) if i % 2 else Mask(tuple([1] * (len(s.identity_ids) - 1) + [0]))
         for i, s in enumerate(samples)
     ]
     class_index = {g: i for i, g in enumerate(gids)}
@@ -336,7 +336,7 @@ def _check_data_fits(ds: Dataset, samples, d_a: int, m0: int) -> None:
     """The dataset's appearance width and the largest of ``samples`` fit the model."""
     if ds.d_a != d_a:
         raise CliError(EXIT_CONFIG, f"config d_a={d_a} but dataset has d_a={ds.d_a}")
-    largest = max(len(s.members) for s in samples)
+    largest = max(len(s.identity_ids) for s in samples)
     if largest > m0:
         raise CliError(EXIT_CONFIG, f"dataset has {largest}-member views but config M0={m0}")
 
@@ -351,7 +351,7 @@ def cmd_gen_data(args) -> int:
     cams = sorted({s.camera_id for s in ds.samples})
     print(f"wrote {args.out}: {len(ds.group_ids())} groups, "
           f"{len(ds.samples)} views, {len(cams)} cameras, "
-          f"{len(ds.person_ids())} persons")
+          f"{len(ds.catalog)} persons")
     return EXIT_OK
 
 

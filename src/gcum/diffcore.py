@@ -327,16 +327,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product (m,k)@(k,n)."""
+    """Matrix product (m,k)@(k,n); a row's bits do not depend on m, as ``_rows`` pads one row to two."""
     av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul needs (m,k) @ (k,n), got {av.shape} @ {bv.shape}")
 
     def pull(g: np.ndarray):
         # backward drops a frozen operand's gradient, so it is not formed
-        return (g @ bv.T if a.requires_grad else None, av.T @ g if b.requires_grad else None)
+        return (_rows(g, bv.T) if a.requires_grad else None, av.T @ g if b.requires_grad else None)
 
-    return _result(av @ bv, (a, b), pull)
+    return _result(_rows(av, bv), (a, b), pull)
 
 
 def transpose(x: Tensor) -> Tensor:

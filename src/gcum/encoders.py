@@ -108,10 +108,10 @@ class ModelConfig:
             raise ValueError("init_std must be positive")
 
     def for_dataset(self, ds: Dataset, n_group_classes: int) -> "ModelConfig":
-        """Sized for ``ds``, whose width must be ``d_a``: a token row per person id up to the largest."""
+        """Sized for ``ds``, whose width must be ``d_a``: a token row per catalog identity."""
         if ds.d_a != self.d_a:
             raise ValueError(f"model d_a={self.d_a} but dataset has d_a={ds.d_a}")
-        return replace(self, n_person_ids=max(ds.person_ids()) + 1, n_group_classes=n_group_classes)
+        return replace(self, n_person_ids=len(ds.catalog), n_group_classes=n_group_classes)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -209,27 +209,14 @@ def init_model_state(config: ModelConfig, seed: int) -> ModelState:
 # Forward passes
 
 
-def project(x: Tensor, w: Tensor) -> Tensor:
-    """``x @ w`` for a stack of rows, each row's result independent of the stack.
-
-    A one-row product goes down numpy's matrix-vector path, which rounds
-    differently from the same row inside a taller product.  So a single
-    row is padded to two and the copy dropped: a view's feature is the same
-    bits whether it is computed alone or among other views.
-    """
-    if x.shape[0] > 1:
-        return dc.matmul(x, w)
-    return dc.gather_rows(dc.matmul(dc.gather_rows(x, [0, 0]), w), [0])
-
-
 def encode_members(appearances: Tensor, state: ModelState) -> Tensor:
     """Map an (n, d_a) appearance matrix to (n, dim) unit-norm features."""
     cfg = state.config
     if appearances.ndim != 2 or appearances.shape[1] != cfg.d_a:
         raise ShapeError(f"expected (n, {cfg.d_a}) appearances, got {appearances.shape}")
     p = state.params
-    h = dc.tanh(dc.add(project(appearances, p["member.w1"]), p["member.b1"]))
-    return dc.l2_normalize(dc.add(project(h, p["member.w2"]), p["member.b2"]))
+    h = dc.tanh(dc.add(dc.matmul(appearances, p["member.w1"]), p["member.b1"]))
+    return dc.l2_normalize(dc.add(dc.matmul(h, p["member.w2"]), p["member.b2"]))
 
 
 def _member_counts(counts: Sequence[int], config: ModelConfig) -> np.ndarray:
@@ -278,7 +265,7 @@ def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int])
     p = state.params
     pooled = dc.attention_block(fused, p["group.blk2.wq"], p["group.blk2.wk"], p["group.blk2.wv"],
                                 p["group.blk2.wo"], width, counts + 1, first_only=True)
-    return dc.l2_normalize(project(pooled, p["group.proj"]))
+    return dc.l2_normalize(dc.matmul(pooled, p["group.proj"]))
 
 
 def encode_text(tokens: Tensor, state: ModelState, length: int) -> Tensor:

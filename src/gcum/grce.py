@@ -12,7 +12,7 @@ block of one fixed width whose slots past its retained member count are
 masked, so a single view is the n = 1 case.  A view's feature is the
 same bits whatever else shares its call, because attention and the
 count term work block by block at that width and a row-wise product
-never sees a single row (``encoders.project``).
+never sees a single row (``diffcore.matmul`` pads one to two).
 
 ``group_features`` is the way in for eval; it keeps every member of a
 view unless a mask drops some.  Training sees each view under a handful
@@ -42,7 +42,6 @@ from .encoders import (
     encode_group_prefix,
     encode_group_suffix,
     encode_members,
-    project,
 )
 from .mvs import Mask, apply_mvs
 from .synthdata import GroupSample
@@ -94,8 +93,8 @@ def refine(group_features: Tensor, member_features: Tensor, state: ModelState,
                                                              np.repeat(np.arange(b), counts))
     table = dc.concat([member_features, dc.constant(np.zeros((1, dim)))])
     ordered = dc.gather_rows(table, at.ravel())
-    context = dc.segment_attention(project(group_features, p["grce.wq"]), project(ordered, p["grce.wk"]),
-                                   project(ordered, p["grce.wv"]), slots, counts)
+    context = dc.segment_attention(dc.matmul(group_features, p["grce.wq"]), dc.matmul(ordered, p["grce.wk"]),
+                                   dc.matmul(ordered, p["grce.wv"]), slots, counts)
     return dc.l2_normalize(dc.add(group_features, context))
 
 
@@ -107,20 +106,19 @@ def _select(samples: Sequence[GroupSample], masks: Sequence[Mask | None]
     Returns the rows as one constant, each view's retained count, and each
     view's member identities in row order.
     """
-    kept: list = []
+    bits: list[int] = []
     counts: list[int] = []
     for sample, mask in zip(samples, masks, strict=True):
-        if mask is None:
-            members = sample.members
-        elif len(mask) != len(sample.members):
-            raise ValueError(f"mask covers {len(mask)} members, sample has {len(sample.members)}")
-        else:
-            members = [m for m, bit in zip(sample.members, mask.bits) if bit]
-        kept += members
-        counts.append(len(members))
-    rows = np.stack([m.appearance for m in kept])
+        n = len(sample.identity_ids)
+        if mask is not None and len(mask) != n:
+            raise ValueError(f"mask covers {len(mask)} members, sample has {n}")
+        kept = (1,) * n if mask is None else mask.bits
+        bits += kept
+        counts.append(sum(kept))
+    keep = np.array(bits, dtype=bool)
+    rows = np.concatenate([s.appearances for s in samples])[keep]
     order = canonical_order(rows, np.repeat(np.arange(len(counts)), counts))
-    ids = [kept[i].identity_id for i in order]
+    ids = np.array([pid for s in samples for pid in s.identity_ids])[keep][order].tolist()
     ends = np.cumsum(counts)
     return dc.constant(rows[order]), counts, [tuple(ids[e - k:e]) for e, k in zip(ends, counts)]
 

@@ -21,10 +21,12 @@ contract is the order of the draws from the generation stream:
    scaled by ``appearance_noise_std``; the observed appearance is
    ``(catalog + bias) + noise``.
 
-Every catalog entry is a read-only row of one catalog matrix, and every
-member appearance a read-only row of one appearance matrix.  The reader
-checks what generation guarantees: each member identity is in the catalog,
-a view lists it at most once, and it belongs to one group only; and the
+Generated or loaded, the catalog is one read-only matrix whose row i is
+identity i, and a view's ``appearances`` are a read-only row slice of one
+appearance matrix.  The reader fills the two matrices and checks what
+generation guarantees: catalog entry i is identity i, an appearance holds
+JSON numbers that fit a float, each member identity is in the catalog, a
+view lists it at most once, and it belongs to one group only; and the
 document's own ``config`` section describes its samples: the number of
 groups, no roster larger than the member range allows, camera ids below
 the camera count, and the views each group has under each camera.
@@ -107,27 +109,20 @@ class GenConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Member:
-    """One observed person in one view: identity plus observed appearance."""
-
-    identity_id: int
-    appearance: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class GroupSample:
-    """One view of a group from one camera."""
+    """One view of a group from one camera: member i is ``identity_ids[i]``, observed as ``appearances[i]``."""
 
     group_id: int
     camera_id: int
-    members: tuple[Member, ...]
+    identity_ids: tuple[int, ...]
+    appearances: np.ndarray
 
 
 @dataclass(eq=False)
 class Dataset:
     seed: int
     config: GenConfig
-    catalog: dict[int, np.ndarray]
+    catalog: np.ndarray  # (n, d_a), row i is identity i
     samples: list[GroupSample]
 
     @property
@@ -141,18 +136,23 @@ class Dataset:
         """Member identity sets per group, recovered as the union over views."""
         rosters: dict[int, set[int]] = {}
         for s in self.samples:
-            bucket = rosters.setdefault(s.group_id, set())
-            bucket.update(m.identity_id for m in s.members)
+            rosters.setdefault(s.group_id, set()).update(s.identity_ids)
         return {g: tuple(sorted(pids)) for g, pids in rosters.items()}
 
-    def person_ids(self) -> list[int]:
-        return sorted(self.catalog)
 
+def _assemble(seed: int, config: GenConfig, catalog: np.ndarray, appearance: np.ndarray,
+              identity: Sequence[int], views: Sequence[tuple[int, int, int]]) -> Dataset:
+    """The dataset of ``views``, each (group id, camera id, member count) and owning the next member rows.
 
-def _freeze(vec: np.ndarray) -> np.ndarray:
-    arr = np.asarray(vec, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
+    A member row is an entry of ``identity`` and a row of ``appearance``; both matrices become read-only.
+    """
+    catalog.setflags(write=False)
+    appearance.setflags(write=False)
+    samples, row = [], 0
+    for gid, cam, count in views:
+        samples.append(GroupSample(gid, cam, tuple(identity[row:row + count]), appearance[row:row + count]))
+        row += count
+    return Dataset(seed=seed, config=config, catalog=catalog, samples=samples)
 
 
 def generate_dataset(config: GenConfig, seed: int) -> Dataset:
@@ -183,22 +183,24 @@ def generate_dataset(config: GenConfig, seed: int) -> Dataset:
 
     appearance = np.empty((starts[-1] * n_cams * per_cam, config.d_a))
     identity = np.empty(len(appearance), dtype=np.intp)
-    ends = [0]  # view v owns member rows ends[v] .. ends[v + 1] - 1
-    for first, last in zip(starts, starts[1:]):
-        for _ in range(n_cams * per_cam):
+    views = []  # (group id, camera id, member count), each view's rows following the last one's
+    row = 0
+    for gid, (first, last) in enumerate(zip(starts, starts[1:])):
+        for v in range(n_cams * per_cam):
             kept = (rng.random(last - first) >= config.membership_dropout_prob).nonzero()[0]
             if not len(kept):
                 kept = np.zeros(1, dtype=np.intp)
             if config.layout_permutation and len(kept) > 1:
                 kept = kept[rng.permutation(len(kept))]
-            row = ends[-1]
-            ends.append(row + len(kept))
-            identity[row:ends[-1]] = kept + first
-            rng.standard_normal(out=appearance[row:ends[-1]])
-    appearance.resize((ends[-1], config.d_a), refcheck=False)
-    identity = identity[:ends[-1]]
+            identity[row:row + len(kept)] = kept + first
+            rng.standard_normal(out=appearance[row:row + len(kept)])
+            views.append((gid, v // per_cam, len(kept)))
+            row += len(kept)
+    appearance.resize((row, config.d_a), refcheck=False)
+    identity = identity[:row]
     appearance *= config.appearance_noise_std
-    camera = np.repeat(np.arange(len(ends) - 1) // per_cam % n_cams, np.diff(ends))
+    _, cams, counts = np.array(views).T
+    camera = np.repeat(cams, counts)
     # noise + (catalog + bias) has the bits of (catalog + bias) + noise
     for row in range(0, len(appearance), _CHUNK_ROWS):
         rows = slice(row, row + _CHUNK_ROWS)
@@ -206,13 +208,7 @@ def generate_dataset(config: GenConfig, seed: int) -> Dataset:
         clean += biases[camera[rows]]
         appearance[rows] += clean
 
-    catalog.setflags(write=False)
-    appearance.setflags(write=False)
-    persons = list(range(len(catalog)))  # members share the catalog keys, not one new int each
-    members = list(map(Member, map(persons.__getitem__, identity.tolist()), appearance))
-    samples = [GroupSample(v // (n_cams * per_cam), v // per_cam % n_cams, tuple(members[a:b]))
-               for v, (a, b) in enumerate(zip(ends, ends[1:]))]
-    return Dataset(seed=seed, config=config, catalog=dict(zip(persons, catalog)), samples=samples)
+    return _assemble(seed, config, catalog, appearance, identity.tolist(), views)
 
 
 # --------------------------------------------------------------------------
@@ -226,17 +222,14 @@ def dataset_to_doc(ds: Dataset) -> dict:
         "seed": ds.seed,
         "d_a": ds.d_a,
         "config": ds.config.to_dict(),
-        "catalog": [
-            {"identity_id": pid, "appearance": ds.catalog[pid].tolist()}
-            for pid in sorted(ds.catalog)
-        ],
+        "catalog": [{"identity_id": pid, "appearance": vec} for pid, vec in enumerate(ds.catalog.tolist())],
         "samples": [
             {
                 "group_id": s.group_id,
                 "camera_id": s.camera_id,
                 "members": [
-                    {"identity_id": m.identity_id, "appearance": m.appearance.tolist()}
-                    for m in s.members
+                    {"identity_id": pid, "appearance": vec}
+                    for pid, vec in zip(s.identity_ids, s.appearances.tolist())
                 ],
             }
             for s in ds.samples
@@ -254,13 +247,20 @@ def _entries(doc: dict, key: str, where: str) -> list:
     return value
 
 
-def _appearance(entry: dict, d_a: int, where: str) -> np.ndarray:
-    vec = _require(entry, "appearance", where, lambda v: np.asarray(v, dtype=np.float64))
-    if vec.shape != (d_a,):
-        raise DatasetFormatError(f"{where} appearance has shape {vec.shape}")
-    if not np.isfinite(vec).all():
+def _appearance(entry: dict, out: np.ndarray, where: str) -> None:
+    """Fill the row ``out`` with ``entry``'s appearance, each element typed as ``jsondoc`` types a float."""
+    vec = _require(entry, "appearance", where)
+    if not isinstance(vec, list) or not set(map(type, vec)) <= {int, float}:  # no string or bool is converted
+        raise DatasetFormatError(f"{where} appearance is malformed: it must be a list of JSON numbers")
+    if len(vec) != len(out):
+        raise DatasetFormatError(f"{where} appearance has shape ({len(vec)},)")
+    try:
+        out[:] = vec
+        finite = np.isfinite(out).all()
+    except OverflowError:  # an integer that does not fit a float
+        finite = False
+    if not finite:
         raise DatasetFormatError(f"{where} appearance is not finite")
-    return _freeze(vec)
 
 
 def dataset_from_doc(doc: dict) -> Dataset:
@@ -270,14 +270,19 @@ def dataset_from_doc(doc: dict) -> Dataset:
     if d_a != config.d_a:
         raise DatasetFormatError("top-level d_a disagrees with config d_a")
 
-    catalog: dict[int, np.ndarray] = {}
-    for i, entry in enumerate(_entries(doc, "catalog", "dataset")):
+    entries = _entries(doc, "catalog", "dataset")
+    catalog = np.empty((len(entries), d_a))
+    for i, entry in enumerate(entries):
         pid = _require(entry, "identity_id", f"catalog entry {i}", json_int)
-        if pid in catalog:
+        if 0 <= pid < i:
             raise DatasetFormatError(f"catalog entry {i} repeats identity {pid}")
-        catalog[pid] = _appearance(entry, d_a, f"catalog entry for identity {pid}")
+        if pid != i:  # the model keeps a token row per identity up to the largest
+            raise DatasetFormatError(f"catalog entry {i} is identity {pid}, not identity {i}")
+        _appearance(entry, catalog[i], f"catalog entry for identity {pid}")
 
-    samples: list[GroupSample] = []
+    views: list[tuple[int, int, int]] = []
+    identity: list[int] = []
+    listed: list[tuple[int, dict]] = []  # (sample index, member entry) per member row
     owner: dict[int, int] = {}  # identity -> the group whose views list it first
     for i, entry in enumerate(_entries(doc, "samples", "dataset")):
         gid = _require(entry, "group_id", f"sample {i}", json_int)
@@ -285,31 +290,37 @@ def dataset_from_doc(doc: dict) -> Dataset:
         if not 0 <= cam < config.n_cameras:
             raise DatasetFormatError(f"sample {i} camera_id {cam} is outside the config.n_cameras "
                                      f"{config.n_cameras} cameras")
-        members = []
-        for m in _entries(entry, "members", f"sample {i}"):
+        members = _entries(entry, "members", f"sample {i}")
+        first = len(identity)
+        for m in members:
             pid = _require(m, "identity_id", f"sample {i} member", json_int)
-            if pid not in catalog:
+            if not 0 <= pid < len(catalog):
                 raise DatasetFormatError(f"sample {i} member identity {pid} is not in the catalog")
-            if any(pid == other.identity_id for other in members):
+            if pid in identity[first:]:
                 raise DatasetFormatError(f"sample {i} lists member identity {pid} twice")
             if owner.setdefault(pid, gid) != gid:
                 raise DatasetFormatError(f"sample {i} member identity {pid} belongs to group {owner[pid]}, "
                                          f"not to group {gid}")
-            members.append(Member(pid, _appearance(m, d_a, f"sample {i} member {pid}")))
-        samples.append(GroupSample(gid, cam, tuple(members)))
-    _check_against_config(samples, owner, config)
-    return Dataset(seed=_require(doc, "seed", "dataset", json_int), config=config, catalog=catalog, samples=samples)
+            identity.append(pid)
+            listed.append((i, m))
+        views.append((gid, cam, len(members)))
+    _check_against_config(views, owner, config)
+
+    appearance = np.empty((len(identity), d_a))
+    for row, ((i, m), pid) in enumerate(zip(listed, identity)):
+        _appearance(m, appearance[row], f"sample {i} member {pid}")
+    return _assemble(_require(doc, "seed", "dataset", json_int), config, catalog, appearance, identity, views)
 
 
-def _check_against_config(samples: list[GroupSample], owner: dict[int, int], config: GenConfig) -> None:
-    """The samples have the shape ``config`` generates, or ``DatasetFormatError`` names the key they break.
+def _check_against_config(views: list[tuple[int, int, int]], owner: dict[int, int], config: GenConfig) -> None:
+    """The ``views`` have the shape ``config`` generates, or ``DatasetFormatError`` names the key they break.
 
-    A roster is not checked against ``members_per_group[0]``: dropout can
-    hide a member in every view of its group, so a valid roster may be
-    smaller.
+    Each view is (group id, camera id, member count).  A roster is not
+    checked against ``members_per_group[0]``: dropout can hide a member in
+    every view of its group, so a valid roster may be smaller.
     """
-    views = Counter((s.group_id, s.camera_id) for s in samples)
-    groups = sorted({s.group_id for s in samples})
+    per_view = Counter((gid, cam) for gid, cam, _ in views)
+    groups = sorted({gid for gid, _, _ in views})
     if len(groups) != config.n_group_identities:
         raise DatasetFormatError(f"dataset has {len(groups)} groups, config.n_group_identities is "
                                  f"{config.n_group_identities}")
@@ -318,7 +329,7 @@ def _check_against_config(samples: list[GroupSample], owner: dict[int, int], con
             raise DatasetFormatError(f"group {gid} has {size} members, more than config.members_per_group "
                                      f"allows ({config.members_max})")
     for gid in groups:
-        per_camera = [views[gid, cam] for cam in range(config.n_cameras)]
+        per_camera = [per_view[gid, cam] for cam in range(config.n_cameras)]
         if any(n != config.views_per_group_per_camera for n in per_camera):
             raise DatasetFormatError(f"group {gid} has {per_camera} views per camera, config."
                                      f"views_per_group_per_camera is {config.views_per_group_per_camera}")

@@ -168,11 +168,11 @@ def _collect_grads(state: ModelState, allowed: Sequence[str]) -> dict[str, np.nd
 
 def _sample_masks(batch, mvs: MvsConfig | None, rng: np.random.Generator):
     if mvs is None:
-        return [full_mask(len(s.members)) for s in batch]
+        return [full_mask(len(s.identity_ids)) for s in batch]
     masks = []
     for s in batch:
         p = sample_drop_prob(mvs, rng)
-        masks.append(sample_mask(len(s.members), p, rng))
+        masks.append(sample_mask(len(s.identity_ids), p, rng))
     return masks
 
 

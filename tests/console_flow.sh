@@ -86,6 +86,22 @@ cat damaged-data.err
 test "$code" -eq 3
 grep -q "dataset damaged/data.json is not UTF-8 at byte 100" damaged-data.err
 
+# catalog entry i is identity i: a sparse id is an artifact error, not a token table of 10^7 rows
+echo "== A train on a dataset whose catalog lists identity 10^7 exits 3 and names the entry"
+python -c '
+import json, sys
+d = json.load(open(sys.argv[1]))
+old = d["catalog"][1]["identity_id"]
+for m in (m for s in d["samples"] for m in s["members"] if m["identity_id"] == old):
+    m["identity_id"] = 10**7
+d["catalog"][1]["identity_id"] = 10**7
+print(json.dumps(d))' data.json > damaged/sparse.json
+code=0
+gcum train --stage 1 --config small.json --data damaged/sparse.json --out damaged/sparse.ckpt 2> sparse.err || code=$?
+cat sparse.err
+test "$code" -eq 3
+grep -q "catalog entry" sparse.err
+
 echo "== Ablation under two PYTHONHASHSEEDs: the same JSON and table"
 for h in 1 2; do
   mkdir "ablate$h"

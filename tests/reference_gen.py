@@ -2,8 +2,9 @@
 
 It makes the draws of the module docstring of ``gcum.synthdata`` in that
 order and builds every appearance as its own array, ``catalog + bias +
-noise`` from left to right.  ``generate_dataset`` fills one matrix instead
-and must give the same bytes for every ``(config, seed)``.
+noise`` from left to right, then stacks each view's rows.
+``generate_dataset`` fills one matrix instead and must give the same
+bytes for every ``(config, seed)``.
 """
 
 import numpy as np
@@ -11,16 +12,11 @@ import numpy as np
 from gcum import synthdata as sd
 
 
-def _freeze(vec: np.ndarray) -> np.ndarray:
-    vec.setflags(write=False)
-    return vec
-
-
 def generate_dataset(config: sd.GenConfig, seed: int) -> sd.Dataset:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(sd._GENERATE_STREAM,)))
 
     rosters: list[list[int]] = []
-    catalog: dict[int, np.ndarray] = {}
+    catalog: list[np.ndarray] = []  # entry i is identity i
     next_person = 0
     for _ in range(config.n_group_identities):
         size = int(rng.integers(config.members_min, config.members_max + 1))
@@ -29,7 +25,7 @@ def generate_dataset(config: sd.GenConfig, seed: int) -> sd.Dataset:
         rosters.append(pids)
         for pid in pids:
             raw = rng.normal(size=config.d_a)
-            catalog[pid] = _freeze(raw / np.linalg.norm(raw))
+            catalog.append(raw / np.linalg.norm(raw))
 
     biases = rng.normal(size=(config.n_cameras, config.d_a)) * config.camera_bias_std
 
@@ -44,9 +40,9 @@ def generate_dataset(config: sd.GenConfig, seed: int) -> sd.Dataset:
                 if config.layout_permutation and len(pids) > 1:
                     order = rng.permutation(len(pids))
                     pids = [pids[i] for i in order]
-                members = []
+                appearances = []
                 for pid in pids:
                     noise = rng.normal(size=config.d_a) * config.appearance_noise_std
-                    members.append(sd.Member(pid, _freeze(catalog[pid] + biases[cam] + noise)))
-                samples.append(sd.GroupSample(gid, cam, tuple(members)))
-    return sd.Dataset(seed=seed, config=config, catalog=catalog, samples=samples)
+                    appearances.append(catalog[pid] + biases[cam] + noise)
+                samples.append(sd.GroupSample(gid, cam, tuple(pids), np.stack(appearances)))
+    return sd.Dataset(seed=seed, config=config, catalog=np.stack(catalog), samples=samples)

@@ -34,7 +34,7 @@ from gcum.evaluation import (
     run_rows,
 )
 from gcum.mvs import Mask, MvsConfig, full_mask, sample_drop_prob, sample_mask
-from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
+from gcum.synthdata import GenConfig, GroupSample, generate_dataset
 from gcum.trainer import TrainConfig, train_stage1, train_stage2
 
 
@@ -61,7 +61,7 @@ def _tiny_setup(seed=2, noise=0.1, dropout=0.3):
             max_members=3,
             group_slots=4,
             tokens_per_identity=2,
-            n_person_ids=max(ds.person_ids()) + 1,
+            n_person_ids=len(ds.catalog),
             n_group_classes=len(ds.group_ids()),
         ),
         seed=0,
@@ -175,7 +175,7 @@ def test_criterion_03_mvs_statistics():
 def test_criterion_04_masking_invariance():
     ds, state = _tiny_setup()
     rosters = ds.group_rosters()
-    sample = next(s for s in ds.samples if len(s.members) == 3)
+    sample = next(s for s in ds.samples if len(s.identity_ids) == 3)
     peer = next(s for s in ds.samples
                 if s.group_id == sample.group_id and s is not sample)
     other_gid = next(g for g in ds.group_ids() if g != sample.group_id)
@@ -184,9 +184,9 @@ def test_criterion_04_masking_invariance():
 
     def garble(i):
         """The view with member i's appearance garbled."""
-        members = tuple(Member(m.identity_id, m.appearance + 41.5) if j == i else m
-                        for j, m in enumerate(sample.members))
-        return GroupSample(sample.group_id, sample.camera_id, members)
+        appearances = sample.appearances.copy()
+        appearances[i] += 41.5
+        return GroupSample(sample.group_id, sample.camera_id, sample.identity_ids, appearances)
 
     def backward(loss_fn, trainable):
         """The loss value and every trainable gradient of one recorded loss."""
@@ -202,7 +202,7 @@ def test_criterion_04_masking_invariance():
         v, feats, _ = grce.group_features([s], state, [mask], quantity=True, refined=False)
         refined = grce.refine(v, feats, state, [mask.retained])
         batch = [s, peer] + others
-        masks = [mask] + [full_mask(len(b.members)) for b in batch[1:]]
+        masks = [mask] + [full_mask(len(b.identity_ids)) for b in batch[1:]]
         # the losses take their views from a memo, as in training
         memo = grce.VisualMemo(batch, quantity=True)
         indices = range(len(batch))
@@ -414,7 +414,7 @@ def test_criterion_10_zero_perturbation_sanity():
     ds = generate_dataset(gen, seed=4)
     state = init_model_state(
         ModelConfig(dim=8, d_a=6, max_members=3, group_slots=3, tokens_per_identity=2,
-                    n_person_ids=max(ds.person_ids()) + 1,
+                    n_person_ids=len(ds.catalog),
                     n_group_classes=len(ds.group_ids())),
         seed=0,
     )

@@ -515,6 +515,15 @@ def test_train_rejects_a_dataset_with_a_non_finite_appearance(tmp_path, small_co
     assert not out.exists()
 
 
+def _renumber(doc, pid):
+    """Catalog entry 1 and every member of that identity become identity ``pid``."""
+    for sample in doc["samples"]:
+        for member in sample["members"]:
+            if member["identity_id"] == doc["catalog"][1]["identity_id"]:
+                member["identity_id"] = pid
+    doc["catalog"][1]["identity_id"] = pid
+
+
 _DATASET_DAMAGE = {
     "catalog-not-a-list": (lambda d: d.update(catalog=5), "dataset catalog must be a non-empty list"),
     "member-range-not-a-pair": (lambda d: d["config"].update(members_per_group=5), "dataset config"),
@@ -545,6 +554,16 @@ _DATASET_DAMAGE = {
     "d_a-a-bool": (lambda d: d.update(d_a=True), "dataset d_a is malformed"),
     "catalog-repeats-an-identity": (lambda d: d["catalog"][1].update(identity_id=d["catalog"][0]["identity_id"]),
                                     "catalog entry 1 repeats identity"),
+    # catalog entry i is identity i: the model keeps a token row per identity up to the largest
+    "catalog-id-sparse": (lambda d: _renumber(d, 10**7), "catalog entry 1 is identity 10000000, not identity 1"),
+    "catalog-id-negative": (lambda d: _renumber(d, -5), "catalog entry 1 is identity -5, not identity 1"),
+    # an appearance holds JSON numbers: no string or bool is converted, and each fits a float
+    "appearance-holds-a-string": (lambda d: d["samples"][2]["members"][0]["appearance"].__setitem__(1, "0.5"),
+                                  "sample 2 member 1 appearance is malformed"),
+    "appearance-holds-a-bool": (lambda d: d["catalog"][1]["appearance"].__setitem__(0, True),
+                                "catalog entry for identity 1 appearance is malformed"),
+    "appearance-int-too-large": (lambda d: d["samples"][2]["members"][0]["appearance"].__setitem__(1, 10**400),
+                                 "sample 2 member 1 appearance is not finite"),
     # the config section is read as a run config is: each key has its JSON type, none is unknown
     "n_cameras-a-float": (lambda d: d["config"].update(n_cameras=2.7), "config.n_cameras must be int"),
     "layout_permutation-a-string": (lambda d: d["config"].update(layout_permutation="no"),
@@ -648,7 +667,7 @@ def test_eval_reads_rosters_wider_than_k(tmp_path, small_config, capsys):
     s1 = str(tmp_path / "s1.ckpt")
     main(["train", "--stage", "1", "--config", small_config, "--data", data, "--out", s1])
     doc = json.loads(open(data).read())
-    fresh = iter(range(1000, 10000))
+    fresh = iter(range(len(doc["catalog"]), 10000))
     for sample in doc["samples"]:
         for member in sample["members"]:
             member["identity_id"] = next(fresh)

@@ -26,7 +26,6 @@ from gcum.grce import group_features
 from gcum.synthdata import (
     GenConfig,
     GroupSample,
-    Member,
     generate_dataset,
     split_query_gallery,
     split_train_test,
@@ -310,7 +309,7 @@ def _eval_setup(noise=0.0, seed=3, dropout=0.3):
             max_members=3,
             group_slots=3,
             tokens_per_identity=2,
-            n_person_ids=max(ds.person_ids()) + 1,
+            n_person_ids=len(ds.catalog),
             n_group_classes=len(ds.group_ids()),
         ),
         seed=1,
@@ -399,7 +398,8 @@ def test_evaluate_matches_enumeration_exactly():
     queries, gallery = split_query_gallery(ds.samples, 0)
     q_ids = sorted({s.group_id for s in queries})
     copies = [
-        GroupSample(q_ids[(q_ids.index(s.group_id) + 1) % len(q_ids)], s.camera_id, s.members)
+        GroupSample(q_ids[(q_ids.index(s.group_id) + 1) % len(q_ids)], s.camera_id, s.identity_ids,
+                    s.appearances)
         for s in gallery[:4]
     ]
     samples = copies[:2] + ds.samples + copies[2:]
@@ -418,13 +418,13 @@ def test_evaluate_matches_enumeration_exactly():
 def test_features_and_reports_keep_their_bytes_under_the_full_lexsort(monkeypatch):
     ds, state = _eval_setup(noise=0.1)
     # no two members of a view share appearance column 0, so the first column orders them
-    assert all(len({m.appearance[0] for m in s.members}) == len(s.members) for s in ds.samples)
-    s = next(s for s in ds.samples if len(s.members) == 2)
-    a, b = s.members
+    assert all(len(set(s.appearances[:, 0])) == len(s.identity_ids) for s in ds.samples)
+    s = next(s for s in ds.samples if len(s.identity_ids) == 2)
+    a, b = s.appearances
     # its second member shares column 0 with the first, its third is the first's double
-    tied = GroupSample(s.group_id, s.camera_id, (
-        a, Member(b.identity_id, np.concatenate([a.appearance[:1], b.appearance[1:]])),
-        Member(b.identity_id + 1, a.appearance.copy())))
+    a_id, b_id = s.identity_ids
+    tied = GroupSample(s.group_id, s.camera_id, (a_id, b_id, b_id + 1),
+                       np.stack([a, np.concatenate([a[:1], b[1:]]), a.copy()]))
 
     def outputs():
         out = []

@@ -18,7 +18,7 @@ from gcum.gla import (
 )
 from gcum.grce import group_features
 from gcum.mvs import Mask, full_mask
-from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
+from gcum.synthdata import GenConfig, GroupSample, generate_dataset
 
 import tape_ops as ops
 
@@ -311,7 +311,6 @@ def _tiny_setup(seed=3):
         n_group_identities=5, d_a=6, members_min=2, members_max=3, n_cameras=2
     )
     ds = generate_dataset(gen, seed=seed)
-    pids = ds.person_ids()
     state = init_model_state(
         ModelConfig(
             dim=8,
@@ -319,7 +318,7 @@ def _tiny_setup(seed=3):
             max_members=3,
             group_slots=4,  # one spare slot so every group prompt uses padding
             tokens_per_identity=2,
-            n_person_ids=max(pids) + 1,
+            n_person_ids=len(ds.catalog),
             n_group_classes=5,
         ),
         seed=0,
@@ -334,7 +333,7 @@ def _views(batch, masks, state, quantity=True):
 def test_stage1_loss_runs_and_routes_gradients():
     ds, state = _tiny_setup()
     batch = ds.samples[:4]
-    masks = [full_mask(len(s.members)) for s in batch]
+    masks = [full_mask(len(s.identity_ids)) for s in batch]
     rosters = ds.group_rosters()
     with dc.Graph() as g:
         loss, parts = stage1_batch_loss(batch, *_views(batch, masks, state), state, rosters)
@@ -352,7 +351,7 @@ def test_stage1_loss_runs_and_routes_gradients():
 def test_stage1_loss_without_count_term_skips_em():
     ds, state = _tiny_setup()
     batch = ds.samples[:4]
-    masks = [full_mask(len(s.members)) for s in batch]
+    masks = [full_mask(len(s.identity_ids)) for s in batch]
     with dc.Graph() as g:
         views = _views(batch, masks, state, quantity=False)
         loss, _ = stage1_batch_loss(batch, *views, state, ds.group_rosters())
@@ -364,21 +363,20 @@ def test_stage1_loss_ignores_dropped_members():
     ds, state = _tiny_setup()
     batch = list(ds.samples[:4])
     target = batch[0]
-    assert len(target.members) >= 2
-    masks = [Mask((0,) + (1,) * (len(target.members) - 1))]
-    masks += [full_mask(len(s.members)) for s in batch[1:]]
+    assert len(target.identity_ids) >= 2
+    masks = [Mask((0,) + (1,) * (len(target.identity_ids) - 1))]
+    masks += [full_mask(len(s.identity_ids)) for s in batch[1:]]
     rosters = ds.group_rosters()
 
     baseline, _ = stage1_batch_loss(batch, *_views(batch, masks, state), state, rosters)
 
-    garbled = Member(
-        identity_id=target.members[0].identity_id,
-        appearance=target.members[0].appearance + 41.5,
-    )
+    garbled = target.appearances.copy()
+    garbled[0] += 41.5
     batch[0] = GroupSample(
         group_id=target.group_id,
         camera_id=target.camera_id,
-        members=(garbled,) + target.members[1:],
+        identity_ids=target.identity_ids,
+        appearances=garbled,
     )
     perturbed, _ = stage1_batch_loss(batch, *_views(batch, masks, state), state, rosters)
     assert baseline.item() == perturbed.item()
@@ -387,6 +385,6 @@ def test_stage1_loss_ignores_dropped_members():
 def test_stage1_needs_matching_masks():
     ds, state = _tiny_setup()
     batch = ds.samples[:3]
-    views = _views(batch[:1], [full_mask(len(batch[0].members))], state)
+    views = _views(batch[:1], [full_mask(len(batch[0].identity_ids))], state)
     with pytest.raises(ValueError):
         stage1_batch_loss(batch, *views, state, ds.group_rosters())

@@ -17,7 +17,7 @@ from gcum.grce import (
 )
 from gcum.losses import stage2_batch_loss
 from gcum.mvs import Mask, full_mask
-from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
+from gcum.synthdata import GenConfig, GroupSample, generate_dataset
 
 import tape_ops as ops
 
@@ -113,7 +113,7 @@ def test_refine_shape_errors():
 
 def _sample_from(ds):
     for s in ds.samples:
-        if len(s.members) >= 3:
+        if len(s.identity_ids) >= 3:
             return s
     raise AssertionError("expected a group with at least 3 members")
 
@@ -127,7 +127,7 @@ def test_group_visual_is_permutation_invariant():
     ds = _dataset()
     state = small_state()
     sample = _sample_from(ds)
-    n = len(sample.members)
+    n = len(sample.identity_ids)
     mask = Mask((0,) + (1,) * (n - 1))
     v, feats, (ids,) = group_features([sample], state, [mask], quantity=True, refined=False)
 
@@ -135,7 +135,8 @@ def test_group_visual_is_permutation_invariant():
     shuffled = GroupSample(
         group_id=sample.group_id,
         camera_id=sample.camera_id,
-        members=tuple(sample.members[i] for i in perm),
+        identity_ids=tuple(sample.identity_ids[i] for i in perm),
+        appearances=sample.appearances[perm],
     )
     pmask = Mask(tuple(mask.bits[i] for i in perm))
     v2, feats2, (ids2,) = group_features([shuffled], state, [pmask], quantity=True, refined=False)
@@ -172,8 +173,8 @@ def test_visual_memo_matches_group_visual(quantity):
     for em_trains, indices in zip(trains, calls):
         state.set_trainable(["quantity.em"] if em_trains else ["grce.wq"])
         for drop in (False, True):
-            masks = [Mask((1, 0) + (1,) * (len(ds.samples[i].members) - 2)) if drop and j % 2 == 0
-                     else full_mask(len(ds.samples[i].members)) for j, i in enumerate(indices)]
+            masks = [Mask((1, 0) + (1,) * (len(ds.samples[i].identity_ids) - 2)) if drop and j % 2 == 0
+                     else full_mask(len(ds.samples[i].identity_ids)) for j, i in enumerate(indices)]
             for refined in (False, True):
                 got = features_and_grad(lambda: memo(indices, masks, state, refined=refined))
                 want = features_and_grad(lambda: group_features(
@@ -192,7 +193,7 @@ def test_visual_memo_needs_frozen_encoders():
     state.set_trainable(["quantity.em", "group.blk2.wq"])
     with pytest.raises(ValueError):
         memo = VisualMemo(ds.samples, quantity=True)
-        memo([0], [full_mask(len(ds.samples[0].members))], state, refined=False)
+        memo([0], [full_mask(len(ds.samples[0].identity_ids))], state, refined=False)
 
 
 def test_visual_memo_audits_the_encoders_on_an_all_hits_call():
@@ -200,7 +201,7 @@ def test_visual_memo_audits_the_encoders_on_an_all_hits_call():
     state = small_state()
     state.set_trainable(["quantity.em"])
     memo = VisualMemo(ds.samples, quantity=True)
-    masks = [full_mask(len(ds.samples[i].members)) for i in (0, 1)]
+    masks = [full_mask(len(ds.samples[i].identity_ids)) for i in (0, 1)]
     memo([0, 1], masks, state, refined=False)
     # the same keys again: every entry is a hit, but block 2 now trains
     state.set_trainable(["quantity.em", "group.blk2.wq"])
@@ -215,7 +216,7 @@ def test_visual_memo_drops_pooled_features_when_a_frozen_input_is_swapped(name):
     state.set_trainable(STAGE2_TRAINABLE)
     memo = VisualMemo(ds.samples, quantity=True)
     indices = [0, 2, 3]
-    masks = [Mask((1, 0) + (1,) * (len(ds.samples[i].members) - 2)) for i in indices]
+    masks = [Mask((1, 0) + (1,) * (len(ds.samples[i].identity_ids) - 2)) for i in indices]
     views = [ds.samples[i] for i in indices]
     first = memo(indices, masks, state, refined=False)[0].values
     swapped = np.random.default_rng(8).normal(scale=0.5, size=state.params[name].shape)
@@ -232,37 +233,37 @@ def test_group_visual_row_ids_follow_canonical_order():
     ds = _dataset()
     state = small_state()
     sample = _sample_from(ds)
-    app = np.stack([m.appearance for m in sample.members])
-    order = canonical_order(app, np.zeros(len(app)))
+    order = canonical_order(sample.appearances, np.zeros(len(sample.appearances)))
     _, _, (ids,) = group_features([sample], state, quantity=True, refined=False)
-    assert list(ids) == [sample.members[i].identity_id for i in order]
+    assert list(ids) == [sample.identity_ids[i] for i in order]
 
 
 def test_dropped_member_cannot_influence_anything():
     state = small_state()
     rng = np.random.default_rng(3)
-    members = tuple(Member(i, a) for i, a in enumerate(rng.normal(size=(3, 5))))
+    appearances = rng.normal(size=(3, 5))
     mask = Mask((1, 0, 1))
 
     def garbled(i):
-        return tuple(Member(m.identity_id, m.appearance + 17.0) if j == i else m
-                     for j, m in enumerate(members))
+        out = appearances.copy()
+        out[i] += 17.0
+        return out
 
     # every parameter trains, the frozen encoders too
     state.set_trainable(state.params)
     probe = dc.constant(np.linspace(-1.0, 1.0, 8))
 
-    def run(members):
+    def run(appearances):
         for p in state.params.values():
             p.grad = None
         with dc.Graph() as g:
-            v, feats, row_ids = group_features([GroupSample(0, 0, members)], state, [mask],
+            v, feats, row_ids = group_features([GroupSample(0, 0, (0, 1, 2), appearances)], state, [mask],
                                               quantity=True, refined=True)
             loss = ops.reduce_sum(dc.mul(v, probe))
         g.backward(loss)
         return v.values, feats.values, row_ids, {n: p.grad for n, p in state.params.items()}
 
-    base = run(members)
+    base = run(appearances)
     assert all(g is not None and np.any(g) for n, g in base[3].items() if n.startswith(("member.", "group.")))
     poked = run(garbled(1))
     assert poked[2] == base[2]
@@ -300,7 +301,7 @@ def test_single_retained_member_works():
     ds = _dataset()
     state = small_state()
     sample = _sample_from(ds)
-    mask = Mask((1,) + (0,) * (len(sample.members) - 1))
+    mask = Mask((1,) + (0,) * (len(sample.identity_ids) - 1))
     v, feats, (ids,) = group_features([sample], state, [mask], quantity=True, refined=False)
     assert feats.shape[0] == 1
     assert len(ids) == 1
@@ -312,7 +313,7 @@ def test_mask_length_must_match_member_count():
     state = small_state()
     sample = _sample_from(ds)
     with pytest.raises(ValueError):
-        group_features([sample], state, [full_mask(len(sample.members) + 1)], quantity=True, refined=False)
+        group_features([sample], state, [full_mask(len(sample.identity_ids) + 1)], quantity=True, refined=False)
 
 
 def _mixed_views(n_groups=60, seed=21):
@@ -322,7 +323,7 @@ def _mixed_views(n_groups=60, seed=21):
     rng = np.random.default_rng(seed)
     masks = []
     for s in ds.samples:
-        bits = (rng.random(len(s.members)) < 0.6).astype(int)
+        bits = (rng.random(len(s.identity_ids)) < 0.6).astype(int)
         bits[rng.integers(len(bits))] = 1
         masks.append(Mask(tuple(int(b) for b in bits)))
     state = small_state(seed=3)
@@ -373,7 +374,7 @@ def test_view_features_do_not_depend_on_the_stack_width(refined):
     rng = np.random.default_rng(0)
     masks = []
     for s in ds.samples:
-        bits = (rng.random(len(s.members)) < 0.5).astype(int)
+        bits = (rng.random(len(s.identity_ids)) < 0.5).astype(int)
         bits[rng.integers(len(bits))] = 1
         masks.append(Mask(tuple(int(b) for b in bits)))
     state = small_state(seed=3, dim=48, max_members=6, group_slots=6)
@@ -391,7 +392,7 @@ def test_view_features_do_not_depend_on_the_stack_width(refined):
 def _per_view_reference(sample, mask, state, *, quantity, refined):
     """One view through the pipeline in plain numpy, composed as the per-view code did."""
     p = {name: t.values for name, t in state.params.items()}
-    app = np.stack([m.appearance for m in sample.members])[np.flatnonzero(mask.bits)]
+    app = sample.appearances[np.flatnonzero(mask.bits)]
     app = app[np.lexsort(app.T[::-1])]
     hidden = np.tanh(app @ p["member.w1"] + p["member.b1"])
     feats = hidden @ p["member.w2"] + p["member.b2"]
@@ -435,7 +436,7 @@ def _grad_check_setup():
                     membership_dropout_prob=0.0, appearance_noise_std=0.2, d_a=4)
     ds = generate_dataset(gen, seed=6)
     cfg = ModelConfig(dim=4, d_a=4, max_members=3, group_slots=3, tokens_per_identity=2,
-                      n_person_ids=max(ds.person_ids()) + 1, n_group_classes=2)
+                      n_person_ids=len(ds.catalog), n_group_classes=2)
     state = init_model_state(cfg, seed=7)
     bump = np.random.default_rng(8)
     state = state.with_params({
@@ -484,7 +485,7 @@ def test_a_step_records_one_stack_whatever_the_member_counts():
     gen = GenConfig(n_group_identities=4, d_a=5, members_min=4, members_max=4,
                     membership_dropout_prob=0.0)
     ds = generate_dataset(gen, seed=9)
-    state = small_state(n_person_ids=max(ds.person_ids()) + 1)
+    state = small_state(n_person_ids=len(ds.catalog))
     state.set_trainable(STAGE1_TRAINABLE)
     samples = ds.samples[:8]
     rosters = ds.group_rosters()

@@ -230,7 +230,7 @@ def _stage2_setup(seed=5):
             max_members=3,
             group_slots=3,
             tokens_per_identity=2,
-            n_person_ids=max(ds.person_ids()) + 1,
+            n_person_ids=len(ds.catalog),
             n_group_classes=len(ds.group_ids()),
         ),
         seed=1,
@@ -258,7 +258,7 @@ def _batch_with_positives(ds, size=6):
 def test_stage2_loss_composes_all_terms():
     ds, state, class_index = _stage2_setup()
     batch = _batch_with_positives(ds)
-    masks = [full_mask(len(s.members)) for s in batch]
+    masks = [full_mask(len(s.identity_ids)) for s in batch]
     rng = np.random.default_rng(0)
     text = dc.constant(rng.normal(size=(len(class_index), 8)))
 
@@ -276,7 +276,7 @@ def test_stage2_gradient_support_is_the_refinement_head():
     ds, state, class_index = _stage2_setup()
     state.set_trainable(STAGE2_TRAINABLE)
     batch = _batch_with_positives(ds)
-    masks = [full_mask(len(s.members)) for s in batch]
+    masks = [full_mask(len(s.identity_ids)) for s in batch]
     text = dc.constant(np.random.default_rng(1).normal(size=(len(class_index), 8)))
 
     with dc.Graph() as g:

@@ -105,17 +105,29 @@ def gen_configs(draw):
                              views_per_group_per_camera=3, membership_dropout_prob=0.95, d_a=1), seed=0)
 def test_generation_matches_the_member_at_a_time_oracle(config, seed):
     ds = sd.generate_dataset(config, seed)
-    got = json.dumps(sd.dataset_to_doc(ds))
+    doc = sd.dataset_to_doc(ds)
+    got = json.dumps(doc)
     want = json.dumps(sd.dataset_to_doc(reference_gen.generate_dataset(config, seed)))
     if got != want:  # a short report: a diff of two whole documents takes minutes per example
         at = next(i for i, (a, b) in enumerate(zip(got + "$", want + "^")) if a != b)
         around = slice(max(at - 60, 0), at + 20)
         pytest.fail(f"documents differ at character {at}: {got[around]!r} != {want[around]!r}")
-    # appearances are read-only: no caller can change a dataset it shares
-    for vec in [*ds.catalog.values(), *(m.appearance for s in ds.samples for m in s.members)]:
-        assert not vec.flags.writeable
-        with pytest.raises(ValueError):
-            vec[0] = 0.0
+    # the document loads back array for array, and generated or loaded, every view's
+    # appearances are read-only rows of one matrix: no caller can change a dataset it shares
+    back = sd.dataset_from_doc(doc)
+    assert back.catalog.shape == ds.catalog.shape and back.catalog.tobytes() == ds.catalog.tobytes()
+    assert len(back.samples) == len(ds.samples)
+    for a, b in zip(back.samples, ds.samples):
+        assert a.identity_ids == b.identity_ids
+        assert a.appearances.shape == b.appearances.shape and a.appearances.tobytes() == b.appearances.tobytes()
+    for dataset in (ds, back):
+        matrix = dataset.samples[0].appearances.base
+        assert matrix is not None
+        for vec in [dataset.catalog, matrix, *(s.appearances for s in dataset.samples)]:
+            assert not vec.flags.writeable
+            with pytest.raises(ValueError):
+                vec[0] = 0.0
+        assert all(s.appearances.base is matrix for s in dataset.samples)
 
 
 def test_zero_knob_views_are_identical():
@@ -126,9 +138,8 @@ def test_zero_knob_views_are_identical():
     for views in by_group.values():
         ref = views[0]
         for other in views[1:]:
-            assert [m.identity_id for m in other.members] == [m.identity_id for m in ref.members]
-            for a, b in zip(other.members, ref.members):
-                assert a.appearance.tobytes() == b.appearance.tobytes()
+            assert other.identity_ids == ref.identity_ids
+            assert other.appearances.tobytes() == ref.appearances.tobytes()
 
 
 def test_permutation_knob_only_reorders():
@@ -139,11 +150,10 @@ def test_permutation_knob_only_reorders():
     reordered = 0
     for views in by_group.values():
         ref = views[0]
-        ref_set = {(m.identity_id, m.appearance.tobytes()) for m in ref.members}
+        ref_set = {(pid, row.tobytes()) for pid, row in zip(ref.identity_ids, ref.appearances)}
         for other in views[1:]:
-            other_ids = [m.identity_id for m in other.members]
-            assert {(m.identity_id, m.appearance.tobytes()) for m in other.members} == ref_set
-            if other_ids != [m.identity_id for m in ref.members]:
+            assert {(pid, row.tobytes()) for pid, row in zip(other.identity_ids, other.appearances)} == ref_set
+            if other.identity_ids != ref.identity_ids:
                 reordered += 1
     assert reordered > 0
 
@@ -154,8 +164,8 @@ def test_dropout_respects_at_least_one_member():
     rosters = ds.group_rosters()
     saw_drop = False
     for s in ds.samples:
-        assert len(s.members) >= 1
-        if len(s.members) < len(rosters[s.group_id]):
+        assert len(s.identity_ids) >= 1
+        if len(s.identity_ids) < len(rosters[s.group_id]):
             saw_drop = True
     assert saw_drop
 
@@ -170,7 +180,7 @@ def test_roster_sizes_and_camera_coverage():
         assert 2 <= len(roster) <= 4
         assert len(cams[gid]) >= 2
     # catalog appearances are unit norm
-    for vec in ds.catalog.values():
+    for vec in ds.catalog:
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -183,15 +193,13 @@ def test_round_trip_is_lossless(tmp_path):
     back = sd.load_dataset(str(path))
     assert back.seed == ds.seed
     assert back.config == ds.config
-    assert sorted(back.catalog) == sorted(ds.catalog)
-    for pid in ds.catalog:
-        assert back.catalog[pid].tobytes() == ds.catalog[pid].tobytes()
+    assert back.catalog.shape == ds.catalog.shape
+    assert back.catalog.tobytes() == ds.catalog.tobytes()
     assert len(back.samples) == len(ds.samples)
     for a, b in zip(back.samples, ds.samples):
         assert (a.group_id, a.camera_id) == (b.group_id, b.camera_id)
-        for ma, mb in zip(a.members, b.members):
-            assert ma.identity_id == mb.identity_id
-            assert ma.appearance.tobytes() == mb.appearance.tobytes()
+        assert a.identity_ids == b.identity_ids
+        assert a.appearances.tobytes() == b.appearances.tobytes()
 
 
 def test_load_rejects_bad_version_and_format(tmp_path):

@@ -21,7 +21,7 @@ from gcum.encoders import (
 )
 from gcum import grce, trainer
 from gcum.mvs import MvsConfig, sample_drop_prob, sample_mask
-from gcum.synthdata import GenConfig, GroupSample, Member, generate_dataset
+from gcum.synthdata import GenConfig, GroupSample, generate_dataset
 from gcum.trainer import (
     TEMP_INV_RANGE,
     FreezeViolation,
@@ -215,7 +215,7 @@ def _training_setup(seed=2, noise=0.1):
             max_members=3,
             group_slots=3,
             tokens_per_identity=2,
-            n_person_ids=max(ds.person_ids()) + 1,
+            n_person_ids=len(ds.catalog),
             n_group_classes=len(ds.group_ids()),
         ),
         seed=0,
@@ -272,8 +272,9 @@ def _scope_run(which: str) -> str:
     samples = list(ds.samples)
     if which == "b":
         first = samples[0]
-        garbled = Member(first.members[0].identity_id, first.members[0].appearance + 41.5)
-        samples[0] = GroupSample(first.group_id, first.camera_id, (garbled,) + first.members[1:])
+        garbled = first.appearances.copy()
+        garbled[0] += 41.5
+        samples[0] = GroupSample(first.group_id, first.camera_id, first.identity_ids, garbled)
     out, history = train_stage1(state, samples, ds.group_rosters(), _short_cfg(1, epochs=2),
                                 mvs=MvsConfig())
     digest = hashlib.sha256(json.dumps(history).encode())
@@ -391,7 +392,7 @@ def _reference_steps(samples, cfg, mvs):
                 continue
             bits = []
             for i in idx:
-                n = len(samples[i].members)
+                n = len(samples[i].identity_ids)
                 bits.append((1,) * n if mvs is None else sample_mask(n, sample_drop_prob(mvs, rng), rng).bits)
             steps.append(([int(i) for i in idx], bits))
     return steps
