@@ -286,8 +286,8 @@ def run_grad_checks(seed: int, *, step: float, tolerance: float) -> dict:
     reports = {}
     for name in _CHECKED_LOSSES:
         trainable, fn = checks[name]
-        state.set_trainable(trainable)
-        reports[name] = dc.grad_check(lambda ps: fn(ModelState(state.config, ps)), state.params,
+        params = state.with_trainable(trainable).params
+        reports[name] = dc.grad_check(lambda ps: fn(ModelState(state.config, ps)), params,
                                       step=step, tolerance=tolerance)
     return reports
 
@@ -364,7 +364,7 @@ def cmd_train(args) -> int:
     if widest > cfg.k_slots:
         raise CliError(EXIT_CONFIG, f"dataset has {widest}-member rosters but config K={cfg.k_slots}")
     train_gids, _ = split_train_test(ds, cfg.train_fraction)
-    train_samples = [s for s in ds.samples if s.group_id in set(train_gids)]
+    train_samples = ds.views_of(train_gids)
     mvs_cfg = cfg.mvs if cfg.mvs_enabled else None
     model_cfg = cfg.model_config(ds, n_group_classes=len(train_gids))
 
@@ -424,7 +424,7 @@ def cmd_eval(args) -> int:
     state, modules, run, meta = _load_checkpoint_state(args.checkpoint)
     ds = _load_data(args.data)
     _, test_gids = split_train_test(ds, run.train_fraction)
-    test_samples = [s for s in ds.samples if s.group_id in set(test_gids)]
+    test_samples = ds.views_of(test_gids)
     # eval reads no text, so only the views it featurizes must fit the checkpoint
     _check_data_fits(ds, test_samples, state.config.d_a, state.config.max_members)
     try:

@@ -3,7 +3,8 @@
 Tensors are immutable value holders (rank 0, 1, or 2).  While a ``Graph``
 is recording, every operation appends a node holding the output, its
 parents, and a pull-back closure; ``Graph.backward`` then walks the tape
-once in reverse, accumulating gradients into the leaf parameters it saw.
+once in reverse and returns the gradient of every leaf it reached, keyed by
+the leaf tensor.  Nothing writes a tensor after it is built.
 
 Design constraints the rest of the package relies on:
 
@@ -87,14 +88,13 @@ class GraphError(RuntimeError):
 
 
 class Tensor:
-    """Immutable float64 array with an optional gradient slot.
+    """Immutable float64 array, flagged when gradients should reach it.
 
-    ``grad`` is ``None`` until ``Graph.backward`` runs; afterwards leaf
-    tensors that participated in the recorded computation hold an array of
-    the same shape as ``values``.
+    Tensors compare and hash by identity, so a gradient mapping can be
+    keyed by them (see ``Graph.backward``).
     """
 
-    __slots__ = ("values", "requires_grad", "grad")
+    __slots__ = ("values", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False, *, _copy: bool = True, _check: bool = True):
         # _check=False is for an op's output on a recording graph, whose
@@ -110,7 +110,6 @@ class Tensor:
         arr.setflags(write=False)
         self.values = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -132,9 +131,10 @@ class Tensor:
 
 
 def _finite(arr: np.ndarray) -> bool:
-    # Sum-based probe: any NaN or inf in the array makes the sum
-    # non-finite, and desk-scale magnitudes cannot overflow a float64 sum.
-    return not arr.size or math.isfinite(float(arr.sum()))
+    # Sum-based probe: any NaN or inf in the array makes the sum non-finite.
+    # Finite entries can overflow it too (data and checkpoints come from
+    # outside), so a non-finite sum is confirmed entry by entry.
+    return not arr.size or math.isfinite(float(arr.sum())) or bool(np.isfinite(arr).all())
 
 
 def _op_name(pull) -> str:
@@ -177,14 +177,12 @@ class Graph:
 
         with Graph() as g:
             loss = loss_fn(params)
-        g.backward(loss)
+        grads = g.backward(loss)  # {leaf tensor: gradient}
     """
 
     def __init__(self) -> None:
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], _PullFn]] = []
-        self._produced: set[int] = set()
-        self._leaves: list[Tensor] = []
-        self._leaf_ids: set[int] = set()
+        self._produced: set[Tensor] = set()
         self._consumed = False
         self._recorded = False
 
@@ -208,19 +206,18 @@ class Graph:
 
     def _record(self, out: Tensor, parents: tuple[Tensor, ...], pull: _PullFn) -> None:
         self._nodes.append((out, parents, pull))
-        self._produced.add(id(out))
-        for p in parents:
-            if p.requires_grad and id(p) not in self._produced and id(p) not in self._leaf_ids:
-                self._leaf_ids.add(id(p))
-                self._leaves.append(p)
+        self._produced.add(out)
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into every leaf's ``grad``.
+    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+        """Return d(loss)/d(leaf) for every leaf with a gradient path, keyed by the leaf.
 
-        The tape is traversed exactly once in reverse recording order, which
-        is a reverse topological order by construction.  A non-finite loss
-        raises at the first recorded op whose output is non-finite, and a
-        non-finite gradient at the op whose backward made it.
+        A leaf is a tensor with ``requires_grad`` that the graph read but
+        did not make; one the loss does not reach is absent.  The tape is
+        traversed exactly once in reverse recording order, which is a
+        reverse topological order by construction, so once it is done only
+        the leaves' gradients remain.  A non-finite loss raises at the first
+        recorded op whose output is non-finite, and a non-finite gradient at
+        the op whose backward made it.
         """
         if _ACTIVE is self:
             raise GraphError("backward inside the recording context is not allowed")
@@ -228,30 +225,28 @@ class Graph:
             raise GraphError("backward was already run on this graph")
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if not loss.requires_grad or id(loss) not in self._produced:
+        if not loss.requires_grad or loss not in self._produced:
             raise GraphError("loss has no gradient path recorded on this graph")
         self._consumed = True
         if not _finite(loss.values):
             self._raise_first_non_finite()
         acc = self._pull_all(loss)
-        for leaf in self._leaves:
-            g = acc.get(id(leaf))
-            if g is not None and not math.isfinite(float(g.sum())):
-                self._pull_all(loss, checked=True)  # raises at the op that made it
-            leaf.grad = g
+        if not all(_finite(g) for g in acc.values()):
+            self._pull_all(loss, checked=True)  # raises at the op that made it
+        return acc
 
-    def _pull_all(self, loss: Tensor, checked: bool = False) -> dict[int, np.ndarray]:
-        acc: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+    def _pull_all(self, loss: Tensor, checked: bool = False) -> dict[Tensor, np.ndarray]:
+        acc: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
         for out, parents, pull in reversed(self._nodes):
-            g = acc.pop(id(out), None)
+            g = acc.pop(out, None)
             if g is None:
                 continue
             for parent, pg in zip(parents, pull(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                prev = acc.get(id(parent))
-                acc[id(parent)] = pg if prev is None else prev + pg
-                if checked and not np.isfinite(acc[id(parent)]).all():
+                prev = acc.get(parent)
+                acc[parent] = pg if prev is None else prev + pg
+                if checked and not np.isfinite(acc[parent]).all():
                     raise NonFiniteError(f"{_op_name(pull)}: gradient contains NaN or infinite values")
         return acc
 
@@ -752,24 +747,18 @@ def grad_check(loss_fn, params: Mapping[str, Tensor], step: float = 1e-5,
 
     Entries over tolerance are reported, not raised.
     """
-    # a parameter the loss never touches keeps whatever .grad an earlier
-    # backward left on it, so start the measurement from a clean slate
-    for p in params.values():
-        if p.requires_grad:
-            p.grad = None
-
     with Graph() as graph:
         loss = loss_fn(params)
     if loss.shape != ():
         raise ShapeError("grad_check needs a scalar-valued loss_fn")
-    graph.backward(loss)
+    grads = graph.backward(loss)
 
     report = GradCheckReport(step=step, tolerance=tolerance)
     for name in sorted(params):
         p = params[name]
         if not p.requires_grad:
             continue
-        recorded = p.grad if p.grad is not None else np.zeros_like(p.values)
+        recorded = grads.get(p, np.zeros_like(p.values))
         worst = 0.0
         base = p.values
         for index in np.ndindex(base.shape):

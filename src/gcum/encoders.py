@@ -19,9 +19,9 @@ trained:
 
 Trainable state lives alongside: per-identity prompt tokens, padding
 tokens, the member-count matrix, the refinement head, the classifier, and
-the learnable inverse softmax temperature.  Which of those actually
-receive gradients is decided per training stage by flipping
-``requires_grad``.
+the learnable inverse softmax temperature.  Each training stage picks the
+ones that receive gradients with ``with_trainable``, which returns a new
+state with those flags and leaves the state it was called on as it was.
 
 Checkpoints are a little-endian binary table of named float64 tensors with
 a JSON sidecar carrying the config echo.
@@ -142,13 +142,14 @@ class ModelState:
             new[name] = t
         return ModelState(self.config, new)
 
-    def set_trainable(self, names: Iterable[str]) -> None:
+    def with_trainable(self, names: Iterable[str]) -> "ModelState":
+        """A new state over the same arrays in which only ``names`` take gradients."""
         wanted = set(names)
         unknown = wanted - set(self.params)
         if unknown:
             raise KeyError(f"unknown parameters {sorted(unknown)}")
-        for name, p in self.params.items():
-            p.requires_grad = name in wanted
+        return ModelState(self.config, {name: Tensor(p.values, name in wanted, _copy=False)
+                                        for name, p in self.params.items()})
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

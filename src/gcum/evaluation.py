@@ -214,12 +214,12 @@ def run_rows(
     refinement head nothing reads what stage 1 trains, so it is skipped.
     Rows with prompt learning and the same ``use_mvs`` run the same stage
     1, so it is trained once and shared.  The order of the rows does not
-    matter: training never writes a parameter in place, and each stage
-    sets its own trainable set when it starts.
+    matter: each stage trains on a new state with its own trainable set
+    and leaves the state it was given as it was.
     """
     train_gids, test_gids = split_train_test(ds, train_fraction)
-    train_samples = [s for s in ds.samples if s.group_id in set(train_gids)]
-    test_samples = [s for s in ds.samples if s.group_id in set(test_gids)]
+    train_samples = ds.views_of(train_gids)
+    test_samples = ds.views_of(test_gids)
     rosters = ds.group_rosters()
 
     cfg = model_base.for_dataset(ds, len(train_gids))

@@ -38,7 +38,7 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -131,6 +131,11 @@ class Dataset:
 
     def group_ids(self) -> list[int]:
         return sorted({s.group_id for s in self.samples})
+
+    def views_of(self, group_ids: Iterable[int]) -> list[GroupSample]:
+        """The views of ``group_ids``, in dataset order."""
+        wanted = set(group_ids)
+        return [s for s in self.samples if s.group_id in wanted]
 
     def group_rosters(self) -> dict[int, tuple[int, ...]]:
         """Member identity sets per group, recovered as the union over views."""

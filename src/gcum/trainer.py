@@ -158,12 +158,14 @@ def sgd_step(
     return state.with_params(updates)
 
 
-def _collect_grads(state: ModelState, allowed: Sequence[str]) -> dict[str, np.ndarray]:
-    touched = {n for n, p in state.params.items() if p.grad is not None}
-    extra = touched - set(allowed)
+def _collect_grads(state: ModelState, grads: Mapping[Tensor, np.ndarray],
+                   allowed: Sequence[str]) -> dict[str, np.ndarray]:
+    """The gradients of ``Graph.backward`` by parameter name; one outside ``allowed`` raises."""
+    touched = {n: grads[p] for n, p in state.params.items() if p in grads}
+    extra = touched.keys() - set(allowed)
     if extra:
         raise FreezeViolation(f"gradients outside the trainable set: {sorted(extra)}")
-    return {n: state.params[n].grad for n in sorted(touched)}
+    return touched
 
 
 def _sample_masks(batch, mvs: MvsConfig | None, rng: np.random.Generator):
@@ -203,8 +205,8 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
     ``FrozenPassError``.
     """
     run = cfg.scaled()
-    state.set_trainable(trainable)
-    velocity = {name: np.zeros(p.shape) for name, p in state.params.items()}
+    state = state.with_trainable(trainable)
+    velocity = {name: np.zeros(state.params[name].shape) for name in trainable}
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(stream,)))
     memo = grce.VisualMemo(samples, quantity=mvs is not None)
     history: list[dict] = []
@@ -225,14 +227,12 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
         steps = 0
         for idx, masks in plan:
             batch = [samples[i] for i in idx]
-            for p in state.params.values():
-                p.grad = None
             try:
                 with dc.Graph() as g:
                     features, members, row_ids = memo(idx, masks, state, refined=cfg.stage == 2)
                     loss, parts = loss_fn(batch, features, members, row_ids, state)
-                g.backward(loss)
-                state = sgd_step(state, _collect_grads(state, trainable), velocity, lr, run)
+                grads = _collect_grads(state, g.backward(loss), trainable)
+                state = sgd_step(state, grads, velocity, lr, run)
             except dc.NonFiniteError as e:
                 raise diverged(e, epoch, f"step {steps}") from e
             last_lr = lr

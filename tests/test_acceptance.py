@@ -189,14 +189,12 @@ def test_criterion_04_masking_invariance():
         return GroupSample(sample.group_id, sample.camera_id, sample.identity_ids, appearances)
 
     def backward(loss_fn, trainable):
-        """The loss value and every trainable gradient of one recorded loss."""
-        state.set_trainable(trainable)
-        for p in state.params.values():
-            p.grad = None
+        """The loss value and trainable gradients of ``loss_fn`` on the state with that trainable set."""
+        st = state.with_trainable(trainable)
         with dc.Graph() as graph:
-            loss = loss_fn()
-        graph.backward(loss)
-        return loss.item(), {n: state.params[n].grad for n in trainable}
+            loss = loss_fn(st)
+        grads = graph.backward(loss)
+        return loss.item(), {n: grads.get(st.params[n]) for n in trainable}
 
     def outputs(s):
         v, feats, _ = grce.group_features([s], state, [mask], quantity=True, refined=False)
@@ -206,13 +204,13 @@ def test_criterion_04_masking_invariance():
         # the losses take their views from a memo, as in training
         memo = grce.VisualMemo(batch, quantity=True)
         indices = range(len(batch))
-        l1, g1 = backward(lambda: gla.stage1_batch_loss(
-            batch, *memo(indices, masks, state, refined=False), state, rosters)[0], STAGE1_TRAINABLE)
+        l1, g1 = backward(lambda st: gla.stage1_batch_loss(
+            batch, *memo(indices, masks, st, refined=False), st, rosters)[0], STAGE1_TRAINABLE)
         gids = sorted({b.group_id for b in batch})
         class_index = {g: i for i, g in enumerate(gids)}
         text_rows = dc.constant(gla.class_text_features(state, gids, rosters).values)
-        l2, g2 = backward(lambda: losses_mod.stage2_batch_loss(
-            batch, memo(indices, masks, state, refined=True)[0], state, class_index,
+        l2, g2 = backward(lambda st: losses_mod.stage2_batch_loss(
+            batch, memo(indices, masks, st, refined=True)[0], st, class_index,
             text_rows, alpha=0.3, epsilon=0.1)[0], STAGE2_TRAINABLE)
         grads = {(1, n): g for n, g in g1.items()} | {(2, n): g for n, g in g2.items()}
         return feats.values, v.values, refined.values, l1, l2, grads

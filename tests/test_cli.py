@@ -756,6 +756,8 @@ _CHECKPOINT_DAMAGE = {
     "temp.inv-below-its-range": (_set_tensor("temp.inv", -5.0), "tensor 'temp.inv' is -5.0, outside [1.0, 100.0]"),
     # eval trains nothing, so weights that overflow there are the checkpoint's fault
     "weights-overflow-in-eval": (_set_tensor("member.w2", 1e300), "overflows in eval: l2_normalize"),
+    # finite weights that the reader takes, though their sum overflows: the product that overflows is named
+    "weights-whose-sum-overflows": (_set_tensor("member.w1", 1e308), "overflows in eval: matmul"),
 }
 
 
@@ -778,6 +780,7 @@ _CHECKPOINT_DAMAGE = {
     ("name-not-utf8", True),
     ("temp.inv-below-its-range", True),
     ("weights-overflow-in-eval", False),  # stage 2 names its frozen pass: see the next test
+    ("weights-whose-sum-overflows", False),
 ])
 def test_damaged_checkpoint_sidecar_exits_3(trained, tmp_path, capsys, damage, check_stage2):
     # eval and stage 2 read a checkpoint through one checked reader
@@ -813,6 +816,20 @@ def test_stage2_exits_3_when_the_init_checkpoint_overflows_its_frozen_pass(train
     assert err.startswith(f"error: init checkpoint {ckpt} overflows in stage 2, epoch 0, "
                           "frozen visual pass: l2_normalize: "), err
     assert "diverged" not in err and not out.exists()
+
+
+def test_appearances_whose_sum_overflows_are_finite_data(trained, tmp_path, capsys):
+    # 1e308 is finite and the reader takes it; only a sum of two overflows
+    doc = json.loads(Path(trained.data).read_text())
+    for sample in doc["samples"]:
+        for member in sample["members"]:
+            member["appearance"] = [1e308] * len(member["appearance"])
+    data = str(tmp_path / "data.json")
+    Path(data).write_text(json.dumps(doc))
+    for argv in (["eval", "--checkpoint", trained.s2, "--data", data],
+                 ["train", "--stage", "1", "--config", trained.config, "--data", data,
+                  "--out", str(tmp_path / "s1.ckpt")]):
+        assert main(argv) == EXIT_OK, capsys.readouterr().err
 
 
 def test_no_numpy_warning_escapes_a_command(trained, tmp_path):

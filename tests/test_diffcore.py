@@ -26,6 +26,19 @@ def test_tensor_rejects_non_finite():
         dc.Tensor([float("inf")])
 
 
+def test_finite_values_whose_sum_overflows_make_a_tensor():
+    # the sum probe reads inf here, so the entries decide
+    with np.errstate(over="ignore"):
+        assert np.all(dc.Tensor(np.full((2, 2), 1e308)).values == 1e308)
+        with pytest.raises(dc.NonFiniteError):
+            dc.Tensor([[1e308, 1e308], [np.inf, 0.0]])
+        # and a finite gradient whose sum overflows is delivered as it is
+        x = dc.Tensor([0.0, 0.0], requires_grad=True)
+        with dc.Graph() as g:
+            loss = ops.reduce_sum(dc.mul(x, dc.constant([1e308, 1e308])))
+        assert g.backward(loss)[x].tolist() == [1e308, 1e308]
+
+
 def test_tensor_values_are_immutable():
     t = dc.Tensor([1.0, 2.0])
     with pytest.raises(ValueError):
@@ -68,10 +81,10 @@ def test_matmul_gradient_of_sum_is_counterpart_transpose():
     a, b = dc.Tensor(av, requires_grad=True), dc.Tensor(bv, requires_grad=True)
     with dc.Graph() as g:
         loss = ops.reduce_sum(dc.matmul(a, b))
-    g.backward(loss)
+    grads = g.backward(loss)
     ones = np.ones((3, 2))
-    np.testing.assert_allclose(a.grad, ones @ bv.T, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(b.grad, av.T @ ones, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[a], ones @ bv.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[b], av.T @ ones, rtol=0, atol=1e-12)
 
 
 def _softmax(rows):
@@ -131,9 +144,9 @@ def test_log_softmax_stays_finite_at_a_large_spread():
     with dc.Graph() as g:
         loss = dc.soft_target_nll(x, w, 1)
     assert loss.item() == 1.6e4
-    g.backward(loss)
+    grads = g.backward(loss)
     # d/dx -sum(w * log_softmax(x)) = softmax(x) * rowsum(w) - w, softmax one-hot here
-    np.testing.assert_array_equal(x.grad, [[0.8, -0.5, -0.3], [-1.0, 1.0, 0.0]])
+    np.testing.assert_array_equal(grads[x], [[0.8, -0.5, -0.3], [-1.0, 1.0, 0.0]])
 
 
 def test_soft_target_nll_rejects_bad_operands():
@@ -228,9 +241,9 @@ def test_segment_attention_dead_rows():
     with dc.Graph() as g:
         out = dc.segment_attention(q, k, v, 4, lengths)
         loss = ops.reduce_sum(dc.mul(out, dc.constant(w)))
-    g.backward(loss)
+    grads = g.backward(loss)
     for t in (k, v):
-        assert not np.any(t.grad[~live])
+        assert not np.any(grads[t][~live])
     # a block's output is untouched by what its dead rows hold
     poked = [dc.Tensor(np.where(live[:, None], t.values, 1e3)) for t in (k, v)]
     again = dc.segment_attention(q, *poked, 4, lengths)
@@ -303,8 +316,8 @@ def test_gather_rows_gives_left_out_rows_zero_gradient():
         kept = dc.gather_rows(x, [0, 2])
         loss = ops.reduce_sum(kept)
     np.testing.assert_array_equal(kept.values, [[1.0, 2.0], [5.0, 6.0]])
-    g.backward(loss)
-    np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    grads = g.backward(loss)
+    np.testing.assert_array_equal(grads[x], [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
 
 
 def test_gather_rows_accumulates_repeated_indices():
@@ -312,9 +325,9 @@ def test_gather_rows_accumulates_repeated_indices():
     with dc.Graph() as g:
         out = dc.gather_rows(x, [1, 0, 1])
         loss = ops.reduce_sum(out)
-    g.backward(loss)
+    grads = g.backward(loss)
     np.testing.assert_array_equal(out.values, [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0]])
+    np.testing.assert_array_equal(grads[x], [[1.0, 1.0], [2.0, 2.0]])
 
 
 _SUMMANDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e16, -1e16]),
@@ -332,12 +345,12 @@ def test_gather_rows_backward_is_the_add_at_scatter_bit_for_bit(case):
     x = dc.Tensor(np.ones((n, d)), requires_grad=True)
     with dc.Graph() as g:
         loss = ops.reduce_sum(dc.mul(dc.gather_rows(x, idx), dc.constant(upstream)))
-    g.backward(loss)
+    grads = g.backward(loss)
     # the oracle: np.add.at adds each row's terms in index order onto +0.0
     want = np.zeros((n, d))
     np.add.at(want, np.asarray(idx), upstream)
-    assert x.grad.shape == want.shape
-    assert np.array_equal(x.grad.view(np.int64), want.view(np.int64)), (x.grad, want)
+    assert grads[x].shape == want.shape
+    assert np.array_equal(grads[x].view(np.int64), want.view(np.int64)), (grads[x], want)
 
 
 def test_concat_and_stack_round_trip_gradients():
@@ -349,10 +362,10 @@ def test_concat_and_stack_round_trip_gradients():
         tall = dc.concat([m, c, m])
         loss = ops.reduce_sum(dc.mul(tall, dc.constant(np.arange(10.0).reshape(5, 2))))
     np.testing.assert_array_equal(tall.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [1.0, 2.0], [3.0, 4.0]])
-    g.backward(loss)
-    np.testing.assert_array_equal(a.grad, [6.0, 8.0])
-    np.testing.assert_array_equal(b.grad, [10.0, 12.0])
-    np.testing.assert_array_equal(c.grad, [[4.0, 5.0]])
+    grads = g.backward(loss)
+    np.testing.assert_array_equal(grads[a], [6.0, 8.0])
+    np.testing.assert_array_equal(grads[b], [10.0, 12.0])
+    np.testing.assert_array_equal(grads[c], [[4.0, 5.0]])
 
 
 def test_concat_needs_matrices_of_one_width():
@@ -368,8 +381,8 @@ def test_clamp_min_value_and_gradient_gate():
         y = dc.clamp_min(x, 0.0)
         loss = ops.reduce_sum(y)
     np.testing.assert_array_equal(y.values, [0.0, 0.5, 2.0])
-    g.backward(loss)
-    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0])
+    grads = g.backward(loss)
+    np.testing.assert_array_equal(grads[x], [0.0, 1.0, 1.0])
 
 
 def test_reduce_mean_value_and_gradient():
@@ -377,8 +390,8 @@ def test_reduce_mean_value_and_gradient():
     assert dc.reduce_mean(x).item() == 2.5
     with dc.Graph() as g:
         loss = dc.reduce_mean(x)
-    g.backward(loss)
-    np.testing.assert_array_equal(x.grad, [[0.25, 0.25], [0.25, 0.25]])
+    grads = g.backward(loss)
+    np.testing.assert_array_equal(grads[x], [[0.25, 0.25], [0.25, 0.25]])
 
 
 def test_graph_backward_twice_is_an_error():
@@ -426,8 +439,29 @@ def test_gradient_accumulates_across_shared_use():
     x = dc.Tensor(3.0, requires_grad=True)
     with dc.Graph() as g:
         loss = ops.reduce_sum(dc.mul(x, x))  # d/dx x^2 = 2x via two parent slots
-    g.backward(loss)
-    assert x.grad == pytest.approx(6.0, abs=1e-12)
+    grads = g.backward(loss)
+    assert grads[x] == pytest.approx(6.0, abs=1e-12)
+
+
+def test_backward_returns_the_gradients_of_exactly_the_leaves_it_reached():
+    x = dc.Tensor([1.0, 2.0], requires_grad=True)
+    y = dc.Tensor([3.0, 4.0], requires_grad=True)
+    with dc.Graph() as g:
+        xy = dc.mul(x, y)
+        loss = ops.reduce_sum(dc.mul(xy, dc.constant([1.0, -1.0])))
+    first = g.backward(loss)
+    # frozen operands and recorded outputs get no entry
+    assert first.keys() == {x, y}
+    np.testing.assert_array_equal(first[x], [3.0, -4.0])
+    np.testing.assert_array_equal(first[y], [1.0, -2.0])
+    # a leaf the next loss does not reach is absent from its mapping, and
+    # no gradient stays behind on a tensor
+    with dc.Graph() as g:
+        loss = ops.reduce_sum(dc.mul(y, y))
+    second = g.backward(loss)
+    assert second.keys() == {y}
+    np.testing.assert_array_equal(second[y], [6.0, 8.0])
+    assert not hasattr(x, "grad") and not hasattr(y, "grad")
 
 
 def test_ops_are_bit_deterministic():
@@ -572,8 +606,8 @@ def test_non_finite_value_off_the_loss_path_does_not_raise():
     with dc.Graph() as g:
         ops.exp(ops.scale(x, 1e3))  # recorded, but neither the loss nor a gradient reads it
         loss = ops.reduce_sum(dc.mul(x, x))
-    g.backward(loss)
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    grads = g.backward(loss)
+    np.testing.assert_array_equal(grads[x], [2.0, 4.0])
     # outside a graph the same op raises as it makes the value
     with pytest.raises(dc.NonFiniteError, match="^exp: "):
         ops.exp(ops.scale(x, 1e3))
@@ -677,8 +711,8 @@ def _same_bits(fused, composed, arrays, trainable, seed=0):
             out = op(*leaves)
             upstream = np.random.default_rng(seed).normal(size=out.shape)
             loss = out if out.shape == () else ops.reduce_sum(dc.mul(out, dc.constant(upstream)))
-        g.backward(loss)
-        runs.append([out.values] + [t.grad for t in leaves])
+        grads = g.backward(loss)
+        runs.append([out.values] + [grads.get(t) for t in leaves])
     for got, want in zip(*runs):
         if want is None:
             assert got is None

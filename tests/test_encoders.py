@@ -209,13 +209,26 @@ def test_text_positions_beyond_length_are_inert():
     assert np.array_equal(before.values, after.values)
 
 
-def test_set_trainable_narrows_gradient_flags():
+def test_with_trainable_narrows_gradient_flags():
     state = init_model_state(small_config(), seed=0)
     for names in (STAGE1_TRAINABLE, STAGE2_TRAINABLE):
-        state.set_trainable(names)
+        state = state.with_trainable(names)
         assert {n for n, p in state.params.items() if p.requires_grad} == set(names)
     with pytest.raises(KeyError):
-        state.set_trainable(["no.such.param"])
+        state.with_trainable(["no.such.param"])
+
+
+def test_with_trainable_leaves_its_source_as_it_was():
+    # stage 1 and stage 2 start from one shared state in the ablation, so a
+    # stage's trainable set must not reach the state it started from
+    source = init_model_state(small_config(), seed=0)
+    before = {n: (p, p.requires_grad) for n, p in source.params.items()}
+    stage2 = source.with_trainable(STAGE2_TRAINABLE)
+    assert {n: (p, p.requires_grad) for n, p in source.params.items()} == before
+    assert all(p.requires_grad for p in source.params.values())
+    for name, p in stage2.params.items():
+        assert p is not source.params[name] and p.values is source.params[name].values
+        assert p.requires_grad == (name in STAGE2_TRAINABLE)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

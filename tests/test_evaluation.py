@@ -503,8 +503,7 @@ def test_prompt_learning_alone_matches_base():
     trained, _ = train_stage1(state, train, ds.group_rosters(),
                               replace(cfg.train_config(1), seed=0), mvs=None)
     assert not np.array_equal(trained.params["prompt.x"].values, state.params["prompt.x"].values)
-    for st in (state, trained):
-        st.set_trainable([])
+    state, trained = (st.with_trainable([]) for st in (state, trained))
     assert np.array_equal(extract_features(trained, test, refined=False, quantity=False),
                           extract_features(state, test, refined=False, quantity=False))
     gla_only = run_rows(ds, cfg.model_base(), cfg.train_config(1), 0, [(True, False, False)], **_RECIPE)[0]

@@ -113,15 +113,15 @@ def test_prompt_gradient_lands_on_the_right_rows():
     with dc.Graph() as g:
         seq = build_group_prompts([[2]], state)  # slots 3: one identity, two pads
         loss = ops.reduce_sum(seq)
-    g.backward(loss)
-    gx = state.params["prompt.x"].grad
+    grads = g.backward(loss)
+    gx = grads[state.params["prompt.x"]]
     expected = np.zeros_like(gx)
     expected[2 * m : 3 * m] = 1.0
     assert np.array_equal(gx, expected)
     assert np.array_equal(
-        state.params["prompt.pad"].grad, np.full((m, state.config.dim), 2.0)
+        grads[state.params["prompt.pad"]], np.full((m, state.config.dim), 2.0)
     )
-    assert state.params["prompt.member_prefix"].grad is None
+    assert state.params["prompt.member_prefix"] not in grads
 
 
 def test_full_rosters_leave_the_padding_without_gradient():
@@ -130,9 +130,9 @@ def test_full_rosters_leave_the_padding_without_gradient():
     state = small_state()
     with dc.Graph() as g:
         loss = ops.reduce_sum(build_group_prompts([[0, 1, 2], [3, 1, 0]], state))
-    g.backward(loss)
-    assert state.params["prompt.pad"].grad is None
-    assert np.any(state.params["prompt.x"].grad)
+    grads = g.backward(loss)
+    assert state.params["prompt.pad"] not in grads
+    assert np.any(grads[state.params["prompt.x"]])
 
 
 def test_text_features_are_unit_and_deterministic():
@@ -263,9 +263,9 @@ def test_contrastive_losses_stay_finite_at_a_large_inverse_temperature():
     with dc.Graph() as g:
         i2t, t2i = contrastive_losses(Tensor(np.eye(3)), (0, 1, 2), (0, 1, 2), Tensor(np.eye(3)), inv_temp)
         total = dc.add(i2t, t2i)
-    g.backward(total)
+    grads = g.backward(total)
     assert abs(i2t.item()) < 1e-12 and abs(t2i.item()) < 1e-12
-    assert math.isfinite(float(inv_temp.grad))
+    assert math.isfinite(float(grads[inv_temp]))
 
 
 def _per_anchor_oracle(visual, labels, class_labels, text, inv_temp):
@@ -337,15 +337,15 @@ def test_stage1_loss_runs_and_routes_gradients():
     rosters = ds.group_rosters()
     with dc.Graph() as g:
         loss, parts = stage1_batch_loss(batch, *_views(batch, masks, state), state, rosters)
-    g.backward(loss)
+    grads = g.backward(loss)
     assert loss.item() == pytest.approx(parts["loss_i2t"] + parts["loss_t2i"], abs=1e-12)
     assert loss.item() > 0
     p = state.params
-    assert np.any(p["prompt.x"].grad)
-    assert np.any(p["prompt.pad"].grad)
-    assert p["temp.inv"].grad is not None
-    assert p["quantity.em"].grad is not None
-    assert p["grce.wq"].grad is None
+    assert np.any(grads[p["prompt.x"]])
+    assert np.any(grads[p["prompt.pad"]])
+    assert p["temp.inv"] in grads
+    assert p["quantity.em"] in grads
+    assert p["grce.wq"] not in grads
 
 
 def test_stage1_loss_without_count_term_skips_em():
@@ -355,8 +355,8 @@ def test_stage1_loss_without_count_term_skips_em():
     with dc.Graph() as g:
         views = _views(batch, masks, state, quantity=False)
         loss, _ = stage1_batch_loss(batch, *views, state, ds.group_rosters())
-    g.backward(loss)
-    assert state.params["quantity.em"].grad is None
+    grads = g.backward(loss)
+    assert state.params["quantity.em"] not in grads
 
 
 def test_stage1_loss_ignores_dropped_members():

@@ -155,30 +155,29 @@ def test_visual_memo_matches_group_visual(quantity):
     memo = VisualMemo(ds.samples, quantity=quantity)
     probe = dc.constant(np.arange(8.0))
 
-    def features_and_grad(fn):
+    def features_and_grad(fn, st):
         with dc.Graph() as g:
             v, feats, ids = fn()
             loss = ops.reduce_sum(dc.mul(v, probe))
-        if v.requires_grad:
-            g.backward(loss)
-        grad = state.params["quantity.em"].grad
-        state.params["quantity.em"].grad = None
-        return v, feats, ids, grad
+        grads = g.backward(loss) if v.requires_grad else {}
+        return v, feats, ids, grads.get(st.params["quantity.em"])
 
     # one memo serves every trainable set, as in the gradient check;
     # repeated keys are memo hits, some under another set than their miss,
     # and some calls mix hits with misses
     calls = ([0, 1], [0, 2, 2], [2], [1, 0, 3], [3, 1])
     trains = (True, False, False, True, True)
+    states = {em_trains: state.with_trainable(["quantity.em"] if em_trains else ["grce.wq"])
+              for em_trains in (True, False)}
     for em_trains, indices in zip(trains, calls):
-        state.set_trainable(["quantity.em"] if em_trains else ["grce.wq"])
+        state = states[em_trains]
         for drop in (False, True):
             masks = [Mask((1, 0) + (1,) * (len(ds.samples[i].identity_ids) - 2)) if drop and j % 2 == 0
                      else full_mask(len(ds.samples[i].identity_ids)) for j, i in enumerate(indices)]
             for refined in (False, True):
-                got = features_and_grad(lambda: memo(indices, masks, state, refined=refined))
+                got = features_and_grad(lambda: memo(indices, masks, state, refined=refined), state)
                 want = features_and_grad(lambda: group_features(
-                    [ds.samples[i] for i in indices], state, masks, quantity=quantity, refined=refined))
+                    [ds.samples[i] for i in indices], state, masks, quantity=quantity, refined=refined), state)
                 assert got[2] == want[2]
                 assert np.array_equal(got[0].values, want[0].values)
                 assert np.array_equal(got[1].values, want[1].values)
@@ -190,7 +189,7 @@ def test_visual_memo_matches_group_visual(quantity):
 def test_visual_memo_needs_frozen_encoders():
     ds = _dataset()
     state = small_state()
-    state.set_trainable(["quantity.em", "group.blk2.wq"])
+    state = state.with_trainable(["quantity.em", "group.blk2.wq"])
     with pytest.raises(ValueError):
         memo = VisualMemo(ds.samples, quantity=True)
         memo([0], [full_mask(len(ds.samples[0].identity_ids))], state, refined=False)
@@ -199,12 +198,12 @@ def test_visual_memo_needs_frozen_encoders():
 def test_visual_memo_audits_the_encoders_on_an_all_hits_call():
     ds = _dataset()
     state = small_state()
-    state.set_trainable(["quantity.em"])
+    state = state.with_trainable(["quantity.em"])
     memo = VisualMemo(ds.samples, quantity=True)
     masks = [full_mask(len(ds.samples[i].identity_ids)) for i in (0, 1)]
     memo([0, 1], masks, state, refined=False)
     # the same keys again: every entry is a hit, but block 2 now trains
-    state.set_trainable(["quantity.em", "group.blk2.wq"])
+    state = state.with_trainable(["quantity.em", "group.blk2.wq"])
     with pytest.raises(ValueError, match="group.blk2.wq"):
         memo([0, 1], masks, state, refined=False)
 
@@ -213,7 +212,7 @@ def test_visual_memo_audits_the_encoders_on_an_all_hits_call():
 def test_visual_memo_drops_pooled_features_when_a_frozen_input_is_swapped(name):
     ds = _dataset()
     state = small_state()
-    state.set_trainable(STAGE2_TRAINABLE)
+    state = state.with_trainable(STAGE2_TRAINABLE)
     memo = VisualMemo(ds.samples, quantity=True)
     indices = [0, 2, 3]
     masks = [Mask((1, 0) + (1,) * (len(ds.samples[i].identity_ids) - 2)) for i in indices]
@@ -250,18 +249,16 @@ def test_dropped_member_cannot_influence_anything():
         return out
 
     # every parameter trains, the frozen encoders too
-    state.set_trainable(state.params)
+    state = state.with_trainable(state.params)
     probe = dc.constant(np.linspace(-1.0, 1.0, 8))
 
     def run(appearances):
-        for p in state.params.values():
-            p.grad = None
         with dc.Graph() as g:
             v, feats, row_ids = group_features([GroupSample(0, 0, (0, 1, 2), appearances)], state, [mask],
                                               quantity=True, refined=True)
             loss = ops.reduce_sum(dc.mul(v, probe))
-        g.backward(loss)
-        return v.values, feats.values, row_ids, {n: p.grad for n, p in state.params.items()}
+        grads = g.backward(loss)
+        return v.values, feats.values, row_ids, {n: grads.get(p) for n, p in state.params.items()}
 
     base = run(appearances)
     assert all(g is not None and np.any(g) for n, g in base[3].items() if n.startswith(("member.", "group.")))
@@ -453,7 +450,7 @@ def test_stage1_loss_grad_check_over_mixed_member_counts():
     ds, samples, masks, state, _ = _grad_check_setup()
     rosters = ds.group_rosters()
     memo = VisualMemo(samples, quantity=True)
-    state.set_trainable(STAGE1_TRAINABLE)
+    state = state.with_trainable(STAGE1_TRAINABLE)
 
     def loss_fn(st):
         return stage1_batch_loss(samples, *memo(range(4), masks, st, refined=False), st, rosters)[0]
@@ -469,7 +466,7 @@ def test_stage2_loss_grad_check_over_mixed_member_counts():
     class_index = {g: i for i, g in enumerate(gids)}
     text = dc.constant(class_text_features(state, gids, ds.group_rosters()).values)
     memo = VisualMemo(samples, quantity=True)
-    state.set_trainable(STAGE2_TRAINABLE)
+    state = state.with_trainable(STAGE2_TRAINABLE)
 
     def loss_fn(st):
         features = memo(range(4), masks, st, refined=True)[0]
@@ -486,7 +483,7 @@ def test_a_step_records_one_stack_whatever_the_member_counts():
                     membership_dropout_prob=0.0)
     ds = generate_dataset(gen, seed=9)
     state = small_state(n_person_ids=len(ds.catalog))
-    state.set_trainable(STAGE1_TRAINABLE)
+    state = state.with_trainable(STAGE1_TRAINABLE)
     samples = ds.samples[:8]
     rosters = ds.group_rosters()
 

@@ -121,7 +121,7 @@ def _one_param_state():
 
 
 def _velocity(state):
-    """Zero momentum for every parameter, as a training run starts."""
+    """Zero momentum for every parameter, a superset of what a training run starts with."""
     return {name: np.zeros(p.shape) for name, p in state.params.items()}
 
 
@@ -192,10 +192,10 @@ def test_sgd_names_a_non_finite_update():
 
 def test_collect_grads_flags_leaks():
     state = _one_param_state()
-    state.params["member.w1"].grad = np.ones(state.params["member.w1"].shape)
+    grads = {state.params["member.w1"]: np.ones(state.params["member.w1"].shape)}
     with pytest.raises(FreezeViolation):
-        _collect_grads(state, STAGE1_TRAINABLE)
-    assert _collect_grads(state, ["member.w1"]) .keys() == {"member.w1"}
+        _collect_grads(state, grads, STAGE1_TRAINABLE)
+    assert _collect_grads(state, grads, ["member.w1"]).keys() == {"member.w1"}
 
 
 def _training_setup(seed=2, noise=0.1):
