@@ -113,6 +113,8 @@ class RunConfig:
 
     def validate(self) -> None:
         """Cross-field checks; building the component configs runs theirs."""
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.m0 < 2:
             raise ValueError("M0 must be at least 2: groups need two members")
         if self.k_slots < self.m0:
@@ -447,6 +449,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if args.seed < 0:
+        raise CliError(EXIT_CONFIG, f"--seed must be non-negative, got {args.seed}")
     for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
         if not 0 < value <= sys.float_info.max:  # false for NaN
             raise CliError(EXIT_CONFIG, f"{flag} must be finite and positive, got {value}")

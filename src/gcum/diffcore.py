@@ -17,7 +17,8 @@ Design constraints the rest of the package relies on:
 * identical inputs give bit-identical outputs (fixed reduction orders, no
   hidden threading decisions at these sizes);
 * a graph records once and backpropagates once; reuse raises;
-* rows are selected by one op, ``gather_rows``, and rows it leaves out get
+* rows are selected and assembled by one op, ``gather_rows``, from one
+  tensor or from the rows of several in turn, and rows it leaves out get
   exactly zero gradient;
 * attention of one query row over each of many short sequences is one
   op, ``segment_attention``, which keeps the tape rank 2 by stacking the
@@ -58,8 +59,6 @@ __all__ = [
     "mul",
     "matmul",
     "transpose",
-    "concat",
-    "stack",
     "gather_rows",
     "tanh",
     "clamp_min",
@@ -131,10 +130,7 @@ class Tensor:
 
 
 def _finite(arr: np.ndarray) -> bool:
-    # Sum-based probe: any NaN or inf in the array makes the sum non-finite.
-    # Finite entries can overflow it too (data and checkpoints come from
-    # outside), so a non-finite sum is confirmed entry by entry.
-    return not arr.size or math.isfinite(float(arr.sum())) or bool(np.isfinite(arr).all())
+    return bool(np.isfinite(arr).all())
 
 
 def _op_name(pull) -> str:
@@ -344,55 +340,35 @@ def transpose(x: Tensor) -> Tensor:
     return _result(x.values.T, (x,), pull)
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Stack matrices of one width on top of each other."""
-    if not parts:
-        raise ShapeError("concat needs at least one tensor")
-    if any(p.ndim != 2 or p.shape[1] != parts[0].shape[1] for p in parts):
-        raise ShapeError(f"concat needs matrices of one width, got {[p.shape for p in parts]}")
-    bounds = np.cumsum([p.shape[0] for p in parts])[:-1]
+def gather_rows(x: Tensor | Sequence[Tensor], order: Sequence[int]) -> Tensor:
+    """Rows ``order`` of one tensor or of several in turn; repeated indices accumulate gradient.
 
-    def pull(g: np.ndarray):
-        return tuple(np.split(g, bounds))
-
-    return _result(np.concatenate([p.values for p in parts]), tuple(parts), pull)
-
-
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Stack rank-1 tensors of equal length into the rows of a matrix."""
-    if not parts:
-        raise ShapeError("stack needs at least one tensor")
-    if any(p.ndim != 1 for p in parts):
-        raise ShapeError("stack operands must be rank 1")
-    n = parts[0].shape[0]
-    if any(p.shape[0] != n for p in parts):
-        raise ShapeError("stack operands must share their length")
-
-    def pull(g: np.ndarray):
-        return tuple(g[i] for i in range(len(parts)))
-
-    return _result(np.stack([p.values for p in parts], axis=0), tuple(parts), pull)
-
-
-def gather_rows(x: Tensor, order: Sequence[int]) -> Tensor:
-    """Reindex the rows of a matrix; repeated indices accumulate gradient.
-
-    Rows left out of ``order`` receive exactly zero gradient, which is what
-    makes downstream computations bit-independent of their contents.
+    ``x`` is one tensor or a sequence of tensors of one width, a rank-1
+    tensor counting as one row, and rows are numbered through the parts in
+    order.  Rows left out of ``order`` receive exactly zero gradient, which
+    is what makes downstream computations bit-independent of their contents.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"gather_rows needs a rank-2 tensor, got shape {x.shape}")
+    parts = (x,) if isinstance(x, Tensor) else tuple(x)
+    if not parts or any(p.ndim == 0 or p.shape[-1] != parts[0].shape[-1] for p in parts):
+        raise ShapeError(f"gather_rows needs tensors of one width, got {[p.shape for p in parts]}")
     idx = np.asarray(order, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("gather_rows needs a non-empty index vector")
-    if idx.min() < 0 or idx.max() >= x.shape[0]:
-        raise ShapeError(f"gather_rows index out of range for {x.shape[0]} rows")
-    xv = x.values
+    blocks = [p.values if p.ndim == 2 else p.values[None] for p in parts]
+    table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    n = table.shape[0]
+    if idx.min() < 0 or idx.max() >= n:
+        raise ShapeError(f"gather_rows index out of range for {n} rows")
 
     def pull(g: np.ndarray):
-        return (_scatter_rows(idx, g, xv.shape[0]),)
+        grad = _scatter_rows(idx, g, n)
+        if len(parts) == 1:
+            return (grad.reshape(parts[0].shape),)
+        ends = np.cumsum([len(b) for b in blocks])
+        return tuple(grad[e - len(b):e].reshape(p.shape) if p.requires_grad else None
+                     for p, b, e in zip(parts, blocks, ends))
 
-    return _result(xv[idx], (x,), pull)
+    return _result(table[idx], parts, pull)
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:

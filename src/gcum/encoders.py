@@ -242,12 +242,12 @@ def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequ
         raise ShapeError(f"expected ({rows}, {cfg.dim}) member features, got {member_features.shape}")
     p = state.params
     width = cfg.max_members + 1
-    # row 0 of the table is the class token, row 1 a zero row, row 2 + r member row r
+    # row 0 is the class token, row 1 a zero row, row 2 + r member row r
     at = np.ones((len(counts), width), dtype=np.int64)
     at[:, 0] = 0
     at[:, 1:][np.arange(cfg.max_members) < counts[:, None]] = 2 + np.arange(rows)
-    table = dc.concat([dc.stack([p["group.cls"]]), dc.constant(np.zeros((1, cfg.dim))), member_features])
-    return dc.attention_block(dc.gather_rows(table, at.ravel()), p["group.blk1.wq"], p["group.blk1.wk"],
+    blocks = dc.gather_rows([p["group.cls"], dc.constant(np.zeros((1, cfg.dim))), member_features], at.ravel())
+    return dc.attention_block(blocks, p["group.blk1.wq"], p["group.blk1.wk"],
                               p["group.blk1.wv"], p["group.blk1.wo"], width, counts + 1)
 
 

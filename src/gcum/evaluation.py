@@ -215,18 +215,19 @@ def run_rows(
     Rows with prompt learning and the same ``use_mvs`` run the same stage
     1, so it is trained once and shared.  The order of the rows does not
     matter: each stage trains on a new state with its own trainable set
-    and leaves the state it was given as it was.
+    and leaves the state it was given as it was, so every row starts from
+    one initial state.
     """
     train_gids, test_gids = split_train_test(ds, train_fraction)
     train_samples = ds.views_of(train_gids)
     test_samples = ds.views_of(test_gids)
     rosters = ds.group_rosters()
 
-    cfg = model_base.for_dataset(ds, len(train_gids))
+    initial = init_model_state(model_base.for_dataset(ds, len(train_gids)), seed)
     stage1_states: dict[bool, ModelState] = {}  # use_mvs -> trained stage 1
     reports = []
     for use_gla, use_mvs, use_grce in rows:
-        state = init_model_state(cfg, seed)
+        state = initial
         masks_cfg = mvs_cfg if use_mvs else None
         if use_gla and (use_mvs or use_grce):
             if use_mvs not in stage1_states:

@@ -7,8 +7,9 @@ description allocates a fixed number of identity slots ("a group of
 <slot tokens> persons"): present members fill the leading slots in
 canonical (sorted identity) order, learned padding tokens fill the rest.
 The fixed slot count is what lets one text embedding describe a group
-whose visible membership varies.  All prompts of one kind are gathered
-from one token table in one op and encoded in one text-encoder pass.
+whose visible membership varies.  All prompts of one kind are gathered in
+one op from the template parameters and identity blocks they name, and
+encoded in one text-encoder pass.
 
 Alignment uses a supervised contrastive loss in both directions at both
 granularities (member features against member descriptions, group
@@ -30,50 +31,40 @@ from .diffcore import ShapeError, Tensor
 from .encoders import ModelState, encode_text
 
 
-def _token_table(
-    state: ModelState, names: Sequence[str], identity_ids: Sequence[int]
-) -> tuple[Tensor, dict]:
-    """One token table for a set of prompts, and the rows of each part in it.
+def _assemble(prompts: Sequence[Sequence[str | int]], state: ModelState) -> Tensor:
+    """The prompts' token matrices one after another, gathered in one op.
 
-    The table holds the template parameters ``names``, then the token
-    blocks of the distinct ``identity_ids``, gathered from ``prompt.x``;
-    ``rows`` maps each name and each identity to its rows.  A parameter in
-    the table gets a gradient, zero where no prompt reads it, and takes a
-    momentum and weight-decay step, so ``names`` holds only what the
-    prompts read.
+    A prompt lists its parts in order: the name of a template parameter,
+    or an identity, which stands for that identity's block of ``prompt.x``.
+    Only the identity blocks and the template parameters that some prompt
+    names are read, so no other parameter gets a gradient or takes a
+    momentum and weight-decay step.
     """
     cfg = state.config
     p = state.params
     m = cfg.tokens_per_identity
-    used = sorted({int(i) for i in identity_ids})
+    names = list(dict.fromkeys(part for prompt in prompts for part in prompt if isinstance(part, str)))
+    used = sorted({part for prompt in prompts for part in prompt if not isinstance(part, str)})
     for pid in used:
         if not (0 <= pid < cfg.n_person_ids):
             raise ValueError(f"identity {pid} outside [0, {cfg.n_person_ids})")
     blocks = dc.gather_rows(p["prompt.x"], [pid * m + j for pid in used for j in range(m)])
     rows: dict = {}
     at = 0
-    for name in names:
-        rows[name] = np.arange(at, at + p[name].shape[0])
-        at += p[name].shape[0]
-    for pid in used:
-        rows[pid] = np.arange(at, at + m)
-        at += m
-    return dc.concat([p[name] for name in names] + [blocks]), rows
+    for key, size in [(name, p[name].shape[0]) for name in names] + [(pid, m) for pid in used]:
+        rows[key] = np.arange(at, at + size)
+        at += size
+    order = np.concatenate([rows[part] for prompt in prompts for part in prompt])
+    return dc.gather_rows([p[name] for name in names] + [blocks], order)
 
 
 def build_member_prompts(identity_ids: Sequence[int], state: ModelState) -> Tensor:
     """"a photo of a <identity tokens> person" per identity, stacked.
 
     Returns the prompts' (member_prompt_len, dim) token matrices one after
-    another, gathered from one token table in one op.
+    another, gathered in one op.
     """
-    names = ("prompt.member_prefix", "prompt.member_suffix")
-    table, rows = _token_table(state, names, identity_ids)
-    order = [
-        np.concatenate([rows["prompt.member_prefix"], rows[int(i)], rows["prompt.member_suffix"]])
-        for i in identity_ids
-    ]
-    return dc.gather_rows(table, np.concatenate(order))
+    return _assemble([("prompt.member_prefix", int(i), "prompt.member_suffix") for i in identity_ids], state)
 
 
 def build_group_prompts(rosters: Sequence[Sequence[int]], state: ModelState) -> Tensor:
@@ -82,29 +73,20 @@ def build_group_prompts(rosters: Sequence[Sequence[int]], state: ModelState) -> 
     Members are sorted by identity before filling slots, so any ordering of
     a roster produces the identical token matrix.  Slots beyond the member
     count hold the learned padding block.  Returns the prompts'
-    (group_prompt_len, dim) token matrices one after another, gathered from
-    one token table in one op.
+    (group_prompt_len, dim) token matrices one after another, gathered in
+    one op.
     """
-    cfg = state.config
+    slots = state.config.group_slots
     for member_ids in rosters:
         if not member_ids:
             raise ValueError("a group prompt needs at least one member")
         if len(set(member_ids)) != len(member_ids):
             raise ValueError("duplicate identities in a group prompt")
-        if len(member_ids) > cfg.group_slots:
-            raise ValueError(f"{len(member_ids)} members exceed {cfg.group_slots} prompt slots")
-    names = ("prompt.group_prefix", "prompt.group_suffix")
-    if any(len(member_ids) < cfg.group_slots for member_ids in rosters):
-        names += ("prompt.pad",)
-    table, rows = _token_table(state, names, [pid for member_ids in rosters for pid in member_ids])
-    order = []
-    for member_ids in rosters:
-        order.append(rows["prompt.group_prefix"])
-        order += [rows[pid] for pid in sorted(int(i) for i in member_ids)]
-        for _ in range(cfg.group_slots - len(member_ids)):
-            order.append(rows["prompt.pad"])
-        order.append(rows["prompt.group_suffix"])
-    return dc.gather_rows(table, np.concatenate(order))
+        if len(member_ids) > slots:
+            raise ValueError(f"{len(member_ids)} members exceed {slots} prompt slots")
+    return _assemble([("prompt.group_prefix", *sorted(int(i) for i in member_ids),
+                       *["prompt.pad"] * (slots - len(member_ids)), "prompt.group_suffix")
+                      for member_ids in rosters], state)
 
 
 def member_text_features(identity_ids: Sequence[int], state: ModelState) -> Tensor:

@@ -91,8 +91,7 @@ def refine(group_features: Tensor, member_features: Tensor, state: ModelState,
     at = np.full((b, slots), rows)
     at[np.arange(slots) < counts[:, None]] = canonical_order(member_features.values,
                                                              np.repeat(np.arange(b), counts))
-    table = dc.concat([member_features, dc.constant(np.zeros((1, dim)))])
-    ordered = dc.gather_rows(table, at.ravel())
+    ordered = dc.gather_rows([member_features, dc.constant(np.zeros((1, dim)))], at.ravel())
     context = dc.segment_attention(dc.matmul(group_features, p["grce.wq"]), dc.matmul(ordered, p["grce.wk"]),
                                    dc.matmul(ordered, p["grce.wv"]), slots, counts)
     return dc.l2_normalize(dc.add(group_features, context))

@@ -3,7 +3,9 @@
 The composed references of the fused ops (``row_distance``,
 ``soft_target_nll``) need a constant factor, ``exp``, ``log`` and a sum,
 ``attention_block``'s needs attention with every row of a block as a
-query, and the overflow probes need an op that overflows on demand.  Each op's
+query, the overflow probes need an op that overflows on demand, and the
+references of ``gather_rows`` over several tensors stack them first with
+``concat`` and ``stack``.  Each op's
 value and backward are written as the library writes them, so a composition
 of these gives the bits the fused op must match.  Each op's backward
 closure is named ``pull``, so a ``NonFiniteError`` names the op.
@@ -54,6 +56,36 @@ def reduce_sum(x: dc.Tensor, axis: int | None = None) -> dc.Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), xv.shape).copy(),)
 
     return dc._result(np.asarray(np.sum(xv, axis=axis)), (x,), pull)
+
+
+def concat(parts) -> dc.Tensor:
+    """Stack matrices of one width on top of each other."""
+    if not parts:
+        raise dc.ShapeError("concat needs at least one tensor")
+    if any(p.ndim != 2 or p.shape[1] != parts[0].shape[1] for p in parts):
+        raise dc.ShapeError(f"concat needs matrices of one width, got {[p.shape for p in parts]}")
+    bounds = np.cumsum([p.shape[0] for p in parts])[:-1]
+
+    def pull(g: np.ndarray):
+        return tuple(np.split(g, bounds))
+
+    return dc._result(np.concatenate([p.values for p in parts]), tuple(parts), pull)
+
+
+def stack(parts) -> dc.Tensor:
+    """Stack rank-1 tensors of equal length into the rows of a matrix."""
+    if not parts:
+        raise dc.ShapeError("stack needs at least one tensor")
+    if any(p.ndim != 1 for p in parts):
+        raise dc.ShapeError("stack operands must be rank 1")
+    n = parts[0].shape[0]
+    if any(p.shape[0] != n for p in parts):
+        raise dc.ShapeError("stack operands must share their length")
+
+    def pull(g: np.ndarray):
+        return tuple(g[i] for i in range(len(parts)))
+
+    return dc._result(np.stack([p.values for p in parts], axis=0), tuple(parts), pull)
 
 
 def self_attention(q: dc.Tensor, k: dc.Tensor, v: dc.Tensor, length: int, lengths=None) -> dc.Tensor:

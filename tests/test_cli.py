@@ -175,6 +175,25 @@ def test_config_rejects_non_finite_floats(tmp_path, capsys, section, key, litera
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["gen-data", "--out", "{tmp}/d.json"],
+    ["train", "--stage", "1", "--data", "{tmp}/d.json", "--out", "{tmp}/s1.ckpt"],
+    ["ablate"],
+])
+def test_a_negative_config_seed_exits_2_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"seed": -1}))
+    argv = [arg.format(tmp=tmp_path) for arg in command] + ["--config", str(path)]
+    assert main(argv) == EXIT_CONFIG
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_a_negative_grad_check_seed_exits_2_naming_it(capsys):
+    assert main(["grad-check", "--seed", "-3"]) == EXIT_CONFIG
+    assert "--seed must be non-negative, got -3" in capsys.readouterr().err
+
+
 def test_config_float_keys_take_integers():
     cfg = RunConfig.from_dict({"train": {"scale_factor": 1}, "losses": {"alpha": 0}})
     assert type(cfg.train.scale_factor) is float and cfg.train.scale_factor == 1.0

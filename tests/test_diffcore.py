@@ -26,17 +26,17 @@ def test_tensor_rejects_non_finite():
         dc.Tensor([float("inf")])
 
 
+@pytest.mark.filterwarnings("error")
 def test_finite_values_whose_sum_overflows_make_a_tensor():
-    # the sum probe reads inf here, so the entries decide
-    with np.errstate(over="ignore"):
-        assert np.all(dc.Tensor(np.full((2, 2), 1e308)).values == 1e308)
-        with pytest.raises(dc.NonFiniteError):
-            dc.Tensor([[1e308, 1e308], [np.inf, 0.0]])
-        # and a finite gradient whose sum overflows is delivered as it is
-        x = dc.Tensor([0.0, 0.0], requires_grad=True)
-        with dc.Graph() as g:
-            loss = ops.reduce_sum(dc.mul(x, dc.constant([1e308, 1e308])))
-        assert g.backward(loss)[x].tolist() == [1e308, 1e308]
+    # the entries decide, and checking them overflows nothing, so no warning is raised
+    assert np.all(dc.Tensor(np.full((2, 2), 1e308)).values == 1e308)
+    with pytest.raises(dc.NonFiniteError):
+        dc.Tensor([[1e308, 1e308], [np.inf, 0.0]])
+    # and a finite gradient whose sum overflows is delivered as it is
+    x = dc.Tensor([0.0, 0.0], requires_grad=True)
+    with dc.Graph() as g:
+        loss = ops.reduce_sum(dc.mul(x, dc.constant([1e308, 1e308])))
+    assert g.backward(loss)[x].tolist() == [1e308, 1e308]
 
 
 def test_tensor_values_are_immutable():
@@ -353,13 +353,53 @@ def test_gather_rows_backward_is_the_add_at_scatter_bit_for_bit(case):
     assert np.array_equal(grads[x].view(np.int64), want.view(np.int64)), (grads[x], want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4).flatmap(lambda sizes: st.tuples(
+    st.just(sizes), st.integers(1, 3),
+    st.lists(st.integers(0, sum(max(s, 1) for s in sizes) - 1), min_size=1, max_size=12),
+    st.sets(st.integers(0, len(sizes) - 1), min_size=1), st.integers(0, 2**16))))
+def test_gather_rows_over_parts_is_concat_then_gather_bit_for_bit(case):
+    sizes, d, idx, trainable, seed = case
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(s, d) if s else d) for s in sizes]  # a size of 0 is a rank-1 part
+    # the value and each part's gradient; a frozen part gets none on either side
+    _same_bits(lambda *t: dc.gather_rows(t, idx),
+               lambda *t: dc.gather_rows(ops.concat([ops.stack([p]) if p.ndim == 1 else p for p in t]), idx),
+               arrays, tuple(trainable), seed)
+
+
+def test_gather_rows_over_parts_numbers_rows_through_them_in_order():
+    a = dc.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+    v = dc.Tensor([5.0, 6.0], requires_grad=True)
+    frozen = dc.Tensor([[7.0, 8.0]])
+    with dc.Graph() as g:
+        out = dc.gather_rows([v, frozen, a], [3, 0, 1, 0])
+        loss = ops.reduce_sum(dc.mul(out, dc.constant(np.arange(8.0).reshape(4, 2))))
+    np.testing.assert_array_equal(out.values, [[3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [5.0, 6.0]])
+    grads = g.backward(loss)
+    assert grads.keys() == {a, v}
+    np.testing.assert_array_equal(grads[v], [8.0, 10.0])
+    np.testing.assert_array_equal(grads[a], [[0.0, 0.0], [0.0, 1.0]])
+
+
+def test_gather_rows_needs_parts_of_one_width():
+    m = dc.Tensor(np.ones((2, 3)))
+    for parts in ([], [m, dc.Tensor(np.ones((1, 2)))], [m, dc.Tensor(np.ones(2))], [m, dc.Tensor(1.0)],
+                  dc.Tensor(1.0)):
+        with pytest.raises(dc.ShapeError):
+            dc.gather_rows(parts, [0])
+    with pytest.raises(dc.ShapeError):
+        dc.gather_rows([m, dc.Tensor(np.ones(3))], [3])
+    assert dc.gather_rows([m, dc.Tensor(np.zeros(3))], [2]).values.tolist() == [[0.0, 0.0, 0.0]]
+
+
 def test_concat_and_stack_round_trip_gradients():
     a = dc.Tensor([1.0, 2.0], requires_grad=True)
     b = dc.Tensor([3.0, 4.0], requires_grad=True)
     c = dc.Tensor([[5.0, 6.0]], requires_grad=True)
     with dc.Graph() as g:
-        m = dc.stack([a, b])
-        tall = dc.concat([m, c, m])
+        m = ops.stack([a, b])
+        tall = ops.concat([m, c, m])
         loss = ops.reduce_sum(dc.mul(tall, dc.constant(np.arange(10.0).reshape(5, 2))))
     np.testing.assert_array_equal(tall.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [1.0, 2.0], [3.0, 4.0]])
     grads = g.backward(loss)
@@ -372,7 +412,7 @@ def test_concat_needs_matrices_of_one_width():
     m = dc.Tensor(np.ones((2, 3)))
     for parts in ([], [m, dc.Tensor(np.ones((1, 2)))], [m, dc.Tensor(np.ones(3))], [dc.Tensor(1.0)]):
         with pytest.raises(dc.ShapeError):
-            dc.concat(parts)
+            ops.concat(parts)
 
 
 def test_clamp_min_value_and_gradient_gate():
@@ -471,7 +511,7 @@ def test_ops_are_bit_deterministic():
 
     def run():
         t = dc.matmul(dc.Tensor(a), dc.Tensor(b))
-        pair = dc.concat([t, dc.tanh(t)])
+        pair = ops.concat([t, dc.tanh(t)])
         w = dc.Tensor(b[:3])
         return np.concatenate([dc.l2_normalize(ops.exp(t)).values.ravel(),
                                [dc.soft_target_nll(t, np.abs(a[:, :3]), 5).item()],
@@ -518,17 +558,17 @@ def test_grad_check_reports_rather_than_raises():
 
 def _composite_loss(p):
     w, v = p["w"], p["v"]
-    h = dc.tanh(dc.matmul(dc.stack([v]), w))  # the row v @ w
+    h = dc.tanh(dc.matmul(ops.stack([v]), w))  # the row v @ w
     gram = dc.matmul(w, dc.transpose(w))
     sm = dc.l2_normalize(ops.exp(dc.tanh(gram)))
     picked = dc.gather_rows(sm, [0])
     unit = dc.l2_normalize(h)
-    parts = dc.concat([unit, picked])
+    parts = ops.concat([unit, picked])
     clipped = dc.clamp_min(parts, -0.25)
-    blocks = dc.concat([w, sm])  # three blocks of two rows
+    blocks = ops.concat([w, sm])  # three blocks of two rows
     attended = dc.segment_attention(dc.tanh(w), dc.tanh(blocks), dc.matmul(blocks, w), 2)
     block = dc.attention_block(blocks, w, dc.tanh(w), sm, dc.transpose(w), 3, [3, 2])
-    means = dc.add_block_means(dc.concat([block, w]), dc.transpose(w), [2, 1, 2])
+    means = dc.add_block_means(ops.concat([block, w]), dc.transpose(w), [2, 1, 2])
     terms = [dc.reduce_mean(dc.mul(clipped, clipped)), ops.reduce_sum(ops.log(ops.exp(ops.scale(h, 0.3)))),
              dc.soft_target_nll(gram, [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]], 3),
              dc.soft_target_nll(h, [[0.1, 0.1, 0.8]], 1),
@@ -698,7 +738,7 @@ def _composed_add_block_means(blocks, em, counts):
                                  weighted, slots, counts)
     pick = np.full(rows, b)
     pick[starts] = np.arange(b)
-    padded = dc.concat([means, dc.constant(np.zeros((1, dim)))])
+    padded = ops.concat([means, dc.constant(np.zeros((1, dim)))])
     return dc.add(blocks, dc.gather_rows(padded, pick))
 
 

@@ -546,6 +546,24 @@ def test_run_ablation_trains_each_stage1_once(monkeypatch):
         assert shared == alone.to_dict()
 
 
+def test_run_rows_draws_one_initial_state_and_each_row_matches_its_own_run(monkeypatch):
+    # no stage writes to the state it is given, so the rows can share it
+    ds, _ = _eval_setup(noise=0.1)
+    calls = []
+    init = evaluation.init_model_state
+
+    def counting(config, seed):
+        calls.append(seed)
+        return init(config, seed)
+
+    monkeypatch.setattr(evaluation, "init_model_state", counting)
+    rows = [flags for _, *flags in ABLATION_ROWS]
+    together = run_rows(ds, _model_base(), _short_cfg(), 4, rows, **_RECIPE)
+    assert calls == [4]
+    for flags, report in zip(rows, together):
+        assert run_rows(ds, _model_base(), _short_cfg(), 4, [flags], **_RECIPE)[0] == report
+
+
 def test_run_ablation_needs_three_seeds():
     ds, _ = _eval_setup()
     with pytest.raises(ValueError):

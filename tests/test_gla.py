@@ -135,6 +135,65 @@ def test_full_rosters_leave_the_padding_without_gradient():
     assert np.any(grads[state.params["prompt.x"]])
 
 
+def _table_prompts(state, names, prompts):
+    """The composition the prompt assembler replaced: one token table, then one gather.
+
+    The table holds the template parameters ``names``, then the blocks of
+    the distinct identities the prompts name, gathered from ``prompt.x``.
+    """
+    p = state.params
+    m = state.config.tokens_per_identity
+    used = sorted({part for prompt in prompts for part in prompt if not isinstance(part, str)})
+    blocks = dc.gather_rows(p["prompt.x"], [pid * m + j for pid in used for j in range(m)])
+    rows, at = {}, 0
+    for key, size in [(name, p[name].shape[0]) for name in names] + [(pid, m) for pid in used]:
+        rows[key] = np.arange(at, at + size)
+        at += size
+    table = ops.concat([p[name] for name in names] + [blocks])
+    return dc.gather_rows(table, np.concatenate([rows[part] for prompt in prompts for part in prompt]))
+
+
+def _old_member_prompts(identity_ids, state):
+    return _table_prompts(state, ("prompt.member_prefix", "prompt.member_suffix"),
+                          [("prompt.member_prefix", int(i), "prompt.member_suffix") for i in identity_ids])
+
+
+def _old_group_prompts(rosters, state):
+    slots = state.config.group_slots
+    names = ("prompt.group_prefix", "prompt.group_suffix")
+    if any(len(ids) < slots for ids in rosters):
+        names += ("prompt.pad",)
+    return _table_prompts(state, names, [("prompt.group_prefix", *sorted(ids),
+                                          *["prompt.pad"] * (slots - len(ids)), "prompt.group_suffix")
+                                         for ids in rosters])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_assembled_prompts_are_the_table_and_gather_composition_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    state = small_state(seed, max_members=4, group_slots=5, n_person_ids=9)
+    slots = state.config.group_slots
+    full = seed % 2 == 0  # even seeds draw full rosters, odd ones short rosters that read the padding
+    rosters = [rng.choice(9, size=slots if full else rng.integers(1, slots), replace=False).tolist()
+               for _ in range(rng.integers(1, 5))]
+    identities = rng.choice(9, size=rng.integers(1, 6), replace=False).tolist()
+    for build, old, arg, reads_pad in ((build_group_prompts, _old_group_prompts, rosters, not full),
+                                       (build_member_prompts, _old_member_prompts, identities, False)):
+        runs = []
+        for fn in (build, old):
+            with dc.Graph() as g:
+                out = fn(arg, state)
+                upstream = np.random.default_rng(seed).normal(size=out.shape)
+                loss = ops.reduce_sum(dc.mul(out, dc.constant(upstream)))
+            runs.append((out.values, g.backward(loss)))
+        (got, got_grads), (want, want_grads) = runs
+        assert got.tobytes() == want.tobytes()
+        assert got_grads.keys() == want_grads.keys()
+        assert all(got_grads[t].tobytes() == want_grads[t].tobytes() for t in want_grads)
+        assert state.params["prompt.x"] in got_grads
+        assert (state.params["prompt.pad"] in got_grads) == reads_pad
+
+
 def test_text_features_are_unit_and_deterministic():
     state = small_state()
     t1 = class_text_features(state, [0, 1], {0: (0, 2), 1: (3, 1, 2)})

@@ -93,7 +93,7 @@ def test_fixed_p_drop_rates_match_exact_oracle():
 
 
 def _blocks(cls, members):
-    return dc.concat([dc.stack([cls]), members])
+    return ops.concat([ops.stack([cls]), members])
 
 
 def test_apply_mvs_hand_case_full_mask():
@@ -106,7 +106,7 @@ def test_apply_mvs_hand_case_full_mask():
     assert np.array_equal(fused.values, expected)
     # a stack of two blocks: each block gets its own count term
     other = _blocks(Tensor([0.0, 1.0]), Tensor([[4.0, 2.0], [0.0, -2.0]]))
-    both = apply_mvs(dc.concat([_blocks(cls, members), other]), em, [2, 2])
+    both = apply_mvs(ops.concat([_blocks(cls, members), other]), em, [2, 2])
     assert np.array_equal(both.values[:3], expected)
     assert np.array_equal(both.values[3:], np.array([[2.0, 1.5], [4.0, 2.0], [0.0, -2.0]]))
 
