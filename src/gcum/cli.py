@@ -255,14 +255,14 @@ def run_grad_checks(seed: int, *, step: float, tolerance: float) -> dict:
     targets = [class_index[s.group_id] for s in samples]
     text_rows = dc.constant(gla.class_text_features(state, gids, rosters).values)
 
-    memo = grce.VisualMemo(samples, quantity=True)  # the views training computes
-    indices = range(len(samples))
+    frozen = None  # the views training computes: one pass per check, over its trainable set
+    n = len(samples)
 
     def _refined(st):
-        return memo(indices, masks, st, refined=True)[0]
+        return frozen(0, n, st, refined=True)[0]
 
     def stage1_fn(st):
-        return gla.stage1_batch_loss(samples, *memo(indices, masks, st, refined=False), st, rosters)[0]
+        return gla.stage1_batch_loss(samples, *frozen(0, n, st, refined=False), st, rosters)[0]
 
     def id_fn(st):
         return losses_mod.id_loss(_refined(st), st, targets, cfg.epsilon)
@@ -289,6 +289,7 @@ def run_grad_checks(seed: int, *, step: float, tolerance: float) -> dict:
     for name in _CHECKED_LOSSES:
         trainable, fn = checks[name]
         params = state.with_trainable(trainable).params
+        frozen = grce.FrozenPass(samples, masks, ModelState(state.config, params), quantity=True)
         reports[name] = dc.grad_check(lambda ps: fn(ModelState(state.config, ps)), params,
                                       step=step, tolerance=tolerance)
     return reports

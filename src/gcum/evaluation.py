@@ -30,10 +30,9 @@ from .synthdata import Dataset, GroupSample, split_query_gallery, split_train_te
 from .trainer import TrainConfig, train_stage1, train_stage2
 
 
-# Views featurized, and queries ranked, per step.  A view's feature and a
-# query's hit row have the same bits in a chunk of any size, so chunking
-# bounds eval memory and leaves every byte of a report as it is.
-_VIEWS_PER_CHUNK = 256
+# Queries ranked per step.  A query's hit row has the same bits in a chunk
+# of any size, so chunking bounds eval memory and leaves every byte of a
+# report as it is; views are featurized ``grce.VIEWS_PER_CHUNK`` at a time.
 _QUERIES_PER_CHUNK = 256
 
 
@@ -137,12 +136,12 @@ def extract_features(
 ) -> np.ndarray:
     """One unit-norm feature row per sample; full member sets, no recording.
 
-    Views are featurized ``_VIEWS_PER_CHUNK`` at a time, which gives the
+    Views are featurized ``grce.VIEWS_PER_CHUNK`` at a time, which gives the
     bytes of one ``grce.group_features`` call over all of them.
     """
     feats = np.empty((len(samples), state.config.dim))
-    for start in range(0, len(samples), _VIEWS_PER_CHUNK):
-        chunk = samples[start:start + _VIEWS_PER_CHUNK]
+    for start in range(0, len(samples), grce.VIEWS_PER_CHUNK):
+        chunk = samples[start:start + grce.VIEWS_PER_CHUNK]
         feats[start:start + len(chunk)] = grce.group_features(chunk, state, quantity=quantity,
                                                               refined=refined)[0].values
     return feats

@@ -159,7 +159,7 @@ def stage1_batch_loss(
     """Prompt-learning objective for one batch of group views.
 
     The inputs are ``grce.group_features`` of the samples under their masks
-    (training takes them from a ``grce.VisualMemo``): one group feature row
+    (training takes them from a ``grce.FrozenPass``): one group feature row
     per sample, the retained member rows, and each view's member
     identities.  Both granularities are aligned: group features against
     group descriptions and member features against member descriptions.

@@ -15,13 +15,13 @@ count term work block by block at that width and a row-wise product
 never sees a single row (``diffcore.matmul`` pads one to two).
 
 ``group_features`` is the way in for eval; it keeps every member of a
-view unless a mask drops some.  Training sees each view under a handful
-of masks, again and again, and the member encoder and the first group
-block run on frozen weights; ``VisualMemo`` does that work once per
-(view, mask) for one training run, all of an epoch's new views in one
-pass, and shares the rest of the pipeline with ``group_features``.
-While the count matrix is frozen as well (stage 2), it keeps each
-view's pooled feature too, so a step runs only the refinement.
+view unless a mask drops some.  In training the member encoder and the
+first group block run on frozen weights, and an epoch's views and masks
+are drawn before its first step, so ``FrozenPass`` does that frozen
+work once per epoch; each step takes a run of the pass's views and
+shares the rest of the pipeline with ``group_features``.  While the
+count matrix is frozen as well (stage 2), the pass keeps each view's
+pooled feature instead, so a step runs only the refinement.
 
 Canonical ordering makes every stage independent of the order members
 appear in a sample.  Rows are sorted lexicographically by value before
@@ -45,6 +45,12 @@ from .encoders import (
 )
 from .mvs import Mask, apply_mvs
 from .synthdata import GroupSample
+
+
+# Views featurized per call, in eval and in a training epoch's frozen pass.
+# A view's rows have the same bits in a stack of any size, so chunking
+# bounds memory and changes no byte.
+VIEWS_PER_CHUNK = 256
 
 
 def canonical_order(rows: np.ndarray, segments: np.ndarray) -> list[int]:
@@ -151,83 +157,63 @@ def group_features(
     return features, members, row_ids
 
 
-# What a pooled feature reads besides block 1; the count matrix only with the count term.
-_POOL_READS = ("group.blk2.wq", "group.blk2.wk", "group.blk2.wv", "group.blk2.wo", "group.proj")
+class FrozenPass:
+    """``group_features`` for one training epoch's planned views, frozen work done once.
 
-
-class VisualMemo:
-    """``group_features`` for the views of one training run, frozen work done once.
-
-    The member encoder and block 1 run on frozen weights, so their output
-    is kept per (sample index, mask bits): the member identities, the
-    member features and the view's padded block-1 block.  While the count
-    matrix is frozen too (stage 2, or no count term), so is everything up
-    to the readout, and each key's pooled feature is kept as well; it
-    stays valid while the count matrix, block 2 and the readout projection
-    are the same frozen ``Tensor`` objects that made it, and is dropped
-    when one is swapped.  ``prepare`` does the frozen work of all its new
-    keys in one pass, so a training epoch plans its batches and calls it
-    once.  A call then concatenates its entries into one padded stack and
-    runs only what can train: the count term, block 2 and the readout
-    while the count matrix trains, and the refinement on request.  Every
-    call checks that the encoders are frozen.  Build one per training call
-    over that call's sample list.
+    ``samples[i]`` under ``masks[i]`` is the epoch's i-th view, in plan
+    order, so a step's views are a run ``[start, stop)`` of them.  The
+    member encoder and block 1 run on frozen weights, so the pass runs
+    them over every view up front, ``VIEWS_PER_CHUNK`` views per call,
+    and keeps the member identities, the member rows and each view's
+    padded block-1 block.  While the count matrix is frozen or unused (as
+    in stage 2), everything up to the readout is frozen too, and the pass
+    keeps each view's pooled feature instead of its block.  A call then
+    slices its run out and computes only what can train: the count term,
+    block 2 and the readout while the count matrix trains, and the
+    refinement on request.  The encoders must be frozen; a call on a state
+    that holds another array for a tensor the pass read, or has made one
+    trainable, raises ``ValueError`` naming it.
     """
 
-    def __init__(self, samples: Sequence[GroupSample], *, quantity: bool):
-        self.samples = samples
-        self.quantity = quantity
-        self._memo: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], np.ndarray, np.ndarray]] = {}
-        self._pooled: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-        self._pooled_from: tuple[Tensor, ...] = ()
+    def __init__(self, samples: Sequence[GroupSample], masks: Sequence[Mask], state: ModelState, *,
+                 quantity: bool):
+        self._pooled = not (quantity and state.params["quantity.em"].requires_grad)
+        self._reads = {n: p.values for n, p in state.params.items() if n.startswith(("member.", "group."))
+                       or (n == "quantity.em" and quantity and self._pooled)}
+        self._check(state)
+        self._width = 1 if self._pooled else state.config.max_members + 1
+        members, rows, self._counts, self._row_ids = [], [], [], []
+        for at in range(0, len(samples), VIEWS_PER_CHUNK):
+            chunk = slice(at, at + VIEWS_PER_CHUNK)
+            appearances, counts, row_ids = _select(samples[chunk], masks[chunk])
+            feats = encode_members(appearances, state)
+            block1 = encode_group_prefix(feats, state, counts)
+            members.append(feats.values)
+            rows.append(_pool(counts, block1, state, quantity=quantity).values if self._pooled else block1.values)
+            self._counts += counts
+            self._row_ids += row_ids
+        self._members = np.concatenate(members)
+        self._rows = np.concatenate(rows)
+        self._ends = np.cumsum([0] + self._counts)
 
-    def prepare(self, indices: Sequence[int], masks: Sequence[Mask], state: ModelState) -> bool:
-        """Do the frozen work of every new (``samples[i]``, mask) key in one pass.
+    def _check(self, state: ModelState) -> None:
+        moved = [n for n, values in self._reads.items()
+                 if state.params[n].values is not values or state.params[n].requires_grad]
+        if moved:
+            raise ValueError(f"the frozen visual pass needs its inputs frozen and unchanged; "
+                             f"trainable or swapped: {moved}")
 
-        Returns whether the keys' pooled features are kept, which is while
-        the count matrix is frozen or unused.
-        """
-        trainable = [n for n, p in state.params.items()
-                     if n.startswith(("member.", "group.")) and p.requires_grad]
-        if trainable:
-            raise ValueError(f"frozen visual work needs frozen encoders; trainable: {trainable}")
-        keys = dict(zip(_keys(indices, masks), masks))
-        new = [key for key in keys if key not in self._memo]
-        if new:
-            rows, counts, row_ids = _select([self.samples[i] for i, _ in new], [keys[k] for k in new])
-            feats = encode_members(rows, state)
-            members = np.split(feats.values, np.cumsum(counts)[:-1])
-            blocks = encode_group_prefix(feats, state, counts).values.reshape(len(new), -1, state.config.dim)
-            self._memo.update(zip(new, zip(row_ids, members, blocks)))
-        if self.quantity and state.params["quantity.em"].requires_grad:
-            return False
-        reads = tuple(state.params[n] for n in _POOL_READS + (("quantity.em",) if self.quantity else ()))
-        if reads != self._pooled_from:  # Tensors compare by identity
-            self._pooled, self._pooled_from = {}, reads
-        unpooled = [key for key in keys if key not in self._pooled]
-        if unpooled:
-            block1 = dc.constant(np.concatenate([self._memo[k][2] for k in unpooled]))
-            pooled = _pool([sum(bits) for _, bits in unpooled], block1, state, quantity=self.quantity)
-            self._pooled.update(zip(unpooled, pooled.values))
-        return True
-
-    def __call__(
-        self, indices: Sequence[int], masks: Sequence[Mask], state: ModelState, *, refined: bool
-    ) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
-        """The ``group_features`` result for ``samples[indices]`` under ``masks``."""
-        keys = _keys(indices, masks)
-        pooled = self.prepare(indices, masks, state)
-        row_ids, members, blocks = zip(*(self._memo[key] for key in keys))
-        members = dc.constant(np.concatenate(members))
-        counts = [m.retained for m in masks]
-        if pooled:
-            features = dc.constant(np.stack([self._pooled[key] for key in keys]))
-        else:
-            features = _pool(counts, dc.constant(np.concatenate(blocks)), state, quantity=self.quantity)
+    def __call__(self, start: int, stop: int, state: ModelState, *, refined: bool
+                 ) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
+        """The ``group_features`` result for views ``[start, stop)`` of the pass."""
+        if not 0 <= start < stop <= len(self._counts):
+            raise IndexError(f"views [{start}, {stop}) outside the pass's {len(self._counts)}")
+        self._check(state)
+        counts = self._counts[start:stop]
+        members = dc.constant(self._members[self._ends[start]:self._ends[stop]])
+        features = dc.constant(self._rows[start * self._width:stop * self._width])
+        if not self._pooled:  # the count matrix trains
+            features = _pool(counts, features, state, quantity=True)
         if refined:
             features = refine(features, members, state, counts)
-        return features, members, list(row_ids)
-
-
-def _keys(indices: Sequence[int], masks: Sequence[Mask]) -> list[tuple[int, tuple[int, ...]]]:
-    return [(int(i), m.bits) for i, m in zip(indices, masks, strict=True)]
+        return features, members, self._row_ids[start:stop]

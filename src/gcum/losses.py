@@ -120,7 +120,7 @@ def stage2_batch_loss(
 
     ``features`` holds one refined group feature row per sample under its
     mask, from ``grce.group_features(..., refined=True)`` (training takes
-    them from a ``grce.VisualMemo``).  ``class_index`` maps group ids to
+    them from a ``grce.FrozenPass``).  ``class_index`` maps group ids to
     classifier rows; ``text_rows``, when given, holds one frozen text
     feature per class in the same row order.
     """

@@ -194,21 +194,20 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
     ``loss_fn(batch, features, members, row_ids, state)`` returns
     ``(loss, parts)``.  Each epoch is planned before its first step: its
     batches are drawn, each followed by its masks from the same stream,
-    in the order a step-by-step loop draws them.  A memo that lives as
-    long as this call then does the frozen visual work of the epoch's new
-    (sample, mask) keys in one pass, so each step's group features
-    (refined in stage 2), member rows and member identities come from
-    one memo call that runs only what the step can train.  A
-    ``NonFiniteError`` gains the stage, the epoch and the step (both from
-    0) or the frozen pass it happened in, and the trainable parameter
-    whose last update was largest; one in the frozen pass is raised as a
-    ``FrozenPassError``.
+    in the order a step-by-step loop draws them.  The last epoch's frozen
+    pass is dropped, and a ``grce.FrozenPass`` over the epoch's planned
+    views, in plan order, does their frozen visual work; each step's group
+    features (refined in stage 2), member rows and member identities are
+    then one call on its run of those views, which computes only what the
+    step can train.  A ``NonFiniteError`` gains the stage, the epoch and
+    the step (both from 0) or the frozen pass it happened in, and the
+    trainable parameter whose last update was largest; one in the frozen
+    pass is raised as a ``FrozenPassError``.
     """
     run = cfg.scaled()
     state = state.with_trainable(trainable)
     velocity = {name: np.zeros(state.params[name].shape) for name in trainable}
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(stream,)))
-    memo = grce.VisualMemo(samples, quantity=mvs is not None)
     history: list[dict] = []
     last_lr = None
 
@@ -219,17 +218,20 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
     for epoch in range(run.total_epochs):
         lr = lr_at_epoch(run, epoch)
         plan = [(idx, _sample_masks([samples[i] for i in idx], mvs, rng)) for idx in batches(rng)]
+        frozen = None  # the last epoch's pass goes before this one is built
         try:
-            memo.prepare([i for idx, _ in plan for i in idx], [m for _, ms in plan for m in ms], state)
+            frozen = grce.FrozenPass([samples[i] for idx, _ in plan for i in idx],
+                                     [m for _, ms in plan for m in ms], state, quantity=mvs is not None)
         except dc.NonFiniteError as e:
             raise diverged(e, epoch, "frozen visual pass", FrozenPassError) from e
         sums: dict[str, float] = {}
-        steps = 0
+        steps = start = 0
         for idx, masks in plan:
             batch = [samples[i] for i in idx]
             try:
                 with dc.Graph() as g:
-                    features, members, row_ids = memo(idx, masks, state, refined=cfg.stage == 2)
+                    features, members, row_ids = frozen(start, start + len(idx), state,
+                                                        refined=cfg.stage == 2)
                     loss, parts = loss_fn(batch, features, members, row_ids, state)
                 grads = _collect_grads(state, g.backward(loss), trainable)
                 state = sgd_step(state, grads, velocity, lr, run)
@@ -239,6 +241,7 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
             for k, v in {"loss_total": loss.item(), **parts}.items():
                 sums[k] = sums.get(k, 0.0) + v
             steps += 1
+            start += len(idx)
         if steps:
             means = {k: v / steps for k, v in sorted(sums.items())}
             history.append({"epoch": epoch, "stage": cfg.stage, "lr": lr, **means})

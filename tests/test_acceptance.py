@@ -10,6 +10,7 @@ import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,16 +202,18 @@ def test_criterion_04_masking_invariance():
         refined = grce.refine(v, feats, state, [mask.retained])
         batch = [s, peer] + others
         masks = [mask] + [full_mask(len(b.identity_ids)) for b in batch[1:]]
-        # the losses take their views from a memo, as in training
-        memo = grce.VisualMemo(batch, quantity=True)
-        indices = range(len(batch))
+
+        def views(st, stage2):
+            """The losses take their views from a frozen pass, as in training."""
+            return grce.FrozenPass(batch, masks, st, quantity=True)(0, len(batch), st, refined=stage2)
+
         l1, g1 = backward(lambda st: gla.stage1_batch_loss(
-            batch, *memo(indices, masks, st, refined=False), st, rosters)[0], STAGE1_TRAINABLE)
+            batch, *views(st, False), st, rosters)[0], STAGE1_TRAINABLE)
         gids = sorted({b.group_id for b in batch})
         class_index = {g: i for i, g in enumerate(gids)}
         text_rows = dc.constant(gla.class_text_features(state, gids, rosters).values)
         l2, g2 = backward(lambda st: losses_mod.stage2_batch_loss(
-            batch, memo(indices, masks, st, refined=True)[0], st, class_index,
+            batch, views(st, True)[0], st, class_index,
             text_rows, alpha=0.3, epsilon=0.1)[0], STAGE2_TRAINABLE)
         grads = {(1, n): g for n, g in g1.items()} | {(2, n): g for n, g in g2.items()}
         return feats.values, v.values, refined.values, l1, l2, grads
@@ -387,9 +390,9 @@ def test_criterion_09_end_to_end_determinism(tmp_path):
                      "--init-checkpoint", s1, "--out", s2]) == 0
         assert main(["eval", "--checkpoint", s2, "--data", data, "--out", report]) == 0
         return {
-            "s1": open(s1, "rb").read(),
-            "s2": open(s2, "rb").read(),
-            "report": json.loads(open(report).read())["report"],
+            "s1": Path(s1).read_bytes(),
+            "s2": Path(s2).read_bytes(),
+            "report": json.loads(Path(report).read_text())["report"],
         }
 
     a = flow("a")

@@ -277,7 +277,7 @@ def test_gen_data_writes_loadable_dataset(tmp_path, small_config, capsys):
     assert len(ds.group_ids()) == 6
     out = capsys.readouterr().out
     assert "6 groups" in out and "2 cameras" in out
-    doc = json.loads(open(data).read())
+    doc = json.loads(Path(data).read_text())
     assert doc["tool_version"] == __version__
     assert doc["run_config"]["seed"] == 5
 
@@ -287,7 +287,7 @@ def test_gen_data_is_byte_deterministic(tmp_path, small_config):
     b = str(tmp_path / "b.json")
     assert main(["gen-data", "--config", small_config, "--out", a]) == EXIT_OK
     assert main(["gen-data", "--config", small_config, "--out", b]) == EXIT_OK
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_gen_data_rejects_single_member_groups(tmp_path, capsys):
@@ -359,7 +359,7 @@ def test_train_both_stages_and_artifacts(tmp_path, small_config):
     assert meta2["stage"] == 2
     assert meta2["modules"]["grce"] is True
 
-    log_lines = open(s1 + ".log.jsonl").read().splitlines()
+    log_lines = Path(s1 + ".log.jsonl").read_text().splitlines()
     header = json.loads(log_lines[0])
     assert header["format"] == "gcum-train-log"
     assert header["config"]["seed"] == 5
@@ -380,7 +380,7 @@ def test_stage1_at_large_rates_finishes_or_reports_divergence(tmp_path, capsys, 
     code = main(["train", "--stage", "1", "--config", str(config), "--data", data, "--out", out])
     assert code in (EXIT_OK, EXIT_NONFINITE), capsys.readouterr().err
     if code == EXIT_OK:
-        records = [json.loads(line) for line in open(out + ".log.jsonl").read().splitlines()[1:]]
+        records = [json.loads(line) for line in Path(out + ".log.jsonl").read_text().splitlines()[1:]]
         assert all(np.isfinite(v) for r in records for k, v in r.items() if k.startswith("loss"))
 
 
@@ -497,7 +497,7 @@ def test_train_same_seed_gives_identical_checkpoints(tmp_path, small_config):
     for out in (a, b):
         assert main(["train", "--stage", "1", "--config", small_config,
                      "--data", data, "--out", out]) == EXIT_OK
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_stage2_without_init_checkpoint_exits_4(tmp_path, small_config, capsys):
@@ -639,7 +639,7 @@ def test_eval_prints_report_and_writes_artifact(tmp_path, small_config, capsys):
     assert main(["eval", "--checkpoint", s1, "--data", data, "--out", out_path]) == EXIT_OK
     printed = json.loads(capsys.readouterr().out)
     assert set(printed) == {"rank1", "rank5", "rank10", "mAP", "n_query", "n_gallery"}
-    artifact = json.loads(open(out_path).read())
+    artifact = json.loads(Path(out_path).read_text())
     assert artifact["format"] == "gcum-eval-report"
     assert artifact["report"] == printed
     assert artifact["config"]["seed"] == 5
@@ -685,7 +685,7 @@ def test_eval_reads_rosters_wider_than_k(tmp_path, small_config, capsys):
     data = _gen(tmp_path, small_config)
     s1 = str(tmp_path / "s1.ckpt")
     main(["train", "--stage", "1", "--config", small_config, "--data", data, "--out", s1])
-    doc = json.loads(open(data).read())
+    doc = json.loads(Path(data).read_text())
     fresh = iter(range(len(doc["catalog"]), 10000))
     for sample in doc["samples"]:
         for member in sample["members"]:
@@ -1064,7 +1064,7 @@ def test_ablate_prints_six_rows_and_writes_json(tmp_path, capsys):
     assert len(lines) == 8  # header + rule + six configurations
     assert lines[2].startswith("Base")
     assert lines[-1].startswith("Full")
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(Path(out_path).read_text())
     assert doc["format"] == "gcum-ablation"
     assert [r["name"] for r in doc["rows"]] == ["Base", "+GLA", "+MVS", "+GRCE", "+GLA+MVS", "Full"]
     assert doc["seeds"] == [5, 6, 7]

@@ -137,7 +137,7 @@ def test_extract_features_over_chunks_is_one_stack():
     # 640 views: two full chunks of 256 and a ragged half chunk
     gen = GenConfig(n_group_identities=160, d_a=5, members_min=2, members_max=4)
     ds = generate_dataset(gen, seed=30)
-    assert len(ds.samples) == 640 and evaluation._VIEWS_PER_CHUNK == 256
+    assert len(ds.samples) == 640 and grce.VIEWS_PER_CHUNK == 256
     state = init_model_state(ModelConfig(dim=8, d_a=5, max_members=4, group_slots=4), seed=2)
     state = state.with_params({"quantity.em": dc.Tensor(np.random.default_rng(31).normal(size=(4, 8)))})
     for refined in (False, True):

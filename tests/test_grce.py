@@ -10,7 +10,8 @@ from gcum.diffcore import ShapeError, Tensor
 from gcum.encoders import STAGE1_TRAINABLE, STAGE2_TRAINABLE, ModelConfig, ModelState, init_model_state
 from gcum.gla import class_text_features, stage1_batch_loss
 from gcum.grce import (
-    VisualMemo,
+    VIEWS_PER_CHUNK,
+    FrozenPass,
     canonical_order,
     group_features,
     refine,
@@ -146,13 +147,12 @@ def test_group_visual_is_permutation_invariant():
 
 
 @pytest.mark.parametrize("quantity", [True, False])
-def test_visual_memo_matches_group_visual(quantity):
+def test_frozen_pass_runs_match_group_features(quantity):
     ds = _dataset()
     state = small_state()
     # a non-zero count matrix, so the count term shows in the pooled feature
     em = np.random.default_rng(4).normal(scale=0.5, size=(4, 8))
     state = state.with_params({"quantity.em": Tensor(em)})
-    memo = VisualMemo(ds.samples, quantity=quantity)
     probe = dc.constant(np.arange(8.0))
 
     def features_and_grad(fn, st):
@@ -162,70 +162,94 @@ def test_visual_memo_matches_group_visual(quantity):
         grads = g.backward(loss) if v.requires_grad else {}
         return v, feats, ids, grads.get(st.params["quantity.em"])
 
-    # one memo serves every trainable set, as in the gradient check;
-    # repeated keys are memo hits, some under another set than their miss,
-    # and some calls mix hits with misses
-    calls = ([0, 1], [0, 2, 2], [2], [1, 0, 3], [3, 1])
-    trains = (True, False, False, True, True)
-    states = {em_trains: state.with_trainable(["quantity.em"] if em_trains else ["grce.wq"])
-              for em_trains in (True, False)}
-    for em_trains, indices in zip(trains, calls):
-        state = states[em_trains]
+    # a pass over repeated views, as an epoch plans them; every run of it
+    # matches, whether the count matrix trains (the pass keeps block 1) or not
+    # (it keeps the pooled features)
+    indices = [0, 1, 0, 2, 2, 2, 1, 0, 3, 3, 1]
+    for em_trains in (True, False):
+        state = state.with_trainable(["quantity.em"] if em_trains else ["grce.wq"])
         for drop in (False, True):
             masks = [Mask((1, 0) + (1,) * (len(ds.samples[i].identity_ids) - 2)) if drop and j % 2 == 0
                      else full_mask(len(ds.samples[i].identity_ids)) for j, i in enumerate(indices)]
+            frozen = FrozenPass([ds.samples[i] for i in indices], masks, state, quantity=quantity)
+            for start in range(len(indices)):
+                for stop in range(start + 1, len(indices) + 1):
+                    for refined in (False, True):
+                        got = features_and_grad(lambda: frozen(start, stop, state, refined=refined), state)
+                        want = features_and_grad(lambda: group_features(
+                            [ds.samples[i] for i in indices[start:stop]], state, masks[start:stop],
+                            quantity=quantity, refined=refined), state)
+                        assert got[2] == want[2]
+                        assert np.array_equal(got[0].values, want[0].values)
+                        assert np.array_equal(got[1].values, want[1].values)
+                        assert got[0].requires_grad == want[0].requires_grad == (
+                            (quantity and em_trains) or (refined and not em_trains))
+                        assert (got[3] is None and want[3] is None) or np.array_equal(got[3], want[3])
+
+
+def test_frozen_pass_over_several_chunks_is_one_stack():
+    # 600 views: two full chunks and a ragged one
+    samples, masks, state = _mixed_views(n_groups=150)
+    assert len(samples) == 600 and VIEWS_PER_CHUNK == 256
+    runs = [(0, 600), (250, 262), (255, 257), (256, 257), (500, 520), (511, 600), (0, 513)]
+    for trainable in (["quantity.em"], ["grce.wq"]):
+        st = state.with_trainable(trainable)
+        frozen = FrozenPass(samples, masks, st, quantity=True)
+        for start, stop in runs:
             for refined in (False, True):
-                got = features_and_grad(lambda: memo(indices, masks, state, refined=refined), state)
-                want = features_and_grad(lambda: group_features(
-                    [ds.samples[i] for i in indices], state, masks, quantity=quantity, refined=refined), state)
+                got = frozen(start, stop, st, refined=refined)
+                want = group_features(samples[start:stop], st, masks[start:stop], quantity=True, refined=refined)
+                assert got[0].values.tobytes() == want[0].values.tobytes(), (start, stop)
+                assert got[1].values.tobytes() == want[1].values.tobytes(), (start, stop)
                 assert got[2] == want[2]
-                assert np.array_equal(got[0].values, want[0].values)
-                assert np.array_equal(got[1].values, want[1].values)
-                assert got[0].requires_grad == want[0].requires_grad == (
-                    (quantity and em_trains) or (refined and not em_trains))
-                assert (got[3] is None and want[3] is None) or np.array_equal(got[3], want[3])
 
 
-def test_visual_memo_needs_frozen_encoders():
+def test_frozen_pass_takes_a_run_of_its_views():
+    ds = _dataset()
+    state = small_state().with_trainable(STAGE2_TRAINABLE)
+    frozen = FrozenPass(ds.samples[:3], [full_mask(len(s.identity_ids)) for s in ds.samples[:3]], state,
+                        quantity=True)
+    for start, stop in ((0, 0), (2, 1), (-1, 2), (1, 4)):
+        with pytest.raises(IndexError):
+            frozen(start, stop, state, refined=False)
+
+
+def test_frozen_pass_needs_frozen_encoders():
     ds = _dataset()
     state = small_state()
     state = state.with_trainable(["quantity.em", "group.blk2.wq"])
     with pytest.raises(ValueError):
-        memo = VisualMemo(ds.samples, quantity=True)
-        memo([0], [full_mask(len(ds.samples[0].identity_ids))], state, refined=False)
+        FrozenPass(ds.samples, [full_mask(len(s.identity_ids)) for s in ds.samples], state, quantity=True)
 
 
-def test_visual_memo_audits_the_encoders_on_an_all_hits_call():
+def test_frozen_pass_audits_the_encoders_on_every_call():
     ds = _dataset()
     state = small_state()
     state = state.with_trainable(["quantity.em"])
-    memo = VisualMemo(ds.samples, quantity=True)
     masks = [full_mask(len(ds.samples[i].identity_ids)) for i in (0, 1)]
-    memo([0, 1], masks, state, refined=False)
-    # the same keys again: every entry is a hit, but block 2 now trains
+    frozen = FrozenPass(ds.samples[:2], masks, state, quantity=True)
+    frozen(0, 2, state, refined=False)
+    # the same views again, but block 2 now trains
     state = state.with_trainable(["quantity.em", "group.blk2.wq"])
     with pytest.raises(ValueError, match="group.blk2.wq"):
-        memo([0, 1], masks, state, refined=False)
+        frozen(0, 2, state, refined=False)
 
 
 @pytest.mark.parametrize("name", ["quantity.em", "group.blk2.wv", "group.proj"])
-def test_visual_memo_drops_pooled_features_when_a_frozen_input_is_swapped(name):
+def test_frozen_pass_raises_naming_a_frozen_input_that_was_swapped(name):
     ds = _dataset()
     state = small_state()
     state = state.with_trainable(STAGE2_TRAINABLE)
-    memo = VisualMemo(ds.samples, quantity=True)
     indices = [0, 2, 3]
     masks = [Mask((1, 0) + (1,) * (len(ds.samples[i].identity_ids) - 2)) for i in indices]
-    views = [ds.samples[i] for i in indices]
-    first = memo(indices, masks, state, refined=False)[0].values
+    frozen = FrozenPass([ds.samples[i] for i in indices], masks, state, quantity=True)
+    frozen(0, 3, state, refined=False)
     swapped = np.random.default_rng(8).normal(scale=0.5, size=state.params[name].shape)
     state = state.with_params({name: Tensor(swapped)})  # a new frozen tensor
     assert not state.params[name].requires_grad
     for refined in (False, True):
-        got = memo(indices, masks, state, refined=refined)[0].values
-        want = group_features(views, state, masks, quantity=True, refined=refined)[0].values
-        assert np.array_equal(got, want)
-    assert not np.array_equal(first, memo(indices, masks, state, refined=False)[0].values)
+        with pytest.raises(ValueError, match=name):
+            frozen(0, 3, state, refined=refined)
 
 
 def test_group_visual_row_ids_follow_canonical_order():
@@ -449,11 +473,11 @@ def _grad_check_setup():
 def test_stage1_loss_grad_check_over_mixed_member_counts():
     ds, samples, masks, state, _ = _grad_check_setup()
     rosters = ds.group_rosters()
-    memo = VisualMemo(samples, quantity=True)
     state = state.with_trainable(STAGE1_TRAINABLE)
+    frozen = FrozenPass(samples, masks, state, quantity=True)
 
     def loss_fn(st):
-        return stage1_batch_loss(samples, *memo(range(4), masks, st, refined=False), st, rosters)[0]
+        return stage1_batch_loss(samples, *frozen(0, 4, st, refined=False), st, rosters)[0]
 
     report = dc.grad_check(lambda ps: loss_fn(ModelState(state.config, ps)), state.params,
                            step=1e-5, tolerance=1e-4)
@@ -465,11 +489,11 @@ def test_stage2_loss_grad_check_over_mixed_member_counts():
     ds, samples, masks, state, gids = _grad_check_setup()
     class_index = {g: i for i, g in enumerate(gids)}
     text = dc.constant(class_text_features(state, gids, ds.group_rosters()).values)
-    memo = VisualMemo(samples, quantity=True)
     state = state.with_trainable(STAGE2_TRAINABLE)
+    frozen = FrozenPass(samples, masks, state, quantity=True)
 
     def loss_fn(st):
-        features = memo(range(4), masks, st, refined=True)[0]
+        features = frozen(0, 4, st, refined=True)[0]
         return stage2_batch_loss(samples, features, st, class_index, text, alpha=0.5, epsilon=0.1)[0]
 
     report = dc.grad_check(lambda ps: loss_fn(ModelState(state.config, ps)), state.params,
@@ -489,9 +513,9 @@ def test_a_step_records_one_stack_whatever_the_member_counts():
 
     def nodes(retained):
         masks = [Mask((1,) * k + (0,) * (4 - k)) for k in retained]
-        memo = VisualMemo(samples, quantity=True)
+        frozen = FrozenPass(samples, masks, state, quantity=True)
         with dc.Graph() as g:
-            stage1_batch_loss(samples, *memo(range(8), masks, state, refined=False), state, rosters)
+            stage1_batch_loss(samples, *frozen(0, 8, state, refined=False), state, rosters)
         return len(g._nodes)
 
     assert state.config.max_members == 4

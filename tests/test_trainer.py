@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -264,9 +265,9 @@ def test_stage1_is_deterministic():
 def _scope_run(which: str) -> str:
     """Digest of a stage-1 run over sample list "a" or "b".
 
-    "b" is "a" with one appearance of its first view garbled: a memo of
-    frozen visual work keyed by (sample index, mask bits) that outlived
-    run "a" would hand run "b" stale features for that view.
+    "b" is "a" with one appearance of its first view garbled: frozen
+    visual work kept past run "a" would hand run "b" stale features for
+    that view.
     """
     ds, state = _training_setup()
     samples = list(ds.samples)
@@ -398,16 +399,23 @@ def _reference_steps(samples, cfg, mvs):
     return steps
 
 
-def _recorded_steps(monkeypatch):
-    """Record the (indices, mask bits) of every memo call a training run makes."""
+def _recorded_steps(monkeypatch, samples):
+    """Record the (indices into ``samples``, mask bits) of every step's run of its epoch's pass."""
     calls = []
-    real = grce.VisualMemo.__call__
+    index = {id(s): i for i, s in enumerate(samples)}
+    real_init, real_call = grce.FrozenPass.__init__, grce.FrozenPass.__call__
 
-    def recorded(memo, indices, masks, state, **kw):
-        calls.append(([int(i) for i in indices], [m.bits for m in masks]))
-        return real(memo, indices, masks, state, **kw)
+    def init(frozen, views, masks, state, **kw):
+        frozen.recorded = [index[id(s)] for s in views], [m.bits for m in masks]
+        real_init(frozen, views, masks, state, **kw)
 
-    monkeypatch.setattr(grce.VisualMemo, "__call__", recorded)
+    def call(frozen, start, stop, state, **kw):
+        indices, bits = frozen.recorded
+        calls.append((indices[start:stop], bits[start:stop]))
+        return real_call(frozen, start, stop, state, **kw)
+
+    monkeypatch.setattr(grce.FrozenPass, "__init__", init)
+    monkeypatch.setattr(grce.FrozenPass, "__call__", call)
     return calls
 
 
@@ -415,7 +423,7 @@ def _recorded_steps(monkeypatch):
 @pytest.mark.parametrize("mvs", [MvsConfig(), None])
 def test_planned_epochs_give_each_step_the_reference_draws(monkeypatch, stage, mvs):
     ds, state = _training_setup()
-    calls = _recorded_steps(monkeypatch)
+    calls = _recorded_steps(monkeypatch, ds.samples)
     cfg = _short_cfg(stage, epochs=3, batch_size=6, p_groups=2, q_views=3)
     train = train_stage1 if stage == 1 else train_stage2
     train(state, ds.samples, ds.group_rosters(), cfg, mvs=mvs, **_recipe(stage))
@@ -427,7 +435,7 @@ def test_planned_epochs_give_each_step_the_reference_draws(monkeypatch, stage, m
 @pytest.mark.parametrize("stage", [1, 2])
 def test_training_encodes_members_at_most_once_per_epoch(monkeypatch, stage):
     ds, state = _training_setup()
-    calls = _recorded_steps(monkeypatch)
+    calls = _recorded_steps(monkeypatch, ds.samples)
     encodes = []
     real = grce.encode_members
 
@@ -439,7 +447,23 @@ def test_training_encodes_members_at_most_once_per_epoch(monkeypatch, stage):
     train = train_stage1 if stage == 1 else train_stage2
     cfg = _short_cfg(stage, epochs=4, batch_size=4, p_groups=2)
     train(state, ds.samples, ds.group_rosters(), cfg, mvs=MvsConfig(), **_recipe(stage))
-    assert 1 <= len(encodes) <= 4 < len(calls)
+    assert len(encodes) == 4 < len(calls)  # one frozen pass per epoch, its views within one chunk
+
+
+def test_each_epoch_drops_its_frozen_pass_before_the_next_is_built(monkeypatch):
+    ds, state = _training_setup()
+    passes = []
+    real_init = grce.FrozenPass.__init__
+
+    def init(frozen, *a, **kw):
+        # every earlier epoch's pass is gone: training holds one at a time
+        assert all(ref() is None for ref in passes)
+        passes.append(weakref.ref(frozen))
+        real_init(frozen, *a, **kw)
+
+    monkeypatch.setattr(grce.FrozenPass, "__init__", init)
+    train_stage1(state, ds.samples, ds.group_rosters(), _short_cfg(1, epochs=6), mvs=MvsConfig())
+    assert len(passes) == 6
 
 
 def test_a_stage2_step_runs_neither_the_count_term_nor_block_2(monkeypatch):
@@ -453,21 +477,21 @@ def test_a_stage2_step_runs_neither_the_count_term_nor_block_2(monkeypatch):
             return _real(*a, **kw)
 
         monkeypatch.setattr(grce, name, counted)
-    real_call = grce.VisualMemo.__call__
+    real_call = grce.FrozenPass.__call__
 
-    def step_call(memo, *a, **kw):
+    def step_call(frozen, *a, **kw):
         events.append("step")
-        out = real_call(memo, *a, **kw)
+        out = real_call(frozen, *a, **kw)
         events.append("step end")
         return out
 
-    monkeypatch.setattr(grce.VisualMemo, "__call__", step_call)
+    monkeypatch.setattr(grce.FrozenPass, "__call__", step_call)
     cfg = _short_cfg(2, epochs=3, batch_size=4, p_groups=2)
     train_stage2(state, ds.samples, ds.group_rosters(), cfg, mvs=MvsConfig(), **_STAGE2)
     assert events.count("step") > 3
-    # the frozen pass before each epoch's first step pools that epoch's new views
-    assert 1 <= events.count("encode_group_suffix") == events.count("apply_mvs") <= 3
-    # nothing runs inside a step's memo call
+    # the frozen pass before each epoch's first step pools that epoch's views
+    assert events.count("encode_group_suffix") == events.count("apply_mvs") == 3
+    # nothing runs inside a step's call on the pass
     assert all(after == "step end" for e, after in zip(events, events[1:]) if e == "step")
 
 
