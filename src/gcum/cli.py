@@ -359,6 +359,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.stage == 1 and args.init_checkpoint is not None:
+        raise CliError(EXIT_CONFIG, "--init-checkpoint is for stage 2 only; stage 1 trains from the seed")
     cfg = load_run_config(args.config)
     ds = _load_data(args.data)
     _check_data_fits(ds, ds.samples, cfg.d_a, cfg.m0)

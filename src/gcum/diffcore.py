@@ -14,15 +14,20 @@ Design constraints the rest of the package relies on:
   gradient at ``Graph.backward``, a value Python reads (``item``,
   ``check_finite``) or an exception raised while recording, so a value
   that reaches none of them does not raise;
-* identical inputs give bit-identical outputs (fixed reduction orders, no
-  hidden threading decisions at these sizes);
+* identical inputs give bit-identical outputs at any BLAS thread count:
+  reduction orders are fixed, and no product's inner dimension grows with
+  the data, except a weight gradient's, whose inner dimension is a batch's
+  rows (at most 48 at the default recipe: 8 stage-2 views of 6 member
+  slots).  A product with a long inner dimension can round differently
+  at two BLAS threads than at one;
 * a graph records once and backpropagates once; reuse raises;
 * rows are selected and assembled by one op, ``gather_rows``, from one
   tensor or from the rows of several in turn, and rows it leaves out get
   exactly zero gradient;
 * attention of one query row over each of many short sequences is one
   op, ``segment_attention``, which keeps the tape rank 2 by stacking the
-  sequences as row blocks;
+  sequences as row blocks, and the mean of each such block is another,
+  ``block_means``;
 * compositions a training step runs many times are one node each, with a
   closed-form backward that gives the composed ops' bits: a residual
   self-attention block (``attention_block``, whole or read out at each
@@ -63,6 +68,7 @@ __all__ = [
     "tanh",
     "clamp_min",
     "segment_attention",
+    "block_means",
     "attention_block",
     "soft_target_nll",
     "row_distance",
@@ -515,6 +521,25 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int, lengths=None
         return _attend_grads(g, w, qv, kv, vv, q.requires_grad, k.requires_grad, v.requires_grad)
 
     return _result(out, (q, k, v), pull)
+
+
+def block_means(x: Tensor, length: int) -> Tensor:
+    """The (n, d) mean of each block of ``length`` consecutive rows of ``x``.
+
+    The blocks are worked as one (n, 1, length) @ (n, length, d) product,
+    so each mean is a product of its own block's rows alone: an output row
+    has the same bits in a stack of any size.
+    """
+    if x.ndim != 2:
+        raise ShapeError(f"block_means needs a rank-2 tensor, got shape {x.shape}")
+    n, _ = _blocks(x.shape[0], length, None, "block_means")
+    scale = 1.0 / length
+    out = (np.full((n, 1, length), scale) @ x.values.reshape(n, length, -1))[:, 0]
+
+    def pull(g: np.ndarray):
+        return (np.repeat(g * scale, length, axis=0),)
+
+    return _result(out, (x,), pull)
 
 
 def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, length: int,

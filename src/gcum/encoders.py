@@ -15,7 +15,9 @@ trained:
   together as row blocks of one width, their empty member slots masked;
 * text encoder — token embeddings plus learned positions, one
   self-attention block, mean-pool, projection, normalization.  Prompts of
-  one length are encoded together, stacked as row blocks.
+  one length are encoded together, stacked as row blocks; each prompt is
+  mean-pooled over its own rows, so its feature has the same bits in a
+  stack of any size.
 
 Trainable state lives alongside: per-identity prompt tokens, padding
 tokens, the member-count matrix, the refinement head, the classifier, and
@@ -291,9 +293,7 @@ def encode_text(tokens: Tensor, state: ModelState, length: int) -> Tensor:
     pos = dc.gather_rows(p["text.pos"], np.tile(np.arange(length), n))
     seq = dc.attention_block(dc.add(tokens, pos), p["text.attn.wq"], p["text.attn.wk"],
                              p["text.attn.wv"], p["text.attn.wo"], length)
-    # mean over each prompt's rows as one product with a (n, n * L) block matrix
-    pool = Tensor(np.repeat(np.eye(n) / length, length, axis=1), _copy=False)
-    return dc.l2_normalize(dc.matmul(dc.matmul(pool, seq), p["text.proj"]))
+    return dc.l2_normalize(dc.matmul(dc.block_means(seq, length), p["text.proj"]))
 
 
 # --------------------------------------------------------------------------

@@ -508,6 +508,18 @@ def test_stage2_without_init_checkpoint_exits_4(tmp_path, small_config, capsys):
     assert "init-checkpoint" in capsys.readouterr().err
 
 
+def test_stage1_with_init_checkpoint_exits_2(tmp_path, small_config, capsys):
+    # stage 1 trains from the seed, so the flag would be ignored: refuse it
+    data = _gen(tmp_path, small_config)
+    out = tmp_path / "x.ckpt"
+    code = main(["train", "--stage", "1", "--config", small_config, "--data", data,
+                 "--init-checkpoint", str(tmp_path / "does-not-exist.ckpt"), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--init-checkpoint is for stage 2 only" in err
+    assert not out.exists()
+
+
 def test_stage2_with_missing_checkpoint_exits_4(tmp_path, small_config):
     data = _gen(tmp_path, small_config)
     code = main(["train", "--stage", "2", "--config", small_config, "--data", data,
@@ -873,6 +885,48 @@ def test_no_numpy_warning_escapes_a_command(trained, tmp_path):
                              env=env, capture_output=True, text=True, timeout=300)
         assert run.returncode == code, run.stderr
         assert run.stderr.startswith("error: ") and "Warning" not in run.stderr, run.stderr
+
+
+_FLOW = """
+import json, sys
+from gcum.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_artifacts_keep_their_bytes_at_any_blas_thread_count(tmp_path):
+    # the README flow in a fresh interpreter per BLAS thread count, as the
+    # BLAS reads its thread count when numpy loads; the explicit variables
+    # win over GCUM_THREADS, which only fills unset ones.  OpenBLAS caps
+    # its thread count at the host's cores, so on a one-core host both runs
+    # use one thread and this test cannot fail there.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": 1, "train": {"scale_factor": 0.05}}))
+    flow = [["gen-data", "--config", str(config), "--out", "data.json"],
+            ["train", "--stage", "1", "--config", str(config), "--data", "data.json", "--out", "s1.ckpt"],
+            ["train", "--stage", "2", "--config", str(config), "--data", "data.json",
+             "--init-checkpoint", "s1.ckpt", "--out", "s2.ckpt"],
+            ["eval", "--checkpoint", "s2.ckpt", "--data", "data.json", "--out", "report.json"]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", _FLOW, json.dumps(flow)], cwd=cwd, env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        runs[threads] = run.stdout, {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+    (out1, files1), (out2, files2) = runs["1"], runs["2"]
+    assert sorted(files1) == ["data.json", "report.json", "s1.ckpt", "s1.ckpt.log.jsonl", "s1.ckpt.meta.json",
+                              "s2.ckpt", "s2.ckpt.log.jsonl", "s2.ckpt.meta.json"]
+    assert files1.keys() == files2.keys()
+    assert [name for name in files1 if files1[name] != files2[name]] == []
+    assert out1 == out2
 
 
 @settings(max_examples=100, deadline=None)

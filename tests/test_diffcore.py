@@ -519,7 +519,8 @@ def test_ops_are_bit_deterministic():
                                dc.attention_block(pair, w, w, w, w, 5).values.ravel(),
                                dc.attention_block(pair, w, w, w, w, 5, [2, 5], first_only=True).values.ravel(),
                                dc.row_distance(t, dc.tanh(t)).values,
-                               dc.add_block_means(pair, dc.Tensor(b[:, :3]), [4, 1]).values.ravel()])
+                               dc.add_block_means(pair, dc.Tensor(b[:, :3]), [4, 1]).values.ravel(),
+                               dc.block_means(pair, 5).values.ravel()])
 
     first, second = run(), run()
     assert first.tobytes() == second.tobytes()
@@ -891,6 +892,24 @@ def test_fused_ops_pass_grad_check():
 
     _grad_check_op(means, [rng.normal(size=(8, 4)), rng.normal(size=(3, 4))])
 
+    for n, length in ((3, 4), (1, 5), (2, 1)):
+        def pooled(p, length=length):
+            out = dc.block_means(p["0"], length)
+            return ops.reduce_sum(dc.mul(out, dc.tanh(out)))
+
+        _grad_check_op(pooled, [rng.normal(size=(n * length, 3))])
+
+
+def test_block_means_values_and_gradient():
+    x = np.arange(12.0).reshape(6, 2)
+    t = dc.Tensor(x, requires_grad=True)
+    with dc.Graph() as g:
+        out = dc.block_means(t, 3)
+        loss = ops.reduce_sum(dc.mul(out, dc.constant([[1.0, 2.0], [3.0, 4.0]])))
+    np.testing.assert_allclose(out.values, [[2.0, 3.0], [8.0, 9.0]])
+    np.testing.assert_array_equal(g.backward(loss)[t], np.repeat([[1.0, 2.0], [3.0, 4.0]], 3, axis=0) / 3)
+
+
 
 def test_fused_ops_reject_bad_shapes():
     x, w = dc.Tensor(np.ones((6, 4))), dc.Tensor(np.ones((4, 4)))
@@ -910,3 +929,6 @@ def test_fused_ops_reject_bad_shapes():
                             (w.values, [3, 1]), (w.values, [1, 1, 1, 1]), (w.values, [])):
         with pytest.raises(dc.ShapeError):
             dc.add_block_means(x, dc.Tensor(weights), counts)
+    for bad, length in ((x, 4), (x, 0), (x, 7), (dc.Tensor(np.ones(6)), 3), (dc.Tensor(2.0), 1)):
+        with pytest.raises(dc.ShapeError):
+            dc.block_means(bad, length)  # rows that do not split into blocks, or not a matrix

@@ -183,16 +183,19 @@ def test_text_feature_unit_norm_and_length_limit():
 
 
 def test_batched_text_rows_match_one_prompt_encodes():
-    cfg = small_config()
-    state = init_model_state(cfg, seed=2)
+    # a text feature has the same bits in a stack of any size; at dim 48 a
+    # mean over the stack's rows as one dense product did not keep them
     rng = np.random.default_rng(9)
-    for length in (cfg.member_prompt_len, cfg.group_prompt_len):
-        prompts = rng.normal(size=(5, length, cfg.dim))
-        batched = encode_text(dc.constant(prompts.reshape(-1, cfg.dim)), state, length).values
-        assert batched.shape == (5, cfg.dim)
-        for i, prompt in enumerate(prompts):
-            alone = encode_text(dc.constant(prompt), state, length).values[0]
-            np.testing.assert_allclose(batched[i], alone, rtol=0, atol=1e-12)
+    for cfg in (small_config(), ModelConfig()):
+        state = init_model_state(cfg, seed=2)
+        for length in (cfg.member_prompt_len, cfg.group_prompt_len):
+            for n in (2, 5, 28, 64):
+                prompts = rng.normal(size=(n, length, cfg.dim))
+                batched = encode_text(dc.constant(prompts.reshape(-1, cfg.dim)), state, length).values
+                assert batched.shape == (n, cfg.dim)
+                for i, prompt in enumerate(prompts):
+                    alone = encode_text(dc.constant(prompt), state, length).values[0]
+                    assert np.array_equal(batched[i], alone), (cfg.dim, length, n, i)
 
 
 def test_text_positions_beyond_length_are_inert():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gcum import diffcore as dc
-from gcum import evaluation, grce
+from gcum import evaluation, gla, grce
 from gcum.cli import RunConfig
 from gcum.encoders import ModelConfig, init_model_state
 from gcum.evaluation import (
@@ -345,6 +345,26 @@ def test_evaluate_peaks_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 10_000_000, peak
+
+
+def test_class_text_features_peak_in_bounded_memory():
+    # the 1,050 training classes of the 1,500-group split, seed 1, as stage 2
+    # encodes them.  A mean over each prompt's rows by one product with an
+    # (n, n L) pool matrix peaked at 312 MB of traced allocations; pooled
+    # block by block the pass peaks near 98 MB.
+    cfg = RunConfig(seed=1, n_group_identities=1500)
+    ds = generate_dataset(cfg.gen_config(), cfg.seed)
+    train_gids, _ = split_train_test(ds, cfg.train_fraction)
+    assert len(train_gids) == 1050
+    state = init_model_state(cfg.model_config(ds, len(train_gids)), cfg.seed)
+    rosters = ds.group_rosters()
+    tracemalloc.start()
+    try:
+        gla.class_text_features(state, train_gids, rosters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150_000_000, peak
 
 
 def test_evaluate_splits_by_camera():

@@ -208,13 +208,11 @@ def test_batched_text_features_match_one_prompt_each():
     state = small_state()
     members = member_text_features([3, 0, 2], state).values
     for row, pid in zip(members, [3, 0, 2]):
-        np.testing.assert_allclose(row, member_text_features([pid], state).values[0],
-                                   rtol=0, atol=1e-12)
+        assert np.array_equal(row, member_text_features([pid], state).values[0])
     rosters = {0: (0, 2), 1: (3,), 2: (1, 2, 3)}
     groups = class_text_features(state, [2, 0, 1], rosters).values
     for row, c in zip(groups, [2, 0, 1]):
-        np.testing.assert_allclose(row, class_text_features(state, [c], rosters).values[0],
-                                   rtol=0, atol=1e-12)
+        assert np.array_equal(row, class_text_features(state, [c], rosters).values[0])
 
 
 # --------------------------------------------------------------------------
