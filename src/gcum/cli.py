@@ -43,7 +43,7 @@ from .encoders import (
 )
 from .evaluation import evaluate, format_ablation_table, run_ablation
 from .jsondoc import json_int, read, require
-from .mvs import Mask, MvsConfig, full_mask
+from .mvs import Mask, MvsConfig
 from .synthdata import (
     Dataset,
     DatasetFormatError,
@@ -220,7 +220,7 @@ def run_grad_checks(seed: int, *, step: float, tolerance: float) -> dict:
     Runs on a deliberately tiny instance (three 3-member groups, width 4)
     so the entry-by-entry sweep stays fast.  Masks are fixed: alternating
     samples drop their last member, which exercises the dropped-row paths
-    while the full-mask samples cover every count-matrix row.  The triplet
+    while the unmasked samples cover every count-matrix row.  The triplet
     margin is large enough that every mined hinge stays active, keeping
     the loss differentiable at the evaluation point.
     """
@@ -248,12 +248,12 @@ def run_grad_checks(seed: int, *, step: float, tolerance: float) -> dict:
     gids = sorted(by_group)[:2]
     samples = [by_group[g][v] for g in gids for v in range(2)]
     masks = [
-        full_mask(len(s.identity_ids)) if i % 2 else Mask(tuple([1] * (len(s.identity_ids) - 1) + [0]))
+        None if i % 2 else Mask(tuple([1] * (len(s.identity_ids) - 1) + [0]))
         for i, s in enumerate(samples)
     ]
     class_index = {g: i for i, g in enumerate(gids)}
     targets = [class_index[s.group_id] for s in samples]
-    text_rows = dc.constant(gla.class_text_features(state, gids, rosters).values)
+    text_rows = gla.class_text_features(state, gids, rosters)  # outside any graph: no gradient
 
     frozen = None  # the views training computes: one pass per check, over its trainable set
     n = len(samples)
@@ -311,6 +311,8 @@ def _load_checkpoint_state(path: str):
     try:
         state, meta = state_from_checkpoint(path)
     except FileNotFoundError as e:
+        if os.path.exists(path):  # the checkpoint is there, so the sidecar is what went
+            raise CheckpointError(f"checkpoint sidecar {path}.meta.json not found") from e
         raise CliError(EXIT_CHECKPOINT, f"checkpoint not found: {path}") from e
     where = f"checkpoint sidecar {path}.meta.json"
     if require(meta, "stage", where, json_int, error=CheckpointError) not in (1, 2):

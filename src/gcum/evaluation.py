@@ -136,14 +136,16 @@ def extract_features(
 ) -> np.ndarray:
     """One unit-norm feature row per sample; full member sets, no recording.
 
-    Views are featurized ``grce.VIEWS_PER_CHUNK`` at a time, which gives the
-    bytes of one ``grce.group_features`` call over all of them.
+    Each ``grce.VIEWS_PER_CHUNK`` views are one ``grce.FrozenPass`` on the
+    state with nothing trainable, taken as one run.  A view's feature has
+    the same bits in any stack, so chunking bounds memory and moves no byte.
     """
+    state = state.with_trainable(())
     feats = np.empty((len(samples), state.config.dim))
     for start in range(0, len(samples), grce.VIEWS_PER_CHUNK):
         chunk = samples[start:start + grce.VIEWS_PER_CHUNK]
-        feats[start:start + len(chunk)] = grce.group_features(chunk, state, quantity=quantity,
-                                                              refined=refined)[0].values
+        frozen = grce.FrozenPass(chunk, [None] * len(chunk), state, quantity=quantity)
+        feats[start:start + len(chunk)] = frozen(0, len(chunk), state, refined=refined)[0].values
     return feats
 
 

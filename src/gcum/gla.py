@@ -158,11 +158,11 @@ def stage1_batch_loss(
 ) -> tuple[Tensor, dict[str, float]]:
     """Prompt-learning objective for one batch of group views.
 
-    The inputs are ``grce.group_features`` of the samples under their masks
-    (training takes them from a ``grce.FrozenPass``): one group feature row
-    per sample, the retained member rows, and each view's member
-    identities.  Both granularities are aligned: group features against
-    group descriptions and member features against member descriptions.
+    The inputs are a ``grce.FrozenPass`` run over the samples under their
+    masks, unrefined: one group feature row per sample, the retained
+    member rows, and each view's member identities.  Both granularities
+    are aligned: group features against group descriptions and member
+    features against member descriptions.
     The loss is the sum of the image-anchored and text-anchored batch means
     at both granularities.  Members a view's mask dropped contribute to
     nothing.

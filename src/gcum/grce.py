@@ -14,14 +14,15 @@ same bits whatever else shares its call, because attention and the
 count term work block by block at that width and a row-wise product
 never sees a single row (``diffcore.matmul`` pads one to two).
 
-``group_features`` is the way in for eval; it keeps every member of a
-view unless a mask drops some.  In training the member encoder and the
-first group block run on frozen weights, and an epoch's views and masks
-are drawn before its first step, so ``FrozenPass`` does that frozen
-work once per epoch; each step takes a run of the pass's views and
-shares the rest of the pipeline with ``group_features``.  While the
-count matrix is frozen as well (stage 2), the pass keeps each view's
-pooled feature instead, so a step runs only the refinement.
+``FrozenPass`` is the one way in, for training, the gradient check and
+eval alike.  The member encoder and the first group block run on frozen
+weights, so a pass runs them once over a fixed list of views and a call
+takes a run of those views and computes only what can train.  Training
+builds one pass per epoch over the epoch's planned views and masks, and
+each step takes its run; eval builds one per chunk of test views, with
+every member kept, and takes the whole run.  While the count matrix is
+frozen as well (stage 2 and eval), the pass keeps each view's pooled
+feature instead, so a call runs only the refinement.
 
 Canonical ordering makes every stage independent of the order members
 appear in a sample.  Rows are sorted lexicographically by value before
@@ -134,48 +135,28 @@ def _pool(counts: Sequence[int], block1: Tensor, state: ModelState, *, quantity:
     return encode_group_suffix(fused, state, counts)
 
 
-def group_features(
-    samples: Sequence[GroupSample],
-    state: ModelState,
-    masks: Sequence[Mask | None] | None = None,
-    *,
-    quantity: bool,
-    refined: bool,
-) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
-    """Group features of dataset views, all in one stack.
-
-    ``masks`` (all kept by default) drop members before anything is
-    encoded, so a dropped member influences neither the value nor the
-    gradient of anything downstream.  Returns the (n, dim) group features,
-    refined on request, and the member rows, both in sample order, and
-    each view's member identities in row order.
-    """
-    rows, counts, row_ids = _select(samples, masks or [None] * len(samples))
-    members = encode_members(rows, state)
-    pooled = _pool(counts, encode_group_prefix(members, state, counts), state, quantity=quantity)
-    features = refine(pooled, members, state, counts) if refined else pooled
-    return features, members, row_ids
-
-
 class FrozenPass:
-    """``group_features`` for one training epoch's planned views, frozen work done once.
+    """The group features of a fixed list of views, frozen work done once.
 
-    ``samples[i]`` under ``masks[i]`` is the epoch's i-th view, in plan
-    order, so a step's views are a run ``[start, stop)`` of them.  The
-    member encoder and block 1 run on frozen weights, so the pass runs
-    them over every view up front, ``VIEWS_PER_CHUNK`` views per call,
-    and keeps the member identities, the member rows and each view's
-    padded block-1 block.  While the count matrix is frozen or unused (as
-    in stage 2), everything up to the readout is frozen too, and the pass
-    keeps each view's pooled feature instead of its block.  A call then
-    slices its run out and computes only what can train: the count term,
-    block 2 and the readout while the count matrix trains, and the
-    refinement on request.  The encoders must be frozen; a call on a state
-    that holds another array for a tensor the pass read, or has made one
-    trainable, raises ``ValueError`` naming it.
+    ``samples[i]`` under ``masks[i]`` (None keeps every member) is the
+    pass's i-th view: in training the epoch's planned views in plan order,
+    so a step's views are a run ``[start, stop)`` of them, and in eval a
+    chunk of test views, taken as one run.  Masks drop members before
+    anything is encoded, so a dropped member influences neither the value
+    nor the gradient of anything downstream.  The member encoder and
+    block 1 run on frozen weights, so the pass runs them over every view
+    up front, ``VIEWS_PER_CHUNK`` views per call, and keeps the member
+    identities, the member rows and each view's padded block-1 block.  While the count matrix is frozen or unused (as in stage 2 and
+    eval), everything up to the readout is frozen too, and the pass keeps
+    each view's pooled feature instead of its block.  A call then slices
+    its run out and computes only what can train: the count term, block 2
+    and the readout while the count matrix trains, and the refinement on
+    request.  The encoders must be frozen; a call on a state that holds
+    another array for a tensor the pass read, or has made one trainable,
+    raises ``ValueError`` naming it.
     """
 
-    def __init__(self, samples: Sequence[GroupSample], masks: Sequence[Mask], state: ModelState, *,
+    def __init__(self, samples: Sequence[GroupSample], masks: Sequence[Mask | None], state: ModelState, *,
                  quantity: bool):
         self._pooled = not (quantity and state.params["quantity.em"].requires_grad)
         self._reads = {n: p.values for n, p in state.params.items() if n.startswith(("member.", "group."))
@@ -205,7 +186,12 @@ class FrozenPass:
 
     def __call__(self, start: int, stop: int, state: ModelState, *, refined: bool
                  ) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
-        """The ``group_features`` result for views ``[start, stop)`` of the pass."""
+        """Views ``[start, stop)`` of the pass, in one stack.
+
+        Returns their (n, dim) group features, refined on request, and
+        their member rows, both in view order, and each view's member
+        identities in row order.
+        """
         if not 0 <= start < stop <= len(self._counts):
             raise IndexError(f"views [{start}, {stop}) outside the pass's {len(self._counts)}")
         self._check(state)

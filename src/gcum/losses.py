@@ -119,10 +119,9 @@ def stage2_batch_loss(
     """Identity + triplet (+ image-text) loss over refined group features.
 
     ``features`` holds one refined group feature row per sample under its
-    mask, from ``grce.group_features(..., refined=True)`` (training takes
-    them from a ``grce.FrozenPass``).  ``class_index`` maps group ids to
-    classifier rows; ``text_rows``, when given, holds one frozen text
-    feature per class in the same row order.
+    mask, from a ``grce.FrozenPass`` run with ``refined=True``.
+    ``class_index`` maps group ids to classifier rows; ``text_rows``, when
+    given, holds one frozen text feature per class in the same row order.
     """
     if features.ndim != 2 or len(samples) != features.shape[0]:
         raise ValueError("one view per sample required")

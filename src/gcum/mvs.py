@@ -64,12 +64,6 @@ class Mask:
         return len(self.bits)
 
 
-def full_mask(n: int) -> Mask:
-    if n < 1:
-        raise ValueError("mask length must be positive")
-    return Mask(tuple([1] * n))
-
-
 def sample_drop_prob(config: MvsConfig, rng: np.random.Generator) -> float:
     """One clamped-Gaussian draw of the per-view drop probability."""
     p = config.mu + config.sigma * rng.standard_normal()

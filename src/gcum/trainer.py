@@ -26,7 +26,7 @@ from . import gla, grce
 from . import losses as losses_mod
 from .diffcore import Tensor
 from .encoders import STAGE1_TRAINABLE, STAGE2_TRAINABLE, ModelState
-from .mvs import MvsConfig, full_mask, sample_drop_prob, sample_mask
+from .mvs import MvsConfig, sample_drop_prob, sample_mask
 from .synthdata import GroupSample
 
 _STAGE1_STREAM = 20
@@ -152,7 +152,7 @@ def sgd_step(
         if name == "temp.inv":
             new = np.clip(new, *TEMP_INV_RANGE)
         try:
-            updates[name] = Tensor(new, requires_grad=p.requires_grad)
+            updates[name] = Tensor(new, requires_grad=p.requires_grad, _copy=False)
         except dc.NonFiniteError as e:
             raise dc.NonFiniteError(f"sgd_step on {name}: {e}") from None
     return state.with_params(updates)
@@ -169,8 +169,9 @@ def _collect_grads(state: ModelState, grads: Mapping[Tensor, np.ndarray],
 
 
 def _sample_masks(batch, mvs: MvsConfig | None, rng: np.random.Generator):
+    """One mask per view of ``batch``; with MVS off, None (every member kept) and no draw."""
     if mvs is None:
-        return [full_mask(len(s.identity_ids)) for s in batch]
+        return [None] * len(batch)
     masks = []
     for s in batch:
         p = sample_drop_prob(mvs, rng)
@@ -226,7 +227,7 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
             raise diverged(e, epoch, "frozen visual pass", FrozenPassError) from e
         sums: dict[str, float] = {}
         steps = start = 0
-        for idx, masks in plan:
+        for idx, _ in plan:
             batch = [samples[i] for i in idx]
             try:
                 with dc.Graph() as g:
@@ -312,10 +313,8 @@ def train_stage2(
         )
     class_index = {g: i for i, g in enumerate(gids)}
 
-    text_rows = None
-    if use_text:
-        rows = gla.class_text_features(state, gids, rosters)  # outside any graph
-        text_rows = dc.constant(rows.values)
+    # outside any graph, so the rows take no gradient
+    text_rows = gla.class_text_features(state, gids, rosters) if use_text else None
     p_eff = min(cfg.p_groups, len(gids))
 
     def batches(rng):

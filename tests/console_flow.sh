@@ -76,6 +76,16 @@ cat damaged.err
 test "$code" -eq 3
 grep -q "modules.grce must be bool" damaged.err
 
+# the checkpoint is there and its sidecar is not: an artifact error naming the sidecar, not a missing checkpoint
+echo "== An eval of a checkpoint whose sidecar is missing exits 3 and names the sidecar"
+mkdir no-sidecar
+cp s2.ckpt no-sidecar/s2.ckpt
+code=0
+gcum eval --checkpoint no-sidecar/s2.ckpt --data data.json 2> no-sidecar.err || code=$?
+cat no-sidecar.err
+test "$code" -eq 3
+grep -q "checkpoint sidecar no-sidecar/s2.ckpt.meta.json not found" no-sidecar.err
+
 # no UTF-8 sequence starts with 0xFF: an artifact error naming the dataset, not a config error
 echo "== An eval of a dataset with a 0xFF byte exits 3 and names the dataset"
 python -c 'import sys; b = bytearray(open(sys.argv[1], "rb").read()); b[100] = 0xFF; open(sys.argv[2], "wb").write(b)' \

@@ -34,7 +34,7 @@ from gcum.evaluation import (
     run_ablation,
     run_rows,
 )
-from gcum.mvs import Mask, MvsConfig, full_mask, sample_drop_prob, sample_mask
+from gcum.mvs import Mask, MvsConfig, sample_drop_prob, sample_mask
 from gcum.synthdata import GenConfig, GroupSample, generate_dataset
 from gcum.trainer import TrainConfig, train_stage1, train_stage2
 
@@ -198,10 +198,11 @@ def test_criterion_04_masking_invariance():
         return loss.item(), {n: grads.get(st.params[n]) for n in trainable}
 
     def outputs(s):
-        v, feats, _ = grce.group_features([s], state, [mask], quantity=True, refined=False)
+        frozen = state.with_trainable(())
+        v, feats, _ = grce.FrozenPass([s], [mask], frozen, quantity=True)(0, 1, frozen, refined=False)
         refined = grce.refine(v, feats, state, [mask.retained])
         batch = [s, peer] + others
-        masks = [mask] + [full_mask(len(b.identity_ids)) for b in batch[1:]]
+        masks = [mask] + [None] * (len(batch) - 1)
 
         def views(st, stage2):
             """The losses take their views from a frozen pass, as in training."""

@@ -834,6 +834,25 @@ def test_damaged_checkpoint_sidecar_exits_3(trained, tmp_path, capsys, damage, c
     assert not out.exists()
 
 
+def test_a_checkpoint_without_its_sidecar_exits_3_naming_the_sidecar(trained, tmp_path, capsys):
+    # the checkpoint is there, so a missing sidecar is a damaged artifact; a
+    # missing checkpoint file still exits 4, whether its sidecar is there or not
+    ckpt = _copy_checkpoint(trained.s1, tmp_path / "s1.ckpt")
+    Path(ckpt + ".meta.json").unlink()
+    out = tmp_path / "s2.ckpt"
+    capsys.readouterr()
+    for argv in (["eval", "--checkpoint", ckpt, "--data", trained.data],
+                 ["train", "--stage", "2", "--config", trained.config, "--data", trained.data,
+                  "--init-checkpoint", ckpt, "--out", str(out)]):
+        assert main(argv) == EXIT_IO, argv[0]
+        assert capsys.readouterr().err == f"error: checkpoint sidecar {ckpt}.meta.json not found\n"
+    assert not out.exists()
+    ghost = _copy_checkpoint(trained.s1, tmp_path / "ghost.ckpt")
+    Path(ghost).unlink()
+    assert main(["eval", "--checkpoint", ghost, "--data", trained.data]) == EXIT_CHECKPOINT
+    assert capsys.readouterr().err == f"error: checkpoint not found: {ghost}\n"
+
+
 def test_stage2_exits_3_when_the_init_checkpoint_overflows_its_frozen_pass(trained, tmp_path, capsys):
     # the frozen pass reads only the checkpoint's frozen weights and the data, so no step diverged
     ckpt = _copy_checkpoint(trained.s1, tmp_path / "s1.ckpt")

@@ -22,7 +22,6 @@ from gcum.evaluation import (
     run_ablation,
     run_rows,
 )
-from gcum.grce import group_features
 from gcum.synthdata import (
     GenConfig,
     GroupSample,
@@ -31,6 +30,8 @@ from gcum.synthdata import (
     split_train_test,
 )
 from gcum.trainer import TrainConfig, train_stage1
+
+from passes import whole_run
 
 
 def _unit_rows(rng, n, dim):
@@ -133,20 +134,28 @@ def test_chunked_ranking_is_the_whole_matrix_ranking(monkeypatch):
         assert rank_gallery(q[i:i + 1], g, q_labels[i:i + 1], g_labels).tobytes() == chunked[i].tobytes()
 
 
-def test_extract_features_over_chunks_is_one_stack():
+def test_extract_features_over_chunks_is_one_stack(monkeypatch):
     # 640 views: two full chunks of 256 and a ragged half chunk
     gen = GenConfig(n_group_identities=160, d_a=5, members_min=2, members_max=4)
     ds = generate_dataset(gen, seed=30)
     assert len(ds.samples) == 640 and grce.VIEWS_PER_CHUNK == 256
     state = init_model_state(ModelConfig(dim=8, d_a=5, max_members=4, group_slots=4), seed=2)
     state = state.with_params({"quantity.em": dc.Tensor(np.random.default_rng(31).normal(size=(4, 8)))})
+    frozen = state.with_trainable(())
+
+    def one_stack(samples, refined):
+        """A pass whose one chunk holds every view."""
+        with monkeypatch.context() as m:
+            m.setattr(grce, "VIEWS_PER_CHUNK", len(samples))
+            return whole_run(samples, frozen, quantity=True, refined=refined)[0].values
+
     for refined in (False, True):
-        whole = group_features(ds.samples, state, quantity=True, refined=refined)[0].values
+        whole = one_stack(ds.samples, refined)
         assert extract_features(state, ds.samples, refined=refined, quantity=True).tobytes() == whole.tobytes()
     # a last chunk of one view
     few = ds.samples[:257]
     assert (extract_features(state, few, refined=True, quantity=True).tobytes()
-            == group_features(few, state, quantity=True, refined=True)[0].values.tobytes())
+            == one_stack(few, True).tobytes())
 
 
 def test_rank_gallery_rejects_bad_inputs():
@@ -322,7 +331,7 @@ def test_extract_features_matches_single_sample_forward():
     feats = extract_features(state, ds.samples[:4], refined=True, quantity=True)
     assert feats.shape == (4, 8)
     assert np.allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
-    one, _, _ = group_features([ds.samples[2]], state, quantity=True, refined=True)
+    one, _, _ = whole_run([ds.samples[2]], state.with_trainable(()), quantity=True, refined=True)
     assert np.array_equal(feats[2], one.values[0])
 
 
@@ -449,7 +458,7 @@ def test_features_and_reports_keep_their_bytes_under_the_full_lexsort(monkeypatc
     def outputs():
         out = []
         for samples in (ds.samples, ds.samples + [tied]):
-            feats, members, ids = group_features(samples, state, quantity=True, refined=True)
+            feats, members, ids = whole_run(samples, state.with_trainable(()), quantity=True, refined=True)
             out += [feats.values.tobytes(), members.values.tobytes(), ids,
                     evaluate(state, samples, 0, refined=True, quantity=True)]
         return out

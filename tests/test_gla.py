@@ -16,11 +16,11 @@ from gcum.gla import (
     member_text_features,
     stage1_batch_loss,
 )
-from gcum.grce import group_features
-from gcum.mvs import Mask, full_mask
+from gcum.mvs import Mask
 from gcum.synthdata import GenConfig, GroupSample, generate_dataset
 
 import tape_ops as ops
+from passes import whole_run
 
 
 def small_state(seed=0, **overrides):
@@ -380,17 +380,18 @@ def _tiny_setup(seed=3):
         ),
         seed=0,
     )
-    return ds, state
+    # every parameter but the visual encoders, which a frozen pass reads, takes gradients
+    return ds, state.with_trainable([n for n in state.params if not n.startswith(("member.", "group."))])
 
 
 def _views(batch, masks, state, quantity=True):
-    return group_features(batch, state, masks, quantity=quantity, refined=False)
+    return whole_run(batch, state, masks, quantity=quantity, refined=False)
 
 
 def test_stage1_loss_runs_and_routes_gradients():
     ds, state = _tiny_setup()
     batch = ds.samples[:4]
-    masks = [full_mask(len(s.identity_ids)) for s in batch]
+    masks = [None] * len(batch)
     rosters = ds.group_rosters()
     with dc.Graph() as g:
         loss, parts = stage1_batch_loss(batch, *_views(batch, masks, state), state, rosters)
@@ -408,7 +409,7 @@ def test_stage1_loss_runs_and_routes_gradients():
 def test_stage1_loss_without_count_term_skips_em():
     ds, state = _tiny_setup()
     batch = ds.samples[:4]
-    masks = [full_mask(len(s.identity_ids)) for s in batch]
+    masks = [None] * len(batch)
     with dc.Graph() as g:
         views = _views(batch, masks, state, quantity=False)
         loss, _ = stage1_batch_loss(batch, *views, state, ds.group_rosters())
@@ -422,7 +423,7 @@ def test_stage1_loss_ignores_dropped_members():
     target = batch[0]
     assert len(target.identity_ids) >= 2
     masks = [Mask((0,) + (1,) * (len(target.identity_ids) - 1))]
-    masks += [full_mask(len(s.identity_ids)) for s in batch[1:]]
+    masks += [None] * (len(batch) - 1)
     rosters = ds.group_rosters()
 
     baseline, _ = stage1_batch_loss(batch, *_views(batch, masks, state), state, rosters)
@@ -442,6 +443,6 @@ def test_stage1_loss_ignores_dropped_members():
 def test_stage1_needs_matching_masks():
     ds, state = _tiny_setup()
     batch = ds.samples[:3]
-    views = _views(batch[:1], [full_mask(len(batch[0].identity_ids))], state)
+    views = _views(batch[:1], [None], state)
     with pytest.raises(ValueError):
         stage1_batch_loss(batch, *views, state, ds.group_rosters())

@@ -9,6 +9,8 @@ only.
 import json
 from pathlib import Path
 
+import pytest
+
 from gcum.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -17,8 +19,10 @@ CONFIG = {"seed": 1, "train": {"scale_factor": 0.05}}
 
 def _same_bytes(got: Path, name: str) -> None:
     want = (GOLDEN / name).read_bytes()
-    assert got.read_bytes() == want, (
-        f"{name} moved:\n got  {got.read_text().strip()}\n want {want.decode().strip()}")
+    if got.read_bytes() != want:
+        new, old = json.loads(got.read_bytes()), json.loads(want)
+        moved = {k: (new.get(k), old.get(k)) for k in sorted(new.keys() | old.keys()) if new.get(k) != old.get(k)}
+        pytest.fail(f"{name} moved; (now, golden) of each key that differs: {moved or 'none, only the bytes'}")
 
 
 def test_reference_report_and_ablation_keep_their_bytes(tmp_path, capsys):

@@ -1,26 +1,25 @@
 """Cross-attention refinement and the end-to-end group feature pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcum import diffcore as dc
+from gcum import grce
 from gcum.diffcore import ShapeError, Tensor
 from gcum.encoders import STAGE1_TRAINABLE, STAGE2_TRAINABLE, ModelConfig, ModelState, init_model_state
 from gcum.gla import class_text_features, stage1_batch_loss
-from gcum.grce import (
-    VIEWS_PER_CHUNK,
-    FrozenPass,
-    canonical_order,
-    group_features,
-    refine,
-)
+from gcum.grce import VIEWS_PER_CHUNK, FrozenPass, canonical_order, refine
 from gcum.losses import stage2_batch_loss
-from gcum.mvs import Mask, full_mask
+from gcum.mvs import Mask, MvsConfig
 from gcum.synthdata import GenConfig, GroupSample, generate_dataset
+from gcum.trainer import TrainConfig, train_stage1, train_stage2
 
 import tape_ops as ops
+from passes import whole_run
 
 
 def small_state(seed=0, **overrides):
@@ -126,11 +125,11 @@ def _dataset(seed=11):
 
 def test_group_visual_is_permutation_invariant():
     ds = _dataset()
-    state = small_state()
+    state = small_state().with_trainable(())
     sample = _sample_from(ds)
     n = len(sample.identity_ids)
     mask = Mask((0,) + (1,) * (n - 1))
-    v, feats, (ids,) = group_features([sample], state, [mask], quantity=True, refined=False)
+    v, feats, (ids,) = whole_run([sample], state, [mask], quantity=True, refined=False)
 
     perm = [n - 1] + list(range(n - 1))  # rotate members, mask follows
     shuffled = GroupSample(
@@ -140,14 +139,14 @@ def test_group_visual_is_permutation_invariant():
         appearances=sample.appearances[perm],
     )
     pmask = Mask(tuple(mask.bits[i] for i in perm))
-    v2, feats2, (ids2,) = group_features([shuffled], state, [pmask], quantity=True, refined=False)
+    v2, feats2, (ids2,) = whole_run([shuffled], state, [pmask], quantity=True, refined=False)
     assert ids == ids2
     assert np.array_equal(v.values, v2.values)
     assert np.array_equal(feats.values, feats2.values)
 
 
 @pytest.mark.parametrize("quantity", [True, False])
-def test_frozen_pass_runs_match_group_features(quantity):
+def test_frozen_pass_runs_match_a_pass_over_each_run(quantity):
     ds = _dataset()
     state = small_state()
     # a non-zero count matrix, so the count term shows in the pooled feature
@@ -163,20 +162,20 @@ def test_frozen_pass_runs_match_group_features(quantity):
         return v, feats, ids, grads.get(st.params["quantity.em"])
 
     # a pass over repeated views, as an epoch plans them; every run of it
-    # matches, whether the count matrix trains (the pass keeps block 1) or not
-    # (it keeps the pooled features)
+    # matches a pass over just that run's views, whether the count matrix
+    # trains (the pass keeps block 1) or not (it keeps the pooled features)
     indices = [0, 1, 0, 2, 2, 2, 1, 0, 3, 3, 1]
     for em_trains in (True, False):
         state = state.with_trainable(["quantity.em"] if em_trains else ["grce.wq"])
         for drop in (False, True):
             masks = [Mask((1, 0) + (1,) * (len(ds.samples[i].identity_ids) - 2)) if drop and j % 2 == 0
-                     else full_mask(len(ds.samples[i].identity_ids)) for j, i in enumerate(indices)]
+                     else None for j, i in enumerate(indices)]
             frozen = FrozenPass([ds.samples[i] for i in indices], masks, state, quantity=quantity)
             for start in range(len(indices)):
                 for stop in range(start + 1, len(indices) + 1):
                     for refined in (False, True):
                         got = features_and_grad(lambda: frozen(start, stop, state, refined=refined), state)
-                        want = features_and_grad(lambda: group_features(
+                        want = features_and_grad(lambda: whole_run(
                             [ds.samples[i] for i in indices[start:stop]], state, masks[start:stop],
                             quantity=quantity, refined=refined), state)
                         assert got[2] == want[2]
@@ -187,8 +186,9 @@ def test_frozen_pass_runs_match_group_features(quantity):
                         assert (got[3] is None and want[3] is None) or np.array_equal(got[3], want[3])
 
 
-def test_frozen_pass_over_several_chunks_is_one_stack():
-    # 600 views: two full chunks and a ragged one
+def test_frozen_pass_over_several_chunks_is_one_stack(monkeypatch):
+    # 600 views: two full chunks and a ragged one, against a pass whose one
+    # chunk holds every view of the run
     samples, masks, state = _mixed_views(n_groups=150)
     assert len(samples) == 600 and VIEWS_PER_CHUNK == 256
     runs = [(0, 600), (250, 262), (255, 257), (256, 257), (500, 520), (511, 600), (0, 513)]
@@ -198,7 +198,9 @@ def test_frozen_pass_over_several_chunks_is_one_stack():
         for start, stop in runs:
             for refined in (False, True):
                 got = frozen(start, stop, st, refined=refined)
-                want = group_features(samples[start:stop], st, masks[start:stop], quantity=True, refined=refined)
+                with monkeypatch.context() as m:
+                    m.setattr(grce, "VIEWS_PER_CHUNK", len(samples))
+                    want = whole_run(samples[start:stop], st, masks[start:stop], quantity=True, refined=refined)
                 assert got[0].values.tobytes() == want[0].values.tobytes(), (start, stop)
                 assert got[1].values.tobytes() == want[1].values.tobytes(), (start, stop)
                 assert got[2] == want[2]
@@ -207,8 +209,7 @@ def test_frozen_pass_over_several_chunks_is_one_stack():
 def test_frozen_pass_takes_a_run_of_its_views():
     ds = _dataset()
     state = small_state().with_trainable(STAGE2_TRAINABLE)
-    frozen = FrozenPass(ds.samples[:3], [full_mask(len(s.identity_ids)) for s in ds.samples[:3]], state,
-                        quantity=True)
+    frozen = FrozenPass(ds.samples[:3], [None] * 3, state, quantity=True)
     for start, stop in ((0, 0), (2, 1), (-1, 2), (1, 4)):
         with pytest.raises(IndexError):
             frozen(start, stop, state, refined=False)
@@ -219,15 +220,14 @@ def test_frozen_pass_needs_frozen_encoders():
     state = small_state()
     state = state.with_trainable(["quantity.em", "group.blk2.wq"])
     with pytest.raises(ValueError):
-        FrozenPass(ds.samples, [full_mask(len(s.identity_ids)) for s in ds.samples], state, quantity=True)
+        FrozenPass(ds.samples, [None] * len(ds.samples), state, quantity=True)
 
 
 def test_frozen_pass_audits_the_encoders_on_every_call():
     ds = _dataset()
     state = small_state()
     state = state.with_trainable(["quantity.em"])
-    masks = [full_mask(len(ds.samples[i].identity_ids)) for i in (0, 1)]
-    frozen = FrozenPass(ds.samples[:2], masks, state, quantity=True)
+    frozen = FrozenPass(ds.samples[:2], [None, None], state, quantity=True)
     frozen(0, 2, state, refined=False)
     # the same views again, but block 2 now trains
     state = state.with_trainable(["quantity.em", "group.blk2.wq"])
@@ -254,10 +254,10 @@ def test_frozen_pass_raises_naming_a_frozen_input_that_was_swapped(name):
 
 def test_group_visual_row_ids_follow_canonical_order():
     ds = _dataset()
-    state = small_state()
+    state = small_state().with_trainable(())
     sample = _sample_from(ds)
     order = canonical_order(sample.appearances, np.zeros(len(sample.appearances)))
-    _, _, (ids,) = group_features([sample], state, quantity=True, refined=False)
+    _, _, (ids,) = whole_run([sample], state, quantity=True, refined=False)
     assert list(ids) == [sample.identity_ids[i] for i in order]
 
 
@@ -272,37 +272,38 @@ def test_dropped_member_cannot_influence_anything():
         out[i] += 17.0
         return out
 
-    # every parameter trains, the frozen encoders too
-    state = state.with_trainable(state.params)
+    # every parameter downstream of the frozen encoders trains
+    trainable = ("quantity.em", "grce.wq", "grce.wk", "grce.wv")
+    state = state.with_trainable(trainable)
     probe = dc.constant(np.linspace(-1.0, 1.0, 8))
 
     def run(appearances):
         with dc.Graph() as g:
-            v, feats, row_ids = group_features([GroupSample(0, 0, (0, 1, 2), appearances)], state, [mask],
-                                              quantity=True, refined=True)
+            v, feats, row_ids = whole_run([GroupSample(0, 0, (0, 1, 2), appearances)], state, [mask],
+                                          quantity=True, refined=True)
             loss = ops.reduce_sum(dc.mul(v, probe))
         grads = g.backward(loss)
         return v.values, feats.values, row_ids, {n: grads.get(p) for n, p in state.params.items()}
 
     base = run(appearances)
-    assert all(g is not None and np.any(g) for n, g in base[3].items() if n.startswith(("member.", "group.")))
+    assert all(base[3][n] is not None and np.any(base[3][n]) for n in trainable)
     poked = run(garbled(1))
     assert poked[2] == base[2]
     assert np.array_equal(poked[0], base[0]) and np.array_equal(poked[1], base[1])
     for name, grad in base[3].items():
         assert (grad is None) == (poked[3][name] is None), name
         assert grad is None or grad.tobytes() == poked[3][name].tobytes(), name
-    # a retained member moves the encoder gradients
+    # a retained member moves the gradients
     kept = run(garbled(0))
-    assert not np.array_equal(kept[3]["member.w1"], base[3]["member.w1"])
+    assert all(not np.array_equal(kept[3][n], base[3][n]) for n in trainable)
 
 
 def test_zero_count_matrix_is_neutral():
     ds = _dataset()
-    state = small_state()  # quantity.em initializes to zero
+    state = small_state().with_trainable(())  # quantity.em initializes to zero
     sample = _sample_from(ds)
-    with_term, _, _ = group_features([sample], state, quantity=True, refined=False)
-    without, _, _ = group_features([sample], state, quantity=False, refined=False)
+    with_term, _, _ = whole_run([sample], state, quantity=True, refined=False)
+    without, _, _ = whole_run([sample], state, quantity=False, refined=False)
     assert np.array_equal(with_term.values, without.values)
 
 
@@ -311,19 +312,19 @@ def test_nonzero_count_matrix_changes_the_feature():
     state = small_state()
     em = np.zeros((4, 8))
     em[:2] = 0.3
-    state = state.with_params({"quantity.em": Tensor(em, requires_grad=True)})
+    state = state.with_params({"quantity.em": Tensor(em)}).with_trainable(["quantity.em"])
     sample = _sample_from(ds)
-    with_term, _, _ = group_features([sample], state, quantity=True, refined=False)
-    without, _, _ = group_features([sample], state, quantity=False, refined=False)
+    with_term, _, _ = whole_run([sample], state, quantity=True, refined=False)
+    without, _, _ = whole_run([sample], state, quantity=False, refined=False)
     assert not np.array_equal(with_term.values, without.values)
 
 
 def test_single_retained_member_works():
     ds = _dataset()
-    state = small_state()
+    state = small_state().with_trainable(())
     sample = _sample_from(ds)
     mask = Mask((1,) + (0,) * (len(sample.identity_ids) - 1))
-    v, feats, (ids,) = group_features([sample], state, [mask], quantity=True, refined=False)
+    v, feats, (ids,) = whole_run([sample], state, [mask], quantity=True, refined=False)
     assert feats.shape[0] == 1
     assert len(ids) == 1
     assert np.linalg.norm(v.values) == pytest.approx(1.0, abs=1e-12)
@@ -331,10 +332,10 @@ def test_single_retained_member_works():
 
 def test_mask_length_must_match_member_count():
     ds = _dataset()
-    state = small_state()
+    state = small_state().with_trainable(())
     sample = _sample_from(ds)
-    with pytest.raises(ValueError):
-        group_features([sample], state, [full_mask(len(sample.identity_ids) + 1)], quantity=True, refined=False)
+    with pytest.raises(ValueError, match="mask covers"):
+        whole_run([sample], state, [Mask((1,) * (len(sample.identity_ids) + 1))], quantity=True, refined=False)
 
 
 def _mixed_views(n_groups=60, seed=21):
@@ -353,7 +354,7 @@ def _mixed_views(n_groups=60, seed=21):
         "grce.wq": Tensor(rng.normal(scale=0.5, size=(8, 8))),
         "grce.wk": Tensor(rng.normal(scale=0.5, size=(8, 8))),
     })
-    return ds.samples, masks, state
+    return ds.samples, masks, state.with_trainable(())
 
 
 @pytest.mark.parametrize("refined", [False, True])
@@ -364,8 +365,8 @@ def test_view_features_do_not_depend_on_the_stack(quantity, refined):
     assert set(counts) == {1, 2, 3, 4}
 
     def features(idx):
-        return group_features([samples[i] for i in idx], state, [masks[i] for i in idx],
-                              quantity=quantity, refined=refined)[0].values
+        return whole_run([samples[i] for i in idx], state, [masks[i] for i in idx],
+                         quantity=quantity, refined=refined)[0].values
 
     n = len(samples)
     whole = features(range(n))
@@ -400,13 +401,13 @@ def test_view_features_do_not_depend_on_the_stack_width(refined):
         masks.append(Mask(tuple(int(b) for b in bits)))
     state = small_state(seed=3, dim=48, max_members=6, group_slots=6)
     state = state.with_params({n: Tensor(rng.normal(scale=0.5, size=p.shape)) for n, p in state.params.items()
-                               if n.startswith(("group.blk", "quantity.", "grce."))})
+                               if n.startswith(("group.blk", "quantity.", "grce."))}).with_trainable(())
     counts = np.array([m.retained for m in masks])
-    whole = group_features(ds.samples, state, masks, quantity=True, refined=refined)[0].values
+    whole = whole_run(ds.samples, state, masks, quantity=True, refined=refined)[0].values
     for c in np.unique(counts):
         idx = np.flatnonzero(counts == c)
-        same = group_features([ds.samples[i] for i in idx], state, [masks[i] for i in idx],
-                              quantity=True, refined=refined)
+        same = whole_run([ds.samples[i] for i in idx], state, [masks[i] for i in idx],
+                         quantity=True, refined=refined)
         assert np.array_equal(same[0].values, whole[idx])
 
 
@@ -444,7 +445,7 @@ def _per_view_reference(sample, mask, state, *, quantity, refined):
 @pytest.mark.parametrize("quantity", [False, True])
 def test_stacked_features_match_the_per_view_composition(quantity, refined):
     samples, masks, state = _mixed_views(n_groups=15)
-    got = group_features(samples, state, masks, quantity=quantity, refined=refined)[0].values
+    got = whole_run(samples, state, masks, quantity=quantity, refined=refined)[0].values
     want = np.stack([_per_view_reference(s, m, state, quantity=quantity, refined=refined)
                      for s, m in zip(samples, masks)])
     assert np.max(np.abs(got - want)) < 1e-12
@@ -470,36 +471,53 @@ def _grad_check_setup():
     return ds, samples, masks, state, gids
 
 
-def test_stage1_loss_grad_check_over_mixed_member_counts():
-    ds, samples, masks, state, _ = _grad_check_setup()
+def _grad_check_stage(stage, ds, samples, masks, state, gids):
+    """``grad_check`` of the stage's batch loss over ``samples`` under ``masks``, on its trainable set."""
     rosters = ds.group_rosters()
-    state = state.with_trainable(STAGE1_TRAINABLE)
-    frozen = FrozenPass(samples, masks, state, quantity=True)
+    st = state.with_trainable(STAGE1_TRAINABLE if stage == 1 else STAGE2_TRAINABLE)
+    frozen = FrozenPass(samples, masks, st, quantity=True)
+    class_index = {g: i for i, g in enumerate(gids)}
+    text = class_text_features(st, gids, rosters)
 
-    def loss_fn(st):
-        return stage1_batch_loss(samples, *frozen(0, 4, st, refined=False), st, rosters)[0]
+    def loss_fn(params):
+        s = ModelState(st.config, params)
+        if stage == 1:
+            return stage1_batch_loss(samples, *frozen(0, len(samples), s, refined=False), s, rosters)[0]
+        features = frozen(0, len(samples), s, refined=True)[0]
+        return stage2_batch_loss(samples, features, s, class_index, text, alpha=0.5, epsilon=0.1)[0]
 
-    report = dc.grad_check(lambda ps: loss_fn(ModelState(state.config, ps)), state.params,
-                           step=1e-5, tolerance=1e-4)
+    return dc.grad_check(loss_fn, st.params, step=1e-5, tolerance=1e-4)
+
+
+def test_stage1_loss_grad_check_over_mixed_member_counts():
+    report = _grad_check_stage(1, *_grad_check_setup())
     assert report.ok, report.failures[:3]
     assert set(report.per_param) == set(STAGE1_TRAINABLE)
 
 
 def test_stage2_loss_grad_check_over_mixed_member_counts():
-    ds, samples, masks, state, gids = _grad_check_setup()
-    class_index = {g: i for i, g in enumerate(gids)}
-    text = dc.constant(class_text_features(state, gids, ds.group_rosters()).values)
-    state = state.with_trainable(STAGE2_TRAINABLE)
-    frozen = FrozenPass(samples, masks, state, quantity=True)
-
-    def loss_fn(st):
-        features = frozen(0, 4, st, refined=True)[0]
-        return stage2_batch_loss(samples, features, st, class_index, text, alpha=0.5, epsilon=0.1)[0]
-
-    report = dc.grad_check(lambda ps: loss_fn(ModelState(state.config, ps)), state.params,
-                           step=1e-5, tolerance=1e-4)
+    report = _grad_check_stage(2, *_grad_check_setup())
     assert report.ok, report.failures[:3]
     assert set(report.per_param) == set(STAGE2_TRAINABLE)
+
+
+def test_both_stage_losses_grad_check_where_training_goes():
+    # the instance trained by both stages at the default rates, MVS on, and
+    # checked after each stage, not only at its initial state
+    ds, samples, masks, initial, gids = _grad_check_setup()
+    views = [s for s in ds.samples if s.group_id in gids]
+    rosters = ds.group_rosters()
+    cfg = TrainConfig(warmup_epochs=1, lr_peak=0.03, decay_epochs=(), total_epochs=20, batch_size=4,
+                      p_groups=2, q_views=2, scale_factor=1.0)
+    stage1, _ = train_stage1(initial, views, rosters, cfg, mvs=MvsConfig())
+    stage2, _ = train_stage2(stage1, views, rosters, replace(cfg, stage=2), mvs=MvsConfig(),
+                             use_text=True, alpha=0.5, epsilon=0.1)
+    for name, before, after in (("quantity.em", initial, stage1), ("grce.wv", stage1, stage2)):
+        assert not np.array_equal(before.params[name].values, after.params[name].values), name
+    for state in (stage1, stage2):
+        for stage in (1, 2):
+            report = _grad_check_stage(stage, ds, samples, masks, state, gids)
+            assert report.ok, (stage, report.max_rel_error, report.failures[:3])
 
 
 def test_a_step_records_one_stack_whatever_the_member_counts():

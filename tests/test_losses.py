@@ -18,11 +18,10 @@ from gcum.losses import (
     stage2_batch_loss,
     triplet_loss,
 )
-from gcum.grce import group_features
-from gcum.mvs import full_mask
 from gcum.synthdata import GenConfig, generate_dataset
 
 import tape_ops as ops
+from passes import whole_run
 
 
 def test_smoothed_ce_matches_scalar_oracle():
@@ -257,12 +256,12 @@ def _batch_with_positives(ds, size=6):
 
 def test_stage2_loss_composes_all_terms():
     ds, state, class_index = _stage2_setup()
+    state = state.with_trainable(())
     batch = _batch_with_positives(ds)
-    masks = [full_mask(len(s.identity_ids)) for s in batch]
     rng = np.random.default_rng(0)
     text = dc.constant(rng.normal(size=(len(class_index), 8)))
 
-    features = group_features(batch, state, masks, quantity=True, refined=True)[0]
+    features = whole_run(batch, state, quantity=True, refined=True)[0]
     loss, parts = stage2_batch_loss(batch, features, state, class_index, text, alpha=0.3, epsilon=0.1)
     assert set(parts) == {"loss_id", "loss_tri", "loss_i2tce"}
     assert loss.item() == pytest.approx(sum(parts.values()), abs=1e-12)
@@ -276,11 +275,10 @@ def test_stage2_gradient_support_is_the_refinement_head():
     ds, state, class_index = _stage2_setup()
     state = state.with_trainable(STAGE2_TRAINABLE)
     batch = _batch_with_positives(ds)
-    masks = [full_mask(len(s.identity_ids)) for s in batch]
     text = dc.constant(np.random.default_rng(1).normal(size=(len(class_index), 8)))
 
     with dc.Graph() as g:
-        features = group_features(batch, state, masks, quantity=True, refined=True)[0]
+        features = whole_run(batch, state, quantity=True, refined=True)[0]
         loss, _ = stage2_batch_loss(batch, features, state, class_index, text, alpha=0.3, epsilon=0.1)
     grads = g.backward(loss)
     touched = {n for n, p in state.params.items() if p in grads}

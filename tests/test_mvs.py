@@ -11,7 +11,6 @@ from gcum.mvs import (
     Mask,
     MvsConfig,
     apply_mvs,
-    full_mask,
     sample_drop_prob,
     sample_mask,
 )
@@ -50,7 +49,6 @@ def test_mask_validation():
     m = Mask((1, 0, 1))
     assert m.retained == 2
     assert len(m) == 3
-    assert full_mask(4).bits == (1, 1, 1, 1)
 
 
 def test_drop_prob_clamps():

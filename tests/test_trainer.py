@@ -364,7 +364,7 @@ def test_stage2_loss_decreases_on_easy_data():
 
 
 def _reference_steps(samples, cfg, mvs):
-    """(indices, mask bits) per step as a step-by-step loop draws them.
+    """(indices, mask bits) per step as a step-by-step loop draws them; None bits when MVS is off.
 
     Each batch is drawn, then its masks, from the stage's stream, before
     the next batch; stage 2 draws each batch's views from the same stream.
@@ -394,19 +394,19 @@ def _reference_steps(samples, cfg, mvs):
             bits = []
             for i in idx:
                 n = len(samples[i].identity_ids)
-                bits.append((1,) * n if mvs is None else sample_mask(n, sample_drop_prob(mvs, rng), rng).bits)
+                bits.append(None if mvs is None else sample_mask(n, sample_drop_prob(mvs, rng), rng).bits)
             steps.append(([int(i) for i in idx], bits))
     return steps
 
 
 def _recorded_steps(monkeypatch, samples):
-    """Record the (indices into ``samples``, mask bits) of every step's run of its epoch's pass."""
+    """Record the (indices into ``samples``, mask bits or None) of every step's run of its epoch's pass."""
     calls = []
     index = {id(s): i for i, s in enumerate(samples)}
     real_init, real_call = grce.FrozenPass.__init__, grce.FrozenPass.__call__
 
     def init(frozen, views, masks, state, **kw):
-        frozen.recorded = [index[id(s)] for s in views], [m.bits for m in masks]
+        frozen.recorded = [index[id(s)] for s in views], [m and m.bits for m in masks]
         real_init(frozen, views, masks, state, **kw)
 
     def call(frozen, start, stop, state, **kw):
