@@ -626,13 +626,16 @@ def row_distance(a: Tensor, b: Tensor) -> Tensor:
 def add_block_means(x: Tensor, weights: Tensor, counts) -> Tensor:
     """Add to each block's first row the mean of its live rows, each scaled by a row of ``weights``.
 
-    ``x`` stacks B blocks of one width ``1 + slots``; block i's rows 1 to
-    ``counts[i]`` are live.  Its first row gains the mean over live rows j
-    of ``weights[j - 1] * row j``; every other row passes unchanged.  The
-    mean is the (B, 1, slots) product of the weights one query takes at
-    zero scores with the scaled rows, and the gradients scatter with
-    ``gather_rows``' bincount: the value and the gradients of that
-    composition through ``segment_attention``, bit for bit.  Rows past a
+    ``x`` stacks B blocks of one width ``1 + slots``, with ``slots`` at
+    most the rows of ``weights``; block i's rows 1 to ``counts[i]`` are
+    live.  Its first row gains the mean over live rows j of
+    ``weights[j - 1] * row j``; every other row passes unchanged.  The
+    mean is the (B, 1, m) product, over all m rows of ``weights``, of the
+    weights one query takes at zero scores with the scaled rows, zero past
+    ``slots``, and the gradients scatter with ``gather_rows``' bincount:
+    the value and the gradients of that composition through
+    ``segment_attention`` at m slots, bit for bit.  So blocks narrower than
+    m give the bits of the same blocks zero-padded to m slots.  Rows past a
     block's count and rows of ``weights`` past it get no gradient.
     """
     xv, ev = x.values, weights.values
@@ -646,21 +649,25 @@ def add_block_means(x: Tensor, weights: Tensor, counts) -> Tensor:
     if not 1 <= slots <= ev.shape[0] or counts.min() < 1 or counts.max() > slots:
         raise ShapeError(f"add_block_means: blocks of {slots} slots need counts {counts.tolist()} "
                          f"in [1, {slots}] and at least {slots} weight rows, got {ev.shape[0]}")
+    m = ev.shape[0]
     starts = np.arange(b) * (slots + 1)
     members = (starts[:, None] + np.arange(1, slots + 1)).ravel()
     at = np.tile(np.arange(slots), b)
     ew, mv = ev[at], xv[members]
     # softmax of zero scores over each block's live rows: 1/k there, 0 elsewhere;
-    # one product per block, as a (B, B slots) block-mean product rounds by block position
-    w = (np.arange(slots) < counts[:, None])[:, None, :] / counts[:, None, None]
+    # one product per block, as a (B, B slots) block-mean product rounds by block position,
+    # and over all m weight rows, as a product's rounding can follow its inner length
+    w = (np.arange(m) < counts[:, None])[:, None, :] / counts[:, None, None]
+    scaled = np.zeros((b, m, dim))
+    scaled[:, :slots] = (ew * mv).reshape(b, slots, dim)
     shift = np.zeros_like(xv)
-    shift[starts] = (w @ (ew * mv).reshape(b, slots, dim))[:, 0]
+    shift[starts] = (w @ scaled)[:, 0]
 
     def pull(g: np.ndarray):
         gb = g[starts, None] + 0.0  # a bincount scatter of one row adds it to 0.0
-        gm = (w.transpose(0, 2, 1) @ gb).reshape(b * slots, dim)
+        gm = (w[:, :, :slots].transpose(0, 2, 1) @ gb).reshape(b * slots, dim)
         return (g + _scatter_rows(members, gm * ew, rows) if x.requires_grad else None,
-                _scatter_rows(at, gm * mv, ev.shape[0]) if weights.requires_grad else None)
+                _scatter_rows(at, gm * mv, m) if weights.requires_grad else None)
 
     return _result(np.add(xv, shift, out=shift), (x, weights), pull)
 

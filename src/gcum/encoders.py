@@ -12,7 +12,8 @@ trained:
   membership-simulation step: block 1 runs on [class token; members],
   block 2 on the recombined sequence, then the class-token row is
   projected and normalized into the group feature.  Views are encoded
-  together as row blocks of one width, their empty member slots masked;
+  together as row blocks of one width that the caller picks (at least one
+  slot per retained member), their empty member slots masked;
 * text encoder — token embeddings plus learned positions, one
   self-attention block, mean-pool, projection, normalization.  Prompts of
   one length are encoded together, stacked as row blocks; each prompt is
@@ -145,12 +146,16 @@ class ModelState:
         return ModelState(self.config, new)
 
     def with_trainable(self, names: Iterable[str]) -> "ModelState":
-        """A new state over the same arrays in which only ``names`` take gradients."""
+        """A new state over the same arrays in which only ``names`` take gradients.
+
+        The arrays are read-only and were checked finite when they were
+        made, so they are shared as they are, not scanned again.
+        """
         wanted = set(names)
         unknown = wanted - set(self.params)
         if unknown:
             raise KeyError(f"unknown parameters {sorted(unknown)}")
-        return ModelState(self.config, {name: Tensor(p.values, name in wanted, _copy=False)
+        return ModelState(self.config, {name: Tensor(p.values, name in wanted, _copy=False, _check=False)
                                         for name, p in self.params.items()})
 
 
@@ -222,47 +227,56 @@ def encode_members(appearances: Tensor, state: ModelState) -> Tensor:
     return dc.l2_normalize(dc.add(dc.matmul(h, p["member.w2"]), p["member.b2"]))
 
 
-def _member_counts(counts: Sequence[int], config: ModelConfig) -> np.ndarray:
+def _member_counts(counts: Sequence[int], slots: int, config: ModelConfig) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 1 or not counts.size or counts.min() < 1 or counts.max() > config.max_members:
-        raise ShapeError(f"member counts {counts.tolist()} outside [1, {config.max_members}]")
+    if not 1 <= slots <= config.max_members:
+        raise ShapeError(f"{slots} member slots outside [1, {config.max_members}]")
+    if counts.ndim != 1 or not counts.size or counts.min() < 1 or counts.max() > slots:
+        raise ShapeError(f"member counts {counts.tolist()} outside [1, {slots}]")
     return counts
 
 
-def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequence[int]) -> Tensor:
+def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequence[int],
+                        slots: int | None = None) -> Tensor:
     """Run block 1 over stacked [class token; members; zero rows] blocks.
 
     ``member_features`` holds B views' ``counts[i]`` rows each, view after
-    view.  Returns the (B (max_members + 1), dim) block output in the same
+    view.  Returns the (B (slots + 1), dim) block output in the same
     layout: each view's class-token row, its member rows, then zero rows.
-    One width for all views keeps a view's rows the same bits in any stack.
+    ``slots`` (``max_members`` by default) must cover every count.  A
+    view's rows have the same bits in any stack of one width.
+    ``grce.FrozenPass`` runs two widths, chosen by each view's own count.
     """
     cfg = state.config
-    counts = _member_counts(counts, cfg)
+    slots = cfg.max_members if slots is None else slots
+    counts = _member_counts(counts, slots, cfg)
     rows = int(counts.sum())
     if member_features.ndim != 2 or member_features.shape != (rows, cfg.dim):
         raise ShapeError(f"expected ({rows}, {cfg.dim}) member features, got {member_features.shape}")
     p = state.params
-    width = cfg.max_members + 1
+    width = slots + 1
     # row 0 is the class token, row 1 a zero row, row 2 + r member row r
     at = np.ones((len(counts), width), dtype=np.int64)
     at[:, 0] = 0
-    at[:, 1:][np.arange(cfg.max_members) < counts[:, None]] = 2 + np.arange(rows)
+    at[:, 1:][np.arange(slots) < counts[:, None]] = 2 + np.arange(rows)
     blocks = dc.gather_rows([p["group.cls"], dc.constant(np.zeros((1, cfg.dim))), member_features], at.ravel())
     return dc.attention_block(blocks, p["group.blk1.wq"], p["group.blk1.wk"],
                               p["group.blk1.wv"], p["group.blk1.wo"], width, counts + 1)
 
 
-def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int]) -> Tensor:
+def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int],
+                        slots: int | None = None) -> Tensor:
     """Run block 2 over the stacked blocks of ``encode_group_prefix`` and read out each view.
 
-    Only each block's class-token row is read out, so block 2 computes
-    that row alone, attending over the view's live rows; it is projected
-    and normalized into one row of the (B, dim) group features.
+    ``slots`` is the one the blocks were made with.  Only each block's
+    class-token row is read out, so block 2 computes that row alone,
+    attending over the view's live rows; it is projected and normalized
+    into one row of the (B, dim) group features.
     """
     cfg = state.config
-    counts = _member_counts(counts, cfg)
-    width = cfg.max_members + 1
+    slots = cfg.max_members if slots is None else slots
+    counts = _member_counts(counts, slots, cfg)
+    width = slots + 1
     if fused.ndim != 2 or fused.shape != (len(counts) * width, cfg.dim):
         raise ShapeError(f"expected ({len(counts)} * {width}, {cfg.dim}) rows, got {fused.shape}")
     p = state.params

@@ -7,22 +7,28 @@ contextualized again (block 2), and the group-token row is read out.
 ``refine`` then lets the pooled feature re-attend to the individual
 member features, which restores member detail that pooling washes out.
 
-The views of one call are featurized as one stack, each view a row
-block of one fixed width whose slots past its retained member count are
-masked, so a single view is the n = 1 case.  A view's feature is the
-same bits whatever else shares its call, because attention and the
-count term work block by block at that width and a row-wise product
-never sees a single row (``diffcore.matmul`` pads one to two).
+The views of one call are featurized as stacks of row blocks, each view
+a block whose slots past its retained member count are masked, so a
+single view is the n = 1 case.  A block's width follows its view's own
+count: with M = ``max_members``, a view keeping at most ceil(M/2)
+members takes ceil(M/2) + 1 rows and any other view M + 1.  A view's
+feature is the same bits whatever else shares its call, because
+attention and the count term work block by block, the count term's
+product always spans all M rows of the count matrix, and a row-wise
+product never sees a single row (``diffcore.matmul`` pads one to two).
+A narrow block's live rows also have the bits they would have at M + 1
+rows, which the tests check at the shipped dim 48.
 
 ``FrozenPass`` is the one way in, for training, the gradient check and
 eval alike.  The member encoder and the first group block run on frozen
-weights, so a pass runs them once over a fixed list of views and a call
-takes a run of those views and computes only what can train.  Training
-builds one pass per epoch over the epoch's planned views and masks, and
-each step takes its run; eval builds one per chunk of test views, with
-every member kept, and takes the whole run.  While the count matrix is
-frozen as well (stage 2 and eval), the pass keeps each view's pooled
-feature instead, so a call runs only the refinement.
+weights, so a pass runs them once over a fixed list of views, each width
+class of a chunk as one stack, and a call takes a run of those views and
+computes only what can train.  Training builds one pass per epoch over
+the epoch's planned views and masks, and each step takes its run; eval
+builds one per chunk of test views, with every member kept, and takes
+the whole run.  While the count matrix is frozen as well (stage 2 and
+eval), the pass keeps each view's pooled feature instead, so a call runs
+only the refinement.
 
 Canonical ordering makes every stage independent of the order members
 appear in a sample.  Rows are sorted lexicographically by value before
@@ -129,10 +135,22 @@ def _select(samples: Sequence[GroupSample], masks: Sequence[Mask | None]
     return dc.constant(rows[order]), counts, [tuple(ids[e - k:e]) for e, k in zip(ends, counts)]
 
 
-def _pool(counts: Sequence[int], block1: Tensor, state: ModelState, *, quantity: bool) -> Tensor:
-    """The (n, dim) pooled features of views with ``counts[i]`` members, from their block-1 output."""
+def _pool(counts: Sequence[int], block1: Tensor, slots: int, state: ModelState, *, quantity: bool) -> Tensor:
+    """The (n, dim) pooled features of views with ``counts[i]`` members, from block-1 blocks of ``slots``."""
     fused = apply_mvs(block1, state.params["quantity.em"], counts) if quantity else block1
-    return encode_group_suffix(fused, state, counts)
+    return encode_group_suffix(fused, state, counts, slots)
+
+
+def _width_classes(counts: np.ndarray, max_members: int) -> list[tuple[int, np.ndarray]]:
+    """The member slots of each width class and which views fall in it, skipping empty classes.
+
+    A view keeping at most half of ``max_members`` (rounded up) takes that
+    many slots, and any other view takes ``max_members``: its width
+    follows its own count, never what shares its stack.
+    """
+    half = (max_members + 1) // 2
+    classes = [(half, counts <= half), (max_members, counts > half)]
+    return [(slots, views) for slots, views in classes if views.any()]
 
 
 class FrozenPass:
@@ -145,15 +163,19 @@ class FrozenPass:
     anything is encoded, so a dropped member influences neither the value
     nor the gradient of anything downstream.  The member encoder and
     block 1 run on frozen weights, so the pass runs them over every view
-    up front, ``VIEWS_PER_CHUNK`` views per call, and keeps the member
-    identities, the member rows and each view's padded block-1 block.  While the count matrix is frozen or unused (as in stage 2 and
-    eval), everything up to the readout is frozen too, and the pass keeps
-    each view's pooled feature instead of its block.  A call then slices
-    its run out and computes only what can train: the count term, block 2
-    and the readout while the count matrix trains, and the refinement on
-    request.  The encoders must be frozen; a call on a state that holds
-    another array for a tensor the pass read, or has made one trainable,
-    raises ``ValueError`` naming it.
+    up front, ``VIEWS_PER_CHUNK`` views at a time, block 1 once per width
+    class (see the module docstring), and keeps the member identities,
+    the member rows and each view's block-1 block, zero-padded to
+    ``max_members + 1`` rows, the one width a step's stack takes.  While
+    the count matrix is frozen or unused (as in stage 2 and eval),
+    everything up to the readout is frozen too: the pass runs the count
+    term and block 2 at each class's width as well and keeps each view's
+    pooled feature instead of its block.  A call then slices its run out
+    and computes only what can train: the count term, block 2 and the
+    readout while the count matrix trains, and the refinement on request.
+    The refinement keeps ``max_members`` slots.  The encoders must be
+    frozen; a call on a state that holds another array for a tensor the
+    pass read, or has made one trainable, raises ``ValueError`` naming it.
     """
 
     def __init__(self, samples: Sequence[GroupSample], masks: Sequence[Mask | None], state: ModelState, *,
@@ -162,15 +184,23 @@ class FrozenPass:
         self._reads = {n: p.values for n, p in state.params.items() if n.startswith(("member.", "group."))
                        or (n == "quantity.em" and quantity and self._pooled)}
         self._check(state)
-        self._width = 1 if self._pooled else state.config.max_members + 1
+        full, dim = state.config.max_members, state.config.dim
+        self._width = 1 if self._pooled else full + 1
         members, rows, self._counts, self._row_ids = [], [], [], []
         for at in range(0, len(samples), VIEWS_PER_CHUNK):
             chunk = slice(at, at + VIEWS_PER_CHUNK)
             appearances, counts, row_ids = _select(samples[chunk], masks[chunk])
-            feats = encode_members(appearances, state)
-            block1 = encode_group_prefix(feats, state, counts)
-            members.append(feats.values)
-            rows.append(_pool(counts, block1, state, quantity=quantity).values if self._pooled else block1.values)
+            feats = encode_members(appearances, state).values
+            k = np.array(counts)
+            out = np.zeros((k.size, self._width, dim))
+            for slots, views in _width_classes(k, full):
+                block1 = encode_group_prefix(dc.constant(feats[np.repeat(views, k)]), state, k[views], slots)
+                if self._pooled:
+                    out[views, 0] = _pool(k[views], block1, slots, state, quantity=quantity).values
+                else:  # zero-padded to the one width a step's stack takes
+                    out[views, :slots + 1] = block1.values.reshape(-1, slots + 1, dim)
+            members.append(feats)
+            rows.append(out.reshape(-1, dim))
             self._counts += counts
             self._row_ids += row_ids
         self._members = np.concatenate(members)
@@ -199,7 +229,7 @@ class FrozenPass:
         members = dc.constant(self._members[self._ends[start]:self._ends[stop]])
         features = dc.constant(self._rows[start * self._width:stop * self._width])
         if not self._pooled:  # the count matrix trains
-            features = _pool(counts, features, state, quantity=True)
+            features = _pool(counts, features, state.config.max_members, state, quantity=True)
         if refined:
             features = refine(features, members, state, counts)
         return features, members, self._row_ids[start:stop]

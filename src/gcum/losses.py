@@ -79,18 +79,17 @@ def mine_batch_hard(values: np.ndarray, labels: Sequence[int]) -> list[tuple[int
     sq = np.sum((arr[:, None, :] - arr[None, :, :]) ** 2, axis=2)
     dist = np.sqrt(np.maximum(sq, 0.0))
     lab = np.asarray(labels)
-    triplets: list[tuple[int, int, int]] = []
-    for a in range(b):
-        same = (lab == lab[a]) & (np.arange(b) != a)
-        diff = lab != lab[a]
-        if not same.any():
-            raise ValueError(f"anchor {a} (label {lab[a]}) has no positive in the batch")
-        if not diff.any():
-            raise ValueError(f"anchor {a} (label {lab[a]}) has no negative in the batch")
-        pos_d = np.where(same, dist[a], -np.inf)
-        neg_d = np.where(diff, dist[a], np.inf)
-        triplets.append((a, int(np.argmax(pos_d)), int(np.argmin(neg_d))))
-    return triplets
+    diff = lab[:, None] != lab[None, :]
+    same = ~diff & ~np.eye(b, dtype=bool)
+    no_pos, no_neg = ~same.any(axis=1), ~diff.any(axis=1)
+    if (no_pos | no_neg).any():
+        a = int(np.argmax(no_pos | no_neg))
+        lacks = "positive" if no_pos[a] else "negative"
+        raise ValueError(f"anchor {a} (label {lab[a]}) has no {lacks} in the batch")
+    # argmax and argmin return the first index of a tie
+    pos = np.argmax(np.where(same, dist, -np.inf), axis=1)
+    neg = np.argmin(np.where(diff, dist, np.inf), axis=1)
+    return list(zip(range(b), pos.tolist(), neg.tolist()))
 
 
 def triplet_loss(features: Tensor, labels: Sequence[int], alpha: float) -> Tensor:

@@ -37,14 +37,24 @@ mkdir again
 )
 
 # eval featurizes views and ranks queries 256 at a time: 300 groups at three
-# views per camera leave 270 query and 270 gallery views, two chunks each
-echo "== Eval over more than one chunk under two PYTHONHASHSEEDs: the same bytes"
+# views per camera leave 270 query and 270 gallery views, two chunks each,
+# and their views fall in both width classes of the group blocks
+echo "== Eval over more than one chunk and both block widths under two PYTHONHASHSEEDs: the same bytes"
 python -c 'import json; c = json.load(open("small.json")); c["data"].update(n_group_identities=300, views_per_group_per_camera=3); print(json.dumps(c))' > large.json
 gcum gen-data --config large.json --out large-data.json
 for h in 1 2; do
   PYTHONHASHSEED=$h gcum eval --checkpoint s2.ckpt --data large-data.json --out "large$h.json" > "large$h.out"
 done
 python -c 'import json, sys; r = json.load(open("large1.json"))["report"]; sys.exit(0 if min(r["n_query"], r["n_gallery"]) > 256 else 1)'
+# a view keeping at most ceil(M0/2) members runs the group blocks narrow: at
+# M0 = 3 the test views must show counts of at most 2 and counts of 3
+python -c '
+import sys
+from gcum.cli import load_run_config
+from gcum.synthdata import load_dataset, split_train_test
+run, ds = load_run_config("large.json"), load_dataset("large-data.json")
+counts = {len(s.identity_ids) for s in ds.views_of(split_train_test(ds, run.train_fraction)[1])}
+sys.exit(0 if run.m0 == 3 and min(counts) <= 2 and 3 in counts else 1)'
 cmp large1.json large2.json
 cmp large1.out large2.out
 

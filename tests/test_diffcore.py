@@ -865,6 +865,43 @@ def test_add_block_means_is_the_composed_count_term_bit_for_bit(trainable):
                lambda *t: _composed_add_block_means(*t, [2, 1]), [blocks[:6], em], trainable)
 
 
+@pytest.mark.parametrize("trainable", [(1,), (0,), (0, 1)])
+def test_add_block_means_on_narrow_blocks_has_the_bits_of_the_padded_blocks(trainable):
+    # blocks of 3 member slots against six weight rows, and the same blocks
+    # zero-padded to 6 slots: the value and both gradients share their bits
+    rng = np.random.default_rng(29)
+    counts = [3, 1, 2, 3, 2, 1]
+    narrow = rng.normal(size=(len(counts) * 4, _DIM))
+    em = rng.normal(size=(6, _DIM))
+    rows = (np.arange(len(counts))[:, None] * 7 + np.arange(4)).ravel()
+    padded = np.zeros((len(counts) * 7, _DIM))
+    padded[rows] = narrow
+    upstream = rng.normal(size=padded.shape)
+
+    def run(blocks, up):
+        x, e = (dc.Tensor(a, requires_grad=i in trainable) for i, a in enumerate((blocks, em)))
+        with dc.Graph() as g:
+            out = dc.add_block_means(x, e, counts)
+            loss = ops.reduce_sum(dc.mul(out, dc.constant(up)))
+        grads = g.backward(loss)
+        return out.values, grads.get(x), grads.get(e)
+
+    (out, gx, ge), (out_p, gx_p, ge_p) = run(narrow, upstream[rows]), run(padded, upstream)
+    assert out.tobytes() == out_p[rows].tobytes()
+    assert (gx is None) == (gx_p is None) and (gx is None or gx.tobytes() == gx_p[rows].tobytes())
+    assert (ge is None) == (ge_p is None) and (ge is None or ge.tobytes() == ge_p.tobytes())
+
+
+def test_add_block_means_on_narrow_blocks_passes_grad_check():
+    rng = np.random.default_rng(30)
+
+    def count_term(p):
+        out = dc.add_block_means(p["0"], p["1"], [2, 1, 2])
+        return ops.reduce_sum(dc.mul(out, dc.tanh(out)))
+
+    _grad_check_op(count_term, [rng.normal(size=(9, 4)), rng.normal(size=(4, 4))])
+
+
 def _grad_check_op(loss_fn, arrays):
     params = {str(i): dc.Tensor(a, requires_grad=True) for i, a in enumerate(arrays)}
     report = dc.grad_check(loss_fn, params, step=1e-5, tolerance=1e-4)

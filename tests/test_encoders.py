@@ -157,6 +157,25 @@ def test_group_prefix_shapes_and_member_limit():
         encode_group_prefix(dc.constant(feats[:5]), state, [3])
 
 
+def test_group_blocks_at_fewer_slots_keep_the_live_rows():
+    state = init_model_state(small_config(), seed=1)
+    feats = dc.constant(np.random.default_rng(5).normal(size=(3, 8)))
+    full = encode_group_prefix(feats, state, [1, 2])
+    narrow = encode_group_prefix(feats, state, [1, 2], 2)
+    assert narrow.shape == (6, 8)
+    assert np.allclose(narrow.values, full.values[[0, 1, 2, 4, 5, 6]], rtol=0, atol=1e-14)
+    assert not np.any(full.values[[3, 7]])
+    assert np.allclose(encode_group_suffix(narrow, state, [1, 2], 2).values,
+                       encode_group_suffix(full, state, [1, 2]).values, rtol=0, atol=1e-14)
+    for slots in (0, 4):  # outside [1, max_members]
+        with pytest.raises(ShapeError):
+            encode_group_prefix(feats, state, [1, 2], slots)
+    with pytest.raises(ShapeError):
+        encode_group_prefix(feats, state, [3], 2)  # more members than slots
+    with pytest.raises(ShapeError):
+        encode_group_suffix(full, state, [1, 2], 2)  # blocks of another width
+
+
 def test_group_suffix_requires_class_plus_member():
     state = init_model_state(small_config(), seed=1)
     with pytest.raises(ShapeError):
@@ -232,6 +251,20 @@ def test_with_trainable_leaves_its_source_as_it_was():
     for name, p in stage2.params.items():
         assert p is not source.params[name] and p.values is source.params[name].values
         assert p.requires_grad == (name in STAGE2_TRAINABLE)
+
+
+def test_with_trainable_shares_the_arrays_and_changes_only_the_flags(monkeypatch):
+    # the arrays were checked finite when they were made; a new flag set is
+    # not a reason to scan them again (eval sets one per call)
+    source = init_model_state(small_config(), seed=0).with_trainable(STAGE1_TRAINABLE)
+    scans = []
+    monkeypatch.setattr(dc, "_finite", lambda arr: scans.append(arr) or True)
+    frozen = source.with_trainable(())
+    assert not scans
+    assert frozen.config is source.config and list(frozen.params) == list(source.params)
+    for name, p in frozen.params.items():
+        assert p.values is source.params[name].values and not p.requires_grad
+        assert source.params[name].requires_grad == (name in STAGE1_TRAINABLE)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

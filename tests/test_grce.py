@@ -386,11 +386,8 @@ def test_view_features_do_not_depend_on_the_stack(quantity, refined):
         assert np.array_equal(features([i]), whole[[i]])
 
 
-@pytest.mark.parametrize("refined", [False, True])
-def test_view_features_do_not_depend_on_the_stack_width(refined):
-    # At the shipped width (dim 48, six members) with live attention weights,
-    # padding a block to another width changes the rounding; every view must
-    # be padded to max_members + 1 whatever counts share its stack.
+def _shipped_width_views():
+    """Views with every retained count from 1 to 6, at dim 48, and a state whose attention weights are live."""
     gen = GenConfig(n_group_identities=30, d_a=5, members_min=2, members_max=6)
     ds = generate_dataset(gen, seed=21)
     rng = np.random.default_rng(0)
@@ -402,13 +399,56 @@ def test_view_features_do_not_depend_on_the_stack_width(refined):
     state = small_state(seed=3, dim=48, max_members=6, group_slots=6)
     state = state.with_params({n: Tensor(rng.normal(scale=0.5, size=p.shape)) for n, p in state.params.items()
                                if n.startswith(("group.blk", "quantity.", "grce."))}).with_trainable(())
+    return ds.samples, masks, state
+
+
+@pytest.mark.parametrize("refined", [False, True])
+def test_view_features_do_not_depend_on_the_stack_width(refined):
+    # At the shipped width (dim 48, six members) with live attention weights,
+    # padding a block to some other width changes the rounding.  So a view's
+    # width follows its own count alone, whatever counts share its stack: a
+    # view keeping at most three of six members takes four rows, any other seven.
+    samples, masks, state = _shipped_width_views()
     counts = np.array([m.retained for m in masks])
-    whole = whole_run(ds.samples, state, masks, quantity=True, refined=refined)[0].values
+    whole = whole_run(samples, state, masks, quantity=True, refined=refined)[0].values
     for c in np.unique(counts):
         idx = np.flatnonzero(counts == c)
-        same = whole_run([ds.samples[i] for i in idx], state, [masks[i] for i in idx],
+        same = whole_run([samples[i] for i in idx], state, [masks[i] for i in idx],
                          quantity=True, refined=refined)
         assert np.array_equal(same[0].values, whole[idx])
+
+
+def test_a_chunk_runs_block_1_at_two_widths_each_view_in_its_own_class(monkeypatch):
+    samples, masks, state = _shipped_width_views()
+    samples, masks = samples[:40], masks[:40]
+    counts = [m.retained for m in masks]
+    assert min(counts) <= 3 < max(counts)
+    calls = []
+    real = grce.encode_group_prefix
+
+    def recorded(feats, st, k, slots=None):
+        calls.append((list(k), slots))
+        return real(feats, st, k, slots)
+
+    monkeypatch.setattr(grce, "encode_group_prefix", recorded)
+    whole_run(samples, state, masks, quantity=True, refined=False)
+    assert calls == [([k for k in counts if k <= 3], 3), ([k for k in counts if k > 3], 6)]
+
+
+@pytest.mark.parametrize("trainable", [(), ("quantity.em",)])
+def test_two_widths_give_the_bits_of_one_full_width(monkeypatch, trainable):
+    # the narrow blocks' live rows, pooled or zero-padded into the layout a
+    # step reads, have the bits they have when every view takes seven rows
+    samples, masks, state = _shipped_width_views()
+    state = state.with_trainable(trainable)
+
+    def features():
+        return [whole_run(samples, state, masks, quantity=quantity, refined=refined)[0].values.tobytes()
+                for quantity in (False, True) for refined in (False, True)]
+
+    two = features()
+    monkeypatch.setattr(grce, "_width_classes", lambda k, slots: [(slots, np.ones(k.shape, dtype=bool))])
+    assert two == features()
 
 
 def _per_view_reference(sample, mask, state, *, quantity, refined):

@@ -131,6 +131,22 @@ def test_mine_batch_hard_requires_positives_and_negatives():
         mine_batch_hard(f, [0, 1, 1])  # anchor 0 has no positive
 
 
+def test_mine_batch_hard_names_the_first_anchor_it_cannot_mine():
+    f = np.eye(5)
+    with pytest.raises(ValueError, match=r"^anchor 2 \(label 1\) has no positive in the batch$"):
+        mine_batch_hard(f, [0, 0, 1, 2, 2])
+    with pytest.raises(ValueError, match=r"^anchor 0 \(label 0\) has no negative in the batch$"):
+        mine_batch_hard(f[:3], [0, 0, 0])
+
+
+def test_mine_batch_hard_breaks_equal_distances_toward_the_first_index():
+    # anchor 0 has both positives at 1 and both negatives at 2; anchors 1 and 2
+    # have both negatives at sqrt(5)
+    f = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
+    triplets = mine_batch_hard(f, [0, 0, 0, 1, 1])
+    assert triplets == [(0, 1, 3), (1, 2, 3), (2, 1, 3), (3, 4, 0), (4, 3, 0)]
+
+
 def test_mine_batch_hard_rejects_non_finite_features():
     f = np.eye(4)
     f[2, 1] = np.nan

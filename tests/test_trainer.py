@@ -486,11 +486,26 @@ def test_a_stage2_step_runs_neither_the_count_term_nor_block_2(monkeypatch):
         return out
 
     monkeypatch.setattr(grce.FrozenPass, "__call__", step_call)
+    classes = []
+    real_init = grce.FrozenPass.__init__
+
+    def init(frozen, views, masks, st, **kw):
+        # a view keeping at most half the members (rounded up) is pooled in the narrow class
+        half = (st.config.max_members + 1) // 2
+        counts = np.array([m.retained for m in masks])
+        for at in range(0, len(counts), grce.VIEWS_PER_CHUNK):
+            chunk = counts[at:at + grce.VIEWS_PER_CHUNK]
+            classes.append(int((chunk <= half).any()) + int((chunk > half).any()))
+        real_init(frozen, views, masks, st, **kw)
+
+    monkeypatch.setattr(grce.FrozenPass, "__init__", init)
     cfg = _short_cfg(2, epochs=3, batch_size=4, p_groups=2)
     train_stage2(state, ds.samples, ds.group_rosters(), cfg, mvs=MvsConfig(), **_STAGE2)
     assert events.count("step") > 3
-    # the frozen pass before each epoch's first step pools that epoch's views
-    assert events.count("encode_group_suffix") == events.count("apply_mvs") == 3
+    # the frozen pass before each epoch's first step pools that epoch's views,
+    # one call per non-empty width class of each chunk
+    assert len(classes) == 3 and sum(classes) > 3
+    assert events.count("encode_group_suffix") == events.count("apply_mvs") == sum(classes)
     # nothing runs inside a step's call on the pass
     assert all(after == "step end" for e, after in zip(events, events[1:]) if e == "step")
 
