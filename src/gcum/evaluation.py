@@ -2,9 +2,13 @@
 
 Queries come from one camera, the gallery from the remaining cameras.
 All queries are ranked against the gallery in one call by cosine
-similarity (descending, ties broken by ascending gallery index).  The
-result is one boolean hit matrix, a row per query and a column per rank,
-and CMC Rank-k and mean average precision are reductions over its rows.
+similarity (descending, ties broken by ascending gallery index), with
+the bits of one product per query.  A chunk of queries is scored by one
+matrix product instead, and a rank is read from it wherever a proven
+rounding bound makes it certain; only queries with a near tie are
+ranked again by the per-query product.  The result is one boolean hit
+matrix, a row per query and a column per rank, and CMC Rank-k and mean
+average precision are reductions over its rows.
 Views are featurized and queries ranked in chunks of a fixed size, so
 past that matrix eval's working memory does not grow with the test split.
 Evaluation always sees full member sets: member dropout is a
@@ -40,9 +44,19 @@ def rank_gallery(query_feats, gallery_feats, query_labels, gallery_labels) -> np
     """Rank the gallery for every query; returns the (n_query, n_gallery) hit matrix.
 
     ``hits[i, r]`` is true when the gallery row ranked r-th for query i
-    carries query i's label.  Rows rank by cosine similarity, descending,
-    ties by ascending gallery index; byte-equal rows always tie.  Queries
-    are ranked ``_QUERIES_PER_CHUNK`` at a time against the whole gallery.
+    carries query i's label.  Rows rank by cosine similarity ``g @ q[i]``
+    (one product per query), descending, ties by ascending gallery index;
+    byte-equal rows always tie.
+
+    Queries are scored ``_QUERIES_PER_CHUNK`` at a time by one
+    ``q_chunk @ g.T``, whose bits may differ from the per-query product.
+    Any summation order of a dot product of rows of norm at most 1 + 1e-6
+    errs by at most E = γ_d·(1 + 1e-6)² + d·2⁻¹⁰⁷⁴, γ_d = d·u / (1 − d·u),
+    u = 2⁻⁵³ (Higham, Accuracy and Stability of Numerical Algorithms, §3.1),
+    so two rows whose chunk scores differ by more than 4E keep their order.
+    A relevant row ranks after the rows more than 4E above it and its
+    byte-equal copies before it.  A query with a row that is no copy of a
+    relevant row within 4E of it is ranked again by the per-query product.
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
@@ -53,29 +67,65 @@ def rank_gallery(query_feats, gallery_feats, query_labels, gallery_labels) -> np
     if len(query_labels) != q.shape[0] or len(gallery_labels) != g.shape[0]:
         raise ValueError("one label per query and per gallery row required")
     norms = np.concatenate([np.linalg.norm(q, axis=1), np.linalg.norm(g, axis=1)])
-    if np.max(np.abs(norms - 1.0)) > 1e-6:
+    if not (np.abs(norms - 1.0) <= 1e-6).all():  # NaN fails this too; the margin needs it
         raise ValueError("retrieval expects unit-norm features")
+    d, u = g.shape[1], 2.0 ** -53
+    # the factor 1 + 1e-9 covers this line's rounding and that of the norms above
+    margin = 4 * (d * u / (1 - d * u) * (1 + 1e-6) ** 2 + d * 2.0 ** -1074) * (1 + 1e-9)
     # a product can round by row position, so byte-equal rows take their first copy's score
     g = np.ascontiguousarray(g)
-    _, first, copy_of = np.unique(g.view(np.dtype((np.void, g.strides[0]))), return_index=True,
-                                  return_inverse=True)
-    score_as = first[copy_of.ravel()] if first.size < g.shape[0] else None
-    q_labels, g_labels = np.asarray(query_labels), np.asarray(gallery_labels)
+    _, first, copy_of, copies = np.unique(g.view(np.dtype((np.void, g.strides[0]))), return_index=True,
+                                          return_inverse=True, return_counts=True)
+    copy_of = copy_of.ravel()
+    score_as = first[copy_of] if first.size < g.shape[0] else None
+    by_copy = np.argsort(copy_of, kind="stable")
+    copies_before = np.empty(g.shape[0], dtype=np.int64)
+    copies_before[by_copy] = np.arange(g.shape[0]) - (np.cumsum(copies) - copies)[copy_of[by_copy]]
+    copies = copies[copy_of]
+    # query i's relevant rows, ascending: by_label[lo[i]:lo[i] + n_rel[i]]
+    by_label = np.argsort(gallery_labels, kind="stable")
+    labels = np.asarray(gallery_labels)[by_label]
+    lo = np.searchsorted(labels, query_labels, side="left")
+    n_rel = np.searchsorted(labels, query_labels, side="right") - lo
     hits = np.zeros((q.shape[0], g.shape[0]), dtype=bool)
     for start in range(0, q.shape[0], _QUERIES_PER_CHUNK):
         chunk = slice(start, start + _QUERIES_PER_CHUNK)
-        sims = np.matmul(g[None], q[chunk, :, None])[..., 0]  # a product per query: q @ g.T rounds differently
+        t = q[chunk] @ g.T
         if score_as is not None:
-            sims = sims[:, score_as]
-        # a relevant row's rank: rows scoring higher + equal rows before it; `at` row i lists query i's
-        qi, gj = np.nonzero(q_labels[chunk, None] == g_labels)
-        slot = np.arange(qi.size) - np.searchsorted(qi, qi)
-        at = np.zeros((sims.shape[0], slot.max(initial=-1) + 1), dtype=np.int64)
-        at[qi, slot] = gj
-        own = np.take_along_axis(sims, at, axis=1)[:, :, None]
-        ahead = (sims[:, None] > own) | ((sims[:, None] == own) & (np.arange(g.shape[0]) < at[:, :, None]))
-        hits[start + qi, np.count_nonzero(ahead, axis=2)[qi, slot]] = True
+            t = t[:, score_as]
+        unsure = np.zeros(t.shape[0], dtype=bool)
+        for slot in range(n_rel[chunk].max()):
+            rows = np.flatnonzero(n_rel[chunk] > slot)
+            j = by_label[lo[chunk][rows] + slot]
+            own = t[rows, j][:, None]
+            tr = t if rows.size == t.shape[0] else t[rows]
+            # own ± margin rounded outward keeps both tests certain; a 32-bit count sums faster
+            ahead = (tr > np.nextafter(own + margin, np.inf)).sum(axis=1, dtype=np.uint32)
+            near = (tr >= np.nextafter(own - margin, -np.inf)).sum(axis=1, dtype=np.uint32) - ahead
+            unsure[rows] |= near > copies[j]
+            hits[start + rows, ahead + copies_before[j]] = True
+        redo = start + np.flatnonzero(unsure)
+        if redo.size:
+            qi = np.repeat(np.arange(redo.size), n_rel[redo])
+            j = by_label[np.repeat(lo[redo], n_rel[redo]) + np.arange(qi.size) - np.searchsorted(qi, qi)]
+            hits[redo] = False
+            hits[redo[qi], _exact_ranks(g, q[redo], qi, j, score_as)] = True
     return hits
+
+
+def _exact_ranks(g, q, qi, j, score_as) -> np.ndarray:
+    """Rank of gallery row ``j[p]`` for query ``q[qi[p]]`` by one product per query.
+
+    Rows scoring higher, plus rows scoring the same before it; with
+    ``score_as``, row r takes the score of row ``score_as[r]``.
+    """
+    sims = np.matmul(g[None], q[:, :, None])[..., 0]  # q @ g.T rounds differently
+    if score_as is not None:
+        sims = sims[:, score_as]
+    sims = sims[qi]
+    own = sims[np.arange(j.size), j][:, None]
+    ahead = (sims > own) | ((sims == own) & (np.arange(g.shape[0]) < j[:, None]))
+    return np.count_nonzero(ahead, axis=1)
 
 
 def cmc(hits: np.ndarray, k: int) -> float:
@@ -217,7 +267,8 @@ def run_rows(
     1, so it is trained once and shared.  The order of the rows does not
     matter: each stage trains on a new state with its own trainable set
     and leaves the state it was given as it was, so every row starts from
-    one initial state.
+    one initial state.  Rows that evaluate the same state with the same
+    flags (``+GLA`` and ``Base``) share one evaluation.
     """
     train_gids, test_gids = split_train_test(ds, train_fraction)
     train_samples = ds.views_of(train_gids)
@@ -226,6 +277,8 @@ def run_rows(
 
     initial = init_model_state(model_base.for_dataset(ds, len(train_gids)), seed)
     stage1_states: dict[bool, ModelState] = {}  # use_mvs -> trained stage 1
+    # (state, refined, quantity) -> report; a state hashes by identity, and the key holds it
+    evaluated: dict[tuple[ModelState, bool, bool], RetrievalReport] = {}
     reports = []
     for use_gla, use_mvs, use_grce in rows:
         state = initial
@@ -243,9 +296,12 @@ def run_rows(
                 state, train_samples, rosters, stage2,
                 mvs=masks_cfg, use_text=use_gla, alpha=alpha, epsilon=epsilon,
             )
-        reports.append(evaluate(
-            state, test_samples, query_camera, refined=use_grce, quantity=use_mvs
-        ))
+        key = (state, use_grce, use_mvs)
+        if key not in evaluated:
+            evaluated[key] = evaluate(
+                state, test_samples, query_camera, refined=use_grce, quantity=use_mvs
+            )
+        reports.append(evaluated[key])
     return reports
 
 
@@ -265,7 +321,7 @@ def run_ablation(
 
     ``+GLA+MVS`` and ``Full`` run the same stage 1 for a seed; it is
     trained once and shared.  ``+GLA`` reads no stage-1 parameter, so it
-    skips stage 1 and equals ``Base``.
+    skips stage 1 and takes ``Base``'s evaluation.
     """
     if len(seeds) < 3:
         raise ValueError("ablation averaging needs at least three seeds")

@@ -92,7 +92,7 @@ def test_rank_gallery_matches_a_stable_argsort():
     hits = rank_gallery(q, g, q_labels, g_labels)
     assert np.array_equal(hits, _argsort_hits(q, g, q_labels, g_labels))
     assert not hits[(q_labels[:, None] != g_labels[None]).all(axis=1)].any()
-    # the batched product rank_gallery ranks by is bit-equal to one product per query
+    # the batched product of the exact path is bit-equal to one product per query
     sims = np.stack([g @ row for row in q])
     assert np.matmul(g[None], q[:, :, None])[..., 0].tobytes() == sims.tobytes()
     assert np.count_nonzero(np.diff(np.sort(sims, axis=1), axis=1) == 0) > 100  # exact ties
@@ -132,6 +132,97 @@ def test_chunked_ranking_is_the_whole_matrix_ranking(monkeypatch):
     # a query's hits are the hits it gets ranked on its own
     for i in (3, 300, 599):
         assert rank_gallery(q[i:i + 1], g, q_labels[i:i + 1], g_labels).tobytes() == chunked[i].tobytes()
+
+
+def _matvec_hits(q, g, q_labels, g_labels):
+    """The hit matrix by one product per query and counting, the exact ranking."""
+    g = np.ascontiguousarray(g)
+    _, first, copy_of = np.unique(g.view(np.dtype((np.void, g.strides[0]))), return_index=True,
+                                  return_inverse=True)
+    sims = np.matmul(g[None], q[:, :, None])[..., 0][:, first[copy_of.ravel()]]
+    # a relevant row's rank: rows scoring higher + equal rows before it; `at` row i lists query i's
+    qi, gj = np.nonzero(np.asarray(q_labels)[:, None] == np.asarray(g_labels))
+    slot = np.arange(qi.size) - np.searchsorted(qi, qi)
+    at = np.zeros((len(q), slot.max(initial=-1) + 1), dtype=np.int64)
+    at[qi, slot] = gj
+    own = np.take_along_axis(sims, at, axis=1)[:, :, None]
+    ahead = (sims[:, None] > own) | ((sims[:, None] == own) & (np.arange(len(g)) < at[:, :, None]))
+    hits = np.zeros((len(q), len(g)), dtype=bool)
+    hits[qi, np.count_nonzero(ahead, axis=2)[qi, slot]] = True
+    return hits
+
+
+def _exact_queries(monkeypatch):
+    """The queries each call of the exact path ranks, one list per call."""
+    calls = []
+    exact = evaluation._exact_ranks
+
+    def recording(g, q, *args):
+        calls.append(q.copy())
+        return exact(g, q, *args)
+
+    monkeypatch.setattr(evaluation, "_exact_ranks", recording)
+    return calls
+
+
+def test_rank_gallery_is_the_matvec_ranking_on_near_ties(monkeypatch):
+    rng = np.random.default_rng(31)
+    dim = 16
+    base = _unit_rows(rng, 150, dim)
+    # neighbours one ulp apart, byte-equal copies, and rows on a coarse grid
+    # whose similarities tie exactly
+    near = base[:40].copy()
+    near[:, 0] = np.nextafter(near[:, 0], np.inf)
+    coarse = np.round(_unit_rows(rng, 40, dim) * 2) / 2
+    coarse = coarse[np.linalg.norm(coarse, axis=1) > 0]
+    g = np.concatenate([base, near, base[40:70], coarse / np.linalg.norm(coarse, axis=1, keepdims=True)])
+    g = g[rng.permutation(len(g))]
+    # one to three gallery rows per label
+    g_labels = rng.permutation(np.repeat(np.arange(len(g)), rng.integers(1, 4, len(g)))[:len(g)])
+    # 300 queries span a chunk boundary at 256: queries equal to gallery rows,
+    # on the coarse grid and random ones, mixed
+    q = np.concatenate([g[rng.choice(len(g), 120)], np.round(_unit_rows(rng, 100, dim) * 2) / 2,
+                        _unit_rows(rng, 80, dim)])
+    q = q[np.linalg.norm(q, axis=1) > 0]
+    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    order = rng.permutation(len(q))
+    q, q_labels = q[order], rng.choice(g_labels, len(q))
+    calls = _exact_queries(monkeypatch)
+    hits = rank_gallery(q, g, q_labels, g_labels)
+    assert hits.tobytes() == _matvec_hits(q, g, q_labels, g_labels).tobytes()
+    assert set(np.bincount(g_labels)[q_labels]) == {1, 2, 3}
+    # both paths ran, in both chunks
+    assert len(calls) == 2 and 0 < sum(map(len, calls)) < len(q)
+
+
+def test_the_exact_path_ranks_only_a_near_tie(monkeypatch):
+    rng = np.random.default_rng(37)
+    g = _unit_rows(rng, 300, 48)
+    g_labels = np.arange(300)
+    g[7] = g[3]
+    g[7, 0] = np.nextafter(g[3, 0], np.inf)  # a row one ulp from row 3
+    q = _unit_rows(rng, 400, 48)
+    q_labels = rng.integers(10, 300, 400)
+    q_labels[[0, 255]] = (3, 7)  # its label near ties: only queries 0 and 255 see it
+    q_labels[256] = 3
+    calls = _exact_queries(monkeypatch)
+    hits = rank_gallery(q, g, q_labels, g_labels)
+    assert hits.tobytes() == _matvec_hits(q, g, q_labels, g_labels).tobytes()
+    assert [c.tobytes() for c in calls] == [q[[0, 255]].tobytes(), q[256:257].tobytes()]
+
+
+def test_random_unit_rows_take_no_exact_path(monkeypatch):
+    # the gain rests on near ties being rare: 900 x 900 random rows at dim 48
+    # have none, and a byte-equal copy of a relevant row is no near tie
+    rng = np.random.default_rng(41)
+    q, g = _unit_rows(rng, 900, 48), _unit_rows(rng, 900, 48)
+    q_labels, g_labels = rng.integers(0, 450, 900), rng.permutation(np.arange(900) % 450)
+    pick, at = rng.choice(900, 50, replace=False), np.sort(rng.integers(0, 901, 50))
+    calls = _exact_queries(monkeypatch)
+    for g, g_labels in ((g, g_labels), (np.insert(g, at, g[pick], axis=0), np.insert(g_labels, at, g_labels[pick]))):
+        hits = rank_gallery(q, g, q_labels, g_labels)
+        assert calls == []
+        assert hits.tobytes() == _matvec_hits(q, g, q_labels, g_labels).tobytes()
 
 
 def test_extract_features_over_chunks_is_one_stack(monkeypatch):
@@ -174,6 +265,11 @@ def test_rank_gallery_rejects_bad_inputs():
         rank_gallery(q, np.eye(2), [1], [1])  # gallery label count
     with pytest.raises(ValueError):
         rank_gallery(q, np.eye(2), [1, 2], [1, 2])  # query label count
+    for bad in (np.nan, np.inf):  # a NaN norm compares false either way
+        with pytest.raises(ValueError, match="unit-norm"):
+            rank_gallery([[bad, 0.0]], np.eye(2), [1], [1, 2])
+        with pytest.raises(ValueError, match="unit-norm"):
+            rank_gallery(q, [[1.0, 0.0], [0.0, bad]], [1], [1, 2])
 
 
 # --------------------------------------------------------------------------
@@ -591,6 +687,26 @@ def test_run_rows_draws_one_initial_state_and_each_row_matches_its_own_run(monke
     assert calls == [4]
     for flags, report in zip(rows, together):
         assert run_rows(ds, _model_base(), _short_cfg(), 4, [flags], **_RECIPE)[0] == report
+
+
+def test_run_rows_evaluates_a_state_once_per_flags(monkeypatch):
+    # +GLA evaluates Base's initial state with Base's flags and takes its report;
+    # +MVS evaluates the same state with the count term, so it runs its own
+    ds, _ = _eval_setup(noise=0.1)
+    calls = []
+    evaluate_ = evaluation.evaluate
+
+    def counting(state, samples, query_camera, *, refined, quantity):
+        calls.append((state, refined, quantity))
+        return evaluate_(state, samples, query_camera, refined=refined, quantity=quantity)
+
+    monkeypatch.setattr(evaluation, "evaluate", counting)
+    rows = dict((name, flags) for name, *flags in ABLATION_ROWS)
+    base, gla, mvs = run_rows(ds, _model_base(), _short_cfg(), 4,
+                              [rows["Base"], rows["+GLA"], rows["+MVS"]], **_RECIPE)
+    assert [flags for _, *flags in calls] == [[False, False], [False, True]]
+    assert calls[0][0] is calls[1][0]
+    assert gla is base and mvs is not base
 
 
 def test_run_ablation_needs_three_seeds():
