@@ -21,9 +21,10 @@ Design constraints the rest of the package relies on:
   slots).  A product with a long inner dimension can round differently
   at two BLAS threads than at one;
 * a graph records once and backpropagates once; reuse raises;
-* rows are selected and assembled by one op, ``gather_rows``, from one
-  tensor or from the rows of several in turn, and rows it leaves out get
-  exactly zero gradient;
+* rows are selected and assembled by ``gather_rows``, from one tensor or
+  from the rows of several in turn, and rows it leaves out get exactly
+  zero gradient; ``attention_block`` given an ``order`` reads its rows the
+  same way, projecting each row of the concatenation once;
 * attention of one query row over each of many short sequences is one
   op, ``segment_attention``, which keeps the tape rank 2 by stacking the
   sequences as row blocks, and the mean of each such block is another,
@@ -354,27 +355,39 @@ def gather_rows(x: Tensor | Sequence[Tensor], order: Sequence[int]) -> Tensor:
     order.  Rows left out of ``order`` receive exactly zero gradient, which
     is what makes downstream computations bit-independent of their contents.
     """
-    parts = (x,) if isinstance(x, Tensor) else tuple(x)
-    if not parts or any(p.ndim == 0 or p.shape[-1] != parts[0].shape[-1] for p in parts):
-        raise ShapeError(f"gather_rows needs tensors of one width, got {[p.shape for p in parts]}")
-    idx = np.asarray(order, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ShapeError("gather_rows needs a non-empty index vector")
-    blocks = [p.values if p.ndim == 2 else p.values[None] for p in parts]
-    table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    n = table.shape[0]
-    if idx.min() < 0 or idx.max() >= n:
-        raise ShapeError(f"gather_rows index out of range for {n} rows")
+    parts, table, idx = _table(x, order, "gather_rows")
+    n = table.shape[0]  # the pull keeps the count, not the table
 
     def pull(g: np.ndarray):
-        grad = _scatter_rows(idx, g, n)
-        if len(parts) == 1:
-            return (grad.reshape(parts[0].shape),)
-        ends = np.cumsum([len(b) for b in blocks])
-        return tuple(grad[e - len(b):e].reshape(p.shape) if p.requires_grad else None
-                     for p, b, e in zip(parts, blocks, ends))
+        return _scatter_parts(idx, g, parts, n)
 
     return _result(table[idx], parts, pull)
+
+
+def _table(x: Tensor | Sequence[Tensor], order: Sequence[int], op: str
+           ) -> tuple[tuple[Tensor, ...], np.ndarray, np.ndarray]:
+    """The parts of ``x`` as ``gather_rows`` reads them, their rows as one table, and the checked ``order``."""
+    parts = (x,) if isinstance(x, Tensor) else tuple(x)
+    if not parts or any(p.ndim == 0 or p.shape[-1] != parts[0].shape[-1] for p in parts):
+        raise ShapeError(f"{op} needs tensors of one width, got {[p.shape for p in parts]}")
+    idx = np.asarray(order, dtype=np.int64)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ShapeError(f"{op} needs a non-empty index vector")
+    blocks = [p.values if p.ndim == 2 else p.values[None] for p in parts]
+    table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if idx.min() < 0 or idx.max() >= table.shape[0]:
+        raise ShapeError(f"{op} index out of range for {table.shape[0]} rows")
+    return parts, table, idx
+
+
+def _scatter_parts(idx: np.ndarray, g: np.ndarray, parts: tuple[Tensor, ...], n: int) -> tuple:
+    """``gather_rows``' backward: the rows of ``g`` summed into rows ``idx`` of the n-row table, split by part."""
+    grad = _scatter_rows(idx, g, n)
+    if len(parts) == 1:
+        return (grad.reshape(parts[0].shape),)
+    sizes = [p.shape[0] if p.ndim == 2 else 1 for p in parts]
+    return tuple(grad[e - k:e].reshape(p.shape) if p.requires_grad else None
+                 for p, k, e in zip(parts, sizes, np.cumsum(sizes)))
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
@@ -461,6 +474,33 @@ def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.concatenate([a, a]) @ b)[:1]
 
 
+# numpy adds fewer terms than this left to right, and more pairwise
+_SHORT_ROW = 8
+# one slice op costs about what numpy's reduction spends on this many rows
+_ROWS_PER_SLICE = 32
+
+
+def _row_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1, keepdims=True)`` for ``np.maximum`` or ``np.add``, with numpy's bits.
+
+    Rows of fewer than ``_SHORT_ROW`` entries are reduced slice by slice,
+    left to right: a max is exact in any order, and numpy adds so few
+    terms left to right too, so the bits are numpy's.  numpy pays per row
+    and a slice op per call, so the slices run only where they are the
+    cheaper, on stacks of at least ``_ROWS_PER_SLICE`` rows per slice op;
+    longer rows and smaller stacks take numpy's own reduction.  (numpy's
+    sum starts from 0.0, so a row of -0.0 alone sums to 0.0 there and to
+    -0.0 here; a softmax's sums are at least 1.)
+    """
+    length = a.shape[-1]
+    if length >= _SHORT_ROW or a.size < _ROWS_PER_SLICE * length * (length - 1):
+        return ufunc.reduce(a, axis=-1, keepdims=True)
+    out = a[..., :1]
+    for j in range(1, length):
+        out = ufunc(out, a[..., j:j + 1])
+    return out
+
+
 def _attend(qv: np.ndarray, kv: np.ndarray, vv: np.ndarray, n: int, live) -> tuple[np.ndarray, np.ndarray]:
     """Attention inside n row blocks of ``kv`` and ``vv``: the (n, m, L) weights and the (n m, dv) output.
 
@@ -473,9 +513,9 @@ def _attend(qv: np.ndarray, kv: np.ndarray, vv: np.ndarray, n: int, live) -> tup
     scores = (qv.reshape(n, m, d) @ kv.reshape(n, length, d).transpose(0, 2, 1)) * (1.0 / math.sqrt(d))
     if live is not None:
         scores = np.where(live[:, None, :], scores, -np.inf)
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    e = np.exp(scores - _row_reduce(np.maximum, scores))
     del scores
-    w = e / np.sum(e, axis=-1, keepdims=True)
+    w = e / _row_reduce(np.add, e)
     del e
     if live is not None and m > 1:  # a lone query is its block's first row, always live
         w = w * live[:, :, None]
@@ -542,8 +582,8 @@ def block_means(x: Tensor, length: int) -> Tensor:
     return _result(out, (x,), pull)
 
 
-def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, length: int,
-                    lengths=None, *, first_only: bool = False) -> Tensor:
+def attention_block(x: Tensor | Sequence[Tensor], wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, length: int,
+                    lengths=None, *, first_only: bool = False, order: Sequence[int] | None = None) -> Tensor:
     """Single-head self-attention with a residual connection, as one node.
 
     ``x`` stacks sequences of ``length`` rows each, and a row attends only
@@ -556,6 +596,14 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, l
     sequence's length stay zero.  A zero output projection makes the block
     the identity map.
 
+    With ``order``, ``x`` is read as ``gather_rows`` reads it, one tensor
+    or a sequence of tensors of one width, and the block runs on rows
+    ``order`` of their concatenation: each row of the concatenation is
+    projected once and the projections laid into the blocks, so a row that
+    several blocks repeat is projected once.  The value and the gradients
+    are those of ``gather_rows`` composed with the block, bit for bit, as
+    a row's product has the same bits in a stack of any size.
+
     With ``first_only``, each sequence's first row is the only query and
     the residual: the (n, d) output is each sequence's first row of the
     block, without the other rows' work.  Over two or more sequences its
@@ -564,37 +612,55 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, l
     product is padded as ``_rows`` pads it, so an output row has the same
     bits in a stack of any size.
     """
-    xv = x.values
+    if order is None:
+        if not isinstance(x, Tensor):
+            raise ShapeError("attention_block: a sequence of tensors needs an order")
+        parts, idx, xv = (x,), None, x.values
+    else:
+        parts, table, idx = _table(x, order, "attention_block")
+        table = np.ascontiguousarray(table)  # the layout a gathered stack has
+        xv = table[idx]
     if (xv.ndim != 2 or any(w.ndim != 2 for w in (wq, wk, wv, wo)) or wq.shape[0] != xv.shape[1]
             or wk.shape != wq.shape or wv.shape[0] != xv.shape[1] or wo.shape != (wv.shape[1], xv.shape[1])):
         raise ShapeError(f"attention_block: need x (rows, d), wq and wk (d, e), wv (d, f) and wo (f, d), "
                          f"got {xv.shape}, {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape}")
     n, live = _blocks(xv.shape[0], length, lengths, "attention_block")
     xq = xv[::length].copy() if first_only else xv  # contiguous, as gather_rows makes it
-    qv, kv, vv = _rows(xq, wq.values), _rows(xv, wk.values), _rows(xv, wv.values)
+    if idx is None:
+        qv, kv, vv = _rows(xq, wq.values), _rows(xv, wk.values), _rows(xv, wv.values)
+    else:  # each row of the table projected once, then laid into the blocks
+        qv = _rows(xq, wq.values) if first_only else _rows(table, wq.values)[idx]
+        kv, vv = _rows(table, wk.values)[idx], _rows(table, wv.values)[idx]
+        n_table = table.shape[0]
+        del table  # the attention and the pull need only its row count
     w, ctx = _attend(qv, kv, vv, n, live)
-    need_q, need_k, need_v = (x.requires_grad or p.requires_grad for p in (wq, wk, wv))
+    need_x = any(p.requires_grad for p in parts)
+    need_q, need_k, need_v = (need_x or p.requires_grad for p in (wq, wk, wv))
 
     def pull(g: np.ndarray):
         gq = gk = gv = gx = None
         if need_q or need_k or need_v:
             gq, gk, gv = _attend_grads(g @ wo.values.T, w, qv, kv, vv, need_q, need_k, need_v)
-        if x.requires_grad and first_only:
+        if need_x and first_only:
             gx = gv @ wv.values.T
             gx = gx + gk @ wk.values.T
             gx[::length] += g + gq @ wq.values.T
-        elif x.requires_grad:
+        elif need_x:
             gx = g + gv @ wv.values.T
             gx = gx + gk @ wk.values.T
             gx = gx + gq @ wq.values.T
-        return (gx,
+        if idx is None:
+            gparts = (gx,)
+        else:
+            gparts = _scatter_parts(idx, gx, parts, n_table) if need_x else (None,) * len(parts)
+        return (*gparts,
                 xq.T @ gq if wq.requires_grad else None,
                 xv.T @ gk if wk.requires_grad else None,
                 xv.T @ gv if wv.requires_grad else None,
                 ctx.T @ g if wo.requires_grad else None)
 
     out = _rows(ctx, wo.values)
-    return _result(np.add(xq, out, out=out), (x, wq, wk, wv, wo), pull)
+    return _result(np.add(xq, out, out=out), (*parts, wq, wk, wv, wo), pull)
 
 
 def row_distance(a: Tensor, b: Tensor) -> Tensor:

@@ -13,7 +13,8 @@ trained:
   block 2 on the recombined sequence, then the class-token row is
   projected and normalized into the group feature.  Views are encoded
   together as row blocks of one width that the caller picks (at least one
-  slot per retained member), their empty member slots masked;
+  slot per retained member), their empty member slots masked; block 1
+  projects the class token and each member row once;
 * text encoder — token embeddings plus learned positions, one
   self-attention block, mean-pool, projection, normalization.  Prompts of
   one length are encoded together, stacked as row blocks; each prompt is
@@ -246,6 +247,9 @@ def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequ
     ``slots`` (``max_members`` by default) must cover every count.  A
     view's rows have the same bits in any stack of one width.
     ``grce.FrozenPass`` runs two widths, chosen by each view's own count.
+    The blocks are one ``attention_block`` node over the class token, a
+    zero row and the member rows, each projected once, with the bits of
+    gathering the blocks first.
     """
     cfg = state.config
     slots = cfg.max_members if slots is None else slots
@@ -259,9 +263,9 @@ def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequ
     at = np.ones((len(counts), width), dtype=np.int64)
     at[:, 0] = 0
     at[:, 1:][np.arange(slots) < counts[:, None]] = 2 + np.arange(rows)
-    blocks = dc.gather_rows([p["group.cls"], dc.constant(np.zeros((1, cfg.dim))), member_features], at.ravel())
-    return dc.attention_block(blocks, p["group.blk1.wq"], p["group.blk1.wk"],
-                              p["group.blk1.wv"], p["group.blk1.wo"], width, counts + 1)
+    return dc.attention_block([p["group.cls"], dc.constant(np.zeros((1, cfg.dim))), member_features],
+                              p["group.blk1.wq"], p["group.blk1.wk"], p["group.blk1.wv"], p["group.blk1.wo"],
+                              width, counts + 1, order=at.ravel())
 
 
 def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int],

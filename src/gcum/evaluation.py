@@ -140,7 +140,7 @@ def cmc(hits: np.ndarray, k: int) -> float:
 def mean_average_precision(hits: np.ndarray) -> float:
     if hits.shape[0] == 0:
         raise ValueError("no queries")
-    qi, rank = np.nonzero(hits)
+    qi, rank = np.divmod(np.flatnonzero(hits), hits.shape[1])  # row-major, as np.nonzero
     relevant = np.bincount(qi, minlength=hits.shape[0])
     if not relevant.all():
         raise ValueError(f"query {int(np.argmin(relevant))} has no relevant gallery entry")

@@ -38,6 +38,7 @@ produce bit-identical features, not merely close ones.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -118,20 +119,22 @@ def _select(samples: Sequence[GroupSample], masks: Sequence[Mask | None]
     Returns the rows as one constant, each view's retained count, and each
     view's member identities in row order.
     """
-    bits: list[int] = []
-    counts: list[int] = []
-    for sample, mask in zip(samples, masks, strict=True):
-        n = len(sample.identity_ids)
-        if mask is not None and len(mask) != n:
-            raise ValueError(f"mask covers {len(mask)} members, sample has {n}")
-        kept = (1,) * n if mask is None else mask.bits
-        bits += kept
-        counts.append(sum(kept))
-    keep = np.array(bits, dtype=bool)
-    rows = np.concatenate([s.appearances for s in samples])[keep]
-    order = canonical_order(rows, np.repeat(np.arange(len(counts)), counts))
-    ids = np.array([pid for s in samples for pid in s.identity_ids])[keep][order].tolist()
-    ends = np.cumsum(counts)
+    sizes = [len(s.identity_ids) for s in samples]
+    total = sum(sizes)
+    ids = np.fromiter(chain.from_iterable(s.identity_ids for s in samples), np.int64, total)
+    view = np.repeat(np.arange(len(samples)), sizes)
+    rows = np.concatenate([s.appearances for s in samples])
+    if any(m is not None for m in masks):
+        bad = [(len(m.bits), n) for n, m in zip(sizes, masks) if m is not None and len(m.bits) != n]
+        if bad:
+            raise ValueError("mask covers {} members, sample has {}".format(*bad[0]))
+        keep = np.fromiter(chain.from_iterable((1,) * n if m is None else m.bits
+                                               for n, m in zip(sizes, masks)), bool, total)
+        ids, view, rows = ids[keep], view[keep], rows[keep]
+    counts = np.bincount(view, minlength=len(samples)).tolist()
+    order = canonical_order(rows, view)
+    ids = ids[order].tolist()
+    ends = np.cumsum(counts).tolist()
     return dc.constant(rows[order]), counts, [tuple(ids[e - k:e]) for e, k in zip(ends, counts)]
 
 
@@ -180,6 +183,8 @@ class FrozenPass:
 
     def __init__(self, samples: Sequence[GroupSample], masks: Sequence[Mask | None], state: ModelState, *,
                  quantity: bool):
+        if len(masks) != len(samples):
+            raise ValueError(f"the pass has {len(samples)} views but {len(masks)} masks")
         self._pooled = not (quantity and state.params["quantity.em"].requires_grad)
         self._reads = {n: p.values for n, p in state.params.items() if n.startswith(("member.", "group."))
                        or (n == "quantity.em" and quantity and self._pooled)}

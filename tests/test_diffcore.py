@@ -786,6 +786,95 @@ def test_attention_readout_is_the_composed_readout_bit_for_bit(lengths, trainabl
                lambda *t: _composed_attention_readout(*t, 7, lengths), [x] + ws, trainable)
 
 
+def _block_parts(rng, counts, width):
+    """A class token, a zero row and member rows at dim 48, and the order that lays them into blocks."""
+    counts = np.asarray(counts)
+    at = np.ones((counts.size, width), dtype=np.int64)
+    at[:, 0] = 0
+    at[:, 1:][np.arange(width - 1) < counts[:, None]] = 2 + np.arange(counts.sum())
+    return [rng.normal(size=_DIM), np.zeros((1, _DIM)), rng.normal(size=(counts.sum(), _DIM))], at.ravel()
+
+
+@pytest.mark.parametrize("first_only", [False, True])
+@pytest.mark.parametrize("counts", [[3, 1, 2, 3], [2], [1]])
+@pytest.mark.parametrize("trainable", [(2,), (0, 2), (0, 1, 2, 3, 4, 5, 6), (3, 4, 5, 6), (6,), (4,)])
+def test_attention_block_over_parts_is_gather_then_block_bit_for_bit(first_only, counts, trainable):
+    rng = np.random.default_rng(29)
+    parts, order = _block_parts(rng, counts, 4)
+    ws = [rng.normal(scale=0.3, size=(_DIM, _DIM)) for _ in range(4)]
+    lengths = np.asarray(counts) + 1
+    _same_bits(lambda *t: dc.attention_block(t[:3], *t[3:], 4, lengths, first_only=first_only, order=order),
+               lambda *t: dc.attention_block(dc.gather_rows(t[:3], order), *t[3:], 4, lengths,
+                                             first_only=first_only),
+               parts + ws, trainable)
+
+
+def test_attention_block_over_one_tensor_is_gather_then_block_bit_for_bit():
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(6, _DIM))
+    order = [5, 0, 0, 3, 2, 5, 1, 4]  # repeats, and a row left out
+    ws = [rng.normal(scale=0.3, size=(_DIM, _DIM)) for _ in range(4)]
+    _same_bits(lambda *t: dc.attention_block(t[0], *t[1:], 4, [4, 2], order=order),
+               lambda *t: dc.attention_block(dc.gather_rows(t[0], order), *t[1:], 4, [4, 2]),
+               [x] + ws, (0, 1, 2, 3, 4))
+
+
+def test_attention_block_over_parts_passes_grad_check():
+    rng = np.random.default_rng(31)
+    order = [0, 2, 3, 1, 0, 4, 1, 1]  # blocks [cls; m0; m1; zero] and [cls; m2; zero; zero]
+
+    def block(p):
+        out = dc.attention_block([p["0"], dc.constant(np.zeros((1, 4))), p["1"]], p["2"], p["3"], p["4"], p["5"],
+                                 4, [3, 2], order=order)
+        return ops.reduce_sum(dc.mul(out, dc.tanh(out)))
+
+    _grad_check_op(block, [rng.normal(size=4), rng.normal(size=(3, 4))]
+                   + [rng.normal(scale=0.5, size=(4, 4)) for _ in range(4)])
+
+
+def test_attention_block_over_parts_rejects_bad_operands():
+    x, w = dc.Tensor(np.ones((3, 4))), dc.Tensor(np.ones((4, 4)))
+    with pytest.raises(dc.ShapeError, match="needs an order"):
+        dc.attention_block([x], w, w, w, w, 3)
+    with pytest.raises(dc.ShapeError, match="index out of range"):
+        dc.attention_block([x, dc.Tensor(np.ones(4))], w, w, w, w, 2, order=[0, 4])
+    with pytest.raises(dc.ShapeError, match="one width"):
+        dc.attention_block([x, dc.Tensor(np.ones(3))], w, w, w, w, 2, order=[0, 1])
+    with pytest.raises(dc.ShapeError):
+        dc.attention_block([x], w, w, w, w, 3, order=[0, 1])  # 2 rows do not split into blocks of 3
+
+
+def _short_rows(rng, n, m, length):
+    """(n, m, length) scores spread wide enough that the order of a sum shows, some masked to -inf."""
+    scores = rng.normal(scale=20.0, size=(n, m, length))
+    live = np.arange(length) < rng.integers(1, length + 1, size=n)[:, None]
+    return np.where(live[:, None, :], scores, -np.inf)
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_short_rows_reduce_by_slices_with_numpys_bits(length):
+    rng = np.random.default_rng(length)
+    for n, m in ((1, 1), (5, 1), (5, length), (300, 1), (300, length)):
+        scores = _short_rows(rng, n, m, length)
+        top = dc._row_reduce(np.maximum, scores)
+        assert top.tobytes() == np.max(scores, axis=-1, keepdims=True).tobytes()
+        e = np.exp(scores - top)
+        assert dc._row_reduce(np.add, e).tobytes() == np.sum(e, axis=-1, keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("length", [8, 9, 12, 28])
+def test_rows_of_8_and_more_take_numpys_reduction(length):
+    rng = np.random.default_rng(length)
+    e = np.exp(_short_rows(rng, 300, 3, length))
+    total = dc._row_reduce(np.add, e)
+    assert total.tobytes() == np.sum(e, axis=-1, keepdims=True).tobytes()
+    chain = e[..., :1]
+    for j in range(1, length):
+        chain = chain + e[..., j:j + 1]
+    assert chain.tobytes() != total.tobytes()  # numpy pairs these terms, so a left-to-right sum differs
+    assert dc._row_reduce(np.maximum, e).tobytes() == np.max(e, axis=-1, keepdims=True).tobytes()
+
+
 def _readout_per_block(x, wq, wk, wv, wo, length, lengths):
     """Each block's first row of the residual attention block, in plain numpy, block by block."""
     out = []

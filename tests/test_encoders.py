@@ -176,6 +176,28 @@ def test_group_blocks_at_fewer_slots_keep_the_live_rows():
         encode_group_suffix(full, state, [1, 2], 2)  # blocks of another width
 
 
+def test_group_prefix_is_one_tape_node_with_the_bits_of_gather_then_block():
+    state = init_model_state(small_config(), seed=1)
+    p = state.params
+    feats = Tensor(np.random.default_rng(6).normal(size=(4, 8)), requires_grad=True)
+    with dc.Graph() as g:
+        out = encode_group_prefix(feats, state, [3, 1])
+        loss = dc.reduce_mean(dc.mul(out, out))
+    assert len(g._nodes) == 3  # the block, then the loss's product and mean
+    grads = g.backward(loss)
+    # the class token, a zero row and the members, laid into [cls; members; zero rows] blocks
+    order = [0, 2, 3, 4, 0, 5, 1, 1]
+    with dc.Graph() as g:
+        rows = dc.gather_rows([p["group.cls"], dc.constant(np.zeros((1, 8))), feats], order)
+        composed = dc.attention_block(rows, p["group.blk1.wq"], p["group.blk1.wk"], p["group.blk1.wv"],
+                                      p["group.blk1.wo"], 4, [4, 2])
+        composed_loss = dc.reduce_mean(dc.mul(composed, composed))
+    want = g.backward(composed_loss)
+    assert out.values.tobytes() == composed.values.tobytes()
+    assert set(grads) == set(want)
+    assert all(grads[t].tobytes() == want[t].tobytes() for t in want)
+
+
 def test_group_suffix_requires_class_plus_member():
     state = init_model_state(small_config(), seed=1)
     with pytest.raises(ShapeError):

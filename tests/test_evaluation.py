@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcum import diffcore as dc
 from gcum import evaluation, gla, grce
@@ -320,6 +322,27 @@ def test_map_is_bit_equal_to_the_dense_formula():
         hits = rng.random((n_q, n_g)) < rng.uniform(0.0, 0.3)
         hits[np.arange(n_q), rng.integers(0, n_g, n_q)] = True
         assert mean_average_precision(hits).hex() == _dense_map(hits).hex()
+
+
+def _nonzero_map(hits):
+    """mAP with the hit positions of a 2-D ``np.nonzero``, the form the flat positions replaced."""
+    qi, rank = np.nonzero(hits)
+    relevant = np.bincount(qi, minlength=hits.shape[0])
+    n = np.arange(qi.size) - np.searchsorted(qi, qi)
+    precision = np.zeros((hits.shape[0], relevant.max()))
+    precision[qi, n] = (n + 1) / (rank + 1)
+    return float(np.mean(np.cumsum(precision, axis=1)[:, -1] / relevant))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 60), st.floats(0.0, 0.5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_map_from_flat_hit_positions_is_the_nonzero_form_bit_for_bit(n_q, n_g, density, last, seed):
+    rng = np.random.default_rng(seed)
+    hits = rng.random((n_q, n_g)) < density
+    hits[np.arange(n_q), rng.integers(0, n_g, n_q)] = True
+    if last:  # a hit in the last column of every row, where a flat position wraps to the next row
+        hits[:, -1] = True
+    assert mean_average_precision(hits).hex() == _nonzero_map(hits).hex()
 
 
 def test_map_requires_a_relevant_entry():

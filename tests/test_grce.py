@@ -338,6 +338,20 @@ def test_mask_length_must_match_member_count():
         whole_run([sample], state, [Mask((1,) * (len(sample.identity_ids) + 1))], quantity=True, refined=False)
 
 
+def test_a_mask_list_of_another_length_fails_before_any_encoding(monkeypatch):
+    ds = _dataset()
+    state = small_state().with_trainable(())
+    samples = ds.samples * (VIEWS_PER_CHUNK // len(ds.samples) + 1)  # more than one chunk
+
+    def encode(*args):
+        raise AssertionError("a view was encoded before the masks were counted")
+
+    monkeypatch.setattr(grce, "encode_members", encode)
+    for masks in ([None] * (len(samples) - 1), [None] * (len(samples) + 2), []):
+        with pytest.raises(ValueError, match=f"{len(samples)} views but {len(masks)} masks"):
+            FrozenPass(samples, masks, state, quantity=True)
+
+
 def _mixed_views(n_groups=60, seed=21):
     """Views with every retained count from 1 to 4, and a state whose count term is live."""
     gen = GenConfig(n_group_identities=n_groups, d_a=5, members_min=2, members_max=4)
