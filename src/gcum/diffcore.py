@@ -23,19 +23,21 @@ Design constraints the rest of the package relies on:
 * a graph records once and backpropagates once; reuse raises;
 * rows are selected and assembled by ``gather_rows``, from one tensor or
   from the rows of several in turn, and rows it leaves out get exactly
-  zero gradient; ``attention_block`` given an ``order`` reads its rows the
-  same way, projecting each row of the concatenation once;
+  zero gradient; ``attention_block`` and ``attention_pool`` given an
+  ``order`` read their rows the same way, ``attention_block`` projecting
+  each row of the concatenation once;
 * attention of one query row over each of many short sequences is one
   op, ``segment_attention``, which keeps the tape rank 2 by stacking the
-  sequences as row blocks, and the mean of each such block is another,
-  ``block_means``;
+  sequences as row blocks;
 * compositions a training step runs many times are one node each, with a
   closed-form backward that gives the composed ops' bits: a residual
   self-attention block (``attention_block``, whole or read out at each
-  sequence's first row), the cross entropy against
-  soft targets (``soft_target_nll``, by log-sum-exp, so it stays finite
-  where the log of a softmax would underflow), the floored row distance
-  (``row_distance``) and the count term's block means
+  sequence's first row), a sequence encoder that adds positions, runs
+  that block, takes each sequence's mean, projects it and scales it to
+  unit norm (``attention_pool``, the text encoder), the cross entropy
+  against soft targets (``soft_target_nll``, by log-sum-exp, so it stays
+  finite where the log of a softmax would underflow), the floored row
+  distance (``row_distance``) and the count term's block means
   (``add_block_means``).
 
 ``grad_check`` compares recorded gradients against central finite
@@ -69,8 +71,8 @@ __all__ = [
     "tanh",
     "clamp_min",
     "segment_attention",
-    "block_means",
     "attention_block",
+    "attention_pool",
     "soft_target_nll",
     "row_distance",
     "add_block_means",
@@ -364,9 +366,9 @@ def gather_rows(x: Tensor | Sequence[Tensor], order: Sequence[int]) -> Tensor:
     return _result(table[idx], parts, pull)
 
 
-def _table(x: Tensor | Sequence[Tensor], order: Sequence[int], op: str
-           ) -> tuple[tuple[Tensor, ...], np.ndarray, np.ndarray]:
-    """The parts of ``x`` as ``gather_rows`` reads them, their rows as one table, and the checked ``order``."""
+def _read_parts(x: Tensor | Sequence[Tensor], order: Sequence[int], op: str
+                ) -> tuple[tuple[Tensor, ...], list[np.ndarray], np.ndarray, int]:
+    """The parts of ``x`` as ``gather_rows`` reads them, each as a matrix, the checked ``order`` and the row count."""
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     if not parts or any(p.ndim == 0 or p.shape[-1] != parts[0].shape[-1] for p in parts):
         raise ShapeError(f"{op} needs tensors of one width, got {[p.shape for p in parts]}")
@@ -374,10 +376,17 @@ def _table(x: Tensor | Sequence[Tensor], order: Sequence[int], op: str
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError(f"{op} needs a non-empty index vector")
     blocks = [p.values if p.ndim == 2 else p.values[None] for p in parts]
-    table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    if idx.min() < 0 or idx.max() >= table.shape[0]:
-        raise ShapeError(f"{op} index out of range for {table.shape[0]} rows")
-    return parts, table, idx
+    n = sum(b.shape[0] for b in blocks)
+    if idx.min() < 0 or idx.max() >= n:
+        raise ShapeError(f"{op} index out of range for {n} rows")
+    return parts, blocks, idx, n
+
+
+def _table(x: Tensor | Sequence[Tensor], order: Sequence[int], op: str
+           ) -> tuple[tuple[Tensor, ...], np.ndarray, np.ndarray]:
+    """The parts of ``x`` as ``gather_rows`` reads them, their rows as one table, and the checked ``order``."""
+    parts, blocks, idx, _ = _read_parts(x, order, op)
+    return parts, blocks[0] if len(blocks) == 1 else np.concatenate(blocks), idx
 
 
 def _scatter_parts(idx: np.ndarray, g: np.ndarray, parts: tuple[Tensor, ...], n: int) -> tuple:
@@ -563,23 +572,11 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int, lengths=None
     return _result(out, (q, k, v), pull)
 
 
-def block_means(x: Tensor, length: int) -> Tensor:
-    """The (n, d) mean of each block of ``length`` consecutive rows of ``x``.
-
-    The blocks are worked as one (n, 1, length) @ (n, length, d) product,
-    so each mean is a product of its own block's rows alone: an output row
-    has the same bits in a stack of any size.
-    """
-    if x.ndim != 2:
-        raise ShapeError(f"block_means needs a rank-2 tensor, got shape {x.shape}")
-    n, _ = _blocks(x.shape[0], length, None, "block_means")
-    scale = 1.0 / length
-    out = (np.full((n, 1, length), scale) @ x.values.reshape(n, length, -1))[:, 0]
-
-    def pull(g: np.ndarray):
-        return (np.repeat(g * scale, length, axis=0),)
-
-    return _result(out, (x,), pull)
+def _check_block(xv: np.ndarray, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, op: str) -> None:
+    if (xv.ndim != 2 or any(w.ndim != 2 for w in (wq, wk, wv, wo)) or wq.shape[0] != xv.shape[1]
+            or wk.shape != wq.shape or wv.shape[0] != xv.shape[1] or wo.shape != (wv.shape[1], xv.shape[1])):
+        raise ShapeError(f"{op}: need x (rows, d), wq and wk (d, e), wv (d, f) and wo (f, d), "
+                         f"got {xv.shape}, {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape}")
 
 
 def attention_block(x: Tensor | Sequence[Tensor], wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, length: int,
@@ -620,10 +617,7 @@ def attention_block(x: Tensor | Sequence[Tensor], wq: Tensor, wk: Tensor, wv: Te
         parts, table, idx = _table(x, order, "attention_block")
         table = np.ascontiguousarray(table)  # the layout a gathered stack has
         xv = table[idx]
-    if (xv.ndim != 2 or any(w.ndim != 2 for w in (wq, wk, wv, wo)) or wq.shape[0] != xv.shape[1]
-            or wk.shape != wq.shape or wv.shape[0] != xv.shape[1] or wo.shape != (wv.shape[1], xv.shape[1])):
-        raise ShapeError(f"attention_block: need x (rows, d), wq and wk (d, e), wv (d, f) and wo (f, d), "
-                         f"got {xv.shape}, {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape}")
+    _check_block(xv, wq, wk, wv, wo, "attention_block")
     n, live = _blocks(xv.shape[0], length, lengths, "attention_block")
     xq = xv[::length].copy() if first_only else xv  # contiguous, as gather_rows makes it
     if idx is None:
@@ -661,6 +655,84 @@ def attention_block(x: Tensor | Sequence[Tensor], wq: Tensor, wk: Tensor, wv: Te
 
     out = _rows(ctx, wo.values)
     return _result(np.add(xq, out, out=out), (*parts, wq, wk, wv, wo), pull)
+
+
+def attention_pool(x: Tensor | Sequence[Tensor], pos: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+                   proj: Tensor, length: int, *, order: Sequence[int]) -> Tensor:
+    """Each sequence's unit-norm feature: positions, a residual attention block, mean, projection, as one node.
+
+    The n sequences of ``length`` rows each are rows ``order`` of ``x``,
+    read as ``gather_rows`` reads it, though the last of several parts is
+    read in place rather than copied.  Row i of every sequence gains row i
+    of ``pos``; the sequences run through ``attention_block``; each one's
+    rows are averaged by an (n, 1, length) @ (n, length, d) product, so a
+    mean reads its own sequence alone; the means are projected by ``proj``
+    and scaled to unit norm as ``l2_normalize`` scales them, a finite row
+    whose norm overflows raising under that op's name.  The value and the
+    gradients are those of that composition, bit for bit, with
+    ``gather_rows`` reading the parts and the rows of ``pos``.  The
+    forward's products go through ``_rows``, so a sequence's feature has
+    the same bits in a stack of any size.
+    """
+    parts, blocks, idx, n_table = _read_parts(x, order, "attention_pool")
+    *head, last = blocks
+    if head:  # the last part is read in place, not copied: the text encoder's is the whole identity-token table
+        start = n_table - last.shape[0]
+        table = head[0] if len(head) == 1 else np.concatenate(head)
+        xv = np.where((idx >= start)[:, None], last.take(idx - start, axis=0, mode="clip"),
+                      table.take(idx, axis=0, mode="clip"))
+    else:
+        xv = last[idx]
+    _check_block(xv, wq, wk, wv, wo, "attention_pool")
+    d = xv.shape[1]
+    if pos.ndim != 2 or pos.shape[0] < length or pos.shape[1] != d or proj.ndim != 2 or proj.shape[0] != d:
+        raise ShapeError(f"attention_pool: need pos (at least {length}, {d}) and proj ({d}, e), "
+                         f"got {pos.shape} and {proj.shape}")
+    n, _ = _blocks(xv.shape[0], length, None, "attention_pool")
+    xv = (xv.reshape(n, length, d) + pos.values[:length]).reshape(n * length, d)
+    qv, kv, vv = _rows(xv, wq.values), _rows(xv, wk.values), _rows(xv, wv.values)
+    w, ctx = _attend(qv, kv, vv, n, None)
+    seq = _rows(ctx, wo.values)
+    np.add(xv, seq, out=seq)
+    scale = 1.0 / length
+    pooled = (np.full((n, 1, length), scale) @ seq.reshape(n, length, d))[:, 0]
+    zv = _rows(pooled, proj.values)
+    norm = np.sqrt(np.sum(zv * zv, axis=-1, keepdims=True))
+    over = np.isinf(norm)  # a finite row whose norm overflows raises as l2_normalize raises
+    if over.any() and (over & np.isfinite(zv).all(axis=-1, keepdims=True)).any():
+        check_finite(norm, "l2_normalize")
+    dn = np.maximum(norm, 1e-12)
+    live = norm > 1e-12
+    need_parts = any(p.requires_grad for p in parts)
+    need_x = need_parts or pos.requires_grad
+    need_q, need_k, need_v = (need_x or p.requires_grad for p in (wq, wk, wv))
+    need_seq = need_q or need_k or need_v or wo.requires_grad
+
+    def pull(g: np.ndarray):
+        # l2_normalize, then matmul by proj
+        gz = g / dn - zv * (live * np.sum(g * zv, axis=-1, keepdims=True) / (dn * dn * dn))
+        gproj = pooled.T @ gz if proj.requires_grad else None
+        if not need_seq:
+            return (None,) * (len(parts) + 5) + (gproj,)
+        # the mean spreads each row's gradient over its sequence
+        gs = np.repeat(_rows(gz, proj.values.T) * scale, length, axis=0)
+        gq = gk = gv = gx = None
+        if need_q or need_k or need_v:
+            gq, gk, gv = _attend_grads(gs @ wo.values.T, w, qv, kv, vv, need_q, need_k, need_v)
+        if need_x:
+            gx = gs + gv @ wv.values.T
+            gx = gx + gk @ wk.values.T
+            gx = gx + gq @ wq.values.T
+        gparts = _scatter_parts(idx, gx, parts, n_table) if need_parts else (None,) * len(parts)
+        return (*gparts,
+                _scatter_rows(np.tile(np.arange(length), n), gx, pos.shape[0]) if pos.requires_grad else None,
+                xv.T @ gq if wq.requires_grad else None,
+                xv.T @ gk if wk.requires_grad else None,
+                xv.T @ gv if wv.requires_grad else None,
+                ctx.T @ gs if wo.requires_grad else None,
+                gproj)
+
+    return _result(zv / dn, (*parts, pos, wq, wk, wv, wo, proj), pull)
 
 
 def row_distance(a: Tensor, b: Tensor) -> Tensor:

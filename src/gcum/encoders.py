@@ -16,10 +16,11 @@ trained:
   slot per retained member), their empty member slots masked; block 1
   projects the class token and each member row once;
 * text encoder — token embeddings plus learned positions, one
-  self-attention block, mean-pool, projection, normalization.  Prompts of
-  one length are encoded together, stacked as row blocks; each prompt is
-  mean-pooled over its own rows, so its feature has the same bits in a
-  stack of any size.
+  self-attention block, mean-pool, projection, normalization, as one tape
+  node (``attention_pool``) that reads the prompts' rows straight from
+  their parts.  Prompts of one length are encoded together, stacked as
+  row blocks; each prompt is mean-pooled over its own rows, so its feature
+  has the same bits in a stack of any size.
 
 Trainable state lives alongside: per-identity prompt tokens, padding
 tokens, the member-count matrix, the refinement head, the classifier, and
@@ -289,29 +290,18 @@ def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int],
     return dc.l2_normalize(dc.matmul(pooled, p["group.proj"]))
 
 
-def encode_text(tokens: Tensor, state: ModelState, length: int) -> Tensor:
+def encode_text(tokens: Tensor | Sequence[Tensor], state: ModelState, length: int, order: Sequence[int]) -> Tensor:
     """Encode prompts of ``length`` tokens each into (n, dim) unit-norm features.
 
-    ``tokens`` stacks the n prompts' (length, dim) token matrices; each
-    prompt is encoded on its own (positions restart and attention stays
-    inside it), so a single prompt is the n = 1 case.
+    The n prompts' (length, dim) token matrices, one after another, are
+    rows ``order`` of ``tokens``, read as ``gather_rows`` reads it: one
+    tensor, or the prompt parts in turn.  Each prompt is encoded on its own
+    (positions restart and attention stays inside it), so a single prompt
+    is the n = 1 case.  The encoder is one ``attention_pool`` node.
     """
-    cfg = state.config
-    if tokens.ndim != 2 or tokens.shape[1] != cfg.dim:
-        raise ShapeError(f"expected (n * L, {cfg.dim}) tokens, got {tokens.shape}")
-    rows = tokens.shape[0]
-    if rows < 1 or length < 1:
-        raise ShapeError("empty token sequence")
-    if rows % length:
-        raise ShapeError(f"{rows} token rows do not split into prompts of length {length}")
-    if length > cfg.max_prompt_len:
-        raise ShapeError(f"prompt length {length} exceeds positional table {cfg.max_prompt_len}")
-    n = rows // length
     p = state.params
-    pos = dc.gather_rows(p["text.pos"], np.tile(np.arange(length), n))
-    seq = dc.attention_block(dc.add(tokens, pos), p["text.attn.wq"], p["text.attn.wk"],
-                             p["text.attn.wv"], p["text.attn.wo"], length)
-    return dc.l2_normalize(dc.matmul(dc.block_means(seq, length), p["text.proj"]))
+    return dc.attention_pool(tokens, p["text.pos"], p["text.attn.wq"], p["text.attn.wk"], p["text.attn.wv"],
+                             p["text.attn.wo"], p["text.proj"], length, order=order)
 
 
 # --------------------------------------------------------------------------

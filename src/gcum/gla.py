@@ -7,9 +7,11 @@ description allocates a fixed number of identity slots ("a group of
 <slot tokens> persons"): present members fill the leading slots in
 canonical (sorted identity) order, learned padding tokens fill the rest.
 The fixed slot count is what lets one text embedding describe a group
-whose visible membership varies.  All prompts of one kind are gathered in
-one op from the template parameters and identity blocks they name, and
-encoded in one text-encoder pass.
+whose visible membership varies.  The prompts of one kind are laid out
+by one index vector over the template parameters and ``prompt.x``, made
+by array operations (a matrix of sorted rosters for group prompts, a
+vector of identities for member prompts), and the text encoder reads
+them straight from those parts in one tape node.
 
 Alignment uses a supervised contrastive loss in both directions at both
 granularities (member features against member descriptions, group
@@ -22,6 +24,8 @@ averaged over the B samples.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -31,40 +35,92 @@ from .diffcore import ShapeError, Tensor
 from .encoders import ModelState, encode_text
 
 
-def _assemble(prompts: Sequence[Sequence[str | int]], state: ModelState) -> Tensor:
-    """The prompts' token matrices one after another, gathered in one op.
+_EMPTY = np.iinfo(np.int64).max  # an empty roster slot, which sorts after every identity
 
-    A prompt lists its parts in order: the name of a template parameter,
-    or an identity, which stands for that identity's block of ``prompt.x``.
-    Only the identity blocks and the template parameters that some prompt
-    names are read, so no other parameter gets a gradient or takes a
-    momentum and weight-decay step.
-    """
-    cfg = state.config
+
+def _check_identities(ids: np.ndarray, n: int) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"identity {ids[(ids < 0) | (ids >= n)].min()} outside [0, {n})")
+
+
+@lru_cache(maxsize=16)
+def _segments(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of a prompt made of segments of ``lengths`` rows: its segment, and its row in it."""
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    row = np.arange(segment.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    for a in (segment, row):
+        a.setflags(write=False)  # shared by every caller
+    return segment, row
+
+
+def _lay_out(starts: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
+    """The rows of prompts whose segments start at ``starts`` (one row per prompt), one prompt after another."""
+    segment, row = _segments(lengths)
+    return (starts[:, segment] + row).ravel()
+
+
+def _member_layout(identity_ids: Sequence[int], state: ModelState) -> tuple[list[Tensor], np.ndarray]:
+    """The parts member prompts read, and the order that lays out one prompt per identity from them."""
     p = state.params
-    m = cfg.tokens_per_identity
-    names = list(dict.fromkeys(part for prompt in prompts for part in prompt if isinstance(part, str)))
-    used = sorted({part for prompt in prompts for part in prompt if not isinstance(part, str)})
-    for pid in used:
-        if not (0 <= pid < cfg.n_person_ids):
-            raise ValueError(f"identity {pid} outside [0, {cfg.n_person_ids})")
-    blocks = dc.gather_rows(p["prompt.x"], [pid * m + j for pid in used for j in range(m)])
-    rows: dict = {}
-    at = 0
-    for key, size in [(name, p[name].shape[0]) for name in names] + [(pid, m) for pid in used]:
-        rows[key] = np.arange(at, at + size)
-        at += size
-    order = np.concatenate([rows[part] for prompt in prompts for part in prompt])
-    return dc.gather_rows([p[name] for name in names] + [blocks], order)
+    m = state.config.tokens_per_identity
+    ids = np.fromiter(identity_ids, np.int64)
+    _check_identities(ids, state.config.n_person_ids)
+    parts = [p["prompt.member_prefix"], p["prompt.member_suffix"], p["prompt.x"]]
+    prefix, suffix = parts[0].shape[0], parts[1].shape[0]
+    # each prompt's segments: the prefix, its identity's block of prompt.x, the suffix
+    starts = np.zeros((ids.size, 3), np.int64)
+    starts[:, 1] = prefix + suffix + ids * m
+    starts[:, 2] = prefix
+    return parts, _lay_out(starts, (prefix, m, suffix))
+
+
+def _group_layout(rosters: Sequence[Sequence[int]], state: ModelState) -> tuple[list[Tensor], np.ndarray]:
+    """The parts group prompts read, and the order that lays out one prompt per roster from them.
+
+    The rosters fill one matrix, a row per roster, each row sorted; a row's
+    slots past its roster read the padding block, which is a part only when
+    some roster is short of ``group_slots``.
+    """
+    p = state.params
+    cfg = state.config
+    slots, m = cfg.group_slots, cfg.tokens_per_identity
+    counts = np.fromiter(map(len, rosters), np.int64, len(rosters))
+    filled = np.arange(max(slots, counts.max(initial=0))) < counts[:, None]
+    roster = np.full(filled.shape, _EMPTY)
+    roster[filled] = np.fromiter(chain.from_iterable(rosters), np.int64)
+    roster.sort(axis=1)
+    dup = ((roster[:, 1:] == roster[:, :-1]) & filled[:, 1:]).any(axis=1)
+    if not counts.all() or dup.any() or filled.shape[1] > slots:  # the first bad roster names its fault
+        i = int(np.argmax((counts == 0) | dup | (counts > slots)))
+        if counts[i] == 0:
+            raise ValueError("a group prompt needs at least one member")
+        if dup[i]:
+            raise ValueError("duplicate identities in a group prompt")
+        raise ValueError(f"{counts[i]} members exceed {slots} prompt slots")
+    filled, roster = filled[:, :slots], roster[:, :slots]
+    _check_identities(roster[filled], cfg.n_person_ids)
+    parts = [p["prompt.group_prefix"], p["prompt.group_suffix"]]
+    prefix, suffix = parts[0].shape[0], parts[1].shape[0]
+    short = not filled.all()
+    if short:
+        parts.append(p["prompt.pad"])
+    x0 = prefix + suffix + short * m  # prompt.x's first row, after the padding's m rows if it is a part
+    parts.append(p["prompt.x"])
+    # each prompt's segments: the prefix, one block per slot (a member's or the padding), the suffix
+    starts = np.zeros((counts.size, slots + 2), np.int64)
+    starts[:, 1:-1] = np.where(filled, x0 + np.where(filled, roster, 0) * m, prefix + suffix)
+    starts[:, -1] = prefix
+    return parts, _lay_out(starts, (prefix,) + (m,) * slots + (suffix,))
 
 
 def build_member_prompts(identity_ids: Sequence[int], state: ModelState) -> Tensor:
     """"a photo of a <identity tokens> person" per identity, stacked.
 
     Returns the prompts' (member_prompt_len, dim) token matrices one after
-    another, gathered in one op.
+    another, gathered in one op from the parts ``member_text_features``
+    encodes.
     """
-    return _assemble([("prompt.member_prefix", int(i), "prompt.member_suffix") for i in identity_ids], state)
+    return dc.gather_rows(*_member_layout(identity_ids, state))
 
 
 def build_group_prompts(rosters: Sequence[Sequence[int]], state: ModelState) -> Tensor:
@@ -74,31 +130,21 @@ def build_group_prompts(rosters: Sequence[Sequence[int]], state: ModelState) -> 
     a roster produces the identical token matrix.  Slots beyond the member
     count hold the learned padding block.  Returns the prompts'
     (group_prompt_len, dim) token matrices one after another, gathered in
-    one op.
+    one op from the parts ``class_text_features`` encodes.
     """
-    slots = state.config.group_slots
-    for member_ids in rosters:
-        if not member_ids:
-            raise ValueError("a group prompt needs at least one member")
-        if len(set(member_ids)) != len(member_ids):
-            raise ValueError("duplicate identities in a group prompt")
-        if len(member_ids) > slots:
-            raise ValueError(f"{len(member_ids)} members exceed {slots} prompt slots")
-    return _assemble([("prompt.group_prefix", *sorted(int(i) for i in member_ids),
-                       *["prompt.pad"] * (slots - len(member_ids)), "prompt.group_suffix")
-                      for member_ids in rosters], state)
+    return dc.gather_rows(*_group_layout(rosters, state))
 
 
 def member_text_features(identity_ids: Sequence[int], state: ModelState) -> Tensor:
-    """Member text features, one row per identity, encoded in one pass."""
-    tokens = build_member_prompts(identity_ids, state)
-    return encode_text(tokens, state, state.config.member_prompt_len)
+    """Member text features, one row per identity, encoded in one pass from the prompt parts."""
+    parts, order = _member_layout(identity_ids, state)
+    return encode_text(parts, state, state.config.member_prompt_len, order)
 
 
 def class_text_features(state: ModelState, class_ids: Sequence[int], rosters) -> Tensor:
-    """Group text features for ``class_ids`` (rows follow their order), encoded in one pass."""
-    tokens = build_group_prompts([rosters[c] for c in class_ids], state)
-    return encode_text(tokens, state, state.config.group_prompt_len)
+    """Group text features for ``class_ids``, rows in their order, encoded in one pass from the prompt parts."""
+    parts, order = _group_layout([rosters[c] for c in class_ids], state)
+    return encode_text(parts, state, state.config.group_prompt_len, order)
 
 
 # --------------------------------------------------------------------------
@@ -126,25 +172,25 @@ def contrastive_losses(visual: Tensor, labels: Sequence[int], class_labels: Sequ
         raise ValueError("a contrastive batch needs at least two samples")
     if len(labels) != b:
         raise ValueError("one label per visual row required")
-    class_labels = list(class_labels)
-    if len(set(class_labels)) != len(class_labels) or len(class_labels) != c:
+    column = {y: j for j, y in enumerate(class_labels)}  # each class's text row
+    if len(column) != len(class_labels) or len(class_labels) != c:
         raise ValueError("class_labels must be distinct and match the text rows")
-    known = set(class_labels)
-    if any(y not in known for y in labels):
+    columns = [column.get(y) for y in labels]
+    if None in columns:
         raise ValueError("every label needs a text feature")
     if inv_temp.shape != ():
         raise ShapeError("inv_temp must be a scalar tensor")
     if inv_temp.item() <= 0:
         raise ValueError("inverse temperature must be positive")
     for name, mat in (("visual", visual), ("text", text)):
-        dc.check_finite(mat.values, f"contrastive_losses {name}")
-        norms = np.linalg.norm(mat.values, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-6:
+        v = mat.values
+        if not np.max(np.abs(np.sqrt(np.sum(v * v, axis=1)) - 1.0)) <= 1e-6:  # false at a NaN too
+            dc.check_finite(v, f"contrastive_losses {name}")
             raise ValueError(f"{name} rows must be unit norm")
     sims = dc.mul(dc.matmul(visual, dc.transpose(text)), inv_temp)
 
     onehot = np.zeros((b, c))
-    onehot[np.arange(b), [class_labels.index(y) for y in labels]] = 1.0
+    onehot[np.arange(b), columns] = 1.0
     return dc.soft_target_nll(sims, onehot, b), dc.soft_target_nll(dc.transpose(sims), onehot.T, b)
 
 

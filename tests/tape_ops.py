@@ -3,9 +3,10 @@
 The composed references of the fused ops (``row_distance``,
 ``soft_target_nll``) need a constant factor, ``exp``, ``log`` and a sum,
 ``attention_block``'s needs attention with every row of a block as a
-query, the overflow probes need an op that overflows on demand, and the
-references of ``gather_rows`` over several tensors stack them first with
-``concat`` and ``stack``.  Each op's
+query, ``attention_pool``'s the mean of each block (``block_means``), the
+overflow probes need an op that overflows on demand, and the references
+of ``gather_rows`` over several tensors stack them first with ``concat``
+and ``stack``.  Each op's
 value and backward are written as the library writes them, so a composition
 of these gives the bits the fused op must match.  Each op's backward
 closure is named ``pull``, so a ``NonFiniteError`` names the op.
@@ -86,6 +87,25 @@ def stack(parts) -> dc.Tensor:
         return tuple(g[i] for i in range(len(parts)))
 
     return dc._result(np.stack([p.values for p in parts], axis=0), tuple(parts), pull)
+
+
+def block_means(x: dc.Tensor, length: int) -> dc.Tensor:
+    """The (n, d) mean of each block of ``length`` consecutive rows of ``x``.
+
+    The blocks are worked as one (n, 1, length) @ (n, length, d) product,
+    so each mean is a product of its own block's rows alone: an output row
+    has the same bits in a stack of any size.
+    """
+    if x.ndim != 2:
+        raise dc.ShapeError(f"block_means needs a rank-2 tensor, got shape {x.shape}")
+    n, _ = dc._blocks(x.shape[0], length, None, "block_means")
+    scale = 1.0 / length
+    out = (np.full((n, 1, length), scale) @ x.values.reshape(n, length, -1))[:, 0]
+
+    def pull(g: np.ndarray):
+        return (np.repeat(g * scale, length, axis=0),)
+
+    return dc._result(out, (x,), pull)
 
 
 def self_attention(q: dc.Tensor, k: dc.Tensor, v: dc.Tensor, length: int, lengths=None) -> dc.Tensor:

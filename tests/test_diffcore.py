@@ -512,7 +512,7 @@ def test_ops_are_bit_deterministic():
     def run():
         t = dc.matmul(dc.Tensor(a), dc.Tensor(b))
         pair = ops.concat([t, dc.tanh(t)])
-        w = dc.Tensor(b[:3])
+        w, pos = dc.Tensor(b[:3]), dc.Tensor(a[:, :3])
         return np.concatenate([dc.l2_normalize(ops.exp(t)).values.ravel(),
                                [dc.soft_target_nll(t, np.abs(a[:, :3]), 5).item()],
                                dc.segment_attention(dc.gather_rows(t, [0, 1]), ops.exp(pair), pair, 5).values.ravel(),
@@ -520,7 +520,7 @@ def test_ops_are_bit_deterministic():
                                dc.attention_block(pair, w, w, w, w, 5, [2, 5], first_only=True).values.ravel(),
                                dc.row_distance(t, dc.tanh(t)).values,
                                dc.add_block_means(pair, dc.Tensor(b[:, :3]), [4, 1]).values.ravel(),
-                               dc.block_means(pair, 5).values.ravel()])
+                               dc.attention_pool(pair, pos, w, w, w, w, w, 5, order=range(10)).values.ravel()])
 
     first, second = run(), run()
     assert first.tobytes() == second.tobytes()
@@ -844,6 +844,120 @@ def test_attention_block_over_parts_rejects_bad_operands():
         dc.attention_block([x], w, w, w, w, 3, order=[0, 1])  # 2 rows do not split into blocks of 3
 
 
+def _composed_attention_pool(*t, order, length):
+    """The text encoder before it was one node: gather, add positions, block, block means, projection, norm."""
+    *parts, pos, wq, wk, wv, wo, proj = t
+    tokens = dc.gather_rows(parts, order)
+    x = dc.add(tokens, dc.gather_rows(pos, np.tile(np.arange(length), tokens.shape[0] // length)))
+    seq = dc.attention_block(x, wq, wk, wv, wo, length)
+    return dc.l2_normalize(dc.matmul(ops.block_means(seq, length), proj))
+
+
+def _pooled_before_wo(*t, order, length):
+    """The same map pooled before the output projection: the mean of x plus the mean of the attention times wo."""
+    *parts, pos, wq, wk, wv, wo, proj = t
+    tokens = dc.gather_rows(parts, order)
+    x = dc.add(tokens, dc.gather_rows(pos, np.tile(np.arange(length), tokens.shape[0] // length)))
+    ctx = ops.self_attention(dc.matmul(x, wq), dc.matmul(x, wk), dc.matmul(x, wv), length)
+    pooled = dc.add(ops.block_means(x, length), dc.matmul(ops.block_means(ctx, length), wo))
+    return dc.l2_normalize(dc.matmul(pooled, proj))
+
+
+def _pool_operands(rng, n, length, dim=_DIM):
+    """Three parts (template rows, a table, a rank-1 row), an order over them with repeats and rows left out,
+    a positional table longer than ``length``, and the weights."""
+    parts = [rng.normal(size=(5, dim)), rng.normal(size=(30, dim)), rng.normal(size=dim)]
+    order = rng.choice(np.r_[0:5, 7:35:2, 35], size=n * length)
+    weights = [rng.normal(scale=0.3, size=(dim, dim)) for _ in range(5)]
+    return parts, order, [rng.normal(size=(length + 3, dim))] + weights
+
+
+# operands: 0-2 the parts, 3 pos, 4-7 wq, wk, wv, wo, 8 proj
+_POOL_TRAINABLE = [(1,), (0, 1), (1, 2), (3,), (4, 5, 6, 7), (7,), (8,), (1, 8), tuple(range(9))]
+
+
+@pytest.mark.parametrize("n, length", [(1, 9), (4, 28), (14, 9), (3, 1), (1, 1), (2, 5)])
+@pytest.mark.parametrize("trainable", _POOL_TRAINABLE)
+def test_attention_pool_is_the_composed_text_encoder_bit_for_bit(n, length, trainable):
+    rng = np.random.default_rng(40 + n + length)
+    parts, order, rest = _pool_operands(rng, n, length)
+    _same_bits(lambda *t: dc.attention_pool(t[:3], *t[3:], length, order=order),
+               lambda *t: _composed_attention_pool(*t, order=order, length=length), parts + rest, trainable)
+
+
+@pytest.mark.parametrize("trainable", [(0,), (0, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), ()])
+def test_attention_pool_over_one_tensor_is_the_composed_encoder_bit_for_bit(trainable):
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(20, _DIM))
+    order = rng.choice(np.r_[0:20:2, 5], size=3 * 9)  # repeats, and rows left out
+    _, _, rest = _pool_operands(rng, 3, 9)
+    if trainable:
+        _same_bits(lambda *t: dc.attention_pool(t[0], *t[1:], 9, order=order),
+                   lambda *t: _composed_attention_pool(*t, order=order, length=9), [x] + rest, trainable)
+    leaves = [dc.Tensor(a) for a in [x] + rest]  # outside a recording graph
+    assert (dc.attention_pool(leaves[0], *leaves[1:], 9, order=order).values.tobytes()
+            == _composed_attention_pool(*leaves, order=order, length=9).values.tobytes())
+
+
+def test_attention_pool_pooled_before_wo_fails_the_bit_test():
+    # the same map up to rounding; the bit test tells the two apart
+    rng = np.random.default_rng(42)
+    parts, order, rest = _pool_operands(rng, 4, 28)
+    leaves = [dc.Tensor(a) for a in parts + rest]
+    fused = dc.attention_pool(leaves[:3], *leaves[3:], 28, order=order).values
+    moved = _pooled_before_wo(*leaves, order=order, length=28).values
+    np.testing.assert_allclose(moved, fused, rtol=0, atol=1e-12)
+    with pytest.raises(AssertionError):
+        _same_bits(lambda *t: dc.attention_pool(t[:3], *t[3:], 28, order=order),
+                   lambda *t: _pooled_before_wo(*t, order=order, length=28), parts + rest, tuple(range(9)))
+
+
+def test_attention_pool_passes_grad_check():
+    rng = np.random.default_rng(43)
+    parts, order, rest = _pool_operands(rng, 2, 3, dim=4)
+    upstream = dc.constant(rng.normal(size=(2, 4)))
+
+    def pooled(p):
+        out = dc.attention_pool([p["0"], p["1"], p["2"]], *(p[str(i)] for i in range(3, 9)), 3, order=order)
+        return ops.reduce_sum(dc.mul(out, upstream))
+
+    _grad_check_op(pooled, parts + [a * 2.0 for a in rest])
+
+
+def test_attention_pool_raises_on_a_non_finite_token():
+    rng = np.random.default_rng(44)
+    parts, order, rest = _pool_operands(rng, 2, 5)
+    table = dc.Tensor(parts[1], requires_grad=True)
+    with np.errstate(all="ignore"):
+        with dc.Graph() as g:
+            tokens = ops.exp(ops.scale(table, 1e3))  # an inf token, unchecked on the tape
+            out = dc.attention_pool([dc.Tensor(parts[0]), tokens], *map(dc.Tensor, rest), 5,
+                                    order=np.minimum(order, 34))
+            loss = ops.reduce_sum(out)
+        with pytest.raises(dc.NonFiniteError, match="^exp: "):
+            g.backward(loss)
+        huge = dc.Tensor(np.full((10, _DIM), 1e300))  # finite, but its products are not
+        with pytest.raises(dc.NonFiniteError, match="^attention_pool: "):
+            dc.attention_pool(huge, *map(dc.Tensor, rest), 5, order=range(10))
+
+
+def test_attention_pool_rejects_bad_operands():
+    x, w = dc.Tensor(np.ones((6, 4))), dc.Tensor(np.ones((4, 4)))
+    pos, rows = dc.Tensor(np.ones((3, 4))), range(6)
+    with pytest.raises(dc.ShapeError, match="index out of range"):
+        dc.attention_pool([x], pos, w, w, w, w, w, 3, order=[0, 6, 1])
+    with pytest.raises(dc.ShapeError, match="non-empty"):
+        dc.attention_pool(x, pos, w, w, w, w, w, 3, order=[])
+    with pytest.raises(dc.ShapeError):
+        dc.attention_pool(x, pos, w, w, w, w, w, 4, order=rows)  # 6 rows do not split into sequences of 4
+    with pytest.raises(dc.ShapeError):
+        dc.attention_pool(x, dc.Tensor(np.ones((2, 4))), w, w, w, w, w, 3, order=rows)  # fewer positions
+    with pytest.raises(dc.ShapeError):
+        dc.attention_pool(x, pos, w, w, w, w, dc.Tensor(np.ones((3, 4))), 3, order=rows)  # proj does not take d
+    with pytest.raises(dc.ShapeError):
+        dc.attention_pool(x, pos, w, w, w, dc.Tensor(np.ones((4, 3))), w, 3, order=rows)  # wo does not return d
+
+
 def _short_rows(rng, n, m, length):
     """(n, m, length) scores spread wide enough that the order of a sum shows, some masked to -inf."""
     scores = rng.normal(scale=20.0, size=(n, m, length))
@@ -1018,22 +1132,27 @@ def test_fused_ops_pass_grad_check():
 
     _grad_check_op(means, [rng.normal(size=(8, 4)), rng.normal(size=(3, 4))])
 
-    for n, length in ((3, 4), (1, 5), (2, 1)):
-        def pooled(p, length=length):
-            out = dc.block_means(p["0"], length)
-            return ops.reduce_sum(dc.mul(out, dc.tanh(out)))
-
-        _grad_check_op(pooled, [rng.normal(size=(n * length, 3))])
-
 
 def test_block_means_values_and_gradient():
+    # the oracle op of attention_pool's mean
     x = np.arange(12.0).reshape(6, 2)
     t = dc.Tensor(x, requires_grad=True)
     with dc.Graph() as g:
-        out = dc.block_means(t, 3)
+        out = ops.block_means(t, 3)
         loss = ops.reduce_sum(dc.mul(out, dc.constant([[1.0, 2.0], [3.0, 4.0]])))
     np.testing.assert_allclose(out.values, [[2.0, 3.0], [8.0, 9.0]])
     np.testing.assert_array_equal(g.backward(loss)[t], np.repeat([[1.0, 2.0], [3.0, 4.0]], 3, axis=0) / 3)
+    rng = np.random.default_rng(25)
+    for n, length in ((3, 4), (1, 5), (2, 1)):
+        def pooled(p, length=length):
+            out = ops.block_means(p["0"], length)
+            return ops.reduce_sum(dc.mul(out, dc.tanh(out)))
+
+        _grad_check_op(pooled, [rng.normal(size=(n * length, 3))])
+    x = dc.Tensor(np.ones((6, 4)))
+    for bad, length in ((x, 4), (x, 0), (x, 7), (dc.Tensor(np.ones(6)), 3), (dc.Tensor(2.0), 1)):
+        with pytest.raises(dc.ShapeError):
+            ops.block_means(bad, length)  # rows that do not split into blocks, or not a matrix
 
 
 
@@ -1055,6 +1174,3 @@ def test_fused_ops_reject_bad_shapes():
                             (w.values, [3, 1]), (w.values, [1, 1, 1, 1]), (w.values, [])):
         with pytest.raises(dc.ShapeError):
             dc.add_block_means(x, dc.Tensor(weights), counts)
-    for bad, length in ((x, 4), (x, 0), (x, 7), (dc.Tensor(np.ones(6)), 3), (dc.Tensor(2.0), 1)):
-        with pytest.raises(dc.ShapeError):
-            dc.block_means(bad, length)  # rows that do not split into blocks, or not a matrix

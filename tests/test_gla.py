@@ -7,7 +7,7 @@ import pytest
 
 from gcum import diffcore as dc
 from gcum.diffcore import Tensor
-from gcum.encoders import ModelConfig, init_model_state
+from gcum.encoders import STAGE1_TRAINABLE, ModelConfig, init_model_state
 from gcum.gla import (
     build_group_prompts,
     build_member_prompts,
@@ -18,6 +18,7 @@ from gcum.gla import (
 )
 from gcum.mvs import Mask
 from gcum.synthdata import GenConfig, GroupSample, generate_dataset
+from gcum.trainer import FreezeViolation, _collect_grads
 
 import tape_ops as ops
 from passes import whole_run
@@ -194,6 +195,72 @@ def test_assembled_prompts_are_the_table_and_gather_composition_bit_for_bit(seed
         assert (state.params["prompt.pad"] in got_grads) == reads_pad
 
 
+def _composed_text(tokens, state, length):
+    """The text encoder before it was one node, on stacked prompt tokens."""
+    p = state.params
+    pos = dc.gather_rows(p["text.pos"], np.tile(np.arange(length), tokens.shape[0] // length))
+    seq = dc.attention_block(dc.add(tokens, pos), p["text.attn.wq"], p["text.attn.wk"], p["text.attn.wv"],
+                             p["text.attn.wo"], length)
+    return dc.l2_normalize(dc.matmul(ops.block_means(seq, length), p["text.proj"]))
+
+
+_TEXT_WEIGHTS = ("text.pos", "text.attn.wq", "text.attn.wk", "text.attn.wv", "text.attn.wo", "text.proj")
+
+
+def _text_runs(fn, state, recording):
+    """The value of ``fn()`` and, on a recording graph, every parameter's gradient by name."""
+    if not recording:
+        return fn().values, {}
+    with dc.Graph() as g:
+        out = fn()
+        upstream = np.random.default_rng(1).normal(size=out.shape)
+        loss = ops.reduce_sum(dc.mul(out, dc.constant(upstream)))
+    grads = g.backward(loss)
+    return out.values, {name: grads[t] for name, t in state.params.items() if t in grads}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("trainable", ["stage 1", "text weights", "every parameter", "none"])
+def test_text_features_are_the_gathered_prompts_through_the_composed_encoder_bit_for_bit(seed, trainable):
+    # dim 48 and six slots, as the default model; rosters of 1 to 6 members, so the
+    # padding block fills up to five slots of one prompt; seed 0 encodes one prompt of each kind
+    rng = np.random.default_rng(seed)
+    state = init_model_state(ModelConfig(n_person_ids=40), seed)
+    names = {"stage 1": STAGE1_TRAINABLE, "text weights": _TEXT_WEIGHTS, "every parameter": state.params,
+             "none": ()}[trainable]
+    state = state.with_trainable(names)
+    cfg = state.config
+    n = 1 if seed == 0 else int(rng.integers(2, 12))
+    rosters = {c: tuple(rng.choice(40, size=(c + seed) % 6 + 1, replace=False).tolist()) for c in range(n)}
+    classes = rng.permutation(n).tolist()
+    identities = rng.choice(40, size=n, replace=False).tolist()
+    for fused, composed in (
+            (lambda: class_text_features(state, classes, rosters),
+             lambda: _composed_text(_old_group_prompts([sorted(rosters[c]) for c in classes], state), state,
+                                    cfg.group_prompt_len)),
+            (lambda: member_text_features(identities, state),
+             lambda: _composed_text(_old_member_prompts(identities, state), state, cfg.member_prompt_len))):
+        (got, got_grads), (want, want_grads) = (_text_runs(fn, state, trainable != "none")
+                                                for fn in (fused, composed))
+        assert got.tobytes() == want.tobytes()
+        assert got_grads.keys() == want_grads.keys()
+        assert all(got_grads[k].tobytes() == want_grads[k].tobytes() for k in want_grads)
+        assert bool(got_grads) == (trainable != "none")
+
+
+@pytest.mark.parametrize("name", _TEXT_WEIGHTS + ("prompt.member_prefix", "prompt.group_suffix"))
+def test_a_frozen_text_tensor_made_trainable_fails_the_freeze_audit(name):
+    ds, state = _tiny_setup()
+    state = state.with_trainable(STAGE1_TRAINABLE + (name,))
+    batch = ds.samples[:4]
+    with dc.Graph() as g:
+        loss, _ = stage1_batch_loss(batch, *_views(batch, [None] * len(batch), state), state, ds.group_rosters())
+    grads = g.backward(loss)
+    assert np.any(grads[state.params[name]])
+    with pytest.raises(FreezeViolation, match=name):
+        _collect_grads(state, grads, STAGE1_TRAINABLE)
+
+
 def test_text_features_are_unit_and_deterministic():
     state = small_state()
     t1 = class_text_features(state, [0, 1], {0: (0, 2), 1: (3, 1, 2)})
@@ -241,6 +308,19 @@ def test_batch_validation():
         _losses(ok_vis[:1], [0], [0, 1], ok_text)  # batch too small
     with pytest.raises(ValueError):
         _losses(ok_vis, [0, 1], [0, 1], ok_text, inv_temp=0.0)
+
+
+def test_an_unknown_label_raises_and_labels_find_their_class_column():
+    visual = _unit_rows([0.9, 0.7, 0.1])
+    text = _unit_rows([0.2, 0.95])
+    with pytest.raises(ValueError, match="every label needs a text feature"):
+        _losses(visual, [7, 3, 4], [7, 3], text)
+    with pytest.raises(ValueError, match="distinct"):
+        _losses(visual, [7, 3, 7], [7, 7], text)
+    # classes in any order: a label's one-hot column is its class's text row
+    shuffled = _losses(visual, [7, 3, 7], [7, 3], text)
+    swapped = _losses(visual, [7, 3, 7], [3, 7], text[::-1].copy())
+    assert [t.item() for t in shuffled] == [t.item() for t in swapped]
 
 
 def _nll(logits, true):
