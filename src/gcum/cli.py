@@ -441,11 +441,14 @@ def cmd_eval(args) -> int:
         raise CheckpointError(f"checkpoint {args.checkpoint} overflows in eval: {e}") from None
     print(json.dumps(report.to_dict()))
     if args.out:
+        # data generated under other settings than the run's is echoed too, as its document states them
+        data = {} if ds.config == run.gen_config() else {"data_config": ds.config.to_dict()}
         _write_json(args.out, {
             "format": "gcum-eval-report",
             "version": 1,
             "tool_version": __version__,
             "config": meta["run"],  # the echo as stored, in its sorted key order
+            **data,
             "query_camera": args.query_camera,
             "modules": modules,
             "report": report.to_dict(),

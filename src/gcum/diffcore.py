@@ -20,6 +20,10 @@ Design constraints the rest of the package relies on:
   rows (at most 48 at the default recipe: 8 stage-2 views of 6 member
   slots).  A product with a long inner dimension can round differently
   at two BLAS threads than at one;
+* a forward product's row has the same bits in a stack of any size
+  (``_rows``); one whose right operand is transposed, as every backward
+  ``g @ w.T`` is, rounds a row by its stack's height (1 to 25 rows at
+  d = 48 on numpy 2.4 with OpenBLAS), which is fixed within a build;
 * a graph records once and backpropagates once; reuse raises;
 * rows are selected and assembled by ``gather_rows``, from one tensor or
   from the rows of several in turn, and rows it leaves out get exactly
@@ -36,9 +40,11 @@ Design constraints the rest of the package relies on:
   that block, takes each sequence's mean, projects it and scales it to
   unit norm (``attention_pool``, the text encoder), the cross entropy
   against soft targets (``soft_target_nll``, by log-sum-exp, so it stays
-  finite where the log of a softmax would underflow), the floored row
-  distance (``row_distance``) and the count term's block means
-  (``add_block_means``).
+  finite where the log of a softmax would underflow), the stage-1
+  image-text objective of one or more kinds of rows, each kind's logits
+  one product whose transpose the text-anchored term reads
+  (``contrastive_loss``), the floored row distance (``row_distance``) and
+  the count term's block means (``add_block_means``).
 
 ``grad_check`` compares recorded gradients against central finite
 differences entry by entry and is the reference oracle used throughout the
@@ -74,6 +80,7 @@ __all__ = [
     "attention_block",
     "attention_pool",
     "soft_target_nll",
+    "contrastive_loss",
     "row_distance",
     "add_block_means",
     "l2_normalize",
@@ -446,16 +453,66 @@ def soft_target_nll(logits: Tensor, targets, n: float) -> Tensor:
         raise NonFiniteError("soft_target_nll: targets contain NaN or infinite values")
     if not n > 0:
         raise ShapeError(f"soft_target_nll needs a positive divisor, got {n}")
-    c = -1.0 / n
-    lv = logits.values
+    value, grad = _nll(logits.values, tv, -1.0 / n)
+
+    def pull(g: np.ndarray):
+        return (grad(g),)
+
+    return _result(value, (logits,), pull)
+
+
+def _nll(lv: np.ndarray, tv: np.ndarray, c: float) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """``c * sum(log_softmax(lv) * tv)``, by log-sum-exp on max-shifted rows, and its gradient in ``lv``."""
     shifted = lv - np.max(lv, axis=-1, keepdims=True)
     logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
-    def pull(g: np.ndarray):
+    def grad(g: np.ndarray) -> np.ndarray:
         gl = np.broadcast_to(g * c, tv.shape).copy() * tv
-        return (gl - np.exp(logp) * np.sum(gl, axis=-1, keepdims=True),)
+        return gl - np.exp(logp) * np.sum(gl, axis=-1, keepdims=True)
 
-    return _result(np.asarray(np.sum(logp * tv)) * c, (logits,), pull)
+    return np.asarray(np.sum(logp * tv)) * c, grad
+
+
+def contrastive_loss(kinds: Sequence[tuple[Tensor, Tensor, Sequence[int]]], inv_temp: Tensor
+                     ) -> tuple[Tensor, tuple[float, float]]:
+    """The stage-1 image-text objective over one or more kinds of rows, as one node.
+
+    A kind is ``(visual, text, columns)``: (B, d) visual rows, (C, d) text
+    rows and each visual row's text row.  Its logits are one product
+    ``visual @ text.T`` times the scalar ``inv_temp``; its ``i2t`` is
+    ``soft_target_nll`` of them against the one-hot ``columns`` and its
+    ``t2i`` that of their transpose, both over B.  Returns the loss
+    ``(i2t_1 + i2t_2 + ...) + (t2i_1 + t2i_2 + ...)`` and the two sums as
+    floats, with the value and gradients of the composed ``transpose``,
+    ``matmul``, ``mul``, ``soft_target_nll`` and ``add`` nodes, bit for bit.
+    ``gla.contrastive_losses`` is its checked entry.
+    """
+    t = inv_temp.values
+    saved, i2t, t2i = [], None, None
+    for visual, text, columns in kinds:
+        b = visual.shape[0]
+        onehot = np.zeros((b, text.shape[0]))
+        onehot[np.arange(b), columns] = 1.0
+        m = _rows(visual.values, text.values.T)
+        sims = m * t
+        (a, grad_a), (z, grad_z) = _nll(sims, onehot, -1.0 / b), _nll(sims.T, onehot.T, -1.0 / b)
+        i2t, t2i = (a, z) if i2t is None else (i2t + a, t2i + z)
+        saved.append((visual, text, m, grad_a, grad_z))
+
+    def pull(g: np.ndarray):
+        grads, gt = [], None
+        for visual, text, m, grad_a, grad_z in reversed(saved):  # the tape pulls the last kind first
+            gs = grad_z(g).T + grad_a(g)  # the transposed direction's gradient reaches the logits first
+            if inv_temp.requires_grad:
+                gk = np.asarray(np.sum(gs * m))
+                gt = gk if gt is None else gt + gk
+            gm = gs * t if visual.requires_grad or text.requires_grad else None
+            grads.append((_rows(gm, text.values) if visual.requires_grad else None,
+                          (visual.values.T @ gm).T if text.requires_grad else None))
+        return (*(gx for pair in reversed(grads) for gx in pair), gt)
+
+    parents = (*(x for kind in saved for x in kind[:2]), inv_temp)
+    return _result(np.asarray(i2t + t2i), parents, pull), (float(i2t), float(t2i))
 
 
 def _blocks(rows: int, length: int, lengths, op: str) -> tuple[int, np.ndarray | None]:
@@ -472,11 +529,12 @@ def _blocks(rows: int, length: int, lengths, op: str) -> tuple[int, np.ndarray |
 
 
 def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` with each row's bits independent of how many rows ``a`` stacks.
+    """``a @ b`` with each row's bits independent of how many rows ``a`` stacks, for a C-ordered ``b``.
 
     A one-row product goes down numpy's matrix-vector path, which rounds
     differently from the same row inside a taller product, so a single row
-    is padded to two and the copy dropped.
+    is padded to two and the copy dropped.  A transposed ``b``, as in a
+    backward ``g @ w.T``, rounds a row by its stack's height: no padding undoes that.
     """
     if a.shape[0] > 1:
         return a @ b
@@ -572,6 +630,31 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, length: int, lengths=None
     return _result(out, (q, k, v), pull)
 
 
+def _block_grads(g: np.ndarray, w: np.ndarray, xq: np.ndarray, xv: np.ndarray, qv: np.ndarray, kv: np.ndarray,
+                 vv: np.ndarray, ctx: np.ndarray, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, need_x: bool,
+                 first: int = 0) -> tuple:
+    """The residual block's backward: the rows' gradient (None unless ``need_x``), then wq's, wk's, wv's, wo's.
+
+    The rows' gradient adds the residual, then the v, k and q terms, as the
+    composed ops' backward does; with ``first``, the block length, only
+    each block's first row was a query and a residual.
+    """
+    need_q, need_k, need_v = (need_x or p.requires_grad for p in (wq, wk, wv))
+    gq = gk = gv = gx = None
+    if need_q or need_k or need_v:
+        gq, gk, gv = _attend_grads(g @ wo.values.T, w, qv, kv, vv, need_q, need_k, need_v)
+    if need_x and first:
+        gx = gv @ wv.values.T
+        gx = gx + gk @ wk.values.T
+        gx[::first] += g + gq @ wq.values.T
+    elif need_x:
+        gx = g + gv @ wv.values.T
+        gx = gx + gk @ wk.values.T
+        gx = gx + gq @ wq.values.T
+    return (gx, xq.T @ gq if wq.requires_grad else None, xv.T @ gk if wk.requires_grad else None,
+            xv.T @ gv if wv.requires_grad else None, ctx.T @ g if wo.requires_grad else None)
+
+
 def _check_block(xv: np.ndarray, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, op: str) -> None:
     if (xv.ndim != 2 or any(w.ndim != 2 for w in (wq, wk, wv, wo)) or wq.shape[0] != xv.shape[1]
             or wk.shape != wq.shape or wv.shape[0] != xv.shape[1] or wo.shape != (wv.shape[1], xv.shape[1])):
@@ -599,7 +682,7 @@ def attention_block(x: Tensor | Sequence[Tensor], wq: Tensor, wk: Tensor, wv: Te
     projected once and the projections laid into the blocks, so a row that
     several blocks repeat is projected once.  The value and the gradients
     are those of ``gather_rows`` composed with the block, bit for bit, as
-    a row's product has the same bits in a stack of any size.
+    a row's forward product has the same bits in a stack of any size.
 
     With ``first_only``, each sequence's first row is the only query and
     the residual: the (n, d) output is each sequence's first row of the
@@ -629,29 +712,12 @@ def attention_block(x: Tensor | Sequence[Tensor], wq: Tensor, wk: Tensor, wv: Te
         del table  # the attention and the pull need only its row count
     w, ctx = _attend(qv, kv, vv, n, live)
     need_x = any(p.requires_grad for p in parts)
-    need_q, need_k, need_v = (need_x or p.requires_grad for p in (wq, wk, wv))
 
     def pull(g: np.ndarray):
-        gq = gk = gv = gx = None
-        if need_q or need_k or need_v:
-            gq, gk, gv = _attend_grads(g @ wo.values.T, w, qv, kv, vv, need_q, need_k, need_v)
-        if need_x and first_only:
-            gx = gv @ wv.values.T
-            gx = gx + gk @ wk.values.T
-            gx[::length] += g + gq @ wq.values.T
-        elif need_x:
-            gx = g + gv @ wv.values.T
-            gx = gx + gk @ wk.values.T
-            gx = gx + gq @ wq.values.T
+        gx, *gw = _block_grads(g, w, xq, xv, qv, kv, vv, ctx, wq, wk, wv, wo, need_x, length if first_only else 0)
         if idx is None:
-            gparts = (gx,)
-        else:
-            gparts = _scatter_parts(idx, gx, parts, n_table) if need_x else (None,) * len(parts)
-        return (*gparts,
-                xq.T @ gq if wq.requires_grad else None,
-                xv.T @ gk if wk.requires_grad else None,
-                xv.T @ gv if wv.requires_grad else None,
-                ctx.T @ g if wo.requires_grad else None)
+            return (gx, *gw)
+        return (*(_scatter_parts(idx, gx, parts, n_table) if need_x else (None,) * len(parts)), *gw)
 
     out = _rows(ctx, wo.values)
     return _result(np.add(xq, out, out=out), (*parts, wq, wk, wv, wo), pull)
@@ -705,8 +771,7 @@ def attention_pool(x: Tensor | Sequence[Tensor], pos: Tensor, wq: Tensor, wk: Te
     live = norm > 1e-12
     need_parts = any(p.requires_grad for p in parts)
     need_x = need_parts or pos.requires_grad
-    need_q, need_k, need_v = (need_x or p.requires_grad for p in (wq, wk, wv))
-    need_seq = need_q or need_k or need_v or wo.requires_grad
+    need_seq = need_x or any(p.requires_grad for p in (wq, wk, wv, wo))
 
     def pull(g: np.ndarray):
         # l2_normalize, then matmul by proj
@@ -716,21 +781,11 @@ def attention_pool(x: Tensor | Sequence[Tensor], pos: Tensor, wq: Tensor, wk: Te
             return (None,) * (len(parts) + 5) + (gproj,)
         # the mean spreads each row's gradient over its sequence
         gs = np.repeat(_rows(gz, proj.values.T) * scale, length, axis=0)
-        gq = gk = gv = gx = None
-        if need_q or need_k or need_v:
-            gq, gk, gv = _attend_grads(gs @ wo.values.T, w, qv, kv, vv, need_q, need_k, need_v)
-        if need_x:
-            gx = gs + gv @ wv.values.T
-            gx = gx + gk @ wk.values.T
-            gx = gx + gq @ wq.values.T
+        gx, *gw = _block_grads(gs, w, xv, xv, qv, kv, vv, ctx, wq, wk, wv, wo, need_x)
         gparts = _scatter_parts(idx, gx, parts, n_table) if need_parts else (None,) * len(parts)
         return (*gparts,
                 _scatter_rows(np.tile(np.arange(length), n), gx, pos.shape[0]) if pos.requires_grad else None,
-                xv.T @ gq if wq.requires_grad else None,
-                xv.T @ gk if wk.requires_grad else None,
-                xv.T @ gv if wv.requires_grad else None,
-                ctx.T @ gs if wo.requires_grad else None,
-                gproj)
+                *gw, gproj)
 
     return _result(zv / dn, (*parts, pos, wq, wk, wv, wo, proj), pull)
 

@@ -17,9 +17,10 @@ Alignment uses a supervised contrastive loss in both directions at both
 granularities (member features against member descriptions, group
 features against group descriptions), with a learnable inverse softmax
 temperature shared across all similarity logits.  Each direction is one
-whole-batch cross entropy (``soft_target_nll``) of the (B, C) similarity
-matrix, or of its transpose, against the (B, C) one-hot label matrix,
-averaged over the B samples.
+whole-batch cross entropy of the (B, C) similarity matrix, or of its
+transpose, against the (B, C) one-hot label matrix, averaged over the B
+samples; both directions at both granularities are one tape node
+(``diffcore.contrastive_loss``).
 """
 
 from __future__ import annotations
@@ -113,28 +114,6 @@ def _group_layout(rosters: Sequence[Sequence[int]], state: ModelState) -> tuple[
     return parts, _lay_out(starts, (prefix,) + (m,) * slots + (suffix,))
 
 
-def build_member_prompts(identity_ids: Sequence[int], state: ModelState) -> Tensor:
-    """"a photo of a <identity tokens> person" per identity, stacked.
-
-    Returns the prompts' (member_prompt_len, dim) token matrices one after
-    another, gathered in one op from the parts ``member_text_features``
-    encodes.
-    """
-    return dc.gather_rows(*_member_layout(identity_ids, state))
-
-
-def build_group_prompts(rosters: Sequence[Sequence[int]], state: ModelState) -> Tensor:
-    """"a group of <slot tokens> persons" per roster, stacked.
-
-    Members are sorted by identity before filling slots, so any ordering of
-    a roster produces the identical token matrix.  Slots beyond the member
-    count hold the learned padding block.  Returns the prompts'
-    (group_prompt_len, dim) token matrices one after another, gathered in
-    one op from the parts ``class_text_features`` encodes.
-    """
-    return dc.gather_rows(*_group_layout(rosters, state))
-
-
 def member_text_features(identity_ids: Sequence[int], state: ModelState) -> Tensor:
     """Member text features, one row per identity, encoded in one pass from the prompt parts."""
     parts, order = _member_layout(identity_ids, state)
@@ -151,47 +130,48 @@ def class_text_features(state: ModelState, class_ids: Sequence[int], rosters) ->
 # Supervised contrastive alignment
 
 
-def contrastive_losses(visual: Tensor, labels: Sequence[int], class_labels: Sequence[int],
-                       text: Tensor, inv_temp: Tensor) -> tuple[Tensor, Tensor]:
-    """Image-anchored and text-anchored losses, each a mean over the B samples.
+def contrastive_losses(kinds: Sequence[tuple[Tensor, Sequence[int], Sequence[int], Tensor]], inv_temp: Tensor
+                       ) -> tuple[Tensor, dict[str, float]]:
+    """``i2t + t2i``, each a mean over a kind's B samples summed over the kinds, and the two sums by name.
 
-    Unit-norm ``visual`` rows (B, dim) with their ``labels`` meet unit-norm
-    ``text`` rows (C, dim), one per distinct entry of ``class_labels``; the
-    logits are the cosines times the scalar ``inv_temp``.  ``i2t`` scores
-    every sample against all class texts; ``t2i`` scores every class text
+    A kind is ``(visual, labels, class_labels, text)``: unit-norm
+    ``visual`` rows (B, dim) with their ``labels`` meet unit-norm ``text``
+    rows (C, dim), one per distinct entry of ``class_labels``; the logits
+    are the cosines times the scalar ``inv_temp``.  ``i2t`` scores every
+    sample against all class texts; ``t2i`` scores every class text
     against all visual rows and averages over that text's positives, so
-    each class counts once per sample that has it.
+    each class counts once per sample that has it.  The kinds are checked
+    in turn, then scored as one ``diffcore.contrastive_loss`` node.
     """
-    if visual.ndim != 2 or text.ndim != 2:
-        raise ShapeError("visual and text features must be matrices")
-    b, dim = visual.shape
-    c, dim_t = text.shape
-    if dim != dim_t:
-        raise ShapeError(f"feature widths differ: visual {dim}, text {dim_t}")
-    if b < 2:
-        raise ValueError("a contrastive batch needs at least two samples")
-    if len(labels) != b:
-        raise ValueError("one label per visual row required")
-    column = {y: j for j, y in enumerate(class_labels)}  # each class's text row
-    if len(column) != len(class_labels) or len(class_labels) != c:
-        raise ValueError("class_labels must be distinct and match the text rows")
-    columns = [column.get(y) for y in labels]
-    if None in columns:
-        raise ValueError("every label needs a text feature")
-    if inv_temp.shape != ():
-        raise ShapeError("inv_temp must be a scalar tensor")
-    if inv_temp.item() <= 0:
-        raise ValueError("inverse temperature must be positive")
-    for name, mat in (("visual", visual), ("text", text)):
-        v = mat.values
-        if not np.max(np.abs(np.sqrt(np.sum(v * v, axis=1)) - 1.0)) <= 1e-6:  # false at a NaN too
-            dc.check_finite(v, f"contrastive_losses {name}")
-            raise ValueError(f"{name} rows must be unit norm")
-    sims = dc.mul(dc.matmul(visual, dc.transpose(text)), inv_temp)
-
-    onehot = np.zeros((b, c))
-    onehot[np.arange(b), columns] = 1.0
-    return dc.soft_target_nll(sims, onehot, b), dc.soft_target_nll(dc.transpose(sims), onehot.T, b)
+    checked = []
+    for visual, labels, class_labels, text in kinds:
+        if visual.ndim != 2 or text.ndim != 2:
+            raise ShapeError("visual and text features must be matrices")
+        (b, dim), (c, dim_t) = visual.shape, text.shape
+        if dim != dim_t:
+            raise ShapeError(f"feature widths differ: visual {dim}, text {dim_t}")
+        if b < 2:
+            raise ValueError("a contrastive batch needs at least two samples")
+        if len(labels) != b:
+            raise ValueError("one label per visual row required")
+        column = {y: j for j, y in enumerate(class_labels)}  # each class's text row
+        if len(column) != len(class_labels) or len(class_labels) != c:
+            raise ValueError("class_labels must be distinct and match the text rows")
+        columns = [column.get(y) for y in labels]
+        if None in columns:
+            raise ValueError("every label needs a text feature")
+        if inv_temp.shape != ():
+            raise ShapeError("inv_temp must be a scalar tensor")
+        if inv_temp.item() <= 0:
+            raise ValueError("inverse temperature must be positive")
+        for name, mat in (("visual", visual), ("text", text)):
+            v = mat.values
+            if not np.max(np.abs(np.sqrt(np.sum(v * v, axis=1)) - 1.0)) <= 1e-6:  # false at a NaN too
+                dc.check_finite(v, f"contrastive_losses {name}")
+                raise ValueError(f"{name} rows must be unit norm")
+        checked.append((visual, text, columns))
+    loss, (i2t, t2i) = dc.contrastive_loss(checked, inv_temp)
+    return loss, {"loss_i2t": i2t, "loss_t2i": t2i}
 
 
 def stage1_batch_loss(
@@ -220,22 +200,10 @@ def stage1_batch_loss(
     member_labels = [pid for ids in row_ids for pid in ids]
     if len(row_ids) != len(samples) or len(member_labels) != member_features.shape[0]:
         raise ValueError("one identity per member row required")
-    inv_temp = state.params["temp.inv"]
     group_labels = [s.group_id for s in samples]
-
     group_classes = sorted(set(group_labels))
-    group_text = class_text_features(state, group_classes, rosters)
-    i2t_g, t2i_g = contrastive_losses(group_features, group_labels, group_classes, group_text, inv_temp)
-
     person_classes = sorted(set(member_labels))
-    person_text = member_text_features(person_classes, state)
-    i2t_m, t2i_m = contrastive_losses(member_features, member_labels, person_classes, person_text, inv_temp)
-
-    i2t = dc.add(i2t_g, i2t_m)
-    t2i = dc.add(t2i_g, t2i_m)
-    total = dc.add(i2t, t2i)
-    parts = {
-        "loss_i2t": i2t.item(),
-        "loss_t2i": t2i.item(),
-    }
-    return total, parts
+    return contrastive_losses(
+        [(group_features, group_labels, group_classes, class_text_features(state, group_classes, rosters)),
+         (member_features, member_labels, person_classes, member_text_features(person_classes, state))],
+        state.params["temp.inv"])

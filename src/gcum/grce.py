@@ -210,6 +210,8 @@ class FrozenPass:
             self._row_ids += row_ids
         self._members = np.concatenate(members)
         self._rows = np.concatenate(rows)
+        for a in (self._members, self._rows):  # finite, as the encoders checked them; a call hands out views
+            a.setflags(write=False)
         self._ends = np.cumsum([0] + self._counts)
 
     def _check(self, state: ModelState) -> None:
@@ -231,8 +233,8 @@ class FrozenPass:
             raise IndexError(f"views [{start}, {stop}) outside the pass's {len(self._counts)}")
         self._check(state)
         counts = self._counts[start:stop]
-        members = dc.constant(self._members[self._ends[start]:self._ends[stop]])
-        features = dc.constant(self._rows[start * self._width:stop * self._width])
+        members = Tensor(self._members[self._ends[start]:self._ends[stop]], _copy=False, _check=False)
+        features = Tensor(self._rows[start * self._width:stop * self._width], _copy=False, _check=False)
         if not self._pooled:  # the count matrix trains
             features = _pool(counts, features, state.config.max_members, state, quantity=True)
         if refined:

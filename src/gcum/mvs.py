@@ -51,7 +51,7 @@ class Mask:
     def __post_init__(self):
         if not self.bits:
             raise ValueError("empty mask")
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("mask bits must be 0 or 1")
         if not any(self.bits):
             raise ValueError("mask must retain at least one member")
@@ -79,7 +79,7 @@ def sample_mask(n: int, drop_prob: float, rng: np.random.Generator) -> Mask:
     bits = (rng.random(n) >= drop_prob).astype(np.int64)
     if not bits.any():
         bits[0] = 1
-    return Mask(tuple(int(b) for b in bits))
+    return Mask(tuple(bits.tolist()))
 
 
 def apply_mvs(blocks: Tensor, em: Tensor, counts: Sequence[int]) -> Tensor:

@@ -134,7 +134,7 @@ def sgd_step(
     """v <- momentum*v + g + wd*p; p <- p - lr*v.
 
     Only the parameters present in ``grads`` move; ``velocity`` maps each
-    parameter's name to its v, and is updated in place.  The temperature is
+    parameter's name to its v, a float64 array written in place.  The temperature is
     exempt from weight decay: decaying a scale parameter would drag the
     similarity scale toward zero regardless of the data.  It is clipped
     into ``TEMP_INV_RANGE`` after the step.
@@ -146,8 +146,10 @@ def sgd_step(
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match {name} {p.shape}")
         wd = 0.0 if name == "temp.inv" else cfg.weight_decay
-        v = cfg.momentum * velocity[name] + g + wd * p.values
-        velocity[name] = v
+        v = velocity[name]
+        v *= cfg.momentum
+        v += g
+        v += wd * p.values
         new = p.values - lr * v
         if name == "temp.inv":
             new = np.clip(new, *TEMP_INV_RANGE)
@@ -172,11 +174,7 @@ def _sample_masks(batch, mvs: MvsConfig | None, rng: np.random.Generator):
     """One mask per view of ``batch``; with MVS off, None (every member kept) and no draw."""
     if mvs is None:
         return [None] * len(batch)
-    masks = []
-    for s in batch:
-        p = sample_drop_prob(mvs, rng)
-        masks.append(sample_mask(len(s.identity_ids), p, rng))
-    return masks
+    return [sample_mask(len(s.identity_ids), sample_drop_prob(mvs, rng), rng) for s in batch]
 
 
 def _largest_update(velocity: dict[str, np.ndarray], names: Sequence[str], lr: float | None) -> str:

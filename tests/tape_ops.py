@@ -6,11 +6,14 @@ The composed references of the fused ops (``row_distance``,
 query, ``attention_pool``'s the mean of each block (``block_means``), the
 overflow probes need an op that overflows on demand, and the references
 of ``gather_rows`` over several tensors stack them first with ``concat``
-and ``stack``.  Each op's
+and ``stack``.  ``contrastive_loss`` is the stage-1 objective as the
+library's own ops composed it before it was one node.  Each op's
 value and backward are written as the library writes them, so a composition
 of these gives the bits the fused op must match.  Each op's backward
 closure is named ``pull``, so a ``NonFiniteError`` names the op.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -122,3 +125,22 @@ def self_attention(q: dc.Tensor, k: dc.Tensor, v: dc.Tensor, length: int, length
         return dc._attend_grads(g, w, qv, kv, vv, q.requires_grad, k.requires_grad, v.requires_grad)
 
     return dc._result(out, (q, k, v), pull)
+
+
+def contrastive_loss(kinds, inv_temp):
+    """``diffcore.contrastive_loss`` as composed ops: six nodes per kind, then the ``add``s of the sums.
+
+    A kind's logits are ``mul(matmul(visual, transpose(text)), inv_temp)``;
+    its ``i2t`` is ``soft_target_nll`` of them against the one-hot targets
+    and its ``t2i`` that of their ``transpose`` against the transposed
+    targets, both over the B visual rows.
+    """
+    pairs = []
+    for visual, text, columns in kinds:
+        b = visual.shape[0]
+        onehot = np.zeros((b, text.shape[0]))
+        onehot[np.arange(b), columns] = 1.0
+        sims = dc.mul(dc.matmul(visual, dc.transpose(text)), inv_temp)
+        pairs.append((dc.soft_target_nll(sims, onehot, b), dc.soft_target_nll(dc.transpose(sims), onehot.T, b)))
+    i2t, t2i = (reduce(dc.add, terms) for terms in zip(*pairs))
+    return dc.add(i2t, t2i), (i2t.item(), t2i.item())

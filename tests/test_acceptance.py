@@ -94,15 +94,12 @@ def test_criterion_02_closed_form_losses():
     b, c, dim = 4, 3, 5
     e0 = np.zeros(dim)
     e0[0] = 1.0
-    losses = gla.contrastive_losses(
-        visual=dc.constant(np.tile(e0, (b, 1))),
-        labels=(0, 1, 2, 0),
-        class_labels=(0, 1, 2),
-        text=dc.constant(np.tile(e0, (c, 1))),
+    _, losses = gla.contrastive_losses(
+        [(dc.constant(np.tile(e0, (b, 1))), (0, 1, 2, 0), (0, 1, 2), dc.constant(np.tile(e0, (c, 1))))],
         inv_temp=dc.constant(np.asarray(1.0)),
     )
     # every anchor takes the same value, so the batch means do too
-    i2t, t2i = (loss.item() for loss in losses)
+    i2t, t2i = losses["loss_i2t"], losses["loss_t2i"]
     checks.append(("i2t=ln C", abs(i2t - math.log(c)) <= 1e-10))
     checks.append(("t2i=ln B", abs(t2i - math.log(b)) <= 1e-10))
 
@@ -261,12 +258,21 @@ def test_criterion_05_structural_invariances():
         for p in ([1, 0, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1], [0, 2, 1])
     )
 
+    # the group text feature of a permuted roster, and the gradient it sends to each prompt parameter
+    stage1 = state.with_trainable(STAGE1_TRAINABLE)
+    upstream = dc.constant(rng.normal(size=(1, 8)))
+
+    def text_bits(roster):
+        with dc.Graph() as g:
+            text = gla.class_text_features(stage1, [0], {0: tuple(roster)})
+            loss = dc.reduce_mean(dc.mul(text, upstream))
+        grads = g.backward(loss)
+        return text.values.tobytes(), {n: grads[p].tobytes() for n, p in stage1.params.items() if p in grads}
+
     ids = list(ds.group_rosters()[0])
-    prompt = gla.build_group_prompts([ids], state).values
-    prompt_ok = all(
-        np.array_equal(prompt, gla.build_group_prompts([list(p)], state).values)
-        for p in ([ids[1], ids[0]] + ids[2:], list(reversed(ids)))
-    )
+    text = text_bits(ids)
+    prompt_ok = "prompt.x" in text[1] and all(
+        text_bits(p) == text for p in ([ids[1], ids[0]] + ids[2:], list(reversed(ids))))
     ok = refine_ok and prompt_ok
     _verdict(5, "permutation invariance of refinement and group prompts",
              ok, f"refine={refine_ok}, prompt={prompt_ok}")

@@ -658,6 +658,28 @@ def test_eval_prints_report_and_writes_artifact(tmp_path, small_config, capsys):
     assert artifact["tool_version"] == __version__
 
 
+def test_eval_report_adds_the_data_config_only_where_it_differs_from_the_run(tmp_path, small_config, capsys):
+    # trained on full groups, evaluated on the default data, where members go missing
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({**_SMALL, "data": {**_SMALL["data"], "membership_dropout_prob": 0.0}}))
+    full_data, dropped_data = str(tmp_path / "full-data.json"), _gen(tmp_path, small_config)
+    assert main(["gen-data", "--config", str(full), "--out", full_data]) == EXIT_OK
+    s1 = str(tmp_path / "s1.ckpt")
+    assert main(["train", "--stage", "1", "--config", str(full), "--data", full_data, "--out", s1]) == EXIT_OK
+    reports = {}
+    for name, data in (("same", full_data), ("other", dropped_data)):
+        reports[name] = str(tmp_path / f"{name}.json")
+        assert main(["eval", "--checkpoint", s1, "--data", data, "--out", reports[name]]) == EXIT_OK
+    capsys.readouterr()
+    same, other = (json.loads(Path(reports[k]).read_text()) for k in ("same", "other"))
+    keys = ["format", "version", "tool_version", "config", "query_camera", "modules", "report"]
+    assert list(same) == keys
+    assert list(other) == keys[:4] + ["data_config"] + keys[4:]
+    assert other["config"] == same["config"] and other["config"]["data"]["membership_dropout_prob"] == 0.0
+    assert other["data_config"] == json.loads(Path(dropped_data).read_text())["config"]
+    assert other["data_config"]["membership_dropout_prob"] == 0.3
+
+
 def test_eval_is_deterministic(tmp_path, small_config, capsys):
     data = _gen(tmp_path, small_config)
     s1 = str(tmp_path / "s1.ckpt")

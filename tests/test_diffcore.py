@@ -1042,6 +1042,72 @@ def test_soft_target_nll_is_the_composed_loss_bit_for_bit(smoothing):
                lambda t: _composed_soft_target_nll(dc.transpose(t), targets.T, b), [logits], (0,))
 
 
+def _unit_rows(rng, rows, dim=_DIM):
+    x = rng.normal(size=(rows, dim))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+# each kind's (B, C): a default stage-1 step's group and member kinds, the smallest batch, and three kinds
+_CONTRASTIVE_SHAPES = {"stage-1 step": [(8, 4), (29, 23)], "B=2, C=1": [(2, 1)],
+                       "three kinds": [(3, 2), (2, 1), (5, 5)]}
+
+
+def _contrastive_trainable(which, kinds):
+    """The leaves that take gradients: kind k's visual is leaf 2k and its text 2k + 1, inv_temp the last."""
+    inv = 2 * kinds
+    visual, text = set(range(0, inv, 2)), set(range(1, inv, 2))
+    # in stage 1 only the group kind's visual (kind 0) trains; a member kind's is a frozen pass's constant
+    return {"stage 1": {0, inv} | text, "inv_temp": {inv}, "visual and text": visual | text, "one visual": {0},
+            "out of a graph": set()}[which]
+
+
+def _contrastive_run(fn, arrays, columns, trainable, scale):
+    """The loss, its directions' sums and, with ``trainable`` leaves, every leaf's gradient of ``scale * loss``."""
+    leaves = [dc.Tensor(a, requires_grad=i in trainable) for i, a in enumerate(arrays)]
+    kinds = [(leaves[2 * k], leaves[2 * k + 1], cols) for k, cols in enumerate(columns)]
+    if not trainable:
+        loss, parts = fn(kinds, leaves[-1])
+        return [loss.values], parts
+    with dc.Graph() as g:
+        loss, parts = fn(kinds, leaves[-1])
+        out = dc.mul(loss, dc.constant(scale))
+    grads = g.backward(out)
+    return [loss.values] + [grads.get(t) for t in leaves], parts
+
+
+@pytest.mark.parametrize("shapes", sorted(_CONTRASTIVE_SHAPES))
+@pytest.mark.parametrize("trainable", ["stage 1", "inv_temp", "visual and text", "one visual", "out of a graph"])
+def test_contrastive_loss_is_the_composed_objective_bit_for_bit(shapes, trainable):
+    rng = np.random.default_rng(29)
+    arrays, columns = [], []
+    for b, c in _CONTRASTIVE_SHAPES[shapes]:
+        arrays += [_unit_rows(rng, b), _unit_rows(rng, c)]
+        columns.append(rng.integers(0, c, size=b).tolist())  # some texts may have no positive
+    arrays.append(np.asarray(rng.uniform(1.0, 100.0)))
+    leaves = _contrastive_trainable(trainable, len(columns))
+    for scale in (1.0, 0.37):  # 1 is the stage-1 loss itself; another upstream scales every term
+        (got, got_parts), (want, want_parts) = (_contrastive_run(fn, arrays, columns, leaves, scale)
+                                                for fn in (dc.contrastive_loss, ops.contrastive_loss))
+        assert np.asarray(got_parts).tobytes() == np.asarray(want_parts).tobytes()
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert all(g is not None for i, g in enumerate(got[1:]) if i in leaves)
+
+
+def test_contrastive_loss_is_one_node():
+    rng = np.random.default_rng(31)
+    visual = dc.Tensor(_unit_rows(rng, 4), requires_grad=True)
+    inv_temp = dc.Tensor(np.asarray(10.0), requires_grad=True)
+    with dc.Graph() as g:
+        dc.contrastive_loss([(visual, dc.constant(_unit_rows(rng, 2)), [0, 1, 1, 0]),
+                             (dc.constant(_unit_rows(rng, 5)), dc.constant(_unit_rows(rng, 3)), [2, 0, 1, 1, 0])],
+                            inv_temp)
+    assert len(g._nodes) == 1
+
+
 @pytest.mark.parametrize("trainable", [(0,), (1,), (0, 1)])
 def test_row_distance_is_the_composed_distance_bit_for_bit(trainable):
     rng = np.random.default_rng(23)
@@ -1131,6 +1197,13 @@ def test_fused_ops_pass_grad_check():
         return ops.reduce_sum(dc.mul(out, dc.tanh(out)))
 
     _grad_check_op(means, [rng.normal(size=(8, 4)), rng.normal(size=(3, 4))])
+
+    def clip(p):
+        loss, _ = dc.contrastive_loss([(p["0"], p["1"], [0, 2, 1, 0]), (p["2"], p["3"], [1, 0])], p["4"])
+        return loss
+
+    _grad_check_op(clip, [_unit_rows(rng, 4, 5), _unit_rows(rng, 3, 5), _unit_rows(rng, 2, 5),
+                          _unit_rows(rng, 2, 5), np.asarray(3.0)])
 
 
 def test_block_means_values_and_gradient():

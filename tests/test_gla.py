@@ -9,8 +9,8 @@ from gcum import diffcore as dc
 from gcum.diffcore import Tensor
 from gcum.encoders import STAGE1_TRAINABLE, ModelConfig, init_model_state
 from gcum.gla import (
-    build_group_prompts,
-    build_member_prompts,
+    _group_layout,
+    _member_layout,
     class_text_features,
     contrastive_losses,
     member_text_features,
@@ -40,6 +40,16 @@ def small_state(seed=0, **overrides):
 
 # --------------------------------------------------------------------------
 # Prompt assembly
+
+
+def build_member_prompts(identity_ids, state):
+    """"a photo of a <identity tokens> person" per identity: the layout the text encoder reads, gathered."""
+    return dc.gather_rows(*_member_layout(identity_ids, state))
+
+
+def build_group_prompts(rosters, state):
+    """"a group of <slot tokens> persons" per roster: the layout the text encoder reads, gathered."""
+    return dc.gather_rows(*_group_layout(rosters, state))
 
 
 def test_member_prompt_layout():
@@ -293,8 +303,10 @@ def _unit_rows(cosines):
 
 
 def _losses(visual, labels, class_labels, text, inv_temp=1.0):
-    return contrastive_losses(Tensor(visual), labels, class_labels, Tensor(text),
-                              Tensor(np.asarray(inv_temp)))
+    """One kind's (i2t, t2i)."""
+    _, parts = contrastive_losses([(Tensor(visual), labels, class_labels, Tensor(text))],
+                                  Tensor(np.asarray(inv_temp)))
+    return parts["loss_i2t"], parts["loss_t2i"]
 
 
 def test_batch_validation():
@@ -320,7 +332,54 @@ def test_an_unknown_label_raises_and_labels_find_their_class_column():
     # classes in any order: a label's one-hot column is its class's text row
     shuffled = _losses(visual, [7, 3, 7], [7, 3], text)
     swapped = _losses(visual, [7, 3, 7], [3, 7], text[::-1].copy())
-    assert [t.item() for t in shuffled] == [t.item() for t in swapped]
+    assert shuffled == swapped
+
+
+# each check of contrastive_losses in its order: a fault that fails it, and the error it raises
+_FAULTS = [
+    (lambda k: k.update(visual=k["visual"][0]), dc.ShapeError, "visual and text features must be matrices"),
+    (lambda k: k.update(text=k["text"][:, :1]), dc.ShapeError, "feature widths differ: visual 2, text 1"),
+    (lambda k: k.update(visual=k["visual"][:1]), ValueError, "a contrastive batch needs at least two samples"),
+    (lambda k: k.update(labels=k["labels"] + [0]), ValueError, "one label per visual row required"),
+    (lambda k: k.update(class_labels=[0, 0]), ValueError, "class_labels must be distinct and match the text rows"),
+    (lambda k: k.update(labels=[9] + k["labels"][1:]), ValueError, "every label needs a text feature"),
+    (lambda k: k.update(inv_temp=np.ones(1)), dc.ShapeError, "inv_temp must be a scalar tensor"),
+    (lambda k: k.update(inv_temp=np.asarray(-1.0)), ValueError, "inverse temperature must be positive"),
+    (lambda k: k.update(visual=k["visual"] * 2.0), ValueError, "visual rows must be unit norm"),
+    (lambda k: k.update(text=k["text"] * 2.0), ValueError, "text rows must be unit norm"),
+]
+
+
+def _kind(**faulty):
+    return {"visual": _unit_rows([0.9, 0.7, 0.1]), "labels": [0, 1, 0], "class_labels": [0, 1],
+            "text": np.eye(2), "inv_temp": np.asarray(1.0), **faulty}
+
+
+def _check(*kinds):
+    contrastive_losses([(Tensor(k["visual"]), k["labels"], k["class_labels"], Tensor(k["text"])) for k in kinds],
+                       Tensor(kinds[0]["inv_temp"]))
+
+
+@pytest.mark.parametrize("at", range(len(_FAULTS)))
+def test_contrastive_losses_raise_the_first_failed_check(at):
+    # the fault at ``at`` and every later one, applied last to first: the check at ``at`` raises
+    kind = _kind()
+    for breaks, _, _ in reversed(_FAULTS[at:]):
+        breaks(kind)
+    _, error, message = _FAULTS[at]
+    with pytest.raises(error) as caught:
+        _check(kind)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_contrastive_losses_check_the_kinds_in_turn():
+    last, first = _kind(), _kind()
+    _FAULTS[-1][0](last)  # the last check of the first kind raises before the first check of the second
+    _FAULTS[0][0](first)
+    with pytest.raises(ValueError, match="^text rows must be unit norm$"):
+        _check(last, first)
+    with pytest.raises(dc.ShapeError, match="^visual and text features must be matrices$"):
+        _check(_kind(), first)
 
 
 def _nll(logits, true):
@@ -334,7 +393,7 @@ def test_contrastive_losses_reject_non_finite_rows():
         # exp overflows and the normalized rows hold NaN, whose norm no comparison rejects
         visual = dc.l2_normalize(ops.exp(ops.scale(x, 1e3)))
         with pytest.raises(dc.NonFiniteError, match="^exp: "):
-            contrastive_losses(visual, (0, 1, 2), (0, 1, 2), Tensor(np.eye(3)), Tensor(np.asarray(1.0)))
+            contrastive_losses([(visual, (0, 1, 2), (0, 1, 2), Tensor(np.eye(3)))], Tensor(np.asarray(1.0)))
 
 
 def test_t2i_matches_scalar_oracle():
@@ -346,7 +405,7 @@ def test_t2i_matches_scalar_oracle():
     text = np.eye(2)
     _, t2i = _losses(visual, [0, 0, 1], [0, 1], text)
     class1 = _nll([math.sqrt(1.0 - c * c) for c in (0.9, 0.7, 0.1)], 2)
-    assert t2i.item() == pytest.approx((2 * 0.9189247158518508 + class1) / 3, abs=1e-10)
+    assert t2i == pytest.approx((2 * 0.9189247158518508 + class1) / 3, abs=1e-10)
 
 
 def test_i2t_matches_scalar_oracle():
@@ -359,21 +418,21 @@ def test_i2t_matches_scalar_oracle():
         text[row, 1] = math.sqrt(1.0 - c * c)
     visual = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     i2t, _ = _losses(visual, [0, 1], [0, 1, 2], text)
-    assert i2t.item() == pytest.approx((0.8189247158518508 + math.log(3)) / 2, abs=1e-10)
+    assert i2t == pytest.approx((0.8189247158518508 + math.log(3)) / 2, abs=1e-10)
 
 
 def test_equal_similarity_gives_log_batch_size():
     visual = np.tile(np.array([[1.0, 0.0]]), (5, 1))
     _, t2i = _losses(visual, [0, 0, 0, 0, 1], [0, 1], np.eye(2))
-    assert abs(t2i.item() - math.log(5)) < 1e-10
+    assert abs(t2i - math.log(5)) < 1e-10
 
 
 def test_equal_similarity_gives_log_class_count():
     s = 1.0 / math.sqrt(2.0)
     visual = np.array([[s, s], [s, s]])
     i2t, t2i = _losses(visual, [0, 1], [0, 1], np.eye(2))
-    assert abs(i2t.item() - math.log(2)) < 1e-10
-    assert abs(t2i.item() - math.log(2)) < 1e-10
+    assert abs(i2t - math.log(2)) < 1e-10
+    assert abs(t2i - math.log(2)) < 1e-10
 
 
 def test_temperature_scales_the_logits():
@@ -381,7 +440,7 @@ def test_temperature_scales_the_logits():
     z = math.exp(1.8) + math.exp(1.4) + math.exp(0.2)
     class1 = _nll([2.0 * math.sqrt(1.0 - c * c) for c in (0.9, 0.7, 0.1)], 2)
     _, t2i = _losses(visual, [0, 0, 1], [0, 1], np.eye(2), inv_temp=2.0)
-    assert t2i.item() == pytest.approx((2 * (math.log(z) - 1.6) + class1) / 3, abs=1e-10)
+    assert t2i == pytest.approx((2 * (math.log(z) - 1.6) + class1) / 3, abs=1e-10)
 
 
 def test_t2i_skips_a_class_without_positives():
@@ -390,7 +449,7 @@ def test_t2i_skips_a_class_without_positives():
     visual = _unit_rows([0.9, 0.7])
     with_extra = _losses(visual, [0, 0], [0, 1], np.eye(2))
     alone = _losses(visual, [0, 0], [0], np.eye(2)[:1])
-    assert with_extra[1].item() == alone[1].item()
+    assert with_extra[1] == alone[1]
 
 
 def test_contrastive_losses_stay_finite_at_a_large_inverse_temperature():
@@ -398,10 +457,9 @@ def test_contrastive_losses_stay_finite_at_a_large_inverse_temperature():
     # log(softmax) would raise; the loss itself is about 2 exp(-800)
     inv_temp = Tensor(np.asarray(800.0), requires_grad=True)
     with dc.Graph() as g:
-        i2t, t2i = contrastive_losses(Tensor(np.eye(3)), (0, 1, 2), (0, 1, 2), Tensor(np.eye(3)), inv_temp)
-        total = dc.add(i2t, t2i)
+        total, parts = contrastive_losses([(Tensor(np.eye(3)), (0, 1, 2), (0, 1, 2), Tensor(np.eye(3)))], inv_temp)
     grads = g.backward(total)
-    assert abs(i2t.item()) < 1e-12 and abs(t2i.item()) < 1e-12
+    assert abs(parts["loss_i2t"]) < 1e-12 and abs(parts["loss_t2i"]) < 1e-12
     assert math.isfinite(float(grads[inv_temp]))
 
 
@@ -435,8 +493,8 @@ def test_contrastive_losses_match_the_per_anchor_oracle(seed):
     inv_temp = float(rng.uniform(0.5, 10.0))
     i2t, t2i = _losses(visual, labels, class_labels, text, inv_temp)
     want_i2t, want_t2i = _per_anchor_oracle(visual, labels, class_labels, text, inv_temp)
-    assert abs(i2t.item() - want_i2t) <= 1e-12
-    assert abs(t2i.item() - want_t2i) <= 1e-12
+    assert abs(i2t - want_i2t) <= 1e-12
+    assert abs(t2i - want_t2i) <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -484,6 +542,17 @@ def test_stage1_loss_runs_and_routes_gradients():
     assert p["temp.inv"] in grads
     assert p["quantity.em"] in grads
     assert p["grce.wq"] not in grads
+
+
+def test_stage1_loss_records_one_node_per_text_kind_and_one_for_the_objective():
+    ds, state = _tiny_setup()
+    batch = ds.samples[:4]
+    with dc.Graph() as g:
+        views = _views(batch, [None] * len(batch), state)
+        before = len(g._nodes)
+        stage1_batch_loss(batch, *views, state, ds.group_rosters())
+    assert [dc._op_name(pull) for _, _, pull in g._nodes[before:]] == [
+        "attention_pool", "attention_pool", "contrastive_loss"]
 
 
 def test_stage1_loss_without_count_term_skips_em():

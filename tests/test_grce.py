@@ -215,6 +215,21 @@ def test_frozen_pass_takes_a_run_of_its_views():
             frozen(start, stop, state, refined=False)
 
 
+@pytest.mark.parametrize("em_trains", [True, False])
+def test_frozen_pass_calls_hand_out_read_only_views_of_the_pass(em_trains):
+    ds = _dataset()
+    state = small_state().with_trainable(["quantity.em"] if em_trains else ["grce.wq"])
+    frozen = FrozenPass(ds.samples[:4], [None] * 4, state, quantity=True)
+    whole, part = frozen(0, 4, state, refined=False), frozen(1, 3, state, refined=False)
+    # the member rows always, and the pooled features while the count matrix is frozen, come from the pass
+    for i in (1,) if em_trains else (0, 1):
+        assert np.shares_memory(whole[i].values, part[i].values)
+        for out in (whole[i], part[i]):
+            assert not out.values.flags.writeable and not out.values.base.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                out.values[0, 0] = 1.0
+
+
 def test_frozen_pass_needs_frozen_encoders():
     ds = _dataset()
     state = small_state()

@@ -19,7 +19,9 @@ from gcum.encoders import (
     STAGE2_TRAINABLE,
     ModelConfig,
     init_model_state,
+    save_checkpoint,
 )
+from gcum import diffcore as dc
 from gcum import grce, trainer
 from gcum.mvs import MvsConfig, sample_drop_prob, sample_mask
 from gcum.synthdata import GenConfig, GroupSample, generate_dataset
@@ -33,6 +35,8 @@ from gcum.trainer import (
     train_stage1,
     train_stage2,
 )
+
+import tape_ops as ops
 
 _RUN = RunConfig()
 # stage 2's recipe keywords at the run config's defaults, the text term on
@@ -181,6 +185,32 @@ def test_sgd_keeps_the_temperature_in_range():
         assert after.params["temp.inv"].item() == bound
     inside = sgd_step(state, {"temp.inv": np.asarray(0.5)}, _velocity(state), 1.0, cfg)
     assert inside.params["temp.inv"].item() == state.params["temp.inv"].item() - 0.5
+
+
+def test_sgd_updates_each_velocity_in_place_with_the_bits_of_the_formula():
+    state = _one_param_state()
+    names = ["group.cls", "prompt.x", "temp.inv"]  # temp.inv is 0-d and takes no weight decay
+    cfg, lr = TrainConfig(), 0.05
+    velocity = _velocity(state)
+    arrays = dict(velocity)
+    want_v = {n: np.zeros(state.params[n].shape) for n in names}
+    rng = np.random.default_rng(6)
+    for _ in range(4):
+        grads = {n: rng.normal(size=state.params[n].shape) for n in names}
+        before = {n: (p.values, p.values.copy()) for n, p in state.params.items()}
+        after = sgd_step(state, grads, velocity, lr, cfg)
+        for n in names:
+            p = state.params[n].values
+            want_v[n] = cfg.momentum * want_v[n] + grads[n] + (0.0 if n == "temp.inv" else cfg.weight_decay) * p
+            want_p = p - lr * want_v[n]
+            if n == "temp.inv":
+                want_p = np.clip(want_p, *TEMP_INV_RANGE)
+            assert velocity[n] is arrays[n] and velocity[n].tobytes() == want_v[n].tobytes(), n
+            assert after.params[n].values.tobytes() == want_p.tobytes(), n
+            assert not np.shares_memory(after.params[n].values, velocity[n])
+        # no parameter array was written, the updated ones included
+        assert all(values.tobytes() == copy.tobytes() for values, copy in before.values())
+        state = after
 
 
 def test_sgd_names_a_non_finite_update():
@@ -520,3 +550,27 @@ def test_a_failure_in_the_frozen_pass_names_its_stage_and_epoch(monkeypatch):
     with pytest.raises(NonFiniteError, match="stage 1, epoch 0, frozen visual pass: tanh: .*"
                                              "no SGD step has run yet"):
         train_stage1(state, ds.samples, ds.group_rosters(), _short_cfg(1), mvs=MvsConfig())
+
+
+def test_stage1_through_the_fused_objective_writes_the_checkpoint_of_the_composed_ops(monkeypatch, tmp_path):
+    # the default model widths on a small dataset, with the count matrix training through MVS
+    run = RunConfig(n_group_identities=8)
+    ds = generate_dataset(run.gen_config(), run.seed)
+    state = init_model_state(run.model_config(ds, len(ds.group_ids())), seed=0)
+    cfg = TrainConfig(warmup_epochs=1, decay_epochs=(3,), total_epochs=5, stage=1, seed=4, scale_factor=1.0)
+    composed = []
+
+    def composed_objective(kinds, inv_temp):
+        composed.append(len(kinds))
+        return ops.contrastive_loss(kinds, inv_temp)
+
+    runs = []
+    for objective in (dc.contrastive_loss, composed_objective):
+        monkeypatch.setattr(dc, "contrastive_loss", objective)
+        out, history = train_stage1(state, ds.samples, ds.group_rosters(), cfg, mvs=MvsConfig())
+        path = tmp_path / f"{len(runs)}.ckpt"
+        save_checkpoint(str(path), out.params)
+        runs.append((path.read_bytes(), history))
+        assert all(not np.array_equal(out.params[n].values, state.params[n].values) for n in STAGE1_TRAINABLE)
+    assert composed and set(composed) == {2}  # the second run took the composed ops at every step
+    assert runs[0] == runs[1]
