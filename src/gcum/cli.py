@@ -441,8 +441,10 @@ def cmd_eval(args) -> int:
         raise CheckpointError(f"checkpoint {args.checkpoint} overflows in eval: {e}") from None
     print(json.dumps(report.to_dict()))
     if args.out:
-        # data generated under other settings than the run's is echoed too, as its document states them
+        # data of other settings or another seed than the run's is echoed too, as its document states them
         data = {} if ds.config == run.gen_config() else {"data_config": ds.config.to_dict()}
+        if ds.seed != run.seed:
+            data["data_seed"] = ds.seed
         _write_json(args.out, {
             "format": "gcum-eval-report",
             "version": 1,

@@ -396,9 +396,9 @@ def _table(x: Tensor | Sequence[Tensor], order: Sequence[int], op: str
     return parts, blocks[0] if len(blocks) == 1 else np.concatenate(blocks), idx
 
 
-def _scatter_parts(idx: np.ndarray, g: np.ndarray, parts: tuple[Tensor, ...], n: int) -> tuple:
+def _scatter_parts(idx: np.ndarray | slice, g: np.ndarray, parts: tuple[Tensor, ...], n: int) -> tuple:
     """``gather_rows``' backward: the rows of ``g`` summed into rows ``idx`` of the n-row table, split by part."""
-    grad = _scatter_rows(idx, g, n)
+    grad = g if isinstance(idx, slice) else _scatter_rows(idx, g, n)  # the identity slice(None) sums nothing
     if len(parts) == 1:
         return (grad.reshape(parts[0].shape),)
     sizes = [p.shape[0] if p.ndim == 2 else 1 for p in parts]
@@ -655,6 +655,14 @@ def _block_grads(g: np.ndarray, w: np.ndarray, xq: np.ndarray, xv: np.ndarray, q
             xv.T @ gv if wv.requires_grad else None, ctx.T @ g if wo.requires_grad else None)
 
 
+def _block_forward(xq: np.ndarray, qv: np.ndarray, kv: np.ndarray, vv: np.ndarray, wo: Tensor, n: int,
+                   live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The residual block's forward after the projections: ``_attend``'s weights and output, and ``xq`` + output wo."""
+    w, ctx = _attend(qv, kv, vv, n, live)
+    out = _rows(ctx, wo.values)
+    return w, ctx, np.add(xq, out, out=out)
+
+
 def _check_block(xv: np.ndarray, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, op: str) -> None:
     if (xv.ndim != 2 or any(w.ndim != 2 for w in (wq, wk, wv, wo)) or wq.shape[0] != xv.shape[1]
             or wk.shape != wq.shape or wv.shape[0] != xv.shape[1] or wo.shape != (wv.shape[1], xv.shape[1])):
@@ -674,7 +682,7 @@ def attention_block(x: Tensor | Sequence[Tensor], wq: Tensor, wk: Tensor, wv: Te
     residual, then the v, k and q terms, the order the composed ops'
     backward takes (when nothing else reads ``x``).  Zero rows past a
     sequence's length stay zero.  A zero output projection makes the block
-    the identity map.
+    the identity map.  ``attention_pool`` runs its ``_block_forward`` and ``_block_grads`` too.
 
     With ``order``, ``x`` is read as ``gather_rows`` reads it, one tensor
     or a sequence of tensors of one width, and the block runs on rows
@@ -683,6 +691,7 @@ def attention_block(x: Tensor | Sequence[Tensor], wq: Tensor, wk: Tensor, wv: Te
     several blocks repeat is projected once.  The value and the gradients
     are those of ``gather_rows`` composed with the block, bit for bit, as
     a row's forward product has the same bits in a stack of any size.
+    Without it, one tensor ``x`` is read in place, by the index ``slice(None)``.
 
     With ``first_only``, each sequence's first row is the only query and
     the residual: the (n, d) output is each sequence's first row of the
@@ -695,32 +704,27 @@ def attention_block(x: Tensor | Sequence[Tensor], wq: Tensor, wk: Tensor, wv: Te
     if order is None:
         if not isinstance(x, Tensor):
             raise ShapeError("attention_block: a sequence of tensors needs an order")
-        parts, idx, xv = (x,), None, x.values
+        parts, table, idx = (x,), x.values, slice(None)
     else:
         parts, table, idx = _table(x, order, "attention_block")
         table = np.ascontiguousarray(table)  # the layout a gathered stack has
-        xv = table[idx]
+    xv = table[idx]
     _check_block(xv, wq, wk, wv, wo, "attention_block")
     n, live = _blocks(xv.shape[0], length, lengths, "attention_block")
     xq = xv[::length].copy() if first_only else xv  # contiguous, as gather_rows makes it
-    if idx is None:
-        qv, kv, vv = _rows(xq, wq.values), _rows(xv, wk.values), _rows(xv, wv.values)
-    else:  # each row of the table projected once, then laid into the blocks
-        qv = _rows(xq, wq.values) if first_only else _rows(table, wq.values)[idx]
-        kv, vv = _rows(table, wk.values)[idx], _rows(table, wv.values)[idx]
-        n_table = table.shape[0]
-        del table  # the attention and the pull need only its row count
-    w, ctx = _attend(qv, kv, vv, n, live)
+    # each row of the table projected once, then laid into the blocks
+    qv = _rows(xq, wq.values) if first_only else _rows(table, wq.values)[idx]
+    kv, vv = _rows(table, wk.values)[idx], _rows(table, wv.values)[idx]
+    n_table = table.shape[0]
+    del table  # the attention and the pull need only its row count
+    w, ctx, out = _block_forward(xq, qv, kv, vv, wo, n, live)
     need_x = any(p.requires_grad for p in parts)
 
     def pull(g: np.ndarray):
         gx, *gw = _block_grads(g, w, xq, xv, qv, kv, vv, ctx, wq, wk, wv, wo, need_x, length if first_only else 0)
-        if idx is None:
-            return (gx, *gw)
         return (*(_scatter_parts(idx, gx, parts, n_table) if need_x else (None,) * len(parts)), *gw)
 
-    out = _rows(ctx, wo.values)
-    return _result(np.add(xq, out, out=out), (*parts, wq, wk, wv, wo), pull)
+    return _result(out, (*parts, wq, wk, wv, wo), pull)
 
 
 def attention_pool(x: Tensor | Sequence[Tensor], pos: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
@@ -730,11 +734,12 @@ def attention_pool(x: Tensor | Sequence[Tensor], pos: Tensor, wq: Tensor, wk: Te
     The n sequences of ``length`` rows each are rows ``order`` of ``x``,
     read as ``gather_rows`` reads it, though the last of several parts is
     read in place rather than copied.  Row i of every sequence gains row i
-    of ``pos``; the sequences run through ``attention_block``; each one's
-    rows are averaged by an (n, 1, length) @ (n, length, d) product, so a
-    mean reads its own sequence alone; the means are projected by ``proj``
-    and scaled to unit norm as ``l2_normalize`` scales them, a finite row
-    whose norm overflows raising under that op's name.  The value and the
+    of ``pos``; the sequences run through ``attention_block``'s
+    ``_block_forward`` and ``_block_grads``; each one's rows are averaged by
+    an (n, 1, length) @ (n, length, d) product, so a mean reads its own
+    sequence alone; the means are projected by ``proj`` and scaled to unit
+    norm by ``l2_normalize``'s ``_unit_norm``, a finite row whose norm
+    overflows raising under that op's name.  The value and the
     gradients are those of that composition, bit for bit, with
     ``gather_rows`` reading the parts and the rows of ``pos``.  The
     forward's products go through ``_rows``, so a sequence's feature has
@@ -757,25 +762,16 @@ def attention_pool(x: Tensor | Sequence[Tensor], pos: Tensor, wq: Tensor, wk: Te
     n, _ = _blocks(xv.shape[0], length, None, "attention_pool")
     xv = (xv.reshape(n, length, d) + pos.values[:length]).reshape(n * length, d)
     qv, kv, vv = _rows(xv, wq.values), _rows(xv, wk.values), _rows(xv, wv.values)
-    w, ctx = _attend(qv, kv, vv, n, None)
-    seq = _rows(ctx, wo.values)
-    np.add(xv, seq, out=seq)
+    w, ctx, seq = _block_forward(xv, qv, kv, vv, wo, n, None)
     scale = 1.0 / length
     pooled = (np.full((n, 1, length), scale) @ seq.reshape(n, length, d))[:, 0]
-    zv = _rows(pooled, proj.values)
-    norm = np.sqrt(np.sum(zv * zv, axis=-1, keepdims=True))
-    over = np.isinf(norm)  # a finite row whose norm overflows raises as l2_normalize raises
-    if over.any() and (over & np.isfinite(zv).all(axis=-1, keepdims=True)).any():
-        check_finite(norm, "l2_normalize")
-    dn = np.maximum(norm, 1e-12)
-    live = norm > 1e-12
+    value, unit_grad = _unit_norm(_rows(pooled, proj.values))
     need_parts = any(p.requires_grad for p in parts)
     need_x = need_parts or pos.requires_grad
     need_seq = need_x or any(p.requires_grad for p in (wq, wk, wv, wo))
 
     def pull(g: np.ndarray):
-        # l2_normalize, then matmul by proj
-        gz = g / dn - zv * (live * np.sum(g * zv, axis=-1, keepdims=True) / (dn * dn * dn))
+        gz = unit_grad(g)  # l2_normalize, then matmul by proj
         gproj = pooled.T @ gz if proj.requires_grad else None
         if not need_seq:
             return (None,) * (len(parts) + 5) + (gproj,)
@@ -787,7 +783,7 @@ def attention_pool(x: Tensor | Sequence[Tensor], pos: Tensor, wq: Tensor, wk: Te
                 _scatter_rows(np.tile(np.arange(length), n), gx, pos.shape[0]) if pos.requires_grad else None,
                 *gw, gproj)
 
-    return _result(zv / dn, (*parts, pos, wq, wk, wv, wo, proj), pull)
+    return _result(value, (*parts, pos, wq, wk, wv, wo, proj), pull)
 
 
 def row_distance(a: Tensor, b: Tensor) -> Tensor:
@@ -870,11 +866,21 @@ def l2_normalize(x: Tensor) -> Tensor:
 
     The denominator is guarded at 1e-12, so a zero vector maps to the zero
     vector instead of raising, and a larger finite norm comes out unit length
-    to machine precision; a finite row whose norm overflows raises instead.
+    to machine precision; a finite row whose norm overflows raises instead
+    (``_unit_norm``, which ``attention_pool`` runs too).
     """
     if x.ndim not in (1, 2):
         raise ShapeError(f"l2_normalize needs rank 1 or 2, got shape {x.shape}")
-    xv = x.values
+    value, grad = _unit_norm(x.values)
+
+    def pull(g: np.ndarray):
+        return (grad(g),)
+
+    return _result(value, (x,), pull)
+
+
+def _unit_norm(xv: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """``l2_normalize``'s rows of ``xv`` at unit norm, and the gradient in ``xv``."""
     n = np.sqrt(np.sum(xv * xv, axis=-1, keepdims=True))
     over = np.isinf(n)  # x / inf would turn a finite row whose squared norm overflows into zeros
     if over.any() and (over & np.isfinite(xv).all(axis=-1, keepdims=True)).any():
@@ -882,11 +888,11 @@ def l2_normalize(x: Tensor) -> Tensor:
     d = np.maximum(n, 1e-12)
     live = n > 1e-12  # below the guard the map is x / const, so no norm term
 
-    def pull(g: np.ndarray):
+    def grad(g: np.ndarray) -> np.ndarray:
         inner = np.sum(g * xv, axis=-1, keepdims=True)
-        return (g / d - xv * (live * inner / (d * d * d)),)
+        return g / d - xv * (live * inner / (d * d * d))
 
-    return _result(xv / d, (x,), pull)
+    return xv / d, grad
 
 
 def reduce_mean(x: Tensor) -> Tensor:

@@ -54,9 +54,10 @@ def rank_gallery(query_feats, gallery_feats, query_labels, gallery_labels) -> np
     errs by at most E = γ_d·(1 + 1e-6)² + d·2⁻¹⁰⁷⁴, γ_d = d·u / (1 − d·u),
     u = 2⁻⁵³ (Higham, Accuracy and Stability of Numerical Algorithms, §3.1),
     so two rows whose chunk scores differ by more than 4E keep their order.
-    A relevant row ranks after the rows more than 4E above it and its
-    byte-equal copies before it.  A query with a row that is no copy of a
-    relevant row within 4E of it is ranked again by the per-query product.
+    A relevant row ranks after the rows more than 4E above it.  A query
+    with any other row within 4E of a relevant row, a byte-equal copy
+    included, is ranked again by the per-query product (``_exact_ranks``),
+    the one place where byte-equal rows are made to tie.
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
@@ -72,16 +73,6 @@ def rank_gallery(query_feats, gallery_feats, query_labels, gallery_labels) -> np
     d, u = g.shape[1], 2.0 ** -53
     # the factor 1 + 1e-9 covers this line's rounding and that of the norms above
     margin = 4 * (d * u / (1 - d * u) * (1 + 1e-6) ** 2 + d * 2.0 ** -1074) * (1 + 1e-9)
-    # a product can round by row position, so byte-equal rows take their first copy's score
-    g = np.ascontiguousarray(g)
-    _, first, copy_of, copies = np.unique(g.view(np.dtype((np.void, g.strides[0]))), return_index=True,
-                                          return_inverse=True, return_counts=True)
-    copy_of = copy_of.ravel()
-    score_as = first[copy_of] if first.size < g.shape[0] else None
-    by_copy = np.argsort(copy_of, kind="stable")
-    copies_before = np.empty(g.shape[0], dtype=np.int64)
-    copies_before[by_copy] = np.arange(g.shape[0]) - (np.cumsum(copies) - copies)[copy_of[by_copy]]
-    copies = copies[copy_of]
     # query i's relevant rows, ascending: by_label[lo[i]:lo[i] + n_rel[i]]
     by_label = np.argsort(gallery_labels, kind="stable")
     labels = np.asarray(gallery_labels)[by_label]
@@ -91,8 +82,6 @@ def rank_gallery(query_feats, gallery_feats, query_labels, gallery_labels) -> np
     for start in range(0, q.shape[0], _QUERIES_PER_CHUNK):
         chunk = slice(start, start + _QUERIES_PER_CHUNK)
         t = q[chunk] @ g.T
-        if score_as is not None:
-            t = t[:, score_as]
         unsure = np.zeros(t.shape[0], dtype=bool)
         for slot in range(n_rel[chunk].max()):
             rows = np.flatnonzero(n_rel[chunk] > slot)
@@ -102,27 +91,29 @@ def rank_gallery(query_feats, gallery_feats, query_labels, gallery_labels) -> np
             # own ± margin rounded outward keeps both tests certain; a 32-bit count sums faster
             ahead = (tr > np.nextafter(own + margin, np.inf)).sum(axis=1, dtype=np.uint32)
             near = (tr >= np.nextafter(own - margin, -np.inf)).sum(axis=1, dtype=np.uint32) - ahead
-            unsure[rows] |= near > copies[j]
-            hits[start + rows, ahead + copies_before[j]] = True
+            unsure[rows] |= near > 1
+            hits[start + rows, ahead] = True
         redo = start + np.flatnonzero(unsure)
         if redo.size:
             qi = np.repeat(np.arange(redo.size), n_rel[redo])
             j = by_label[np.repeat(lo[redo], n_rel[redo]) + np.arange(qi.size) - np.searchsorted(qi, qi)]
             hits[redo] = False
-            hits[redo[qi], _exact_ranks(g, q[redo], qi, j, score_as)] = True
+            hits[redo[qi], _exact_ranks(g, q[redo], qi, j)] = True
     return hits
 
 
-def _exact_ranks(g, q, qi, j, score_as) -> np.ndarray:
+def _exact_ranks(g, q, qi, j) -> np.ndarray:
     """Rank of gallery row ``j[p]`` for query ``q[qi[p]]`` by one product per query.
 
-    Rows scoring higher, plus rows scoring the same before it; with
-    ``score_as``, row r takes the score of row ``score_as[r]``.
+    Rows scoring higher, plus rows scoring the same before it.  A product
+    can round by row position, so byte-equal rows take their first copy's
+    score and always tie.
     """
+    g = np.ascontiguousarray(g)
+    _, first, copy_of = np.unique(g.view(np.dtype((np.void, g.strides[0]))), return_index=True,
+                                  return_inverse=True)
     sims = np.matmul(g[None], q[:, :, None])[..., 0]  # q @ g.T rounds differently
-    if score_as is not None:
-        sims = sims[:, score_as]
-    sims = sims[qi]
+    sims = sims[qi][:, first[copy_of.ravel()]]
     own = sims[np.arange(j.size), j][:, None]
     ahead = (sims > own) | ((sims == own) & (np.arange(g.shape[0]) < j[:, None]))
     return np.count_nonzero(ahead, axis=1)

@@ -680,6 +680,32 @@ def test_eval_report_adds_the_data_config_only_where_it_differs_from_the_run(tmp
     assert other["data_config"]["membership_dropout_prob"] == 0.3
 
 
+def test_eval_report_adds_the_data_seed_only_where_it_differs_from_the_run(tmp_path, small_config, capsys):
+    # the run's config at another seed makes another catalog and split
+    s1 = str(tmp_path / "s1.ckpt")
+    assert main(["train", "--stage", "1", "--config", small_config, "--data", _gen(tmp_path, small_config),
+                 "--out", s1]) == EXIT_OK
+    datasets = {}
+    for name, data in (("seed", {}), ("both", {"membership_dropout_prob": 0.0})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({**_SMALL, "seed": 6, "data": {**_SMALL["data"], **data}}))
+        datasets[name] = str(tmp_path / f"{name}-data.json")
+        assert main(["gen-data", "--config", str(config), "--out", datasets[name]]) == EXIT_OK
+    reports = {}
+    for name, data in (("same", str(tmp_path / "data.json")), *datasets.items()):
+        path = tmp_path / f"{name}-report.json"
+        assert main(["eval", "--checkpoint", s1, "--data", data, "--out", str(path)]) == EXIT_OK
+        reports[name] = json.loads(path.read_text())
+    capsys.readouterr()
+    keys = ["format", "version", "tool_version", "config", "query_camera", "modules", "report"]
+    assert list(reports["same"]) == keys
+    assert list(reports["seed"]) == keys[:4] + ["data_seed"] + keys[4:]
+    assert list(reports["both"]) == keys[:4] + ["data_config", "data_seed"] + keys[4:]
+    assert reports["seed"]["config"]["seed"] == 5
+    assert reports["seed"]["data_seed"] == reports["both"]["data_seed"] == 6
+    assert reports["seed"]["report"] != reports["same"]["report"]
+
+
 def test_eval_is_deterministic(tmp_path, small_config, capsys):
     data = _gen(tmp_path, small_config)
     s1 = str(tmp_path / "s1.ckpt")

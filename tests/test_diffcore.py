@@ -941,6 +941,25 @@ def test_attention_pool_raises_on_a_non_finite_token():
             dc.attention_pool(huge, *map(dc.Tensor, rest), 5, order=range(10))
 
 
+def test_attention_pool_raises_when_a_finite_feature_norm_overflows():
+    # a pooled feature of about 1e160 is finite, but its squared norm is not:
+    # the unit-norm step raises as l2_normalize raises on such a row
+    rng = np.random.default_rng(45)
+    parts, order, rest = _pool_operands(rng, 2, 5)
+    rest[-1] = rest[-1] * 1e160
+    with np.errstate(over="ignore"):
+        with pytest.raises(dc.NonFiniteError, match="^l2_normalize: "):
+            dc.attention_pool([dc.Tensor(p) for p in parts], *map(dc.Tensor, rest), 5, order=order)
+        with dc.Graph():
+            with pytest.raises(dc.NonFiniteError, match="^l2_normalize: "):
+                dc.attention_pool([dc.Tensor(p, requires_grad=True) for p in parts], *map(dc.Tensor, rest), 5,
+                                  order=order)
+        features = dc.Tensor(np.asarray(parts[1][:2]) @ rest[-1])
+        assert np.isfinite(features.values).all()
+        with pytest.raises(dc.NonFiniteError, match="^l2_normalize: "):
+            dc.l2_normalize(features)
+
+
 def test_attention_pool_rejects_bad_operands():
     x, w = dc.Tensor(np.ones((6, 4))), dc.Tensor(np.ones((4, 4)))
     pos, rows = dc.Tensor(np.ones((3, 4))), range(6)

@@ -215,16 +215,23 @@ def test_the_exact_path_ranks_only_a_near_tie(monkeypatch):
 
 def test_random_unit_rows_take_no_exact_path(monkeypatch):
     # the gain rests on near ties being rare: 900 x 900 random rows at dim 48
-    # have none, and a byte-equal copy of a relevant row is no near tie
+    # have none
     rng = np.random.default_rng(41)
     q, g = _unit_rows(rng, 900, 48), _unit_rows(rng, 900, 48)
     q_labels, g_labels = rng.integers(0, 450, 900), rng.permutation(np.arange(900) % 450)
     pick, at = rng.choice(900, 50, replace=False), np.sort(rng.integers(0, 901, 50))
     calls = _exact_queries(monkeypatch)
-    for g, g_labels in ((g, g_labels), (np.insert(g, at, g[pick], axis=0), np.insert(g_labels, at, g_labels[pick]))):
-        hits = rank_gallery(q, g, q_labels, g_labels)
-        assert calls == []
-        assert hits.tobytes() == _matvec_hits(q, g, q_labels, g_labels).tobytes()
+    hits = rank_gallery(q, g, q_labels, g_labels)
+    assert calls == []
+    assert hits.tobytes() == _matvec_hits(q, g, q_labels, g_labels).tobytes()
+    # a byte-equal copy of a relevant row is within the margin of it, so the
+    # exact path ranks exactly the queries whose label has a copied row
+    copied = np.isin(q_labels, g_labels[pick])
+    g, g_labels = np.insert(g, at, g[pick], axis=0), np.insert(g_labels, at, g_labels[pick])
+    hits = rank_gallery(q, g, q_labels, g_labels)
+    assert np.count_nonzero(copied) == 92
+    assert np.concatenate(calls).tobytes() == q[copied].tobytes()
+    assert hits.tobytes() == _matvec_hits(q, g, q_labels, g_labels).tobytes()
 
 
 def test_extract_features_over_chunks_is_one_stack(monkeypatch):
