@@ -211,9 +211,6 @@ def load_run_config(path: str | None) -> RunConfig:
 # --------------------------------------------------------------------------
 # Gradient verification harness
 
-_CHECKED_LOSSES = ("stage1_contrastive", "identity", "triplet", "image_text", "stage2_total")
-
-
 def run_grad_checks(seed: int, *, step: float, tolerance: float) -> dict:
     """Finite-difference sweep of every loss against its trainable set.
 
@@ -286,8 +283,7 @@ def run_grad_checks(seed: int, *, step: float, tolerance: float) -> dict:
         "stage2_total": (STAGE2_TRAINABLE, stage2_fn),
     }
     reports = {}
-    for name in _CHECKED_LOSSES:
-        trainable, fn = checks[name]
+    for name, (trainable, fn) in checks.items():
         params = state.with_trainable(trainable).params
         frozen = grce.FrozenPass(samples, masks, ModelState(state.config, params), quantity=True)
         reports[name] = dc.grad_check(lambda ps: fn(ModelState(state.config, ps)), params,
@@ -466,8 +462,7 @@ def cmd_grad_check(args) -> int:
             raise CliError(EXIT_CONFIG, f"{flag} must be finite and positive, got {value}")
     reports = run_grad_checks(args.seed, step=args.step, tolerance=args.tolerance)
     failed = False
-    for name in _CHECKED_LOSSES:
-        rep = reports[name]
+    for name, rep in reports.items():
         status = "ok" if rep.ok else "FAIL"
         print(f"{name}: max_rel_error={rep.max_rel_error:.3e} {status}")
         failed = failed or not rep.ok

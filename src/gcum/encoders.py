@@ -238,14 +238,13 @@ def _member_counts(counts: Sequence[int], slots: int, config: ModelConfig) -> np
     return counts
 
 
-def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequence[int],
-                        slots: int | None = None) -> Tensor:
+def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequence[int], slots: int) -> Tensor:
     """Run block 1 over stacked [class token; members; zero rows] blocks.
 
     ``member_features`` holds B views' ``counts[i]`` rows each, view after
     view.  Returns the (B (slots + 1), dim) block output in the same
     layout: each view's class-token row, its member rows, then zero rows.
-    ``slots`` (``max_members`` by default) must cover every count.  A
+    ``slots``, at most ``max_members``, must cover every count.  A
     view's rows have the same bits in any stack of one width.
     ``grce.FrozenPass`` runs two widths, chosen by each view's own count.
     The blocks are one ``attention_block`` node over the class token, a
@@ -253,7 +252,6 @@ def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequ
     gathering the blocks first.
     """
     cfg = state.config
-    slots = cfg.max_members if slots is None else slots
     counts = _member_counts(counts, slots, cfg)
     rows = int(counts.sum())
     if member_features.ndim != 2 or member_features.shape != (rows, cfg.dim):
@@ -269,8 +267,7 @@ def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequ
                               width, counts + 1, order=at.ravel())
 
 
-def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int],
-                        slots: int | None = None) -> Tensor:
+def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int], slots: int) -> Tensor:
     """Run block 2 over the stacked blocks of ``encode_group_prefix`` and read out each view.
 
     ``slots`` is the one the blocks were made with.  Only each block's
@@ -279,7 +276,6 @@ def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int],
     into one row of the (B, dim) group features.
     """
     cfg = state.config
-    slots = cfg.max_members if slots is None else slots
     counts = _member_counts(counts, slots, cfg)
     width = slots + 1
     if fused.ndim != 2 or fused.shape != (len(counts) * width, cfg.dim):

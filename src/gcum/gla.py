@@ -7,11 +7,12 @@ description allocates a fixed number of identity slots ("a group of
 <slot tokens> persons"): present members fill the leading slots in
 canonical (sorted identity) order, learned padding tokens fill the rest.
 The fixed slot count is what lets one text embedding describe a group
-whose visible membership varies.  The prompts of one kind are laid out
-by one index vector over the template parameters and ``prompt.x``, made
-by array operations (a matrix of sorted rosters for group prompts, a
-vector of identities for member prompts), and the text encoder reads
-them straight from those parts in one tape node.
+whose visible membership varies.  Both kinds follow one layout rule: a
+prompt is the kind's prefix, one block per slot (an identity's rows of
+``prompt.x``, or ``prompt.pad`` for an empty slot), then the kind's
+suffix; a member prompt is the one-slot case that never pads.  The rule
+gives one index vector over those parts per kind, and the text encoder
+reads the prompts straight from the parts in one tape node.
 
 Alignment uses a supervised contrastive loss in both directions at both
 granularities (member features against member descriptions, group
@@ -25,8 +26,6 @@ samples; both directions at both granularities are one tape node
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -36,82 +35,58 @@ from .diffcore import ShapeError, Tensor
 from .encoders import ModelState, encode_text
 
 
-_EMPTY = np.iinfo(np.int64).max  # an empty roster slot, which sorts after every identity
+def _layout(kind: str, slot_ids: np.ndarray, filled: np.ndarray, state: ModelState
+            ) -> tuple[list[Tensor], np.ndarray]:
+    """The parts prompts of ``kind`` read, and the order that lays out one prompt per row of ``slot_ids``.
 
-
-def _check_identities(ids: np.ndarray, n: int) -> None:
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise ValueError(f"identity {ids[(ids < 0) | (ids >= n)].min()} outside [0, {n})")
-
-
-@lru_cache(maxsize=16)
-def _segments(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of a prompt made of segments of ``lengths`` rows: its segment, and its row in it."""
-    segment = np.repeat(np.arange(len(lengths)), lengths)
-    row = np.arange(segment.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    for a in (segment, row):
-        a.setflags(write=False)  # shared by every caller
-    return segment, row
-
-
-def _lay_out(starts: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
-    """The rows of prompts whose segments start at ``starts`` (one row per prompt), one prompt after another."""
-    segment, row = _segments(lengths)
-    return (starts[:, segment] + row).ravel()
-
-
-def _member_layout(identity_ids: Sequence[int], state: ModelState) -> tuple[list[Tensor], np.ndarray]:
-    """The parts member prompts read, and the order that lays out one prompt per identity from them."""
+    A prompt is the kind's prefix, then one ``tokens_per_identity`` block
+    per slot (its identity's rows of ``prompt.x`` where ``filled``, else
+    ``prompt.pad``), then the kind's suffix.  ``prompt.pad`` is a part only
+    when some slot is empty.  A filled slot's identity outside
+    ``[0, n_person_ids)`` raises.
+    """
+    ids, n_ids = slot_ids[filled], state.config.n_person_ids
+    if ids.size and (ids.min() < 0 or ids.max() >= n_ids):
+        raise ValueError(f"identity {ids[(ids < 0) | (ids >= n_ids)].min()} outside [0, {n_ids})")
     p = state.params
     m = state.config.tokens_per_identity
-    ids = np.fromiter(identity_ids, np.int64)
-    _check_identities(ids, state.config.n_person_ids)
-    parts = [p["prompt.member_prefix"], p["prompt.member_suffix"], p["prompt.x"]]
-    prefix, suffix = parts[0].shape[0], parts[1].shape[0]
-    # each prompt's segments: the prefix, its identity's block of prompt.x, the suffix
-    starts = np.zeros((ids.size, 3), np.int64)
-    starts[:, 1] = prefix + suffix + ids * m
-    starts[:, 2] = prefix
-    return parts, _lay_out(starts, (prefix, m, suffix))
-
-
-def _group_layout(rosters: Sequence[Sequence[int]], state: ModelState) -> tuple[list[Tensor], np.ndarray]:
-    """The parts group prompts read, and the order that lays out one prompt per roster from them.
-
-    The rosters fill one matrix, a row per roster, each row sorted; a row's
-    slots past its roster read the padding block, which is a part only when
-    some roster is short of ``group_slots``.
-    """
-    p = state.params
-    cfg = state.config
-    slots, m = cfg.group_slots, cfg.tokens_per_identity
-    counts = np.fromiter(map(len, rosters), np.int64, len(rosters))
-    filled = np.arange(max(slots, counts.max(initial=0))) < counts[:, None]
-    roster = np.full(filled.shape, _EMPTY)
-    roster[filled] = np.fromiter(chain.from_iterable(rosters), np.int64)
-    roster.sort(axis=1)
-    dup = ((roster[:, 1:] == roster[:, :-1]) & filled[:, 1:]).any(axis=1)
-    if not counts.all() or dup.any() or filled.shape[1] > slots:  # the first bad roster names its fault
-        i = int(np.argmax((counts == 0) | dup | (counts > slots)))
-        if counts[i] == 0:
-            raise ValueError("a group prompt needs at least one member")
-        if dup[i]:
-            raise ValueError("duplicate identities in a group prompt")
-        raise ValueError(f"{counts[i]} members exceed {slots} prompt slots")
-    filled, roster = filled[:, :slots], roster[:, :slots]
-    _check_identities(roster[filled], cfg.n_person_ids)
-    parts = [p["prompt.group_prefix"], p["prompt.group_suffix"]]
+    parts = [p[f"prompt.{kind}_prefix"], p[f"prompt.{kind}_suffix"]]
     prefix, suffix = parts[0].shape[0], parts[1].shape[0]
     short = not filled.all()
     if short:
         parts.append(p["prompt.pad"])
-    x0 = prefix + suffix + short * m  # prompt.x's first row, after the padding's m rows if it is a part
     parts.append(p["prompt.x"])
-    # each prompt's segments: the prefix, one block per slot (a member's or the padding), the suffix
-    starts = np.zeros((counts.size, slots + 2), np.int64)
-    starts[:, 1:-1] = np.where(filled, x0 + np.where(filled, roster, 0) * m, prefix + suffix)
-    starts[:, -1] = prefix
-    return parts, _lay_out(starts, (prefix,) + (m,) * slots + (suffix,))
+    n, body = slot_ids.shape[0], slot_ids.shape[1] * m
+    first = np.where(filled, prefix + suffix + short * m + slot_ids * m, prefix + suffix)  # each slot's first row
+    order = np.empty((n, prefix + body + suffix), np.int64)
+    order[:, :prefix] = np.arange(prefix)
+    order[:, prefix:prefix + body] = (first[:, :, None] + np.arange(m)).reshape(n, body)
+    order[:, prefix + body:] = np.arange(prefix, prefix + suffix)
+    return parts, order.ravel()
+
+
+def _member_layout(identity_ids: Sequence[int], state: ModelState) -> tuple[list[Tensor], np.ndarray]:
+    """The parts member prompts read, and the order that lays out one prompt per identity: one slot, never empty."""
+    ids = np.fromiter(identity_ids, np.int64)[:, None]
+    return _layout("member", ids, np.ones(ids.shape, bool), state)
+
+
+def _group_layout(rosters: Sequence[Sequence[int]], state: ModelState) -> tuple[list[Tensor], np.ndarray]:
+    """The parts group prompts read, and the order that lays out one prompt per roster: its members sorted."""
+    slots = state.config.group_slots
+    slot_ids = np.zeros((len(rosters), slots), np.int64)
+    counts = []
+    for row, roster in enumerate(rosters):  # the first bad roster names its fault
+        ids = sorted(roster)
+        if not ids:
+            raise ValueError("a group prompt needs at least one member")
+        if len(set(ids)) < len(ids):
+            raise ValueError("duplicate identities in a group prompt")
+        if len(ids) > slots:
+            raise ValueError(f"{len(ids)} members exceed {slots} prompt slots")
+        slot_ids[row, :len(ids)] = ids
+        counts.append(len(ids))
+    return _layout("group", slot_ids, np.arange(slots) < np.array(counts, np.int64)[:, None], state)
 
 
 def member_text_features(identity_ids: Sequence[int], state: ModelState) -> Tensor:

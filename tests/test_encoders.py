@@ -137,36 +137,36 @@ def test_member_encoder_is_rowwise():
 def test_group_prefix_shapes_and_member_limit():
     state = init_model_state(small_config(), seed=1)
     feats = np.random.default_rng(5).normal(size=(6, 8))
-    out = encode_group_prefix(dc.constant(feats[:3]), state, [3])
+    out = encode_group_prefix(dc.constant(feats[:3]), state, [3], 3)
     assert out.shape == (4, 8)
     # two views of three members: class token then members, view after view
-    both = encode_group_prefix(dc.constant(feats), state, [3, 3])
+    both = encode_group_prefix(dc.constant(feats), state, [3, 3], 3)
     assert both.shape == (8, 8)
     assert np.array_equal(both.values[:4], out.values)
-    assert np.array_equal(both.values[4:], encode_group_prefix(dc.constant(feats[3:]), state, [3]).values)
+    assert np.array_equal(both.values[4:], encode_group_prefix(dc.constant(feats[3:]), state, [3], 3).values)
     # views of one and two members: each block is padded with zero rows to max_members + 1
-    mixed = encode_group_prefix(dc.constant(feats[:3]), state, [1, 2])
+    mixed = encode_group_prefix(dc.constant(feats[:3]), state, [1, 2], 3)
     assert mixed.shape == (8, 8)
     assert not np.any(mixed.values[[2, 3, 7]])
-    assert np.array_equal(mixed.values[:4], encode_group_prefix(dc.constant(feats[:1]), state, [1]).values)
-    assert np.array_equal(mixed.values[4:], encode_group_prefix(dc.constant(feats[1:3]), state, [2]).values)
+    assert np.array_equal(mixed.values[:4], encode_group_prefix(dc.constant(feats[:1]), state, [1], 3).values)
+    assert np.array_equal(mixed.values[4:], encode_group_prefix(dc.constant(feats[1:3]), state, [2], 3).values)
     too_many = dc.constant(np.zeros((4, 8)))
     with pytest.raises(ShapeError):
-        encode_group_prefix(too_many, state, [4])
+        encode_group_prefix(too_many, state, [4], 3)
     with pytest.raises(ShapeError):
-        encode_group_prefix(dc.constant(feats[:5]), state, [3])
+        encode_group_prefix(dc.constant(feats[:5]), state, [3], 3)
 
 
 def test_group_blocks_at_fewer_slots_keep_the_live_rows():
     state = init_model_state(small_config(), seed=1)
     feats = dc.constant(np.random.default_rng(5).normal(size=(3, 8)))
-    full = encode_group_prefix(feats, state, [1, 2])
+    full = encode_group_prefix(feats, state, [1, 2], 3)
     narrow = encode_group_prefix(feats, state, [1, 2], 2)
     assert narrow.shape == (6, 8)
     assert np.allclose(narrow.values, full.values[[0, 1, 2, 4, 5, 6]], rtol=0, atol=1e-14)
     assert not np.any(full.values[[3, 7]])
     assert np.allclose(encode_group_suffix(narrow, state, [1, 2], 2).values,
-                       encode_group_suffix(full, state, [1, 2]).values, rtol=0, atol=1e-14)
+                       encode_group_suffix(full, state, [1, 2], 3).values, rtol=0, atol=1e-14)
     for slots in (0, 4):  # outside [1, max_members]
         with pytest.raises(ShapeError):
             encode_group_prefix(feats, state, [1, 2], slots)
@@ -181,7 +181,7 @@ def test_group_prefix_is_one_tape_node_with_the_bits_of_gather_then_block():
     p = state.params
     feats = Tensor(np.random.default_rng(6).normal(size=(4, 8)), requires_grad=True)
     with dc.Graph() as g:
-        out = encode_group_prefix(feats, state, [3, 1])
+        out = encode_group_prefix(feats, state, [3, 1], 3)
         loss = dc.reduce_mean(dc.mul(out, out))
     assert len(g._nodes) == 3  # the block, then the loss's product and mean
     grads = g.backward(loss)
@@ -201,10 +201,10 @@ def test_group_prefix_is_one_tape_node_with_the_bits_of_gather_then_block():
 def test_group_suffix_requires_class_plus_member():
     state = init_model_state(small_config(), seed=1)
     with pytest.raises(ShapeError):
-        encode_group_suffix(dc.constant(np.ones((4, 8))), state, [0])
+        encode_group_suffix(dc.constant(np.ones((4, 8))), state, [0], 3)
     with pytest.raises(ShapeError):
-        encode_group_suffix(dc.constant(np.ones((3, 8))), state, [2])  # not max_members + 1 rows
-    out = encode_group_suffix(dc.constant(np.random.default_rng(6).normal(size=(4, 8))), state, [2])
+        encode_group_suffix(dc.constant(np.ones((3, 8))), state, [2], 3)  # not max_members + 1 rows
+    out = encode_group_suffix(dc.constant(np.random.default_rng(6).normal(size=(4, 8))), state, [2], 3)
     assert out.shape == (1, 8)
     assert np.linalg.norm(out.values) == pytest.approx(1.0, abs=1e-12)
 

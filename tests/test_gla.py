@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcum import diffcore as dc
 from gcum.diffcore import Tensor
@@ -52,22 +54,31 @@ def build_group_prompts(rosters, state):
     return dc.gather_rows(*_group_layout(rosters, state))
 
 
-def test_member_prompt_layout():
-    state = small_state()
-    seq = build_member_prompts([2, 0], state)
-    m = state.config.tokens_per_identity
+def _hand_prompts(state, kind, slot_ids):
+    """Each prompt by hand: the kind's prefix, a block of prompt.x per identity, padding to the slots, the suffix."""
     p = state.params
+    m = state.config.tokens_per_identity
+    slots = 1 if kind == "member" else state.config.group_slots
+    return np.concatenate([block for ids in slot_ids for block in (
+        [p[f"prompt.{kind}_prefix"].values]
+        + [p["prompt.x"].values[i * m:(i + 1) * m] for i in ids]
+        + [p["prompt.pad"].values] * (slots - len(ids))
+        + [p[f"prompt.{kind}_suffix"].values])])
 
-    def prompt(identity):
-        return [
-            p["prompt.member_prefix"].values,                       # "a photo of a"
-            p["prompt.x"].values[identity * m : (identity + 1) * m],  # the identity's block
-            p["prompt.member_suffix"].values,                       # "person"
-        ]
 
-    expected = np.concatenate(prompt(2) + prompt(0))
-    assert seq.shape == (2 * state.config.member_prompt_len, state.config.dim)
-    assert np.array_equal(seq.values, expected)
+# nine identities and five slots, so rosters of one to five members are short or full
+_PROPERTY_STATE = small_state(max_members=4, group_slots=5, n_person_ids=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=12))
+@example([2, 0])
+def test_member_prompt_layout(identity_ids):
+    state = _PROPERTY_STATE
+    seq = build_member_prompts(identity_ids, state)
+    assert seq.shape == (len(identity_ids) * state.config.member_prompt_len, state.config.dim)
+    assert np.array_equal(seq.values, _hand_prompts(state, "member", [[i] for i in identity_ids]))
+    assert not any(part is state.params["prompt.pad"] for part in _member_layout(identity_ids, state)[0])
 
 
 def test_member_prompt_rejects_unknown_identity():
@@ -85,37 +96,44 @@ def test_group_prompt_is_order_invariant():
     assert np.array_equal(a.values, b.values)
 
 
-def test_group_prompt_layout_and_padding():
-    state = small_state()
-    seq = build_group_prompts([[3, 1], [2]], state)
-    cfg = state.config
-    m = cfg.tokens_per_identity
-    p = state.params
-    x = p["prompt.x"].values
-    expected = np.concatenate([
-        p["prompt.group_prefix"].values,            # "a group of"
-        x[1 * m : 2 * m],                           # identity 1 fills slot 0
-        x[3 * m : 4 * m],                           # identity 3 fills slot 1
-        p["prompt.pad"].values,                     # slot 2 is padding
-        p["prompt.group_suffix"].values,            # "persons"
-        p["prompt.group_prefix"].values,            # the second prompt:
-        x[2 * m : 3 * m],                           # identity 2 fills slot 0
-        p["prompt.pad"].values,                     # slots 1 and 2 are padding
-        p["prompt.pad"].values,
-        p["prompt.group_suffix"].values,
-    ])
-    assert seq.shape == (2 * cfg.group_prompt_len, cfg.dim)
-    assert np.array_equal(seq.values, expected)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=5, unique=True), min_size=1, max_size=6))
+@example([[3, 1], [2]])
+@example([[0, 4, 2, 1, 3], [8, 7, 6, 5, 4]])
+def test_group_prompt_layout_and_padding(rosters):
+    # members fill the leading slots in sorted order; the padding fills the rest
+    state = _PROPERTY_STATE
+    seq = build_group_prompts(rosters, state)
+    assert seq.shape == (len(rosters) * state.config.group_prompt_len, state.config.dim)
+    assert np.array_equal(seq.values, _hand_prompts(state, "group", [sorted(ids) for ids in rosters]))
+    reads_pad = any(part is state.params["prompt.pad"] for part in _group_layout(rosters, state)[0])
+    assert reads_pad == any(len(ids) < state.config.group_slots for ids in rosters)
 
 
 def test_group_prompt_rejects_bad_rosters():
     state = small_state()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a group prompt needs at least one member$"):
         build_group_prompts([[]], state)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate identities in a group prompt$"):
         build_group_prompts([[0], [1, 1]], state)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^4 members exceed 3 prompt slots$"):
         build_group_prompts([[0, 1, 2, 3]], state)
+
+
+@pytest.mark.parametrize("rosters, message", [
+    ([[0, 1, 2, 3], [1, 1]], "4 members exceed 3 prompt slots"),
+    ([[1, 1], []], "duplicate identities in a group prompt"),
+    ([[2], [], [0, 1, 2, 3]], "a group prompt needs at least one member"),
+])
+def test_the_first_bad_roster_names_its_fault(rosters, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_group_prompts(rosters, small_state())
+
+
+@pytest.mark.parametrize("rosters, bad", [([[-1, 2]], -1), ([[0, 4]], 4), ([[1], [3, 0, -1]], -1)])
+def test_group_prompt_rejects_identities_outside_the_catalog(rosters, bad):
+    with pytest.raises(ValueError, match=rf"^identity {bad} outside \[0, 4\)$"):
+        build_group_prompts(rosters, small_state())
 
 
 def test_prompt_gradient_lands_on_the_right_rows():

@@ -455,7 +455,7 @@ def test_a_chunk_runs_block_1_at_two_widths_each_view_in_its_own_class(monkeypat
     calls = []
     real = grce.encode_group_prefix
 
-    def recorded(feats, st, k, slots=None):
+    def recorded(feats, st, k, slots):
         calls.append((list(k), slots))
         return real(feats, st, k, slots)
 
