@@ -256,10 +256,10 @@ def run_grad_checks(seed: int, *, step: float, tolerance: float) -> dict:
     n = len(samples)
 
     def _refined(st):
-        return frozen(0, n, st, refined=True)[0]
+        return frozen(range(n), st, refined=True)[0]
 
     def stage1_fn(st):
-        return gla.stage1_batch_loss(samples, *frozen(0, n, st, refined=False), st, rosters)[0]
+        return gla.stage1_batch_loss(samples, *frozen(range(n), st, refined=False), st, rosters)[0]
 
     def id_fn(st):
         return losses_mod.id_loss(_refined(st), st, targets, cfg.epsilon)

@@ -186,7 +186,7 @@ def extract_features(
     for start in range(0, len(samples), grce.VIEWS_PER_CHUNK):
         chunk = samples[start:start + grce.VIEWS_PER_CHUNK]
         frozen = grce.FrozenPass(chunk, [None] * len(chunk), state, quantity=quantity)
-        feats[start:start + len(chunk)] = frozen(0, len(chunk), state, refined=refined)[0].values
+        feats[start:start + len(chunk)] = frozen(range(len(chunk)), state, refined=refined)[0].values
     return feats
 
 

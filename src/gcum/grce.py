@@ -22,13 +22,15 @@ rows, which the tests check at the shipped dim 48.
 ``FrozenPass`` is the one way in, for training, the gradient check and
 eval alike.  The member encoder and the first group block run on frozen
 weights, so a pass runs them once over a fixed list of views, each width
-class of a chunk as one stack, and a call takes a run of those views and
-computes only what can train.  Training builds one pass per epoch over
-the epoch's planned views and masks, and each step takes its run; eval
-builds one per chunk of test views, with every member kept, and takes
-the whole run.  While the count matrix is frozen as well (stage 2 and
-eval), the pass keeps each view's pooled feature instead, so a call runs
-only the refinement.
+class of a chunk as one stack, and a call takes any sequence of those
+views, repeats allowed, and computes only what can train.  Training
+builds one pass per run over the run's distinct (view, mask) pairs, and
+each step takes its views' positions in it; because a view's features
+have the same bits in any stack, a step gets the bits a pass over just
+its own views would give.  Eval builds one per chunk of test views, with
+every member kept, and takes them all in order.  While the count matrix
+is frozen as well (stage 2 and eval), the pass keeps each view's pooled
+feature instead, so a call runs only the refinement.
 
 Canonical ordering makes every stage independent of the order members
 appear in a sample.  Rows are sorted lexicographically by value before
@@ -55,7 +57,7 @@ from .mvs import Mask, apply_mvs
 from .synthdata import GroupSample
 
 
-# Views featurized per call, in eval and in a training epoch's frozen pass.
+# Views featurized per encoder call, in eval and in a training run's frozen pass.
 # A view's rows have the same bits in a stack of any size, so chunking
 # bounds memory and changes no byte.
 VIEWS_PER_CHUNK = 256
@@ -160,44 +162,46 @@ class FrozenPass:
     """The group features of a fixed list of views, frozen work done once.
 
     ``samples[i]`` under ``masks[i]`` (None keeps every member) is the
-    pass's i-th view: in training the epoch's planned views in plan order,
-    so a step's views are a run ``[start, stop)`` of them, and in eval a
-    chunk of test views, taken as one run.  Masks drop members before
-    anything is encoded, so a dropped member influences neither the value
-    nor the gradient of anything downstream.  The member encoder and
-    block 1 run on frozen weights, so the pass runs them over every view
-    up front, ``VIEWS_PER_CHUNK`` views at a time, block 1 once per width
-    class (see the module docstring), and keeps the member identities,
-    the member rows and each view's block-1 block, zero-padded to
-    ``max_members + 1`` rows, the one width a step's stack takes.  While
+    pass's i-th view: in training the run's distinct (view, mask) pairs in
+    first-use order, and in eval a chunk of test views.  Masks drop
+    members before anything is encoded, so a dropped member influences
+    neither the value nor the gradient of anything downstream.  The member
+    encoder and block 1 run on frozen weights, so the pass runs them over
+    every view up front, ``VIEWS_PER_CHUNK`` views at a time, block 1 once
+    per width class (see the module docstring), and keeps the member
+    identities, the member rows and each view's block-1 block, zero-padded
+    to ``max_members + 1`` rows, the one width a step's stack takes.  While
     the count matrix is frozen or unused (as in stage 2 and eval),
     everything up to the readout is frozen too: the pass runs the count
     term and block 2 at each class's width as well and keeps each view's
-    pooled feature instead of its block.  A call then slices its run out
-    and computes only what can train: the count term, block 2 and the
-    readout while the count matrix trains, and the refinement on request.
-    The refinement keeps ``max_members`` slots.  The encoders must be
-    frozen; a call on a state that holds another array for a tensor the
-    pass read, or has made one trainable, raises ``ValueError`` naming it.
+    pooled feature instead of its block.  A call gathers the views it
+    names, in its order, and computes only what can train: the count term,
+    block 2 and the readout while the count matrix trains, and the
+    refinement on request.  The refinement keeps ``max_members`` slots.  A
+    pass needs at least one view.  The encoders must be frozen; a call on
+    a state that holds another array for a tensor the pass read, or has
+    made one trainable, raises ``ValueError`` naming it.
     """
 
     def __init__(self, samples: Sequence[GroupSample], masks: Sequence[Mask | None], state: ModelState, *,
                  quantity: bool):
         if len(masks) != len(samples):
             raise ValueError(f"the pass has {len(samples)} views but {len(masks)} masks")
+        if not samples:
+            raise ValueError("a frozen visual pass needs at least one view")
         self._pooled = not (quantity and state.params["quantity.em"].requires_grad)
         self._reads = {n: p.values for n, p in state.params.items() if n.startswith(("member.", "group."))
                        or (n == "quantity.em" and quantity and self._pooled)}
         self._check(state)
         full, dim = state.config.max_members, state.config.dim
-        self._width = 1 if self._pooled else full + 1
-        members, rows, self._counts, self._row_ids = [], [], [], []
+        width = 1 if self._pooled else full + 1
+        members, blocks, counts, self._row_ids = [], [], [], []
         for at in range(0, len(samples), VIEWS_PER_CHUNK):
             chunk = slice(at, at + VIEWS_PER_CHUNK)
-            appearances, counts, row_ids = _select(samples[chunk], masks[chunk])
+            appearances, chunk_counts, row_ids = _select(samples[chunk], masks[chunk])
             feats = encode_members(appearances, state).values
-            k = np.array(counts)
-            out = np.zeros((k.size, self._width, dim))
+            k = np.array(chunk_counts)
+            out = np.zeros((k.size, width, dim))
             for slots, views in _width_classes(k, full):
                 block1 = encode_group_prefix(dc.constant(feats[np.repeat(views, k)]), state, k[views], slots)
                 if self._pooled:
@@ -205,14 +209,13 @@ class FrozenPass:
                 else:  # zero-padded to the one width a step's stack takes
                     out[views, :slots + 1] = block1.values.reshape(-1, slots + 1, dim)
             members.append(feats)
-            rows.append(out.reshape(-1, dim))
-            self._counts += counts
+            blocks.append(out)
+            counts += chunk_counts
             self._row_ids += row_ids
         self._members = np.concatenate(members)
-        self._rows = np.concatenate(rows)
-        for a in (self._members, self._rows):  # finite, as the encoders checked them; a call hands out views
-            a.setflags(write=False)
-        self._ends = np.cumsum([0] + self._counts)
+        self._blocks = np.concatenate(blocks)  # (views, width, dim)
+        self._counts = np.array(counts)
+        self._starts = np.cumsum(self._counts) - self._counts
 
     def _check(self, state: ModelState) -> None:
         moved = [n for n, values in self._reads.items()
@@ -221,22 +224,28 @@ class FrozenPass:
             raise ValueError(f"the frozen visual pass needs its inputs frozen and unchanged; "
                              f"trainable or swapped: {moved}")
 
-    def __call__(self, start: int, stop: int, state: ModelState, *, refined: bool
+    def __call__(self, views: Sequence[int], state: ModelState, *, refined: bool
                  ) -> tuple[Tensor, Tensor, list[tuple[int, ...]]]:
-        """Views ``[start, stop)`` of the pass, in one stack.
+        """The pass's views at positions ``views``, in that order, in one stack.
 
-        Returns their (n, dim) group features, refined on request, and
-        their member rows, both in view order, and each view's member
-        identities in row order.
+        A position may repeat.  Returns their (n, dim) group features,
+        refined on request, and their member rows, both in view order, and
+        each view's member identities in row order.
         """
-        if not 0 <= start < stop <= len(self._counts):
-            raise IndexError(f"views [{start}, {stop}) outside the pass's {len(self._counts)}")
+        at = np.asarray(views, dtype=np.int64)
+        n = len(self._counts)
+        if at.ndim != 1 or not at.size or at.min() < 0 or at.max() >= n:
+            raise IndexError(f"a call takes one or more of the pass's {n} views, by position from 0")
         self._check(state)
-        counts = self._counts[start:stop]
-        members = Tensor(self._members[self._ends[start]:self._ends[stop]], _copy=False, _check=False)
-        features = Tensor(self._rows[start * self._width:stop * self._width], _copy=False, _check=False)
+        k = self._counts[at]
+        # each view's member rows, view after view: its start, then one row on per member
+        rows = np.repeat(self._starts[at] - (np.cumsum(k) - k), k) + np.arange(k.sum())
+        counts = k.tolist()
+        # gathered rows are copies of finite pass arrays, which the encoders checked
+        members = Tensor(self._members[rows], _copy=False, _check=False)
+        features = Tensor(self._blocks[at].reshape(-1, self._blocks.shape[2]), _copy=False, _check=False)
         if not self._pooled:  # the count matrix trains
             features = _pool(counts, features, state.config.max_members, state, quantity=True)
         if refined:
             features = refine(features, members, state, counts)
-        return features, members, self._row_ids[start:stop]
+        return features, members, [self._row_ids[i] for i in at.tolist()]

@@ -186,22 +186,49 @@ def _largest_update(velocity: dict[str, np.ndarray], names: Sequence[str], lr: f
     return f"largest last update: {name}, L2 norm {norms[name]:.3g}"
 
 
+def _plan_run(epochs, samples, batches, mvs, rng):
+    """Every epoch's steps, and the run's distinct views under their masks.
+
+    Each epoch's batches are drawn, each followed by its masks, from
+    ``rng`` in the order a step-by-step loop draws them.  Returns, per
+    epoch, each step's sample indices and its views' positions among the
+    distinct (sample index, mask bits) pairs, and those pairs' samples and
+    masks in first-use order.
+    """
+    position: dict[tuple, int] = {}
+    views, masks, schedule = [], [], []
+    for _ in range(epochs):
+        steps = []
+        for idx in batches(rng):
+            at = []
+            for i, mask in zip(idx, _sample_masks([samples[i] for i in idx], mvs, rng)):
+                key = (int(i), None if mask is None else mask.bits)
+                if key not in position:
+                    position[key] = len(views)
+                    views.append(samples[i])
+                    masks.append(mask)
+                at.append(position[key])
+            steps.append((idx, at))
+        schedule.append(steps)
+    return schedule, views, masks
+
+
 def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
     """The epoch/step loop both stages share.
 
     ``batches(rng)`` yields one epoch's lists of sample indices and
     ``loss_fn(batch, features, members, row_ids, state)`` returns
-    ``(loss, parts)``.  Each epoch is planned before its first step: its
-    batches are drawn, each followed by its masks from the same stream,
-    in the order a step-by-step loop draws them.  The last epoch's frozen
-    pass is dropped, and a ``grce.FrozenPass`` over the epoch's planned
-    views, in plan order, does their frozen visual work; each step's group
-    features (refined in stage 2), member rows and member identities are
-    then one call on its run of those views, which computes only what the
-    step can train.  A ``NonFiniteError`` gains the stage, the epoch and
-    the step (both from 0) or the frozen pass it happened in, and the
-    trainable parameter whose last update was largest; one in the frozen
-    pass is raised as a ``FrozenPassError``.
+    ``(loss, parts)``.  Every epoch is planned before the first step (see
+    ``_plan_run``), and one ``grce.FrozenPass`` over the run's distinct
+    (view, mask) pairs does their frozen visual work; the loop then keeps
+    only each step's sample indices and positions in the pass.  Each
+    step's group features (refined in stage 2), member rows and member
+    identities are one call on its positions, which computes only what
+    the step can train.  A run with no step builds no pass.  A
+    ``NonFiniteError`` gains the stage, the epoch and the step (both from
+    0) or, for the pass, epoch 0 and the frozen pass, and the trainable
+    parameter whose last update was largest; one in the frozen pass is
+    raised as a ``FrozenPassError``.
     """
     run = cfg.scaled()
     state = state.with_trainable(trainable)
@@ -214,35 +241,30 @@ def _run(state, cfg, trainable, stream, samples, batches, loss_fn, mvs):
         return kind(f"stage {cfg.stage}, epoch {epoch}, {where}: {e}; "
                     f"{_largest_update(velocity, trainable, last_lr)}")
 
-    for epoch in range(run.total_epochs):
+    schedule, views, masks = _plan_run(run.total_epochs, samples, batches, mvs, rng)
+    try:
+        frozen = grce.FrozenPass(views, masks, state, quantity=mvs is not None) if views else None
+    except dc.NonFiniteError as e:  # built before epoch 0's first step
+        raise diverged(e, 0, "frozen visual pass", FrozenPassError) from e
+    del views, masks  # the pass holds what the steps need of them
+    for epoch, steps in enumerate(schedule):
         lr = lr_at_epoch(run, epoch)
-        plan = [(idx, _sample_masks([samples[i] for i in idx], mvs, rng)) for idx in batches(rng)]
-        frozen = None  # the last epoch's pass goes before this one is built
-        try:
-            frozen = grce.FrozenPass([samples[i] for idx, _ in plan for i in idx],
-                                     [m for _, ms in plan for m in ms], state, quantity=mvs is not None)
-        except dc.NonFiniteError as e:
-            raise diverged(e, epoch, "frozen visual pass", FrozenPassError) from e
         sums: dict[str, float] = {}
-        steps = start = 0
-        for idx, _ in plan:
+        for step, (idx, at) in enumerate(steps):
             batch = [samples[i] for i in idx]
             try:
                 with dc.Graph() as g:
-                    features, members, row_ids = frozen(start, start + len(idx), state,
-                                                        refined=cfg.stage == 2)
+                    features, members, row_ids = frozen(at, state, refined=cfg.stage == 2)
                     loss, parts = loss_fn(batch, features, members, row_ids, state)
                 grads = _collect_grads(state, g.backward(loss), trainable)
                 state = sgd_step(state, grads, velocity, lr, run)
             except dc.NonFiniteError as e:
-                raise diverged(e, epoch, f"step {steps}") from e
+                raise diverged(e, epoch, f"step {step}") from e
             last_lr = lr
             for k, v in {"loss_total": loss.item(), **parts}.items():
                 sums[k] = sums.get(k, 0.0) + v
-            steps += 1
-            start += len(idx)
         if steps:
-            means = {k: v / steps for k, v in sorted(sums.items())}
+            means = {k: v / len(steps) for k, v in sorted(sums.items())}
             history.append({"epoch": epoch, "stage": cfg.stage, "lr": lr, **means})
     return state, history
 

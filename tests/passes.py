@@ -10,4 +10,4 @@ def whole_run(samples, state, masks=None, *, quantity, refined):
     ``state`` frozen.
     """
     frozen = FrozenPass(samples, [None] * len(samples) if masks is None else masks, state, quantity=quantity)
-    return frozen(0, len(samples), state, refined=refined)
+    return frozen(range(len(samples)), state, refined=refined)

@@ -196,14 +196,14 @@ def test_criterion_04_masking_invariance():
 
     def outputs(s):
         frozen = state.with_trainable(())
-        v, feats, _ = grce.FrozenPass([s], [mask], frozen, quantity=True)(0, 1, frozen, refined=False)
+        v, feats, _ = grce.FrozenPass([s], [mask], frozen, quantity=True)(range(1), frozen, refined=False)
         refined = grce.refine(v, feats, state, [mask.retained])
         batch = [s, peer] + others
         masks = [mask] + [None] * (len(batch) - 1)
 
         def views(st, stage2):
             """The losses take their views from a frozen pass, as in training."""
-            return grce.FrozenPass(batch, masks, st, quantity=True)(0, len(batch), st, refined=stage2)
+            return grce.FrozenPass(batch, masks, st, quantity=True)(range(len(batch)), st, refined=stage2)
 
         l1, g1 = backward(lambda st: gla.stage1_batch_loss(
             batch, *views(st, False), st, rosters)[0], STAGE1_TRAINABLE)

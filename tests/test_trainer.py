@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -430,7 +431,7 @@ def _reference_steps(samples, cfg, mvs):
 
 
 def _recorded_steps(monkeypatch, samples):
-    """Record the (indices into ``samples``, mask bits or None) of every step's run of its epoch's pass."""
+    """Record the (indices into ``samples``, mask bits or None) of every step's views in its run's pass."""
     calls = []
     index = {id(s): i for i, s in enumerate(samples)}
     real_init, real_call = grce.FrozenPass.__init__, grce.FrozenPass.__call__
@@ -439,10 +440,10 @@ def _recorded_steps(monkeypatch, samples):
         frozen.recorded = [index[id(s)] for s in views], [m and m.bits for m in masks]
         real_init(frozen, views, masks, state, **kw)
 
-    def call(frozen, start, stop, state, **kw):
+    def call(frozen, views, state, **kw):
         indices, bits = frozen.recorded
-        calls.append((indices[start:stop], bits[start:stop]))
-        return real_call(frozen, start, stop, state, **kw)
+        calls.append(([indices[v] for v in views], [bits[v] for v in views]))
+        return real_call(frozen, views, state, **kw)
 
     monkeypatch.setattr(grce.FrozenPass, "__init__", init)
     monkeypatch.setattr(grce.FrozenPass, "__call__", call)
@@ -463,37 +464,54 @@ def test_planned_epochs_give_each_step_the_reference_draws(monkeypatch, stage, m
 
 
 @pytest.mark.parametrize("stage", [1, 2])
-def test_training_encodes_members_at_most_once_per_epoch(monkeypatch, stage):
+def test_training_encodes_each_distinct_view_once_per_run(monkeypatch, stage):
     ds, state = _training_setup()
     calls = _recorded_steps(monkeypatch, ds.samples)
-    encodes = []
+    encoded = Counter()
     real = grce.encode_members
 
-    def counted(*a, **kw):
-        encodes.append(None)
-        return real(*a, **kw)
+    def counted(appearances, *a, **kw):
+        encoded.update(row.tobytes() for row in appearances.values)
+        return real(appearances, *a, **kw)
 
     monkeypatch.setattr(grce, "encode_members", counted)
     train = train_stage1 if stage == 1 else train_stage2
     cfg = _short_cfg(stage, epochs=4, batch_size=4, p_groups=2)
     train(state, ds.samples, ds.group_rosters(), cfg, mvs=MvsConfig(), **_recipe(stage))
-    assert len(encodes) == 4 < len(calls)  # one frozen pass per epoch, its views within one chunk
+    drawn = [(i, b) for indices, bits in calls for i, b in zip(indices, bits)]
+    distinct = set(drawn)
+    assert len(distinct) < len(drawn)  # views come back under the same mask within a run
+    # the retained rows of each distinct (view, mask) pair, each once
+    want = Counter(row.tobytes() for i, b in distinct
+                   for row in ds.samples[i].appearances[np.array(b, dtype=bool)])
+    assert encoded == want
 
 
-def test_each_epoch_drops_its_frozen_pass_before_the_next_is_built(monkeypatch):
+def test_a_run_builds_one_frozen_pass_and_keeps_no_mask_past_it(monkeypatch):
     ds, state = _training_setup()
-    passes = []
-    real_init = grce.FrozenPass.__init__
+    passes, masks, dead = [], [], []
+    real_init, real_call, real_mask = grce.FrozenPass.__init__, grce.FrozenPass.__call__, trainer.sample_mask
 
     def init(frozen, *a, **kw):
-        # every earlier epoch's pass is gone: training holds one at a time
-        assert all(ref() is None for ref in passes)
         passes.append(weakref.ref(frozen))
         real_init(frozen, *a, **kw)
 
+    def call(frozen, *a, **kw):
+        # the pass is built: the loop holds only sample indices and positions in it
+        dead.append(all(ref() is None for ref in masks))
+        return real_call(frozen, *a, **kw)
+
+    def mask(*a, **kw):
+        out = real_mask(*a, **kw)
+        masks.append(weakref.ref(out))
+        return out
+
     monkeypatch.setattr(grce.FrozenPass, "__init__", init)
+    monkeypatch.setattr(grce.FrozenPass, "__call__", call)
+    monkeypatch.setattr(trainer, "sample_mask", mask)
     train_stage1(state, ds.samples, ds.group_rosters(), _short_cfg(1, epochs=6), mvs=MvsConfig())
-    assert len(passes) == 6
+    assert len(passes) == 1 and passes[0]() is None  # one pass for six epochs, gone with the run
+    assert masks and dead and all(dead)
 
 
 def test_a_stage2_step_runs_neither_the_count_term_nor_block_2(monkeypatch):
@@ -516,10 +534,11 @@ def test_a_stage2_step_runs_neither_the_count_term_nor_block_2(monkeypatch):
         return out
 
     monkeypatch.setattr(grce.FrozenPass, "__call__", step_call)
-    classes = []
+    classes, inits = [], []
     real_init = grce.FrozenPass.__init__
 
     def init(frozen, views, masks, st, **kw):
+        inits.append(len(views))
         # a view keeping at most half the members (rounded up) is pooled in the narrow class
         half = (st.config.max_members + 1) // 2
         counts = np.array([m.retained for m in masks])
@@ -532,9 +551,9 @@ def test_a_stage2_step_runs_neither_the_count_term_nor_block_2(monkeypatch):
     cfg = _short_cfg(2, epochs=3, batch_size=4, p_groups=2)
     train_stage2(state, ds.samples, ds.group_rosters(), cfg, mvs=MvsConfig(), **_STAGE2)
     assert events.count("step") > 3
-    # the frozen pass before each epoch's first step pools that epoch's views,
-    # one call per non-empty width class of each chunk
-    assert len(classes) == 3 and sum(classes) > 3
+    # the one frozen pass, before the run's first step, pools the run's
+    # distinct views, one call per non-empty width class of each chunk
+    assert len(inits) == 1 and classes
     assert events.count("encode_group_suffix") == events.count("apply_mvs") == sum(classes)
     # nothing runs inside a step's call on the pass
     assert all(after == "step end" for e, after in zip(events, events[1:]) if e == "step")
