@@ -286,8 +286,11 @@ def run_grad_checks(seed: int, *, step: float, tolerance: float) -> dict:
     for name, (trainable, fn) in checks.items():
         params = state.with_trainable(trainable).params
         frozen = grce.FrozenPass(samples, masks, ModelState(state.config, params), quantity=True)
-        reports[name] = dc.grad_check(lambda ps: fn(ModelState(state.config, ps)), params,
-                                      step=step, tolerance=tolerance)
+        try:
+            reports[name] = dc.grad_check(lambda ps: fn(ModelState(state.config, ps)), params,
+                                          step=step, tolerance=tolerance)
+        except dc.NonFiniteError as e:  # a perturbed loss overflowed: nothing was trained, so nothing diverged
+            raise CliError(EXIT_NONFINITE, f"grad-check {name} is not finite at --step {step}: {e}") from None
     return reports
 
 

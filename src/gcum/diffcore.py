@@ -27,9 +27,7 @@ Design constraints the rest of the package relies on:
 * a graph records once and backpropagates once; reuse raises;
 * rows are selected and assembled by ``gather_rows``, from one tensor or
   from the rows of several in turn, and rows it leaves out get exactly
-  zero gradient; ``attention_block`` and ``attention_pool`` given an
-  ``order`` read their rows the same way, ``attention_block`` projecting
-  each row of the concatenation once;
+  zero gradient; ``attention_pool`` reads its rows the same way;
 * attention of one query row over each of many short sequences is one
   op, ``segment_attention``, which keeps the tape rank 2 by stacking the
   sequences as row blocks;
@@ -364,8 +362,8 @@ def gather_rows(x: Tensor | Sequence[Tensor], order: Sequence[int]) -> Tensor:
     order.  Rows left out of ``order`` receive exactly zero gradient, which
     is what makes downstream computations bit-independent of their contents.
     """
-    parts, table, idx = _table(x, order, "gather_rows")
-    n = table.shape[0]  # the pull keeps the count, not the table
+    parts, blocks, idx, n = _read_parts(x, order, "gather_rows")
+    table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     def pull(g: np.ndarray):
         return _scatter_parts(idx, g, parts, n)
@@ -389,16 +387,9 @@ def _read_parts(x: Tensor | Sequence[Tensor], order: Sequence[int], op: str
     return parts, blocks, idx, n
 
 
-def _table(x: Tensor | Sequence[Tensor], order: Sequence[int], op: str
-           ) -> tuple[tuple[Tensor, ...], np.ndarray, np.ndarray]:
-    """The parts of ``x`` as ``gather_rows`` reads them, their rows as one table, and the checked ``order``."""
-    parts, blocks, idx, _ = _read_parts(x, order, op)
-    return parts, blocks[0] if len(blocks) == 1 else np.concatenate(blocks), idx
-
-
-def _scatter_parts(idx: np.ndarray | slice, g: np.ndarray, parts: tuple[Tensor, ...], n: int) -> tuple:
+def _scatter_parts(idx: np.ndarray, g: np.ndarray, parts: tuple[Tensor, ...], n: int) -> tuple:
     """``gather_rows``' backward: the rows of ``g`` summed into rows ``idx`` of the n-row table, split by part."""
-    grad = g if isinstance(idx, slice) else _scatter_rows(idx, g, n)  # the identity slice(None) sums nothing
+    grad = _scatter_rows(idx, g, n)
     if len(parts) == 1:
         return (grad.reshape(parts[0].shape),)
     sizes = [p.shape[0] if p.ndim == 2 else 1 for p in parts]
@@ -670,8 +661,8 @@ def _check_block(xv: np.ndarray, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
                          f"got {xv.shape}, {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape}")
 
 
-def attention_block(x: Tensor | Sequence[Tensor], wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, length: int,
-                    lengths=None, *, first_only: bool = False, order: Sequence[int] | None = None) -> Tensor:
+def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, length: int, lengths=None, *,
+                    first_only: bool = False) -> Tensor:
     """Single-head self-attention with a residual connection, as one node.
 
     ``x`` stacks sequences of ``length`` rows each, and a row attends only
@@ -684,15 +675,6 @@ def attention_block(x: Tensor | Sequence[Tensor], wq: Tensor, wk: Tensor, wv: Te
     sequence's length stay zero.  A zero output projection makes the block
     the identity map.  ``attention_pool`` runs its ``_block_forward`` and ``_block_grads`` too.
 
-    With ``order``, ``x`` is read as ``gather_rows`` reads it, one tensor
-    or a sequence of tensors of one width, and the block runs on rows
-    ``order`` of their concatenation: each row of the concatenation is
-    projected once and the projections laid into the blocks, so a row that
-    several blocks repeat is projected once.  The value and the gradients
-    are those of ``gather_rows`` composed with the block, bit for bit, as
-    a row's forward product has the same bits in a stack of any size.
-    Without it, one tensor ``x`` is read in place, by the index ``slice(None)``.
-
     With ``first_only``, each sequence's first row is the only query and
     the residual: the (n, d) output is each sequence's first row of the
     block, without the other rows' work.  Over two or more sequences its
@@ -701,30 +683,18 @@ def attention_block(x: Tensor | Sequence[Tensor], wq: Tensor, wk: Tensor, wv: Te
     product is padded as ``_rows`` pads it, so an output row has the same
     bits in a stack of any size.
     """
-    if order is None:
-        if not isinstance(x, Tensor):
-            raise ShapeError("attention_block: a sequence of tensors needs an order")
-        parts, table, idx = (x,), x.values, slice(None)
-    else:
-        parts, table, idx = _table(x, order, "attention_block")
-        table = np.ascontiguousarray(table)  # the layout a gathered stack has
-    xv = table[idx]
+    xv = x.values
     _check_block(xv, wq, wk, wv, wo, "attention_block")
     n, live = _blocks(xv.shape[0], length, lengths, "attention_block")
     xq = xv[::length].copy() if first_only else xv  # contiguous, as gather_rows makes it
-    # each row of the table projected once, then laid into the blocks
-    qv = _rows(xq, wq.values) if first_only else _rows(table, wq.values)[idx]
-    kv, vv = _rows(table, wk.values)[idx], _rows(table, wv.values)[idx]
-    n_table = table.shape[0]
-    del table  # the attention and the pull need only its row count
+    qv, kv, vv = _rows(xq, wq.values), _rows(xv, wk.values), _rows(xv, wv.values)
     w, ctx, out = _block_forward(xq, qv, kv, vv, wo, n, live)
-    need_x = any(p.requires_grad for p in parts)
 
     def pull(g: np.ndarray):
-        gx, *gw = _block_grads(g, w, xq, xv, qv, kv, vv, ctx, wq, wk, wv, wo, need_x, length if first_only else 0)
-        return (*(_scatter_parts(idx, gx, parts, n_table) if need_x else (None,) * len(parts)), *gw)
+        return _block_grads(g, w, xq, xv, qv, kv, vv, ctx, wq, wk, wv, wo, x.requires_grad,
+                            length if first_only else 0)
 
-    return _result(out, (*parts, wq, wk, wv, wo), pull)
+    return _result(out, (x, wq, wk, wv, wo), pull)
 
 
 def attention_pool(x: Tensor | Sequence[Tensor], pos: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,

@@ -13,8 +13,7 @@ trained:
   block 2 on the recombined sequence, then the class-token row is
   projected and normalized into the group feature.  Views are encoded
   together as row blocks of one width that the caller picks (at least one
-  slot per retained member), their empty member slots masked; block 1
-  projects the class token and each member row once;
+  slot per retained member), their empty member slots masked;
 * text encoder — token embeddings plus learned positions, one
   self-attention block, mean-pool, projection, normalization, as one tape
   node (``attention_pool``) that reads the prompts' rows straight from
@@ -247,9 +246,8 @@ def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequ
     ``slots``, at most ``max_members``, must cover every count.  A
     view's rows have the same bits in any stack of one width.
     ``grce.FrozenPass`` runs two widths, chosen by each view's own count.
-    The blocks are one ``attention_block`` node over the class token, a
-    zero row and the member rows, each projected once, with the bits of
-    gathering the blocks first.
+    ``gather_rows`` lays the class token, a zero row and the member rows
+    into the blocks, and one ``attention_block`` node runs on the stack.
     """
     cfg = state.config
     counts = _member_counts(counts, slots, cfg)
@@ -262,9 +260,9 @@ def encode_group_prefix(member_features: Tensor, state: ModelState, counts: Sequ
     at = np.ones((len(counts), width), dtype=np.int64)
     at[:, 0] = 0
     at[:, 1:][np.arange(slots) < counts[:, None]] = 2 + np.arange(rows)
-    return dc.attention_block([p["group.cls"], dc.constant(np.zeros((1, cfg.dim))), member_features],
-                              p["group.blk1.wq"], p["group.blk1.wk"], p["group.blk1.wv"], p["group.blk1.wo"],
-                              width, counts + 1, order=at.ravel())
+    blocks = dc.gather_rows([p["group.cls"], dc.constant(np.zeros((1, cfg.dim))), member_features], at.ravel())
+    return dc.attention_block(blocks, p["group.blk1.wq"], p["group.blk1.wk"], p["group.blk1.wv"],
+                              p["group.blk1.wo"], width, counts + 1)
 
 
 def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int], slots: int) -> Tensor:

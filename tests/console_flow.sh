@@ -61,6 +61,18 @@ cmp large1.out large2.out
 echo "== Gradient check through the console script"
 gcum grad-check --seed 0
 
+# grad-check trains nothing: an overflow at a huge step names the check, not a divergence
+echo "== A gradient check whose step overflows exits 5 and names grad-check"
+code=0
+gcum grad-check --seed 0 --step 1e300 2> grad-step.err || code=$?
+cat grad-step.err
+test "$code" -eq 5
+grep -q "grad-check stage1_contrastive is not finite at --step 1e+300" grad-step.err
+if grep -q "training diverged" grad-step.err; then
+  echo "grad-check reported a divergence" >&2
+  exit 1
+fi
+
 # at lr_peak 1e12 stage 1 overflows; two epochs are too few to get there
 echo "== A diverging run exits 5, names where, and lets no numpy warning out"
 python -c 'import json; c = json.load(open("small.json")); c["train"].update(lr_peak=1e12, total_epochs=6); print(json.dumps(c))' > diverge.json

@@ -595,6 +595,9 @@ _DATASET_DAMAGE = {
                                 "catalog entry for identity 1 appearance is malformed"),
     "appearance-int-too-large": (lambda d: d["samples"][2]["members"][0]["appearance"].__setitem__(1, 10**400),
                                  "sample 2 member 1 appearance is not finite"),
+    "appearance-of-the-wrong-length": (lambda d: d["samples"][2]["members"][0]["appearance"].pop(),
+                                       "sample 2 member 1 appearance has shape (5,)"),
+    "d_a-disagrees-with-config": (lambda d: d.update(d_a=d["d_a"] + 1), "top-level d_a disagrees with config d_a"),
     # the config section is read as a run config is: each key has its JSON type, none is unknown
     "n_cameras-a-float": (lambda d: d["config"].update(n_cameras=2.7), "config.n_cameras must be int"),
     "layout_permutation-a-string": (lambda d: d["config"].update(layout_permutation="no"),
@@ -837,6 +840,8 @@ _CHECKPOINT_DAMAGE = {
     "weights-overflow-in-eval": (_set_tensor("member.w2", 1e300), "overflows in eval: l2_normalize"),
     # finite weights that the reader takes, though their sum overflows: the product that overflows is named
     "weights-whose-sum-overflows": (_set_tensor("member.w1", 1e308), "overflows in eval: matmul"),
+    "rank-3-tensor": (lambda path: save_checkpoint(path, {**load_checkpoint(path), "prompt.x": np.zeros((1, 1, 1))}),
+                      "tensor 'prompt.x' has unsupported rank 3"),
 }
 
 
@@ -860,6 +865,7 @@ _CHECKPOINT_DAMAGE = {
     ("temp.inv-below-its-range", True),
     ("weights-overflow-in-eval", False),  # stage 2 names its frozen pass: see the next test
     ("weights-whose-sum-overflows", False),
+    ("rank-3-tensor", True),
 ])
 def test_damaged_checkpoint_sidecar_exits_3(trained, tmp_path, capsys, damage, check_stage2):
     # eval and stage 2 read a checkpoint through one checked reader
@@ -914,6 +920,40 @@ def test_stage2_exits_3_when_the_init_checkpoint_overflows_its_frozen_pass(train
     assert err.startswith(f"error: init checkpoint {ckpt} overflows in stage 2, epoch 0, "
                           "frozen visual pass: l2_normalize: "), err
     assert "diverged" not in err and not out.exists()
+
+
+def test_stage2_from_a_checkpoint_of_another_model_config_exits_2(trained, tmp_path, capsys):
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({**_SMALL, "dim": 12}))
+    s1 = str(tmp_path / "s1.ckpt")
+    assert main(["train", "--stage", "1", "--config", str(wide), "--data", trained.data, "--out", s1]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "s2.ckpt"
+    assert main(["train", "--stage", "2", "--config", trained.config, "--data", trained.data,
+                 "--init-checkpoint", s1, "--out", str(out)]) == EXIT_CONFIG
+    assert "init checkpoint was trained under a different model config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_out_path_in_a_missing_directory_exits_3(trained, tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "out")
+    argv = {"train": ["train", "--stage", "1", "--config", trained.config, "--data", trained.data, "--out", out],
+            "eval": ["eval", "--checkpoint", trained.s2, "--data", trained.data, "--out", out]}[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_IO
+    assert f"cannot write {'checkpoint ' if command == 'train' else ''}{out}" in capsys.readouterr().err
+
+
+def test_stage1_with_gla_disabled_exits_2(trained, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**_SMALL, "gla": {"enabled": False}}))
+    out = tmp_path / "s1.ckpt"
+    capsys.readouterr()
+    assert main(["train", "--stage", "1", "--config", str(config), "--data", trained.data,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "gla.enabled is false" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_appearances_whose_sum_overflows_are_finite_data(trained, tmp_path, capsys):
@@ -1157,6 +1197,14 @@ def test_grad_check_rejects_a_step_or_tolerance_that_is_not_finite_and_positive(
     assert main(["grad-check", f"{flag}={value}"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{flag} must be finite and positive" in err
+    assert "diverged" not in err
+
+
+def test_a_grad_check_step_that_overflows_exits_5_naming_the_check_and_the_step(capsys):
+    # grad-check trains nothing, so an overflow at a huge step is no divergence
+    assert main(["grad-check", "--seed", "0", "--step", "1e300"]) == EXIT_NONFINITE
+    err = capsys.readouterr().err
+    assert err.startswith("error: grad-check stage1_contrastive is not finite at --step 1e+300: "), err
     assert "diverged" not in err
 
 

@@ -450,12 +450,16 @@ def _recorded_steps(monkeypatch, samples):
     return calls
 
 
-@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("stage, epochs, p_groups, q_views", [
+    (1, 3, 2, 3),
+    (2, 3, 2, 3),
+    (2, 4, 3, 2),  # the 4 groups in chunks of 3 leave a lone group each epoch, which stage 2 skips
+])
 @pytest.mark.parametrize("mvs", [MvsConfig(), None])
-def test_planned_epochs_give_each_step_the_reference_draws(monkeypatch, stage, mvs):
+def test_planned_epochs_give_each_step_the_reference_draws(monkeypatch, stage, epochs, p_groups, q_views, mvs):
     ds, state = _training_setup()
     calls = _recorded_steps(monkeypatch, ds.samples)
-    cfg = _short_cfg(stage, epochs=3, batch_size=6, p_groups=2, q_views=3)
+    cfg = _short_cfg(stage, epochs=epochs, batch_size=6, p_groups=p_groups, q_views=q_views)
     train = train_stage1 if stage == 1 else train_stage2
     train(state, ds.samples, ds.group_rosters(), cfg, mvs=mvs, **_recipe(stage))
     want = _reference_steps(ds.samples, cfg, mvs)
