@@ -786,6 +786,66 @@ def test_attention_readout_is_the_composed_readout_bit_for_bit(lengths, trainabl
                lambda *t: _composed_attention_readout(*t, 7, lengths), [x] + ws, trainable)
 
 
+def _block_parts(rng, counts, width):
+    """A class token, a zero row and member rows at dim 48, and the order that lays them into blocks."""
+    counts = np.asarray(counts)
+    at = np.ones((counts.size, width), dtype=np.int64)
+    at[:, 0] = 0
+    at[:, 1:][np.arange(width - 1) < counts[:, None]] = 2 + np.arange(counts.sum())
+    return [rng.normal(size=_DIM), np.zeros((1, _DIM)), rng.normal(size=(counts.sum(), _DIM))], at.ravel()
+
+
+# the readout is the composed ops' bits over two or more blocks; one block alone pads its one-row products
+# so that its bits are those it has in a stack (test_attention_readout_matches_the_block_per_view)
+@pytest.mark.parametrize("first_only, counts", [(False, [3, 1, 2, 3]), (False, [2]), (False, [1]),
+                                                (True, [3, 1, 2, 3]), (True, [2, 1]), (True, [1, 1])])
+@pytest.mark.parametrize("trainable", [(2,), (0, 2), (0, 1, 2, 3, 4, 5, 6), (3, 4, 5, 6), (6,), (4,)])
+def test_attention_block_over_gathered_parts_is_the_composed_block_bit_for_bit(first_only, counts, trainable):
+    # the group encoder's block 1: the class token and the zero row repeat in every block
+    rng = np.random.default_rng(29)
+    parts, order = _block_parts(rng, counts, 4)
+    ws = [rng.normal(scale=0.3, size=(_DIM, _DIM)) for _ in range(4)]
+    lengths = np.asarray(counts) + 1
+    composed = _composed_attention_readout if first_only else _composed_attention_block
+    _same_bits(lambda *t: dc.attention_block(dc.gather_rows(t[:3], order), *t[3:], 4, lengths,
+                                             first_only=first_only),
+               lambda *t: composed(dc.gather_rows(t[:3], order), *t[3:], 4, lengths),
+               parts + ws, trainable)
+
+
+def test_attention_block_after_a_gather_with_repeats_is_the_composed_block_bit_for_bit():
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(6, _DIM))
+    order = [5, 0, 0, 3, 2, 5, 1, 4]  # repeats, and a row left out
+    ws = [rng.normal(scale=0.3, size=(_DIM, _DIM)) for _ in range(4)]
+    _same_bits(lambda *t: dc.attention_block(dc.gather_rows(t[0], order), *t[1:], 4, [4, 2]),
+               lambda *t: _composed_attention_block(dc.gather_rows(t[0], order), *t[1:], 4, [4, 2]),
+               [x] + ws, (0, 1, 2, 3, 4))
+
+
+def test_attention_block_over_gathered_parts_passes_grad_check():
+    rng = np.random.default_rng(31)
+    order = [0, 2, 3, 1, 0, 4, 1, 1]  # blocks [cls; m0; m1; zero] and [cls; m2; zero; zero]
+
+    def block(p):
+        x = dc.gather_rows([p["0"], dc.constant(np.zeros((1, 4))), p["1"]], order)
+        out = dc.attention_block(x, p["2"], p["3"], p["4"], p["5"], 4, [3, 2])
+        return ops.reduce_sum(dc.mul(out, dc.tanh(out)))
+
+    _grad_check_op(block, [rng.normal(size=4), rng.normal(size=(3, 4))]
+                   + [rng.normal(scale=0.5, size=(4, 4)) for _ in range(4)])
+
+
+def test_attention_block_over_gathered_parts_rejects_bad_operands():
+    x, w = dc.Tensor(np.ones((3, 4))), dc.Tensor(np.ones((4, 4)))
+    with pytest.raises(dc.ShapeError, match="index out of range"):
+        dc.attention_block(dc.gather_rows([x, dc.Tensor(np.ones(4))], [0, 4]), w, w, w, w, 2)
+    with pytest.raises(dc.ShapeError, match="one width"):
+        dc.attention_block(dc.gather_rows([x, dc.Tensor(np.ones(3))], [0, 1]), w, w, w, w, 2)
+    with pytest.raises(dc.ShapeError):
+        dc.attention_block(dc.gather_rows([x], [0, 1]), w, w, w, w, 3)  # 2 rows do not split into blocks of 3
+
+
 def _composed_attention_pool(*t, order, length):
     """The text encoder before it was one node: gather, add positions, block, block means, projection, norm."""
     *parts, pos, wq, wk, wv, wo, proj = t
