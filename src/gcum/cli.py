@@ -150,6 +150,10 @@ class RunConfig:
         return self.model_base().for_dataset(ds, n_group_classes)
 
     def train_config(self, stage: int) -> TrainConfig:
+        # stage 1 reads no q_views; stage 2's triplet term needs each anchor's group twice in a batch
+        if stage == 2 and self.train.q_views < 2:
+            raise CliError(EXIT_CONFIG, f"stage 2 needs train.q_views of at least 2, got {self.train.q_views}: "
+                                        "each anchor needs a positive view of its group in the batch")
         return replace(self.train, seed=self.seed, stage=stage)
 
     # JSON round trip --------------------------------------------------------
@@ -363,6 +367,7 @@ def cmd_train(args) -> int:
     if args.stage == 1 and args.init_checkpoint is not None:
         raise CliError(EXIT_CONFIG, "--init-checkpoint is for stage 2 only; stage 1 trains from the seed")
     cfg = load_run_config(args.config)
+    train_cfg = cfg.train_config(args.stage)
     ds = _load_data(args.data)
     _check_data_fits(ds, ds.samples, cfg.d_a, cfg.m0)
     rosters = ds.group_rosters()
@@ -378,7 +383,7 @@ def cmd_train(args) -> int:
         if not cfg.gla_enabled:
             raise CliError(EXIT_CONFIG, "stage 1 trains the prompt vocabulary; gla.enabled is false")
         state = init_model_state(model_cfg, cfg.seed)
-        state, history = train_stage1(state, train_samples, rosters, cfg.train_config(1), mvs=mvs_cfg)
+        state, history = train_stage1(state, train_samples, rosters, train_cfg, mvs=mvs_cfg)
         modules = {"gla": True, "mvs": cfg.mvs_enabled, "grce": False}
     else:
         if not args.init_checkpoint:
@@ -389,7 +394,7 @@ def cmd_train(args) -> int:
         use_text = modules["gla"]
         try:
             state, history = train_stage2(
-                state, train_samples, rosters, cfg.train_config(2),
+                state, train_samples, rosters, train_cfg,
                 mvs=mvs_cfg, use_text=use_text, alpha=cfg.alpha, epsilon=cfg.epsilon,
             )
         except FrozenPassError as e:  # its inputs are the checkpoint's frozen weights and the data
@@ -477,10 +482,11 @@ def cmd_grad_check(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config)
+    train_base = cfg.train_config(2)  # the ablation trains stage 2 too; run_ablation sets each training's stage
     ds = generate_dataset(cfg.gen_config(), cfg.seed)
     seeds = [cfg.seed + i for i in range(args.seeds)]
     rows = run_ablation(
-        ds, cfg.model_base(), cfg.train_config(1), seeds,
+        ds, cfg.model_base(), train_base, seeds,
         mvs_cfg=cfg.mvs, alpha=cfg.alpha, epsilon=cfg.epsilon,
         train_fraction=cfg.train_fraction, query_camera=args.query_camera,
     )

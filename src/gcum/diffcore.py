@@ -27,7 +27,7 @@ Design constraints the rest of the package relies on:
 * a graph records once and backpropagates once; reuse raises;
 * rows are selected and assembled by ``gather_rows``, from one tensor or
   from the rows of several in turn, and rows it leaves out get exactly
-  zero gradient; ``attention_pool`` reads its rows the same way;
+  zero gradient;
 * attention of one query row over each of many short sequences is one
   op, ``segment_attention``, which keeps the tape rank 2 by stacking the
   sequences as row blocks;
@@ -362,29 +362,22 @@ def gather_rows(x: Tensor | Sequence[Tensor], order: Sequence[int]) -> Tensor:
     order.  Rows left out of ``order`` receive exactly zero gradient, which
     is what makes downstream computations bit-independent of their contents.
     """
-    parts, blocks, idx, n = _read_parts(x, order, "gather_rows")
+    parts = (x,) if isinstance(x, Tensor) else tuple(x)
+    if not parts or any(p.ndim == 0 or p.shape[-1] != parts[0].shape[-1] for p in parts):
+        raise ShapeError(f"gather_rows needs tensors of one width, got {[p.shape for p in parts]}")
+    idx = np.asarray(order, dtype=np.int64)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ShapeError("gather_rows needs a non-empty index vector")
+    blocks = [p.values if p.ndim == 2 else p.values[None] for p in parts]
     table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    n = table.shape[0]
+    if idx.min() < 0 or idx.max() >= n:
+        raise ShapeError(f"gather_rows index out of range for {n} rows")
 
     def pull(g: np.ndarray):
         return _scatter_parts(idx, g, parts, n)
 
     return _result(table[idx], parts, pull)
-
-
-def _read_parts(x: Tensor | Sequence[Tensor], order: Sequence[int], op: str
-                ) -> tuple[tuple[Tensor, ...], list[np.ndarray], np.ndarray, int]:
-    """The parts of ``x`` as ``gather_rows`` reads them, each as a matrix, the checked ``order`` and the row count."""
-    parts = (x,) if isinstance(x, Tensor) else tuple(x)
-    if not parts or any(p.ndim == 0 or p.shape[-1] != parts[0].shape[-1] for p in parts):
-        raise ShapeError(f"{op} needs tensors of one width, got {[p.shape for p in parts]}")
-    idx = np.asarray(order, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ShapeError(f"{op} needs a non-empty index vector")
-    blocks = [p.values if p.ndim == 2 else p.values[None] for p in parts]
-    n = sum(b.shape[0] for b in blocks)
-    if idx.min() < 0 or idx.max() >= n:
-        raise ShapeError(f"{op} index out of range for {n} rows")
-    return parts, blocks, idx, n
 
 
 def _scatter_parts(idx: np.ndarray, g: np.ndarray, parts: tuple[Tensor, ...], n: int) -> tuple:
@@ -697,33 +690,23 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, l
     return _result(out, (x, wq, wk, wv, wo), pull)
 
 
-def attention_pool(x: Tensor | Sequence[Tensor], pos: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-                   proj: Tensor, length: int, *, order: Sequence[int]) -> Tensor:
+def attention_pool(x: Tensor, pos: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, proj: Tensor,
+                   length: int) -> Tensor:
     """Each sequence's unit-norm feature: positions, a residual attention block, mean, projection, as one node.
 
-    The n sequences of ``length`` rows each are rows ``order`` of ``x``,
-    read as ``gather_rows`` reads it, though the last of several parts is
-    read in place rather than copied.  Row i of every sequence gains row i
-    of ``pos``; the sequences run through ``attention_block``'s
-    ``_block_forward`` and ``_block_grads``; each one's rows are averaged by
-    an (n, 1, length) @ (n, length, d) product, so a mean reads its own
-    sequence alone; the means are projected by ``proj`` and scaled to unit
-    norm by ``l2_normalize``'s ``_unit_norm``, a finite row whose norm
-    overflows raising under that op's name.  The value and the
-    gradients are those of that composition, bit for bit, with
-    ``gather_rows`` reading the parts and the rows of ``pos``.  The
-    forward's products go through ``_rows``, so a sequence's feature has
-    the same bits in a stack of any size.
+    ``x`` stacks n sequences of ``length`` rows each.  Row i of every
+    sequence gains row i of ``pos``; the sequences run through
+    ``attention_block``'s ``_block_forward`` and ``_block_grads``; each
+    one's rows are averaged by an (n, 1, length) @ (n, length, d) product,
+    so a mean reads its own sequence alone; the means are projected by
+    ``proj`` and scaled to unit norm by ``l2_normalize``'s ``_unit_norm``, a
+    finite row whose norm overflows raising under that op's name.  The
+    value and the gradients are those of that composition, bit for bit,
+    with ``gather_rows`` reading the rows of ``pos``.  The forward's
+    products go through ``_rows``, so a sequence's feature has the same
+    bits in a stack of any size.
     """
-    parts, blocks, idx, n_table = _read_parts(x, order, "attention_pool")
-    *head, last = blocks
-    if head:  # the last part is read in place, not copied: the text encoder's is the whole identity-token table
-        start = n_table - last.shape[0]
-        table = head[0] if len(head) == 1 else np.concatenate(head)
-        xv = np.where((idx >= start)[:, None], last.take(idx - start, axis=0, mode="clip"),
-                      table.take(idx, axis=0, mode="clip"))
-    else:
-        xv = last[idx]
+    xv = x.values
     _check_block(xv, wq, wk, wv, wo, "attention_pool")
     d = xv.shape[1]
     if pos.ndim != 2 or pos.shape[0] < length or pos.shape[1] != d or proj.ndim != 2 or proj.shape[0] != d:
@@ -736,24 +719,16 @@ def attention_pool(x: Tensor | Sequence[Tensor], pos: Tensor, wq: Tensor, wk: Te
     scale = 1.0 / length
     pooled = (np.full((n, 1, length), scale) @ seq.reshape(n, length, d))[:, 0]
     value, unit_grad = _unit_norm(_rows(pooled, proj.values))
-    need_parts = any(p.requires_grad for p in parts)
-    need_x = need_parts or pos.requires_grad
-    need_seq = need_x or any(p.requires_grad for p in (wq, wk, wv, wo))
 
     def pull(g: np.ndarray):
         gz = unit_grad(g)  # l2_normalize, then matmul by proj
-        gproj = pooled.T @ gz if proj.requires_grad else None
-        if not need_seq:
-            return (None,) * (len(parts) + 5) + (gproj,)
         # the mean spreads each row's gradient over its sequence
         gs = np.repeat(_rows(gz, proj.values.T) * scale, length, axis=0)
-        gx, *gw = _block_grads(gs, w, xv, xv, qv, kv, vv, ctx, wq, wk, wv, wo, need_x)
-        gparts = _scatter_parts(idx, gx, parts, n_table) if need_parts else (None,) * len(parts)
-        return (*gparts,
-                _scatter_rows(np.tile(np.arange(length), n), gx, pos.shape[0]) if pos.requires_grad else None,
-                *gw, gproj)
+        gx, *gw = _block_grads(gs, w, xv, xv, qv, kv, vv, ctx, wq, wk, wv, wo, x.requires_grad or pos.requires_grad)
+        return (gx, _scatter_rows(np.tile(np.arange(length), n), gx, pos.shape[0]) if pos.requires_grad else None,
+                *gw, pooled.T @ gz if proj.requires_grad else None)
 
-    return _result(value, (*parts, pos, wq, wk, wv, wo, proj), pull)
+    return _result(value, (x, pos, wq, wk, wv, wo, proj), pull)
 
 
 def row_distance(a: Tensor, b: Tensor) -> Tensor:

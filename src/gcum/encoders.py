@@ -16,10 +16,9 @@ trained:
   slot per retained member), their empty member slots masked;
 * text encoder — token embeddings plus learned positions, one
   self-attention block, mean-pool, projection, normalization, as one tape
-  node (``attention_pool``) that reads the prompts' rows straight from
-  their parts.  Prompts of one length are encoded together, stacked as
-  row blocks; each prompt is mean-pooled over its own rows, so its feature
-  has the same bits in a stack of any size.
+  node (``attention_pool``).  Prompts of one length are encoded together,
+  stacked as row blocks; each prompt is mean-pooled over its own rows, so
+  its feature has the same bits in a stack of any size.
 
 Trainable state lives alongside: per-identity prompt tokens, padding
 tokens, the member-count matrix, the refinement head, the classifier, and
@@ -284,18 +283,17 @@ def encode_group_suffix(fused: Tensor, state: ModelState, counts: Sequence[int],
     return dc.l2_normalize(dc.matmul(pooled, p["group.proj"]))
 
 
-def encode_text(tokens: Tensor | Sequence[Tensor], state: ModelState, length: int, order: Sequence[int]) -> Tensor:
+def encode_text(tokens: Tensor, state: ModelState, length: int) -> Tensor:
     """Encode prompts of ``length`` tokens each into (n, dim) unit-norm features.
 
-    The n prompts' (length, dim) token matrices, one after another, are
-    rows ``order`` of ``tokens``, read as ``gather_rows`` reads it: one
-    tensor, or the prompt parts in turn.  Each prompt is encoded on its own
-    (positions restart and attention stays inside it), so a single prompt
-    is the n = 1 case.  The encoder is one ``attention_pool`` node.
+    ``tokens`` stacks the n prompts' (length, dim) token matrices, one after
+    another.  Each prompt is encoded on its own (positions restart and
+    attention stays inside it), so a single prompt is the n = 1 case.  The
+    encoder is one ``attention_pool`` node.
     """
     p = state.params
     return dc.attention_pool(tokens, p["text.pos"], p["text.attn.wq"], p["text.attn.wk"], p["text.attn.wv"],
-                             p["text.attn.wo"], p["text.proj"], length, order=order)
+                             p["text.attn.wo"], p["text.proj"], length)
 
 
 # --------------------------------------------------------------------------

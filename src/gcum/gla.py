@@ -10,9 +10,10 @@ The fixed slot count is what lets one text embedding describe a group
 whose visible membership varies.  Both kinds follow one layout rule: a
 prompt is the kind's prefix, one block per slot (an identity's rows of
 ``prompt.x``, or ``prompt.pad`` for an empty slot), then the kind's
-suffix; a member prompt is the one-slot case that never pads.  The rule
-gives one index vector over those parts per kind, and the text encoder
-reads the prompts straight from the parts in one tape node.
+suffix; a member prompt is the one-slot case that never pads.  Each kind
+is laid out by two ``gather_rows`` nodes: one gathers the filled slots'
+identity rows from ``prompt.x``, one lays the prompts out from those rows
+and the template parts, and the text encoder runs on the stacked prompts.
 
 Alignment uses a supervised contrastive loss in both directions at both
 granularities (member features against member descriptions, group
@@ -41,9 +42,10 @@ def _layout(kind: str, slot_ids: np.ndarray, filled: np.ndarray, state: ModelSta
 
     A prompt is the kind's prefix, then one ``tokens_per_identity`` block
     per slot (its identity's rows of ``prompt.x`` where ``filled``, else
-    ``prompt.pad``), then the kind's suffix.  ``prompt.pad`` is a part only
-    when some slot is empty.  A filled slot's identity outside
-    ``[0, n_person_ids)`` raises.
+    ``prompt.pad``), then the kind's suffix.  The parts are the prefix, the
+    suffix, ``prompt.pad`` when some slot is empty, and last the filled
+    slots' identity rows, gathered from ``prompt.x`` slot after slot.  A
+    filled slot's identity outside ``[0, n_person_ids)`` raises.
     """
     ids, n_ids = slot_ids[filled], state.config.n_person_ids
     if ids.size and (ids.min() < 0 or ids.max() >= n_ids):
@@ -55,9 +57,10 @@ def _layout(kind: str, slot_ids: np.ndarray, filled: np.ndarray, state: ModelSta
     short = not filled.all()
     if short:
         parts.append(p["prompt.pad"])
-    parts.append(p["prompt.x"])
+    parts.append(dc.gather_rows(p["prompt.x"], (ids[:, None] * m + np.arange(m)).ravel()))
     n, body = slot_ids.shape[0], slot_ids.shape[1] * m
-    first = np.where(filled, prefix + suffix + short * m + slot_ids * m, prefix + suffix)  # each slot's first row
+    rank = np.cumsum(filled).reshape(filled.shape) - 1  # a filled slot's place among the filled slots
+    first = prefix + suffix + filled * (short + rank) * m  # each slot's first row
     order = np.empty((n, prefix + body + suffix), np.int64)
     order[:, :prefix] = np.arange(prefix)
     order[:, prefix:prefix + body] = (first[:, :, None] + np.arange(m)).reshape(n, body)
@@ -90,15 +93,15 @@ def _group_layout(rosters: Sequence[Sequence[int]], state: ModelState) -> tuple[
 
 
 def member_text_features(identity_ids: Sequence[int], state: ModelState) -> Tensor:
-    """Member text features, one row per identity, encoded in one pass from the prompt parts."""
-    parts, order = _member_layout(identity_ids, state)
-    return encode_text(parts, state, state.config.member_prompt_len, order)
+    """Member text features, one row per identity, encoded in one pass."""
+    prompts = dc.gather_rows(*_member_layout(identity_ids, state))
+    return encode_text(prompts, state, state.config.member_prompt_len)
 
 
 def class_text_features(state: ModelState, class_ids: Sequence[int], rosters) -> Tensor:
-    """Group text features for ``class_ids``, rows in their order, encoded in one pass from the prompt parts."""
-    parts, order = _group_layout([rosters[c] for c in class_ids], state)
-    return encode_text(parts, state, state.config.group_prompt_len, order)
+    """Group text features for ``class_ids``, rows in their order, encoded in one pass."""
+    prompts = dc.gather_rows(*_group_layout([rosters[c] for c in class_ids], state))
+    return encode_text(prompts, state, state.config.group_prompt_len)
 
 
 # --------------------------------------------------------------------------

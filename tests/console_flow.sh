@@ -86,6 +86,16 @@ if grep -q RuntimeWarning diverge.err; then
   exit 1
 fi
 
+# stage 1 reads no q_views; stage 2 needs a positive view of each anchor's group in its batch
+echo "== A stage 2 with one view per group exits 2 and names train.q_views"
+python -c 'import json; c = json.load(open("small.json")); c["train"].update(p_groups=4, q_views=1); print(json.dumps(c))' > one-view.json
+code=0
+gcum train --stage 2 --config one-view.json --data data.json --init-checkpoint s1.ckpt --out one-view.ckpt 2> one-view.err || code=$?
+cat one-view.err
+test "$code" -eq 2
+grep -q "train.q_views" one-view.err
+test ! -e one-view.ckpt
+
 # a module flag is a JSON bool: "no" is an artifact error, not a refined eval
 echo "== An eval of a sidecar whose grce flag is a string exits 3"
 mkdir damaged

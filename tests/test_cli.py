@@ -23,7 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gcum
-from gcum import __version__
+from gcum import __version__, grce
+from gcum import diffcore as dc
 from gcum.cli import (
     EXIT_CHECKPOINT,
     EXIT_CONFIG,
@@ -35,7 +36,17 @@ from gcum.cli import (
     main,
     run_grad_checks,
 )
-from gcum.encoders import ModelConfig, load_checkpoint, load_checkpoint_meta, save_checkpoint
+from gcum.encoders import (
+    STAGE1_TRAINABLE,
+    ModelConfig,
+    ModelState,
+    init_model_state,
+    load_checkpoint,
+    load_checkpoint_meta,
+    save_checkpoint,
+)
+from gcum.gla import stage1_batch_loss
+from gcum.mvs import Mask
 from gcum.synthdata import GenConfig, dataset_to_doc, generate_dataset, load_dataset
 
 import tape_ops as ops
@@ -956,6 +967,23 @@ def test_stage1_with_gla_disabled_exits_2(trained, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_stage2_with_one_view_per_group_exits_2_naming_q_views(trained, tmp_path, capsys, command):
+    # stage 1 reads no q_views and trains; stage 2's triplet anchors would have no positive in their batch
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**_SMALL, "train": {**_SMALL["train"], "p_groups": 4, "q_views": 1}}))
+    out, s1 = tmp_path / "out", str(tmp_path / "s1.ckpt")
+    if command == "train":
+        assert main(["train", "--stage", "1", "--config", str(config), "--data", trained.data, "--out", s1]) == EXIT_OK
+        argv = ["train", "--stage", "2", "--config", str(config), "--data", trained.data, "--init-checkpoint", s1]
+    else:
+        argv = ["ablate", "--config", str(config), "--seeds", "3"]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert "error: stage 2 needs train.q_views of at least 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_appearances_whose_sum_overflows_are_finite_data(trained, tmp_path, capsys):
     # 1e308 is finite and the reader takes it; only a sum of two overflows
     doc = json.loads(Path(trained.data).read_text())
@@ -1215,6 +1243,34 @@ def test_run_grad_checks_reports_all_losses():
     }
     assert all(r.ok for r in reports.values())
     assert all(r.max_rel_error < 1e-4 for r in reports.values())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stage1_loss_over_padded_group_prompts_passes_grad_check(seed):
+    # run_grad_checks' instance with a spare slot and rosters of 2 to 3 members, so every group
+    # prompt pads and prompt.pad gets a checked gradient
+    cfg = RunConfig(seed=seed, dim=4, d_a=4, m0=3, k_slots=4, tokens_per_identity=2,
+                    alpha=0.5, n_group_identities=3, members_min=2, membership_dropout_prob=0.0,
+                    appearance_noise_std=0.2, camera_bias_std=0.1)
+    ds = generate_dataset(cfg.gen_config(), cfg.seed)
+    state = init_model_state(cfg.model_config(ds, n_group_classes=len(ds.group_ids())), seed=seed + 1)
+    rosters = ds.group_rosters()
+    gids = sorted(rosters)[:2]
+    samples = [s for g in gids for s in [s for s in ds.samples if s.group_id == g][:2]]
+    masks = [None if i % 2 else Mask(tuple([1] * (len(s.identity_ids) - 1) + [0])) for i, s in enumerate(samples)]
+    params = state.with_trainable(STAGE1_TRAINABLE).params
+    frozen = grce.FrozenPass(samples, masks, ModelState(state.config, params), quantity=True)
+
+    def loss_fn(ps):
+        st = ModelState(state.config, ps)
+        return stage1_batch_loss(samples, *frozen(range(len(samples)), st, refined=False), st, rosters)[0]
+
+    report = dc.grad_check(loss_fn, params, step=1e-5, tolerance=1e-4)
+    assert report.ok, report.failures[:3]
+    assert set(report.per_param) == set(STAGE1_TRAINABLE)
+    with dc.Graph() as g:
+        loss = loss_fn(params)
+    assert np.any(g.backward(loss)[params["prompt.pad"]])
 
 
 # --------------------------------------------------------------------------

@@ -520,7 +520,7 @@ def test_ops_are_bit_deterministic():
                                dc.attention_block(pair, w, w, w, w, 5, [2, 5], first_only=True).values.ravel(),
                                dc.row_distance(t, dc.tanh(t)).values,
                                dc.add_block_means(pair, dc.Tensor(b[:, :3]), [4, 1]).values.ravel(),
-                               dc.attention_pool(pair, pos, w, w, w, w, w, 5, order=range(10)).values.ravel()])
+                               dc.attention_pool(pair, pos, w, w, w, w, w, 5).values.ravel()])
 
     first, second = run(), run()
     assert first.tobytes() == second.tobytes()
@@ -880,24 +880,24 @@ _POOL_TRAINABLE = [(1,), (0, 1), (1, 2), (3,), (4, 5, 6, 7), (7,), (8,), (1, 8),
 
 @pytest.mark.parametrize("n, length", [(1, 9), (4, 28), (14, 9), (3, 1), (1, 1), (2, 5)])
 @pytest.mark.parametrize("trainable", _POOL_TRAINABLE)
-def test_attention_pool_is_the_composed_text_encoder_bit_for_bit(n, length, trainable):
+def test_attention_pool_over_gathered_parts_is_the_composed_text_encoder_bit_for_bit(n, length, trainable):
     rng = np.random.default_rng(40 + n + length)
     parts, order, rest = _pool_operands(rng, n, length)
-    _same_bits(lambda *t: dc.attention_pool(t[:3], *t[3:], length, order=order),
+    _same_bits(lambda *t: dc.attention_pool(dc.gather_rows(t[:3], order), *t[3:], length),
                lambda *t: _composed_attention_pool(*t, order=order, length=length), parts + rest, trainable)
 
 
 @pytest.mark.parametrize("trainable", [(0,), (0, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), ()])
-def test_attention_pool_over_one_tensor_is_the_composed_encoder_bit_for_bit(trainable):
+def test_attention_pool_after_a_gather_with_repeats_is_the_composed_encoder_bit_for_bit(trainable):
     rng = np.random.default_rng(41)
     x = rng.normal(size=(20, _DIM))
     order = rng.choice(np.r_[0:20:2, 5], size=3 * 9)  # repeats, and rows left out
     _, _, rest = _pool_operands(rng, 3, 9)
     if trainable:
-        _same_bits(lambda *t: dc.attention_pool(t[0], *t[1:], 9, order=order),
+        _same_bits(lambda *t: dc.attention_pool(dc.gather_rows(t[0], order), *t[1:], 9),
                    lambda *t: _composed_attention_pool(*t, order=order, length=9), [x] + rest, trainable)
     leaves = [dc.Tensor(a) for a in [x] + rest]  # outside a recording graph
-    assert (dc.attention_pool(leaves[0], *leaves[1:], 9, order=order).values.tobytes()
+    assert (dc.attention_pool(dc.gather_rows(leaves[0], order), *leaves[1:], 9).values.tobytes()
             == _composed_attention_pool(*leaves, order=order, length=9).values.tobytes())
 
 
@@ -906,21 +906,22 @@ def test_attention_pool_pooled_before_wo_fails_the_bit_test():
     rng = np.random.default_rng(42)
     parts, order, rest = _pool_operands(rng, 4, 28)
     leaves = [dc.Tensor(a) for a in parts + rest]
-    fused = dc.attention_pool(leaves[:3], *leaves[3:], 28, order=order).values
+    fused = dc.attention_pool(dc.gather_rows(leaves[:3], order), *leaves[3:], 28).values
     moved = _pooled_before_wo(*leaves, order=order, length=28).values
     np.testing.assert_allclose(moved, fused, rtol=0, atol=1e-12)
     with pytest.raises(AssertionError):
-        _same_bits(lambda *t: dc.attention_pool(t[:3], *t[3:], 28, order=order),
+        _same_bits(lambda *t: dc.attention_pool(dc.gather_rows(t[:3], order), *t[3:], 28),
                    lambda *t: _pooled_before_wo(*t, order=order, length=28), parts + rest, tuple(range(9)))
 
 
-def test_attention_pool_passes_grad_check():
+def test_attention_pool_over_gathered_parts_passes_grad_check():
     rng = np.random.default_rng(43)
     parts, order, rest = _pool_operands(rng, 2, 3, dim=4)
     upstream = dc.constant(rng.normal(size=(2, 4)))
 
     def pooled(p):
-        out = dc.attention_pool([p["0"], p["1"], p["2"]], *(p[str(i)] for i in range(3, 9)), 3, order=order)
+        x = dc.gather_rows([p["0"], p["1"], p["2"]], order)
+        out = dc.attention_pool(x, *(p[str(i)] for i in range(3, 9)), 3)
         return ops.reduce_sum(dc.mul(out, upstream))
 
     _grad_check_op(pooled, parts + [a * 2.0 for a in rest])
@@ -933,14 +934,14 @@ def test_attention_pool_raises_on_a_non_finite_token():
     with np.errstate(all="ignore"):
         with dc.Graph() as g:
             tokens = ops.exp(ops.scale(table, 1e3))  # an inf token, unchecked on the tape
-            out = dc.attention_pool([dc.Tensor(parts[0]), tokens], *map(dc.Tensor, rest), 5,
-                                    order=np.minimum(order, 34))
+            out = dc.attention_pool(dc.gather_rows([dc.Tensor(parts[0]), tokens], np.minimum(order, 34)),
+                                    *map(dc.Tensor, rest), 5)
             loss = ops.reduce_sum(out)
         with pytest.raises(dc.NonFiniteError, match="^exp: "):
             g.backward(loss)
         huge = dc.Tensor(np.full((10, _DIM), 1e300))  # finite, but its products are not
         with pytest.raises(dc.NonFiniteError, match="^attention_pool: "):
-            dc.attention_pool(huge, *map(dc.Tensor, rest), 5, order=range(10))
+            dc.attention_pool(huge, *map(dc.Tensor, rest), 5)
 
 
 def test_attention_pool_raises_when_a_finite_feature_norm_overflows():
@@ -951,32 +952,34 @@ def test_attention_pool_raises_when_a_finite_feature_norm_overflows():
     rest[-1] = rest[-1] * 1e160
     with np.errstate(over="ignore"):
         with pytest.raises(dc.NonFiniteError, match="^l2_normalize: "):
-            dc.attention_pool([dc.Tensor(p) for p in parts], *map(dc.Tensor, rest), 5, order=order)
+            dc.attention_pool(dc.gather_rows([dc.Tensor(p) for p in parts], order), *map(dc.Tensor, rest), 5)
         with dc.Graph():
             with pytest.raises(dc.NonFiniteError, match="^l2_normalize: "):
-                dc.attention_pool([dc.Tensor(p, requires_grad=True) for p in parts], *map(dc.Tensor, rest), 5,
-                                  order=order)
+                x = dc.gather_rows([dc.Tensor(p, requires_grad=True) for p in parts], order)
+                dc.attention_pool(x, *map(dc.Tensor, rest), 5)
         features = dc.Tensor(np.asarray(parts[1][:2]) @ rest[-1])
         assert np.isfinite(features.values).all()
         with pytest.raises(dc.NonFiniteError, match="^l2_normalize: "):
             dc.l2_normalize(features)
 
 
-def test_attention_pool_rejects_bad_operands():
+def test_attention_pool_over_gathered_parts_rejects_bad_operands():
     x, w = dc.Tensor(np.ones((6, 4))), dc.Tensor(np.ones((4, 4)))
-    pos, rows = dc.Tensor(np.ones((3, 4))), range(6)
+    pos = dc.Tensor(np.ones((3, 4)))
     with pytest.raises(dc.ShapeError, match="index out of range"):
-        dc.attention_pool([x], pos, w, w, w, w, w, 3, order=[0, 6, 1])
+        dc.attention_pool(dc.gather_rows([x], [0, 6, 1]), pos, w, w, w, w, w, 3)
     with pytest.raises(dc.ShapeError, match="non-empty"):
-        dc.attention_pool(x, pos, w, w, w, w, w, 3, order=[])
+        dc.attention_pool(dc.gather_rows(x, []), pos, w, w, w, w, w, 3)
     with pytest.raises(dc.ShapeError):
-        dc.attention_pool(x, pos, w, w, w, w, w, 4, order=rows)  # 6 rows do not split into sequences of 4
+        dc.attention_pool(x, pos, w, w, w, w, w, 4)  # 6 rows do not split into sequences of 4
     with pytest.raises(dc.ShapeError):
-        dc.attention_pool(x, dc.Tensor(np.ones((2, 4))), w, w, w, w, w, 3, order=rows)  # fewer positions
+        dc.attention_pool(dc.Tensor(np.ones(4)), pos, w, w, w, w, w, 1)  # one row is a (1, d) matrix, not a vector
     with pytest.raises(dc.ShapeError):
-        dc.attention_pool(x, pos, w, w, w, w, dc.Tensor(np.ones((3, 4))), 3, order=rows)  # proj does not take d
+        dc.attention_pool(x, dc.Tensor(np.ones((2, 4))), w, w, w, w, w, 3)  # fewer positions
     with pytest.raises(dc.ShapeError):
-        dc.attention_pool(x, pos, w, w, w, dc.Tensor(np.ones((4, 3))), w, 3, order=rows)  # wo does not return d
+        dc.attention_pool(x, pos, w, w, w, w, dc.Tensor(np.ones((3, 4))), 3)  # proj does not take d
+    with pytest.raises(dc.ShapeError):
+        dc.attention_pool(x, pos, w, w, w, dc.Tensor(np.ones((4, 3))), w, 3)  # wo does not return d
 
 
 def _short_rows(rng, n, m, length):

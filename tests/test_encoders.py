@@ -208,23 +208,18 @@ def test_group_suffix_requires_class_plus_member():
     assert np.linalg.norm(out.values) == pytest.approx(1.0, abs=1e-12)
 
 
-def _encode_stack(tokens, state, length):
-    """``encode_text`` of prompts stacked in one tensor, read in order."""
-    return encode_text(tokens, state, length, np.arange(tokens.shape[0]))
-
-
 def test_text_feature_unit_norm_and_length_limit():
     cfg = small_config()
     state = init_model_state(cfg, seed=1)
     tokens = dc.constant(np.random.default_rng(7).normal(size=(cfg.max_prompt_len, cfg.dim)))
-    out = _encode_stack(tokens, state, cfg.max_prompt_len)
+    out = encode_text(tokens, state, cfg.max_prompt_len)
     assert out.shape == (1, cfg.dim)
     assert np.linalg.norm(out.values) == pytest.approx(1.0, abs=1e-12)
     over = dc.constant(np.zeros((cfg.max_prompt_len + 1, cfg.dim)))
     with pytest.raises(ShapeError):
-        _encode_stack(over, state, cfg.max_prompt_len + 1)
+        encode_text(over, state, cfg.max_prompt_len + 1)
     with pytest.raises(ShapeError):
-        _encode_stack(tokens, state, cfg.max_prompt_len - 1)  # rows do not split evenly
+        encode_text(tokens, state, cfg.max_prompt_len - 1)  # rows do not split evenly
 
 
 def test_batched_text_rows_match_one_prompt_encodes():
@@ -236,10 +231,10 @@ def test_batched_text_rows_match_one_prompt_encodes():
         for length in (cfg.member_prompt_len, cfg.group_prompt_len):
             for n in (2, 5, 28, 64):
                 prompts = rng.normal(size=(n, length, cfg.dim))
-                batched = _encode_stack(dc.constant(prompts.reshape(-1, cfg.dim)), state, length).values
+                batched = encode_text(dc.constant(prompts.reshape(-1, cfg.dim)), state, length).values
                 assert batched.shape == (n, cfg.dim)
                 for i, prompt in enumerate(prompts):
-                    alone = _encode_stack(dc.constant(prompt), state, length).values[0]
+                    alone = encode_text(dc.constant(prompt), state, length).values[0]
                     assert np.array_equal(batched[i], alone), (cfg.dim, length, n, i)
 
 
@@ -248,12 +243,12 @@ def test_text_positions_beyond_length_are_inert():
     state = init_model_state(cfg, seed=1)
     length = cfg.member_prompt_len  # shorter than the positional table
     tokens = dc.constant(np.random.default_rng(8).normal(size=(2 * length, cfg.dim)))
-    before = _encode_stack(tokens, state, length)
+    before = encode_text(tokens, state, length)
 
     bumped = np.array(state.params["text.pos"].values)
     bumped[length:] += 100.0
     other = state.with_params({"text.pos": Tensor(bumped, requires_grad=True)})
-    after = _encode_stack(tokens, other, length)
+    after = encode_text(tokens, other, length)
     assert np.array_equal(before.values, after.values)
 
 

@@ -486,8 +486,9 @@ def test_class_text_features_peak_in_bounded_memory():
     # the 1,050 training classes of the 1,500-group split, seed 1, as stage 2
     # encodes them.  A mean over each prompt's rows by one product with an
     # (n, n L) pool matrix peaked at 312 MB of traced allocations; pooled
-    # block by block the pass peaked near 98 MB, and as one node that reads
-    # the prompt parts it peaks near 75 MB.
+    # block by block the pass peaked near 98 MB, as one node that read the
+    # prompt parts near 75 MB, and laid out by two gathers before the
+    # encoder it peaks near 87 MB.
     cfg = RunConfig(seed=1, n_group_identities=1500)
     ds = generate_dataset(cfg.gen_config(), cfg.seed)
     train_gids, _ = split_train_test(ds, cfg.train_fraction)

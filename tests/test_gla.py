@@ -262,12 +262,14 @@ def test_text_features_are_the_gathered_prompts_through_the_composed_encoder_bit
     rosters = {c: tuple(rng.choice(40, size=(c + seed) % 6 + 1, replace=False).tolist()) for c in range(n)}
     classes = rng.permutation(n).tolist()
     identities = rng.choice(40, size=n, replace=False).tolist()
+    repeated = identities + identities[:1] * 2  # three terms of one identity pin the order prompt.x's rows sum in
     for fused, composed in (
             (lambda: class_text_features(state, classes, rosters),
              lambda: _composed_text(_old_group_prompts([sorted(rosters[c]) for c in classes], state), state,
                                     cfg.group_prompt_len)),
-            (lambda: member_text_features(identities, state),
-             lambda: _composed_text(_old_member_prompts(identities, state), state, cfg.member_prompt_len))):
+            *((lambda ids=ids: member_text_features(ids, state),
+               lambda ids=ids: _composed_text(_old_member_prompts(ids, state), state, cfg.member_prompt_len))
+              for ids in (identities, repeated))):
         (got, got_grads), (want, want_grads) = (_text_runs(fn, state, trainable != "none")
                                                 for fn in (fused, composed))
         assert got.tobytes() == want.tobytes()
@@ -562,7 +564,7 @@ def test_stage1_loss_runs_and_routes_gradients():
     assert p["grce.wq"] not in grads
 
 
-def test_stage1_loss_records_one_node_per_text_kind_and_one_for_the_objective():
+def test_stage1_loss_records_two_gathers_and_a_pool_per_text_kind_and_one_node_for_the_objective():
     ds, state = _tiny_setup()
     batch = ds.samples[:4]
     with dc.Graph() as g:
@@ -570,7 +572,7 @@ def test_stage1_loss_records_one_node_per_text_kind_and_one_for_the_objective():
         before = len(g._nodes)
         stage1_batch_loss(batch, *views, state, ds.group_rosters())
     assert [dc._op_name(pull) for _, _, pull in g._nodes[before:]] == [
-        "attention_pool", "attention_pool", "contrastive_loss"]
+        "gather_rows", "gather_rows", "attention_pool"] * 2 + ["contrastive_loss"]
 
 
 def test_stage1_loss_without_count_term_skips_em():
